@@ -14,16 +14,22 @@ The slab bilinear form splits into pieces with different time dependence:
 
 Composite three-point Gauss rules on those panels integrate every piecewise
 polynomial integrand exactly (degree <= 5), so the assembled matrix carries no
-temporal quadrature error.  Right-hand-side integrals use the lower-order
-rules of the reference computation: trapezoid in space, midpoint in time for
-piecewise-constant time elements and three-point Lobatto for linear ones.
+temporal quadrature error.  The time-dependent pieces are evaluated at all
+panel Gauss times of a slab at once.  Every piece yields COO triplets of
+spatial entries, each carrying a (q+1)x(q+1) block over the temporal modes, and
+the slab matrix is their sum in CSC form.  Right-hand-side integrals use the
+lower-order rules of the reference computation: trapezoid in space, midpoint
+in time for piecewise-constant time elements and three-point Lobatto for
+linear ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_array, csc_array
 
 from .core import NumericalFailure, Setup
 from .geometry import (
@@ -46,24 +52,30 @@ _GL3 = gauss_legendre3()
 
 @dataclass(frozen=True)
 class SlabSystem:
-    """Dense matrix and load vector for one slab."""
+    """Sparse (CSC) matrix and load vector for one slab."""
 
     slab: int
-    matrix: np.ndarray
+    matrix: csc_array
     rhs: np.ndarray
     space: SlabSpace
 
     def __post_init__(self):
         n = self.space.n_cols
+        if not isinstance(self.matrix, csc_array):
+            raise TypeError("the slab matrix must be a scipy.sparse.csc_array")
         if self.matrix.shape != (n, n) or self.rhs.shape != (n,):
             raise ValueError("system dimensions do not match the slab space")
-        if not (np.all(np.isfinite(self.matrix)) and np.all(np.isfinite(self.rhs))):
+        if not (np.all(np.isfinite(self.matrix.data)) and np.all(np.isfinite(self.rhs))):
             raise NumericalFailure(f"non-finite entries in slab {self.slab} system")
 
 
 # ---------------------------------------------------------------------------
-# pointwise spatial operators (used by tests, apply_Bh, and the point terms)
+# spatial entries as COO triplets
 # ---------------------------------------------------------------------------
+#
+# Spatial entries are (rows, cols, values) over the slab's spatial DOFs; a
+# background node without a DOF maps to index -1, and every entry touching one
+# is dropped where the entries are summed.
 
 
 def _bg_pair_indices(space: SlabSpace, cells: np.ndarray):
@@ -71,230 +83,256 @@ def _bg_pair_indices(space: SlabSpace, cells: np.ndarray):
     return space.bg_dof[cells], space.bg_dof[cells + 1]
 
 
-def _scatter_cellwise(mat, d0, d1, e00, e01, e10, e11):
-    for (r, c, v) in ((d0, d0, e00), (d0, d1, e01), (d1, d0, e10), (d1, d1, e11)):
-        ok = (r >= 0) & (c >= 0)
-        np.add.at(mat, (r[ok], c[ok]), v[ok] if np.ndim(v) else np.full(ok.sum(), v))
+def _cell_entries(d0, d1, e00, e01, e10, e11):
+    """Triplets of 2x2 cell matrices on nodes (d0, d1); values may carry
+    leading axes, the cells run along the last one."""
+    rows = np.concatenate([d0, d0, d1, d1])
+    cols = np.concatenate([d0, d1, d0, d1])
+    vals = np.concatenate(np.broadcast_arrays(e00, e01, e10, e11), axis=-1)
+    return rows, cols, vals
+
+
+def _scatter(mat: np.ndarray, rows, cols, vals) -> None:
+    """Add spatial entries into a dense matrix."""
+    rows, cols, vals = (np.ravel(x) for x in (rows, cols, vals))
+    ok = (rows >= 0) & (cols >= 0)
+    np.add.at(mat, (rows[ok], cols[ok]), vals[ok])
 
 
 def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
-    """2x2 mass and stiffness entries of one P1 cell restricted to [xa, xb]."""
+    """2x2 mass and stiffness entries of P1 cells restricted to [xa, xb];
+    the cells run along the last axis."""
     h = cell_hi - cell_lo
-    pts = xa[:, None] + (xb - xa)[:, None] * _GL3.nodes[None, :]
-    wts = (xb - xa)[:, None] * _GL3.weights[None, :]
-    w1 = (pts - cell_lo[:, None]) / h[:, None]
+    pts = xa[..., None] + (xb - xa)[..., None] * _GL3.nodes
+    wts = (xb - xa)[..., None] * _GL3.weights
+    w1 = (pts - cell_lo[..., None]) / h[..., None]
     w0 = 1.0 - w1
-    m00 = np.sum(wts * w0 * w0, axis=1)
-    m01 = np.sum(wts * w0 * w1, axis=1)
-    m11 = np.sum(wts * w1 * w1, axis=1)
+    m00 = np.sum(wts * w0 * w0, axis=-1)
+    m01 = np.sum(wts * w0 * w1, axis=-1)
+    m11 = np.sum(wts * w1 * w1, axis=-1)
     seg = xb - xa
     k00 = seg / h**2
     return (m00, m01, m11), (k00, -k00, k00)
 
 
-class PointVec:
-    """Sparse vector over spatial DOFs: the trace of a representation at a point."""
-
-    def __init__(self, idx, val):
-        idx = np.asarray(idx, dtype=int)
-        val = np.asarray(val, dtype=float)
-        ok = idx >= 0
-        self.idx = idx[ok]
-        self.val = val[ok]
-
-    def __sub__(self, other):
-        return PointVec(
-            np.concatenate([self.idx, other.idx]), np.concatenate([self.val, -other.val])
-        )
-
-    def scaled_sum(self, w1, other, w2):
-        return PointVec(
-            np.concatenate([self.idx, other.idx]),
-            np.concatenate([w1 * self.val, w2 * other.val]),
-        )
+def _p1_entries(nodes: np.ndarray):
+    """Node-index triplets of the full-mesh tridiagonal P1 matrices: mass,
+    stiffness, and drift (integral of phi_trial' phi_test)."""
+    i = np.arange(len(nodes) - 1)
+    h = np.diff(nodes)
+    half = np.full_like(h, 0.5)
+    rows, cols, mass = _cell_entries(i, i + 1, h / 3, h / 6, h / 6, h / 3)
+    stiff = _cell_entries(i, i + 1, 1 / h, -1 / h, -1 / h, 1 / h)[2]
+    drift = _cell_entries(i, i + 1, -half, half, -half, half)[2]
+    return rows, cols, mass, stiff, drift
 
 
-def add_outer(mat, w: float, test: PointVec, trial: PointVec):
-    if len(test.idx) and len(trial.idx):
-        mat[np.ix_(test.idx, trial.idx)] += w * np.outer(test.val, trial.val)
+def _covered_entries(space: SlabSpace, a: np.ndarray):
+    """Mass/stiffness triplets of the background basis over the covered interval
+    [a, a + L] for each left position in ``a``.
 
-
-def _interface_data(space: SlabSpace, t: float):
-    """Per interface point: value/gradient trace vectors for both sides."""
+    rows and cols run over the background cells met at any of the positions;
+    the values are shaped (positions, entries) and vanish where a cell lies
+    outside that position's interval.
+    """
     geom = space.geom
     nodes = geom.bg_nodes
-    ov_pos = geom.ov_positions(t)
-    h_ov = ov_pos[1] - ov_pos[0]
+    b = a + geom.overlap_length
+    c_lo = int(np.clip(np.searchsorted(nodes, a.min(), side="right") - 1, 0, len(nodes) - 2))
+    c_hi = int(np.clip(np.searchsorted(nodes, b.max(), side="left") - 1, 0, len(nodes) - 2))
+    cells = np.arange(c_lo, c_hi + 1)
+    xa = np.maximum(nodes[cells], a[:, None])
+    xb = np.maximum(np.minimum(nodes[cells + 1], b[:, None]), xa)
+    (m00, m01, m11), (k00, k01, k11) = _segment_mass_stiff(
+        xa, xb, nodes[cells], nodes[cells + 1]
+    )
+    d0, d1 = _bg_pair_indices(space, cells)
+    rows, cols, mv = _cell_entries(d0, d1, m00, m01, m01, m11)
+    kv = _cell_entries(d0, d1, k00, k01, k01, k11)[2]
+    return rows, cols, mv, kv
+
+
+class _Trace(NamedTuple):
+    """A linear functional on the spatial DOFs at each of a batch of points:
+    DOF indices and weights, shaped (points, terms)."""
+
+    idx: np.ndarray
+    val: np.ndarray
+
+    def scaled_sum(self, w1, other: "_Trace", w2) -> "_Trace":
+        return _Trace(
+            np.concatenate([self.idx, other.idx], axis=1),
+            np.concatenate([w1 * self.val, w2 * other.val], axis=1),
+        )
+
+
+def _outer(test: _Trace, trial: _Trace, w):
+    """Triplets of w * test (x) trial at each point, shaped (points, entries)."""
+    n, a, b = len(test.idx), test.idx.shape[1], trial.idx.shape[1]
+    rows = np.repeat(test.idx, b, axis=1)
+    cols = np.tile(trial.idx, (1, a))
+    vals = np.asarray(w)[..., None, None] * test.val[:, :, None] * trial.val[:, None, :]
+    return rows, cols, vals.reshape(n, a * b)
+
+
+def _join(parts):
+    """Concatenate triplets shaped (points, entries) along the entries."""
+    return tuple(np.concatenate(x, axis=1) for x in zip(*parts))
+
+
+class _InterfacePoint(NamedTuple):
+    """Traces of one interface point at a batch of times."""
+
+    label: str
+    n1: float  # spatial normal of the uncovered side
+    bg_val: _Trace
+    ov_val: _Trace
+    bg_grad: _Trace  # one-sided, from the uncovered side's cell
+    ov_grad: _Trace
+    h_K: np.ndarray  # size of the background cell holding the point
+
+    @property
+    def jump(self) -> _Trace:
+        return self.bg_val.scaled_sum(1.0, self.ov_val, -1.0)
+
+    def average_grad(self, omega1: float) -> _Trace:
+        return self.bg_grad.scaled_sum(omega1, self.ov_grad, 1.0 - omega1)
+
+
+def _interface_data(space: SlabSpace, times) -> list[_InterfacePoint]:
+    """Value/gradient traces of both sides at each interface point, at every
+    time of ``times``."""
+    geom = space.geom
+    nodes = geom.bg_nodes
+    times = np.array(times, dtype=float, ndmin=1)
+    nt = len(times)
+    a = geom.left(times)
+    h_ov = (a + geom.ov_offsets[1]) - (a + geom.ov_offsets[0])
+    ov_slope = np.stack([-1.0 / h_ov, 1.0 / h_ov], axis=1)
     out = []
-    for label, s, n1 in geom.interfaces(t):
-        c, w0, w1, s0, s1 = _hat_eval(nodes, np.array([s]))
-        c = int(c[0])
-        bg_val = PointVec(
-            [space.bg_dof[c], space.bg_dof[c + 1]], [float(w0[0]), float(w1[0])]
-        )
+    for label, s, n1, edge, ov_node, ov_cell in (
+        ("left", a, 1.0, "left", 0, 0),
+        ("right", geom.right(times), -1.0, "right", space.n_ov - 1, space.n_ov - 2),
+    ):
+        c, w0, w1, _, _ = _hat_eval(nodes, s)
         # one-sided gradient cell on the uncovered side
-        if label == "left":
-            c1 = int(np.clip(np.searchsorted(nodes, s, side="left") - 1, 0, len(nodes) - 2))
-            ov_cell = 0
-            ov_val = PointVec([space.ov_dof(0)], [1.0])
-        else:
-            c1 = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
-            ov_cell = space.n_ov - 2
-            ov_val = PointVec([space.ov_dof(space.n_ov - 1)], [1.0])
+        c1 = np.clip(np.searchsorted(nodes, s, side=edge) - 1, 0, len(nodes) - 2)
         h1 = nodes[c1 + 1] - nodes[c1]
-        bg_grad = PointVec(
-            [space.bg_dof[c1], space.bg_dof[c1 + 1]], [-1.0 / h1, 1.0 / h1]
+        ov_pair = space.ov_dof(np.array([ov_cell, ov_cell + 1]))
+        out.append(
+            _InterfacePoint(
+                label=label,
+                n1=n1,
+                bg_val=_Trace(
+                    space.bg_dof[np.stack([c, c + 1], axis=1)], np.stack([w0, w1], axis=1)
+                ),
+                ov_val=_Trace(np.full((nt, 1), space.ov_dof(ov_node)), np.ones((nt, 1))),
+                bg_grad=_Trace(
+                    space.bg_dof[np.stack([c1, c1 + 1], axis=1)],
+                    np.stack([-1.0 / h1, 1.0 / h1], axis=1),
+                ),
+                ov_grad=_Trace(np.broadcast_to(ov_pair, (nt, 2)), ov_slope),
+                h_K=nodes[c + 1] - nodes[c],
+            )
         )
-        ov_grad = PointVec(
-            [space.ov_dof(ov_cell), space.ov_dof(ov_cell + 1)], [-1.0 / h_ov, 1.0 / h_ov]
+    return out
+
+
+def _nitsche_entries(points, gamma: float, omega1: float, mu: float):
+    """Symmetric Nitsche coupling and penalty triplets at each time."""
+    mu_bar = float(np.hypot(mu, 1.0))
+    parts = []
+    for p in points:
+        jump, avg = p.jump, p.average_grad(omega1)
+        parts += [
+            _outer(jump, avg, -p.n1),
+            _outer(avg, jump, -p.n1),
+            _outer(jump, jump, mu_bar * gamma / p.h_K),
+        ]
+    return _join(parts)
+
+
+def _upwind_entries(points, mu: float):
+    """Moving-interface jump triplets at each time: rows test the upwind-side
+    trace, columns carry the jump, weighted by n1*mu."""
+    parts = []
+    for p in points:
+        sigma, w = sigma_side(p.label, mu)
+        parts.append(_outer(p.bg_val if sigma == 1 else p.ov_val, p.jump, w))
+    return _join(parts)
+
+
+def _stabilization_entries(space: SlabSpace, bg_cell, ov_cell, ov_pos, lengths):
+    """Gradient-jump triplets of (background cell, overlap cell) pairs weighted
+    by the lengths of their covered intersections."""
+    nodes = space.geom.bg_nodes
+    h = nodes[bg_cell + 1] - nodes[bg_cell]
+    h_ov = ov_pos[ov_cell + 1] - ov_pos[ov_cell]
+    d0, d1 = _bg_pair_indices(space, bg_cell)
+    jg = _Trace(
+        np.stack([d0, d1, space.ov_dof(ov_cell), space.ov_dof(ov_cell + 1)], axis=1),
+        np.stack([-1.0 / h, 1.0 / h, 1.0 / h_ov, -1.0 / h_ov], axis=1),
+    )
+    return _outer(jg, jg, lengths)
+
+
+# ---------------------------------------------------------------------------
+# dense spatial matrices at one time (verification)
+# ---------------------------------------------------------------------------
+
+
+def _sidewise_entries(space: SlabSpace, t: float):
+    """Side-wise mass and stiffness triplets at time t."""
+    geom = space.geom
+    part = spatial_partition(geom, t)
+    out = []
+    for side, node_arr in ((1, geom.bg_nodes), (2, geom.ov_positions(t))):
+        m = part.side == side
+        if not np.any(m):
+            continue
+        cells = part.bg_cell[m] if side == 1 else part.ov_cell[m]
+        (m00, m01, m11), (k00, k01, k11) = _segment_mass_stiff(
+            part.xa[m], part.xb[m], node_arr[cells], node_arr[cells + 1]
         )
-        h_K = float(nodes[c + 1] - nodes[c])
-        out.append((label, s, n1, bg_val, ov_val, bg_grad, ov_grad, h_K))
+        if side == 1:
+            d0, d1 = _bg_pair_indices(space, cells)
+        else:
+            d0, d1 = space.ov_dof(cells), space.ov_dof(cells + 1)
+        rows, cols, mv = _cell_entries(d0, d1, m00, m01, m01, m11)
+        out.append((rows, cols, mv, _cell_entries(d0, d1, k00, k01, k01, k11)[2]))
     return out
 
 
 def assemble_Aht(space: SlabSpace, t: float, gamma: float, omega1: float) -> np.ndarray:
     """Spatial matrix of the symmetric form at time t (one temporal quadrature point)."""
     geom = space.geom
-    S = space.n_spatial
-    A = np.zeros((S, S))
-    part = spatial_partition(geom, t)
-
-    # side-wise stiffness
-    for side, node_arr in ((1, geom.bg_nodes), (2, geom.ov_positions(t))):
-        m = part.side == side
-        if not np.any(m):
-            continue
-        cells = part.bg_cell[m] if side == 1 else part.ov_cell[m]
-        lo, hi = node_arr[cells], node_arr[cells + 1]
-        _, (k00, k01, k11) = _segment_mass_stiff(part.xa[m], part.xb[m], lo, hi)
-        if side == 1:
-            d0, d1 = _bg_pair_indices(space, cells)
-        else:
-            d0, d1 = space.ov_dof(cells), space.ov_dof(cells + 1)
-        _scatter_cellwise(A, d0, d1, k00, k01, k01, k11)
-
-    # interface terms
-    mu_bar = float(np.hypot(geom.mu, 1.0))
-    for label, s, n1, bg_val, ov_val, bg_grad, ov_grad, h_K in _interface_data(space, t):
-        jump = bg_val - ov_val
-        avg = bg_grad.scaled_sum(omega1, ov_grad, 1.0 - omega1)
-        add_outer(A, -n1, jump, avg)
-        add_outer(A, -n1, avg, jump)
-        add_outer(A, mu_bar * gamma / h_K, jump, jump)
-
+    A = np.zeros((space.n_spatial, space.n_spatial))
+    for rows, cols, _, kv in _sidewise_entries(space, t):
+        _scatter(A, rows, cols, kv)
+    _scatter(A, *_nitsche_entries(_interface_data(space, t), gamma, omega1, geom.mu))
     # gradient-jump stabilization over the covered parts of cut cells
-    ov_pos = geom.ov_positions(t)
     seg = overlap_segments(geom, t)
-    for i in range(len(seg)):
-        c, g = int(seg.bg_cell[i]), int(seg.ov_cell[i])
-        h = geom.bg_nodes[c + 1] - geom.bg_nodes[c]
-        h_ov = ov_pos[g + 1] - ov_pos[g]
-        jg = PointVec(
-            [space.bg_dof[c], space.bg_dof[c + 1], space.ov_dof(g), space.ov_dof(g + 1)],
-            [-1.0 / h, 1.0 / h, 1.0 / h_ov, -1.0 / h_ov],
-        )
-        add_outer(A, float(seg.xb[i] - seg.xa[i]), jg, jg)
+    _scatter(
+        A,
+        *_stabilization_entries(space, seg.bg_cell, seg.ov_cell, geom.ov_positions(t), seg.lengths),
+    )
     return A
 
 
 def upwind_matrix(space: SlabSpace, t: float) -> np.ndarray:
-    """Spatial matrix of the moving-interface jump term at time t: rows test the
-    upwind-side trace, columns carry the jump, weighted by n1*mu."""
-    S = space.n_spatial
-    G = np.zeros((S, S))
-    if space.geom.mu == 0.0:
-        return G
-    for label, s, n1, bg_val, ov_val, bg_grad, ov_grad, h_K in _interface_data(space, t):
-        sigma, w = sigma_side(label, space.geom.mu)
-        jump = bg_val - ov_val
-        upwind = bg_val if sigma == 1 else ov_val
-        add_outer(G, w, upwind, jump)
+    """Spatial matrix of the moving-interface jump term at time t."""
+    G = np.zeros((space.n_spatial, space.n_spatial))
+    if space.geom.mu != 0.0:
+        _scatter(G, *_upwind_entries(_interface_data(space, t), space.geom.mu))
     return G
 
 
 def mass_matrix(space: SlabSpace, t: float) -> np.ndarray:
     """Side-wise spatial mass matrix at time t."""
-    geom = space.geom
-    S = space.n_spatial
-    M = np.zeros((S, S))
-    part = spatial_partition(geom, t)
-    for side, node_arr in ((1, geom.bg_nodes), (2, geom.ov_positions(t))):
-        m = part.side == side
-        if not np.any(m):
-            continue
-        cells = part.bg_cell[m] if side == 1 else part.ov_cell[m]
-        lo, hi = node_arr[cells], node_arr[cells + 1]
-        (m00, m01, m11), _ = _segment_mass_stiff(part.xa[m], part.xb[m], lo, hi)
-        if side == 1:
-            d0, d1 = _bg_pair_indices(space, cells)
-        else:
-            d0, d1 = space.ov_dof(cells), space.ov_dof(cells + 1)
-        _scatter_cellwise(M, d0, d1, m00, m01, m01, m11)
+    M = np.zeros((space.n_spatial, space.n_spatial))
+    for rows, cols, mv, _ in _sidewise_entries(space, t):
+        _scatter(M, rows, cols, mv)
     return M
-
-
-# ---------------------------------------------------------------------------
-# constant-in-time building blocks
-# ---------------------------------------------------------------------------
-
-
-def _uniform_p1_matrices(nodes: np.ndarray):
-    """Full-mesh tridiagonal mass, stiffness, and drift (grad-trial) matrices."""
-    n = len(nodes)
-    h = np.diff(nodes)
-    M = np.zeros((n, n))
-    K = np.zeros((n, n))
-    C = np.zeros((n, n))  # C[test, trial] = integral of phi_trial' phi_test
-    i = np.arange(n - 1)
-    for (r, c, mv, kv, cv) in (
-        (i, i, h / 3, 1 / h, -0.5 * np.ones_like(h)),
-        (i, i + 1, h / 6, -1 / h, 0.5 * np.ones_like(h)),
-        (i + 1, i, h / 6, -1 / h, -0.5 * np.ones_like(h)),
-        (i + 1, i + 1, h / 3, 1 / h, 0.5 * np.ones_like(h)),
-    ):
-        np.add.at(M, (r, c), mv)
-        np.add.at(K, (r, c), kv)
-        np.add.at(C, (r, c), cv)
-    return M, K, C
-
-
-def _embed_bg(space: SlabSpace, mat: np.ndarray) -> np.ndarray:
-    out = np.zeros((space.n_spatial, space.n_spatial))
-    act = space.active_bg
-    out[np.ix_(np.arange(space.n_active_bg), np.arange(space.n_active_bg))] = mat[
-        np.ix_(act, act)
-    ]
-    return out
-
-
-def _embed_ov(space: SlabSpace, mat: np.ndarray) -> np.ndarray:
-    out = np.zeros((space.n_spatial, space.n_spatial))
-    out[space.n_active_bg :, space.n_active_bg :] = mat
-    return out
-
-
-def _covered_correction(space: SlabSpace, a: float, b: float):
-    """COO mass/stiffness entries of the background basis over [a, b]."""
-    geom = space.geom
-    nodes = geom.bg_nodes
-    c_lo = int(np.clip(np.searchsorted(nodes, a, side="right") - 1, 0, len(nodes) - 2))
-    c_hi = int(np.clip(np.searchsorted(nodes, b, side="left") - 1, 0, len(nodes) - 2))
-    cells = np.arange(c_lo, c_hi + 1)
-    xa = np.maximum(nodes[cells], a)
-    xb = np.minimum(nodes[cells + 1], b)
-    ok = xb > xa
-    cells, xa, xb = cells[ok], xa[ok], xb[ok]
-    (m00, m01, m11), (k00, k01, k11) = _segment_mass_stiff(
-        xa, xb, nodes[cells], nodes[cells + 1]
-    )
-    d0, d1 = _bg_pair_indices(space, cells)
-    rows = np.concatenate([d0, d0, d1, d1])
-    cols = np.concatenate([d0, d1, d0, d1])
-    mv = np.concatenate([m00, m01, m01, m11])
-    kv = np.concatenate([k00, k01, k01, k11])
-    ok = (rows >= 0) & (cols >= 0)
-    return rows[ok], cols[ok], mv[ok], kv[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -379,35 +417,37 @@ def _temporal_products(q: int, k: float):
     return T1, T2
 
 
-def _f_load(space: SlabSpace, t: float, source) -> np.ndarray:
-    """Trapezoid-per-segment load vector of the source at time t."""
+def _f_load(space: SlabSpace, times: np.ndarray, weights: np.ndarray, source) -> np.ndarray:
+    """Load of the source against every basis function, shaped
+    (n_spatial, q+1): trapezoid per segment in space, the rule (times,
+    weights) in time."""
     geom = space.geom
-    part = spatial_partition(geom, t)
-    vec = np.zeros(space.n_spatial)
+    nodes = geom.bg_nodes
+    # a composite Lobatto rule repeats each inner panel endpoint
+    ts, slot = np.unique(times, return_inverse=True)
+    part = spatial_partition(geom, ts)
+    wlam = np.bincount(slot, weights)[:, None] * temporal_basis_values(
+        space.q, geom.t_start, geom.t_end, ts
+    )
+    wlam = wlam[np.searchsorted(ts, part.t)]
     half = 0.5 * part.lengths
-    ov_pos = geom.ov_positions(t)
+    a = geom.left(part.t)
+    vec = np.zeros((space.n_spatial, space.q + 1))
+    m1, m2 = part.side == 1, part.side == 2
     for xs in (part.xa, part.xb):
-        fv = np.asarray(source(xs, t), dtype=float) * half
-        m1 = part.side == 1
-        if np.any(m1):
-            c, w0, w1, _, _ = _hat_eval(geom.bg_nodes, xs[m1])
-            # evaluate the hats of the segment's own cell, not the neighbor's
-            c = part.bg_cell[m1]
-            h = geom.bg_nodes[c + 1] - geom.bg_nodes[c]
-            w1 = (xs[m1] - geom.bg_nodes[c]) / h
-            w0 = 1.0 - w1
-            d0, d1 = _bg_pair_indices(space, c)
-            for d, w in ((d0, w0), (d1, w1)):
-                ok = d >= 0
-                np.add.at(vec, d[ok], (fv[m1] * w)[ok])
-        m2 = part.side == 2
-        if np.any(m2):
-            c = part.ov_cell[m2]
-            h = ov_pos[c + 1] - ov_pos[c]
-            w1 = (xs[m2] - ov_pos[c]) / h
-            w0 = 1.0 - w1
-            np.add.at(vec, space.ov_dof(c), fv[m2] * w0)
-            np.add.at(vec, space.ov_dof(c + 1), fv[m2] * w1)
+        fv = (np.asarray(source(xs, part.t), dtype=float) * half)[:, None] * wlam
+        # evaluate the hats of the segment's own cell, not the neighbor's
+        c = part.bg_cell[m1]
+        w1 = (xs[m1] - nodes[c]) / (nodes[c + 1] - nodes[c])
+        d0, d1 = _bg_pair_indices(space, c)
+        for d, w in ((d0, 1.0 - w1), (d1, w1)):
+            ok = d >= 0
+            np.add.at(vec, d[ok], (fv[m1] * w[:, None])[ok])
+        c = part.ov_cell[m2]
+        lo = a[m2] + geom.ov_offsets[c]
+        w1 = (xs[m2] - lo) / ((a[m2] + geom.ov_offsets[c + 1]) - lo)
+        np.add.at(vec, space.ov_dof(c), fv[m2] * (1.0 - w1)[:, None])
+        np.add.at(vec, space.ov_dof(c + 1), fv[m2] * w1[:, None])
     return vec
 
 
@@ -439,6 +479,20 @@ def _trace_load(space: SlabSpace, t: float, func) -> np.ndarray:
     return vec
 
 
+def _slab_matrix(space: SlabSpace, rows, cols, blocks) -> csc_array:
+    """Sum spatial entries with their (q+1)x(q+1) temporal blocks into the slab
+    matrix (temporal mode fastest), dropping entries on nodes without a DOF."""
+    rows, cols, blocks = (np.concatenate(x) for x in (rows, cols, blocks))
+    ok = (rows >= 0) & (cols >= 0)
+    m = space.q + 1
+    modes = np.arange(m)
+    R = np.broadcast_to((rows[ok] * m)[:, None, None] + modes[:, None], (int(ok.sum()), m, m))
+    C = np.broadcast_to((cols[ok] * m)[:, None, None] + modes, R.shape)
+    n = space.n_cols
+    # the conversion to CSC sums the duplicate entries, once
+    return coo_array((blocks[ok].ravel(), (R.ravel(), C.ravel())), shape=(n, n)).tocsc()
+
+
 def assemble_slab(
     space: SlabSpace,
     setup: Setup,
@@ -446,119 +500,78 @@ def assemble_slab(
     *,
     include_upwind: bool = True,
 ) -> SlabSystem:
-    """Assemble the dense system of one slab.
+    """Assemble the sparse system of one slab.
 
     ``prev_trace`` is the trace of the solution from below at the slab's start
     (the initial data for the first slab), as a callable of position.
     """
     geom = space.geom
     disc = setup.disc
-    q, gamma, omega1 = disc.q, disc.gamma, disc.omega1
+    q = disc.q
     mu = geom.mu
     t0, t1, k = geom.t_start, geom.t_end, geom.k
-    S = space.n_spatial
-    dlam = temporal_basis_derivs(q, t0, t1)
-
-    # constant-in-time blocks
-    M_bg, K_bg, _ = _uniform_p1_matrices(geom.bg_nodes)
-    ov_nodes0 = geom.ov_positions(t0)
-    M_ov, K_ov, C_ov = _uniform_p1_matrices(ov_nodes0)
-    M_full = _embed_bg(space, M_bg)
-    K_full = _embed_bg(space, K_bg)
-    M2 = _embed_ov(space, M_ov)
-    K2 = _embed_ov(space, K_ov)
-    C2 = _embed_ov(space, C_ov)
-
+    lam0 = temporal_basis_values(q, t0, t1, t0)
     T1, T2 = _temporal_products(q, k)
-    P1 = np.einsum("ij,ab->ijab", T1, K_full + K2 - mu * C2)
-    P2 = np.einsum("ij,ab->ijab", T2, M_full + M2)
+    start = np.outer(lam0, lam0)  # slab-start mass (time jump / initial coupling)
+    rows, cols, blocks = [], [], []
 
-    # time-dependent corrections on interface-crossing panels
+    def add_fixed(r, c, vals, weights):
+        # entries at fixed positions: values (terms, entries) contracted with
+        # the temporal weights (terms, q+1, q+1)
+        rows.append(r)
+        cols.append(c)
+        blocks.append(np.einsum("te,tij->eij", vals, weights))
+
+    def add_pointwise(r, c, vals, weights):
+        # entries that move between points: (points, entries), each point
+        # with its own temporal weight (points, q+1, q+1)
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        blocks.append((vals[:, :, None, None] * weights[:, None]).reshape(-1, q + 1, q + 1))
+
+    # constant-in-time blocks: full-mesh P1 matrices of both meshes
+    r, c, mv, kv, _ = _p1_entries(geom.bg_nodes)
+    add_fixed(space.bg_dof[r], space.bg_dof[c], np.stack([mv, kv]), np.stack([T2 + start, T1]))
+    r, c, mv, kv, dv = _p1_entries(geom.ov_positions(t0))
+    add_fixed(
+        space.ov_dof(r), space.ov_dof(c), np.stack([mv, kv - mu * dv]), np.stack([T2 + start, T1])
+    )
+
+    # covered-interval correction (at the slab start and on the panel Gauss
+    # times) and interface point terms on the panel Gauss times
     times, wts = composite_time_rule(t0, t1, geom.events, _GL3)
-    mu_bar = float(np.hypot(mu, 1.0))
-    for t, wt in zip(times, wts):
-        lam = temporal_basis_values(q, t0, t1, t)
-        a = float(geom.left(t))
-        rows, cols, mv, kv = _covered_correction(space, a, a + geom.overlap_length)
-        iface = _interface_data(space, t)
-        for i in range(q + 1):
-            for j in range(q + 1):
-                np.add.at(P2[i, j], (rows, cols), -wt * lam[i] * dlam[j] * mv)
-                np.add.at(P1[i, j], (rows, cols), -wt * lam[i] * lam[j] * kv)
-                w_ij = wt * lam[i] * lam[j]
-                for label, s, n1, bg_val, ov_val, bg_grad, ov_grad, h_K in iface:
-                    jump = bg_val - ov_val
-                    avg = bg_grad.scaled_sum(omega1, ov_grad, 1.0 - omega1)
-                    add_outer(P1[i, j], -n1 * w_ij, jump, avg)
-                    add_outer(P1[i, j], -n1 * w_ij, avg, jump)
-                    add_outer(P1[i, j], w_ij * mu_bar * gamma / h_K, jump, jump)
-                    if include_upwind and mu != 0.0:
-                        sigma, w_up = sigma_side(label, mu)
-                        upw = bg_val if sigma == 1 else ov_val
-                        add_outer(P1[i, j], w_ij * w_up, upw, jump)
+    lam = temporal_basis_values(q, t0, t1, times)
+    w_ll = wts[:, None, None] * lam[:, :, None] * lam[:, None, :]
+    w_ld = wts[:, None, None] * lam[:, :, None] * temporal_basis_derivs(q, t0, t1)
+    r, c, mv, kv = _covered_entries(space, geom.left(np.concatenate(([t0], times))))
+    add_fixed(r, c, np.concatenate([mv, kv[1:]]), -np.concatenate([start[None], w_ld, w_ll]))
+    points = _interface_data(space, times)
+    add_pointwise(*_nitsche_entries(points, disc.gamma, disc.omega1, mu), w_ll)
+    if include_upwind and mu != 0.0:
+        add_pointwise(*_upwind_entries(points, mu), w_ll)
 
     # pairwise-exact gradient-jump stabilization
     stab = _stabilization_panels(geom)
     if stab is not None:
         pK, pc, c_lo0, c_hi0, breaks = stab
-        K_lo, K_hi = geom.bg_nodes[pK], geom.bg_nodes[pK + 1]
         tq = breaks[:, :-1, None] + np.diff(breaks, axis=1)[:, :, None] * _GL3.nodes
         wq = np.diff(breaks, axis=1)[:, :, None] * _GL3.weights
         tq = tq.reshape(len(pK), -1)
         wq = wq.reshape(len(pK), -1)
-        L = _pair_lengths(K_lo, K_hi, c_lo0, c_hi0, mu, t0, tq)
-        h_bg = K_hi - K_lo
-        h_ov = c_hi0 - c_lo0
-        d_idx = np.stack(
-            [space.bg_dof[pK], space.bg_dof[pK + 1], space.ov_dof(pc), space.ov_dof(pc + 1)],
-            axis=1,
-        )
-        d_val = np.stack([-1.0 / h_bg, 1.0 / h_bg, 1.0 / h_ov, -1.0 / h_ov], axis=1)
-        # constrained (boundary) background nodes carry no DOF; zero their
-        # entries and park the index at 0 so np.add.at cannot wrap around
-        d_val = np.where(d_idx >= 0, d_val, 0.0)
-        d_idx = np.maximum(d_idx, 0)
-        outer = d_val[:, :, None] * d_val[:, None, :]  # (npairs, 4, 4)
-        R = np.repeat(d_idx, 4, axis=1).ravel()
-        C = np.tile(d_idx, (1, 4)).ravel()
-        for i in range(q + 1):
-            for j in range(q + 1):
-                if q == 0:
-                    lamlam = np.ones_like(tq)
-                else:
-                    li = (t1 - tq) / k if i == 0 else (tq - t0) / k
-                    lj = (t1 - tq) / k if j == 0 else (tq - t0) / k
-                    lamlam = li * lj
-                W = np.sum(wq * lamlam * L, axis=1)  # (npairs,)
-                vals = (W[:, None, None] * outer).ravel()
-                np.add.at(P1[i, j], (R, C), vals)
-
-    # slab-start mass (time jump / initial coupling)
-    M0 = (M_full + M2).copy()
-    rows, cols, mv, _ = _covered_correction(space, float(geom.left(t0)), float(geom.right(t0)))
-    np.add.at(M0, (rows, cols), -mv)
-    lam0 = temporal_basis_values(q, t0, t1, t0)
-
-    ncols = space.n_cols
-    A = np.zeros((ncols, ncols))
-    for i in range(q + 1):
-        for j in range(q + 1):
-            A[i :: q + 1, j :: q + 1] = P1[i, j] + P2[i, j] + lam0[i] * lam0[j] * M0
+        L = _pair_lengths(geom.bg_nodes[pK], geom.bg_nodes[pK + 1], c_lo0, c_hi0, mu, t0, tq)
+        lam_q = temporal_basis_values(q, t0, t1, tq)
+        W = np.einsum("pt,pti,ptj->pij", wq * L, lam_q, lam_q)
+        add_pointwise(*_stabilization_entries(space, pK, pc, geom.ov_positions(t0), 1.0), W)
 
     # right-hand side
-    rhs = np.zeros(ncols)
     rhs_rule = midpoint() if q == 0 else lobatto3()
-    times_r, wts_r = composite_time_rule(t0, t1, geom.events, rhs_rule)
-    for t, wt in zip(times_r, wts_r):
-        lam = temporal_basis_values(q, t0, t1, t)
-        fvec = _f_load(space, t, setup.problem.source)
-        for i in range(q + 1):
-            rhs[i :: q + 1] += wt * lam[i] * fvec
-    uvec = _trace_load(space, t0, prev_trace)
-    for i in range(q + 1):
-        rhs[i :: q + 1] += lam0[i] * uvec
+    times, wts = composite_time_rule(t0, t1, geom.events, rhs_rule)
+    rhs = _f_load(space, times, wts, setup.problem.source)
+    rhs += _trace_load(space, t0, prev_trace)[:, None] * lam0
 
-    return SlabSystem(slab=geom.n, matrix=A, rhs=rhs, space=space)
+    return SlabSystem(
+        slab=geom.n, matrix=_slab_matrix(space, rows, cols, blocks), rhs=rhs.ravel(), space=space
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -325,12 +325,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["solve", "converge"])
     parser.add_argument("config", type=Path)
     parser.add_argument("--output-dir", type=Path, default=None)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized vectors")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
 
-    np.random.seed(args.seed)
     try:
         cfg = json.loads(args.config.read_text(encoding="utf-8"))
     except FileNotFoundError:

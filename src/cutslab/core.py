@@ -5,6 +5,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -30,7 +31,11 @@ class ExactSolution:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Heat equation data on a fixed interval with homogeneous Dirichlet BCs."""
+    """Heat equation data on a fixed interval with homogeneous Dirichlet BCs.
+
+    ``source(x, t)`` and ``initial(x)`` are evaluated elementwise on arrays;
+    ``t`` is a scalar or an array shaped like ``x``.
+    """
 
     x_lo: float
     x_hi: float
@@ -65,8 +70,12 @@ class OverlapSpec:
     velocity_mode: str = "sample"  # "sample" | "average"
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("overlap length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"overlap length must be positive and finite, got {self.length}")
+        if not math.isfinite(self.initial_left):
+            raise ValueError(f"initial_left must be finite, got {self.initial_left}")
+        if not callable(self.velocity) and not math.isfinite(self.velocity):
+            raise ValueError(f"constant velocity must be finite, got {self.velocity}")
         if self.velocity_mode not in ("sample", "average"):
             raise ValueError(f"unknown velocity mode {self.velocity_mode!r}")
 
@@ -87,8 +96,9 @@ class Discretization:
             raise ValueError("cell and slab counts must be at least 1")
         if self.q not in (0, 1):
             raise ValueError(f"temporal degree must be 0 or 1, got {self.q}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        # gamma = 0 drops the Nitsche penalty and the form is not coercive
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 <= self.omega1 <= 1.0:
             raise ValueError("omega1 must lie in [0, 1]")
 

@@ -68,14 +68,15 @@ class SlabGeometry:
 
 @dataclass(frozen=True)
 class SpatialPartition:
-    """Segments tiling the domain at a fixed time, tagged with side and cell indices.
+    """Segments tiling the domain at a fixed time (or at each of several times,
+    with ``t`` then giving each segment's time), tagged with side and cell indices.
 
     Breakpoints include every background node, every overlap-mesh node, and the
     two interface points.  ``side`` is 1 outside the moving interval and 2 inside;
     ``ov_cell`` is -1 on side-1 segments.
     """
 
-    t: float
+    t: float | np.ndarray
     xa: np.ndarray
     xb: np.ndarray
     side: np.ndarray
@@ -173,31 +174,47 @@ def build_slab_geometry(setup: Setup, n: int) -> SlabGeometry:
     )
 
 
-def spatial_partition(geom: SlabGeometry, t: float) -> SpatialPartition:
-    """Merged partition of the domain at time t in [t_start, t_end]."""
-    if not geom.contains_time(t):
+def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:
+    """Merged partition of the domain at time t in [t_start, t_end].
+
+    For a 1-D array of times the partitions at all of them come back as one,
+    in the order of the times, and ``t`` holds the time of each segment.
+    """
+    times = np.array(t, dtype=float, ndmin=1)
+    if not (times.min() >= geom.t_start and times.max() <= geom.t_end):
         raise ValueError(f"t={t} outside slab {geom.n}")
-    nodes = geom.bg_nodes
-    a = float(geom.left(t))
-    b = a + geom.overlap_length
-    pts = np.sort(np.concatenate([nodes, geom.ov_positions(t)]))
+    nodes, offsets = geom.bg_nodes, geom.ov_offsets
+    nb = len(nodes)
+    a = geom.left(times)
+    pts = np.empty((len(times), nb + len(offsets)))
+    pts[:, :nb] = nodes
+    pts[:, nb:] = a[:, None] + offsets
+    pts.sort(axis=1)
     tol = DEGENERATE_FRACTION * (nodes[-1] - nodes[0])
-    keep = np.concatenate(([True], np.diff(pts) > tol))
+    keep = np.empty(pts.shape, dtype=bool)
+    keep[:, 0] = True
+    np.greater(pts[:, 1:] - pts[:, :-1], tol, out=keep[:, 1:])
+    row = keep.nonzero()[0]
     pts = pts[keep]
+    # consecutive kept breakpoints of one time bound a segment
     xa, xb = pts[:-1], pts[1:]
-    long_enough = (xb - xa) > tol
-    xa, xb = xa[long_enough], xb[long_enough]
+    seg = (row[1:] == row[:-1]) & ((xb - xa) > tol)
+    xa, xb, row = xa[seg], xb[seg], row[1:][seg]
     mid = 0.5 * (xa + xb)
-    side = np.where((mid > a) & (mid < b), 2, 1)
-    n_bg = len(nodes) - 1
-    bg_cell = np.clip(np.searchsorted(nodes, mid) - 1, 0, n_bg - 1)
-    ov_pos = geom.ov_positions(t)
-    ov_cell = np.where(
-        side == 2,
-        np.clip(np.searchsorted(ov_pos, mid) - 1, 0, len(ov_pos) - 2),
-        -1,
+    a = a[row]
+    side = np.where((mid > a) & (mid < a + geom.overlap_length), 2, 1)
+    # a midpoint lies strictly inside the domain, and on side 2 strictly
+    # inside the moving interval, so neither cell index needs clipping
+    bg_cell = np.searchsorted(nodes, mid) - 1
+    ov_cell = np.where(side == 2, np.searchsorted(offsets, mid - a) - 1, -1)
+    return SpatialPartition(
+        t=times[row] if np.ndim(t) else t,
+        xa=xa,
+        xb=xb,
+        side=side,
+        bg_cell=bg_cell,
+        ov_cell=ov_cell,
     )
-    return SpatialPartition(t=t, xa=xa, xb=xb, side=side, bg_cell=bg_cell, ov_cell=ov_cell)
 
 
 def overlap_segments(geom: SlabGeometry, t: float) -> SpatialPartition:

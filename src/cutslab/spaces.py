@@ -11,16 +11,18 @@ from .core import Setup
 from .geometry import SlabGeometry
 
 
-def temporal_basis_values(q: int, t_start: float, t_end: float, t: float) -> np.ndarray:
-    """Values of the q+1 temporal modes at t.
+def temporal_basis_values(q: int, t_start: float, t_end: float, t) -> np.ndarray:
+    """Values of the q+1 temporal modes at t, shaped ``np.shape(t) + (q+1,)``.
 
     q=0 is the constant mode; q=1 is the nodal Lagrange pair at the slab
     endpoints, so traces at the endpoints read off single modes.
     """
     if q == 0:
-        return np.array([1.0])
+        # the scalar case is the norm's per-point call; np.ones costs more there
+        return np.array([1.0]) if np.isscalar(t) else np.ones(np.shape(t) + (1,))
     k = t_end - t_start
-    return np.array([(t_end - t) / k, (t - t_start) / k])
+    lam = np.array([(t_end - t) / k, (t - t_start) / k])
+    return np.moveaxis(lam, 0, -1) if lam.ndim > 1 else lam
 
 
 def temporal_basis_derivs(q: int, t_start: float, t_end: float) -> np.ndarray:

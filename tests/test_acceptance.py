@@ -179,7 +179,7 @@ class TestCriterion5GalerkinResidual:
                 system = assemble_slab(space, setup, prev)
                 coeffs = solve_slab(system)
                 scale = (
-                    np.linalg.norm(system.matrix, np.inf) * np.max(np.abs(coeffs))
+                    np.linalg.norm(system.matrix.toarray(), np.inf) * np.max(np.abs(coeffs))
                     + np.max(np.abs(system.rhs))
                 )
                 res = np.max(np.abs(system.matrix @ coeffs - system.rhs))

@@ -35,6 +35,14 @@ class TestPointwiseMatrices:
             A = assemble_Aht(space, t, gamma=10.0, omega1=0.5)
             assert np.max(np.abs(A - A.T)) < 1e-13
 
+    def test_aht_without_cut_cells(self):
+        # an aligned stationary overlap cuts no cell: no stabilized segment
+        setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.25)
+        space = _space(setup)
+        A = assemble_Aht(space, 0.5, gamma=10.0, omega1=0.5)
+        assert np.max(np.abs(A - A.T)) < 1e-13
+        assert np.linalg.eigvalsh(A).min() > -1e-12
+
     def test_aht_positive_semidefinite_with_penalty(self):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, gamma=10.0)
         space = _space(setup)
@@ -83,7 +91,7 @@ class TestAssembledSystem:
         space = _space(setup)
         s1 = assemble_slab(space, setup, lambda x: np.zeros_like(x))
         s2 = assemble_slab(space, setup, lambda x: np.sin(np.pi * np.asarray(x)))
-        assert np.array_equal(s1.matrix, s2.matrix)
+        assert np.array_equal(s1.matrix.toarray(), s2.matrix.toarray())
         assert np.any(s1.rhs != s2.rhs)
 
 

@@ -181,6 +181,16 @@ class TestMainErrors:
         cfg_path = _write(tmp_path, cfg)
         assert main(["solve", str(cfg_path), "--quiet"]) == EXIT_CONFIG
 
+    def test_non_finite_initial_left_is_config_error(self, tmp_path):
+        cfg = _base_config()
+        cfg["overlap"]["initial_left"] = float("nan")
+        cfg_path = _write(tmp_path, cfg)
+        assert "NaN" in cfg_path.read_text(encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["solve", str(cfg_path), "--output-dir", str(out), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
     def test_solve_geometry_violation_exit(self, tmp_path):
         cfg = _base_config()
         cfg["overlap"]["velocity"] = {"mode": "constant", "value": -0.4}

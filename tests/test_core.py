@@ -137,6 +137,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             Discretization(n_background=4, n_overlap=2, n_slabs=2, omega1=1.5)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    def test_discretization_bad_gamma(self, gamma):
+        with pytest.raises(ValueError):
+            Discretization(n_background=4, n_overlap=2, n_slabs=2, gamma=gamma)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("length", np.nan),
+            ("length", np.inf),
+            ("initial_left", np.nan),
+            ("initial_left", -np.inf),
+            ("velocity", np.nan),
+            ("velocity", np.inf),
+        ],
+    )
+    def test_overlap_non_finite(self, field, value):
+        kwargs = dict(length=0.25, initial_left=0.1, velocity=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            OverlapSpec(**kwargs)
+
     def test_overlap_bad_mode(self):
         with pytest.raises(ValueError):
             OverlapSpec(length=0.25, initial_left=0.1, velocity=0.0, velocity_mode="x")

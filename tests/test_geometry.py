@@ -93,6 +93,20 @@ class TestSpatialPartition:
             assert np.sum(part.lengths) == pytest.approx(1.0, rel=1e-12)
 
 
+    @pytest.mark.parametrize("mu,a0", [(0.6, 0.125), (0.0, 0.3), (-0.3, 0.55)])
+    def test_many_times_match_single_times(self, mu, a0):
+        # event times put an interface exactly on a node
+        setup = make_setup(n0=16, nG=4, N=2, mu=mu, a0=a0)
+        geom = build_slab_geometry(setup, 1)
+        times = np.sort(np.concatenate([np.linspace(geom.t_start, geom.t_end, 7), geom.events]))
+        batch = spatial_partition(geom, times)
+        singles = [spatial_partition(geom, float(t)) for t in times]
+        for field in ("xa", "xb", "side", "bg_cell", "ov_cell"):
+            expect = np.concatenate([getattr(p, field) for p in singles])
+            assert np.array_equal(getattr(batch, field), expect)
+        assert np.array_equal(batch.t, np.concatenate([np.full(len(p), p.t) for p in singles]))
+
+
 class TestOverlapSegments:
     def test_stationary_cut_cells(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.15)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from cutslab.assembly import assemble_slab
 from cutslab.core import (
@@ -45,7 +46,7 @@ class TestSolveSlab:
         space = build_slab_space(build_slab_geometry(setup, 1), q)
         system = assemble_slab(space, setup, setup.problem.initial)
         x = solve_slab(system)
-        ref = _naive_gauss(system.matrix, system.rhs)
+        ref = _naive_gauss(system.matrix.toarray(), system.rhs)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(x - ref)) <= 1e-10 * scale
 
@@ -66,7 +67,7 @@ class TestSolveSlab:
         from cutslab.assembly import SlabSystem
 
         n = space.n_cols
-        bad = SlabSystem(slab=1, matrix=np.zeros((n, n)), rhs=np.zeros(n), space=space)
+        bad = SlabSystem(slab=1, matrix=csc_array((n, n)), rhs=np.zeros(n), space=space)
         with pytest.raises(NumericalFailure):
             solve_slab(bad)
 
@@ -76,11 +77,75 @@ class TestSolveSlab:
         system = assemble_slab(space, setup, setup.problem.initial)
         from cutslab.assembly import SlabSystem
 
-        A = system.matrix.copy()
+        A = system.matrix.toarray()
         A[3] = A[4]  # duplicate row
-        bad = SlabSystem(slab=1, matrix=A, rhs=system.rhs, space=space)
+        bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=space)
         with pytest.raises(NumericalFailure):
             solve_slab(bad)
+
+
+    def _system(self, q=0, mu=0.6):
+        setup = make_setup(n0=8, nG=2, N=3, mu=mu, q=q)
+        space = build_slab_space(build_slab_geometry(setup, 1), q)
+        return assemble_slab(space, setup, setup.problem.initial)
+
+    def test_near_singular_column_trips_pivot_floor(self):
+        from cutslab.assembly import SlabSystem
+
+        system = self._system()
+        A = system.matrix.toarray()
+        A[:, 5] *= 1e-16
+        bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=system.space)
+        with pytest.raises(NumericalFailure, match="singular slab system"):
+            solve_slab(bad)
+
+    def test_exactly_singular_factor_reported(self):
+        from cutslab.assembly import SlabSystem
+
+        system = self._system()
+        A = system.matrix.toarray()
+        A[:, 2] = 0.0
+        bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=system.space)
+        with pytest.raises(NumericalFailure) as exc:
+            solve_slab(bad)
+        msg = str(exc.value)
+        assert "slab 1" in msg
+        assert f"{system.space.n_cols} unknowns" in msg
+        assert f"{system.space.n_active_bg} background DOFs" in msg
+        assert "condition estimate" in msg
+
+    def test_residual_guard(self, monkeypatch):
+        import cutslab.solver
+
+        monkeypatch.setattr(cutslab.solver, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalFailure, match="relative residual"):
+            solve_slab(self._system())
+
+    def test_non_finite_matrix_rejected(self):
+        from cutslab.assembly import SlabSystem
+
+        system = self._system()
+        A = system.matrix.copy()
+        A.data[0] = np.nan
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            SlabSystem(slab=1, matrix=A, rhs=system.rhs, space=system.space)
+
+    def test_dense_matrix_rejected(self):
+        from cutslab.assembly import SlabSystem
+
+        system = self._system()
+        with pytest.raises(TypeError):
+            SlabSystem(
+                slab=1, matrix=system.matrix.toarray(), rhs=system.rhs, space=system.space
+            )
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("mu", [0.0, 0.6])
+    def test_matches_dense_solve(self, q, mu):
+        system = self._system(q=q, mu=mu)
+        x = solve_slab(system)
+        ref = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestMarch:
