@@ -185,6 +185,7 @@ class _InterfacePoint(NamedTuple):
 
     label: str
     n1: float  # spatial normal of the uncovered side
+    x: np.ndarray  # position at each time
     bg_val: _Trace
     ov_val: _Trace
     bg_grad: _Trace  # one-sided, from the uncovered side's cell
@@ -223,6 +224,7 @@ def _interface_data(space: SlabSpace, times) -> list[_InterfacePoint]:
             _InterfacePoint(
                 label=label,
                 n1=n1,
+                x=s,
                 bg_val=_Trace(
                     space.bg_dof[np.stack([c, c + 1], axis=1)], np.stack([w0, w1], axis=1)
                 ),
@@ -429,7 +431,7 @@ def _f_load(space: SlabSpace, times: np.ndarray, weights: np.ndarray, source) ->
     wlam = np.bincount(slot, weights)[:, None] * temporal_basis_values(
         space.q, geom.t_start, geom.t_end, ts
     )
-    wlam = wlam[np.searchsorted(ts, part.t)]
+    wlam = wlam[part.time_index]
     half = 0.5 * part.lengths
     a = geom.left(part.t)
     vec = np.zeros((space.n_spatial, space.q + 1))

@@ -24,6 +24,14 @@ class NumericalFailure(Exception):
 
 @dataclass(frozen=True)
 class ExactSolution:
+    """A known solution and its two first derivatives, for error measurement.
+
+    ``u(x, t)``, ``u_x(x, t)`` and ``u_t(x, t)`` are evaluated elementwise on
+    arrays: ``t`` is a scalar or an array shaped like ``x``.  The error norm
+    passes arrays of times, one per point, so a callable that assumes a scalar
+    ``t`` is not enough.
+    """
+
     u: Callable[[float, float], float]
     u_x: Callable[[float, float], float]
     u_t: Callable[[float, float], float]

@@ -69,7 +69,8 @@ class SlabGeometry:
 @dataclass(frozen=True)
 class SpatialPartition:
     """Segments tiling the domain at a fixed time (or at each of several times,
-    with ``t`` then giving each segment's time), tagged with side and cell indices.
+    with ``t`` then giving each segment's time and ``time_index`` its position
+    in the times asked for), tagged with side and cell indices.
 
     Breakpoints include every background node, every overlap-mesh node, and the
     two interface points.  ``side`` is 1 outside the moving interval and 2 inside;
@@ -77,6 +78,7 @@ class SpatialPartition:
     """
 
     t: float | np.ndarray
+    time_index: np.ndarray
     xa: np.ndarray
     xb: np.ndarray
     side: np.ndarray
@@ -178,7 +180,8 @@ def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:
     """Merged partition of the domain at time t in [t_start, t_end].
 
     For a 1-D array of times the partitions at all of them come back as one,
-    in the order of the times, and ``t`` holds the time of each segment.
+    in the order of the times; ``t`` holds the time of each segment and
+    ``time_index`` the index of that time.
     """
     times = np.array(t, dtype=float, ndmin=1)
     if not (times.min() >= geom.t_start and times.max() <= geom.t_end):
@@ -209,6 +212,7 @@ def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:
     ov_cell = np.where(side == 2, np.searchsorted(offsets, mid - a) - 1, -1)
     return SpatialPartition(
         t=times[row] if np.ndim(t) else t,
+        time_index=row,
         xa=xa,
         xb=xb,
         side=side,
@@ -224,6 +228,7 @@ def overlap_segments(geom: SlabGeometry, t: float) -> SpatialPartition:
     mask = (part.side == 2) & np.isin(part.bg_cell, geom.cut_cells)
     return SpatialPartition(
         t=t,
+        time_index=part.time_index[mask],
         xa=part.xa[mask],
         xb=part.xb[mask],
         side=part.side[mask],

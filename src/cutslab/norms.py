@@ -4,7 +4,13 @@ The space-time error norm is the scaled-material-derivative term plus the
 time-integrated spatial energy norm, the time-jump terms at slab breakpoints,
 and the moving-interface jump term.  Temporal integration is composite
 three-point Gauss over the interface-crossing panels of each slab; spatial
-integration is three-point Gauss per merged-partition segment.  The
+integration is three-point Gauss per merged-partition segment.
+
+Each slab is measured in one batch, with no loop over its quadrature times:
+one merged partition at all of its times, both representations evaluated at
+every Gauss point from each segment's own cell, and the interface terms read
+off the per-time coefficient vectors through the assembly's interface
+stencil.  The slab-breakpoint traces take one partition per breakpoint.  The
 gradient-jump term over the covered parts of cut cells is integrated pairwise
 per (cut cell, overlap cell) with panels at their endpoint crossings, which
 makes it exact for discrete arguments.
@@ -16,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _GL3, _pair_lengths, _stabilization_panels
+from .assembly import _GL3, _interface_data, _pair_lengths, _stabilization_panels
 from .core import ExactSolution
-from .geometry import SlabGeometry, spatial_partition
+from .geometry import spatial_partition
 from .quadrature import composite_time_rule
-from .spaces import SpaceTimeSolution, temporal_basis_values
+from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_basis_values
 
 
 @dataclass(frozen=True)
@@ -91,47 +97,6 @@ def _segment_points(part, space_refine: int):
     return pts, wts
 
 
-def anorm_sq(fn, geom: SlabGeometry, t: float, omega1: float = 0.5) -> float:
-    """Spatial energy norm squared at time t of a side-wise evaluable function.
-
-    ``fn(x, side, deriv)`` must accept position arrays, side 1 or 2, and deriv
-    "value" or "dx".  The four terms: broken gradient, weighted average flux and
-    weighted jump at the interface points, and the gradient jump over the
-    covered parts of the slab's cut cells.
-    """
-    part = spatial_partition(geom, t)
-    total = 0.0
-    for side in (1, 2):
-        m = part.side == side
-        if not np.any(m):
-            continue
-        mids = 0.5 * (part.xa[m] + part.xb[m])
-        g = np.asarray(fn(mids, side, "dx"), dtype=float)
-        total += float(np.sum(part.lengths[m] * g * g))
-
-    nodes = geom.bg_nodes
-    mu_bar = float(np.hypot(geom.mu, 1.0))
-    for label, s, n1 in geom.interfaces(t):
-        v1 = float(fn(np.array([s]), 1, "value")[0])
-        v2 = float(fn(np.array([s]), 2, "value")[0])
-        g1 = float(fn(np.array([s]), 1, "dx")[0])
-        g2 = float(fn(np.array([s]), 2, "dx")[0])
-        c = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
-        h_K = float(nodes[c + 1] - nodes[c])
-        avg = omega1 * g1 + (1.0 - omega1) * g2
-        total += mu_bar * h_K * avg * avg
-        total += mu_bar / h_K * (v1 - v2) ** 2
-
-    from .geometry import overlap_segments
-
-    seg = overlap_segments(geom, t)
-    if len(seg):
-        mids = 0.5 * (seg.xa + seg.xb)
-        jg = np.asarray(fn(mids, 1, "dx")) - np.asarray(fn(mids, 2, "dx"))
-        total += float(np.sum(seg.lengths * jg * jg))
-    return total
-
-
 def _zero_exact() -> ExactSolution:
     z = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
     return ExactSolution(u=z, u_x=z, u_t=z)
@@ -167,21 +132,85 @@ def _stab_term(slab) -> float:
     return float(np.sum(wq * jump * jump * L))
 
 
-def _trace_l2_sq(geom, t, fa, fb=None, space_refine=1) -> float:
-    """Squared L2 distance of two side-wise evaluable traces over the domain."""
-    part = spatial_partition(geom, t)
-    pts, wts = _segment_points(part, space_refine)
-    total = 0.0
-    for side in (1, 2):
-        m = part.side == side
-        if not np.any(m):
-            continue
-        xs = pts[m].ravel()
-        d = np.asarray(fa(xs, side), dtype=float)
-        if fb is not None:
-            d = d - np.asarray(fb(xs, side), dtype=float)
-        total += float(np.sum(wts[m].ravel() * d * d))
-    return total
+def _point_values(slab, part, x):
+    """Value, spatial gradient and trajectory time derivative of a slab
+    solution at points ``x`` shaped (segments, points per segment).
+
+    Each row is evaluated on its segment's side, from the nodal values of the
+    segment's own cell, at the segment's time.
+    """
+    geom = slab.geom
+    t = np.broadcast_to(part.t, part.xa.shape)
+    nb = len(geom.bg_nodes)
+    nodal = np.concatenate([slab.bg_nodal(), slab.ov_nodal()])  # background nodes first
+    on2 = part.side == 2
+    # ov_cell is -1 on side 1: the overlap lookups there are in range and unused
+    c = np.where(on2, nb + part.ov_cell, part.bg_cell)
+    a = geom.left(t)
+    lo = np.where(on2, a + geom.ov_offsets[part.ov_cell], geom.bg_nodes[part.bg_cell])
+    hi = np.where(on2, a + geom.ov_offsets[part.ov_cell + 1], geom.bg_nodes[part.bg_cell + 1])
+    lam = temporal_basis_values(slab.space.q, geom.t_start, geom.t_end, t)
+    dlam = temporal_basis_derivs(slab.space.q, geom.t_start, geom.t_end)
+    n0, n1 = nodal[c], nodal[c + 1]
+    c0 = np.sum(n0 * lam, axis=1)[:, None]
+    c1 = np.sum(n1 * lam, axis=1)[:, None]
+    h = (hi - lo)[:, None]
+    w1 = (x - lo[:, None]) / h
+    w0 = 1.0 - w1
+    value = w0 * c0 + w1 * c1
+    dx = np.broadcast_to(-1.0 / h * c0 + 1.0 / h * c1, x.shape)
+    traj = w0 * (n0 @ dlam)[:, None] + w1 * (n1 @ dlam)[:, None]
+    return value, dx, traj
+
+
+def _apply(trace, U: np.ndarray) -> np.ndarray:
+    """A trace applied at each time to the rows of per-time coefficient vectors
+    ``U``, whose padded last column reads 0 for nodes without a DOF (index -1)."""
+    return np.sum(np.take_along_axis(U, trace.idx, axis=1) * trace.val, axis=1)
+
+
+def _volume_terms(slab, exact, times, wts, space_refine):
+    """Squared gradient and material-derivative (side 1, side 2) error terms of
+    one slab, at every (time, segment, Gauss point) of its rule at once."""
+    geom = slab.geom
+    part = spatial_partition(geom, times)
+    pts, pw = _segment_points(part, space_refine)
+    tt = np.broadcast_to(part.t[:, None], pts.shape)
+    _, dx, traj = _point_values(slab, part, pts)
+    u_x = np.asarray(exact.u_x(pts, tt), dtype=float)
+    ge = u_x - dx
+    de = np.asarray(exact.u_t(pts, tt), dtype=float) - traj
+    on2 = part.side == 2
+    de[on2] += geom.mu * u_x[on2]  # side 2: the material derivative follows the motion
+    w = wts[part.time_index, None] * pw
+    wde = w * de * de
+    return (
+        float(np.sum(w * ge * ge)),
+        geom.k * float(np.sum(wde[~on2])),
+        geom.k * float(np.sum(wde[on2])),
+    )
+
+
+def _interface_terms(slab, exact, times, wts, omega1):
+    """Squared flux, interface-jump and moving-jump error terms of one slab at
+    all of its rule's times, through the assembly's interface stencil.
+
+    The exact solution is continuous, so the error's jump is the discrete one.
+    """
+    geom, space = slab.geom, slab.space
+    mu_bar = float(np.hypot(geom.mu, 1.0))
+    lam = temporal_basis_values(space.q, geom.t_start, geom.t_end, times)
+    U = np.zeros((len(times), space.n_spatial + 1))
+    U[:, :-1] = lam @ slab.by_mode.T
+    flux = ijump = moving = 0.0
+    for p in _interface_data(space, times):
+        u_x = np.asarray(exact.u_x(p.x, times), dtype=float)
+        avg = u_x - _apply(p.average_grad(omega1), U)
+        jump_sq = _apply(p.jump, U) ** 2
+        flux += mu_bar * float(np.sum(wts * p.h_K * avg * avg))
+        ijump += mu_bar * float(np.sum(wts / p.h_K * jump_sq))
+        moving += abs(p.n1 * geom.mu) * float(np.sum(wts * jump_sq))
+    return flux, ijump, moving
 
 
 def xnorm_error(
@@ -194,91 +223,45 @@ def xnorm_error(
     """Energy-norm breakdown of exact-minus-discrete (of the discrete function
     itself when ``exact`` is omitted).
 
-    ``time_refine``/``space_refine`` subdivide the quadrature panels and are
-    meant for convergence checks of the measurement itself.
+    ``exact`` is evaluated on arrays of points with ``t`` an array of the same
+    shape.  ``time_refine``/``space_refine`` subdivide the quadrature panels
+    and are meant for convergence checks of the measurement itself.
     """
     if exact is None:
         exact = _zero_exact()
     if exact.u_x is None or exact.u_t is None:
         raise ValueError("exact solution must provide u_x and u_t for the error norm")
     setup = sol.setup
-    omega1 = setup.disc.omega1
-    mat_bg = mat_ov = grad = flux = ijump = moving = 0.0
-    stab = 0.0
-
+    # grad, material (side 1, side 2), flux, interface jump, moving jump, stab
+    totals = np.zeros(7)
     for slab in sol.slabs:
         geom = slab.geom
-        k = geom.k
-        mu = geom.mu
-        mu_bar = float(np.hypot(mu, 1.0))
-        nodes = geom.bg_nodes
         breaks = _refine(geom.events, geom.t_start, geom.t_end, time_refine)
         times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, _GL3)
-        for t, wt in zip(times, wts):
-            part = spatial_partition(geom, t)
-            pts, pw = _segment_points(part, space_refine)
-            for side in (1, 2):
-                m = part.side == side
-                if not np.any(m):
-                    continue
-                xs = pts[m].ravel()
-                ws = pw[m].ravel()
-                ge = np.asarray(exact.u_x(xs, t)) - slab.eval(xs, t, side=side, deriv="dx")
-                grad += wt * float(np.sum(ws * ge * ge))
-                de = np.asarray(exact.u_t(xs, t)) - slab.eval(
-                    xs, t, side=side, deriv="Dt"
-                )
-                if side == 2:
-                    de = de + mu * np.asarray(exact.u_x(xs, t))
-                    mat_ov += k * wt * float(np.sum(ws * de * de))
-                else:
-                    mat_bg += k * wt * float(np.sum(ws * de * de))
-            for label, s, n1 in geom.interfaces(t):
-                sx = np.array([s])
-                e1 = float((np.asarray(exact.u(sx, t)) - slab.eval(sx, t, side=1))[0])
-                e2 = float((np.asarray(exact.u(sx, t)) - slab.eval(sx, t, side=2))[0])
-                g1 = float(np.asarray(exact.u_x(sx, t))[0]) - slab.interface_gradient(label, t, 1)
-                g2 = float(np.asarray(exact.u_x(sx, t))[0]) - slab.interface_gradient(label, t, 2)
-                c = int(
-                    np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2)
-                )
-                h_K = float(nodes[c + 1] - nodes[c])
-                avg = omega1 * g1 + (1.0 - omega1) * g2
-                flux += wt * mu_bar * h_K * avg * avg
-                ijump += wt * mu_bar / h_K * (e1 - e2) ** 2
-                moving += wt * abs(n1 * mu) * (e1 - e2) ** 2
-        stab += _stab_term(slab)
+        totals += (
+            *_volume_terms(slab, exact, times, wts, space_refine),
+            *_interface_terms(slab, exact, times, wts, setup.disc.omega1),
+            _stab_term(slab),
+        )
+    grad, mat_bg, mat_ov, flux, ijump, moving, stab = map(float, totals)
 
+    # initial, time-jump and final traces, one partition per breakpoint
     bp = setup.partition.breakpoints
     N = len(sol.slabs)
-    u0 = setup.problem.initial
-    up = sol.trace(0, "+")
-    initial = _trace_l2_sq(
-        sol.slabs[0].geom,
-        float(bp[0]),
-        lambda x, s: np.asarray(u0(x), dtype=float),
-        lambda x, s: up(x, side=s),
-        space_refine,
-    )
-    tjump = 0.0
-    for n in range(1, N):
-        wp, wm = sol.trace(n, "+"), sol.trace(n, "-")
-        tjump += _trace_l2_sq(
-            sol.slabs[n - 1].geom,
-            float(bp[n]),
-            lambda x, s: wp(x, side=s),
-            lambda x, s: wm(x, side=s),
-            space_refine,
-        )
-    wN = sol.trace(N, "-")
-    T = float(bp[N])
-    final = _trace_l2_sq(
-        sol.slabs[-1].geom,
-        T,
-        lambda x, s: np.asarray(exact.u(x, T), dtype=float),
-        lambda x, s: wN(x, side=s),
-        space_refine,
-    )
+    traces = []
+    for n in range(N + 1):
+        t = float(bp[n])
+        part = spatial_partition(sol.slabs[max(n - 1, 0)].geom, t)
+        pts, pw = _segment_points(part, space_refine)
+        if n < N:
+            upper = _point_values(sol.slabs[n], part, pts)[0]
+        else:
+            upper = np.asarray(exact.u(pts, np.full_like(pts, t)), dtype=float)
+        if n > 0:
+            lower = _point_values(sol.slabs[n - 1], part, pts)[0]
+        else:
+            lower = np.asarray(setup.problem.initial(pts), dtype=float)
+        traces.append(float(np.sum(pw * (upper - lower) ** 2)))
 
     return NormBreakdown(
         material_bg_sq=mat_bg,
@@ -287,9 +270,9 @@ def xnorm_error(
         flux_sq=flux,
         iface_jump_sq=ijump,
         stab_sq=stab,
-        time_jump_sq=tjump,
-        final_sq=final,
-        initial_sq=initial,
+        time_jump_sq=float(sum(traces[1:-1])),
+        final_sq=traces[-1],
+        initial_sq=traces[0],
         moving_jump_sq=moving,
     )
 

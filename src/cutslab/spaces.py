@@ -18,8 +18,7 @@ def temporal_basis_values(q: int, t_start: float, t_end: float, t) -> np.ndarray
     endpoints, so traces at the endpoints read off single modes.
     """
     if q == 0:
-        # the scalar case is the norm's per-point call; np.ones costs more there
-        return np.array([1.0]) if np.isscalar(t) else np.ones(np.shape(t) + (1,))
+        return np.ones(np.shape(t) + (1,))
     k = t_end - t_start
     lam = np.array([(t_end - t) / k, (t - t_start) / k])
     return np.moveaxis(lam, 0, -1) if lam.ndim > 1 else lam

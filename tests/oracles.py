@@ -4,12 +4,19 @@ The bilinear-form oracle below shares only the evaluation routines with the
 library: panel detection, quadrature rules, and the term-by-term integration
 are written from scratch with high-order composite Gauss rules, so agreement
 with the assembled matrices is evidence and not tautology.
+
+``pointwise_xnorm_error`` is the energy-norm measurement written as a loop over
+the temporal quadrature points, each with its own spatial partition and
+side-wise ``SlabSolution.eval`` calls; the library's batched norm must agree
+with it to rounding.  ``anorm_sq`` is the spatial energy norm at one time.
 """
 
 import numpy as np
 
-from cutslab.assembly import _trace_load, assemble_slab
-from cutslab.geometry import sigma_side
+from cutslab.assembly import _GL3, _trace_load, assemble_slab
+from cutslab.geometry import overlap_segments, sigma_side, spatial_partition
+from cutslab.norms import NormBreakdown, _refine, _segment_points, _stab_term, _zero_exact
+from cutslab.quadrature import composite_time_rule
 from cutslab.spaces import temporal_basis_values
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
@@ -232,3 +239,152 @@ def oracle_bnorm_sq(v):
         v.slabs[-1].geom, float(bp[N]), lambda x, s: vN(x, side=s) ** 2
     )
     return total
+
+
+def anorm_sq(fn, geom, t: float, omega1: float = 0.5) -> float:
+    """Spatial energy norm squared at time t of a side-wise evaluable function.
+
+    ``fn(x, side, deriv)`` must accept position arrays, side 1 or 2, and deriv
+    "value" or "dx".  The four terms: broken gradient, weighted average flux and
+    weighted jump at the interface points, and the gradient jump over the
+    covered parts of the slab's cut cells.
+    """
+    part = spatial_partition(geom, t)
+    total = 0.0
+    for side in (1, 2):
+        m = part.side == side
+        if not np.any(m):
+            continue
+        mids = 0.5 * (part.xa[m] + part.xb[m])
+        g = np.asarray(fn(mids, side, "dx"), dtype=float)
+        total += float(np.sum(part.lengths[m] * g * g))
+
+    nodes = geom.bg_nodes
+    mu_bar = float(np.hypot(geom.mu, 1.0))
+    for label, s, n1 in geom.interfaces(t):
+        v1 = float(fn(np.array([s]), 1, "value")[0])
+        v2 = float(fn(np.array([s]), 2, "value")[0])
+        g1 = float(fn(np.array([s]), 1, "dx")[0])
+        g2 = float(fn(np.array([s]), 2, "dx")[0])
+        c = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
+        h_K = float(nodes[c + 1] - nodes[c])
+        avg = omega1 * g1 + (1.0 - omega1) * g2
+        total += mu_bar * h_K * avg * avg
+        total += mu_bar / h_K * (v1 - v2) ** 2
+
+    seg = overlap_segments(geom, t)
+    if len(seg):
+        mids = 0.5 * (seg.xa + seg.xb)
+        jg = np.asarray(fn(mids, 1, "dx")) - np.asarray(fn(mids, 2, "dx"))
+        total += float(np.sum(seg.lengths * jg * jg))
+    return total
+
+
+def _trace_l2_sq(geom, t, fa, fb=None, space_refine=1) -> float:
+    """Squared L2 distance of two side-wise evaluable traces over the domain."""
+    part = spatial_partition(geom, t)
+    pts, wts = _segment_points(part, space_refine)
+    total = 0.0
+    for side in (1, 2):
+        m = part.side == side
+        if not np.any(m):
+            continue
+        xs = pts[m].ravel()
+        d = np.asarray(fa(xs, side), dtype=float)
+        if fb is not None:
+            d = d - np.asarray(fb(xs, side), dtype=float)
+        total += float(np.sum(wts[m].ravel() * d * d))
+    return total
+
+
+def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> NormBreakdown:
+    """``xnorm_error`` evaluated one temporal quadrature point at a time."""
+    if exact is None:
+        exact = _zero_exact()
+    setup = sol.setup
+    omega1 = setup.disc.omega1
+    mat_bg = mat_ov = grad = flux = ijump = moving = 0.0
+    stab = 0.0
+
+    for slab in sol.slabs:
+        geom = slab.geom
+        k = geom.k
+        mu = geom.mu
+        mu_bar = float(np.hypot(mu, 1.0))
+        nodes = geom.bg_nodes
+        breaks = _refine(geom.events, geom.t_start, geom.t_end, time_refine)
+        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, _GL3)
+        for t, wt in zip(times, wts):
+            part = spatial_partition(geom, t)
+            pts, pw = _segment_points(part, space_refine)
+            for side in (1, 2):
+                m = part.side == side
+                if not np.any(m):
+                    continue
+                xs = pts[m].ravel()
+                ws = pw[m].ravel()
+                ge = np.asarray(exact.u_x(xs, t)) - slab.eval(xs, t, side=side, deriv="dx")
+                grad += wt * float(np.sum(ws * ge * ge))
+                de = np.asarray(exact.u_t(xs, t)) - slab.eval(xs, t, side=side, deriv="Dt")
+                if side == 2:
+                    de = de + mu * np.asarray(exact.u_x(xs, t))
+                    mat_ov += k * wt * float(np.sum(ws * de * de))
+                else:
+                    mat_bg += k * wt * float(np.sum(ws * de * de))
+            for label, s, n1 in geom.interfaces(t):
+                sx = np.array([s])
+                e1 = float((np.asarray(exact.u(sx, t)) - slab.eval(sx, t, side=1))[0])
+                e2 = float((np.asarray(exact.u(sx, t)) - slab.eval(sx, t, side=2))[0])
+                g1 = float(np.asarray(exact.u_x(sx, t))[0]) - slab.interface_gradient(label, t, 1)
+                g2 = float(np.asarray(exact.u_x(sx, t))[0]) - slab.interface_gradient(label, t, 2)
+                c = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
+                h_K = float(nodes[c + 1] - nodes[c])
+                avg = omega1 * g1 + (1.0 - omega1) * g2
+                flux += wt * mu_bar * h_K * avg * avg
+                ijump += wt * mu_bar / h_K * (e1 - e2) ** 2
+                moving += wt * abs(n1 * mu) * (e1 - e2) ** 2
+        stab += _stab_term(slab)
+
+    bp = setup.partition.breakpoints
+    N = len(sol.slabs)
+    u0 = setup.problem.initial
+    up = sol.trace(0, "+")
+    initial = _trace_l2_sq(
+        sol.slabs[0].geom,
+        float(bp[0]),
+        lambda x, s: np.asarray(u0(x), dtype=float),
+        lambda x, s: up(x, side=s),
+        space_refine,
+    )
+    tjump = 0.0
+    for n in range(1, N):
+        wp, wm = sol.trace(n, "+"), sol.trace(n, "-")
+        tjump += _trace_l2_sq(
+            sol.slabs[n - 1].geom,
+            float(bp[n]),
+            lambda x, s: wp(x, side=s),
+            lambda x, s: wm(x, side=s),
+            space_refine,
+        )
+    wN = sol.trace(N, "-")
+    T = float(bp[N])
+    final = _trace_l2_sq(
+        sol.slabs[-1].geom,
+        T,
+        lambda x, s: np.asarray(exact.u(x, T), dtype=float),
+        lambda x, s: wN(x, side=s),
+        space_refine,
+    )
+
+    return NormBreakdown(
+        material_bg_sq=mat_bg,
+        material_ov_sq=mat_ov,
+        grad_sq=grad,
+        flux_sq=flux,
+        iface_jump_sq=ijump,
+        stab_sq=stab,
+        time_jump_sq=tjump,
+        final_sq=final,
+        initial_sq=initial,
+        moving_jump_sq=moving,
+    )
