@@ -1,26 +1,40 @@
 """Slab system assembly.
 
-The slab bilinear form splits into pieces with different time dependence:
+Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
+nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
+that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
+temporal modes.  The slab's ``node -> DOF`` table (-1 for a dropped background
+node) maps them to DOFs once, where the entries are summed into the CSC slab
+matrix and where the load is gathered.  The pieces differ in their time
+dependence:
 
-* overlap-mesh volume terms are rigid under the translation, so their spatial
-  matrices are constant on the slab and the time integral is done analytically;
+* the full-mesh P1 mass, stiffness and drift entries of both meshes are
+  constant.  The overlap mesh moves rigidly, so its entries depend only on the
+  node offsets; they are built once per setup (``Setup.mesh_matrices``) and
+  each slab contracts them with its exact temporal weights in one product;
 * background volume terms over the uncovered region are the full-mesh matrices
   minus a correction over the covered interval, whose entries are piecewise
   polynomial in time between interface-node crossings;
 * interface point terms (Nitsche coupling, penalty, upwind space-time jump)
-  are rank-one updates, piecewise polynomial between the same crossings;
+  come from one stencil of both interface points at all panel Gauss times:
+  seven nodes per point with jump, average-gradient and upwind-trace weights,
+  piecewise polynomial between the same crossings;
 * the overlap-region gradient-jump stabilization is integrated pairwise over
   (cut background cell, overlap cell) with panels at their mutual crossings.
 
 Composite three-point Gauss rules on those panels integrate every piecewise
 polynomial integrand exactly (degree <= 5), so the assembled matrix carries no
-temporal quadrature error.  The time-dependent pieces are evaluated at all
-panel Gauss times of a slab at once.  Every piece yields COO triplets of
-spatial entries, each carrying a (q+1)x(q+1) block over the temporal modes, and
-the slab matrix is their sum in CSC form.  Right-hand-side integrals use the
-lower-order rules of the reference computation: trapezoid in space, midpoint
-in time for piecewise-constant time elements and three-point Lobatto for
-linear ones.
+temporal quadrature error.
+
+The source load uses the lower-order rules of the reference computation:
+trapezoid in space, midpoint in time for piecewise-constant time elements and
+three-point Lobatto for linear ones.  The time-jump load of a slab after the
+first is the side-wise mass at the slab start (the full-mesh mass minus the
+covered correction there, both already built for the matrix) applied to the
+previous slab's end-time nodal values.  Both factors are P1 on every segment
+of the start partition, so this is the exact L2 pairing of that trace with the
+test functions.  The first slab integrates the initial data with three-point
+Gauss per merged-partition segment.
 """
 
 from __future__ import annotations
@@ -29,23 +43,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_array, csc_array
+from scipy.sparse import csc_array
 
 from .core import NumericalFailure, Setup
-from .geometry import (
-    SlabGeometry,
-    overlap_segments,
-    quadrature_breakpoints,
-    sigma_side,
-    spatial_partition,
-)
+from .geometry import SlabGeometry, segment_cells, sigma_side, spatial_partition
 from .quadrature import composite_time_rule, gauss_legendre3, lobatto3, midpoint
-from .spaces import (
-    SlabSpace,
-    _hat_eval,
-    temporal_basis_derivs,
-    temporal_basis_values,
-)
+from .spaces import SlabSolution, SlabSpace, temporal_basis_derivs, temporal_basis_values
 
 _GL3 = gauss_legendre3()
 
@@ -70,64 +73,44 @@ class SlabSystem:
 
 
 # ---------------------------------------------------------------------------
-# spatial entries as COO triplets
+# spatial entries as COO triplets in the global node numbering
 # ---------------------------------------------------------------------------
-#
-# Spatial entries are (rows, cols, values) over the slab's spatial DOFs; a
-# background node without a DOF maps to index -1, and every entry touching one
-# is dropped where the entries are summed.
 
 
-def _bg_pair_indices(space: SlabSpace, cells: np.ndarray):
-    """Spatial DOF indices of the two nodes of each background cell (-1 if dropped)."""
-    return space.bg_dof[cells], space.bg_dof[cells + 1]
+def _cell_entries(d0, d1, sym):
+    """Triplets of symmetric 2x2 cell matrices on nodes (d0, d1).
 
-
-def _cell_entries(d0, d1, e00, e01, e10, e11):
-    """Triplets of 2x2 cell matrices on nodes (d0, d1); values may carry
-    leading axes, the cells run along the last one."""
+    ``sym`` holds (e00, e01, e11) along its second-to-last axis and the cells
+    along its last one; the values come back with the leading axes of ``sym``
+    and the entries along the last axis.
+    """
     rows = np.concatenate([d0, d0, d1, d1])
     cols = np.concatenate([d0, d1, d0, d1])
-    vals = np.concatenate(np.broadcast_arrays(e00, e01, e10, e11), axis=-1)
-    return rows, cols, vals
-
-
-def _scatter(mat: np.ndarray, rows, cols, vals) -> None:
-    """Add spatial entries into a dense matrix."""
-    rows, cols, vals = (np.ravel(x) for x in (rows, cols, vals))
-    ok = (rows >= 0) & (cols >= 0)
-    np.add.at(mat, (rows[ok], cols[ok]), vals[ok])
+    vals = sym[..., [0, 1, 1, 2], :]
+    return rows, cols, vals.reshape(vals.shape[:-2] + (-1,))
 
 
 def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
-    """2x2 mass and stiffness entries of P1 cells restricted to [xa, xb];
-    the cells run along the last axis."""
+    """Mass and stiffness entries (e00, e01, e11) of P1 cells restricted to
+    [xa, xb], shaped (2, ..., 3, cells): the cells run along the last axis of
+    the arguments."""
     h = cell_hi - cell_lo
-    pts = xa[..., None] + (xb - xa)[..., None] * _GL3.nodes
-    wts = (xb - xa)[..., None] * _GL3.weights
-    w1 = (pts - cell_lo[..., None]) / h[..., None]
-    w0 = 1.0 - w1
-    m00 = np.sum(wts * w0 * w0, axis=-1)
-    m01 = np.sum(wts * w0 * w1, axis=-1)
-    m11 = np.sum(wts * w1 * w1, axis=-1)
     seg = xb - xa
-    k00 = seg / h**2
-    return (m00, m01, m11), (k00, -k00, k00)
+    w1 = (xa[..., None] + seg[..., None] * _GL3.nodes - cell_lo[..., None]) / h[..., None]
+    w0 = 1.0 - w1
+    wts = seg[..., None] * _GL3.weights
+    out = np.empty((2,) + seg.shape[:-1] + (3,) + seg.shape[-1:])
+    out[0, ..., 0, :] = np.sum(wts * w0 * w0, axis=-1)
+    out[0, ..., 1, :] = np.sum(wts * w0 * w1, axis=-1)
+    out[0, ..., 2, :] = np.sum(wts * w1 * w1, axis=-1)
+    k = seg / h**2
+    out[1, ..., 0, :] = k
+    out[1, ..., 1, :] = -k
+    out[1, ..., 2, :] = k
+    return out
 
 
-def _p1_entries(nodes: np.ndarray):
-    """Node-index triplets of the full-mesh tridiagonal P1 matrices: mass,
-    stiffness, and drift (integral of phi_trial' phi_test)."""
-    i = np.arange(len(nodes) - 1)
-    h = np.diff(nodes)
-    half = np.full_like(h, 0.5)
-    rows, cols, mass = _cell_entries(i, i + 1, h / 3, h / 6, h / 6, h / 3)
-    stiff = _cell_entries(i, i + 1, 1 / h, -1 / h, -1 / h, 1 / h)[2]
-    drift = _cell_entries(i, i + 1, -half, half, -half, half)[2]
-    return rows, cols, mass, stiff, drift
-
-
-def _covered_entries(space: SlabSpace, a: np.ndarray):
+def _covered_entries(geom: SlabGeometry, a: np.ndarray):
     """Mass/stiffness triplets of the background basis over the covered interval
     [a, a + L] for each left position in ``a``.
 
@@ -135,206 +118,98 @@ def _covered_entries(space: SlabSpace, a: np.ndarray):
     the values are shaped (positions, entries) and vanish where a cell lies
     outside that position's interval.
     """
-    geom = space.geom
     nodes = geom.bg_nodes
+    last = len(nodes) - 2
     b = a + geom.overlap_length
-    c_lo = int(np.clip(np.searchsorted(nodes, a.min(), side="right") - 1, 0, len(nodes) - 2))
-    c_hi = int(np.clip(np.searchsorted(nodes, b.max(), side="left") - 1, 0, len(nodes) - 2))
+    c_lo = max(0, min(last, int(np.searchsorted(nodes, a.min(), side="right")) - 1))
+    c_hi = max(0, min(last, int(np.searchsorted(nodes, b.max(), side="left")) - 1))
     cells = np.arange(c_lo, c_hi + 1)
     xa = np.maximum(nodes[cells], a[:, None])
     xb = np.maximum(np.minimum(nodes[cells + 1], b[:, None]), xa)
-    (m00, m01, m11), (k00, k01, k11) = _segment_mass_stiff(
-        xa, xb, nodes[cells], nodes[cells + 1]
-    )
-    d0, d1 = _bg_pair_indices(space, cells)
-    rows, cols, mv = _cell_entries(d0, d1, m00, m01, m01, m11)
-    kv = _cell_entries(d0, d1, k00, k01, k01, k11)[2]
+    sym = _segment_mass_stiff(xa, xb, nodes[cells], nodes[cells + 1])
+    rows, cols, (mv, kv) = _cell_entries(cells, cells + 1, sym)
     return rows, cols, mv, kv
 
 
-class _Trace(NamedTuple):
-    """A linear functional on the spatial DOFs at each of a batch of points:
-    DOF indices and weights, shaped (points, terms)."""
+def _point_entries(idx, vals, weights):
+    """Triplets of entries that move between points: ``vals`` shaped
+    (points, s, s) on the nodes ``idx`` (points, s), test node first, each
+    point with its own temporal weights (points, q+1, q+1)."""
+    n, s = idx.shape
+    mm = weights.shape[1] * weights.shape[2]
+    rows = np.repeat(idx, s, axis=1).ravel()
+    cols = np.tile(idx, (1, s)).ravel()
+    blocks = vals.reshape(n, s * s, 1) * weights.reshape(n, 1, mm)
+    return rows, cols, blocks.reshape(n * s * s, mm)
+
+
+class InterfaceStencil(NamedTuple):
+    """Both interface points at each of ``nt`` times: rows ``0..nt-1`` hold
+    the left point, rows ``nt..2nt-1`` the right one.
+
+    ``idx`` gives seven global node indices per row: the background cell
+    holding the point (value), the background cell on the uncovered side
+    (one-sided gradient, also when the point sits on a node), the overlap
+    node at the point (value) and the overlap end cell (gradient).  The
+    weights on those nodes, shaped like ``idx``, give the trace jump (side 1
+    minus side 2), the weighted average gradient
+    ``omega1 * grad_1 + (1 - omega1) * grad_2``, and the upwind-side trace
+    (see ``sigma_side``) times its signed weight ``n1 * mu``.
+    """
 
     idx: np.ndarray
-    val: np.ndarray
-
-    def scaled_sum(self, w1, other: "_Trace", w2) -> "_Trace":
-        return _Trace(
-            np.concatenate([self.idx, other.idx], axis=1),
-            np.concatenate([w1 * self.val, w2 * other.val], axis=1),
-        )
-
-
-def _outer(test: _Trace, trial: _Trace, w):
-    """Triplets of w * test (x) trial at each point, shaped (points, entries)."""
-    n, a, b = len(test.idx), test.idx.shape[1], trial.idx.shape[1]
-    rows = np.repeat(test.idx, b, axis=1)
-    cols = np.tile(trial.idx, (1, a))
-    vals = np.asarray(w)[..., None, None] * test.val[:, :, None] * trial.val[:, None, :]
-    return rows, cols, vals.reshape(n, a * b)
-
-
-def _join(parts):
-    """Concatenate triplets shaped (points, entries) along the entries."""
-    return tuple(np.concatenate(x, axis=1) for x in zip(*parts))
-
-
-class _InterfacePoint(NamedTuple):
-    """Traces of one interface point at a batch of times."""
-
-    label: str
-    n1: float  # spatial normal of the uncovered side
-    x: np.ndarray  # position at each time
-    bg_val: _Trace
-    ov_val: _Trace
-    bg_grad: _Trace  # one-sided, from the uncovered side's cell
-    ov_grad: _Trace
+    jump: np.ndarray
+    grad: np.ndarray
+    upwind: np.ndarray
+    x: np.ndarray  # position
+    n1: np.ndarray  # spatial normal of the uncovered side
     h_K: np.ndarray  # size of the background cell holding the point
 
-    @property
-    def jump(self) -> _Trace:
-        return self.bg_val.scaled_sum(1.0, self.ov_val, -1.0)
 
-    def average_grad(self, omega1: float) -> _Trace:
-        return self.bg_grad.scaled_sum(omega1, self.ov_grad, 1.0 - omega1)
-
-
-def _interface_data(space: SlabSpace, times) -> list[_InterfacePoint]:
-    """Value/gradient traces of both sides at each interface point, at every
-    time of ``times``."""
-    geom = space.geom
-    nodes = geom.bg_nodes
-    times = np.array(times, dtype=float, ndmin=1)
+def interface_stencil(geom: SlabGeometry, times: np.ndarray, omega1: float) -> InterfaceStencil:
+    """The interface stencil of a slab at the 1-D array ``times``."""
+    nodes, off = geom.bg_nodes, geom.ov_offsets
+    nb, n_ov = len(nodes), len(off)
     nt = len(times)
     a = geom.left(times)
-    h_ov = (a + geom.ov_offsets[1]) - (a + geom.ov_offsets[0])
-    ov_slope = np.stack([-1.0 / h_ov, 1.0 / h_ov], axis=1)
-    out = []
-    for label, s, n1, edge, ov_node, ov_cell in (
-        ("left", a, 1.0, "left", 0, 0),
-        ("right", geom.right(times), -1.0, "right", space.n_ov - 1, space.n_ov - 2),
+    x = np.concatenate([a, a + geom.overlap_length])
+    # value cell: the cell holding the point; gradient cell: the cell on the
+    # uncovered side, left of the left point and right of the right one
+    cells = np.empty((2, 2 * nt), dtype=int)
+    cells[0] = np.searchsorted(nodes, x, side="right")
+    cells[1, :nt] = np.searchsorted(nodes, a, side="left")
+    cells[1, nt:] = cells[0, nt:]
+    c, c1 = np.clip(cells - 1, 0, nb - 2)
+    h = nodes[c + 1] - nodes[c]
+    w1 = (x - nodes[c]) / h
+    g1 = omega1 / (nodes[c1 + 1] - nodes[c1])
+    g2 = (1.0 - omega1) / (off[[1, -1]] - off[[0, -2]])  # first and last overlap cell
+
+    idx = np.empty((2 * nt, 7), dtype=int)
+    jump, grad, upwind = np.zeros((3, 2 * nt, 7))
+    idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3] = c, c + 1, c1, c1 + 1
+    jump[:, 0], jump[:, 1], jump[:, 4] = 1.0 - w1, w1, -1.0
+    grad[:, 2], grad[:, 3] = -g1, g1
+    for rows, label, ov_node, ov_cell, g in (
+        (slice(0, nt), "left", nb, nb, g2[0]),
+        (slice(nt, None), "right", nb + n_ov - 1, nb + n_ov - 2, g2[1]),
     ):
-        c, w0, w1, _, _ = _hat_eval(nodes, s)
-        # one-sided gradient cell on the uncovered side
-        c1 = np.clip(np.searchsorted(nodes, s, side=edge) - 1, 0, len(nodes) - 2)
-        h1 = nodes[c1 + 1] - nodes[c1]
-        ov_pair = space.ov_dof(np.array([ov_cell, ov_cell + 1]))
-        out.append(
-            _InterfacePoint(
-                label=label,
-                n1=n1,
-                x=s,
-                bg_val=_Trace(
-                    space.bg_dof[np.stack([c, c + 1], axis=1)], np.stack([w0, w1], axis=1)
-                ),
-                ov_val=_Trace(np.full((nt, 1), space.ov_dof(ov_node)), np.ones((nt, 1))),
-                bg_grad=_Trace(
-                    space.bg_dof[np.stack([c1, c1 + 1], axis=1)],
-                    np.stack([-1.0 / h1, 1.0 / h1], axis=1),
-                ),
-                ov_grad=_Trace(np.broadcast_to(ov_pair, (nt, 2)), ov_slope),
-                h_K=nodes[c + 1] - nodes[c],
-            )
-        )
-    return out
-
-
-def _nitsche_entries(points, gamma: float, omega1: float, mu: float):
-    """Symmetric Nitsche coupling and penalty triplets at each time."""
-    mu_bar = float(np.hypot(mu, 1.0))
-    parts = []
-    for p in points:
-        jump, avg = p.jump, p.average_grad(omega1)
-        parts += [
-            _outer(jump, avg, -p.n1),
-            _outer(avg, jump, -p.n1),
-            _outer(jump, jump, mu_bar * gamma / p.h_K),
-        ]
-    return _join(parts)
-
-
-def _upwind_entries(points, mu: float):
-    """Moving-interface jump triplets at each time: rows test the upwind-side
-    trace, columns carry the jump, weighted by n1*mu."""
-    parts = []
-    for p in points:
-        sigma, w = sigma_side(p.label, mu)
-        parts.append(_outer(p.bg_val if sigma == 1 else p.ov_val, p.jump, w))
-    return _join(parts)
-
-
-def _stabilization_entries(space: SlabSpace, bg_cell, ov_cell, ov_pos, lengths):
-    """Gradient-jump triplets of (background cell, overlap cell) pairs weighted
-    by the lengths of their covered intersections."""
-    nodes = space.geom.bg_nodes
-    h = nodes[bg_cell + 1] - nodes[bg_cell]
-    h_ov = ov_pos[ov_cell + 1] - ov_pos[ov_cell]
-    d0, d1 = _bg_pair_indices(space, bg_cell)
-    jg = _Trace(
-        np.stack([d0, d1, space.ov_dof(ov_cell), space.ov_dof(ov_cell + 1)], axis=1),
-        np.stack([-1.0 / h, 1.0 / h, 1.0 / h_ov, -1.0 / h_ov], axis=1),
-    )
-    return _outer(jg, jg, lengths)
-
-
-# ---------------------------------------------------------------------------
-# dense spatial matrices at one time (verification)
-# ---------------------------------------------------------------------------
-
-
-def _sidewise_entries(space: SlabSpace, t: float):
-    """Side-wise mass and stiffness triplets at time t."""
-    geom = space.geom
-    part = spatial_partition(geom, t)
-    out = []
-    for side, node_arr in ((1, geom.bg_nodes), (2, geom.ov_positions(t))):
-        m = part.side == side
-        if not np.any(m):
-            continue
-        cells = part.bg_cell[m] if side == 1 else part.ov_cell[m]
-        (m00, m01, m11), (k00, k01, k11) = _segment_mass_stiff(
-            part.xa[m], part.xb[m], node_arr[cells], node_arr[cells + 1]
-        )
-        if side == 1:
-            d0, d1 = _bg_pair_indices(space, cells)
+        idx[rows, 4:] = ov_node, ov_cell, ov_cell + 1
+        grad[rows, 5:] = -g, g
+        sigma, w = sigma_side(label, geom.mu)
+        if sigma == 1:
+            upwind[rows, :2] = w * jump[rows, :2]
         else:
-            d0, d1 = space.ov_dof(cells), space.ov_dof(cells + 1)
-        rows, cols, mv = _cell_entries(d0, d1, m00, m01, m01, m11)
-        out.append((rows, cols, mv, _cell_entries(d0, d1, k00, k01, k01, k11)[2]))
-    return out
-
-
-def assemble_Aht(space: SlabSpace, t: float, gamma: float, omega1: float) -> np.ndarray:
-    """Spatial matrix of the symmetric form at time t (one temporal quadrature point)."""
-    geom = space.geom
-    A = np.zeros((space.n_spatial, space.n_spatial))
-    for rows, cols, _, kv in _sidewise_entries(space, t):
-        _scatter(A, rows, cols, kv)
-    _scatter(A, *_nitsche_entries(_interface_data(space, t), gamma, omega1, geom.mu))
-    # gradient-jump stabilization over the covered parts of cut cells
-    seg = overlap_segments(geom, t)
-    _scatter(
-        A,
-        *_stabilization_entries(space, seg.bg_cell, seg.ov_cell, geom.ov_positions(t), seg.lengths),
+            upwind[rows, 4] = w
+    return InterfaceStencil(
+        idx=idx,
+        jump=jump,
+        grad=grad,
+        upwind=upwind,
+        x=x,
+        n1=np.repeat([1.0, -1.0], nt),
+        h_K=h,
     )
-    return A
-
-
-def upwind_matrix(space: SlabSpace, t: float) -> np.ndarray:
-    """Spatial matrix of the moving-interface jump term at time t."""
-    G = np.zeros((space.n_spatial, space.n_spatial))
-    if space.geom.mu != 0.0:
-        _scatter(G, *_upwind_entries(_interface_data(space, t), space.geom.mu))
-    return G
-
-
-def mass_matrix(space: SlabSpace, t: float) -> np.ndarray:
-    """Side-wise spatial mass matrix at time t."""
-    M = np.zeros((space.n_spatial, space.n_spatial))
-    for rows, cols, mv, _ in _sidewise_entries(space, t):
-        _scatter(M, rows, cols, mv)
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -419,138 +294,121 @@ def _temporal_products(q: int, k: float):
     return T1, T2
 
 
-def _f_load(space: SlabSpace, times: np.ndarray, weights: np.ndarray, source) -> np.ndarray:
-    """Load of the source against every basis function, shaped
-    (n_spatial, q+1): trapezoid per segment in space, the rule (times,
-    weights) in time."""
-    geom = space.geom
-    nodes = geom.bg_nodes
+def _hat_load(geom: SlabGeometry, part, x: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """Values ``fw`` (segments, points, modes) at the points ``x`` (segments,
+    points) against the hats of each segment's own cell, summed per global
+    node: shaped (nodes, modes)."""
+    node, lo, hi = segment_cells(geom, part)
+    w1 = ((x - lo[:, None]) / (hi - lo)[:, None])[:, :, None]
+    m = fw.shape[2]
+    per_end = np.concatenate([np.sum(fw * (1.0 - w1), axis=1), np.sum(fw * w1, axis=1)])
+    key = np.concatenate([node, node + 1])[:, None] * m + np.arange(m)
+    n_nodes = len(geom.bg_nodes) + len(geom.ov_offsets)
+    return np.bincount(key.ravel(), per_end.ravel(), minlength=n_nodes * m).reshape(n_nodes, m)
+
+
+def _f_load(geom: SlabGeometry, q: int, times: np.ndarray, weights: np.ndarray, source):
+    """Load of the source against every node's hat and temporal mode, shaped
+    (nodes, q+1): trapezoid per segment in space, the rule (times, weights)
+    in time."""
     # a composite Lobatto rule repeats each inner panel endpoint
     ts, slot = np.unique(times, return_inverse=True)
     part = spatial_partition(geom, ts)
     wlam = np.bincount(slot, weights)[:, None] * temporal_basis_values(
-        space.q, geom.t_start, geom.t_end, ts
+        q, geom.t_start, geom.t_end, ts
     )
-    wlam = wlam[part.time_index]
-    half = 0.5 * part.lengths
-    a = geom.left(part.t)
-    vec = np.zeros((space.n_spatial, space.q + 1))
-    m1, m2 = part.side == 1, part.side == 2
-    for xs in (part.xa, part.xb):
-        fv = (np.asarray(source(xs, part.t), dtype=float) * half)[:, None] * wlam
-        # evaluate the hats of the segment's own cell, not the neighbor's
-        c = part.bg_cell[m1]
-        w1 = (xs[m1] - nodes[c]) / (nodes[c + 1] - nodes[c])
-        d0, d1 = _bg_pair_indices(space, c)
-        for d, w in ((d0, 1.0 - w1), (d1, w1)):
-            ok = d >= 0
-            np.add.at(vec, d[ok], (fv[m1] * w[:, None])[ok])
-        c = part.ov_cell[m2]
-        lo = a[m2] + geom.ov_offsets[c]
-        w1 = (xs[m2] - lo) / ((a[m2] + geom.ov_offsets[c + 1]) - lo)
-        np.add.at(vec, space.ov_dof(c), fv[m2] * (1.0 - w1)[:, None])
-        np.add.at(vec, space.ov_dof(c + 1), fv[m2] * w1[:, None])
-    return vec
+    x = np.array([part.xa, part.xb])
+    fv = np.asarray(source(x, np.array([part.t, part.t])), dtype=float) * (0.5 * part.lengths)
+    return _hat_load(geom, part, x.T, fv.T[:, :, None] * wlam[part.time_index][:, None, :])
 
 
-def _trace_load(space: SlabSpace, t: float, func) -> np.ndarray:
-    """Gauss-3-per-segment load vector of a scalar function at time t."""
-    geom = space.geom
+def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
+    """Gauss-3-per-segment load of a scalar function of position at time t
+    against every node's hat."""
     part = spatial_partition(geom, t)
-    vec = np.zeros(space.n_spatial)
-    pts = part.xa[:, None] + part.lengths[:, None] * _GL3.nodes[None, :]
-    wts = part.lengths[:, None] * _GL3.weights[None, :]
-    fv = np.asarray(func(pts.ravel()), dtype=float).reshape(pts.shape) * wts
-    ov_pos = geom.ov_positions(t)
-    m1 = part.side == 1
-    if np.any(m1):
-        c = part.bg_cell[m1]
-        h = (geom.bg_nodes[c + 1] - geom.bg_nodes[c])[:, None]
-        w1 = (pts[m1] - geom.bg_nodes[c][:, None]) / h
-        d0, d1 = _bg_pair_indices(space, c)
-        for d, w in ((d0, 1.0 - w1), (d1, w1)):
-            ok = d >= 0
-            np.add.at(vec, d[ok], np.sum(fv[m1] * w, axis=1)[ok])
-    m2 = part.side == 2
-    if np.any(m2):
-        c = part.ov_cell[m2]
-        h = (ov_pos[c + 1] - ov_pos[c])[:, None]
-        w1 = (pts[m2] - ov_pos[c][:, None]) / h
-        np.add.at(vec, space.ov_dof(c), np.sum(fv[m2] * (1.0 - w1), axis=1))
-        np.add.at(vec, space.ov_dof(c + 1), np.sum(fv[m2] * w1, axis=1))
-    return vec
+    x = part.xa[:, None] + part.lengths[:, None] * _GL3.nodes
+    fw = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
+    fw = fw * (part.lengths[:, None] * _GL3.weights)
+    return _hat_load(geom, part, x, fw[:, :, None])[:, 0]
 
 
-def _slab_matrix(space: SlabSpace, rows, cols, blocks) -> csc_array:
-    """Sum spatial entries with their (q+1)x(q+1) temporal blocks into the slab
-    matrix (temporal mode fastest), dropping entries on nodes without a DOF."""
-    rows, cols, blocks = (np.concatenate(x) for x in (rows, cols, blocks))
+def _jump_load(setup: Setup, start_cov, prev: SlabSolution) -> np.ndarray:
+    """The previous slab's end-time trace against every node's hat at the
+    slab start: the side-wise start mass, i.e. the full-mesh mass minus the
+    covered-correction mass triplets ``start_cov``, applied to its nodal
+    values."""
+    rows, cols, vals = setup.mesh_matrices
+    r, c, mv = start_cov
+    g = prev.geom
+    u = prev.nodal() @ temporal_basis_values(prev.space.q, g.t_start, g.t_end, g.t_end)
+    return np.bincount(
+        np.concatenate([rows, r]),
+        np.concatenate([vals[:, 0] * u[cols], -mv * u[c]]),
+        minlength=len(u),
+    )
+
+
+def _slab_matrix(space: SlabSpace, parts) -> csc_array:
+    """Sum triplets (global node rows, cols, (q+1)^2 temporal blocks) into the
+    slab matrix (temporal mode fastest), dropping entries on nodes without a
+    DOF."""
+    rows, cols, blocks = (np.concatenate(x) for x in zip(*parts))
+    rows, cols = space.node_dof[rows], space.node_dof[cols]
     ok = (rows >= 0) & (cols >= 0)
     m = space.q + 1
-    modes = np.arange(m)
-    R = np.broadcast_to((rows[ok] * m)[:, None, None] + modes[:, None], (int(ok.sum()), m, m))
-    C = np.broadcast_to((cols[ok] * m)[:, None, None] + modes, R.shape)
     n = space.n_cols
-    # the conversion to CSC sums the duplicate entries, once
-    return coo_array((blocks[ok].ravel(), (R.ravel(), C.ravel())), shape=(n, n)).tocsc()
+    modes = np.arange(m)
+    # column-major position of block entry (i, j): row rows*m + i, column cols*m + j
+    key = (cols[ok] * (m * n) + rows[ok] * m)[:, None, None] + modes[:, None] + n * modes
+    key, slot = np.unique(key.ravel(), return_inverse=True)
+    data = np.bincount(slot, blocks[ok].ravel())  # sums the duplicate entries, once
+    indptr = np.searchsorted(key, np.arange(0, n * n + 1, n))
+    return csc_array(
+        (data, (key % n).astype(np.intc), indptr.astype(np.intc)), shape=(n, n)
+    )
 
 
-def assemble_slab(
-    space: SlabSpace,
-    setup: Setup,
-    prev_trace,
-    *,
-    include_upwind: bool = True,
-) -> SlabSystem:
+def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> SlabSystem:
     """Assemble the sparse system of one slab.
 
-    ``prev_trace`` is the trace of the solution from below at the slab's start
-    (the initial data for the first slab), as a callable of position.
+    ``prev`` is the solution on the previous slab, whose end-time trace enters
+    the load; for the first slab it is None and the initial data enters
+    instead.
     """
     geom = space.geom
     disc = setup.disc
     q = disc.q
+    m = q + 1
     mu = geom.mu
     t0, t1, k = geom.t_start, geom.t_end, geom.k
+    nb = len(geom.bg_nodes)
     lam0 = temporal_basis_values(q, t0, t1, t0)
     T1, T2 = _temporal_products(q, k)
     start = np.outer(lam0, lam0)  # slab-start mass (time jump / initial coupling)
-    rows, cols, blocks = [], [], []
 
-    def add_fixed(r, c, vals, weights):
-        # entries at fixed positions: values (terms, entries) contracted with
-        # the temporal weights (terms, q+1, q+1)
-        rows.append(r)
-        cols.append(c)
-        blocks.append(np.einsum("te,tij->eij", vals, weights))
+    # constant-in-time blocks: full-mesh mass, stiffness and drift of both meshes
+    rows, cols, vals = setup.mesh_matrices
+    parts = [(rows, cols, vals @ np.stack([T2 + start, T1, -mu * T1]).reshape(3, m * m))]
 
-    def add_pointwise(r, c, vals, weights):
-        # entries that move between points: (points, entries), each point
-        # with its own temporal weight (points, q+1, q+1)
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        blocks.append((vals[:, :, None, None] * weights[:, None]).reshape(-1, q + 1, q + 1))
-
-    # constant-in-time blocks: full-mesh P1 matrices of both meshes
-    r, c, mv, kv, _ = _p1_entries(geom.bg_nodes)
-    add_fixed(space.bg_dof[r], space.bg_dof[c], np.stack([mv, kv]), np.stack([T2 + start, T1]))
-    r, c, mv, kv, dv = _p1_entries(geom.ov_positions(t0))
-    add_fixed(
-        space.ov_dof(r), space.ov_dof(c), np.stack([mv, kv - mu * dv]), np.stack([T2 + start, T1])
-    )
-
-    # covered-interval correction (at the slab start and on the panel Gauss
-    # times) and interface point terms on the panel Gauss times
+    # covered-interval correction, at the slab start and on the panel Gauss times
     times, wts = composite_time_rule(t0, t1, geom.events, _GL3)
     lam = temporal_basis_values(q, t0, t1, times)
     w_ll = wts[:, None, None] * lam[:, :, None] * lam[:, None, :]
     w_ld = wts[:, None, None] * lam[:, :, None] * temporal_basis_derivs(q, t0, t1)
-    r, c, mv, kv = _covered_entries(space, geom.left(np.concatenate(([t0], times))))
-    add_fixed(r, c, np.concatenate([mv, kv[1:]]), -np.concatenate([start[None], w_ld, w_ll]))
-    points = _interface_data(space, times)
-    add_pointwise(*_nitsche_entries(points, disc.gamma, disc.omega1, mu), w_ll)
-    if include_upwind and mu != 0.0:
-        add_pointwise(*_upwind_entries(points, mu), w_ll)
+    rows, cols, mv, kv = _covered_entries(geom, geom.left(np.concatenate(([t0], times))))
+    weights = np.concatenate([start[None], w_ld, w_ll]).reshape(-1, m * m)
+    parts.append((rows, cols, -(np.concatenate([mv, kv[1:]]).T @ weights)))
+    start_cov = (rows, cols, mv[0])
+
+    # interface point terms on the panel Gauss times:
+    # -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind trace_i J_j
+    st = interface_stencil(geom, times, disc.omega1)
+    J = st.jump
+    n1G = st.n1[:, None] * st.grad
+    pen = (float(np.hypot(mu, 1.0)) * disc.gamma / st.h_K)[:, None]
+    vals = J[:, :, None] * (pen * J - n1G)[:, None, :]
+    vals += (st.upwind - n1G)[:, :, None] * J[:, None, :]
+    parts.append(_point_entries(st.idx, vals, np.concatenate([w_ll, w_ll])))
 
     # pairwise-exact gradient-jump stabilization
     stab = _stabilization_panels(geom)
@@ -563,241 +421,24 @@ def assemble_slab(
         L = _pair_lengths(geom.bg_nodes[pK], geom.bg_nodes[pK + 1], c_lo0, c_hi0, mu, t0, tq)
         lam_q = temporal_basis_values(q, t0, t1, tq)
         W = np.einsum("pt,pti,ptj->pij", wq * L, lam_q, lam_q)
-        add_pointwise(*_stabilization_entries(space, pK, pc, geom.ov_positions(t0), 1.0), W)
+        h = geom.bg_nodes[pK + 1] - geom.bg_nodes[pK]
+        h_ov = c_hi0 - c_lo0
+        g = np.stack([-1.0 / h, 1.0 / h, 1.0 / h_ov, -1.0 / h_ov], axis=1)
+        idx = np.stack([pK, pK + 1, nb + pc, nb + pc + 1], axis=1)
+        parts.append(_point_entries(idx, g[:, :, None] * g[:, None, :], W))
 
     # right-hand side
     rhs_rule = midpoint() if q == 0 else lobatto3()
     times, wts = composite_time_rule(t0, t1, geom.events, rhs_rule)
-    rhs = _f_load(space, times, wts, setup.problem.source)
-    rhs += _trace_load(space, t0, prev_trace)[:, None] * lam0
+    load = _f_load(geom, q, times, wts, setup.problem.source)
+    if prev is None:
+        load += _trace_load(geom, t0, setup.problem.initial)[:, None] * lam0
+    else:
+        load += _jump_load(setup, start_cov, prev)[:, None] * lam0
 
     return SlabSystem(
-        slab=geom.n, matrix=_slab_matrix(space, rows, cols, blocks), rhs=rhs.ravel(), space=space
+        slab=geom.n,
+        matrix=_slab_matrix(space, parts),
+        rhs=load[space.dof_node].ravel(),
+        space=space,
     )
-
-
-# ---------------------------------------------------------------------------
-# direct application of the space-time form to evaluable functions
-# ---------------------------------------------------------------------------
-#
-# These walk the quadrature by brute force through function evaluations and are
-# meant for verification on small instances, not for assembly-scale work.  With
-# panel breakpoints at every node crossing (extra_crossings) the quadrature is
-# exact for broken piecewise-linear arguments, so the pairing below agrees with
-# the assembled matrices to rounding.
-
-
-def _compatible(w, v):
-    sw, sv = w.setup, v.setup
-    return (
-        np.array_equal(sw.partition.breakpoints, sv.partition.breakpoints)
-        and np.array_equal(sw.partition.velocities, sv.partition.velocities)
-        and np.array_equal(sw.bg_nodes, sv.bg_nodes)
-        and np.array_equal(sw.ov_offsets, sv.ov_offsets)
-        and np.array_equal(sw.a_breaks, sv.a_breaks)
-    )
-
-
-def _segment_quadrature(part):
-    pts = part.xa[:, None] + part.lengths[:, None] * _GL3.nodes[None, :]
-    wts = part.lengths[:, None] * _GL3.weights[None, :]
-    return pts, wts
-
-
-def _volume_pairing(ws, vs, t, form):
-    """integral over the domain of dw/dt * v (standard) or w * (-dv/dt)."""
-    part = spatial_partition(ws.geom, t)
-    pts, wts = _segment_quadrature(part)
-    total = 0.0
-    for side in (1, 2):
-        m = part.side == side
-        if not np.any(m):
-            continue
-        xs = pts[m].ravel()
-        if form == "standard":
-            fa = ws.eval(xs, t, side=side, deriv="dt")
-            fb = vs.eval(xs, t, side=side)
-        else:
-            fa = ws.eval(xs, t, side=side)
-            fb = -vs.eval(xs, t, side=side, deriv="dt")
-        total += float(np.sum(wts[m].ravel() * fa * fb))
-    return total
-
-
-def _gradient_pairing(ws, vs, t):
-    part = spatial_partition(ws.geom, t)
-    total = 0.0
-    for side in (1, 2):
-        m = part.side == side
-        if not np.any(m):
-            continue
-        mids = 0.5 * (part.xa[m] + part.xb[m])
-        gw = ws.eval(mids, t, side=side, deriv="dx")
-        gv = vs.eval(mids, t, side=side, deriv="dx")
-        total += float(np.sum(part.lengths[m] * gw * gv))
-    return total
-
-
-def _stabilization_pairing(ws, vs, t):
-    seg = overlap_segments(ws.geom, t)
-    if len(seg) == 0:
-        return 0.0
-    mids = 0.5 * (seg.xa + seg.xb)
-    jw = ws.eval(mids, t, side=1, deriv="dx") - ws.eval(mids, t, side=2, deriv="dx")
-    jv = vs.eval(mids, t, side=1, deriv="dx") - vs.eval(mids, t, side=2, deriv="dx")
-    return float(np.sum(seg.lengths * jw * jv))
-
-
-def _point_pairing(ws, vs, t, gamma, omega1, form, include_upwind):
-    geom = ws.geom
-    nodes = geom.bg_nodes
-    mu = geom.mu
-    mu_bar = float(np.hypot(mu, 1.0))
-    sym = 0.0
-    upwind = 0.0
-    for label, s, n1 in geom.interfaces(t):
-        w1 = float(ws.eval(s, t, side=1)[0])
-        w2 = float(ws.eval(s, t, side=2)[0])
-        v1 = float(vs.eval(s, t, side=1)[0])
-        v2 = float(vs.eval(s, t, side=2)[0])
-        gw = omega1 * ws.interface_gradient(label, t, 1) + (1 - omega1) * ws.interface_gradient(
-            label, t, 2
-        )
-        gv = omega1 * vs.interface_gradient(label, t, 1) + (1 - omega1) * vs.interface_gradient(
-            label, t, 2
-        )
-        jw, jv = w1 - w2, v1 - v2
-        c = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
-        h_K = float(nodes[c + 1] - nodes[c])
-        sym += -n1 * (jw * gv + gw * jv) + mu_bar * gamma / h_K * jw * jv
-        if include_upwind and mu != 0.0:
-            sigma, w_up = sigma_side(label, mu)
-            if form == "standard":
-                upwind += w_up * jw * (v1 if sigma == 1 else v2)
-            else:
-                # the rearranged form pairs the downwind trace of the first
-                # argument with the jump of the second
-                w_dn = w2 if sigma == 1 else w1
-                upwind += -w_up * w_dn * jv
-    return sym, upwind
-
-
-def _l2_pairing(geom, t, fa, fb):
-    """Inner product over the domain of two side-wise evaluable functions."""
-    part = spatial_partition(geom, t)
-    pts, wts = _segment_quadrature(part)
-    total = 0.0
-    for side in (1, 2):
-        m = part.side == side
-        if not np.any(m):
-            continue
-        xs = pts[m].ravel()
-        total += float(np.sum(wts[m].ravel() * fa(xs, side) * fb(xs, side)))
-    return total
-
-
-def apply_Bh(
-    w,
-    v,
-    *,
-    form: str = "standard",
-    gamma: float | None = None,
-    omega1: float | None = None,
-    include_upwind: bool = True,
-) -> float:
-    """Evaluate the full space-time bilinear form on two space-time functions.
-
-    ``form`` selects the primal writing (time derivative on the first argument,
-    jumps paired with upper traces of the second) or the equivalent rearranged
-    writing obtained by integration by parts in time.
-    """
-    if form not in ("standard", "alternative"):
-        raise ValueError(f"unknown form {form!r}")
-    if not _compatible(w, v):
-        raise ValueError("arguments live on different discretizations")
-    setup = w.setup
-    gamma = setup.disc.gamma if gamma is None else gamma
-    omega1 = setup.disc.omega1 if omega1 is None else omega1
-    total = 0.0
-    N = len(w.slabs)
-    for ws, vs in zip(w.slabs, v.slabs):
-        geom = ws.geom
-        breaks = quadrature_breakpoints(geom, extra_crossings=True)
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, _GL3)
-        for t, wt in zip(times, wts):
-            part = _volume_pairing(ws, vs, t, form)
-            grad = _gradient_pairing(ws, vs, t)
-            stab = _stabilization_pairing(ws, vs, t)
-            sym, upw = _point_pairing(ws, vs, t, gamma, omega1, form, include_upwind)
-            total += wt * (part + grad + stab + sym + upw)
-
-    bp = setup.partition.breakpoints
-    if form == "standard":
-        w0 = w.trace(0, "+")
-        v0 = v.trace(0, "+")
-        total += _l2_pairing(
-            w.slabs[0].geom,
-            float(bp[0]),
-            lambda x, s: w0(x, side=s),
-            lambda x, s: v0(x, side=s),
-        )
-        for n in range(1, N):
-            wp, wm = w.trace(n, "+"), w.trace(n, "-")
-            vp = v.trace(n, "+")
-            total += _l2_pairing(
-                w.slabs[n - 1].geom,
-                float(bp[n]),
-                lambda x, s: wp(x, side=s) - wm(x, side=s),
-                lambda x, s: vp(x, side=s),
-            )
-    else:
-        for n in range(1, N):
-            wm = w.trace(n, "-")
-            vp, vm = v.trace(n, "+"), v.trace(n, "-")
-            total += _l2_pairing(
-                w.slabs[n - 1].geom,
-                float(bp[n]),
-                lambda x, s: wm(x, side=s),
-                lambda x, s: vm(x, side=s) - vp(x, side=s),
-            )
-        wN, vN = w.trace(N, "-"), v.trace(N, "-")
-        total += _l2_pairing(
-            w.slabs[-1].geom,
-            float(bp[N]),
-            lambda x, s: wN(x, side=s),
-            lambda x, s: vN(x, side=s),
-        )
-    return total
-
-
-def apply_load(v) -> float:
-    """Evaluate the full right-hand-side functional on a space-time function,
-    with the same quadrature the assembly uses for its load vector."""
-    setup = v.setup
-    problem = setup.problem
-    total = 0.0
-    for vs in v.slabs:
-        geom = vs.geom
-        q = setup.disc.q
-        rhs_rule = midpoint() if q == 0 else lobatto3()
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, geom.events, rhs_rule)
-        for t, wt in zip(times, wts):
-            part = spatial_partition(geom, t)
-            half = 0.5 * part.lengths
-            for xs in (part.xa, part.xb):
-                for side in (1, 2):
-                    m = part.side == side
-                    if not np.any(m):
-                        continue
-                    fv = np.asarray(problem.source(xs[m], t), dtype=float)
-                    total += wt * float(
-                        np.sum(half[m] * fv * vs.eval(xs[m], t, side=side))
-                    )
-    v0 = v.trace(0, "+")
-    total += _l2_pairing(
-        v.slabs[0].geom,
-        float(setup.partition.breakpoints[0]),
-        lambda x, s: np.asarray(problem.initial(x), dtype=float),
-        lambda x, s: v0(x, side=s),
-    )
-    return total

@@ -106,7 +106,8 @@ def _entry_config(cfg: dict, resolution: int) -> dict:
         dcfg["n0"] = int(resolution)
         # keep the two mesh sizes comparable unless pinned explicitly
         if "nG" not in fixed:
-            dcfg["nG"] = max(1, round(int(resolution) * float(ocfg["length"])))
+            length = float(_require(ocfg, "length", "overlap"))
+            dcfg["nG"] = max(1, round(int(resolution) * length))
     else:
         raise ConfigError(f"study.sweep must be 'k' or 'h', got {sweep!r}")
     out = dict(cfg)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -150,6 +151,22 @@ def make_uniform_mesh(interval: tuple[float, float], n_cells: int) -> np.ndarray
     return np.linspace(lo, hi, n_cells + 1)
 
 
+def p1_triplets(nodes: np.ndarray):
+    """COO triplets of the full-mesh P1 matrices of a mesh: rows, cols, and
+    values shaped (entries, 3) holding the mass, the stiffness and the drift
+    (integral of phi_trial' phi_test) entries."""
+    i = np.arange(len(nodes) - 1)
+    h = np.diff(nodes)
+    half = np.full_like(h, 0.5)
+    rows = np.concatenate([i, i, i + 1, i + 1])
+    cols = np.concatenate([i, i + 1, i, i + 1])
+    vals = np.empty((len(rows), 3))
+    vals[:, 0] = np.concatenate([h / 3, h / 6, h / 6, h / 3])
+    vals[:, 1] = np.concatenate([1 / h, -1 / h, -1 / h, 1 / h])
+    vals[:, 2] = np.concatenate([-half, half, -half, half])
+    return rows, cols, vals
+
+
 def manufactured_problem(final_time: float = 1.0) -> ProblemSpec:
     """sin^2(pi x) e^(-t/2) on the unit interval, with the matching source term."""
 
@@ -262,6 +279,26 @@ class Setup:
         ov_offsets = make_uniform_mesh((0.0, overlap.length), disc.n_overlap)
         a_breaks = interface_path(overlap, partition)
         return cls(problem, overlap, disc, partition, bg_nodes, ov_offsets, a_breaks)
+
+    @cached_property
+    def mesh_matrices(self):
+        """Triplets of the full-mesh P1 mass, stiffness and drift matrices of
+        both meshes in the global node numbering (background nodes, then
+        overlap nodes); values shaped (entries, 3).
+
+        The overlap mesh moves rigidly, so its entries depend only on the node
+        offsets.  The background mesh is fixed and gets no drift.  Built on
+        first use, once per setup.
+        """
+        nb = len(self.bg_nodes)
+        r1, c1, v1 = p1_triplets(self.bg_nodes)
+        v1[:, 2] = 0.0
+        r2, c2, v2 = p1_triplets(self.ov_offsets)
+        return (
+            np.concatenate([r1, r2 + nb]),
+            np.concatenate([c1, c2 + nb]),
+            np.concatenate([v1, v2]),
+        )
 
     @property
     def h_background(self) -> float:

@@ -221,6 +221,22 @@ def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:
     )
 
 
+def segment_cells(geom: SlabGeometry, part: SpatialPartition):
+    """Each segment's own cell on its side: the global index of the cell's
+    left node (background nodes first, then overlap nodes) and the cell's end
+    positions at the segment's time."""
+    nb = len(geom.bg_nodes)
+    on2 = part.side == 2
+    # ov_cell is -1 on side 1: the overlap lookups there are in range and unused
+    a = geom.left(part.t)
+    off_lo = a + geom.ov_offsets[part.ov_cell]
+    off_hi = a + geom.ov_offsets[part.ov_cell + 1]
+    node = np.where(on2, nb + part.ov_cell, part.bg_cell)
+    lo = np.where(on2, off_lo, geom.bg_nodes[part.bg_cell])
+    hi = np.where(on2, off_hi, geom.bg_nodes[part.bg_cell + 1])
+    return node, lo, hi
+
+
 def overlap_segments(geom: SlabGeometry, t: float) -> SpatialPartition:
     """Segments of the stabilized overlap region at time t: the parts of the
     slab's cut background cells currently inside the moving interval."""

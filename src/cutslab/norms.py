@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _GL3, _interface_data, _pair_lengths, _stabilization_panels
+from .assembly import _GL3, _pair_lengths, _stabilization_panels, interface_stencil
 from .core import ExactSolution
-from .geometry import spatial_partition
+from .geometry import segment_cells, spatial_partition
 from .quadrature import composite_time_rule
 from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_basis_values
 
@@ -132,41 +132,29 @@ def _stab_term(slab) -> float:
     return float(np.sum(wq * jump * jump * L))
 
 
-def _point_values(slab, part, x):
-    """Value, spatial gradient and trajectory time derivative of a slab
-    solution at points ``x`` shaped (segments, points per segment).
+def _point_values(slab, part, x, derivs=False):
+    """Value of a slab solution at points ``x`` shaped (segments, points per
+    segment), or with ``derivs`` its spatial gradient and trajectory time
+    derivative there.
 
     Each row is evaluated on its segment's side, from the nodal values of the
     segment's own cell, at the segment's time.
     """
     geom = slab.geom
     t = np.broadcast_to(part.t, part.xa.shape)
-    nb = len(geom.bg_nodes)
-    nodal = np.concatenate([slab.bg_nodal(), slab.ov_nodal()])  # background nodes first
-    on2 = part.side == 2
-    # ov_cell is -1 on side 1: the overlap lookups there are in range and unused
-    c = np.where(on2, nb + part.ov_cell, part.bg_cell)
-    a = geom.left(t)
-    lo = np.where(on2, a + geom.ov_offsets[part.ov_cell], geom.bg_nodes[part.bg_cell])
-    hi = np.where(on2, a + geom.ov_offsets[part.ov_cell + 1], geom.bg_nodes[part.bg_cell + 1])
+    c, lo, hi = segment_cells(geom, part)
+    nodal = slab.nodal()
     lam = temporal_basis_values(slab.space.q, geom.t_start, geom.t_end, t)
-    dlam = temporal_basis_derivs(slab.space.q, geom.t_start, geom.t_end)
     n0, n1 = nodal[c], nodal[c + 1]
     c0 = np.sum(n0 * lam, axis=1)[:, None]
     c1 = np.sum(n1 * lam, axis=1)[:, None]
     h = (hi - lo)[:, None]
     w1 = (x - lo[:, None]) / h
-    w0 = 1.0 - w1
-    value = w0 * c0 + w1 * c1
-    dx = np.broadcast_to(-1.0 / h * c0 + 1.0 / h * c1, x.shape)
-    traj = w0 * (n0 @ dlam)[:, None] + w1 * (n1 @ dlam)[:, None]
-    return value, dx, traj
-
-
-def _apply(trace, U: np.ndarray) -> np.ndarray:
-    """A trace applied at each time to the rows of per-time coefficient vectors
-    ``U``, whose padded last column reads 0 for nodes without a DOF (index -1)."""
-    return np.sum(np.take_along_axis(U, trace.idx, axis=1) * trace.val, axis=1)
+    if not derivs:
+        return c0 + w1 * (c1 - c0)
+    dlam = temporal_basis_derivs(slab.space.q, geom.t_start, geom.t_end)
+    d0, d1 = (n0 @ dlam)[:, None], (n1 @ dlam)[:, None]
+    return (c1 - c0) / h, d0 + w1 * (d1 - d0)
 
 
 def _volume_terms(slab, exact, times, wts, space_refine):
@@ -176,18 +164,19 @@ def _volume_terms(slab, exact, times, wts, space_refine):
     part = spatial_partition(geom, times)
     pts, pw = _segment_points(part, space_refine)
     tt = np.broadcast_to(part.t[:, None], pts.shape)
-    _, dx, traj = _point_values(slab, part, pts)
+    dx, traj = _point_values(slab, part, pts, derivs=True)
     u_x = np.asarray(exact.u_x(pts, tt), dtype=float)
     ge = u_x - dx
     de = np.asarray(exact.u_t(pts, tt), dtype=float) - traj
     on2 = part.side == 2
     de[on2] += geom.mu * u_x[on2]  # side 2: the material derivative follows the motion
     w = wts[part.time_index, None] * pw
-    wde = w * de * de
+    # contracted without (segments, points) temporaries
+    de_sq = np.einsum("ij,ij,ij->i", w, de, de)
     return (
-        float(np.sum(w * ge * ge)),
-        geom.k * float(np.sum(wde[~on2])),
-        geom.k * float(np.sum(wde[on2])),
+        float(np.einsum("ij,ij,ij->", w, ge, ge)),
+        geom.k * float(np.sum(de_sq[~on2])),
+        geom.k * float(np.sum(de_sq[on2])),
     )
 
 
@@ -197,20 +186,21 @@ def _interface_terms(slab, exact, times, wts, omega1):
 
     The exact solution is continuous, so the error's jump is the discrete one.
     """
-    geom, space = slab.geom, slab.space
+    geom = slab.geom
+    st = interface_stencil(geom, times, omega1)
+    lam = temporal_basis_values(slab.space.q, geom.t_start, geom.t_end, times)
+    rows = np.tile(np.arange(len(times)), 2)
+    vals = (lam @ slab.nodal().T)[rows[:, None], st.idx]  # stencil nodes at each row's time
+    u_x = np.asarray(exact.u_x(st.x, times[rows]), dtype=float)
+    avg = u_x - np.sum(vals * st.grad, axis=1)
+    jump_sq = np.sum(vals * st.jump, axis=1) ** 2
+    w = wts[rows]
     mu_bar = float(np.hypot(geom.mu, 1.0))
-    lam = temporal_basis_values(space.q, geom.t_start, geom.t_end, times)
-    U = np.zeros((len(times), space.n_spatial + 1))
-    U[:, :-1] = lam @ slab.by_mode.T
-    flux = ijump = moving = 0.0
-    for p in _interface_data(space, times):
-        u_x = np.asarray(exact.u_x(p.x, times), dtype=float)
-        avg = u_x - _apply(p.average_grad(omega1), U)
-        jump_sq = _apply(p.jump, U) ** 2
-        flux += mu_bar * float(np.sum(wts * p.h_K * avg * avg))
-        ijump += mu_bar * float(np.sum(wts / p.h_K * jump_sq))
-        moving += abs(p.n1 * geom.mu) * float(np.sum(wts * jump_sq))
-    return flux, ijump, moving
+    return (
+        mu_bar * float(np.sum(w * st.h_K * avg * avg)),
+        mu_bar * float(np.sum(w / st.h_K * jump_sq)),
+        abs(geom.mu) * float(np.sum(w * jump_sq)),
+    )
 
 
 def xnorm_error(
@@ -254,11 +244,11 @@ def xnorm_error(
         part = spatial_partition(sol.slabs[max(n - 1, 0)].geom, t)
         pts, pw = _segment_points(part, space_refine)
         if n < N:
-            upper = _point_values(sol.slabs[n], part, pts)[0]
+            upper = _point_values(sol.slabs[n], part, pts)
         else:
             upper = np.asarray(exact.u(pts, np.full_like(pts, t)), dtype=float)
         if n > 0:
-            lower = _point_values(sol.slabs[n - 1], part, pts)[0]
+            lower = _point_values(sol.slabs[n - 1], part, pts)
         else:
             lower = np.asarray(setup.problem.initial(pts), dtype=float)
         traces.append(float(np.sum(pw * (upper - lower) ** 2)))

@@ -52,15 +52,12 @@ def march(
 ) -> SpaceTimeSolution:
     """March the discrete system through all slabs and collect the solution."""
     setup = Setup.build(problem, overlap, disc)
-    prev_trace = lambda x: np.asarray(problem.initial(x), dtype=float)
+    prev = None
     slabs = []
     for n in range(1, disc.n_slabs + 1):
         geom = build_slab_geometry(setup, n)
         space = build_slab_space(geom, disc.q)
-        system = assemble_slab(space, setup, prev_trace)
-        coeffs = solve_slab(system)
-        sol = SlabSolution(geom=geom, space=space, coeffs=coeffs)
-        slabs.append(sol)
-        t_end = geom.t_end
-        prev_trace = (lambda s, te: (lambda x: s.eval(x, te)))(sol, t_end)
+        coeffs = solve_slab(assemble_slab(space, setup, prev))
+        prev = SlabSolution(geom=geom, space=space, coeffs=coeffs)
+        slabs.append(prev)
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))

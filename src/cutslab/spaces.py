@@ -39,12 +39,27 @@ class SlabSpace:
     uncovered region at some slab time or touches a slab-cut cell; every
     overlap-mesh node carries a DOF.  Ordering: background nodes ascending,
     then overlap nodes ascending, temporal mode fastest.
+
+    Nodes carry one global numbering: background nodes ``0..nb-1``, then
+    overlap nodes ``nb..nb+n_ov-1``.  ``node_dof`` maps it to the spatial
+    DOFs and ``dof_node`` back.
     """
 
     geom: SlabGeometry
     q: int
     active_bg: np.ndarray  # background node indices with DOFs
-    bg_dof: np.ndarray  # background node index -> spatial DOF index, -1 if none
+    node_dof: np.ndarray  # global node index -> spatial DOF index, -1 if none
+
+    @property
+    def bg_dof(self) -> np.ndarray:
+        """Background node index -> spatial DOF index, -1 if none."""
+        return self.node_dof[: len(self.geom.bg_nodes)]
+
+    @property
+    def dof_node(self) -> np.ndarray:
+        """Spatial DOF index -> global node index."""
+        nb = len(self.geom.bg_nodes)
+        return np.concatenate([self.active_bg, nb + np.arange(self.n_ov)])
 
     @property
     def n_active_bg(self) -> int:
@@ -76,9 +91,10 @@ def build_slab_space(geom: SlabGeometry, q: int) -> SlabSpace:
     interior = np.arange(1, n_nodes - 1)
     # a node is dropped only when both support cells are covered for the whole slab
     active = interior[~(dead[interior - 1] & dead[interior])]
-    bg_dof = np.full(n_nodes, -1, dtype=int)
-    bg_dof[active] = np.arange(len(active))
-    return SlabSpace(geom=geom, q=q, active_bg=active, bg_dof=bg_dof)
+    node_dof = np.full(n_nodes + len(geom.ov_offsets), -1, dtype=int)
+    node_dof[active] = np.arange(len(active))
+    node_dof[n_nodes:] = np.arange(len(active), len(active) + len(geom.ov_offsets))
+    return SlabSpace(geom=geom, q=q, active_bg=active, node_dof=node_dof)
 
 
 def _hat_eval(nodes: np.ndarray, x: np.ndarray):
@@ -144,23 +160,12 @@ class SlabSolution:
     def ov_nodal(self) -> np.ndarray:
         return self.by_mode[self.space.n_active_bg :]
 
-    def interface_gradient(self, label: str, t: float, side: int) -> float:
-        """One-sided spatial gradient at an interface point, taken from the
-        cell of the given side even when the point sits exactly on a node."""
-        geom, space = self.geom, self.space
-        lam = temporal_basis_values(space.q, geom.t_start, geom.t_end, t)
-        a = float(geom.left(t))
-        s = a if label == "left" else a + geom.overlap_length
-        if side == 2:
-            nodal = self.ov_nodal() @ lam
-            c = 0 if label == "left" else space.n_ov - 2
-            pos = geom.ov_positions(t)
-            return float((nodal[c + 1] - nodal[c]) / (pos[c + 1] - pos[c]))
-        nodes = geom.bg_nodes
-        edge = "left" if label == "left" else "right"
-        c = int(np.clip(np.searchsorted(nodes, s, side=edge) - 1, 0, len(nodes) - 2))
-        nodal = self.bg_nodal() @ lam
-        return float((nodal[c + 1] - nodal[c]) / (nodes[c + 1] - nodes[c]))
+    def nodal(self) -> np.ndarray:
+        """Per-mode nodal values in the global node numbering, shaped
+        (background + overlap nodes, q+1); dropped background DOFs are 0."""
+        vals = np.zeros((len(self.space.node_dof), self.space.q + 1))
+        vals[self.space.dof_node] = self.by_mode
+        return vals
 
     def eval(self, x, t: float, side="auto", deriv="value"):
         """Side-wise evaluation at time t in the slab.

@@ -1,26 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cutslab.assembly import (
-    apply_Bh,
-    apply_load,
-    assemble_Aht,
-    assemble_slab,
-    mass_matrix,
-    upwind_matrix,
-)
+from cutslab.assembly import _trace_load, assemble_slab
 from cutslab.core import (
     Discretization,
     OverlapSpec,
     Setup,
     zero_problem,
 )
-from cutslab.geometry import build_slab_geometry
+from cutslab.geometry import DEGENERATE_FRACTION, build_slab_geometry
 from cutslab.solver import march
-from cutslab.spaces import build_slab_space
+from cutslab.spaces import SlabSolution, build_slab_space
 
 from conftest import make_setup, random_discrete
-from oracles import asm_bilinear, oracle_bilinear
+from oracles import (
+    apply_Bh,
+    apply_load,
+    asm_bilinear,
+    assemble_Aht,
+    exact_trace_load,
+    jump_load,
+    mass_matrix,
+    oracle_bilinear,
+    upwind_matrix,
+)
 
 
 def _space(setup, n=1):
@@ -82,17 +87,68 @@ class TestAssembledSystem:
         disc = Discretization(n_background=8, n_overlap=2, n_slabs=2, q=1)
         setup = Setup.build(problem, overlap, disc)
         space = _space(setup)
-        system = assemble_slab(space, setup, lambda x: np.zeros_like(x))
+        system = assemble_slab(space, setup, None)
         assert not np.any(system.rhs)
         assert system.matrix.shape == (space.n_cols, space.n_cols)
 
-    def test_matrix_independent_of_data(self):
+    def test_matrix_independent_of_data(self, rng):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)
-        space = _space(setup)
-        s1 = assemble_slab(space, setup, lambda x: np.zeros_like(x))
-        s2 = assemble_slab(space, setup, lambda x: np.sin(np.pi * np.asarray(x)))
+        space1, space = _space(setup, 1), _space(setup, 2)
+        zero = SlabSolution(space1.geom, space1, np.zeros(space1.n_cols))
+        prev = SlabSolution(space1.geom, space1, rng.standard_normal(space1.n_cols))
+        s1 = assemble_slab(space, setup, zero)
+        s2 = assemble_slab(space, setup, prev)
         assert np.array_equal(s1.matrix.toarray(), s2.matrix.toarray())
         assert np.any(s1.rhs != s2.rhs)
+
+
+class TestTimeJumpLoad:
+    """The time-jump load is the side-wise start mass applied to the previous
+    slab's end-time nodal values; it must equal the quadrature of that trace
+    against the test functions on the slab's start partition."""
+
+    @given(
+        q=st.sampled_from([0, 1]),
+        mu=st.sampled_from([0.6, -0.4, 0.0]),
+        shift=st.sampled_from([0.0, 1e-13, -1e-13, 1.0 / 32]),
+        nG=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_start_mass_load_matches_trace_quadrature(self, q, mu, shift, nG):
+        # 0.125 is a node of the 16-cell mesh; shift places the left interface
+        # on it, 1e-13 to either side, or mid-cell
+        setup = make_setup(n0=16, nG=nG, N=3, q=q, mu=mu, a0=0.125 + shift, T=0.25)
+        sol = march(setup.problem, setup.overlap, setup.disc)
+        for n in (2, 3):
+            space = _space(setup, n)
+            geom = space.geom
+            prev = sol.slabs[n - 2]
+            t_end = prev.geom.t_end
+            got = jump_load(space, setup, prev)
+            ref = _trace_load(geom, geom.t_start, lambda x: prev.eval(x, t_end))
+            ref = ref[space.dof_node]
+            scale = np.max(np.abs(ref))
+            # the merged partition folds a sliver narrower than its tolerance
+            # into the neighbouring segment, on that segment's side, so the
+            # quadrature may misplace up to that width of the trace
+            sliver = DEGENERATE_FRACTION * setup.problem.length
+            slack = 2.0 * sliver * np.max(np.abs(prev.nodal()))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale + slack
+            # against segments that keep such slivers the pairing is exact
+            exact = exact_trace_load(
+                space, geom.t_start, lambda x, s: prev.eval(x, t_end, side=s)
+            )
+            assert np.max(np.abs(got - exact)) <= 1e-13 * scale
+
+    def test_rhs_carries_the_jump_load(self, rng):
+        setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)
+        space1, space = _space(setup, 1), _space(setup, 2)
+        zero = SlabSolution(space1.geom, space1, np.zeros(space1.n_cols))
+        prev = SlabSolution(space1.geom, space1, rng.standard_normal(space1.n_cols))
+        diff = assemble_slab(space, setup, prev).rhs - assemble_slab(space, setup, zero).rhs
+        # the jump load tests the start-time mode only (q = 1 modes are nodal)
+        expect = np.outer(jump_load(space, setup, prev), [1.0, 0.0]).ravel()
+        assert np.max(np.abs(diff - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 class TestOracleAgreement:

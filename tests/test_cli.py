@@ -154,6 +154,18 @@ class TestMainConverge:
         assert float(rows[0]["hG"]) == pytest.approx(0.125)
         assert float(rows[1]["hG"]) == pytest.approx(0.0625)
 
+    def test_h_sweep_without_overlap_length_is_config_error(self, tmp_path, capsys):
+        cfg = _base_config()
+        del cfg["overlap"]["length"]
+        cfg["study"] = {"sweep": "h", "resolutions": [8, 16]}
+        cfg_path = _write(tmp_path, cfg)
+        out = tmp_path / "conv"
+        rc = main(
+            ["converge", str(cfg_path), "--output-dir", str(out), "--quiet", "--workers", "1"]
+        )
+        assert rc == EXIT_CONFIG
+        assert "config error: missing field overlap.length" in capsys.readouterr().err
+
     def test_geometry_violation_exit_code(self, tmp_path):
         cfg = _base_config()
         cfg["overlap"]["velocity"] = {"mode": "constant", "value": -0.4}

@@ -14,7 +14,7 @@ from cutslab.core import (
 from cutslab.geometry import build_slab_geometry
 from cutslab.norms import xnorm_error
 from cutslab.solver import march, solve_slab
-from cutslab.spaces import build_slab_space
+from cutslab.spaces import SlabSolution, build_slab_space
 
 from conftest import make_setup
 
@@ -44,7 +44,7 @@ class TestSolveSlab:
     def test_matches_naive_elimination(self, q):
         setup = make_setup(n0=8, nG=2, N=3, mu=0.6, q=q)
         space = build_slab_space(build_slab_geometry(setup, 1), q)
-        system = assemble_slab(space, setup, setup.problem.initial)
+        system = assemble_slab(space, setup, None)
         x = solve_slab(system)
         ref = _naive_gauss(system.matrix.toarray(), system.rhs)
         scale = np.max(np.abs(ref))
@@ -53,7 +53,7 @@ class TestSolveSlab:
     def test_zero_rhs_gives_zero(self):
         setup = make_setup(n0=8, nG=2, N=3, mu=0.6)
         space = build_slab_space(build_slab_geometry(setup, 1), 0)
-        system = assemble_slab(space, setup, setup.problem.initial)
+        system = assemble_slab(space, setup, None)
         from cutslab.assembly import SlabSystem
 
         zsys = SlabSystem(
@@ -74,7 +74,7 @@ class TestSolveSlab:
     def test_rank_deficient_detected(self):
         setup = make_setup(n0=8, nG=2, N=3, mu=0.6)
         space = build_slab_space(build_slab_geometry(setup, 1), 0)
-        system = assemble_slab(space, setup, setup.problem.initial)
+        system = assemble_slab(space, setup, None)
         from cutslab.assembly import SlabSystem
 
         A = system.matrix.toarray()
@@ -87,7 +87,7 @@ class TestSolveSlab:
     def _system(self, q=0, mu=0.6):
         setup = make_setup(n0=8, nG=2, N=3, mu=mu, q=q)
         space = build_slab_space(build_slab_geometry(setup, 1), q)
-        return assemble_slab(space, setup, setup.problem.initial)
+        return assemble_slab(space, setup, None)
 
     def test_near_singular_column_trips_pivot_floor(self):
         from cutslab.assembly import SlabSystem
@@ -156,6 +156,22 @@ class TestMarch:
         sol = march(problem, overlap, disc)
         for slab in sol.slabs:
             assert np.max(np.abs(slab.coeffs)) < 1e-14
+
+    def test_march_evaluates_no_slab_solution(self, monkeypatch):
+        # the previous slab enters through its nodal values, not by evaluation
+        calls = []
+        original = SlabSolution.eval
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SlabSolution, "eval", counting)
+        setup = make_setup(n0=8, nG=2, N=4, mu=0.6, q=1)
+        sol = march(setup.problem, setup.overlap, setup.disc)
+        assert calls == []
+        sol.slabs[0].eval(0.5, 0.1)
+        assert len(calls) == 1
 
     def test_deterministic(self):
         setup = make_setup(n0=12, nG=3, N=4, mu=0.6, q=1)
