@@ -19,8 +19,10 @@ dependence:
   come from one stencil of both interface points at all panel Gauss times:
   seven nodes per point with jump, average-gradient and upwind-trace weights,
   piecewise polynomial between the same crossings;
-* the overlap-region gradient-jump stabilization is integrated pairwise over
-  (cut background cell, overlap cell) with panels at their mutual crossings.
+* the overlap-region gradient-jump stabilization comes from
+  ``stabilization_weights``: pairwise over (cut background cell, overlap
+  cell), the exact temporal weights of each pair's covered length with panels
+  at their mutual crossings.  The energy norm reads the same weights.
 
 Composite three-point Gauss rules on those panels integrate every piecewise
 polynomial integrand exactly (degree <= 5), so the assembled matrix carries no
@@ -217,66 +219,48 @@ def interface_stencil(geom: SlabGeometry, times: np.ndarray, omega1: float) -> I
 # ---------------------------------------------------------------------------
 
 
-def _stabilization_panels(geom: SlabGeometry):
-    """(pair DOF data, per-pair time panels) for the gradient-jump term.
+def stabilization_weights(geom: SlabGeometry, q: int):
+    """The gradient-jump stabilization of a slab, pairwise over (cut background
+    cell, overlap cell) pairs that meet at some slab time.
 
-    For each (cut background cell, overlap cell) pair the covered-intersection
-    length is piecewise linear in time with breakpoints at their endpoint
-    crossings; three-point Gauss per panel is exact for the product with the
-    temporal mode pairs.
+    Returns ``(idx, g, W)``, or None when no such pair exists: ``idx`` (pairs,
+    4) holds the pair's global nodes (background cell, then overlap cell),
+    ``g`` (pairs, 4) the weights on them of the gradient jump (background
+    minus overlap gradient), and ``W`` (pairs, q+1, q+1) the slab integral of
+    the pair's covered length times ``lam_i lam_j``.  That length is piecewise
+    linear in time with breaks at the pair's endpoint crossings, so three-point
+    Gauss per panel makes ``W`` exact.
     """
-    if len(geom.cut_cells) == 0:
-        return None
     nodes = geom.bg_nodes
-    t0, t1 = geom.t_start, geom.t_end
-    mu = geom.mu
+    t0, t1, mu = geom.t_start, geom.t_end, geom.mu
     y0 = geom.ov_positions(t0)
-    K_lo_all = nodes[geom.cut_cells]
-    K_hi_all = nodes[geom.cut_cells + 1]
+    K = geom.cut_cells
+    # overlap cells meeting each cut cell at some slab time
     shift = mu * geom.k
-    pairs_K, pairs_c = [], []
-    for Kc, K_lo, K_hi in zip(geom.cut_cells, K_lo_all, K_hi_all):
-        # overlap cells meeting this cell at some slab time
-        lo_off = K_lo - max(shift, 0.0)
-        hi_off = K_hi - min(shift, 0.0)
-        g0 = max(0, int(np.searchsorted(y0, lo_off, side="right")) - 1)
-        g1 = min(len(y0) - 2, int(np.searchsorted(y0, hi_off, side="left")) - 1)
-        for g in range(g0, g1 + 1):
-            pairs_K.append(Kc)
-            pairs_c.append(g)
-    if not pairs_K:
+    g0 = np.maximum(0, np.searchsorted(y0, nodes[K] - max(shift, 0.0), side="right") - 1)
+    g1 = np.minimum(len(y0) - 2, np.searchsorted(y0, nodes[K + 1] - min(shift, 0.0)) - 1)
+    count = np.maximum(g1 - g0 + 1, 0)
+    n = int(count.sum())
+    if n == 0:
         return None
-    pK = np.asarray(pairs_K)
-    pc = np.asarray(pairs_c)
-    K_lo, K_hi = nodes[pK], nodes[pK + 1]
-    c_lo0, c_hi0 = y0[pc], y0[pc + 1]
+    pK = np.repeat(K, count)
+    pc = np.repeat(g0 - np.cumsum(count) + count, count) + np.arange(n)
+    idx = np.concatenate([pK[:, None] + [0, 1], len(nodes) + pc[:, None] + [0, 1]], axis=1)
+    x = np.concatenate([nodes, y0])[idx]  # K_lo, K_hi, c_lo, c_hi at the slab start
+    g = np.array([-1.0, 1.0, 1.0, -1.0]) / (x[:, [1, 1, 3, 3]] - x[:, [0, 0, 2, 2]])
+    breaks = np.full((n, 6), t0)
+    breaks[:, 5] = t1
     if mu != 0.0:
-        crossings = np.stack(
-            [
-                (K_lo - c_lo0) / mu,
-                (K_hi - c_lo0) / mu,
-                (K_lo - c_hi0) / mu,
-                (K_hi - c_hi0) / mu,
-            ],
-            axis=1,
-        )
-        crossings = np.clip(t0 + crossings, t0, t1)
-        crossings.sort(axis=1)
-    else:
-        crossings = np.full((len(pK), 4), t0)
-    breaks = np.concatenate(
-        [np.full((len(pK), 1), t0), crossings, np.full((len(pK), 1), t1)], axis=1
-    )
-    return pK, pc, c_lo0, c_hi0, breaks
-
-
-def _pair_lengths(K_lo, K_hi, c_lo0, c_hi0, mu, t0, tt):
-    drift = mu * (tt - t0)
-    return np.maximum(
-        0.0,
-        np.minimum(K_hi[:, None], c_hi0[:, None] + drift)
-        - np.maximum(K_lo[:, None], c_lo0[:, None] + drift),
-    )
+        cross = t0 + (x[:, [0, 1, 0, 1]] - x[:, [2, 2, 3, 3]]) / mu
+        breaks[:, 1:5] = np.sort(np.clip(cross, t0, t1), axis=1)
+    panel = np.diff(breaks, axis=1)[:, :, None]
+    tq = (breaks[:, :-1, None] + panel * _GL3.nodes).reshape(n, -1)
+    wq = (panel * _GL3.weights).reshape(n, -1)
+    drift = mu * (tq - t0)
+    L = np.minimum(x[:, [1]], x[:, [3]] + drift) - np.maximum(x[:, [0]], x[:, [2]] + drift)
+    lam = temporal_basis_values(q, t0, t1, tq)
+    W = np.einsum("pt,pti,ptj->pij", wq * np.maximum(L, 0.0), lam, lam)
+    return idx, g, W
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +365,6 @@ def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> 
     m = q + 1
     mu = geom.mu
     t0, t1, k = geom.t_start, geom.t_end, geom.k
-    nb = len(geom.bg_nodes)
     lam0 = temporal_basis_values(q, t0, t1, t0)
     T1, T2 = _temporal_products(q, k)
     start = np.outer(lam0, lam0)  # slab-start mass (time jump / initial coupling)
@@ -411,20 +394,9 @@ def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> 
     parts.append(_point_entries(st.idx, vals, np.concatenate([w_ll, w_ll])))
 
     # pairwise-exact gradient-jump stabilization
-    stab = _stabilization_panels(geom)
+    stab = stabilization_weights(geom, q)
     if stab is not None:
-        pK, pc, c_lo0, c_hi0, breaks = stab
-        tq = breaks[:, :-1, None] + np.diff(breaks, axis=1)[:, :, None] * _GL3.nodes
-        wq = np.diff(breaks, axis=1)[:, :, None] * _GL3.weights
-        tq = tq.reshape(len(pK), -1)
-        wq = wq.reshape(len(pK), -1)
-        L = _pair_lengths(geom.bg_nodes[pK], geom.bg_nodes[pK + 1], c_lo0, c_hi0, mu, t0, tq)
-        lam_q = temporal_basis_values(q, t0, t1, tq)
-        W = np.einsum("pt,pti,ptj->pij", wq * L, lam_q, lam_q)
-        h = geom.bg_nodes[pK + 1] - geom.bg_nodes[pK]
-        h_ov = c_hi0 - c_lo0
-        g = np.stack([-1.0 / h, 1.0 / h, 1.0 / h_ov, -1.0 / h_ov], axis=1)
-        idx = np.stack([pK, pK + 1, nb + pc, nb + pc + 1], axis=1)
+        idx, g, W = stab
         parts.append(_point_entries(idx, g[:, :, None] * g[:, None, :], W))
 
     # right-hand side

@@ -246,9 +246,24 @@ def run_single(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
 
 def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int | None = None) -> int:
     study = _require(cfg, "study", "config")
-    resolutions = [int(r) for r in _require(study, "resolutions", "study")]
+    resolutions = _require(study, "resolutions", "study")
+    try:
+        resolutions = [int(r) for r in resolutions]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"study.resolutions must be integers, got {resolutions!r}") from exc
     if not resolutions:
         raise ConfigError("study.resolutions must be nonempty")
+    window = study.get("fit_window") or None
+    if window is not None:
+        try:
+            i, j = (int(w) for w in window)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"study.fit_window must be two integers, got {window!r}") from exc
+        if not 1 <= i < j <= len(resolutions):
+            raise ConfigError(
+                f"study.fit_window {window} needs 1 <= i < j <= {len(resolutions)} (the resolutions)"
+            )
+        window = (i, j)
     sweep = _require(study, "sweep", "study")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -287,8 +302,7 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
     if len(rows) >= 2:
         key = "k" if sweep == "k" else "h0"
         points = [(row[key], row["error_x"]) for row in rows]
-        window = study.get("fit_window")
-        slope = lls_slope(points, tuple(window) if window else None)
+        slope = lls_slope(points, window)
         ref = float(study.get("reference_slope", 1.0))
         write_loglog_svg(
             out_dir / "convergence.svg",
@@ -339,11 +353,12 @@ def main(argv=None) -> int:
         print(f"malformed config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = args.output_dir
-    if out_dir is None:
-        out_dir = Path(cfg.get("output", {}).get("dir", "out"))
-
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"the config must be a JSON object, got a {type(cfg).__name__}")
+        out_dir = args.output_dir
+        if out_dir is None:
+            out_dir = Path(cfg.get("output", {}).get("dir", "out"))
         if args.command == "solve":
             return run_single(cfg, out_dir, quiet=args.quiet)
         return run_convergence(cfg, out_dir, quiet=args.quiet, workers=args.workers)

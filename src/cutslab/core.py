@@ -111,10 +111,6 @@ class Discretization:
         if not 0.0 <= self.omega1 <= 1.0:
             raise ValueError("omega1 must lie in [0, 1]")
 
-    @property
-    def omega2(self) -> float:
-        return 1.0 - self.omega1
-
 
 @dataclass(frozen=True)
 class TimePartition:
@@ -299,18 +295,3 @@ class Setup:
             np.concatenate([c1, c2 + nb]),
             np.concatenate([v1, v2]),
         )
-
-    @property
-    def h_background(self) -> float:
-        return float(self.problem.length / self.disc.n_background)
-
-    @property
-    def h_overlap(self) -> float:
-        return float(self.overlap.length / self.disc.n_overlap)
-
-    def spacetime_uniformity_ratios(self) -> tuple[float, float]:
-        """Diagnostic (h^2 / k_min, k / h_min); reported, not enforced."""
-        k = np.diff(self.partition.breakpoints)
-        h = max(self.h_background, self.h_overlap)
-        h_min = min(self.h_background, self.h_overlap)
-        return float(h * h / k.min()), float(k.max() / h_min)

@@ -1,5 +1,5 @@
 """Per-slab cut geometry: interface trajectories, node-crossing events, spatial
-partitions, the stabilized overlap region, and space-time normals."""
+partitions, and the upwind side of the moving-interface jump."""
 
 from __future__ import annotations
 
@@ -41,10 +41,6 @@ class SlabGeometry:
     @property
     def k(self) -> float:
         return self.t_end - self.t_start
-
-    @property
-    def h_bg(self) -> float:
-        return float(self.bg_nodes[1] - self.bg_nodes[0])
 
     def left(self, t):
         """Left interface position."""
@@ -91,18 +87,6 @@ class SpatialPartition:
 
     def __len__(self) -> int:
         return len(self.xa)
-
-    def segments(self):
-        """Iterate (x_a, x_b, side, bg_cell, ov_cell or None)."""
-        for i in range(len(self.xa)):
-            ov = int(self.ov_cell[i]) if self.side[i] == 2 else None
-            yield (
-                float(self.xa[i]),
-                float(self.xb[i]),
-                int(self.side[i]),
-                int(self.bg_cell[i]),
-                ov,
-            )
 
 
 def _interface_crossings(p0: float, mu: float, nodes: np.ndarray, t0: float, t1: float):
@@ -237,31 +221,6 @@ def segment_cells(geom: SlabGeometry, part: SpatialPartition):
     return node, lo, hi
 
 
-def overlap_segments(geom: SlabGeometry, t: float) -> SpatialPartition:
-    """Segments of the stabilized overlap region at time t: the parts of the
-    slab's cut background cells currently inside the moving interval."""
-    part = spatial_partition(geom, t)
-    mask = (part.side == 2) & np.isin(part.bg_cell, geom.cut_cells)
-    return SpatialPartition(
-        t=t,
-        time_index=part.time_index[mask],
-        xa=part.xa[mask],
-        xb=part.xb[mask],
-        side=part.side[mask],
-        bg_cell=part.bg_cell[mask],
-        ov_cell=part.ov_cell[mask],
-    )
-
-
-def spacetime_normal(n_i: float, mu: float) -> tuple[float, float]:
-    """Space-time unit normal to the interface trajectory, from the spatial
-    normal n_i of the side and the interface velocity."""
-    if n_i not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"spatial normal must be +-1, got {n_i}")
-    scale = np.hypot(n_i * mu, 1.0)
-    return float(n_i / scale), float(-n_i * mu / scale)
-
-
 def sigma_side(interface: str, mu: float) -> tuple[int, float]:
     """Upwind side index and signed temporal weight of the moving-interface jump term.
 
@@ -279,30 +238,3 @@ def sigma_side(interface: str, mu: float) -> tuple[int, float]:
     w = n1 * mu
     sigma = 1 if w >= 0 else 2
     return sigma, float(w)
-
-
-def quadrature_breakpoints(geom: SlabGeometry, extra_crossings: bool = False) -> np.ndarray:
-    """Temporal panel breakpoints for composite rules over the slab.
-
-    By default these are the interface-node crossing events.  With
-    ``extra_crossings`` every crossing of an overlap-mesh node with a node of a
-    slab-cut background cell is added, which makes all piecewise-polynomial
-    integrands of the formulation polynomial on each panel.
-    """
-    if not extra_crossings or geom.mu == 0.0 or len(geom.cut_cells) == 0:
-        return geom.events
-    cut_nodes = np.unique(np.concatenate([geom.cut_cells, geom.cut_cells + 1]))
-    cut_pos = geom.bg_nodes[cut_nodes]
-    times = [geom.events]
-    y0 = geom.ov_positions(geom.t_start)
-    t0, t1 = geom.t_start, geom.t_end
-    # crossing of overlap node g with background node position X: t0 + (X - y0_g)/mu
-    tt = t0 + (cut_pos[None, :] - y0[:, None]) / geom.mu
-    eps = EVENT_DEDUP_FRACTION * geom.k
-    tt = tt[(tt > t0 + eps) & (tt < t1 - eps)]
-    times.append(tt.ravel())
-    out = np.sort(np.concatenate(times))
-    if len(out) > 1:
-        keep = np.concatenate(([True], np.diff(out) > eps))
-        out = out[keep]
-    return out

@@ -11,9 +11,10 @@ one merged partition at all of its times, both representations evaluated at
 every Gauss point from each segment's own cell, and the interface terms read
 off the per-time coefficient vectors through the assembly's interface
 stencil.  The slab-breakpoint traces take one partition per breakpoint.  The
-gradient-jump term over the covered parts of cut cells is integrated pairwise
-per (cut cell, overlap cell) with panels at their endpoint crossings, which
-makes it exact for discrete arguments.
+gradient-jump term over the covered parts of cut cells is the quadratic form
+of the assembly's ``stabilization_weights`` (pairwise per cut cell and
+overlap cell, exact in time) in the discrete gradient jumps, which makes it
+exact for discrete arguments.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _GL3, _pair_lengths, _stabilization_panels, interface_stencil
+from .assembly import _GL3, interface_stencil, stabilization_weights
 from .core import ExactSolution
 from .geometry import segment_cells, spatial_partition
 from .quadrature import composite_time_rule
@@ -70,30 +71,10 @@ class NormBreakdown:
         return float(np.sqrt(self.x_sq))
 
 
-def _refine(breaks: np.ndarray, t0: float, t1: float, factor: int) -> np.ndarray:
-    """Subdivide each panel of [t0, t1] (interior breakpoints given) into equal parts."""
-    if factor <= 1:
-        return breaks
-    full = np.concatenate(([t0], breaks, [t1]))
-    out = []
-    for lo, hi in zip(full[:-1], full[1:]):
-        out.append(np.linspace(lo, hi, factor + 1)[1:-1])
-    out.append(breaks)
-    res = np.sort(np.concatenate(out))
-    return res
-
-
-def _segment_points(part, space_refine: int):
-    """Gauss points/weights per segment, optionally with subdivided segments."""
-    if space_refine <= 1:
-        pts = part.xa[:, None] + part.lengths[:, None] * _GL3.nodes[None, :]
-        wts = part.lengths[:, None] * _GL3.weights[None, :]
-        return pts, wts
-    frac = np.linspace(0.0, 1.0, space_refine + 1)
-    sub = (frac[:-1, None] + np.diff(frac)[:, None] * _GL3.nodes[None, :]).ravel()
-    subw = (np.diff(frac)[:, None] * _GL3.weights[None, :]).ravel()
-    pts = part.xa[:, None] + part.lengths[:, None] * sub[None, :]
-    wts = part.lengths[:, None] * subw[None, :]
+def _segment_points(part):
+    """Three-point Gauss points and weights on every segment of a partition."""
+    pts = part.xa[:, None] + part.lengths[:, None] * _GL3.nodes
+    wts = part.lengths[:, None] * _GL3.weights
     return pts, wts
 
 
@@ -104,32 +85,14 @@ def _zero_exact() -> ExactSolution:
 
 def _stab_term(slab) -> float:
     """Exact time integral of the squared gradient jump over the covered parts
-    of cut cells, pairwise per (cut cell, overlap cell)."""
-    geom = slab.geom
-    stab = _stabilization_panels(geom)
+    of cut cells: the quadratic form of the assembly's stabilization weights
+    in the per-pair gradient jumps."""
+    stab = stabilization_weights(slab.geom, slab.space.q)
     if stab is None:
         return 0.0
-    pK, pc, c_lo0, c_hi0, breaks = stab
-    q = slab.space.q
-    t0, t1, k = geom.t_start, geom.t_end, geom.k
-    bg = slab.bg_nodal()
-    ov = slab.ov_nodal()
-    h_bg = geom.bg_nodes[pK + 1] - geom.bg_nodes[pK]
-    s_bg = (bg[pK + 1] - bg[pK]) / h_bg[:, None]  # (npairs, q+1)
-    s_ov = (ov[pc + 1] - ov[pc]) / (c_hi0 - c_lo0)[:, None]
-    d = s_bg - s_ov
-    tq = breaks[:, :-1, None] + np.diff(breaks, axis=1)[:, :, None] * _GL3.nodes
-    wq = np.diff(breaks, axis=1)[:, :, None] * _GL3.weights
-    tq = tq.reshape(len(pK), -1)
-    wq = wq.reshape(len(pK), -1)
-    L = _pair_lengths(
-        geom.bg_nodes[pK], geom.bg_nodes[pK + 1], c_lo0, c_hi0, geom.mu, t0, tq
-    )
-    if q == 0:
-        jump = d[:, [0]]
-    else:
-        jump = d[:, [0]] * (t1 - tq) / k + d[:, [1]] * (tq - t0) / k
-    return float(np.sum(wq * jump * jump * L))
+    idx, g, W = stab
+    d = np.einsum("pk,pki->pi", g, slab.nodal()[idx])  # jump per pair and mode
+    return float(np.einsum("pi,pij,pj->", d, W, d))
 
 
 def _point_values(slab, part, x, derivs=False):
@@ -157,12 +120,12 @@ def _point_values(slab, part, x, derivs=False):
     return (c1 - c0) / h, d0 + w1 * (d1 - d0)
 
 
-def _volume_terms(slab, exact, times, wts, space_refine):
+def _volume_terms(slab, exact, times, wts):
     """Squared gradient and material-derivative (side 1, side 2) error terms of
     one slab, at every (time, segment, Gauss point) of its rule at once."""
     geom = slab.geom
     part = spatial_partition(geom, times)
-    pts, pw = _segment_points(part, space_refine)
+    pts, pw = _segment_points(part)
     tt = np.broadcast_to(part.t[:, None], pts.shape)
     dx, traj = _point_values(slab, part, pts, derivs=True)
     u_x = np.asarray(exact.u_x(pts, tt), dtype=float)
@@ -203,19 +166,14 @@ def _interface_terms(slab, exact, times, wts, omega1):
     )
 
 
-def xnorm_error(
-    sol: SpaceTimeSolution,
-    exact: ExactSolution | None = None,
-    *,
-    time_refine: int = 1,
-    space_refine: int = 1,
-) -> NormBreakdown:
+def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> NormBreakdown:
     """Energy-norm breakdown of exact-minus-discrete (of the discrete function
     itself when ``exact`` is omitted).
 
     ``exact`` is evaluated on arrays of points with ``t`` an array of the same
-    shape.  ``time_refine``/``space_refine`` subdivide the quadrature panels
-    and are meant for convergence checks of the measurement itself.
+    shape.  Time integrals use three-point Gauss on the interface-crossing
+    panels of each slab, space integrals three-point Gauss per segment; the
+    gradient-jump term reads the assembly's ``stabilization_weights``.
     """
     if exact is None:
         exact = _zero_exact()
@@ -226,10 +184,9 @@ def xnorm_error(
     totals = np.zeros(7)
     for slab in sol.slabs:
         geom = slab.geom
-        breaks = _refine(geom.events, geom.t_start, geom.t_end, time_refine)
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, _GL3)
+        times, wts = composite_time_rule(geom.t_start, geom.t_end, geom.events, _GL3)
         totals += (
-            *_volume_terms(slab, exact, times, wts, space_refine),
+            *_volume_terms(slab, exact, times, wts),
             *_interface_terms(slab, exact, times, wts, setup.disc.omega1),
             _stab_term(slab),
         )
@@ -242,7 +199,7 @@ def xnorm_error(
     for n in range(N + 1):
         t = float(bp[n])
         part = spatial_partition(sol.slabs[max(n - 1, 0)].geom, t)
-        pts, pw = _segment_points(part, space_refine)
+        pts, pw = _segment_points(part)
         if n < N:
             upper = _point_values(sol.slabs[n], part, pts)
         else:

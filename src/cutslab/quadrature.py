@@ -12,14 +12,6 @@ class Rule1D:
     nodes: np.ndarray  # in [0, 1]
     weights: np.ndarray  # sum to 1
 
-    def map_to(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights on [a, b]."""
-        return a + (b - a) * self.nodes, (b - a) * self.weights
-
-    def integrate(self, f, a: float, b: float) -> float:
-        x, w = self.map_to(a, b)
-        return float(np.sum(w * f(x)))
-
 
 def lobatto3() -> Rule1D:
     """Three-point Lobatto rule; exact for polynomials of degree <= 3."""
@@ -40,10 +32,6 @@ def gauss_legendre3() -> Rule1D:
 
 def midpoint() -> Rule1D:
     return Rule1D(nodes=np.array([0.5]), weights=np.array([1.0]))
-
-
-def trapezoid() -> Rule1D:
-    return Rule1D(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]))
 
 
 def composite_time_rule(

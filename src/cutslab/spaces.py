@@ -51,11 +51,6 @@ class SlabSpace:
     node_dof: np.ndarray  # global node index -> spatial DOF index, -1 if none
 
     @property
-    def bg_dof(self) -> np.ndarray:
-        """Background node index -> spatial DOF index, -1 if none."""
-        return self.node_dof[: len(self.geom.bg_nodes)]
-
-    @property
     def dof_node(self) -> np.ndarray:
         """Spatial DOF index -> global node index."""
         nb = len(self.geom.bg_nodes)
@@ -76,12 +71,6 @@ class SlabSpace:
     @property
     def n_cols(self) -> int:
         return self.n_spatial * (self.q + 1)
-
-    def ov_dof(self, g):
-        return self.n_active_bg + g
-
-    def col(self, spatial_dof, mode):
-        return spatial_dof * (self.q + 1) + mode
 
 
 def build_slab_space(geom: SlabGeometry, q: int) -> SlabSpace:
@@ -106,39 +95,6 @@ def _hat_eval(nodes: np.ndarray, x: np.ndarray):
     return c, 1.0 - v1, v1, -1.0 / h, 1.0 / h
 
 
-def eval_basis(space: SlabSpace, spatial_dof: int, mode: int, x: float, t: float):
-    """(value, d/dx, d/dt, trajectory derivative) of one tensor basis function."""
-    geom = space.geom
-    if not geom.contains_time(t):
-        raise ValueError(f"t={t} outside slab {geom.n}")
-    lam = temporal_basis_values(space.q, geom.t_start, geom.t_end, t)[mode]
-    dlam = temporal_basis_derivs(space.q, geom.t_start, geom.t_end)[mode]
-    if spatial_dof < space.n_active_bg:
-        node = space.active_bg[spatial_dof]
-        nodes = geom.bg_nodes
-        phi, dphi = _single_hat(nodes, node, x)
-        # stationary trajectory: material and partial time derivative agree
-        return phi * lam, dphi * lam, phi * dlam, phi * dlam
-    g = spatial_dof - space.n_active_bg
-    pos = geom.ov_positions(t)
-    phi, dphi = _single_hat(pos, g, x)
-    d_traj = phi * dlam
-    return phi * lam, dphi * lam, d_traj - geom.mu * dphi * lam, d_traj
-
-
-def _single_hat(nodes: np.ndarray, j: int, x: float):
-    phi, dphi = 0.0, 0.0
-    if j > 0 and nodes[j - 1] <= x <= nodes[j]:
-        h = nodes[j] - nodes[j - 1]
-        phi = (x - nodes[j - 1]) / h
-        dphi = 1.0 / h
-    elif j < len(nodes) - 1 and nodes[j] < x <= nodes[j + 1]:
-        h = nodes[j + 1] - nodes[j]
-        phi = (nodes[j + 1] - x) / h
-        dphi = -1.0 / h
-    return phi, dphi
-
-
 @dataclass(frozen=True)
 class SlabSolution:
     """Coefficients of one slab, shaped (spatial DOFs, temporal modes)."""
@@ -150,15 +106,6 @@ class SlabSolution:
     @property
     def by_mode(self) -> np.ndarray:
         return self.coeffs.reshape(self.space.n_spatial, self.space.q + 1)
-
-    def bg_nodal(self) -> np.ndarray:
-        """Per-mode nodal values on the full background mesh (dropped DOFs are 0)."""
-        vals = np.zeros((len(self.geom.bg_nodes), self.space.q + 1))
-        vals[self.space.active_bg] = self.by_mode[: self.space.n_active_bg]
-        return vals
-
-    def ov_nodal(self) -> np.ndarray:
-        return self.by_mode[self.space.n_active_bg :]
 
     def nodal(self) -> np.ndarray:
         """Per-mode nodal values in the global node numbering, shaped
@@ -196,14 +143,13 @@ class SlabSolution:
             raise ValueError(f"side must be 'auto', 1, or 2, got {side!r}")
 
         out = np.empty_like(x)
-        bg = self.bg_nodal()
+        nodal = self.nodal()
+        nb = len(geom.bg_nodes)
         if np.any(~on2):
-            out[~on2] = _eval_rep(
-                geom.bg_nodes, bg, lam, dlam, x[~on2], deriv, mu=0.0
-            )
+            out[~on2] = _eval_rep(geom.bg_nodes, nodal[:nb], lam, dlam, x[~on2], deriv, mu=0.0)
         if np.any(on2):
             pos = geom.ov_positions(t)
-            out[on2] = _eval_rep(pos, self.ov_nodal(), lam, dlam, x[on2], deriv, mu=geom.mu)
+            out[on2] = _eval_rep(pos, nodal[nb:], lam, dlam, x[on2], deriv, mu=geom.mu)
         return out
 
 

@@ -13,8 +13,11 @@ library's interface stencil and per-segment cell integrals.
 
 ``pointwise_xnorm_error`` is the energy-norm measurement written as a loop over
 the temporal quadrature points, each with its own spatial partition and
-side-wise ``SlabSolution.eval`` calls; the library's batched norm must agree
-with it to rounding.  ``anorm_sq`` is the spatial energy norm at one time.
+side-wise ``SlabSolution.eval`` calls, with optional refined panels and
+segments; the library's batched norm must agree with it to rounding.
+``anorm_sq`` is the spatial energy norm at one time.  ``overlap_segments``
+and ``quadrature_breakpoints`` (every node crossing of the overlap mesh) serve
+the pairings above.
 """
 
 import numpy as np
@@ -29,12 +32,12 @@ from cutslab.assembly import (
     interface_stencil,
 )
 from cutslab.geometry import (
-    overlap_segments,
-    quadrature_breakpoints,
+    EVENT_DEDUP_FRACTION,
+    SpatialPartition,
     sigma_side,
     spatial_partition,
 )
-from cutslab.norms import NormBreakdown, _refine, _segment_points, _stab_term, _zero_exact
+from cutslab.norms import NormBreakdown, _stab_term, _zero_exact
 from cutslab.quadrature import composite_time_rule, lobatto3, midpoint
 from cutslab.spaces import temporal_basis_values
 
@@ -78,6 +81,65 @@ def _integrate_space(geom, t, integrand):
     return total
 
 
+def overlap_segments(geom, t: float) -> SpatialPartition:
+    """Segments of the stabilized overlap region at time t: the parts of the
+    slab's cut background cells currently inside the moving interval."""
+    part = spatial_partition(geom, t)
+    mask = (part.side == 2) & np.isin(part.bg_cell, geom.cut_cells)
+    return SpatialPartition(
+        t=t,
+        time_index=part.time_index[mask],
+        xa=part.xa[mask],
+        xb=part.xb[mask],
+        side=part.side[mask],
+        bg_cell=part.bg_cell[mask],
+        ov_cell=part.ov_cell[mask],
+    )
+
+
+def quadrature_breakpoints(geom) -> np.ndarray:
+    """Temporal panel breakpoints for composite rules over the slab: the
+    interface-node crossing events plus every crossing of an overlap-mesh node
+    with a node of a slab-cut background cell, which makes all
+    piecewise-polynomial integrands of the formulation polynomial on each
+    panel."""
+    if geom.mu == 0.0 or len(geom.cut_cells) == 0:
+        return geom.events
+    cut_nodes = np.unique(np.concatenate([geom.cut_cells, geom.cut_cells + 1]))
+    cut_pos = geom.bg_nodes[cut_nodes]
+    y0 = geom.ov_positions(geom.t_start)
+    t0, t1 = geom.t_start, geom.t_end
+    # crossing of overlap node g with background node position X: t0 + (X - y0_g)/mu
+    tt = t0 + (cut_pos[None, :] - y0[:, None]) / geom.mu
+    eps = EVENT_DEDUP_FRACTION * geom.k
+    tt = tt[(tt > t0 + eps) & (tt < t1 - eps)]
+    out = np.sort(np.concatenate([geom.events, tt.ravel()]))
+    if len(out) > 1:
+        keep = np.concatenate(([True], np.diff(out) > eps))
+        out = out[keep]
+    return out
+
+
+def _refine(breaks: np.ndarray, t0: float, t1: float, factor: int) -> np.ndarray:
+    """Subdivide each panel of [t0, t1] (interior breakpoints given) into equal parts."""
+    if factor <= 1:
+        return breaks
+    full = np.concatenate(([t0], breaks, [t1]))
+    out = [np.linspace(lo, hi, factor + 1)[1:-1] for lo, hi in zip(full[:-1], full[1:])]
+    return np.sort(np.concatenate(out + [breaks]))
+
+
+def _segment_points(part, space_refine: int = 1):
+    """Gauss-3 points/weights per segment, each segment split into
+    ``space_refine`` equal parts."""
+    frac = np.linspace(0.0, 1.0, space_refine + 1)
+    sub = (frac[:-1, None] + np.diff(frac)[:, None] * _GL3.nodes[None, :]).ravel()
+    subw = (np.diff(frac)[:, None] * _GL3.weights[None, :]).ravel()
+    pts = part.xa[:, None] + part.lengths[:, None] * sub[None, :]
+    wts = part.lengths[:, None] * subw[None, :]
+    return pts, wts
+
+
 def _stab_integral(geom, t, ws, vs):
     total = 0.0
     a, b = float(geom.left(t)), float(geom.right(t))
@@ -99,7 +161,7 @@ def _stab_integral(geom, t, ws, vs):
 def _point_terms(geom, t, ws, vs, gamma, omega1, form, include_upwind):
     mu = geom.mu
     mu_bar = float(np.hypot(mu, 1.0))
-    h_K = geom.h_bg
+    h_K = float(geom.bg_nodes[1] - geom.bg_nodes[0])
     total = 0.0
     for label, s, n1 in geom.interfaces(t):
         w1 = float(ws.eval(s, t, side=1)[0])
@@ -249,7 +311,7 @@ def oracle_bnorm_sq(v):
         geom = vs.geom
         mu = geom.mu
         mu_bar = float(np.hypot(mu, 1.0))
-        h_K = geom.h_bg
+        h_K = float(geom.bg_nodes[1] - geom.bg_nodes[0])
         panels = _time_panels(geom)
         for lo, hi in zip(panels[:-1], panels[1:]):
             for tx, tw in zip(lo + (hi - lo) * _GL10_X, (hi - lo) * _GL10_W):
@@ -449,15 +511,16 @@ def interface_gradient(slab, label: str, t: float, side: int) -> float:
     lam = temporal_basis_values(space.q, geom.t_start, geom.t_end, t)
     a = float(geom.left(t))
     s = a if label == "left" else a + geom.overlap_length
+    nb = len(geom.bg_nodes)
+    nodal = slab.nodal() @ lam
     if side == 2:
-        nodal = slab.ov_nodal() @ lam
+        nodal = nodal[nb:]
         c = 0 if label == "left" else space.n_ov - 2
         pos = geom.ov_positions(t)
         return float((nodal[c + 1] - nodal[c]) / (pos[c + 1] - pos[c]))
     nodes = geom.bg_nodes
     edge = "left" if label == "left" else "right"
     c = int(np.clip(np.searchsorted(nodes, s, side=edge) - 1, 0, len(nodes) - 2))
-    nodal = slab.bg_nodal() @ lam
     return float((nodal[c + 1] - nodal[c]) / (nodes[c + 1] - nodes[c]))
 
 
@@ -554,7 +617,7 @@ def mass_matrix(space, t: float) -> np.ndarray:
 #
 # These walk the quadrature by brute force through function evaluations and are
 # meant for verification on small instances, not for assembly-scale work.  With
-# panel breakpoints at every node crossing (extra_crossings) the quadrature is
+# panel breakpoints at every node crossing (quadrature_breakpoints) the quadrature is
 # exact for broken piecewise-linear arguments, so the pairing below agrees with
 # the assembled matrices to rounding.
 
@@ -694,7 +757,7 @@ def apply_Bh(
     N = len(w.slabs)
     for ws, vs in zip(w.slabs, v.slabs):
         geom = ws.geom
-        breaks = quadrature_breakpoints(geom, extra_crossings=True)
+        breaks = quadrature_breakpoints(geom)
         times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, _GL3)
         for t, wt in zip(times, wts):
             part = _volume_pairing(ws, vs, t, form)

@@ -232,7 +232,7 @@ class TestStationaryAlignedEquivalence:
     def _single_mesh_form(self, setup, w_vals, v_vals):
         """Unfitted-free reference: standard dG(q)-in-time, P1-in-space form on
         the plain background mesh, from textbook element matrices."""
-        h = setup.h_background
+        h = 1.0 / setup.disc.n_background
         n = setup.disc.n_background
         q = setup.disc.q
         M = h / 6.0 * (4.0 * np.eye(n - 1) + np.eye(n - 1, k=1) + np.eye(n - 1, k=-1))
@@ -293,7 +293,7 @@ class TestStationaryAlignedEquivalence:
 
         # plain single-mesh solve with the same temporal scheme
         n = setup.disc.n_background
-        h = setup.h_background
+        h = 1.0 / setup.disc.n_background
         M = h / 6.0 * (4.0 * np.eye(n - 1) + np.eye(n - 1, k=1) + np.eye(n - 1, k=-1))
         K = (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1)) / h
         xi = setup.bg_nodes[1:-1]

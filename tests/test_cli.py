@@ -166,6 +166,33 @@ class TestMainConverge:
         assert rc == EXIT_CONFIG
         assert "config error: missing field overlap.length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "study, message",
+        [
+            ({"sweep": "k", "resolutions": ["x", 4]}, "study.resolutions must be integers"),
+            (
+                {"sweep": "k", "resolutions": [4, 8], "fit_window": [1, 5]},
+                "study.fit_window [1, 5] needs 1 <= i < j <= 2",
+            ),
+        ],
+        ids=["non_integer_resolution", "fit_window_beyond_resolutions"],
+    )
+    def test_bad_study_is_config_error_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, study, message
+    ):
+        solves = []
+        monkeypatch.setattr("cutslab.cli._run_entry", lambda job: solves.append(job))
+        cfg = _base_config(study=study)
+        cfg_path = _write(tmp_path, cfg)
+        out = tmp_path / "conv"
+        rc = main(
+            ["converge", str(cfg_path), "--output-dir", str(out), "--quiet", "--workers", "1"]
+        )
+        assert rc == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert solves == []
+        assert not out.exists()
+
     def test_geometry_violation_exit_code(self, tmp_path):
         cfg = _base_config()
         cfg["overlap"]["velocity"] = {"mode": "constant", "value": -0.4}
@@ -202,6 +229,15 @@ class TestMainErrors:
         rc = main(["solve", str(cfg_path), "--output-dir", str(out), "--quiet"])
         assert rc == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    def test_top_level_list_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # without --output-dir the output directory is read from the config
+        monkeypatch.chdir(tmp_path)
+        cfg_path = _write(tmp_path, [_base_config()])
+        assert main([command, str(cfg_path), "--quiet"]) == EXIT_CONFIG
+        assert "config error: the config must be a JSON object" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_solve_geometry_violation_exit(self, tmp_path):
         cfg = _base_config()

@@ -185,8 +185,6 @@ def test_setup_mesh_sizes(n0, nG, N):
     ov = OverlapSpec(length=0.25, initial_left=0.125, velocity=0.6)
     disc = Discretization(n_background=n0, n_overlap=nG, n_slabs=N)
     setup = Setup.build(prob, ov, disc)
-    assert setup.h_background == pytest.approx(1.0 / n0)
-    assert setup.h_overlap == pytest.approx(0.25 / nG)
+    assert np.diff(setup.bg_nodes) == pytest.approx(1.0 / n0)
+    assert np.diff(setup.ov_offsets) == pytest.approx(0.25 / nG)
     assert len(setup.a_breaks) == N + 1
-    r1, r2 = setup.spacetime_uniformity_ratios()
-    assert r1 > 0 and r2 > 0

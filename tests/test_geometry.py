@@ -4,15 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutslab.core import GeometryViolation
-from cutslab.geometry import (
-    build_slab_geometry,
-    overlap_segments,
-    sigma_side,
-    spacetime_normal,
-    spatial_partition,
-)
+from cutslab.geometry import build_slab_geometry, sigma_side, spatial_partition
 
 from conftest import make_setup
+from oracles import overlap_segments
 
 
 class TestBuildSlabGeometry:
@@ -69,12 +64,9 @@ class TestSpatialPartition:
         setup = make_setup(n0=4, nG=2, N=1, mu=0.0, a0=0.125)
         geom = build_slab_geometry(setup, 1)
         part = spatial_partition(geom, 0.5)
-        segs = list(part.segments())
         # breakpoints: 0, 0.125, 0.25 (node and overlap mid), 0.375, 0.5, 0.75, 1
-        xa = [s[0] for s in segs]
-        assert np.allclose(xa, [0.0, 0.125, 0.25, 0.375, 0.5, 0.75])
-        sides = [s[2] for s in segs]
-        assert sides == [1, 2, 2, 1, 1, 1]
+        assert np.allclose(part.xa, [0.0, 0.125, 0.25, 0.375, 0.5, 0.75])
+        assert part.side.tolist() == [1, 2, 2, 1, 1, 1]
 
     def test_aligned_interfaces_leave_cells_uncut(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.25)
@@ -114,7 +106,7 @@ class TestOverlapSegments:
         # interfaces at 0.15 and 0.4 cut cells 1 and 3
         assert set(geom.cut_cells.tolist()) == {1, 3}
         seg = overlap_segments(geom, 0.3)
-        covered = sum(s[1] - s[0] for s in seg.segments())
+        covered = np.sum(seg.xb - seg.xa)
         # cell 1 contributes (0.15, 0.25), cell 3 contributes (0.375, 0.4)
         assert covered == pytest.approx(0.1 + 0.025, rel=1e-12)
 
@@ -126,32 +118,14 @@ class TestOverlapSegments:
         assert set(geom.cut_cells.tolist()) == {0, 1, 2}
         seg = overlap_segments(geom, 1.0)
         # at t=1 the overlap is (0.27, 0.52), entirely inside cut cells
-        assert sum(s[1] - s[0] for s in seg.segments()) == pytest.approx(0.25, rel=1e-12)
-        assert {s[3] for s in seg.segments()} == {1, 2}
+        assert np.sum(seg.xb - seg.xa) == pytest.approx(0.25, rel=1e-12)
+        assert set(seg.bg_cell.tolist()) == {1, 2}
 
     def test_uncut_covered_cell_contributes_nothing(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.15)
         geom = build_slab_geometry(setup, 1)
         seg = overlap_segments(geom, 0.5)
-        assert 2 not in {s[3] for s in seg.segments()}  # cell [0.25,0.375] covered, uncut
-
-
-class TestNormals:
-    def test_stationary(self):
-        assert spacetime_normal(1.0, 0.0) == pytest.approx((1.0, 0.0))
-
-    def test_moving_values(self):
-        nx, nt = spacetime_normal(1.0, 0.6)
-        assert (nx, nt) == pytest.approx((0.857493, -0.514496), abs=1e-6)
-        assert nx**2 + nt**2 == pytest.approx(1.0)
-
-    def test_moving_negative_side(self):
-        nx, nt = spacetime_normal(-1.0, 0.6)
-        assert (nx, nt) == pytest.approx((-0.857493, 0.514496), abs=1e-6)
-
-    def test_bad_normal(self):
-        with pytest.raises(ValueError):
-            spacetime_normal(0.5, 0.1)
+        assert 2 not in seg.bg_cell.tolist()  # cell [0.25,0.375] covered, uncut
 
 
 class TestSigmaSide:

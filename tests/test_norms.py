@@ -12,7 +12,15 @@ from cutslab.solver import march
 from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space
 
 from conftest import make_setup, random_discrete
-from oracles import anorm_sq, oracle_bnorm_sq, pointwise_xnorm_error
+from oracles import (
+    _GL10_W,
+    _GL10_X,
+    _stab_integral,
+    _time_panels,
+    anorm_sq,
+    oracle_bnorm_sq,
+    pointwise_xnorm_error,
+)
 
 EXACT = manufactured_problem().exact
 
@@ -54,7 +62,7 @@ class TestAnorm:
             x = np.asarray(x, dtype=float)
             return beta * x + 0.4 if deriv == "value" else np.full_like(x, beta)
 
-        expected = beta**2 * (1.0 + 2.0 * geom.h_bg)
+        expected = beta**2 * (1.0 + 2.0 * (1.0 / 8))
         assert anorm_sq(fn, geom, 0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_moving_weight(self):
@@ -68,7 +76,7 @@ class TestAnorm:
             return beta * x if deriv == "value" else np.full_like(x, beta)
 
         mu_bar = np.hypot(0.6, 1.0)
-        expected = beta**2 * (1.0 + 2.0 * mu_bar * geom.h_bg)
+        expected = beta**2 * (1.0 + 2.0 * mu_bar * (1.0 / 8))
         assert anorm_sq(fn, geom, 0.2) == pytest.approx(expected, rel=1e-12)
 
     def test_homogeneity(self, rng):
@@ -129,7 +137,7 @@ class TestXnormError:
         u_h = march(setup.problem, setup.overlap, setup.disc)
         exact = manufactured_problem().exact
         base = xnorm_error(u_h, exact)
-        fine = xnorm_error(u_h, exact, time_refine=8, space_refine=8)
+        fine = pointwise_xnorm_error(u_h, exact, time_refine=8, space_refine=8)
         assert base.x == pytest.approx(fine.x, rel=1e-5)
 
     def test_error_of_discrete_solution_is_moderate(self):
@@ -156,14 +164,6 @@ class TestBatchedMatchesPointwise:
         sol = random_discrete(setup, rng)
         assert_breakdowns_agree(xnorm_error(sol), pointwise_xnorm_error(sol))
 
-    def test_refined_quadrature(self):
-        setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1, T=0.5)
-        u_h = march(setup.problem, setup.overlap, setup.disc)
-        assert_breakdowns_agree(
-            xnorm_error(u_h, EXACT, time_refine=8, space_refine=8),
-            pointwise_xnorm_error(u_h, EXACT, time_refine=8, space_refine=8),
-        )
-
     @settings(max_examples=30, deadline=None)
     @given(
         node=st.integers(2, 9),
@@ -179,6 +179,26 @@ class TestBatchedMatchesPointwise:
         setup = make_setup(n0=16, nG=4, N=2, mu=mu, a0=a0, q=q, T=0.25, omega1=omega1)
         sol = random_discrete(setup, np.random.default_rng(seed))
         assert_breakdowns_agree(xnorm_error(sol, EXACT), pointwise_xnorm_error(sol, EXACT))
+
+
+class TestStabilizationTerm:
+    """``stab_sq`` against the oracle's per-segment gradient jump integrated
+    over every node-crossing panel with 10-point Gauss, which shares nothing
+    with the assembly's stabilization weights."""
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("mu, a0", [(0.6, 0.125), (-0.4, 0.55), (0.0, 0.2)])
+    def test_matches_oracle_time_integral(self, q, mu, a0, rng):
+        setup = make_setup(n0=16, nG=4, N=3, mu=mu, a0=a0, q=q, T=0.5, zero=True)
+        sol = random_discrete(setup, rng)
+        ref = 0.0
+        for slab in sol.slabs:
+            panels = _time_panels(slab.geom)
+            for lo, hi in zip(panels[:-1], panels[1:]):
+                for t, w in zip(lo + (hi - lo) * _GL10_X, (hi - lo) * _GL10_W):
+                    ref += w * _stab_integral(slab.geom, t, slab, slab)
+        assert ref > 0.0
+        assert xnorm_error(sol).stab_sq == pytest.approx(ref, rel=1e-12)
 
 
 def _near_node_error(initial_left, norm=xnorm_error):

@@ -7,7 +7,6 @@ from cutslab.geometry import build_slab_geometry
 from cutslab.spaces import (
     SlabSolution,
     build_slab_space,
-    eval_basis,
     temporal_basis_derivs,
     temporal_basis_values,
 )
@@ -59,60 +58,72 @@ class TestDofCounts:
         for c in geom.cut_cells:
             for node in (c, c + 1):
                 if 0 < node < 16:
-                    assert space.bg_dof[node] >= 0
+                    assert space.node_dof[node] >= 0
 
     def test_dof_map_consistency(self):
         setup = make_setup(n0=12, nG=3, N=3, mu=0.35, a0=0.2)
-        space = build_slab_space(build_slab_geometry(setup, 2), 1)
+        geom = build_slab_geometry(setup, 2)
+        space = build_slab_space(geom, 1)
         for i, node in enumerate(space.active_bg):
-            assert space.bg_dof[node] == i
-        assert space.ov_dof(0) == space.n_active_bg
-        assert space.col(2, 1) == 5
+            assert space.node_dof[node] == i
+        assert space.node_dof[len(geom.bg_nodes)] == space.n_active_bg
+        assert np.array_equal(space.node_dof[space.dof_node], np.arange(space.n_spatial))
+
+
+def _basis_function(geom, space, spatial_dof, mode):
+    """One tensor basis function as a slab solution (temporal mode fastest)."""
+    coeffs = np.zeros(space.n_cols)
+    coeffs[spatial_dof * (space.q + 1) + mode] = 1.0
+    return SlabSolution(geom, space, coeffs)
 
 
 class TestEvalBasis:
     def test_background_value_and_slope(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.15)
-        space = build_slab_space(build_slab_geometry(setup, 1), 0)
+        geom = build_slab_geometry(setup, 1)
+        space = build_slab_space(geom, 0)
         # first active node is node 1 at x=0.125
-        v, dx, dt, dtraj = eval_basis(space, 0, 0, 0.125, 0.5)
-        assert v == pytest.approx(1.0)
-        assert dt == 0.0 and dtraj == 0.0
-        v, dx, _, _ = eval_basis(space, 0, 0, 0.0625, 0.5)
-        assert v == pytest.approx(0.5)
-        assert dx == pytest.approx(8.0)
+        phi = _basis_function(geom, space, 0, 0)
+        assert phi.eval(0.125, 0.5)[0] == pytest.approx(1.0)
+        assert phi.eval(0.125, 0.5, deriv="dt")[0] == 0.0
+        assert phi.eval(0.125, 0.5, deriv="Dt")[0] == 0.0
+        assert phi.eval(0.0625, 0.5)[0] == pytest.approx(0.5)
+        assert phi.eval(0.0625, 0.5, deriv="dx")[0] == pytest.approx(8.0)
 
     def test_overlap_peak_moves(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.6, a0=0.125, q=0)
         geom = build_slab_geometry(setup, 1)
         space = build_slab_space(geom, 0)
         g = 1  # middle overlap node, offset 0.125
+        phi = _basis_function(geom, space, space.n_active_bg + g, 0)
         for t in (0.0, 0.4, 1.0):
             peak = geom.left(t) + 0.125
-            v, _, _, _ = eval_basis(space, space.ov_dof(g), 0, peak, t)
-            assert v == pytest.approx(1.0)
+            assert phi.eval(peak, t, side=2)[0] == pytest.approx(1.0)
 
     def test_overlap_material_derivative(self):
         # riding along the trajectory, only the temporal mode varies
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, a0=0.125, q=1)
         geom = build_slab_geometry(setup, 1)
         space = build_slab_space(geom, 1)
-        dof = space.ov_dof(1)
+        dof = space.n_active_bg + 1
         t = 0.2
         x = geom.left(t) + 0.07
         for mode in (0, 1):
-            v, dx, dt, dtraj = eval_basis(space, dof, mode, x, t)
+            phi = _basis_function(geom, space, dof, mode)
+            v, dx, dt, dtraj = (
+                phi.eval(x, t, side=2, deriv=d)[0] for d in ("value", "dx", "dt", "Dt")
+            )
             dlam = temporal_basis_derivs(1, geom.t_start, geom.t_end)[mode]
             lam = temporal_basis_values(1, geom.t_start, geom.t_end, t)[mode]
-            phi = v / lam
-            assert dtraj == pytest.approx(phi * dlam)
+            assert dtraj == pytest.approx(v / lam * dlam)
             assert dt == pytest.approx(dtraj - geom.mu * dx)
 
     def test_out_of_slab_raises(self):
         setup = make_setup(N=2)
-        space = build_slab_space(build_slab_geometry(setup, 1), 0)
+        geom = build_slab_geometry(setup, 1)
+        space = build_slab_space(geom, 0)
         with pytest.raises(ValueError):
-            eval_basis(space, 0, 0, 0.3, 0.9)
+            _basis_function(geom, space, 0, 0).eval(0.3, 0.9)
 
 
 class TestSlabSolution:
