@@ -1,5 +1,10 @@
 """Slab system assembly.
 
+The slab's ``SlabSpace`` record (built by ``spaces.build_slab_space``) holds
+its DOF map, the composite Gauss rule on its crossing panels with the
+temporal mode values there, its interface stencil and its stabilization
+weights; ``assemble_slab`` reads them all from the record.
+
 Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
 nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
 that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
@@ -16,13 +21,13 @@ dependence:
   minus a correction over the covered interval, whose entries are piecewise
   polynomial in time between interface-node crossings;
 * interface point terms (Nitsche coupling, penalty, upwind space-time jump)
-  come from one stencil of both interface points at all panel Gauss times:
-  seven nodes per point with jump, average-gradient and upwind-trace weights,
-  piecewise polynomial between the same crossings;
-* the overlap-region gradient-jump stabilization comes from
-  ``stabilization_weights``: pairwise over (cut background cell, overlap
-  cell), the exact temporal weights of each pair's covered length with panels
-  at their mutual crossings.  The energy norm reads the same weights.
+  come from the record's stencil of both interface points at all panel Gauss
+  times: seven nodes per point with jump, average-gradient and upwind-trace
+  weights, piecewise polynomial between the same crossings;
+* the overlap-region gradient-jump stabilization comes from the record's
+  stabilization weights: pairwise over (cut background cell, overlap cell),
+  the exact temporal weights of each pair's covered length with panels at
+  their mutual crossings.  The energy norm reads the same weights.
 
 Composite three-point Gauss rules on those panels integrate every piecewise
 polynomial integrand exactly (degree <= 5), so the assembled matrix carries no
@@ -42,17 +47,14 @@ Gauss per merged-partition segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_array
 
 from .core import NumericalFailure, Setup
-from .geometry import SlabGeometry, segment_cells, sigma_side, spatial_partition
-from .quadrature import composite_time_rule, gauss_legendre3, lobatto3, midpoint
+from .geometry import SlabGeometry, segment_cells, segment_points, spatial_partition
+from .quadrature import GL3, composite_time_rule, lobatto3, midpoint
 from .spaces import SlabSolution, SlabSpace, temporal_basis_derivs, temporal_basis_values
-
-_GL3 = gauss_legendre3()
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,9 @@ def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
     the arguments."""
     h = cell_hi - cell_lo
     seg = xb - xa
-    w1 = (xa[..., None] + seg[..., None] * _GL3.nodes - cell_lo[..., None]) / h[..., None]
+    w1 = (xa[..., None] + seg[..., None] * GL3.nodes - cell_lo[..., None]) / h[..., None]
     w0 = 1.0 - w1
-    wts = seg[..., None] * _GL3.weights
+    wts = seg[..., None] * GL3.weights
     out = np.empty((2,) + seg.shape[:-1] + (3,) + seg.shape[-1:])
     out[0, ..., 0, :] = np.sum(wts * w0 * w0, axis=-1)
     out[0, ..., 1, :] = np.sum(wts * w0 * w1, axis=-1)
@@ -143,124 +145,6 @@ def _point_entries(idx, vals, weights):
     cols = np.tile(idx, (1, s)).ravel()
     blocks = vals.reshape(n, s * s, 1) * weights.reshape(n, 1, mm)
     return rows, cols, blocks.reshape(n * s * s, mm)
-
-
-class InterfaceStencil(NamedTuple):
-    """Both interface points at each of ``nt`` times: rows ``0..nt-1`` hold
-    the left point, rows ``nt..2nt-1`` the right one.
-
-    ``idx`` gives seven global node indices per row: the background cell
-    holding the point (value), the background cell on the uncovered side
-    (one-sided gradient, also when the point sits on a node), the overlap
-    node at the point (value) and the overlap end cell (gradient).  The
-    weights on those nodes, shaped like ``idx``, give the trace jump (side 1
-    minus side 2), the weighted average gradient
-    ``omega1 * grad_1 + (1 - omega1) * grad_2``, and the upwind-side trace
-    (see ``sigma_side``) times its signed weight ``n1 * mu``.
-    """
-
-    idx: np.ndarray
-    jump: np.ndarray
-    grad: np.ndarray
-    upwind: np.ndarray
-    x: np.ndarray  # position
-    n1: np.ndarray  # spatial normal of the uncovered side
-    h_K: np.ndarray  # size of the background cell holding the point
-
-
-def interface_stencil(geom: SlabGeometry, times: np.ndarray, omega1: float) -> InterfaceStencil:
-    """The interface stencil of a slab at the 1-D array ``times``."""
-    nodes, off = geom.bg_nodes, geom.ov_offsets
-    nb, n_ov = len(nodes), len(off)
-    nt = len(times)
-    a = geom.left(times)
-    x = np.concatenate([a, a + geom.overlap_length])
-    # value cell: the cell holding the point; gradient cell: the cell on the
-    # uncovered side, left of the left point and right of the right one
-    cells = np.empty((2, 2 * nt), dtype=int)
-    cells[0] = np.searchsorted(nodes, x, side="right")
-    cells[1, :nt] = np.searchsorted(nodes, a, side="left")
-    cells[1, nt:] = cells[0, nt:]
-    c, c1 = np.clip(cells - 1, 0, nb - 2)
-    h = nodes[c + 1] - nodes[c]
-    w1 = (x - nodes[c]) / h
-    g1 = omega1 / (nodes[c1 + 1] - nodes[c1])
-    g2 = (1.0 - omega1) / (off[[1, -1]] - off[[0, -2]])  # first and last overlap cell
-
-    idx = np.empty((2 * nt, 7), dtype=int)
-    jump, grad, upwind = np.zeros((3, 2 * nt, 7))
-    idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3] = c, c + 1, c1, c1 + 1
-    jump[:, 0], jump[:, 1], jump[:, 4] = 1.0 - w1, w1, -1.0
-    grad[:, 2], grad[:, 3] = -g1, g1
-    for rows, label, ov_node, ov_cell, g in (
-        (slice(0, nt), "left", nb, nb, g2[0]),
-        (slice(nt, None), "right", nb + n_ov - 1, nb + n_ov - 2, g2[1]),
-    ):
-        idx[rows, 4:] = ov_node, ov_cell, ov_cell + 1
-        grad[rows, 5:] = -g, g
-        sigma, w = sigma_side(label, geom.mu)
-        if sigma == 1:
-            upwind[rows, :2] = w * jump[rows, :2]
-        else:
-            upwind[rows, 4] = w
-    return InterfaceStencil(
-        idx=idx,
-        jump=jump,
-        grad=grad,
-        upwind=upwind,
-        x=x,
-        n1=np.repeat([1.0, -1.0], nt),
-        h_K=h,
-    )
-
-
-# ---------------------------------------------------------------------------
-# pairwise-exact stabilization integral
-# ---------------------------------------------------------------------------
-
-
-def stabilization_weights(geom: SlabGeometry, q: int):
-    """The gradient-jump stabilization of a slab, pairwise over (cut background
-    cell, overlap cell) pairs that meet at some slab time.
-
-    Returns ``(idx, g, W)``, or None when no such pair exists: ``idx`` (pairs,
-    4) holds the pair's global nodes (background cell, then overlap cell),
-    ``g`` (pairs, 4) the weights on them of the gradient jump (background
-    minus overlap gradient), and ``W`` (pairs, q+1, q+1) the slab integral of
-    the pair's covered length times ``lam_i lam_j``.  That length is piecewise
-    linear in time with breaks at the pair's endpoint crossings, so three-point
-    Gauss per panel makes ``W`` exact.
-    """
-    nodes = geom.bg_nodes
-    t0, t1, mu = geom.t_start, geom.t_end, geom.mu
-    y0 = geom.ov_positions(t0)
-    K = geom.cut_cells
-    # overlap cells meeting each cut cell at some slab time
-    shift = mu * geom.k
-    g0 = np.maximum(0, np.searchsorted(y0, nodes[K] - max(shift, 0.0), side="right") - 1)
-    g1 = np.minimum(len(y0) - 2, np.searchsorted(y0, nodes[K + 1] - min(shift, 0.0)) - 1)
-    count = np.maximum(g1 - g0 + 1, 0)
-    n = int(count.sum())
-    if n == 0:
-        return None
-    pK = np.repeat(K, count)
-    pc = np.repeat(g0 - np.cumsum(count) + count, count) + np.arange(n)
-    idx = np.concatenate([pK[:, None] + [0, 1], len(nodes) + pc[:, None] + [0, 1]], axis=1)
-    x = np.concatenate([nodes, y0])[idx]  # K_lo, K_hi, c_lo, c_hi at the slab start
-    g = np.array([-1.0, 1.0, 1.0, -1.0]) / (x[:, [1, 1, 3, 3]] - x[:, [0, 0, 2, 2]])
-    breaks = np.full((n, 6), t0)
-    breaks[:, 5] = t1
-    if mu != 0.0:
-        cross = t0 + (x[:, [0, 1, 0, 1]] - x[:, [2, 2, 3, 3]]) / mu
-        breaks[:, 1:5] = np.sort(np.clip(cross, t0, t1), axis=1)
-    panel = np.diff(breaks, axis=1)[:, :, None]
-    tq = (breaks[:, :-1, None] + panel * _GL3.nodes).reshape(n, -1)
-    wq = (panel * _GL3.weights).reshape(n, -1)
-    drift = mu * (tq - t0)
-    L = np.minimum(x[:, [1]], x[:, [3]] + drift) - np.maximum(x[:, [0]], x[:, [2]] + drift)
-    lam = temporal_basis_values(q, t0, t1, tq)
-    W = np.einsum("pt,pti,ptj->pij", wq * np.maximum(L, 0.0), lam, lam)
-    return idx, g, W
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +194,8 @@ def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
     """Gauss-3-per-segment load of a scalar function of position at time t
     against every node's hat."""
     part = spatial_partition(geom, t)
-    x = part.xa[:, None] + part.lengths[:, None] * _GL3.nodes
-    fw = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
-    fw = fw * (part.lengths[:, None] * _GL3.weights)
+    x, w = segment_points(part)
+    fw = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape) * w
     return _hat_load(geom, part, x, fw[:, :, None])[:, 0]
 
 
@@ -360,8 +243,7 @@ def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> 
     instead.
     """
     geom = space.geom
-    disc = setup.disc
-    q = disc.q
+    q = space.q
     m = q + 1
     mu = geom.mu
     t0, t1, k = geom.t_start, geom.t_end, geom.k
@@ -374,29 +256,27 @@ def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> 
     parts = [(rows, cols, vals @ np.stack([T2 + start, T1, -mu * T1]).reshape(3, m * m))]
 
     # covered-interval correction, at the slab start and on the panel Gauss times
-    times, wts = composite_time_rule(t0, t1, geom.events, _GL3)
-    lam = temporal_basis_values(q, t0, t1, times)
-    w_ll = wts[:, None, None] * lam[:, :, None] * lam[:, None, :]
-    w_ld = wts[:, None, None] * lam[:, :, None] * temporal_basis_derivs(q, t0, t1)
-    rows, cols, mv, kv = _covered_entries(geom, geom.left(np.concatenate(([t0], times))))
+    wts, lam = space.weights[:, None, None], space.lam
+    w_ll = wts * lam[:, :, None] * lam[:, None, :]
+    w_ld = wts * lam[:, :, None] * temporal_basis_derivs(q, t0, t1)
+    rows, cols, mv, kv = _covered_entries(geom, geom.left(np.concatenate(([t0], space.times))))
     weights = np.concatenate([start[None], w_ld, w_ll]).reshape(-1, m * m)
     parts.append((rows, cols, -(np.concatenate([mv, kv[1:]]).T @ weights)))
     start_cov = (rows, cols, mv[0])
 
     # interface point terms on the panel Gauss times:
     # -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind trace_i J_j
-    st = interface_stencil(geom, times, disc.omega1)
+    st = space.stencil
     J = st.jump
     n1G = st.n1[:, None] * st.grad
-    pen = (float(np.hypot(mu, 1.0)) * disc.gamma / st.h_K)[:, None]
+    pen = (float(np.hypot(mu, 1.0)) * setup.disc.gamma / st.h_K)[:, None]
     vals = J[:, :, None] * (pen * J - n1G)[:, None, :]
     vals += (st.upwind - n1G)[:, :, None] * J[:, None, :]
     parts.append(_point_entries(st.idx, vals, np.concatenate([w_ll, w_ll])))
 
     # pairwise-exact gradient-jump stabilization
-    stab = stabilization_weights(geom, q)
-    if stab is not None:
-        idx, g, W = stab
+    if space.stab is not None:
+        idx, g, W = space.stab
         parts.append(_point_entries(idx, g[:, :, None] * g[:, None, :], W))
 
     # right-hand side

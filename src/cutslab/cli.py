@@ -248,12 +248,16 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
     study = _require(cfg, "study", "config")
     resolutions = _require(study, "resolutions", "study")
     try:
-        resolutions = [int(r) for r in resolutions]
+        resolutions = sorted(int(r) for r in resolutions)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"study.resolutions must be integers, got {resolutions!r}") from exc
     if not resolutions:
         raise ConfigError("study.resolutions must be nonempty")
+    if len(set(resolutions)) < len(resolutions):
+        raise ConfigError(f"study.resolutions must not repeat, got {study['resolutions']!r}")
+    # the fit window is 1-based and inclusive over the sorted resolutions
     window = study.get("fit_window") or None
+    i, j = 1, len(resolutions)
     if window is not None:
         try:
             i, j = (int(w) for w in window)
@@ -263,7 +267,6 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
             raise ConfigError(
                 f"study.fit_window {window} needs 1 <= i < j <= {len(resolutions)} (the resolutions)"
             )
-        window = (i, j)
     sweep = _require(study, "sweep", "study")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -299,28 +302,31 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
     ]
     _write_csv(out_dir / "convergence.csv", fieldnames, rows)
 
-    if len(rows) >= 2:
-        key = "k" if sweep == "k" else "h0"
-        points = [(row[key], row["error_x"]) for row in rows]
-        slope = lls_slope(points, window)
-        ref = float(study.get("reference_slope", 1.0))
-        write_loglog_svg(
-            out_dir / "convergence.svg",
-            [p[0] for p in points],
-            [p[1] for p in points],
-            slope,
-            ref,
-            f"{sweep}-sweep, fitted slope {slope:.4f}",
+    key = "k" if sweep == "k" else "h0"
+    fit = resolutions[i - 1 : j]
+    if len(fit) < 2:
+        return EXIT_NUMERICAL if failures else 0
+    try:
+        failed = [r for r in fit if not isinstance(results[r], dict)]
+        if failed:
+            raise ValueError(f"resolutions {failed} in the fit window [{i}, {j}] failed")
+        slope = lls_slope([(results[r][key], results[r]["error_x"]) for r in fit])
+    except ValueError as exc:
+        print(f"fit failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    points = [(row[key], row["error_x"]) for row in rows]
+    ref = float(study.get("reference_slope", 1.0))
+    title = f"{sweep}-sweep, fitted slope {slope:.4f}"
+    write_loglog_svg(out_dir / "convergence.svg", *zip(*points), slope, ref, title)
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(
+            {"sweep": sweep, "slope": slope, "n_ok": len(rows), "n_failed": len(failures)},
+            fh,
+            indent=2,
         )
-        with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {"sweep": sweep, "slope": slope, "n_ok": len(rows), "n_failed": len(failures)},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-        if not quiet:
-            print(f"fitted slope: {slope:.4f}")
+        fh.write("\n")
+    if not quiet:
+        print(f"fitted slope: {slope:.4f}")
     return EXIT_NUMERICAL if failures else 0
 
 

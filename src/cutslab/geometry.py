@@ -1,5 +1,6 @@
 """Per-slab cut geometry: interface trajectories, node-crossing events, spatial
-partitions, and the upwind side of the moving-interface jump."""
+partitions with their per-segment cells and Gauss points, and the upwind side
+of the moving-interface jump."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GeometryViolation, Setup
+from .quadrature import GL3
 
 # Segments shorter than this fraction of the domain are dropped; a cell cut by
 # less than this is classified uncut at that instant.
@@ -46,17 +48,9 @@ class SlabGeometry:
         """Left interface position."""
         return self.a_start + self.mu * (np.asarray(t) - self.t_start)
 
-    def right(self, t):
-        return self.left(t) + self.overlap_length
-
     def ov_positions(self, t: float) -> np.ndarray:
         """Overlap-mesh node positions at time t."""
         return self.left(t) + self.ov_offsets
-
-    def interfaces(self, t: float):
-        """[(label, position, spatial normal n1 of the uncovered side)] at time t."""
-        a = float(self.left(t))
-        return [("left", a, 1.0), ("right", a + self.overlap_length, -1.0)]
 
     def contains_time(self, t: float) -> bool:
         return self.t_start <= t <= self.t_end
@@ -219,6 +213,14 @@ def segment_cells(geom: SlabGeometry, part: SpatialPartition):
     lo = np.where(on2, off_lo, geom.bg_nodes[part.bg_cell])
     hi = np.where(on2, off_hi, geom.bg_nodes[part.bg_cell + 1])
     return node, lo, hi
+
+
+def segment_points(part: SpatialPartition):
+    """Three-point Gauss points and weights on every segment of a partition,
+    shaped (segments, 3)."""
+    pts = part.xa[:, None] + part.lengths[:, None] * GL3.nodes
+    wts = part.lengths[:, None] * GL3.weights
+    return pts, wts
 
 
 def sigma_side(interface: str, mu: float) -> tuple[int, float]:

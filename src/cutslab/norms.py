@@ -6,15 +6,17 @@ and the moving-interface jump term.  Temporal integration is composite
 three-point Gauss over the interface-crossing panels of each slab; spatial
 integration is three-point Gauss per merged-partition segment.
 
-Each slab is measured in one batch, with no loop over its quadrature times:
-one merged partition at all of its times, both representations evaluated at
-every Gauss point from each segment's own cell, and the interface terms read
-off the per-time coefficient vectors through the assembly's interface
-stencil.  The slab-breakpoint traces take one partition per breakpoint.  The
-gradient-jump term over the covered parts of cut cells is the quadratic form
-of the assembly's ``stabilization_weights`` (pairwise per cut cell and
-overlap cell, exact in time) in the discrete gradient jumps, which makes it
-exact for discrete arguments.
+Each slab is measured in one batch, with no loop over its quadrature times,
+from the ``SlabSpace`` record that the march built for it and the assembly
+read (``spaces.build_slab_space``): one merged partition at all of the
+record's times, both representations evaluated at every Gauss point from
+each segment's own cell, and the interface terms read off the per-time
+coefficient vectors through the record's interface stencil.  The
+slab-breakpoint traces take one partition per breakpoint.  The gradient-jump
+term over the covered parts of cut cells is the quadratic form of the
+record's stabilization weights (pairwise per cut cell and overlap cell, exact
+in time) in the discrete gradient jumps, which makes it exact for discrete
+arguments.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _GL3, interface_stencil, stabilization_weights
 from .core import ExactSolution
-from .geometry import segment_cells, spatial_partition
-from .quadrature import composite_time_rule
+from .geometry import segment_cells, segment_points, spatial_partition
 from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_basis_values
 
 
@@ -71,13 +71,6 @@ class NormBreakdown:
         return float(np.sqrt(self.x_sq))
 
 
-def _segment_points(part):
-    """Three-point Gauss points and weights on every segment of a partition."""
-    pts = part.xa[:, None] + part.lengths[:, None] * _GL3.nodes
-    wts = part.lengths[:, None] * _GL3.weights
-    return pts, wts
-
-
 def _zero_exact() -> ExactSolution:
     z = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
     return ExactSolution(u=z, u_x=z, u_t=z)
@@ -85,12 +78,11 @@ def _zero_exact() -> ExactSolution:
 
 def _stab_term(slab) -> float:
     """Exact time integral of the squared gradient jump over the covered parts
-    of cut cells: the quadratic form of the assembly's stabilization weights
-    in the per-pair gradient jumps."""
-    stab = stabilization_weights(slab.geom, slab.space.q)
-    if stab is None:
+    of cut cells: the quadratic form of the record's stabilization weights in
+    the per-pair gradient jumps."""
+    if slab.space.stab is None:
         return 0.0
-    idx, g, W = stab
+    idx, g, W = slab.space.stab
     d = np.einsum("pk,pki->pi", g, slab.nodal()[idx])  # jump per pair and mode
     return float(np.einsum("pi,pij,pj->", d, W, d))
 
@@ -120,12 +112,12 @@ def _point_values(slab, part, x, derivs=False):
     return (c1 - c0) / h, d0 + w1 * (d1 - d0)
 
 
-def _volume_terms(slab, exact, times, wts):
+def _volume_terms(slab, exact):
     """Squared gradient and material-derivative (side 1, side 2) error terms of
     one slab, at every (time, segment, Gauss point) of its rule at once."""
     geom = slab.geom
-    part = spatial_partition(geom, times)
-    pts, pw = _segment_points(part)
+    part = spatial_partition(geom, slab.space.times)
+    pts, pw = segment_points(part)
     tt = np.broadcast_to(part.t[:, None], pts.shape)
     dx, traj = _point_values(slab, part, pts, derivs=True)
     u_x = np.asarray(exact.u_x(pts, tt), dtype=float)
@@ -133,7 +125,7 @@ def _volume_terms(slab, exact, times, wts):
     de = np.asarray(exact.u_t(pts, tt), dtype=float) - traj
     on2 = part.side == 2
     de[on2] += geom.mu * u_x[on2]  # side 2: the material derivative follows the motion
-    w = wts[part.time_index, None] * pw
+    w = slab.space.weights[part.time_index, None] * pw
     # contracted without (segments, points) temporaries
     de_sq = np.einsum("ij,ij,ij->i", w, de, de)
     return (
@@ -143,21 +135,20 @@ def _volume_terms(slab, exact, times, wts):
     )
 
 
-def _interface_terms(slab, exact, times, wts, omega1):
+def _interface_terms(slab, exact):
     """Squared flux, interface-jump and moving-jump error terms of one slab at
-    all of its rule's times, through the assembly's interface stencil.
+    all of its rule's times, through the record's interface stencil.
 
     The exact solution is continuous, so the error's jump is the discrete one.
     """
-    geom = slab.geom
-    st = interface_stencil(geom, times, omega1)
-    lam = temporal_basis_values(slab.space.q, geom.t_start, geom.t_end, times)
-    rows = np.tile(np.arange(len(times)), 2)
-    vals = (lam @ slab.nodal().T)[rows[:, None], st.idx]  # stencil nodes at each row's time
-    u_x = np.asarray(exact.u_x(st.x, times[rows]), dtype=float)
+    geom, space = slab.geom, slab.space
+    st = space.stencil
+    rows = np.tile(np.arange(len(space.times)), 2)
+    vals = (space.lam @ slab.nodal().T)[rows[:, None], st.idx]  # stencil nodes at each row's time
+    u_x = np.asarray(exact.u_x(st.x, space.times[rows]), dtype=float)
     avg = u_x - np.sum(vals * st.grad, axis=1)
     jump_sq = np.sum(vals * st.jump, axis=1) ** 2
-    w = wts[rows]
+    w = space.weights[rows]
     mu_bar = float(np.hypot(geom.mu, 1.0))
     return (
         mu_bar * float(np.sum(w * st.h_K * avg * avg)),
@@ -173,7 +164,7 @@ def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> N
     ``exact`` is evaluated on arrays of points with ``t`` an array of the same
     shape.  Time integrals use three-point Gauss on the interface-crossing
     panels of each slab, space integrals three-point Gauss per segment; the
-    gradient-jump term reads the assembly's ``stabilization_weights``.
+    gradient-jump term reads the slab record's stabilization weights.
     """
     if exact is None:
         exact = _zero_exact()
@@ -183,13 +174,7 @@ def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> N
     # grad, material (side 1, side 2), flux, interface jump, moving jump, stab
     totals = np.zeros(7)
     for slab in sol.slabs:
-        geom = slab.geom
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, geom.events, _GL3)
-        totals += (
-            *_volume_terms(slab, exact, times, wts),
-            *_interface_terms(slab, exact, times, wts, setup.disc.omega1),
-            _stab_term(slab),
-        )
+        totals += (*_volume_terms(slab, exact), *_interface_terms(slab, exact), _stab_term(slab))
     grad, mat_bg, mat_ov, flux, ijump, moving, stab = map(float, totals)
 
     # initial, time-jump and final traces, one partition per breakpoint
@@ -199,7 +184,7 @@ def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> N
     for n in range(N + 1):
         t = float(bp[n])
         part = spatial_partition(sol.slabs[max(n - 1, 0)].geom, t)
-        pts, pw = _segment_points(part)
+        pts, pw = segment_points(part)
         if n < N:
             upper = _point_values(sol.slabs[n], part, pts)
         else:

@@ -30,6 +30,9 @@ def gauss_legendre3() -> Rule1D:
     )
 
 
+GL3 = gauss_legendre3()
+
+
 def midpoint() -> Rule1D:
     return Rule1D(nodes=np.array([0.5]), weights=np.array([1.0]))
 

@@ -56,8 +56,8 @@ def march(
     slabs = []
     for n in range(1, disc.n_slabs + 1):
         geom = build_slab_geometry(setup, n)
-        space = build_slab_space(geom, disc.q)
+        space = build_slab_space(geom, disc)
         coeffs = solve_slab(assemble_slab(space, setup, prev))
-        prev = SlabSolution(geom=geom, space=space, coeffs=coeffs)
+        prev = SlabSolution(space=space, coeffs=coeffs)
         slabs.append(prev)
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))

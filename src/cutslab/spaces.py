@@ -1,14 +1,20 @@
-"""DOF management and basis evaluation for the broken space on one slab, and
-the per-slab coefficient storage for a full space-time solution."""
+"""The temporal basis, the per-slab record ``SlabSpace``, and the coefficients
+and evaluation of a space-time solution.  ``build_slab_space`` builds each
+slab's record once: its DOF map, time rule, interface stencil and
+stabilization weights.  ``assemble_slab`` and the energy norm in ``norms``
+read them there and rebuild none of them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Setup
-from .geometry import SlabGeometry
+from .core import Discretization, Setup
+from .geometry import DEGENERATE_FRACTION, SlabGeometry, sigma_side
+from .quadrature import GL3, composite_time_rule
 
 
 def temporal_basis_values(q: int, t_start: float, t_end: float, t) -> np.ndarray:
@@ -31,9 +37,123 @@ def temporal_basis_derivs(q: int, t_start: float, t_end: float) -> np.ndarray:
     return np.array([-1.0 / k, 1.0 / k])
 
 
+class InterfaceStencil(NamedTuple):
+    """Both interface points at each of ``nt`` times: rows ``0..nt-1`` hold
+    the left point, rows ``nt..2nt-1`` the right one.
+
+    ``idx`` gives seven global node indices per row: the background cell
+    holding the point (value), the background cell on the uncovered side
+    (one-sided gradient, also when the point sits on a node), the overlap
+    node at the point (value) and the overlap end cell (gradient).  The
+    weights on those nodes, shaped like ``idx``, give the trace jump (side 1
+    minus side 2), the weighted average gradient
+    ``omega1 * grad_1 + (1 - omega1) * grad_2``, and the upwind-side trace
+    (see ``sigma_side``) times its signed weight ``n1 * mu``.
+    """
+
+    idx: np.ndarray
+    jump: np.ndarray
+    grad: np.ndarray
+    upwind: np.ndarray
+    x: np.ndarray  # position
+    n1: np.ndarray  # spatial normal of the uncovered side
+    h_K: np.ndarray  # size of the background cell holding the point
+
+
+def interface_stencil(geom: SlabGeometry, times: np.ndarray, omega1: float) -> InterfaceStencil:
+    """The interface stencil of a slab at the 1-D array ``times``."""
+    nodes, off = geom.bg_nodes, geom.ov_offsets
+    nb, n_ov = len(nodes), len(off)
+    nt = len(times)
+    a = geom.left(times)
+    x = np.concatenate([a, a + geom.overlap_length])
+    # value cell: the cell holding the point; gradient cell: the cell on the
+    # uncovered side, left of the left point and right of the right one
+    cells = np.empty((2, 2 * nt), dtype=int)
+    cells[0] = np.searchsorted(nodes, x, side="right")
+    cells[1, :nt] = np.searchsorted(nodes, a, side="left")
+    cells[1, nt:] = cells[0, nt:]
+    c, c1 = np.clip(cells - 1, 0, nb - 2)
+    h = nodes[c + 1] - nodes[c]
+    w1 = (x - nodes[c]) / h
+    g1 = omega1 / (nodes[c1 + 1] - nodes[c1])
+    g2 = (1.0 - omega1) / (off[[1, -1]] - off[[0, -2]])  # first and last overlap cell
+
+    idx = np.empty((2 * nt, 7), dtype=int)
+    jump, grad, upwind = np.zeros((3, 2 * nt, 7))
+    idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3] = c, c + 1, c1, c1 + 1
+    jump[:, 0], jump[:, 1], jump[:, 4] = 1.0 - w1, w1, -1.0
+    grad[:, 2], grad[:, 3] = -g1, g1
+    for rows, label, ov_node, ov_cell, g in (
+        (slice(0, nt), "left", nb, nb, g2[0]),
+        (slice(nt, None), "right", nb + n_ov - 1, nb + n_ov - 2, g2[1]),
+    ):
+        idx[rows, 4:] = ov_node, ov_cell, ov_cell + 1
+        grad[rows, 5:] = -g, g
+        sigma, w = sigma_side(label, geom.mu)
+        if sigma == 1:
+            upwind[rows, :2] = w * jump[rows, :2]
+        else:
+            upwind[rows, 4] = w
+    return InterfaceStencil(
+        idx=idx,
+        jump=jump,
+        grad=grad,
+        upwind=upwind,
+        x=x,
+        n1=np.repeat([1.0, -1.0], nt),
+        h_K=h,
+    )
+
+
+def stabilization_weights(geom: SlabGeometry, q: int):
+    """The gradient-jump stabilization of a slab, pairwise over (cut background
+    cell, overlap cell) pairs that meet at some slab time.
+
+    Returns ``(idx, g, W)``, or None when no such pair exists: ``idx`` (pairs,
+    4) holds the pair's global nodes (background cell, then overlap cell),
+    ``g`` (pairs, 4) the weights on them of the gradient jump (background
+    minus overlap gradient), and ``W`` (pairs, q+1, q+1) the slab integral of
+    the pair's covered length times ``lam_i lam_j``.  That length is piecewise
+    linear in time with breaks at the pair's endpoint crossings, so three-point
+    Gauss per panel makes ``W`` exact.
+    """
+    nodes = geom.bg_nodes
+    t0, t1, mu = geom.t_start, geom.t_end, geom.mu
+    y0 = geom.ov_positions(t0)
+    K = geom.cut_cells
+    # overlap cells meeting each cut cell at some slab time
+    shift = mu * geom.k
+    g0 = np.maximum(0, np.searchsorted(y0, nodes[K] - max(shift, 0.0), side="right") - 1)
+    g1 = np.minimum(len(y0) - 2, np.searchsorted(y0, nodes[K + 1] - min(shift, 0.0)) - 1)
+    count = np.maximum(g1 - g0 + 1, 0)
+    n = int(count.sum())
+    if n == 0:
+        return None
+    pK = np.repeat(K, count)
+    pc = np.repeat(g0 - np.cumsum(count) + count, count) + np.arange(n)
+    idx = np.concatenate([pK[:, None] + [0, 1], len(nodes) + pc[:, None] + [0, 1]], axis=1)
+    x = np.concatenate([nodes, y0])[idx]  # K_lo, K_hi, c_lo, c_hi at the slab start
+    g = np.array([-1.0, 1.0, 1.0, -1.0]) / (x[:, [1, 1, 3, 3]] - x[:, [0, 0, 2, 2]])
+    breaks = np.full((n, 6), t0)
+    breaks[:, 5] = t1
+    if mu != 0.0:
+        cross = t0 + (x[:, [0, 1, 0, 1]] - x[:, [2, 2, 3, 3]]) / mu
+        breaks[:, 1:5] = np.sort(np.clip(cross, t0, t1), axis=1)
+    panel = np.diff(breaks, axis=1)[:, :, None]
+    tq = (breaks[:, :-1, None] + panel * GL3.nodes).reshape(n, -1)
+    wq = (panel * GL3.weights).reshape(n, -1)
+    drift = mu * (tq - t0)
+    L = np.minimum(x[:, [1]], x[:, [3]] + drift) - np.maximum(x[:, [0]], x[:, [2]] + drift)
+    lam = temporal_basis_values(q, t0, t1, tq)
+    W = np.einsum("pt,pti,ptj->pij", wq * np.maximum(L, 0.0), lam, lam)
+    return idx, g, W
+
+
 @dataclass(frozen=True)
 class SlabSpace:
-    """DOF map for one slab.
+    """The record of one slab: its DOF map and the quadrature data shared by
+    the slab form and the energy norm.
 
     Background DOFs sit on interior background nodes whose support meets the
     uncovered region at some slab time or touches a slab-cut cell; every
@@ -42,13 +162,19 @@ class SlabSpace:
 
     Nodes carry one global numbering: background nodes ``0..nb-1``, then
     overlap nodes ``nb..nb+n_ov-1``.  ``node_dof`` maps it to the spatial
-    DOFs and ``dof_node`` back.
+    DOFs and ``dof_node`` back.  ``times``/``weights`` are the composite
+    three-point Gauss rule on the panels between interface-node crossings.
     """
 
     geom: SlabGeometry
     q: int
     active_bg: np.ndarray  # background node indices with DOFs
     node_dof: np.ndarray  # global node index -> spatial DOF index, -1 if none
+    times: np.ndarray
+    weights: np.ndarray
+    lam: np.ndarray  # temporal mode values at the times, (times, q+1)
+    stencil: InterfaceStencil  # at the times
+    stab: tuple | None  # stabilization_weights
 
     @property
     def dof_node(self) -> np.ndarray:
@@ -73,7 +199,8 @@ class SlabSpace:
         return self.n_spatial * (self.q + 1)
 
 
-def build_slab_space(geom: SlabGeometry, q: int) -> SlabSpace:
+def build_slab_space(geom: SlabGeometry, disc: Discretization) -> SlabSpace:
+    """The record of slab ``geom`` under the discretization ``disc``."""
     n_nodes = len(geom.bg_nodes)
     dead = np.zeros(n_nodes - 1, dtype=bool)
     dead[geom.covered_cells] = True
@@ -83,7 +210,18 @@ def build_slab_space(geom: SlabGeometry, q: int) -> SlabSpace:
     node_dof = np.full(n_nodes + len(geom.ov_offsets), -1, dtype=int)
     node_dof[active] = np.arange(len(active))
     node_dof[n_nodes:] = np.arange(len(active), len(active) + len(geom.ov_offsets))
-    return SlabSpace(geom=geom, q=q, active_bg=active, node_dof=node_dof)
+    times, weights = composite_time_rule(geom.t_start, geom.t_end, geom.events, GL3)
+    return SlabSpace(
+        geom=geom,
+        q=disc.q,
+        active_bg=active,
+        node_dof=node_dof,
+        times=times,
+        weights=weights,
+        lam=temporal_basis_values(disc.q, geom.t_start, geom.t_end, times),
+        stencil=interface_stencil(geom, times, disc.omega1),
+        stab=stabilization_weights(geom, disc.q),
+    )
 
 
 def _hat_eval(nodes: np.ndarray, x: np.ndarray):
@@ -99,9 +237,12 @@ def _hat_eval(nodes: np.ndarray, x: np.ndarray):
 class SlabSolution:
     """Coefficients of one slab, shaped (spatial DOFs, temporal modes)."""
 
-    geom: SlabGeometry
     space: SlabSpace
     coeffs: np.ndarray  # flat, length n_cols
+
+    @property
+    def geom(self) -> SlabGeometry:
+        return self.space.geom
 
     @property
     def by_mode(self) -> np.ndarray:
@@ -135,7 +276,7 @@ class SlabSolution:
         elif side == 1:
             on2 = np.zeros_like(x, dtype=bool)
         elif side == 2:
-            tol = 1e-12 * (geom.bg_nodes[-1] - geom.bg_nodes[0])
+            tol = DEGENERATE_FRACTION * (geom.bg_nodes[-1] - geom.bg_nodes[0])
             if np.any((x < a - tol) | (x > b + tol)):
                 raise ValueError("side-2 evaluation outside the moving interval")
             on2 = np.ones_like(x, dtype=bool)
@@ -188,27 +329,3 @@ class SpaceTimeSolution:
 
     def eval(self, x, t: float, side="auto", deriv="value"):
         return self.slabs[self.slab_index(t) - 1].eval(x, t, side=side, deriv=deriv)
-
-    def trace(self, n: int, sign: str):
-        """Callable evaluating the trace at t_n from above ('+') or below ('-')."""
-        bp = self.setup.partition.breakpoints
-        t = float(bp[n])
-        if sign == "+":
-            if n >= len(self.slabs):
-                raise ValueError(f"no slab above t_{n}")
-            slab = self.slabs[n]
-        elif sign == "-":
-            if n < 1:
-                raise ValueError("no slab below t_0")
-            slab = self.slabs[n - 1]
-        else:
-            raise ValueError("sign must be '+' or '-'")
-        return lambda x, side="auto", deriv="value": slab.eval(x, t, side=side, deriv=deriv)
-
-    def scaled(self, factor: float) -> "SpaceTimeSolution":
-        return SpaceTimeSolution(
-            setup=self.setup,
-            slabs=tuple(
-                SlabSolution(s.geom, s.space, factor * s.coeffs) for s in self.slabs
-            ),
-        )

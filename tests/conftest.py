@@ -56,9 +56,15 @@ def random_discrete(setup, rng) -> SpaceTimeSolution:
     slabs = []
     for n in range(1, setup.disc.n_slabs + 1):
         geom = build_slab_geometry(setup, n)
-        space = build_slab_space(geom, setup.disc.q)
-        slabs.append(SlabSolution(geom, space, rng.standard_normal(space.n_cols)))
+        space = build_slab_space(geom, setup.disc)
+        slabs.append(SlabSolution(space, rng.standard_normal(space.n_cols)))
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
+
+
+def scaled(sol, factor) -> SpaceTimeSolution:
+    """``sol`` with every coefficient multiplied by ``factor``."""
+    slabs = tuple(SlabSolution(s.space, factor * s.coeffs) for s in sol.slabs)
+    return SpaceTimeSolution(setup=sol.setup, slabs=slabs)
 
 
 def nodal_interpolant(setup, func) -> SpaceTimeSolution:
@@ -66,7 +72,7 @@ def nodal_interpolant(setup, func) -> SpaceTimeSolution:
     slabs = []
     for n in range(1, setup.disc.n_slabs + 1):
         geom = build_slab_geometry(setup, n)
-        space = build_slab_space(geom, setup.disc.q)
+        space = build_slab_space(geom, setup.disc)
         q = setup.disc.q
         coeffs = np.zeros((space.n_spatial, q + 1))
         bg_vals = func(setup.bg_nodes[space.active_bg])
@@ -79,7 +85,7 @@ def nodal_interpolant(setup, func) -> SpaceTimeSolution:
             if q == 0:
                 t = geom.t_start  # constant mode; caller must use mu=0 for exactness
             coeffs[space.n_active_bg :, m] = func(geom.ov_positions(t))
-        slabs.append(SlabSolution(geom, space, coeffs.ravel()))
+        slabs.append(SlabSolution(space, coeffs.ravel()))
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
 
 

@@ -17,19 +17,18 @@ side-wise ``SlabSolution.eval`` calls, with optional refined panels and
 segments; the library's batched norm must agree with it to rounding.
 ``anorm_sq`` is the spatial energy norm at one time.  ``overlap_segments``
 and ``quadrature_breakpoints`` (every node crossing of the overlap mesh) serve
-the pairings above.
+the pairings above, and ``interfaces`` and ``trace`` give the interface
+points at one time and a solution's one-sided traces at a slab breakpoint.
 """
 
 import numpy as np
 
 from cutslab.assembly import (
-    _GL3,
     _cell_entries,
     _covered_entries,
     _jump_load,
     _segment_mass_stiff,
     assemble_slab,
-    interface_stencil,
 )
 from cutslab.geometry import (
     EVENT_DEDUP_FRACTION,
@@ -38,12 +37,30 @@ from cutslab.geometry import (
     spatial_partition,
 )
 from cutslab.norms import NormBreakdown, _stab_term, _zero_exact
-from cutslab.quadrature import composite_time_rule, lobatto3, midpoint
-from cutslab.spaces import temporal_basis_values
+from cutslab.quadrature import GL3, composite_time_rule, lobatto3, midpoint
+from cutslab.spaces import interface_stencil, temporal_basis_values
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
 _GL10_X = 0.5 * (_GL10_X + 1.0)  # nodes on [0, 1]
 _GL10_W = 0.5 * _GL10_W
+
+
+def interfaces(geom, t):
+    """[(label, position, spatial normal n1 of the uncovered side)] at time t."""
+    a = float(geom.left(t))
+    return [("left", a, 1.0), ("right", a + geom.overlap_length, -1.0)]
+
+
+def trace(sol, n, sign):
+    """Callable evaluating the trace of ``sol`` at t_n from above ('+') or
+    below ('-')."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    i = n if sign == "+" else n - 1
+    if not 0 <= i < len(sol.slabs):
+        raise ValueError(f"no slab {'above' if sign == '+' else 'below'} t_{n}")
+    slab, t = sol.slabs[i], float(sol.setup.partition.breakpoints[n])
+    return lambda x, side="auto", deriv="value": slab.eval(x, t, side=side, deriv=deriv)
 
 
 def _time_panels(geom):
@@ -61,7 +78,7 @@ def _time_panels(geom):
 
 def _segments(geom, t):
     """(x_lo, x_hi, side) tuples tiling the domain at time t."""
-    a, b = float(geom.left(t)), float(geom.right(t))
+    a, b = float(geom.left(t)), float(geom.left(t) + geom.overlap_length)
     pts = np.unique(np.concatenate([geom.bg_nodes, geom.ov_positions(t)]))
     out = []
     for lo, hi in zip(pts[:-1], pts[1:]):
@@ -133,8 +150,8 @@ def _segment_points(part, space_refine: int = 1):
     """Gauss-3 points/weights per segment, each segment split into
     ``space_refine`` equal parts."""
     frac = np.linspace(0.0, 1.0, space_refine + 1)
-    sub = (frac[:-1, None] + np.diff(frac)[:, None] * _GL3.nodes[None, :]).ravel()
-    subw = (np.diff(frac)[:, None] * _GL3.weights[None, :]).ravel()
+    sub = (frac[:-1, None] + np.diff(frac)[:, None] * GL3.nodes[None, :]).ravel()
+    subw = (np.diff(frac)[:, None] * GL3.weights[None, :]).ravel()
     pts = part.xa[:, None] + part.lengths[:, None] * sub[None, :]
     wts = part.lengths[:, None] * subw[None, :]
     return pts, wts
@@ -142,7 +159,7 @@ def _segment_points(part, space_refine: int = 1):
 
 def _stab_integral(geom, t, ws, vs):
     total = 0.0
-    a, b = float(geom.left(t)), float(geom.right(t))
+    a, b = float(geom.left(t)), float(geom.left(t) + geom.overlap_length)
     cut = set(geom.cut_cells.tolist())
     nodes = geom.bg_nodes
     for lo, hi, side in _segments(geom, t):
@@ -163,7 +180,7 @@ def _point_terms(geom, t, ws, vs, gamma, omega1, form, include_upwind):
     mu_bar = float(np.hypot(mu, 1.0))
     h_K = float(geom.bg_nodes[1] - geom.bg_nodes[0])
     total = 0.0
-    for label, s, n1 in geom.interfaces(t):
+    for label, s, n1 in interfaces(geom, t):
         w1 = float(ws.eval(s, t, side=1)[0])
         w2 = float(ws.eval(s, t, side=2)[0])
         v1 = float(vs.eval(s, t, side=1)[0])
@@ -223,12 +240,12 @@ def oracle_bilinear(w, v, *, form="standard", gamma=None, omega1=None, include_u
 
     bp = setup.partition.breakpoints
     if form == "standard":
-        w0, v0 = w.trace(0, "+"), v.trace(0, "+")
+        w0, v0 = trace(w, 0, "+"), trace(v, 0, "+")
         total += _integrate_space(
             w.slabs[0].geom, float(bp[0]), lambda x, s: w0(x, side=s) * v0(x, side=s)
         )
         for n in range(1, N):
-            wp, wm, vp = w.trace(n, "+"), w.trace(n, "-"), v.trace(n, "+")
+            wp, wm, vp = trace(w, n, "+"), trace(w, n, "-"), trace(v, n, "+")
             total += _integrate_space(
                 w.slabs[n - 1].geom,
                 float(bp[n]),
@@ -236,13 +253,13 @@ def oracle_bilinear(w, v, *, form="standard", gamma=None, omega1=None, include_u
             )
     else:
         for n in range(1, N):
-            wm, vp, vm = w.trace(n, "-"), v.trace(n, "+"), v.trace(n, "-")
+            wm, vp, vm = trace(w, n, "-"), trace(v, n, "+"), trace(v, n, "-")
             total += _integrate_space(
                 w.slabs[n - 1].geom,
                 float(bp[n]),
                 lambda x, s: wm(x, side=s) * (vm(x, side=s) - vp(x, side=s)),
             )
-        wN, vN = w.trace(N, "-"), v.trace(N, "-")
+        wN, vN = trace(w, N, "-"), trace(v, N, "-")
         total += _integrate_space(
             w.slabs[-1].geom, float(bp[N]), lambda x, s: wN(x, side=s) * vN(x, side=s)
         )
@@ -320,7 +337,7 @@ def oracle_bnorm_sq(v):
                 )
                 stab = _stab_integral(geom, tx, vs, vs)
                 pts = 0.0
-                for label, s, n1 in geom.interfaces(tx):
+                for label, s, n1 in interfaces(geom, tx):
                     v1 = float(vs.eval(s, tx, side=1)[0])
                     v2 = float(vs.eval(s, tx, side=2)[0])
                     g1 = interface_gradient(vs, label, tx, 1)
@@ -334,20 +351,20 @@ def oracle_bnorm_sq(v):
     bp = setup.partition.breakpoints
     N = len(v.slabs)
     u0 = setup.problem.initial
-    v0 = v.trace(0, "+")
+    v0 = trace(v, 0, "+")
     total += _integrate_space(
         v.slabs[0].geom,
         float(bp[0]),
         lambda x, s: (np.asarray(u0(x), dtype=float) - v0(x, side=s)) ** 2,
     )
     for n in range(1, N):
-        vp, vm = v.trace(n, "+"), v.trace(n, "-")
+        vp, vm = trace(v, n, "+"), trace(v, n, "-")
         total += _integrate_space(
             v.slabs[n - 1].geom,
             float(bp[n]),
             lambda x, s: (vp(x, side=s) - vm(x, side=s)) ** 2,
         )
-    vN = v.trace(N, "-")
+    vN = trace(v, N, "-")
     total += _integrate_space(
         v.slabs[-1].geom, float(bp[N]), lambda x, s: vN(x, side=s) ** 2
     )
@@ -374,7 +391,7 @@ def anorm_sq(fn, geom, t: float, omega1: float = 0.5) -> float:
 
     nodes = geom.bg_nodes
     mu_bar = float(np.hypot(geom.mu, 1.0))
-    for label, s, n1 in geom.interfaces(t):
+    for label, s, n1 in interfaces(geom, t):
         v1 = float(fn(np.array([s]), 1, "value")[0])
         v2 = float(fn(np.array([s]), 2, "value")[0])
         g1 = float(fn(np.array([s]), 1, "dx")[0])
@@ -426,7 +443,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
         mu_bar = float(np.hypot(mu, 1.0))
         nodes = geom.bg_nodes
         breaks = _refine(geom.events, geom.t_start, geom.t_end, time_refine)
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, _GL3)
+        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, GL3)
         for t, wt in zip(times, wts):
             part = spatial_partition(geom, t)
             pts, pw = _segment_points(part, space_refine)
@@ -444,7 +461,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
                     mat_ov += k * wt * float(np.sum(ws * de * de))
                 else:
                     mat_bg += k * wt * float(np.sum(ws * de * de))
-            for label, s, n1 in geom.interfaces(t):
+            for label, s, n1 in interfaces(geom, t):
                 sx = np.array([s])
                 e1 = float((np.asarray(exact.u(sx, t)) - slab.eval(sx, t, side=1))[0])
                 e2 = float((np.asarray(exact.u(sx, t)) - slab.eval(sx, t, side=2))[0])
@@ -461,7 +478,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
     bp = setup.partition.breakpoints
     N = len(sol.slabs)
     u0 = setup.problem.initial
-    up = sol.trace(0, "+")
+    up = trace(sol, 0, "+")
     initial = _trace_l2_sq(
         sol.slabs[0].geom,
         float(bp[0]),
@@ -471,7 +488,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
     )
     tjump = 0.0
     for n in range(1, N):
-        wp, wm = sol.trace(n, "+"), sol.trace(n, "-")
+        wp, wm = trace(sol, n, "+"), trace(sol, n, "-")
         tjump += _trace_l2_sq(
             sol.slabs[n - 1].geom,
             float(bp[n]),
@@ -479,7 +496,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
             lambda x, s: wm(x, side=s),
             space_refine,
         )
-    wN = sol.trace(N, "-")
+    wN = trace(sol, N, "-")
     T = float(bp[N])
     final = _trace_l2_sq(
         sol.slabs[-1].geom,
@@ -634,8 +651,8 @@ def _compatible(w, v):
 
 
 def _segment_quadrature(part):
-    pts = part.xa[:, None] + part.lengths[:, None] * _GL3.nodes[None, :]
-    wts = part.lengths[:, None] * _GL3.weights[None, :]
+    pts = part.xa[:, None] + part.lengths[:, None] * GL3.nodes[None, :]
+    wts = part.lengths[:, None] * GL3.weights[None, :]
     return pts, wts
 
 
@@ -690,7 +707,7 @@ def _point_pairing(ws, vs, t, gamma, omega1, form, include_upwind):
     mu_bar = float(np.hypot(mu, 1.0))
     sym = 0.0
     upwind = 0.0
-    for label, s, n1 in geom.interfaces(t):
+    for label, s, n1 in interfaces(geom, t):
         w1 = float(ws.eval(s, t, side=1)[0])
         w2 = float(ws.eval(s, t, side=2)[0])
         v1 = float(vs.eval(s, t, side=1)[0])
@@ -758,7 +775,7 @@ def apply_Bh(
     for ws, vs in zip(w.slabs, v.slabs):
         geom = ws.geom
         breaks = quadrature_breakpoints(geom)
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, _GL3)
+        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, GL3)
         for t, wt in zip(times, wts):
             part = _volume_pairing(ws, vs, t, form)
             grad = _gradient_pairing(ws, vs, t)
@@ -768,8 +785,8 @@ def apply_Bh(
 
     bp = setup.partition.breakpoints
     if form == "standard":
-        w0 = w.trace(0, "+")
-        v0 = v.trace(0, "+")
+        w0 = trace(w, 0, "+")
+        v0 = trace(v, 0, "+")
         total += _l2_pairing(
             w.slabs[0].geom,
             float(bp[0]),
@@ -777,8 +794,8 @@ def apply_Bh(
             lambda x, s: v0(x, side=s),
         )
         for n in range(1, N):
-            wp, wm = w.trace(n, "+"), w.trace(n, "-")
-            vp = v.trace(n, "+")
+            wp, wm = trace(w, n, "+"), trace(w, n, "-")
+            vp = trace(v, n, "+")
             total += _l2_pairing(
                 w.slabs[n - 1].geom,
                 float(bp[n]),
@@ -787,15 +804,15 @@ def apply_Bh(
             )
     else:
         for n in range(1, N):
-            wm = w.trace(n, "-")
-            vp, vm = v.trace(n, "+"), v.trace(n, "-")
+            wm = trace(w, n, "-")
+            vp, vm = trace(v, n, "+"), trace(v, n, "-")
             total += _l2_pairing(
                 w.slabs[n - 1].geom,
                 float(bp[n]),
                 lambda x, s: wm(x, side=s),
                 lambda x, s: vm(x, side=s) - vp(x, side=s),
             )
-        wN, vN = w.trace(N, "-"), v.trace(N, "-")
+        wN, vN = trace(w, N, "-"), trace(v, N, "-")
         total += _l2_pairing(
             w.slabs[-1].geom,
             float(bp[N]),
@@ -828,7 +845,7 @@ def apply_load(v) -> float:
                     total += wt * float(
                         np.sum(half[m] * fv * vs.eval(xs[m], t, side=side))
                     )
-    v0 = v.trace(0, "+")
+    v0 = trace(v, 0, "+")
     total += _l2_pairing(
         v.slabs[0].geom,
         float(setup.partition.breakpoints[0]),

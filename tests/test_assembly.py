@@ -29,7 +29,7 @@ from oracles import (
 
 
 def _space(setup, n=1):
-    return build_slab_space(build_slab_geometry(setup, n), setup.disc.q)
+    return build_slab_space(build_slab_geometry(setup, n), setup.disc)
 
 
 class TestPointwiseMatrices:
@@ -94,8 +94,8 @@ class TestAssembledSystem:
     def test_matrix_independent_of_data(self, rng):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)
         space1, space = _space(setup, 1), _space(setup, 2)
-        zero = SlabSolution(space1.geom, space1, np.zeros(space1.n_cols))
-        prev = SlabSolution(space1.geom, space1, rng.standard_normal(space1.n_cols))
+        zero = SlabSolution(space1, np.zeros(space1.n_cols))
+        prev = SlabSolution(space1, rng.standard_normal(space1.n_cols))
         s1 = assemble_slab(space, setup, zero)
         s2 = assemble_slab(space, setup, prev)
         assert np.array_equal(s1.matrix.toarray(), s2.matrix.toarray())
@@ -143,8 +143,8 @@ class TestTimeJumpLoad:
     def test_rhs_carries_the_jump_load(self, rng):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)
         space1, space = _space(setup, 1), _space(setup, 2)
-        zero = SlabSolution(space1.geom, space1, np.zeros(space1.n_cols))
-        prev = SlabSolution(space1.geom, space1, rng.standard_normal(space1.n_cols))
+        zero = SlabSolution(space1, np.zeros(space1.n_cols))
+        prev = SlabSolution(space1, rng.standard_normal(space1.n_cols))
         diff = assemble_slab(space, setup, prev).rhs - assemble_slab(space, setup, zero).rhs
         # the jump load tests the start-time mode only (q = 1 modes are nodal)
         expect = np.outer(jump_load(space, setup, prev), [1.0, 0.0]).ravel()
@@ -222,11 +222,11 @@ class TestStationaryAlignedEquivalence:
         slabs = []
         for n in range(1, setup.disc.n_slabs + 1):
             geom = build_slab_geometry(setup, n)
-            space = build_slab_space(geom, setup.disc.q)
+            space = build_slab_space(geom, setup.disc)
             full = vals_by_slab[n - 1]  # (n_nodes, q+1) nodal values
             ov_idx = np.searchsorted(setup.bg_nodes, geom.ov_positions(0.0))
             coeffs = np.concatenate([full[space.active_bg], full[ov_idx]], axis=0)
-            slabs.append(SlabSolution(geom, space, coeffs.ravel()))
+            slabs.append(SlabSolution(space, coeffs.ravel()))
         return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
 
     def _single_mesh_form(self, setup, w_vals, v_vals):

@@ -10,6 +10,7 @@ from cutslab.cli import (
     main,
     parse_config,
 )
+from cutslab.norms import lls_slope
 
 
 def _base_config(**overrides):
@@ -174,8 +175,12 @@ class TestMainConverge:
                 {"sweep": "k", "resolutions": [4, 8], "fit_window": [1, 5]},
                 "study.fit_window [1, 5] needs 1 <= i < j <= 2",
             ),
+            (
+                {"sweep": "k", "resolutions": [4, 8, 4]},
+                "study.resolutions must not repeat, got [4, 8, 4]",
+            ),
         ],
-        ids=["non_integer_resolution", "fit_window_beyond_resolutions"],
+        ids=["non_integer_resolution", "fit_window_beyond_resolutions", "repeated_resolution"],
     )
     def test_bad_study_is_config_error_before_any_solve(
         self, tmp_path, capsys, monkeypatch, study, message
@@ -192,6 +197,68 @@ class TestMainConverge:
         assert f"config error: {message}" in capsys.readouterr().err
         assert solves == []
         assert not out.exists()
+
+    def test_fit_window_runs_over_sorted_resolutions(self, tmp_path):
+        cfg = _base_config()
+        cfg["study"] = {"sweep": "k", "resolutions": [16, 4, 8], "fit_window": [1, 2]}
+        out = tmp_path / "conv"
+        cfg_path = _write(tmp_path, cfg)
+        rc = main(
+            ["converge", str(cfg_path), "--output-dir", str(out), "--quiet", "--workers", "1"]
+        )
+        assert rc == 0
+        with open(out / "convergence.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["resolution"]) for r in rows] == [4, 8, 16]
+        summary = json.loads((out / "summary.json").read_text())
+        points = [(float(r["k"]), float(r["error_x"])) for r in rows[:2]]
+        assert summary["slope"] == pytest.approx(lls_slope(points), rel=1e-12)
+
+    @staticmethod
+    def _sin_demo_sweep(tmp_path, window, capsys):
+        # an interface starting at 0.35 and swinging right at amplitude 0.5
+        # reaches the boundary with 2 and 4 slabs, and stays inside with 8 and 16
+        cfg = _base_config()
+        cfg["overlap"]["initial_left"] = 0.35
+        cfg["overlap"]["velocity"] = {"mode": "sin_demo", "value": 0.5}
+        cfg["study"] = {"sweep": "k", "resolutions": [2, 4, 8, 16], "fit_window": window}
+        out = tmp_path / "conv"
+        cfg_path = _write(tmp_path, cfg)
+        rc = main(
+            ["converge", str(cfg_path), "--output-dir", str(out), "--quiet", "--workers", "1"]
+        )
+        with open(out / "convergence.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["resolution"]) for r in rows] == [8, 16]
+        return rc, out, rows, capsys.readouterr().err
+
+    def test_failed_entry_inside_fit_window_fails_the_fit(self, tmp_path, capsys):
+        rc, out, _, err = self._sin_demo_sweep(tmp_path, [1, 3], capsys)
+        assert rc == EXIT_NUMERICAL
+        assert "fit failed: resolutions [2, 4] in the fit window [1, 3] failed" in err
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
+    def test_fit_window_clear_of_failures_gets_its_slope(self, tmp_path, capsys):
+        rc, out, rows, err = self._sin_demo_sweep(tmp_path, [3, 4], capsys)
+        assert rc == EXIT_NUMERICAL  # the failed entries still fail the study
+        assert err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        points = [(float(r["k"]), float(r["error_x"])) for r in rows]
+        assert summary["slope"] == pytest.approx(lls_slope(points), rel=1e-12)
+        assert (summary["n_ok"], summary["n_failed"]) == (2, 2)
+
+    def test_zero_errors_fail_the_fit_without_traceback(self, tmp_path, capsys):
+        cfg = _base_config(problem={"manufactured": False, "T": 1.0})
+        cfg["study"] = {"sweep": "k", "resolutions": [2, 4]}
+        cfg_path = _write(tmp_path, cfg)
+        out = tmp_path / "conv"
+        rc = main(
+            ["converge", str(cfg_path), "--output-dir", str(out), "--quiet", "--workers", "1"]
+        )
+        assert rc == EXIT_NUMERICAL
+        assert "fit failed: resolutions and errors must be positive" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_geometry_violation_exit_code(self, tmp_path):
         cfg = _base_config()

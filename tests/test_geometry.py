@@ -39,7 +39,7 @@ class TestBuildSlabGeometry:
         for tau in geom.events:
             d = min(
                 np.min(np.abs(nodes - geom.left(tau))),
-                np.min(np.abs(nodes - geom.right(tau))),
+                np.min(np.abs(nodes - geom.left(tau) - geom.overlap_length)),
             )
             assert d < 1e-12
         # between events no interface sits on a node, and each interface
@@ -47,7 +47,7 @@ class TestBuildSlabGeometry:
         breaks = np.concatenate(([geom.t_start], geom.events, [geom.t_end]))
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             mids = np.linspace(lo, hi, 5)[1:-1]
-            for pos_fn in (geom.left, geom.right):
+            for pos_fn in (geom.left, lambda t: geom.left(t) + geom.overlap_length):
                 cells = np.searchsorted(nodes, [pos_fn(t) for t in mids]) - 1
                 assert len(set(cells.tolist())) == 1
                 for t in mids:

@@ -11,7 +11,7 @@ from cutslab.norms import lls_slope, xnorm_error
 from cutslab.solver import march
 from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space
 
-from conftest import make_setup, random_discrete
+from conftest import make_setup, random_discrete, scaled
 from oracles import (
     _GL10_W,
     _GL10_X,
@@ -38,8 +38,8 @@ def _zero_solution(setup):
     slabs = []
     for n in range(1, setup.disc.n_slabs + 1):
         geom = build_slab_geometry(setup, n)
-        space = build_slab_space(geom, setup.disc.q)
-        slabs.append(SlabSolution(geom, space, np.zeros(space.n_cols)))
+        space = build_slab_space(geom, setup.disc)
+        slabs.append(SlabSolution(space, np.zeros(space.n_cols)))
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
 
 
@@ -82,8 +82,8 @@ class TestAnorm:
     def test_homogeneity(self, rng):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
         geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, 0)
-        slab = SlabSolution(geom, space, rng.standard_normal(space.n_cols))
+        space = build_slab_space(geom, setup.disc)
+        slab = SlabSolution(space, rng.standard_normal(space.n_cols))
         t = 0.23
         fn = lambda x, side, deriv: slab.eval(x, t, side=side, deriv=deriv)
         base = anorm_sq(fn, geom, t)
@@ -109,7 +109,7 @@ class TestXnormError:
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1, zero=True)
         sol = random_discrete(setup, rng)
         bd = xnorm_error(sol)
-        bd2 = xnorm_error(sol.scaled(2.0))
+        bd2 = xnorm_error(scaled(sol, 2.0))
         assert bd2.x_sq == pytest.approx(4.0 * bd.x_sq, rel=1e-12)
         assert bd2.moving_jump_sq == pytest.approx(4.0 * bd.moving_jump_sq, rel=1e-12)
         assert bd2.stab_sq == pytest.approx(4.0 * bd.stab_sq, rel=1e-12)

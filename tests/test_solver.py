@@ -43,7 +43,7 @@ class TestSolveSlab:
     @pytest.mark.parametrize("q", [0, 1])
     def test_matches_naive_elimination(self, q):
         setup = make_setup(n0=8, nG=2, N=3, mu=0.6, q=q)
-        space = build_slab_space(build_slab_geometry(setup, 1), q)
+        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
         system = assemble_slab(space, setup, None)
         x = solve_slab(system)
         ref = _naive_gauss(system.matrix.toarray(), system.rhs)
@@ -52,7 +52,7 @@ class TestSolveSlab:
 
     def test_zero_rhs_gives_zero(self):
         setup = make_setup(n0=8, nG=2, N=3, mu=0.6)
-        space = build_slab_space(build_slab_geometry(setup, 1), 0)
+        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
         system = assemble_slab(space, setup, None)
         from cutslab.assembly import SlabSystem
 
@@ -63,7 +63,7 @@ class TestSolveSlab:
 
     def test_singular_matrix_detected(self):
         setup = make_setup(n0=8, nG=2, N=3, mu=0.6)
-        space = build_slab_space(build_slab_geometry(setup, 1), 0)
+        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
         from cutslab.assembly import SlabSystem
 
         n = space.n_cols
@@ -73,7 +73,7 @@ class TestSolveSlab:
 
     def test_rank_deficient_detected(self):
         setup = make_setup(n0=8, nG=2, N=3, mu=0.6)
-        space = build_slab_space(build_slab_geometry(setup, 1), 0)
+        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
         system = assemble_slab(space, setup, None)
         from cutslab.assembly import SlabSystem
 
@@ -86,7 +86,7 @@ class TestSolveSlab:
 
     def _system(self, q=0, mu=0.6):
         setup = make_setup(n0=8, nG=2, N=3, mu=mu, q=q)
-        space = build_slab_space(build_slab_geometry(setup, 1), q)
+        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
         return assemble_slab(space, setup, None)
 
     def test_near_singular_column_trips_pivot_floor(self):
@@ -172,6 +172,34 @@ class TestMarch:
         assert calls == []
         sol.slabs[0].eval(0.5, 0.1)
         assert len(calls) == 1
+
+    def test_slab_record_is_built_once_per_slab(self, monkeypatch):
+        # the march builds each slab's time rule, interface stencil and
+        # stabilization weights once; assembly and the norm both read them
+        import sys
+
+        from cutslab.quadrature import GL3
+
+        names = ["interface_stencil", "stabilization_weights", "composite_time_rule"]
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                if name != "composite_time_rule" or np.array_equal(args[3].nodes, GL3.nodes):
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("cutslab"):
+                for name in calls:
+                    if hasattr(mod, name):
+                        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        setup = make_setup(n0=8, nG=2, N=4, mu=0.6, q=1)
+        sol = march(setup.problem, setup.overlap, setup.disc)
+        xnorm_error(sol, setup.problem.exact)
+        assert calls == dict.fromkeys(calls, 4)
 
     def test_deterministic(self):
         setup = make_setup(n0=12, nG=3, N=4, mu=0.6, q=1)

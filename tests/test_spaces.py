@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from cutslab.spaces import (
     temporal_basis_values,
 )
 
-from conftest import make_setup, nodal_interpolant, random_discrete
-from oracles import interface_gradient
+from conftest import make_setup, nodal_interpolant, random_discrete, scaled
+from oracles import interface_gradient, interfaces, trace
 
 
 class TestTemporalBasis:
@@ -37,7 +39,7 @@ class TestDofCounts:
         # overlap [0.15, 0.35] covers cells 3..6 of a 20-cell mesh, so the
         # three interior nodes 4, 5, 6 lose both support cells
         setup = make_setup(n0=20, nG=4, N=1, mu=0.0, a0=0.15, length=0.2)
-        space = build_slab_space(build_slab_geometry(setup, 1), q=0)
+        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
         assert space.n_active_bg == 19 - 3
         assert set(np.setdiff1d(np.arange(1, 20), space.active_bg)) == {4, 5, 6}
         assert space.n_ov == 5
@@ -46,44 +48,44 @@ class TestDofCounts:
     def test_q1_doubles_columns(self):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
         geom = build_slab_geometry(setup, 1)
-        s0 = build_slab_space(geom, q=0)
-        s1 = build_slab_space(geom, q=1)
+        s0 = build_slab_space(geom, setup.disc)
+        s1 = build_slab_space(geom, dataclasses.replace(setup.disc, q=1))
         assert s1.n_cols == 2 * s0.n_cols
 
     def test_cut_cells_keep_their_nodes(self):
         # moving overlap: any node touching a cut cell stays active
         setup = make_setup(n0=16, nG=4, N=2, mu=0.6, a0=0.13)
         geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, 0)
+        space = build_slab_space(geom, setup.disc)
         for c in geom.cut_cells:
             for node in (c, c + 1):
                 if 0 < node < 16:
                     assert space.node_dof[node] >= 0
 
     def test_dof_map_consistency(self):
-        setup = make_setup(n0=12, nG=3, N=3, mu=0.35, a0=0.2)
+        setup = make_setup(n0=12, nG=3, N=3, mu=0.35, a0=0.2, q=1)
         geom = build_slab_geometry(setup, 2)
-        space = build_slab_space(geom, 1)
+        space = build_slab_space(geom, setup.disc)
         for i, node in enumerate(space.active_bg):
             assert space.node_dof[node] == i
         assert space.node_dof[len(geom.bg_nodes)] == space.n_active_bg
         assert np.array_equal(space.node_dof[space.dof_node], np.arange(space.n_spatial))
 
 
-def _basis_function(geom, space, spatial_dof, mode):
+def _basis_function(space, spatial_dof, mode):
     """One tensor basis function as a slab solution (temporal mode fastest)."""
     coeffs = np.zeros(space.n_cols)
     coeffs[spatial_dof * (space.q + 1) + mode] = 1.0
-    return SlabSolution(geom, space, coeffs)
+    return SlabSolution(space, coeffs)
 
 
 class TestEvalBasis:
     def test_background_value_and_slope(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.15)
         geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, 0)
+        space = build_slab_space(geom, setup.disc)
         # first active node is node 1 at x=0.125
-        phi = _basis_function(geom, space, 0, 0)
+        phi = _basis_function(space, 0, 0)
         assert phi.eval(0.125, 0.5)[0] == pytest.approx(1.0)
         assert phi.eval(0.125, 0.5, deriv="dt")[0] == 0.0
         assert phi.eval(0.125, 0.5, deriv="Dt")[0] == 0.0
@@ -93,9 +95,9 @@ class TestEvalBasis:
     def test_overlap_peak_moves(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.6, a0=0.125, q=0)
         geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, 0)
+        space = build_slab_space(geom, setup.disc)
         g = 1  # middle overlap node, offset 0.125
-        phi = _basis_function(geom, space, space.n_active_bg + g, 0)
+        phi = _basis_function(space, space.n_active_bg + g, 0)
         for t in (0.0, 0.4, 1.0):
             peak = geom.left(t) + 0.125
             assert phi.eval(peak, t, side=2)[0] == pytest.approx(1.0)
@@ -104,12 +106,12 @@ class TestEvalBasis:
         # riding along the trajectory, only the temporal mode varies
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, a0=0.125, q=1)
         geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, 1)
+        space = build_slab_space(geom, setup.disc)
         dof = space.n_active_bg + 1
         t = 0.2
         x = geom.left(t) + 0.07
         for mode in (0, 1):
-            phi = _basis_function(geom, space, dof, mode)
+            phi = _basis_function(space, dof, mode)
             v, dx, dt, dtraj = (
                 phi.eval(x, t, side=2, deriv=d)[0] for d in ("value", "dx", "dt", "Dt")
             )
@@ -121,9 +123,9 @@ class TestEvalBasis:
     def test_out_of_slab_raises(self):
         setup = make_setup(N=2)
         geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, 0)
+        space = build_slab_space(geom, setup.disc)
         with pytest.raises(ValueError):
-            _basis_function(geom, space, 0, 0).eval(0.3, 0.9)
+            _basis_function(space, 0, 0).eval(0.3, 0.9)
 
 
 class TestSlabSolution:
@@ -144,7 +146,7 @@ class TestSlabSolution:
                 # both representations agree at the interfaces: zero jump
                 # (skip interfaces inside a boundary cell, where the missing
                 # boundary DOF makes the nonzero affine unrepresentable)
-                for lab, s, n1 in slab.geom.interfaces(t):
+                for lab, s, n1 in interfaces(slab.geom, t):
                     if not 0.125 <= s <= 0.875:
                         continue
                     v1 = slab.eval(s, t, side=1)[0]
@@ -159,10 +161,10 @@ class TestSlabSolution:
         x = np.array([0.05, 0.5, 0.93])
         # at the slab start only mode 0 contributes
         start = slab.eval(x, geom.t_start)
-        only0 = SlabSolution(geom, slab.space, _mask_mode(slab, keep=0))
+        only0 = SlabSolution(slab.space, _mask_mode(slab, keep=0))
         assert np.allclose(start, only0.eval(x, geom.t_start))
         end = slab.eval(x, geom.t_end)
-        only1 = SlabSolution(geom, slab.space, _mask_mode(slab, keep=1))
+        only1 = SlabSolution(slab.space, _mask_mode(slab, keep=1))
         assert np.allclose(end, only1.eval(x, geom.t_end))
 
     def test_forced_side_outside_interval_raises(self, rng):
@@ -177,7 +179,7 @@ class TestSlabSolution:
         sol = random_discrete(setup, rng)
         slab = sol.slabs[0]
         t = 0.37
-        for lab, s, n1 in slab.geom.interfaces(t):
+        for lab, s, n1 in interfaces(slab.geom, t):
             g1 = interface_gradient(slab, lab, t, 1)
             g2 = interface_gradient(slab, lab, t, 2)
             assert g1 == pytest.approx(slab.eval(s, t, side=1, deriv="dx")[0])
@@ -188,10 +190,10 @@ class TestSlabSolution:
         # side-1 gradient at the left interface must come from the left cell
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.25, q=0)
         geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, 0)
+        space = build_slab_space(geom, setup.disc)
         f = lambda x: np.minimum(x, 0.25)  # kink exactly at the interface
         coeffs = np.concatenate([f(setup.bg_nodes[space.active_bg]), f(geom.ov_positions(0.0))])
-        slab = SlabSolution(geom, space, coeffs)
+        slab = SlabSolution(space, coeffs)
         assert interface_gradient(slab, "left", 0.5, 1) == pytest.approx(1.0)
         assert interface_gradient(slab, "left", 0.5, 2) == pytest.approx(0.0)
 
@@ -200,11 +202,12 @@ class TestSlabSolution:
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)
         for n in (1, 2):
             geom = build_slab_geometry(setup, n)
-            space = build_slab_space(geom, 1)
-            slab = SlabSolution(geom, space, np.ones(space.n_cols))
+            space = build_slab_space(geom, setup.disc)
+            slab = SlabSolution(space, np.ones(space.n_cols))
             for _ in range(20):
                 t = rng.uniform(geom.t_start, geom.t_end)
-                a, b = geom.left(t), geom.right(t)
+                a = geom.left(t)
+                b = a + geom.overlap_length
                 x2 = rng.uniform(a, b)
                 assert slab.eval(x2, t, side=2)[0] == pytest.approx(1.0)
                 x1 = rng.uniform(0.125, 0.875)
@@ -230,20 +233,20 @@ class TestSpaceTimeSolution:
     def test_trace_signs(self):
         setup = make_setup(N=2, mu=0.0)
         sol = nodal_interpolant(setup, lambda x: np.sin(np.pi * x))
-        up = sol.trace(1, "+")
-        dn = sol.trace(1, "-")
+        up = trace(sol, 1, "+")
+        dn = trace(sol, 1, "-")
         x = np.linspace(0.05, 0.95, 7)
         # a time-constant interpolant has no jump between slabs
         assert np.allclose(up(x), dn(x), atol=1e-12)
         with pytest.raises(ValueError):
-            sol.trace(0, "-")
+            trace(sol, 0, "-")
         with pytest.raises(ValueError):
-            sol.trace(2, "+")
+            trace(sol, 2, "+")
 
     def test_scaled(self, rng):
         setup = make_setup(N=2, mu=0.6)
         sol = random_discrete(setup, rng)
-        doubled = sol.scaled(2.0)
+        doubled = scaled(sol, 2.0)
         assert np.allclose(doubled.eval(0.4, 0.7), 2 * sol.eval(0.4, 0.7))
 
 
