@@ -1,30 +1,39 @@
-"""Slab system assembly.
+"""Slab system assembly, for a chunk of consecutive slabs at once.
 
-The slab's ``SlabSpace`` record (built by ``spaces.build_slab_space``) holds
-its DOF map, the composite Gauss rule on its crossing panels with the
-temporal mode values there, its interface stencil and its stabilization
-weights; ``assemble_slab`` reads them all from the record.
+Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slabs``
+builds everything else, the matrices and the source loads, for a chunk of
+slabs in one pass over flat arrays of the chunk's (slab, time) rows and
+(slab, entry) triplets, each carrying its slab's index.  It reads the
+chunk's ``SlabSpace`` records (``spaces.build_slab_spaces``): each slab's DOF
+map, the composite Gauss rule on its crossing panels with the temporal mode
+values there, its interface stencil and its stabilization weights.
+``slab_system`` then adds the previous slab's end-time trace (the initial
+data for the first slab) to one slab's load; the march calls it slab by
+slab, between the solves.  ``assemble_slab`` is the two run on a chunk of
+one slab.
 
 Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
 nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
 that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
-temporal modes.  The slab's ``node -> DOF`` table (-1 for a dropped background
-node) maps them to DOFs once, where the entries are summed into the CSC slab
-matrix and where the load is gathered.  The pieces differ in their time
+temporal modes.  The chunk's ``node -> DOF`` table (-1 for a dropped
+background node) maps them to DOFs once, numbering the chunk's DOFs slab
+after slab.  One sparse sum over the chunk then gives a block-diagonal
+matrix whose diagonal blocks are the CSC slab matrices, and the loads are
+gathered per slab and node the same way.  The pieces differ in their time
 dependence:
 
 * the full-mesh P1 mass, stiffness and drift entries of both meshes are
   constant.  The overlap mesh moves rigidly, so its entries depend only on the
   node offsets; they are built once per setup (``Setup.mesh_matrices``) and
-  each slab contracts them with its exact temporal weights in one product;
+  contracted with every slab's exact temporal weights in one product;
 * background volume terms over the uncovered region are the full-mesh matrices
   minus a correction over the covered interval, whose entries are piecewise
   polynomial in time between interface-node crossings;
 * interface point terms (Nitsche coupling, penalty, upwind space-time jump)
-  come from the record's stencil of both interface points at all panel Gauss
+  come from the records' stencils of both interface points at all panel Gauss
   times: seven nodes per point with jump, average-gradient and upwind-trace
   weights, piecewise polynomial between the same crossings;
-* the overlap-region gradient-jump stabilization comes from the record's
+* the overlap-region gradient-jump stabilization comes from the records'
   stabilization weights: pairwise over (cut background cell, overlap cell),
   the exact temporal weights of each pair's covered length with panels at
   their mutual crossings.  The energy norm reads the same weights.
@@ -35,26 +44,46 @@ temporal quadrature error.
 
 The source load uses the lower-order rules of the reference computation:
 trapezoid in space, midpoint in time for piecewise-constant time elements and
-three-point Lobatto for linear ones.  The time-jump load of a slab after the
+three-point Lobatto for linear ones, with one call of the source for the
+whole chunk.  The time-jump load of a slab after the
 first is the side-wise mass at the slab start (the full-mesh mass minus the
 covered correction there, both already built for the matrix) applied to the
 previous slab's end-time nodal values.  Both factors are P1 on every segment
 of the start partition, so this is the exact L2 pairing of that trace with the
 test functions.  The first slab integrates the initial data with three-point
 Gauss per merged-partition segment.
+
+A chunk's temporaries (its triplets, the merged partitions of its source
+load, its covered-cell products) grow with its slab count; the march's cap
+on a chunk (``solver.CHUNK_ENTRIES``) bounds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_array
+from scipy.sparse import coo_array, csc_array
 
 from .core import NumericalFailure, Setup
-from .geometry import SlabGeometry, segment_cells, segment_points, spatial_partition
+from .geometry import (
+    SlabGeometry,
+    left_at,
+    partition_at,
+    ragged_arange,
+    segment_cells,
+    segment_points,
+    spatial_partition,
+)
 from .quadrature import GL3, composite_time_rule, lobatto3, midpoint
-from .spaces import SlabSolution, SlabSpace, temporal_basis_derivs, temporal_basis_values
+from .spaces import (
+    InterfaceStencil,
+    SlabSolution,
+    SlabSpace,
+    temporal_basis_derivs,
+    temporal_basis_values,
+)
 
 
 @dataclass(frozen=True)
@@ -114,37 +143,46 @@ def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
     return out
 
 
-def _covered_entries(geom: SlabGeometry, a: np.ndarray):
-    """Mass/stiffness triplets of the background basis over the covered interval
-    [a, a + L] for each left position in ``a``.
+def _covered_entries(geoms, slab: np.ndarray, a: np.ndarray):
+    """Mass/stiffness of the background basis over the covered interval
+    [a, a + L] at each left position in ``a``, where ``slab`` (nondecreasing)
+    gives the position in ``geoms`` of each position's slab.
 
-    rows and cols run over the background cells met at any of the positions;
-    the values are shaped (positions, entries) and vanish where a cell lies
-    outside that position's interval.
+    Each slab's entries run over the background cells met at any of its
+    positions.  The slabs are padded to the most positions and cells of any
+    of them: a padded position repeats the slab's last one and a padded cell
+    its last cell.  Returns the cells (slabs, cells), which of them are the
+    slab's own, and the (e00, e01, e11) mass and stiffness shaped (2, slabs,
+    positions, 3, cells); they vanish where a cell lies outside that
+    position's interval.
     """
-    nodes = geom.bg_nodes
+    nodes = geoms[0].bg_nodes
     last = len(nodes) - 2
-    b = a + geom.overlap_length
-    c_lo = max(0, min(last, int(np.searchsorted(nodes, a.min(), side="right")) - 1))
-    c_hi = max(0, min(last, int(np.searchsorted(nodes, b.max(), side="left")) - 1))
-    cells = np.arange(c_lo, c_hi + 1)
-    xa = np.maximum(nodes[cells], a[:, None])
-    xb = np.maximum(np.minimum(nodes[cells + 1], b[:, None]), xa)
-    sym = _segment_mass_stiff(xa, xb, nodes[cells], nodes[cells + 1])
-    rows, cols, (mv, kv) = _cell_entries(cells, cells + 1, sym)
-    return rows, cols, mv, kv
+    n_pos = np.bincount(slab, minlength=len(geoms))
+    pos = np.cumsum(n_pos) - n_pos
+    a = a[pos[:, None] + np.minimum(np.arange(n_pos.max()), n_pos[:, None] - 1)]
+    b = a + geoms[0].overlap_length
+    c_lo = np.clip(np.searchsorted(nodes, a.min(axis=1), side="right") - 1, 0, last)
+    c_hi = np.clip(np.searchsorted(nodes, b.max(axis=1), side="left") - 1, 0, last)
+    cells = c_lo[:, None] + np.arange((c_hi - c_lo).max() + 1)
+    own = cells <= c_hi[:, None]
+    cells = np.minimum(cells, c_hi[:, None])
+    lo, hi = nodes[cells][:, None], nodes[cells + 1][:, None]
+    xa = np.maximum(lo, a[:, :, None])
+    xb = np.maximum(np.minimum(hi, b[:, :, None]), xa)
+    return cells, own, _segment_mass_stiff(xa, xb, lo, hi)
 
 
 def _point_entries(idx, vals, weights):
     """Triplets of entries that move between points: ``vals`` shaped
     (points, s, s) on the nodes ``idx`` (points, s), test node first, each
-    point with its own temporal weights (points, q+1, q+1)."""
+    point with its own temporal weights (points, q+1, q+1).  The rows and
+    cols come back shaped (points, s*s), the blocks (points, s*s, (q+1)^2)."""
     n, s = idx.shape
     mm = weights.shape[1] * weights.shape[2]
-    rows = np.repeat(idx, s, axis=1).ravel()
-    cols = np.tile(idx, (1, s)).ravel()
-    blocks = vals.reshape(n, s * s, 1) * weights.reshape(n, 1, mm)
-    return rows, cols, blocks.reshape(n * s * s, mm)
+    rows = np.repeat(idx, s, axis=1)
+    cols = np.tile(idx, (1, s))
+    return rows, cols, vals.reshape(n, s * s, 1) * weights.reshape(n, 1, mm)
 
 
 # ---------------------------------------------------------------------------
@@ -152,42 +190,65 @@ def _point_entries(idx, vals, weights):
 # ---------------------------------------------------------------------------
 
 
-def _temporal_products(q: int, k: float):
-    """Exact integrals of mode products over the slab: T1 = lam_i lam_j,
-    T2 = lam_i lam_j' (test index first)."""
+def _temporal_products(q: int, k: np.ndarray):
+    """Exact integrals of mode products over slabs of lengths ``k``, shaped
+    (slabs, q+1, q+1): T1 = lam_i lam_j, T2 = lam_i lam_j' (test index
+    first)."""
+    k = k[:, None, None]
     if q == 0:
-        return np.array([[k]]), np.array([[0.0]])
+        return k * np.ones((1, 1)), np.zeros((len(k), 1, 1))
     T1 = k * np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-    T2 = np.array([[-0.5, 0.5], [-0.5, 0.5]])
+    T2 = np.broadcast_to([[-0.5, 0.5], [-0.5, 0.5]], T1.shape)
     return T1, T2
 
 
-def _hat_load(geom: SlabGeometry, part, x: np.ndarray, fw: np.ndarray) -> np.ndarray:
+def _hat_load(geom: SlabGeometry, part, x, fw, slab, n_slabs: int) -> np.ndarray:
     """Values ``fw`` (segments, points, modes) at the points ``x`` (segments,
-    points) against the hats of each segment's own cell, summed per global
-    node: shaped (nodes, modes)."""
+    points) against the hats of each segment's own cell, summed per slab
+    (``slab`` gives each segment's) and global node: shaped (slabs, nodes,
+    modes)."""
     node, lo, hi = segment_cells(geom, part)
     w1 = ((x - lo[:, None]) / (hi - lo)[:, None])[:, :, None]
     m = fw.shape[2]
-    per_end = np.concatenate([np.sum(fw * (1.0 - w1), axis=1), np.sum(fw * w1, axis=1)])
-    key = np.concatenate([node, node + 1])[:, None] * m + np.arange(m)
     n_nodes = len(geom.bg_nodes) + len(geom.ov_offsets)
-    return np.bincount(key.ravel(), per_end.ravel(), minlength=n_nodes * m).reshape(n_nodes, m)
-
-
-def _f_load(geom: SlabGeometry, q: int, times: np.ndarray, weights: np.ndarray, source):
-    """Load of the source against every node's hat and temporal mode, shaped
-    (nodes, q+1): trapezoid per segment in space, the rule (times, weights)
-    in time."""
-    # a composite Lobatto rule repeats each inner panel endpoint
-    ts, slot = np.unique(times, return_inverse=True)
-    part = spatial_partition(geom, ts)
-    wlam = np.bincount(slot, weights)[:, None] * temporal_basis_values(
-        q, geom.t_start, geom.t_end, ts
+    per_end = np.concatenate([np.sum(fw * (1.0 - w1), axis=1), np.sum(fw * w1, axis=1)])
+    node = node + slab * n_nodes
+    key = np.concatenate([node, node + 1])[:, None] * m + np.arange(m)
+    return np.bincount(key.ravel(), per_end.ravel(), minlength=n_slabs * n_nodes * m).reshape(
+        n_slabs, n_nodes, m
     )
-    x = np.array([part.xa, part.xb])
-    fv = np.asarray(source(x, np.array([part.t, part.t])), dtype=float) * (0.5 * part.lengths)
-    return _hat_load(geom, part, x.T, fv.T[:, :, None] * wlam[part.time_index][:, None, :])
+
+
+def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndarray, source):
+    """Load of the source against every node's hat and temporal mode of each
+    slab of ``geoms``, shaped (slabs, nodes, q+1): trapezoid per segment in
+    space, the rule (times, weights) in time, where ``slab`` gives the
+    position in ``geoms`` of each time's slab.  ``source`` is called once."""
+    # a composite Lobatto rule repeats each inner panel endpoint of a slab
+    order = np.lexsort((times, slab))
+    ts, ss = times[order], slab[order]
+    new = np.ones(len(ts), dtype=bool)
+    new[1:] = (ts[1:] != ts[:-1]) | (ss[1:] != ss[:-1])
+    slot = np.empty(len(ts), dtype=int)
+    slot[order] = np.cumsum(new) - 1
+    ts, ss = ts[new], ss[new]
+    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
+    part = partition_at(geoms[0], ts, left_at(geoms, ss, ts))
+    wlam = np.bincount(slot, weights)[:, None] * temporal_basis_values(q, t0[ss], t1[ss], ts)
+    # the segments of one time tile the domain, so the source is evaluated
+    # at each segment's left end and at the right end of each time's last one
+    row = part.time_index
+    last = np.r_[row[1:] != row[:-1], True]
+    f = np.asarray(
+        source(np.concatenate([part.xa, part.xb[last]]), np.concatenate([part.t, part.t[last]])),
+        dtype=float,
+    )
+    fv = np.empty((2, len(part)))
+    fv[0] = f[: len(part)]
+    fv[1, :-1] = f[1 : len(part)]
+    fv[1, last] = f[len(part) :]
+    fw = (fv * (0.5 * part.lengths)).T[:, :, None] * wlam[row][:, None, :]
+    return _hat_load(geoms[0], part, np.array([part.xa, part.xb]).T, fw, ss[row], len(geoms))
 
 
 def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
@@ -196,7 +257,7 @@ def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
     part = spatial_partition(geom, t)
     x, w = segment_points(part)
     fw = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape) * w
-    return _hat_load(geom, part, x, fw[:, :, None])[:, 0]
+    return _hat_load(geom, part, x, fw[:, :, None], np.zeros(len(part), dtype=int), 1)[0, :, 0]
 
 
 def _jump_load(setup: Setup, start_cov, prev: SlabSolution) -> np.ndarray:
@@ -215,23 +276,183 @@ def _jump_load(setup: Setup, start_cov, prev: SlabSolution) -> np.ndarray:
     )
 
 
-def _slab_matrix(space: SlabSpace, parts) -> csc_array:
-    """Sum triplets (global node rows, cols, (q+1)^2 temporal blocks) into the
-    slab matrix (temporal mode fastest), dropping entries on nodes without a
-    DOF."""
-    rows, cols, blocks = (np.concatenate(x) for x in zip(*parts))
-    rows, cols = space.node_dof[rows], space.node_dof[cols]
+def _dof_triplets(dofs, m: int, at, rows, cols, blocks):
+    """COO triplets in the DOFs of a chunk of slabs of (q+1)^2 temporal
+    ``blocks`` on global node ``rows`` and ``cols``, without the entries on
+    nodes that carry no DOF.  ``dofs`` gives for each (slab, node), flattened,
+    the chunk row of the node's first temporal mode or -1, and ``at`` the
+    offset of each entry's slab in it (broadcast against ``rows``)."""
+    rows, cols = dofs[at + rows].ravel(), dofs[at + cols].ravel()
     ok = (rows >= 0) & (cols >= 0)
-    m = space.q + 1
-    n = space.n_cols
-    modes = np.arange(m)
-    # column-major position of block entry (i, j): row rows*m + i, column cols*m + j
-    key = (cols[ok] * (m * n) + rows[ok] * m)[:, None, None] + modes[:, None] + n * modes
-    key, slot = np.unique(key.ravel(), return_inverse=True)
-    data = np.bincount(slot, blocks[ok].ravel())  # sums the duplicate entries, once
-    indptr = np.searchsorted(key, np.arange(0, n * n + 1, n))
-    return csc_array(
-        (data, (key % n).astype(np.intc), indptr.astype(np.intc)), shape=(n, n)
+    shape = (int(ok.sum()), m, m)
+    modes = np.arange(m, dtype=np.intc)
+    # block entry (i, j): row rows + i, column cols + j, temporal mode fastest
+    r = np.broadcast_to(rows[ok][:, None, None] + modes[:, None], shape).ravel()
+    c = np.broadcast_to(cols[ok][:, None, None] + modes, shape).ravel()
+    return r, c, blocks.reshape(-1, m * m)[ok].ravel()
+
+
+class SlabForm(NamedTuple):
+    """A slab's system without the previous slab's trace: its record, its
+    matrix, its source load per node and temporal mode, and the covered
+    correction's mass triplets at its start, which the time-jump load
+    reads."""
+
+    space: SlabSpace
+    matrix: csc_array
+    load: np.ndarray
+    start_cov: tuple
+
+
+def _covered_part(geoms, nt, times, start, w_ld, w_ll):
+    """Triplets (slab, rows, cols, blocks) of the covered-interval
+    correction, at each slab start and on its panel Gauss times: mass against
+    the start trace and lam_i lam_j', stiffness against lam_i lam_j; and each
+    slab's covered mass triplets at its start."""
+    S, mm = len(geoms), start.size
+    t0 = np.array([g.t_start for g in geoms])
+    # positions: each slab's start, then its times
+    p_slab = np.repeat(np.arange(S), nt + 1)
+    is_start = np.zeros(len(p_slab), dtype=bool)
+    is_start[np.cumsum(nt + 1) - nt - 1] = True
+    p_time = np.empty(len(p_slab))
+    p_time[is_start], p_time[~is_start] = t0, times
+    cells, own, (mv, kv) = _covered_entries(geoms, p_slab, left_at(geoms, p_slab, p_time))
+    # the temporal weights of mass and stiffness at the padded positions
+    P = mv.shape[1]
+    weights = np.zeros((S, 2, P, mm))
+    weights[:, 0, 0] = start.ravel()
+    p = ragged_arange(nt) + 1
+    weights[p_slab[~is_start], 0, p] = w_ld
+    weights[p_slab[~is_start], 1, p] = w_ll
+    sym = np.concatenate([mv, kv], axis=1).reshape(S, 2 * P, -1)
+    sym = (np.swapaxes(sym, 1, 2) @ weights.reshape(S, 2 * P, mm)).reshape(S, 3, -1, mm)
+    # (slab, entry, cell) triplets of each slab's own cells
+    pick = [0, 1, 1, 2]
+    own = np.broadcast_to(own[:, None], (S, 4, own.shape[1]))
+    slab = np.broadcast_to(np.arange(S)[:, None, None], own.shape)[own]
+    rows = np.stack([cells, cells, cells + 1, cells + 1], axis=1)[own]
+    cols = np.stack([cells, cells + 1, cells, cells + 1], axis=1)[own]
+    start_mv = mv[:, 0][:, pick][own]
+    end = np.cumsum(np.bincount(slab, minlength=S)).tolist()
+    start_cov = [(rows[i:j], cols[i:j], start_mv[i:j]) for i, j in zip([0] + end[:-1], end)]
+    return (slab, rows, cols, -sym[:, pick][own]), start_cov
+
+
+def _interface_part(spaces, nt, mu, gamma: float, w_ll):
+    """Triplets of the interface point terms on the panel Gauss times:
+    -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind trace_i J_j."""
+    m = spaces[0].q + 1
+    st = InterfaceStencil(*(np.concatenate(f) for f in zip(*(sp.stencil for sp in spaces))))
+    slab = np.repeat(np.arange(len(spaces)), 2 * nt)
+    time = (np.cumsum(nt) - nt)[slab] + ragged_arange(2 * nt) % nt[slab]
+    J = st.jump
+    n1G = st.n1[:, None] * st.grad
+    pen = (np.hypot(mu[slab], 1.0) * gamma / st.h_K)[:, None]
+    vals = J[:, :, None] * (pen * J - n1G)[:, None, :]
+    vals += (st.upwind - n1G)[:, :, None] * J[:, None, :]
+    return (slab[:, None], *_point_entries(st.idx, vals, w_ll[time].reshape(-1, m, m)))
+
+
+def _stabilization_part(spaces):
+    """Triplets of the pairwise-exact gradient-jump stabilization, or None
+    when no slab has a stabilized pair."""
+    stab = [(s, sp.stab) for s, sp in enumerate(spaces) if sp.stab is not None]
+    if not stab:
+        return None
+    idx, g, W = (np.concatenate(x) for x in zip(*(st for _, st in stab)))
+    slab = np.repeat([s for s, _ in stab], [len(st[0]) for _, st in stab])
+    return (slab[:, None], *_point_entries(idx, g[:, :, None] * g[:, None, :], W))
+
+
+def _slab_matrices(spaces, setup: Setup):
+    """The matrices of the slabs ``spaces`` and each slab's covered mass
+    triplets at its start.
+
+    Each piece of the form yields triplets of the chunk, mapped to the
+    chunk's DOFs (slab after slab) as it is made; one sparse sum over the
+    chunk gives a block-diagonal matrix whose diagonal blocks are the slab
+    matrices.
+    """
+    S = len(spaces)
+    geoms = [sp.geom for sp in spaces]
+    q = spaces[0].q
+    m = q + 1
+    t0, t1, mu = np.array([(g.t_start, g.t_end, g.mu) for g in geoms]).T
+    slab_ids = np.arange(S)
+    n = np.array([sp.n_cols for sp in spaces])
+    first = np.cumsum(n) - n
+    node_dof = np.stack([sp.node_dof for sp in spaces])
+    dofs = np.where(node_dof >= 0, first[:, None] + m * node_dof, -1).astype(np.intc).ravel()
+    at = slab_ids * node_dof.shape[1]
+
+    def to_dofs(slab, rows, cols, blocks):
+        return _dof_triplets(dofs, m, at[slab], rows, cols, blocks)
+
+    # constant-in-time blocks: full-mesh mass, stiffness and drift of both meshes
+    # (every slab's start trace reads off its first mode)
+    lam0 = temporal_basis_values(q, 0.0, 1.0, 0.0)
+    start = np.outer(lam0, lam0)  # slab-start mass (time jump / initial coupling)
+    T1, T2 = _temporal_products(q, t1 - t0)
+    rows, cols, vals = setup.mesh_matrices
+    C = np.stack([T2 + start, T1, -mu[:, None, None] * T1], axis=1).reshape(S, 3, m * m)
+    triplets = [to_dofs(slab_ids[:, None], rows, cols, vals @ C)]
+
+    # temporal weights on the panel Gauss times
+    nt = np.array([len(sp.times) for sp in spaces])
+    t_slab = np.repeat(slab_ids, nt)
+    wts = np.concatenate([sp.weights for sp in spaces])[:, None, None]
+    lam = np.concatenate([sp.lam for sp in spaces])
+    dlam = temporal_basis_derivs(q, t0[t_slab], t1[t_slab])
+    w_ll = (wts * lam[:, :, None] * lam[:, None, :]).reshape(-1, m * m)
+    w_ld = (wts * lam[:, :, None] * dlam[:, None, :]).reshape(-1, m * m)
+    times = np.concatenate([sp.times for sp in spaces])
+    covered, start_cov = _covered_part(geoms, nt, times, start, w_ld, w_ll)
+    triplets.append(to_dofs(*covered))
+    triplets.append(to_dofs(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
+    stab = _stabilization_part(spaces)
+    if stab is not None:
+        triplets.append(to_dofs(*stab))
+    del covered, stab  # the raw triplets; the sum below needs only the DOF ones
+    rows, cols, data = (np.concatenate(x) for x in zip(*triplets))
+    del triplets
+    total = int(n.sum())
+    A = coo_array((data, (rows, cols)), shape=(total, total)).tocsc()  # sums the duplicates, once
+    matrices = []
+    for f, k in zip(first.tolist(), n.tolist()):
+        lo, hi = A.indptr[f], A.indptr[f + k]
+        block = (A.data[lo:hi], A.indices[lo:hi] - f, A.indptr[f : f + k + 1] - lo)
+        matrices.append(csc_array(block, shape=(k, k)))
+    return matrices, start_cov
+
+
+def assemble_slabs(spaces, setup: Setup) -> list[SlabForm]:
+    """The matrices and source loads of the slabs ``spaces``, built for all
+    of them at once."""
+    matrices, start_cov = _slab_matrices(spaces, setup)
+    geoms = [sp.geom for sp in spaces]
+    q = spaces[0].q
+    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
+    rule = midpoint() if q == 0 else lobatto3()
+    times, wts = composite_time_rule(t0, t1, [g.events for g in geoms], rule)
+    slab = np.repeat(np.arange(len(geoms)), len(rule.nodes) * np.array([len(g.events) + 1 for g in geoms]))
+    load = _f_load(geoms, q, slab, times, wts, setup.problem.source)
+    return [SlabForm(*f) for f in zip(spaces, matrices, load, start_cov)]
+
+
+def slab_system(form: SlabForm, setup: Setup, prev: SlabSolution | None) -> SlabSystem:
+    """The system of a slab: its form with the previous slab's end-time trace
+    in the load (for the first slab, ``prev`` is None and the initial data
+    enters instead)."""
+    geom, q = form.space.geom, form.space.q
+    lam0 = temporal_basis_values(q, geom.t_start, geom.t_end, geom.t_start)
+    if prev is None:
+        trace = _trace_load(geom, geom.t_start, setup.problem.initial)
+    else:
+        trace = _jump_load(setup, form.start_cov, prev)
+    load = form.load + trace[:, None] * lam0
+    return SlabSystem(
+        slab=geom.n, matrix=form.matrix, rhs=load[form.space.dof_node].ravel(), space=form.space
     )
 
 
@@ -242,55 +463,4 @@ def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> 
     the load; for the first slab it is None and the initial data enters
     instead.
     """
-    geom = space.geom
-    q = space.q
-    m = q + 1
-    mu = geom.mu
-    t0, t1, k = geom.t_start, geom.t_end, geom.k
-    lam0 = temporal_basis_values(q, t0, t1, t0)
-    T1, T2 = _temporal_products(q, k)
-    start = np.outer(lam0, lam0)  # slab-start mass (time jump / initial coupling)
-
-    # constant-in-time blocks: full-mesh mass, stiffness and drift of both meshes
-    rows, cols, vals = setup.mesh_matrices
-    parts = [(rows, cols, vals @ np.stack([T2 + start, T1, -mu * T1]).reshape(3, m * m))]
-
-    # covered-interval correction, at the slab start and on the panel Gauss times
-    wts, lam = space.weights[:, None, None], space.lam
-    w_ll = wts * lam[:, :, None] * lam[:, None, :]
-    w_ld = wts * lam[:, :, None] * temporal_basis_derivs(q, t0, t1)
-    rows, cols, mv, kv = _covered_entries(geom, geom.left(np.concatenate(([t0], space.times))))
-    weights = np.concatenate([start[None], w_ld, w_ll]).reshape(-1, m * m)
-    parts.append((rows, cols, -(np.concatenate([mv, kv[1:]]).T @ weights)))
-    start_cov = (rows, cols, mv[0])
-
-    # interface point terms on the panel Gauss times:
-    # -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind trace_i J_j
-    st = space.stencil
-    J = st.jump
-    n1G = st.n1[:, None] * st.grad
-    pen = (float(np.hypot(mu, 1.0)) * setup.disc.gamma / st.h_K)[:, None]
-    vals = J[:, :, None] * (pen * J - n1G)[:, None, :]
-    vals += (st.upwind - n1G)[:, :, None] * J[:, None, :]
-    parts.append(_point_entries(st.idx, vals, np.concatenate([w_ll, w_ll])))
-
-    # pairwise-exact gradient-jump stabilization
-    if space.stab is not None:
-        idx, g, W = space.stab
-        parts.append(_point_entries(idx, g[:, :, None] * g[:, None, :], W))
-
-    # right-hand side
-    rhs_rule = midpoint() if q == 0 else lobatto3()
-    times, wts = composite_time_rule(t0, t1, geom.events, rhs_rule)
-    load = _f_load(geom, q, times, wts, setup.problem.source)
-    if prev is None:
-        load += _trace_load(geom, t0, setup.problem.initial)[:, None] * lam0
-    else:
-        load += _jump_load(setup, start_cov, prev)[:, None] * lam0
-
-    return SlabSystem(
-        slab=geom.n,
-        matrix=_slab_matrix(space, parts),
-        rhs=load[space.dof_node].ravel(),
-        space=space,
-    )
+    return slab_system(assemble_slabs([space], setup)[0], setup, prev)

@@ -74,6 +74,7 @@ class SpatialPartition:
     side: np.ndarray
     bg_cell: np.ndarray
     ov_cell: np.ndarray
+    a: np.ndarray  # left interface position at each segment's time
 
     @property
     def lengths(self) -> np.ndarray:
@@ -83,75 +84,98 @@ class SpatialPartition:
         return len(self.xa)
 
 
-def _interface_crossings(p0: float, mu: float, nodes: np.ndarray, t0: float, t1: float):
-    """Times in the open slab interval where p0 + mu (t - t0) hits a node."""
-    if mu == 0.0:
-        return np.empty(0)
-    p1 = p0 + mu * (t1 - t0)
-    lo, hi = min(p0, p1), max(p0, p1)
-    i0 = np.searchsorted(nodes, lo, side="right")
-    i1 = np.searchsorted(nodes, hi, side="left")
-    hit = nodes[i0:i1]
-    t = t0 + (hit - p0) / mu
-    eps = EVENT_DEDUP_FRACTION * (t1 - t0)
-    return t[(t > t0 + eps) & (t < t1 - eps)]
+def ragged_arange(counts) -> np.ndarray:
+    """The concatenation of ``arange(c)`` for every c in ``counts``."""
+    counts = np.asarray(counts)
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _swept_cut_cells(p0: float, p1: float, nodes: np.ndarray, tol: float) -> np.ndarray:
-    """Cells whose interior is visited by an interface sweeping [p0, p1]."""
-    lo, hi = min(p0, p1), max(p0, p1)
-    cells = np.arange(len(nodes) - 1)
-    return cells[(nodes[:-1] < hi - tol) & (nodes[1:] > lo + tol)]
+def _by_slab(values: np.ndarray, slab: np.ndarray, gap: np.ndarray) -> list[np.ndarray]:
+    """``values`` grouped by their ``slab`` into one sorted array per entry of
+    ``gap``, dropping each value within ``gap[slab]`` of the one before it."""
+    order = np.lexsort((values, slab))
+    values, slab = values[order], slab[order]
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = (slab[1:] != slab[:-1]) | (np.diff(values) > gap[slab[1:]])
+    return np.split(values[keep], np.cumsum(np.bincount(slab[keep], minlength=len(gap)))[:-1])
+
+
+def left_at(geoms, slab: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Left interface position at each time ``t`` in the slab ``geoms[slab]``."""
+    a0, mu, t0 = np.array([(g.a_start, g.mu, g.t_start) for g in geoms]).T
+    return a0[slab] + mu[slab] * (t - t0[slab])
 
 
 def build_slab_geometry(setup: Setup, n: int) -> SlabGeometry:
     """Cut geometry of slab n (1-based)."""
-    if not 1 <= n <= setup.partition.n_slabs:
-        raise ValueError(f"slab index {n} out of range")
-    t0, t1 = setup.partition.slab_interval(n)
-    mu = float(setup.partition.velocities[n - 1])
-    a0 = float(setup.a_breaks[n - 1])
-    a1 = float(setup.a_breaks[n])
+    return build_slab_geometries(setup, n, n)[0]
+
+
+def build_slab_geometries(setup: Setup, first: int, last: int) -> list[SlabGeometry]:
+    """Cut geometry of the slabs ``first..last`` (1-based, inclusive), built
+    for all of them at once."""
+    if not 1 <= first <= last <= setup.partition.n_slabs:
+        raise ValueError(f"slab index {first if first == last else (first, last)} out of range")
+    n = np.arange(first, last + 1)
+    t0 = setup.partition.breakpoints[n - 1]
+    t1 = setup.partition.breakpoints[n]
+    k = t1 - t0
+    mu = setup.partition.velocities[n - 1]
+    a0, a1 = setup.a_breaks[n - 1], setup.a_breaks[n]
     length = float(setup.overlap.length)
     nodes = setup.bg_nodes
     lo, hi = float(nodes[0]), float(nodes[-1])
-    if min(a0, a1) <= lo or max(a0, a1) + length >= hi:
-        raise GeometryViolation(f"interface touches the domain boundary in slab {n}")
-
+    bad = (np.minimum(a0, a1) <= lo) | (np.maximum(a0, a1) + length >= hi)
+    if bad.any():
+        raise GeometryViolation(f"interface touches the domain boundary in slab {n[bad][0]}")
     tol = DEGENERATE_FRACTION * (hi - lo)
-    events = np.concatenate(
-        [
-            _interface_crossings(a0, mu, nodes, t0, t1),
-            _interface_crossings(a0 + length, mu, nodes, t0, t1),
-        ]
-    )
-    events = np.sort(events)
-    if len(events) > 1:
-        keep = np.concatenate(([True], np.diff(events) > EVENT_DEDUP_FRACTION * (t1 - t0)))
-        events = events[keep]
+    n_cells = len(nodes) - 1
+    S = len(n)
+    s2 = np.tile(np.arange(S), 2)  # rows 0..S-1: left interface, S..2S-1: right
 
-    cut = np.union1d(
-        _swept_cut_cells(a0, a1, nodes, tol),
-        _swept_cut_cells(a0 + length, a1 + length, nodes, tol),
-    )
-    a_max, b_min = max(a0, a1), min(a0, a1) + length
-    cells = np.arange(len(nodes) - 1)
-    covered = cells[(nodes[:-1] >= a_max - tol) & (nodes[1:] <= b_min + tol)]
-    covered = np.setdiff1d(covered, cut)
+    # events: the times in the open slab at which an interface hits a node
+    p0 = np.concatenate([a0, a0 + length])
+    p1 = p0 + mu[s2] * k[s2]
+    i0 = np.searchsorted(nodes, np.minimum(p0, p1), side="right")
+    i1 = np.searchsorted(nodes, np.maximum(p0, p1), side="left")
+    count = np.where(mu[s2] == 0.0, 0, np.maximum(i1 - i0, 0))
+    row = np.repeat(np.arange(2 * S), count)
+    s = s2[row]
+    t = t0[s] + (nodes[i0[row] + ragged_arange(count)] - p0[row]) / mu[s]
+    eps = EVENT_DEDUP_FRACTION * k
+    keep = (t > t0[s] + eps[s]) & (t < t1[s] - eps[s])
+    events = _by_slab(t[keep], s[keep], eps)
 
-    return SlabGeometry(
-        n=n,
-        t_start=t0,
-        t_end=t1,
-        mu=mu,
-        a_start=a0,
-        overlap_length=length,
-        bg_nodes=nodes,
-        ov_offsets=setup.ov_offsets,
-        events=events,
-        cut_cells=cut,
-        covered_cells=covered,
-    )
+    # cut cells: the cells whose interior an interface visits, a range of
+    # cells [lo_cell, hi_cell) per interface
+    p1 = np.concatenate([a1, a1 + length])
+    lo_cell = np.maximum(np.searchsorted(nodes, np.minimum(p0, p1) + tol, side="right") - 1, 0)
+    hi_cell = np.minimum(np.searchsorted(nodes, np.maximum(p0, p1) - tol, side="left"), n_cells)
+    count = np.maximum(hi_cell - lo_cell, 0)
+    cell = np.repeat(lo_cell, count) + ragged_arange(count)
+    cut = _by_slab(cell, np.repeat(s2, count), np.zeros(S))
+
+    # covered cells: inside the moving interval for the whole slab, not cut
+    c_lo = np.searchsorted(nodes, np.maximum(a0, a1) - tol, side="left")
+    c_hi = np.searchsorted(nodes, np.minimum(a0, a1) + length + tol, side="right") - 1
+    c_hi = np.minimum(c_hi, n_cells)
+    count = np.maximum(c_hi - c_lo, 0)
+    s = np.repeat(np.arange(S), count)
+    cell = np.repeat(c_lo, count) + ragged_arange(count)
+    in_cut = np.zeros(len(cell), dtype=bool)
+    for side in (s, s + S):
+        in_cut |= (cell >= lo_cell[side]) & (cell < hi_cell[side])
+    covered = _by_slab(cell[~in_cut], s[~in_cut], np.zeros(S))
+
+    return [
+        SlabGeometry(
+            n=int(n_), t_start=t0_, t_end=t1_, mu=mu_, a_start=a_, overlap_length=length,
+            bg_nodes=nodes, ov_offsets=setup.ov_offsets, events=ev, cut_cells=c, covered_cells=cv,
+        )
+        for n_, t0_, t1_, mu_, a_, ev, c, cv in zip(
+            n.tolist(), t0.tolist(), t1.tolist(), mu.tolist(), a0.tolist(), events, cut, covered
+        )
+    ]
 
 
 def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:
@@ -164,10 +188,18 @@ def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:
     times = np.array(t, dtype=float, ndmin=1)
     if not (times.min() >= geom.t_start and times.max() <= geom.t_end):
         raise ValueError(f"t={t} outside slab {geom.n}")
+    return partition_at(geom, times, geom.left(times), None if np.ndim(t) else t)
+
+
+def partition_at(geom: SlabGeometry, times: np.ndarray, a: np.ndarray, t=None) -> SpatialPartition:
+    """Merged partitions of the domain with the left interface at each
+    position in ``a``, at the matching ``times``, as one partition in the
+    order of the rows.  ``geom`` gives the meshes and the overlap length, so
+    the rows may belong to different slabs of one setup.  A scalar ``t``, if
+    given, is stored as the partition's time instead of one per segment."""
     nodes, offsets = geom.bg_nodes, geom.ov_offsets
     nb = len(nodes)
-    a = geom.left(times)
-    pts = np.empty((len(times), nb + len(offsets)))
+    pts = np.empty((len(a), nb + len(offsets)))
     pts[:, :nb] = nodes
     pts[:, nb:] = a[:, None] + offsets
     pts.sort(axis=1)
@@ -189,13 +221,14 @@ def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:
     bg_cell = np.searchsorted(nodes, mid) - 1
     ov_cell = np.where(side == 2, np.searchsorted(offsets, mid - a) - 1, -1)
     return SpatialPartition(
-        t=times[row] if np.ndim(t) else t,
+        t=times[row] if t is None else t,
         time_index=row,
         xa=xa,
         xb=xb,
         side=side,
         bg_cell=bg_cell,
         ov_cell=ov_cell,
+        a=a,
     )
 
 
@@ -206,9 +239,8 @@ def segment_cells(geom: SlabGeometry, part: SpatialPartition):
     nb = len(geom.bg_nodes)
     on2 = part.side == 2
     # ov_cell is -1 on side 1: the overlap lookups there are in range and unused
-    a = geom.left(part.t)
-    off_lo = a + geom.ov_offsets[part.ov_cell]
-    off_hi = a + geom.ov_offsets[part.ov_cell + 1]
+    off_lo = part.a + geom.ov_offsets[part.ov_cell]
+    off_hi = part.a + geom.ov_offsets[part.ov_cell + 1]
     node = np.where(on2, nb + part.ov_cell, part.bg_cell)
     lo = np.where(on2, off_lo, geom.bg_nodes[part.bg_cell])
     hi = np.where(on2, off_hi, geom.bg_nodes[part.bg_cell + 1])
@@ -223,8 +255,9 @@ def segment_points(part: SpatialPartition):
     return pts, wts
 
 
-def sigma_side(interface: str, mu: float) -> tuple[int, float]:
-    """Upwind side index and signed temporal weight of the moving-interface jump term.
+def sigma_side(interface: str, mu):
+    """Upwind side index and signed temporal weight of the moving-interface
+    jump term, for a velocity or an array of them.
 
     For an interface point with spatial normal n1 of the uncovered side, the
     space-time jump term reduces per interface point to
@@ -237,6 +270,5 @@ def sigma_side(interface: str, mu: float) -> tuple[int, float]:
         n1 = -1.0
     else:
         raise ValueError(f"interface must be 'left' or 'right', got {interface!r}")
-    w = n1 * mu
-    sigma = 1 if w >= 0 else 2
-    return sigma, float(w)
+    w = n1 * np.asarray(mu, dtype=float)
+    return np.where(w >= 0, 1, 2), w

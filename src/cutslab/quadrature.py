@@ -37,20 +37,34 @@ def midpoint() -> Rule1D:
     return Rule1D(nodes=np.array([0.5]), weights=np.array([1.0]))
 
 
-def composite_time_rule(
-    t_start: float, t_end: float, events: np.ndarray, base: Rule1D
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply ``base`` on every panel between consecutive breakpoints of the slab.
+def composite_time_rule(t_start, t_end, events, base: Rule1D) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``base`` on every panel between consecutive breakpoints of a slab,
+    or of each of several slabs.
 
-    ``events`` must be sorted times strictly inside (t_start, t_end).  Returns
-    flat arrays of times and weights; the weights sum to the slab length.
+    For one slab ``t_start`` and ``t_end`` are numbers and ``events`` holds
+    sorted times strictly inside (t_start, t_end).  For several they are
+    arrays with one entry per slab and ``events`` is a sequence of such
+    arrays, one per slab; the slabs' rules come back one after the other.
+    Returns flat arrays of times and weights; each slab's weights sum to its
+    length.
     """
-    events = np.asarray(events, dtype=float)
-    breaks = np.concatenate(([t_start], events, [t_end]))
-    if np.any(np.diff(breaks) <= 0):
+    if np.ndim(t_start) == 0:
+        t_start, t_end, events = [t_start], [t_end], [events]
+    count = np.array([len(e) for e in events], dtype=int) + 2  # breakpoints per slab
+    last = np.cumsum(count) - 1
+    breaks = np.empty(last[-1] + 1)
+    breaks[last - count + 1] = t_start
+    breaks[last] = t_end
+    inner = np.ones(len(breaks), dtype=bool)
+    inner[last] = inner[last - count + 1] = False
+    breaks[inner] = np.concatenate(events)
+    # a panel starts at every breakpoint but the last of each slab
+    starts = np.ones(len(breaks) - 1, dtype=bool)
+    starts[last[:-1]] = False
+    lo = breaks[:-1][starts, None]
+    length = np.diff(breaks)[starts, None]
+    if np.any(length <= 0):
         raise ValueError("events must be sorted and strictly inside the slab")
-    lo = breaks[:-1, None]
-    length = np.diff(breaks)[:, None]
     times = (lo + length * base.nodes[None, :]).ravel()
     weights = (length * base.weights[None, :]).ravel()
     return times, weights

@@ -1,17 +1,38 @@
-"""Slab-by-slab time marching and the sparse linear solve behind it."""
+"""Slab-by-slab time marching and the sparse linear solve behind it.
+
+``march`` takes the slabs in chunks of consecutive slabs.  For a chunk it
+builds the geometry (``geometry.build_slab_geometries``), the slab records
+(``spaces.build_slab_spaces``) and the matrices and source loads
+(``assembly.assemble_slabs``) of all its slabs at once, since none of them
+reads the previous slab.  The loop over the chunk's slabs keeps only what
+does: the time-jump load of the previous slab's end-time trace and the
+``SlabSystem`` with its finiteness check (``assembly.slab_system``), and
+``solve_slab`` with its pivot floor and residual bound.  A failure there
+names its slab, and no later slab is solved.
+
+``CHUNK_ENTRIES`` caps a chunk: it holds as many slabs as keep the entries
+of their constant mesh blocks within the cap, and at least one.  The
+chunk's temporaries grow about in proportion, so the cap bounds the memory
+that batching adds; the per-slab records and solutions that the march
+returns are the same as when it built one slab at a time.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import SlabSystem, assemble_slab
+from .assembly import SlabSystem, assemble_slabs, slab_system
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
-from .geometry import build_slab_geometry
-from .spaces import SlabSolution, SpaceTimeSolution, build_slab_space
+from .geometry import build_slab_geometries
+from .spaces import SlabSolution, SpaceTimeSolution, build_slab_spaces
 
 PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
+# A chunk holds as many slabs as keep its constant mesh blocks (mesh
+# triplets times (q+1)^2 temporal entries, summed over the slabs) within this
+# many entries, and at least one slab.
+CHUNK_ENTRIES = 1 << 14
 
 
 def _singular(system: SlabSystem) -> NumericalFailure:
@@ -47,17 +68,24 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
     return x
 
 
+def chunk_length(setup: Setup) -> int:
+    """Slabs per chunk of the march under ``CHUNK_ENTRIES``."""
+    per_slab = len(setup.mesh_matrices[0]) * (setup.disc.q + 1) ** 2
+    return max(1, CHUNK_ENTRIES // per_slab)
+
+
 def march(
     problem: ProblemSpec, overlap: OverlapSpec, disc: Discretization
 ) -> SpaceTimeSolution:
     """March the discrete system through all slabs and collect the solution."""
     setup = Setup.build(problem, overlap, disc)
+    step = chunk_length(setup)
     prev = None
     slabs = []
-    for n in range(1, disc.n_slabs + 1):
-        geom = build_slab_geometry(setup, n)
-        space = build_slab_space(geom, disc)
-        coeffs = solve_slab(assemble_slab(space, setup, prev))
-        prev = SlabSolution(space=space, coeffs=coeffs)
-        slabs.append(prev)
+    for first in range(1, disc.n_slabs + 1, step):
+        geoms = build_slab_geometries(setup, first, min(first + step - 1, disc.n_slabs))
+        for form in assemble_slabs(build_slab_spaces(geoms, disc), setup):
+            coeffs = solve_slab(slab_system(form, setup, prev))
+            prev = SlabSolution(space=form.space, coeffs=coeffs)
+            slabs.append(prev)
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))

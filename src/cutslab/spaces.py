@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Discretization, Setup
-from .geometry import DEGENERATE_FRACTION, SlabGeometry, sigma_side
+from .geometry import DEGENERATE_FRACTION, SlabGeometry, left_at, ragged_arange, sigma_side
 from .quadrature import GL3, composite_time_rule
 
 
@@ -30,11 +30,14 @@ def temporal_basis_values(q: int, t_start: float, t_end: float, t) -> np.ndarray
     return np.moveaxis(lam, 0, -1) if lam.ndim > 1 else lam
 
 
-def temporal_basis_derivs(q: int, t_start: float, t_end: float) -> np.ndarray:
+def temporal_basis_derivs(q: int, t_start, t_end) -> np.ndarray:
+    """Time derivatives of the q+1 temporal modes, shaped
+    ``np.shape(t_start) + (q+1,)``."""
     if q == 0:
-        return np.array([0.0])
+        return np.zeros(np.shape(t_start) + (1,))
     k = t_end - t_start
-    return np.array([-1.0 / k, 1.0 / k])
+    d = np.array([-1.0 / k, 1.0 / k])
+    return np.moveaxis(d, 0, -1) if d.ndim > 1 else d
 
 
 class InterfaceStencil(NamedTuple):
@@ -60,13 +63,19 @@ class InterfaceStencil(NamedTuple):
     h_K: np.ndarray  # size of the background cell holding the point
 
 
-def interface_stencil(geom: SlabGeometry, times: np.ndarray, omega1: float) -> InterfaceStencil:
-    """The interface stencil of a slab at the 1-D array ``times``."""
-    nodes, off = geom.bg_nodes, geom.ov_offsets
+def interface_stencil(
+    geoms, slab: np.ndarray, times: np.ndarray, omega1: float
+) -> InterfaceStencil:
+    """The interface stencils of the slabs ``geoms`` at the 1-D array
+    ``times``, where ``slab`` (nondecreasing) gives the position in ``geoms``
+    of each time's slab.  The rows run slab by slab, each slab's left points
+    and then its right points, so one slab's stencil is a slice of rows."""
+    nodes, off = geoms[0].bg_nodes, geoms[0].ov_offsets
     nb, n_ov = len(nodes), len(off)
     nt = len(times)
-    a = geom.left(times)
-    x = np.concatenate([a, a + geom.overlap_length])
+    mu = np.array([g.mu for g in geoms])[slab]
+    a = left_at(geoms, slab, times)
+    x = np.concatenate([a, a + geoms[0].overlap_length])
     # value cell: the cell holding the point; gradient cell: the cell on the
     # uncovered side, left of the left point and right of the right one
     cells = np.empty((2, 2 * nt), dtype=int)
@@ -90,64 +99,83 @@ def interface_stencil(geom: SlabGeometry, times: np.ndarray, omega1: float) -> I
     ):
         idx[rows, 4:] = ov_node, ov_cell, ov_cell + 1
         grad[rows, 5:] = -g, g
-        sigma, w = sigma_side(label, geom.mu)
-        if sigma == 1:
-            upwind[rows, :2] = w * jump[rows, :2]
-        else:
-            upwind[rows, 4] = w
+        sigma, w = sigma_side(label, mu)
+        upwind[rows, :2] = np.where((sigma == 1)[:, None], w[:, None] * jump[rows, :2], 0.0)
+        upwind[rows, 4] = np.where(sigma == 1, 0.0, w)
+
+    # from all left rows, then all right rows, to slab by slab
+    count = np.bincount(slab, minlength=len(geoms))
+    left = (np.cumsum(count) - count)[slab] + np.arange(nt)
+    order = np.empty(2 * nt, dtype=int)
+    order[left] = np.arange(nt)
+    order[left + count[slab]] = np.arange(nt, 2 * nt)
     return InterfaceStencil(
-        idx=idx,
-        jump=jump,
-        grad=grad,
-        upwind=upwind,
-        x=x,
-        n1=np.repeat([1.0, -1.0], nt),
-        h_K=h,
+        idx=idx[order],
+        jump=jump[order],
+        grad=grad[order],
+        upwind=upwind[order],
+        x=x[order],
+        n1=np.repeat([1.0, -1.0], nt)[order],
+        h_K=h[order],
     )
 
 
-def stabilization_weights(geom: SlabGeometry, q: int):
-    """The gradient-jump stabilization of a slab, pairwise over (cut background
-    cell, overlap cell) pairs that meet at some slab time.
+def stabilization_weights(geoms, q: int) -> list:
+    """The gradient-jump stabilization of each slab of ``geoms``, pairwise
+    over (cut background cell, overlap cell) pairs that meet at some slab
+    time.
 
-    Returns ``(idx, g, W)``, or None when no such pair exists: ``idx`` (pairs,
-    4) holds the pair's global nodes (background cell, then overlap cell),
-    ``g`` (pairs, 4) the weights on them of the gradient jump (background
-    minus overlap gradient), and ``W`` (pairs, q+1, q+1) the slab integral of
-    the pair's covered length times ``lam_i lam_j``.  That length is piecewise
-    linear in time with breaks at the pair's endpoint crossings, so three-point
-    Gauss per panel makes ``W`` exact.
+    Returns per slab ``(idx, g, W)``, or None when no such pair exists:
+    ``idx`` (pairs, 4) holds the pair's global nodes (background cell, then
+    overlap cell), ``g`` (pairs, 4) the weights on them of the gradient jump
+    (background minus overlap gradient), and ``W`` (pairs, q+1, q+1) the slab
+    integral of the pair's covered length times ``lam_i lam_j``.  That length
+    is piecewise linear in time with breaks at the pair's endpoint crossings,
+    so three-point Gauss per panel makes ``W`` exact.
     """
-    nodes = geom.bg_nodes
-    t0, t1, mu = geom.t_start, geom.t_end, geom.mu
-    y0 = geom.ov_positions(t0)
-    K = geom.cut_cells
-    # overlap cells meeting each cut cell at some slab time
-    shift = mu * geom.k
-    g0 = np.maximum(0, np.searchsorted(y0, nodes[K] - max(shift, 0.0), side="right") - 1)
-    g1 = np.minimum(len(y0) - 2, np.searchsorted(y0, nodes[K + 1] - min(shift, 0.0)) - 1)
+    nodes, off = geoms[0].bg_nodes, geoms[0].ov_offsets
+    t0, t1, mu, a0 = np.array([(g.t_start, g.t_end, g.mu, g.a_start) for g in geoms]).T
+    y0 = a0[:, None] + off  # overlap nodes at each slab start
+    n_cut = [len(g.cut_cells) for g in geoms]
+    K = np.concatenate([g.cut_cells for g in geoms])
+    s = np.repeat(np.arange(len(geoms)), n_cut)
+    # overlap cells meeting each cut cell at some slab time: searchsorted in
+    # each cut cell's own slab row of y0
+    shift = mu * (t1 - t0)
+    y = y0[s]
+    g0 = np.maximum(0, np.sum(y <= (nodes[K] - np.maximum(shift, 0.0)[s])[:, None], axis=1) - 1)
+    g1 = np.sum(y < (nodes[K + 1] - np.minimum(shift, 0.0)[s])[:, None], axis=1) - 1
+    g1 = np.minimum(len(off) - 2, g1)
     count = np.maximum(g1 - g0 + 1, 0)
     n = int(count.sum())
     if n == 0:
-        return None
+        return [None] * len(geoms)
     pK = np.repeat(K, count)
-    pc = np.repeat(g0 - np.cumsum(count) + count, count) + np.arange(n)
+    ps = np.repeat(s, count)
+    pc = np.repeat(g0, count) + ragged_arange(count)
     idx = np.concatenate([pK[:, None] + [0, 1], len(nodes) + pc[:, None] + [0, 1]], axis=1)
-    x = np.concatenate([nodes, y0])[idx]  # K_lo, K_hi, c_lo, c_hi at the slab start
+    x = np.empty((n, 4))  # K_lo, K_hi, c_lo, c_hi at the slab start
+    x[:, :2] = nodes[idx[:, :2]]
+    x[:, 2:] = y0[ps[:, None], pc[:, None] + [0, 1]]
     g = np.array([-1.0, 1.0, 1.0, -1.0]) / (x[:, [1, 1, 3, 3]] - x[:, [0, 0, 2, 2]])
-    breaks = np.full((n, 6), t0)
-    breaks[:, 5] = t1
-    if mu != 0.0:
-        cross = t0 + (x[:, [0, 1, 0, 1]] - x[:, [2, 2, 3, 3]]) / mu
-        breaks[:, 1:5] = np.sort(np.clip(cross, t0, t1), axis=1)
+    pt0, pt1, pmu = t0[ps, None], t1[ps, None], mu[ps, None]
+    breaks = np.repeat(pt0, 6, axis=1)
+    breaks[:, 5] = t1[ps]
+    moving = mu[ps] != 0.0
+    cross = pt0[moving] + (x[moving][:, [0, 1, 0, 1]] - x[moving][:, [2, 2, 3, 3]]) / pmu[moving]
+    breaks[moving, 1:5] = np.sort(np.clip(cross, pt0[moving], pt1[moving]), axis=1)
     panel = np.diff(breaks, axis=1)[:, :, None]
     tq = (breaks[:, :-1, None] + panel * GL3.nodes).reshape(n, -1)
     wq = (panel * GL3.weights).reshape(n, -1)
-    drift = mu * (tq - t0)
+    drift = pmu * (tq - pt0)
     L = np.minimum(x[:, [1]], x[:, [3]] + drift) - np.maximum(x[:, [0]], x[:, [2]] + drift)
-    lam = temporal_basis_values(q, t0, t1, tq)
+    lam = temporal_basis_values(q, pt0, pt1, tq)
     W = np.einsum("pt,pti,ptj->pij", wq * np.maximum(L, 0.0), lam, lam)
-    return idx, g, W
+    end = np.cumsum(np.bincount(ps, minlength=len(geoms)))
+    return [
+        (idx[i:j], g[i:j], W[i:j]) if j > i else None
+        for i, j in zip(np.concatenate(([0], end[:-1])).tolist(), end.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -201,27 +229,49 @@ class SlabSpace:
 
 def build_slab_space(geom: SlabGeometry, disc: Discretization) -> SlabSpace:
     """The record of slab ``geom`` under the discretization ``disc``."""
-    n_nodes = len(geom.bg_nodes)
-    dead = np.zeros(n_nodes - 1, dtype=bool)
-    dead[geom.covered_cells] = True
-    interior = np.arange(1, n_nodes - 1)
+    return build_slab_spaces([geom], disc)[0]
+
+
+def build_slab_spaces(geoms, disc: Discretization) -> list[SlabSpace]:
+    """The records of the slabs ``geoms`` under ``disc``, built for all of
+    them at once."""
+    S = len(geoms)
+    nb, n_ov = len(geoms[0].bg_nodes), len(geoms[0].ov_offsets)
+    dead = np.zeros((S, nb - 1), dtype=bool)
+    dead[
+        np.repeat(np.arange(S), [len(g.covered_cells) for g in geoms]),
+        np.concatenate([g.covered_cells for g in geoms]),
+    ] = True
     # a node is dropped only when both support cells are covered for the whole slab
-    active = interior[~(dead[interior - 1] & dead[interior])]
-    node_dof = np.full(n_nodes + len(geom.ov_offsets), -1, dtype=int)
-    node_dof[active] = np.arange(len(active))
-    node_dof[n_nodes:] = np.arange(len(active), len(active) + len(geom.ov_offsets))
-    times, weights = composite_time_rule(geom.t_start, geom.t_end, geom.events, GL3)
-    return SlabSpace(
-        geom=geom,
-        q=disc.q,
-        active_bg=active,
-        node_dof=node_dof,
-        times=times,
-        weights=weights,
-        lam=temporal_basis_values(disc.q, geom.t_start, geom.t_end, times),
-        stencil=interface_stencil(geom, times, disc.omega1),
-        stab=stabilization_weights(geom, disc.q),
-    )
+    active = ~(dead[:, :-1] & dead[:, 1:])  # interior nodes 1..nb-2
+    n_active = active.sum(axis=1)
+    node_dof = np.full((S, nb + n_ov), -1, dtype=np.intc)
+    node_dof[:, 1 : nb - 1] = np.where(active, np.cumsum(active, axis=1) - 1, -1)
+    node_dof[:, nb:] = n_active[:, None] + np.arange(n_ov)
+    active_bg = np.split(active.nonzero()[1] + 1, np.cumsum(n_active)[:-1])
+
+    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
+    times, weights = composite_time_rule(t0, t1, [g.events for g in geoms], GL3)
+    nt = len(GL3.nodes) * (np.array([len(g.events) for g in geoms]) + 1)
+    slab = np.repeat(np.arange(S), nt)
+    lam = temporal_basis_values(disc.q, t0[slab], t1[slab], times)
+    stencil = interface_stencil(geoms, slab, times, disc.omega1)
+    stab = stabilization_weights(geoms, disc.q)
+    end = np.cumsum(nt).tolist()
+    return [
+        SlabSpace(
+            geom=geom,
+            q=disc.q,
+            active_bg=active_bg[s],
+            node_dof=node_dof[s],
+            times=times[i:j],
+            weights=weights[i:j],
+            lam=lam[i:j],
+            stencil=InterfaceStencil(*(f[2 * i : 2 * j] for f in stencil)),
+            stab=stab[s],
+        )
+        for s, (geom, i, j) in enumerate(zip(geoms, [0] + end[:-1], end))
+    ]
 
 
 def _hat_eval(nodes: np.ndarray, x: np.ndarray):

@@ -111,6 +111,7 @@ def overlap_segments(geom, t: float) -> SpatialPartition:
         side=part.side[mask],
         bg_cell=part.bg_cell[mask],
         ov_cell=part.ov_cell[mask],
+        a=part.a[mask],
     )
 
 
@@ -271,8 +272,9 @@ def jump_load(space, setup, prev):
     applied to ``prev``'s end-time nodal values), over the slab's spatial
     DOFs."""
     geom = space.geom
-    rows, cols, mv, _ = _covered_entries(geom, geom.left(np.array([geom.t_start])))
-    return _jump_load(setup, (rows, cols, mv[0]), prev)[space.dof_node]
+    start = geom.left(np.array([geom.t_start]))
+    cells, _, (mv, _) = _covered_entries([geom], np.zeros(1, dtype=int), start)
+    return _jump_load(setup, _cell_entries(cells[0], cells[0] + 1, mv[0, 0]), prev)[space.dof_node]
 
 
 def exact_trace_load(space, t: float, fn):
@@ -593,7 +595,7 @@ def assemble_Aht(space, t: float, gamma: float, omega1: float) -> np.ndarray:
     A = np.zeros((space.n_spatial, space.n_spatial))
     for rows, cols, _, kv in _sidewise_entries(space, t):
         A += _dense(space, rows, cols, kv)
-    st = interface_stencil(geom, np.array([t]), omega1)
+    st = interface_stencil([geom], np.zeros(1, dtype=int), np.array([t]), omega1)
     J, G = st.jump, st.grad
     pen = (np.hypot(geom.mu, 1.0) * gamma / st.h_K)[:, None, None]
     n1 = st.n1[:, None, None]
@@ -616,7 +618,7 @@ def assemble_Aht(space, t: float, gamma: float, omega1: float) -> np.ndarray:
 def upwind_matrix(space, t: float) -> np.ndarray:
     """Spatial matrix of the moving-interface jump term at time t."""
     # omega1 weights only the average gradient, which this term does not read
-    st = interface_stencil(space.geom, np.array([t]), 0.5)
+    st = interface_stencil([space.geom], np.zeros(1, dtype=int), np.array([t]), 0.5)
     return _dense(space, *_outer_entries(st.idx, st.upwind[:, :, None] * st.jump[:, None, :]))
 
 

@@ -154,10 +154,13 @@ class TestTimeJumpLoad:
 class TestOracleAgreement:
     # the assembled global form must match a from-scratch integrator built on
     # independently detected panels and 10-point Gauss rules
+    # omega1 weights the average flux of the interface stencil, which the
+    # oracle integrates on its own
+    @pytest.mark.parametrize("omega1", [0.5, 0.2, 1.0])
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize("mu", [0.0, 0.6])
-    def test_matrix_matches_oracle(self, q, mu, rng):
-        setup = make_setup(n0=6, nG=2, N=2, mu=mu, a0=0.1, q=q)
+    def test_matrix_matches_oracle(self, q, mu, omega1, rng):
+        setup = make_setup(n0=6, nG=2, N=2, mu=mu, a0=0.1, q=q, omega1=omega1)
         w = random_discrete(setup, rng)
         v = random_discrete(setup, rng)
         ref = oracle_bilinear(w, v)

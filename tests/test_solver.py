@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
+import cutslab.solver
 from cutslab.assembly import assemble_slab
 from cutslab.core import (
     Discretization,
@@ -17,6 +18,13 @@ from cutslab.solver import march, solve_slab
 from cutslab.spaces import SlabSolution, build_slab_space
 
 from conftest import make_setup
+
+
+def _cap_chunk(monkeypatch, setup, slabs):
+    """Set the march's chunk cap to hold ``slabs`` slabs of ``setup``."""
+    per_slab = len(setup.mesh_matrices[0]) * (setup.disc.q + 1) ** 2
+    monkeypatch.setattr(cutslab.solver, "CHUNK_ENTRIES", slabs * per_slab)
+    assert cutslab.solver.chunk_length(setup) == slabs
 
 
 def _naive_gauss(A, b):
@@ -174,14 +182,16 @@ class TestMarch:
         assert len(calls) == 1
 
     def test_slab_record_is_built_once_per_slab(self, monkeypatch):
-        # the march builds each slab's time rule, interface stencil and
-        # stabilization weights once; assembly and the norm both read them
+        # the march builds the time rule, interface stencil and stabilization
+        # weights of a chunk of slabs in one call each and evaluates the source
+        # once per chunk; the norm reads the records and rebuilds none of them
+        import dataclasses
         import sys
 
         from cutslab.quadrature import GL3
 
         names = ["interface_stencil", "stabilization_weights", "composite_time_rule"]
-        calls = dict.fromkeys(names, 0)
+        calls = dict.fromkeys(names + ["source"], 0)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -193,13 +203,109 @@ class TestMarch:
 
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("cutslab"):
-                for name in calls:
+                for name in names:
                     if hasattr(mod, name):
                         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
-        setup = make_setup(n0=8, nG=2, N=4, mu=0.6, q=1)
-        sol = march(setup.problem, setup.overlap, setup.disc)
-        xnorm_error(sol, setup.problem.exact)
-        assert calls == dict.fromkeys(calls, 4)
+        setup = make_setup(n0=8, nG=2, N=7, mu=0.6, q=1)
+        problem = dataclasses.replace(
+            setup.problem, source=counting("source", setup.problem.source)
+        )
+        for slabs in (None, 3, 1):
+            if slabs is not None:
+                _cap_chunk(monkeypatch, setup, slabs)
+            n_chunks = -(-setup.disc.n_slabs // cutslab.solver.chunk_length(setup))
+            calls.update(dict.fromkeys(calls, 0))
+            sol = march(problem, setup.overlap, setup.disc)
+            assert all(0 < c <= n_chunks for c in calls.values()), (slabs, calls)
+            if slabs == 1:
+                assert calls == dict.fromkeys(calls, setup.disc.n_slabs)
+            calls.update(dict.fromkeys(calls, 0))
+            xnorm_error(sol, setup.problem.exact)
+            assert calls == dict.fromkeys(calls, 0)
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(mu=0.6, a0=0.125, T=1.0, N=12),
+            dict(mu=-0.5, a0=0.55, T=1.0, N=8),  # mu k = -h: one cell per slab
+            dict(mu=0.0, a0=0.3, T=1.0, N=6),
+            dict(mu=0.6, a0=0.125, T=1.0, N=8, nG=1),
+            "oscillating",
+        ],
+        ids=["moving", "node_steps", "stationary", "nG1", "oscillating"],
+    )
+    def test_chunked_march_matches_slab_by_slab(self, config, q, monkeypatch):
+        # slabs built in chunks of three (a chunk boundary mid-march) or all
+        # at once give the same slab systems and solution as one by one
+        if config == "oscillating":
+            # as in test_oscillating_velocity_round_trip: slabs differ in mu,
+            # its sign and their event count
+            problem = manufactured_problem(final_time=3.0)
+            overlap = OverlapSpec(
+                length=6.0 / 21.0,
+                initial_left=0.125,
+                velocity=lambda t: 0.5 * np.sin(2.0 * np.pi * t / 3.0),
+            )
+            disc = Discretization(n_background=21, n_overlap=6, n_slabs=10, q=q)
+            setup = Setup.build(problem, overlap, disc)
+            mus = setup.partition.velocities
+            assert np.any(mus > 0) and np.any(mus < 0)
+        else:
+            setup = make_setup(**{"n0": 16, "nG": 4, "q": q, **config})
+        runs = []
+        for slabs in (1, 3, setup.disc.n_slabs):
+            _cap_chunk(monkeypatch, setup, slabs)
+            systems = []
+            original = cutslab.solver.solve_slab
+
+            def recording(system):
+                systems.append(system)
+                return original(system)
+
+            monkeypatch.setattr(cutslab.solver, "solve_slab", recording)
+            sol = march(setup.problem, setup.overlap, setup.disc)
+            monkeypatch.setattr(cutslab.solver, "solve_slab", original)
+            runs.append((systems, sol))
+        if config == "oscillating":
+            events = [len(s.geom.events) for s in runs[0][1].slabs]
+            assert len(set(events)) > 1
+        ref_systems, ref_sol = runs[0]
+        for systems, sol in runs[1:]:
+            assert [s.slab for s in systems] == list(range(1, setup.disc.n_slabs + 1))
+            for a, b, x, y in zip(ref_systems, systems, ref_sol.slabs, sol.slabs):
+                A, B = a.matrix.toarray(), b.matrix.toarray()
+                assert np.array_equal(a.matrix.indptr, b.matrix.indptr)
+                assert np.array_equal(a.matrix.indices, b.matrix.indices)
+                assert np.max(np.abs(A - B)) <= 1e-14 * np.max(np.abs(A))
+                assert np.max(np.abs(a.rhs - b.rhs)) <= 1e-14 * np.max(np.abs(a.rhs))
+                assert np.max(np.abs(x.coeffs - y.coeffs)) <= 1e-14 * np.max(np.abs(x.coeffs))
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_bad_source_in_a_chunk_names_its_slab(self, q, monkeypatch):
+        # one chunk holds slabs 1-5; the source is NaN at slab 3's times only
+        import dataclasses
+
+        setup = make_setup(n0=8, nG=2, N=5, mu=0.6, q=q)
+        assert cutslab.solver.chunk_length(setup) >= 5
+        t2, t3 = setup.partition.breakpoints[2:4]
+        base = setup.problem.source
+
+        def source(x, t):
+            return np.where((t > t2) & (t < t3), np.nan, base(x, t))
+
+        problem = dataclasses.replace(setup.problem, source=source)
+        solved = []
+        original = cutslab.solver.solve_slab
+
+        def recording(system):
+            solved.append(system.slab)
+            return original(system)
+
+        monkeypatch.setattr(cutslab.solver, "solve_slab", recording)
+        with pytest.raises(NumericalFailure, match="slab 3"):
+            march(problem, setup.overlap, setup.disc)
+        assert solved == [1, 2]
 
     def test_deterministic(self):
         setup = make_setup(n0=12, nG=3, N=4, mu=0.6, q=1)
