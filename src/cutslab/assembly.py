@@ -126,16 +126,18 @@ def _cell_entries(d0, d1, sym):
 def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
     """Mass and stiffness entries (e00, e01, e11) of P1 cells restricted to
     [xa, xb], shaped (2, ..., 3, cells): the cells run along the last axis of
-    the arguments."""
+    the arguments.  The mass is summed one Gauss point at a time, so no
+    temporary is larger than the arguments."""
     h = cell_hi - cell_lo
     seg = xb - xa
-    w1 = (xa[..., None] + seg[..., None] * GL3.nodes - cell_lo[..., None]) / h[..., None]
-    w0 = 1.0 - w1
-    wts = seg[..., None] * GL3.weights
-    out = np.empty((2,) + seg.shape[:-1] + (3,) + seg.shape[-1:])
-    out[0, ..., 0, :] = np.sum(wts * w0 * w0, axis=-1)
-    out[0, ..., 1, :] = np.sum(wts * w0 * w1, axis=-1)
-    out[0, ..., 2, :] = np.sum(wts * w1 * w1, axis=-1)
+    out = np.zeros((2,) + seg.shape[:-1] + (3,) + seg.shape[-1:])
+    for node, weight in zip(GL3.nodes, GL3.weights):
+        w1 = (xa + seg * node - cell_lo) / h
+        w0 = 1.0 - w1
+        wt = seg * weight
+        out[0, ..., 0, :] += wt * w0 * w0
+        out[0, ..., 1, :] += wt * w0 * w1
+        out[0, ..., 2, :] += wt * w1 * w1
     k = seg / h**2
     out[1, ..., 0, :] = k
     out[1, ..., 1, :] = -k
@@ -143,25 +145,20 @@ def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
     return out
 
 
-def _covered_entries(geoms, slab: np.ndarray, a: np.ndarray):
+def _covered_entries(geom: SlabGeometry, a: np.ndarray):
     """Mass/stiffness of the background basis over the covered interval
-    [a, a + L] at each left position in ``a``, where ``slab`` (nondecreasing)
-    gives the position in ``geoms`` of each position's slab.
+    [a, a + L] at the left positions ``a``, shaped (slabs, positions).
 
     Each slab's entries run over the background cells met at any of its
-    positions.  The slabs are padded to the most positions and cells of any
-    of them: a padded position repeats the slab's last one and a padded cell
-    its last cell.  Returns the cells (slabs, cells), which of them are the
-    slab's own, and the (e00, e01, e11) mass and stiffness shaped (2, slabs,
+    positions, padded to the most cells of any slab by repeating its last
+    cell.  Returns the cells (slabs, cells), which of them are the slab's
+    own, and the (e00, e01, e11) mass and stiffness shaped (2, slabs,
     positions, 3, cells); they vanish where a cell lies outside that
     position's interval.
     """
-    nodes = geoms[0].bg_nodes
+    nodes = geom.bg_nodes
     last = len(nodes) - 2
-    n_pos = np.bincount(slab, minlength=len(geoms))
-    pos = np.cumsum(n_pos) - n_pos
-    a = a[pos[:, None] + np.minimum(np.arange(n_pos.max()), n_pos[:, None] - 1)]
-    b = a + geoms[0].overlap_length
+    b = a + geom.overlap_length
     c_lo = np.clip(np.searchsorted(nodes, a.min(axis=1), side="right") - 1, 0, last)
     c_hi = np.clip(np.searchsorted(nodes, b.max(axis=1), side="left") - 1, 0, last)
     cells = c_lo[:, None] + np.arange((c_hi - c_lo).max() + 1)
@@ -238,7 +235,7 @@ def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndar
     # the segments of one time tile the domain, so the source is evaluated
     # at each segment's left end and at the right end of each time's last one
     row = part.time_index
-    last = np.r_[row[1:] != row[:-1], True]
+    last = np.append(row[1:] != row[:-1], True)
     f = np.asarray(
         source(np.concatenate([part.xa, part.xb[last]]), np.concatenate([part.t, part.t[last]])),
         dtype=float,
@@ -248,6 +245,7 @@ def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndar
     fv[1, :-1] = f[1 : len(part)]
     fv[1, last] = f[len(part) :]
     fw = (fv * (0.5 * part.lengths)).T[:, :, None] * wlam[row][:, None, :]
+    del f, fv  # not needed by the hat sums, which are the chunk's largest temporaries
     return _hat_load(geoms[0], part, np.array([part.xa, part.xb]).T, fw, ss[row], len(geoms))
 
 
@@ -304,27 +302,25 @@ class SlabForm(NamedTuple):
     start_cov: tuple
 
 
-def _covered_part(geoms, nt, times, start, w_ld, w_ll):
+def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
     """Triplets (slab, rows, cols, blocks) of the covered-interval
-    correction, at each slab start and on its panel Gauss times: mass against
-    the start trace and lam_i lam_j', stiffness against lam_i lam_j; and each
-    slab's covered mass triplets at its start."""
+    correction, at each slab start and on its panel Gauss times (``t_slab``
+    gives each time's slab): mass against the start trace and lam_i lam_j',
+    stiffness against lam_i lam_j; and each slab's covered mass triplets at
+    its start."""
     S, mm = len(geoms), start.size
-    t0 = np.array([g.t_start for g in geoms])
-    # positions: each slab's start, then its times
-    p_slab = np.repeat(np.arange(S), nt + 1)
-    is_start = np.zeros(len(p_slab), dtype=bool)
-    is_start[np.cumsum(nt + 1) - nt - 1] = True
-    p_time = np.empty(len(p_slab))
-    p_time[is_start], p_time[~is_start] = t0, times
-    cells, own, (mv, kv) = _covered_entries(geoms, p_slab, left_at(geoms, p_slab, p_time))
-    # the temporal weights of mass and stiffness at the padded positions
-    P = mv.shape[1]
+    t0, mu, a0 = np.array([(g.t_start, g.mu, g.a_start) for g in geoms]).T
+    # positions: each slab's start, then its times, padded with its start
+    # (whose temporal weights stay zero)
+    p = np.arange(len(times)) - np.searchsorted(t_slab, t_slab) + 1
+    t = np.repeat(t0[:, None], p.max(initial=0) + 1, axis=1)
+    t[t_slab, p] = times
+    P = t.shape[1]
+    cells, own, (mv, kv) = _covered_entries(geoms[0], a0[:, None] + mu[:, None] * (t - t0[:, None]))
     weights = np.zeros((S, 2, P, mm))
     weights[:, 0, 0] = start.ravel()
-    p = ragged_arange(nt) + 1
-    weights[p_slab[~is_start], 0, p] = w_ld
-    weights[p_slab[~is_start], 1, p] = w_ll
+    weights[t_slab, 0, p] = w_ld
+    weights[t_slab, 1, p] = w_ll
     sym = np.concatenate([mv, kv], axis=1).reshape(S, 2 * P, -1)
     sym = (np.swapaxes(sym, 1, 2) @ weights.reshape(S, 2 * P, mm)).reshape(S, 3, -1, mm)
     # (slab, entry, cell) triplets of each slab's own cells
@@ -407,7 +403,7 @@ def _slab_matrices(spaces, setup: Setup):
     w_ll = (wts * lam[:, :, None] * lam[:, None, :]).reshape(-1, m * m)
     w_ld = (wts * lam[:, :, None] * dlam[:, None, :]).reshape(-1, m * m)
     times = np.concatenate([sp.times for sp in spaces])
-    covered, start_cov = _covered_part(geoms, nt, times, start, w_ld, w_ll)
+    covered, start_cov = _covered_part(geoms, t_slab, times, start, w_ld, w_ll)
     triplets.append(to_dofs(*covered))
     triplets.append(to_dofs(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
     stab = _stabilization_part(spaces)

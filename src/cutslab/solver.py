@@ -31,8 +31,10 @@ PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
 # A chunk holds as many slabs as keep its constant mesh blocks (mesh
 # triplets times (q+1)^2 temporal entries, summed over the slabs) within this
-# many entries, and at least one slab.
-CHUNK_ENTRIES = 1 << 14
+# many entries, and at least one slab.  At this value slabs of 512 + 128
+# cells with q = 1 go two to a chunk, enough to spread the batched code's
+# fixed cost per chunk, and a chunk's temporaries stay within about 2 MB.
+CHUNK_ENTRIES = 20480
 
 
 def _singular(system: SlabSystem) -> NumericalFailure:

@@ -160,10 +160,10 @@ def stabilization_weights(geoms, q: int) -> list:
     g = np.array([-1.0, 1.0, 1.0, -1.0]) / (x[:, [1, 1, 3, 3]] - x[:, [0, 0, 2, 2]])
     pt0, pt1, pmu = t0[ps, None], t1[ps, None], mu[ps, None]
     breaks = np.repeat(pt0, 6, axis=1)
-    breaks[:, 5] = t1[ps]
-    moving = mu[ps] != 0.0
-    cross = pt0[moving] + (x[moving][:, [0, 1, 0, 1]] - x[moving][:, [2, 2, 3, 3]]) / pmu[moving]
-    breaks[moving, 1:5] = np.sort(np.clip(cross, pt0[moving], pt1[moving]), axis=1)
+    breaks[:, 5] = pt1[:, 0]
+    moving = pmu != 0.0
+    cross = pt0 + (x[:, [0, 1, 0, 1]] - x[:, [2, 2, 3, 3]]) / np.where(moving, pmu, 1.0)
+    breaks[:, 1:5] = np.where(moving, np.sort(np.clip(cross, pt0, pt1), axis=1), pt0)
     panel = np.diff(breaks, axis=1)[:, :, None]
     tq = (breaks[:, :-1, None] + panel * GL3.nodes).reshape(n, -1)
     wq = (panel * GL3.weights).reshape(n, -1)

@@ -272,8 +272,7 @@ def jump_load(space, setup, prev):
     applied to ``prev``'s end-time nodal values), over the slab's spatial
     DOFs."""
     geom = space.geom
-    start = geom.left(np.array([geom.t_start]))
-    cells, _, (mv, _) = _covered_entries([geom], np.zeros(1, dtype=int), start)
+    cells, _, (mv, _) = _covered_entries(geom, geom.left(np.array([[geom.t_start]])))
     return _jump_load(setup, _cell_entries(cells[0], cells[0] + 1, mv[0, 0]), prev)[space.dof_node]
 
 

@@ -237,7 +237,9 @@ class TestMarch:
     )
     def test_chunked_march_matches_slab_by_slab(self, config, q, monkeypatch):
         # slabs built in chunks of three (a chunk boundary mid-march) or all
-        # at once give the same slab systems and solution as one by one
+        # at once give the same slab systems and solution as one by one, to
+        # rounding: not bit for bit, since the covered-cell product runs over
+        # positions padded to the chunk's longest slab
         if config == "oscillating":
             # as in test_oscillating_velocity_round_trip: slabs differ in mu,
             # its sign and their event count
