@@ -313,7 +313,7 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
     # positions: each slab's start, then its times, padded with its start
     # (whose temporal weights stay zero)
     p = np.arange(len(times)) - np.searchsorted(t_slab, t_slab) + 1
-    t = np.repeat(t0[:, None], p.max(initial=0) + 1, axis=1)
+    t = np.repeat(t0[:, None], p.max() + 1, axis=1)
     t[t_slab, p] = times
     P = t.shape[1]
     cells, own, (mv, kv) = _covered_entries(geoms[0], a0[:, None] + mu[:, None] * (t - t0[:, None]))
