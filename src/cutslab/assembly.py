@@ -1,16 +1,19 @@
 """Slab system assembly, for a chunk of consecutive slabs at once.
 
-Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slabs``
-builds everything else, the matrices and the source loads, for a chunk of
-slabs in one pass over flat arrays of the chunk's (slab, time) rows and
-(slab, entry) triplets, each carrying its slab's index.  It reads the
-chunk's ``SlabSpace`` records (``spaces.build_slab_spaces``): each slab's DOF
-map, the composite Gauss rule on its crossing panels with the temporal mode
-values there, its interface stencil and its stabilization weights.
-``slab_system`` then adds the previous slab's end-time trace (the initial
-data for the first slab) to one slab's load; the march calls it slab by
-slab, between the solves.  ``assemble_slab`` is the two run on a chunk of
-one slab.
+Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slab``,
+given the ``SlabSpaces`` of a chunk of slabs, builds everything else, the
+matrices and the source loads, for all of them in one pass over flat arrays
+of the chunk's (slab, time) rows and (slab, entry) triplets, each carrying
+its slab's index.  It reads the chunk's records (``spaces.build_slab_space``):
+each slab's DOF map, the composite Gauss rule on its crossing panels with the
+temporal mode values there, its interface stencil and its stabilization
+weights.  The result, ``SlabSystems``, is the chunk's block lower-bidiagonal
+system: the first slab's load holds the trace of the solution before the
+chunk (the initial data for slab 1), and ``SlabSystems.system`` adds the
+previous slab's end-time trace to each later slab's load once that slab is
+solved; the march calls it slab by slab, between the solves.  Given one
+``SlabSpace``, ``assemble_slab`` runs the same code on a chunk of that slab
+and returns its ``SlabSystem``.
 
 Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
 nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
@@ -61,8 +64,6 @@ on a chunk (``solver.CHUNK_ENTRIES``) bounds them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 from scipy.sparse import coo_array, csc_array
 
@@ -81,6 +82,7 @@ from .spaces import (
     InterfaceStencil,
     SlabSolution,
     SlabSpace,
+    SlabSpaces,
     temporal_basis_derivs,
     temporal_basis_values,
 )
@@ -290,18 +292,6 @@ def _dof_triplets(dofs, m: int, at, rows, cols, blocks):
     return r, c, blocks.reshape(-1, m * m)[ok].ravel()
 
 
-class SlabForm(NamedTuple):
-    """A slab's system without the previous slab's trace: its record, its
-    matrix, its source load per node and temporal mode, and the covered
-    correction's mass triplets at its start, which the time-jump load
-    reads."""
-
-    space: SlabSpace
-    matrix: csc_array
-    load: np.ndarray
-    start_cov: tuple
-
-
 def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
     """Triplets (slab, rows, cols, blocks) of the covered-interval
     correction, at each slab start and on its panel Gauss times (``t_slab``
@@ -362,13 +352,13 @@ def _stabilization_part(spaces):
 
 
 def _slab_matrices(spaces, setup: Setup):
-    """The matrices of the slabs ``spaces`` and each slab's covered mass
-    triplets at its start.
+    """The block-diagonal matrix of the slabs ``spaces``, the first row of
+    each slab's block in it and each slab's covered mass triplets at its
+    start.
 
     Each piece of the form yields triplets of the chunk, mapped to the
     chunk's DOFs (slab after slab) as it is made; one sparse sum over the
-    chunk gives a block-diagonal matrix whose diagonal blocks are the slab
-    matrices.
+    chunk gives the block-diagonal matrix.
     """
     S = len(spaces)
     geoms = [sp.geom for sp in spaces]
@@ -414,42 +404,58 @@ def _slab_matrices(spaces, setup: Setup):
     del triplets
     total = int(n.sum())
     A = coo_array((data, (rows, cols)), shape=(total, total)).tocsc()  # sums the duplicates, once
-    matrices = []
-    for f, k in zip(first.tolist(), n.tolist()):
-        lo, hi = A.indptr[f], A.indptr[f + k]
-        block = (A.data[lo:hi], A.indices[lo:hi] - f, A.indptr[f : f + k + 1] - lo)
-        matrices.append(csc_array(block, shape=(k, k)))
-    return matrices, start_cov
+    return A, first.tolist(), start_cov
 
 
-def assemble_slabs(spaces, setup: Setup) -> list[SlabForm]:
-    """The matrices and source loads of the slabs ``spaces``, built for all
-    of them at once."""
-    matrices, start_cov = _slab_matrices(spaces, setup)
-    geoms = [sp.geom for sp in spaces]
-    q = spaces[0].q
-    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
-    rule = midpoint() if q == 0 else lobatto3()
-    times, wts = composite_time_rule(t0, t1, [g.events for g in geoms], rule)
-    slab = np.repeat(np.arange(len(geoms)), len(rule.nodes) * np.array([len(g.events) + 1 for g in geoms]))
-    load = _f_load(geoms, q, slab, times, wts, setup.problem.source)
-    return [SlabForm(*f) for f in zip(spaces, matrices, load, start_cov)]
-
-
-def slab_system(form: SlabForm, setup: Setup, prev: SlabSolution | None) -> SlabSystem:
-    """The system of a slab: its form with the previous slab's end-time trace
-    in the load (for the first slab, ``prev`` is None and the initial data
-    enters instead)."""
-    geom, q = form.space.geom, form.space.q
-    lam0 = temporal_basis_values(q, geom.t_start, geom.t_end, geom.t_start)
+def _start_load(setup: Setup, space: SlabSpace, start_cov, prev: SlabSolution | None):
+    """The previous slab's end-time trace (the initial data when ``prev`` is
+    None) against every node's hat and temporal mode at the slab start."""
+    geom = space.geom
+    lam0 = temporal_basis_values(space.q, geom.t_start, geom.t_end, geom.t_start)
     if prev is None:
         trace = _trace_load(geom, geom.t_start, setup.problem.initial)
     else:
-        trace = _jump_load(setup, form.start_cov, prev)
-    load = form.load + trace[:, None] * lam0
-    return SlabSystem(
-        slab=geom.n, matrix=form.matrix, rhs=load[form.space.dof_node].ravel(), space=form.space
-    )
+        trace = _jump_load(setup, start_cov, prev)
+    return trace[:, None] * lam0
+
+
+@dataclass(frozen=True)
+class SlabSystems:
+    """The system of consecutive slabs, block lower bidiagonal in time.
+
+    The diagonal blocks are the slab matrices; ``matrix`` holds them as one
+    block-diagonal matrix, slab i's block from row ``first[i]`` on.  Below
+    the diagonal, the time jump
+    feeds each slab's end-time trace into the load of the next one, so the
+    slabs are solved one after the other: ``system(i, prev)`` is slab i's
+    system once ``prev``, the solution on slab i-1, is known.  The first
+    slab's load already holds the trace of the solution before the chunk
+    (or the initial data).
+    """
+
+    spaces: SlabSpaces
+    setup: Setup
+    matrix: csc_array
+    first: list
+    loads: list  # per slab (nodes, q+1): the source load, for slab 0 with its trace
+    start_cov: list  # per slab: the covered mass triplets at its start
+
+    def system(self, i: int, prev: SlabSolution | None) -> SlabSystem:
+        """The system of slab i (0-based in the chunk); ``prev`` is read for
+        i > 0 only."""
+        space, A, f = self.spaces[i], self.matrix, self.first[i]
+        k = space.n_cols
+        lo, hi = A.indptr[f], A.indptr[f + k]
+        block = (A.data[lo:hi], A.indices[lo:hi] - f, A.indptr[f : f + k + 1] - lo)
+        load = self.loads[i]
+        if i > 0:
+            load = load + _start_load(self.setup, space, self.start_cov[i], prev)
+        return SlabSystem(
+            slab=space.geom.n,
+            matrix=csc_array(block, shape=(k, k)),
+            rhs=load[space.dof_node].ravel(),
+            space=space,
+        )
 
 
 def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> SlabSystem:
@@ -457,6 +463,20 @@ def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> 
 
     ``prev`` is the solution on the previous slab, whose end-time trace enters
     the load; for the first slab it is None and the initial data enters
-    instead.
+    instead.  For the ``SlabSpaces`` of consecutive slabs, their matrices
+    and source loads are built at once and come back as ``SlabSystems``,
+    with ``prev`` (the solution on the slab before them) in the first load.
     """
-    return slab_system(assemble_slabs([space], setup)[0], setup, prev)
+    spaces = SlabSpaces((space,) if isinstance(space, SlabSpace) else space)
+    A, first, start_cov = _slab_matrices(spaces, setup)
+    geoms = [sp.geom for sp in spaces]
+    q = spaces[0].q
+    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
+    rule = midpoint() if q == 0 else lobatto3()
+    times, wts = composite_time_rule(t0, t1, [g.events for g in geoms], rule)
+    panels = np.array([len(g.events) + 1 for g in geoms])
+    slab = np.repeat(np.arange(len(geoms)), len(rule.nodes) * panels)
+    loads = list(_f_load(geoms, q, slab, times, wts, setup.problem.source))
+    loads[0] = loads[0] + _start_load(setup, spaces[0], start_cov[0], prev)
+    systems = SlabSystems(spaces, setup, A, first, loads, start_cov)
+    return systems.system(0, prev) if isinstance(space, SlabSpace) else systems

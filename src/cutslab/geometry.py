@@ -106,31 +106,53 @@ def left_at(geoms, slab: np.ndarray, t: np.ndarray) -> np.ndarray:
     return a0[slab] + mu[slab] * (t - t0[slab])
 
 
-def build_slab_geometry(setup: Setup, n: int) -> SlabGeometry:
-    """Cut geometry of slab n (1-based)."""
-    return build_slab_geometries(setup, n, n)[0]
+class SlabGeometries(tuple):
+    """The geometries of consecutive slabs, in order.  ``events``,
+    ``cut_cells`` and ``covered_cells`` join those of every slab, slab after
+    slab, and ``slab_index`` gives the position of each entry's slab."""
+
+    @property
+    def events(self) -> np.ndarray:
+        return np.concatenate([g.events for g in self])
+
+    @property
+    def cut_cells(self) -> np.ndarray:
+        return np.concatenate([g.cut_cells for g in self])
+
+    @property
+    def covered_cells(self) -> np.ndarray:
+        return np.concatenate([g.covered_cells for g in self])
+
+    def slab_index(self, field: str) -> np.ndarray:
+        """The position of the slab of each entry of the joined ``field``."""
+        return np.repeat(np.arange(len(self)), [len(getattr(g, field)) for g in self])
 
 
-def build_slab_geometries(setup: Setup, first: int, last: int) -> list[SlabGeometry]:
-    """Cut geometry of the slabs ``first..last`` (1-based, inclusive), built
-    for all of them at once."""
-    if not 1 <= first <= last <= setup.partition.n_slabs:
-        raise ValueError(f"slab index {first if first == last else (first, last)} out of range")
-    n = np.arange(first, last + 1)
-    t0 = setup.partition.breakpoints[n - 1]
-    t1 = setup.partition.breakpoints[n]
+def build_slab_geometry(setup: Setup, n):
+    """Cut geometry of slab n (1-based).
+
+    For a range of consecutive slab numbers, the geometries of all of them
+    come back as one ``SlabGeometries``, built at once.
+    """
+    slabs = n if isinstance(n, range) else range(n, n + 1)
+    n_slabs = setup.partition.n_slabs
+    if not (len(slabs) and slabs.step == 1 and 1 <= slabs[0] and slabs[-1] <= n_slabs):
+        raise ValueError(f"slab index {n} out of range")
+    num = np.arange(slabs.start, slabs.stop)
+    t0 = setup.partition.breakpoints[num - 1]
+    t1 = setup.partition.breakpoints[num]
     k = t1 - t0
-    mu = setup.partition.velocities[n - 1]
-    a0, a1 = setup.a_breaks[n - 1], setup.a_breaks[n]
+    mu = setup.partition.velocities[num - 1]
+    a0, a1 = setup.a_breaks[num - 1], setup.a_breaks[num]
     length = float(setup.overlap.length)
     nodes = setup.bg_nodes
     lo, hi = float(nodes[0]), float(nodes[-1])
     bad = (np.minimum(a0, a1) <= lo) | (np.maximum(a0, a1) + length >= hi)
     if bad.any():
-        raise GeometryViolation(f"interface touches the domain boundary in slab {n[bad][0]}")
+        raise GeometryViolation(f"interface touches the domain boundary in slab {num[bad][0]}")
     tol = DEGENERATE_FRACTION * (hi - lo)
     n_cells = len(nodes) - 1
-    S = len(n)
+    S = len(num)
     s2 = np.tile(np.arange(S), 2)  # rows 0..S-1: left interface, S..2S-1: right
 
     # events: the times in the open slab at which an interface hits a node
@@ -167,15 +189,16 @@ def build_slab_geometries(setup: Setup, first: int, last: int) -> list[SlabGeome
         in_cut |= (cell >= lo_cell[side]) & (cell < hi_cell[side])
     covered = _by_slab(cell[~in_cut], s[~in_cut], np.zeros(S))
 
-    return [
+    geoms = SlabGeometries(
         SlabGeometry(
             n=int(n_), t_start=t0_, t_end=t1_, mu=mu_, a_start=a_, overlap_length=length,
             bg_nodes=nodes, ov_offsets=setup.ov_offsets, events=ev, cut_cells=c, covered_cells=cv,
         )
         for n_, t0_, t1_, mu_, a_, ev, c, cv in zip(
-            n.tolist(), t0.tolist(), t1.tolist(), mu.tolist(), a0.tolist(), events, cut, covered
+            num.tolist(), t0.tolist(), t1.tolist(), mu.tolist(), a0.tolist(), events, cut, covered
         )
-    ]
+    )
+    return geoms if isinstance(n, range) else geoms[0]
 
 
 def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:

@@ -38,18 +38,14 @@ def midpoint() -> Rule1D:
 
 
 def composite_time_rule(t_start, t_end, events, base: Rule1D) -> tuple[np.ndarray, np.ndarray]:
-    """Apply ``base`` on every panel between consecutive breakpoints of a slab,
-    or of each of several slabs.
+    """Apply ``base`` on every panel between consecutive breakpoints of each
+    of several slabs.
 
-    For one slab ``t_start`` and ``t_end`` are numbers and ``events`` holds
-    sorted times strictly inside (t_start, t_end).  For several they are
-    arrays with one entry per slab and ``events`` is a sequence of such
-    arrays, one per slab; the slabs' rules come back one after the other.
-    Returns flat arrays of times and weights; each slab's weights sum to its
-    length.
+    ``t_start`` and ``t_end`` hold one entry per slab and ``events`` one
+    array per slab of sorted times strictly inside (t_start, t_end).
+    Returns flat arrays of times and weights, the slabs' rules one after
+    the other; each slab's weights sum to its length.
     """
-    if np.ndim(t_start) == 0:
-        t_start, t_end, events = [t_start], [t_end], [events]
     count = np.array([len(e) for e in events], dtype=int) + 2  # breakpoints per slab
     last = np.cumsum(count) - 1
     breaks = np.empty(last[-1] + 1)

@@ -1,14 +1,16 @@
 """Slab-by-slab time marching and the sparse linear solve behind it.
 
 ``march`` takes the slabs in chunks of consecutive slabs.  For a chunk it
-builds the geometry (``geometry.build_slab_geometries``), the slab records
-(``spaces.build_slab_spaces``) and the matrices and source loads
-(``assembly.assemble_slabs``) of all its slabs at once, since none of them
-reads the previous slab.  The loop over the chunk's slabs keeps only what
-does: the time-jump load of the previous slab's end-time trace and the
-``SlabSystem`` with its finiteness check (``assembly.slab_system``), and
-``solve_slab`` with its pivot floor and residual bound.  A failure there
-names its slab, and no later slab is solved.
+builds the geometry (``build_slab_geometry`` on a range of slabs), the slab
+records (``build_slab_space``) and the matrices and source loads
+(``assemble_slab``) of all its slabs at once, since none of them reads the
+previous slab.  The result is the chunk's block lower-bidiagonal system
+(``assembly.SlabSystems``), solved slab after slab: the loop over the
+chunk's slabs keeps only what reads the previous slab, the time-jump load of
+its end-time trace and the ``SlabSystem`` with its finiteness check
+(``SlabSystems.system``), and ``solve_slab`` with its pivot floor and
+residual bound.  A failure there names its slab, and no later slab is
+solved.
 
 ``CHUNK_ENTRIES`` caps a chunk: it holds as many slabs as keep the entries
 of their constant mesh blocks within the cap, and at least one.  The
@@ -22,10 +24,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import SlabSystem, assemble_slabs, slab_system
+from .assembly import SlabSystem, assemble_slab
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
-from .geometry import build_slab_geometries
-from .spaces import SlabSolution, SpaceTimeSolution, build_slab_spaces
+from .geometry import build_slab_geometry
+from .spaces import SlabSolution, SpaceTimeSolution, build_slab_space
 
 PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
@@ -85,9 +87,11 @@ def march(
     prev = None
     slabs = []
     for first in range(1, disc.n_slabs + 1, step):
-        geoms = build_slab_geometries(setup, first, min(first + step - 1, disc.n_slabs))
-        for form in assemble_slabs(build_slab_spaces(geoms, disc), setup):
-            coeffs = solve_slab(slab_system(form, setup, prev))
-            prev = SlabSolution(space=form.space, coeffs=coeffs)
+        geoms = build_slab_geometry(setup, range(first, min(first + step, disc.n_slabs + 1)))
+        spaces = build_slab_space(geoms, disc)
+        systems = assemble_slab(spaces, setup, prev)
+        for i, space in enumerate(spaces):
+            coeffs = solve_slab(systems.system(i, prev))
+            prev = SlabSolution(space=space, coeffs=coeffs)
             slabs.append(prev)
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))

@@ -1,8 +1,8 @@
 """The temporal basis, the per-slab record ``SlabSpace``, and the coefficients
 and evaluation of a space-time solution.  ``build_slab_space`` builds each
-slab's record once: its DOF map, time rule, interface stencil and
-stabilization weights.  ``assemble_slab`` and the energy norm in ``norms``
-read them there and rebuild none of them.
+slab's record once, for a chunk of consecutive slabs at once: its DOF map,
+time rule, interface stencil and stabilization weights.  ``assemble_slab``
+and the energy norm in ``norms`` read them there and rebuild none of them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Discretization, Setup
-from .geometry import DEGENERATE_FRACTION, SlabGeometry, left_at, ragged_arange, sigma_side
+from .geometry import (
+    DEGENERATE_FRACTION,
+    SlabGeometries,
+    SlabGeometry,
+    left_at,
+    ragged_arange,
+    sigma_side,
+)
 from .quadrature import GL3, composite_time_rule
 
 
@@ -120,6 +127,21 @@ def interface_stencil(
     )
 
 
+def _search_rows(a: np.ndarray, off: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(a[i] + off, v[i], side)`` for every i: a search of
+    ``v - a`` in ``off``, moved by one where rounding put ``v - a`` on the
+    other side of a node than ``v`` is of ``a + off``."""
+    j = np.searchsorted(off, v - a, side=side)
+    top = len(off) - 1
+
+    def before(y):  # y would come before v
+        return y <= v if side == "right" else y < v
+
+    j += (j <= top) & before(a + off[np.minimum(j, top)])
+    j -= (j > 0) & ~before(a + off[np.maximum(j - 1, 0)])
+    return j
+
+
 def stabilization_weights(geoms, q: int) -> list:
     """The gradient-jump stabilization of each slab of ``geoms``, pairwise
     over (cut background cell, overlap cell) pairs that meet at some slab
@@ -135,17 +157,13 @@ def stabilization_weights(geoms, q: int) -> list:
     """
     nodes, off = geoms[0].bg_nodes, geoms[0].ov_offsets
     t0, t1, mu, a0 = np.array([(g.t_start, g.t_end, g.mu, g.a_start) for g in geoms]).T
-    y0 = a0[:, None] + off  # overlap nodes at each slab start
-    n_cut = [len(g.cut_cells) for g in geoms]
-    K = np.concatenate([g.cut_cells for g in geoms])
-    s = np.repeat(np.arange(len(geoms)), n_cut)
-    # overlap cells meeting each cut cell at some slab time: searchsorted in
-    # each cut cell's own slab row of y0
+    K = geoms.cut_cells
+    s = geoms.slab_index("cut_cells")
+    # overlap cells meeting each cut cell at some slab time
     shift = mu * (t1 - t0)
-    y = y0[s]
-    g0 = np.maximum(0, np.sum(y <= (nodes[K] - np.maximum(shift, 0.0)[s])[:, None], axis=1) - 1)
-    g1 = np.sum(y < (nodes[K + 1] - np.minimum(shift, 0.0)[s])[:, None], axis=1) - 1
-    g1 = np.minimum(len(off) - 2, g1)
+    g0 = _search_rows(a0[s], off, nodes[K] - np.maximum(shift, 0.0)[s], "right") - 1
+    g1 = _search_rows(a0[s], off, nodes[K + 1] - np.minimum(shift, 0.0)[s], "left") - 1
+    g0, g1 = np.maximum(0, g0), np.minimum(len(off) - 2, g1)
     count = np.maximum(g1 - g0 + 1, 0)
     n = int(count.sum())
     if n == 0:
@@ -156,7 +174,7 @@ def stabilization_weights(geoms, q: int) -> list:
     idx = np.concatenate([pK[:, None] + [0, 1], len(nodes) + pc[:, None] + [0, 1]], axis=1)
     x = np.empty((n, 4))  # K_lo, K_hi, c_lo, c_hi at the slab start
     x[:, :2] = nodes[idx[:, :2]]
-    x[:, 2:] = y0[ps[:, None], pc[:, None] + [0, 1]]
+    x[:, 2:] = a0[ps, None] + off[pc[:, None] + [0, 1]]  # overlap nodes at the slab start
     g = np.array([-1.0, 1.0, 1.0, -1.0]) / (x[:, [1, 1, 3, 3]] - x[:, [0, 0, 2, 2]])
     pt0, pt1, pmu = t0[ps, None], t1[ps, None], mu[ps, None]
     breaks = np.repeat(pt0, 6, axis=1)
@@ -227,21 +245,26 @@ class SlabSpace:
         return self.n_spatial * (self.q + 1)
 
 
+class SlabSpaces(tuple):
+    """The records of consecutive slabs, in order; ``n_cols`` counts the
+    columns of all of them."""
+
+    @property
+    def n_cols(self) -> int:
+        return sum(sp.n_cols for sp in self)
+
+
 def build_slab_space(geom: SlabGeometry, disc: Discretization) -> SlabSpace:
-    """The record of slab ``geom`` under the discretization ``disc``."""
-    return build_slab_spaces([geom], disc)[0]
+    """The record of slab ``geom`` under the discretization ``disc``.
 
-
-def build_slab_spaces(geoms, disc: Discretization) -> list[SlabSpace]:
-    """The records of the slabs ``geoms`` under ``disc``, built for all of
-    them at once."""
+    For the ``SlabGeometries`` of consecutive slabs, the records of all of
+    them come back as one ``SlabSpaces``, built at once.
+    """
+    geoms = SlabGeometries((geom,) if isinstance(geom, SlabGeometry) else geom)
     S = len(geoms)
     nb, n_ov = len(geoms[0].bg_nodes), len(geoms[0].ov_offsets)
     dead = np.zeros((S, nb - 1), dtype=bool)
-    dead[
-        np.repeat(np.arange(S), [len(g.covered_cells) for g in geoms]),
-        np.concatenate([g.covered_cells for g in geoms]),
-    ] = True
+    dead[geoms.slab_index("covered_cells"), geoms.covered_cells] = True
     # a node is dropped only when both support cells are covered for the whole slab
     active = ~(dead[:, :-1] & dead[:, 1:])  # interior nodes 1..nb-2
     n_active = active.sum(axis=1)
@@ -258,9 +281,9 @@ def build_slab_spaces(geoms, disc: Discretization) -> list[SlabSpace]:
     stencil = interface_stencil(geoms, slab, times, disc.omega1)
     stab = stabilization_weights(geoms, disc.q)
     end = np.cumsum(nt).tolist()
-    return [
+    spaces = SlabSpaces(
         SlabSpace(
-            geom=geom,
+            geom=g,
             q=disc.q,
             active_bg=active_bg[s],
             node_dof=node_dof[s],
@@ -270,8 +293,9 @@ def build_slab_spaces(geoms, disc: Discretization) -> list[SlabSpace]:
             stencil=InterfaceStencil(*(f[2 * i : 2 * j] for f in stencil)),
             stab=stab[s],
         )
-        for s, (geom, i, j) in enumerate(zip(geoms, [0] + end[:-1], end))
-    ]
+        for s, (g, i, j) in enumerate(zip(geoms, [0] + end[:-1], end))
+    )
+    return spaces[0] if isinstance(geom, SlabGeometry) else spaces
 
 
 def _hat_eval(nodes: np.ndarray, x: np.ndarray):

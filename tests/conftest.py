@@ -10,8 +10,8 @@ from cutslab.core import (
     manufactured_problem,
     zero_problem,
 )
-from cutslab.geometry import build_slab_geometries, build_slab_geometry
-from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space, build_slab_spaces
+from cutslab.geometry import build_slab_geometry
+from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_RESULTS = []
@@ -53,10 +53,10 @@ def make_setup(
 
 def random_discrete(setup, rng) -> SpaceTimeSolution:
     """Random coefficients on every slab of a setup."""
-    geoms = build_slab_geometries(setup, 1, setup.disc.n_slabs)
+    geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))
     slabs = [
         SlabSolution(space, rng.standard_normal(space.n_cols))
-        for space in build_slab_spaces(geoms, setup.disc)
+        for space in build_slab_space(geoms, setup.disc)
     ]
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
 

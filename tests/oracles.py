@@ -444,7 +444,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
         mu_bar = float(np.hypot(mu, 1.0))
         nodes = geom.bg_nodes
         breaks = _refine(geom.events, geom.t_start, geom.t_end, time_refine)
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, GL3)
+        times, wts = composite_time_rule([geom.t_start], [geom.t_end], [breaks], GL3)
         for t, wt in zip(times, wts):
             part = spatial_partition(geom, t)
             pts, pw = _segment_points(part, space_refine)
@@ -776,7 +776,7 @@ def apply_Bh(
     for ws, vs in zip(w.slabs, v.slabs):
         geom = ws.geom
         breaks = quadrature_breakpoints(geom)
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, breaks, GL3)
+        times, wts = composite_time_rule([geom.t_start], [geom.t_end], [breaks], GL3)
         for t, wt in zip(times, wts):
             part = _volume_pairing(ws, vs, t, form)
             grad = _gradient_pairing(ws, vs, t)
@@ -833,7 +833,7 @@ def apply_load(v) -> float:
         geom = vs.geom
         q = setup.disc.q
         rhs_rule = midpoint() if q == 0 else lobatto3()
-        times, wts = composite_time_rule(geom.t_start, geom.t_end, geom.events, rhs_rule)
+        times, wts = composite_time_rule([geom.t_start], [geom.t_end], [geom.events], rhs_rule)
         for t, wt in zip(times, wts):
             part = spatial_partition(geom, t)
             half = 0.5 * part.lengths

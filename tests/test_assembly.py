@@ -101,6 +101,29 @@ class TestAssembledSystem:
         assert np.array_equal(s1.matrix.toarray(), s2.matrix.toarray())
         assert np.any(s1.rhs != s2.rhs)
 
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_chunk_system_is_block_diagonal_of_slab_systems(self, q, rng):
+        # the system of a chunk of slabs holds each slab's matrix on its
+        # diagonal and nothing else; each slab's system, with the previous
+        # slab's solution in its load, is the one assembled for that slab
+        # alone (to rounding: the chunk pads its covered-cell products)
+        setup = make_setup(n0=16, nG=4, N=5, mu=0.6, a0=0.125, q=q)
+        spaces = build_slab_space(build_slab_geometry(setup, range(1, 6)), setup.disc)
+        systems = assemble_slab(spaces, setup, None)
+        blocks = np.zeros(systems.matrix.shape)
+        prev = None
+        for i, space in enumerate(spaces):
+            system = systems.system(i, prev)
+            alone = assemble_slab(space, setup, prev)
+            k, f = space.n_cols, systems.first[i]
+            A = system.matrix.toarray()
+            assert np.array_equal(A, systems.matrix[f : f + k, f : f + k].toarray())
+            blocks[f : f + k, f : f + k] = A
+            assert np.max(np.abs(A - alone.matrix.toarray())) <= 1e-14 * np.max(np.abs(A))
+            assert np.max(np.abs(system.rhs - alone.rhs)) <= 1e-14 * np.max(np.abs(alone.rhs))
+            prev = SlabSolution(space, rng.standard_normal(k))
+        assert np.array_equal(blocks, systems.matrix.toarray())
+
 
 class TestTimeJumpLoad:
     """The time-jump load is the side-wise start mass applied to the previous

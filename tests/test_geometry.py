@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutslab.core import GeometryViolation
-from cutslab.geometry import build_slab_geometry, sigma_side, spatial_partition
+from cutslab.geometry import SlabGeometries, build_slab_geometry, sigma_side, spatial_partition
 
 from conftest import make_setup
 from oracles import overlap_segments
@@ -57,6 +57,30 @@ class TestBuildSlabGeometry:
         # leftward motion drives the left interface to -0.075 by t=1
         with pytest.raises(GeometryViolation):
             make_setup(mu=-0.2, a0=0.125)
+
+    def test_range_gives_each_slab_geometry(self):
+        # a range of slabs is built at once and gives each slab's geometry
+        setup = make_setup(n0=16, nG=4, N=6, mu=0.6, a0=0.125)
+        geoms = build_slab_geometry(setup, range(2, 6))
+        assert isinstance(geoms, SlabGeometries)
+        assert [g.n for g in geoms] == [2, 3, 4, 5]
+        for g in geoms:
+            one = build_slab_geometry(setup, g.n)
+            for name in ("t_start", "t_end", "mu", "a_start"):
+                assert getattr(g, name) == getattr(one, name)
+            for name in ("events", "cut_cells", "covered_cells"):
+                assert np.array_equal(getattr(g, name), getattr(one, name))
+        for name in ("events", "cut_cells", "covered_cells"):
+            joined = np.concatenate([getattr(g, name) for g in geoms])
+            assert np.array_equal(getattr(geoms, name), joined)
+            index = np.repeat(np.arange(4), [len(getattr(g, name)) for g in geoms])
+            assert np.array_equal(geoms.slab_index(name), index)
+
+    @pytest.mark.parametrize("slabs", [0, 7, range(3, 3), range(0, 2), range(5, 8), range(1, 5, 2)])
+    def test_slab_out_of_range_raises(self, slabs):
+        setup = make_setup(n0=16, nG=4, N=6, mu=0.6, a0=0.125)
+        with pytest.raises(ValueError, match="out of range"):
+            build_slab_geometry(setup, slabs)
 
 
 class TestSpatialPartition:

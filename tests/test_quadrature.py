@@ -54,21 +54,21 @@ class TestSimpleRules:
 
 class TestCompositeTimeRule:
     def test_no_events(self):
-        t, w = composite_time_rule(0.0, 0.5, np.empty(0), lobatto3())
+        t, w = composite_time_rule([0.0], [0.5], [np.empty(0)], lobatto3())
         assert len(t) == 3
         assert np.sum(w) == pytest.approx(0.5)
 
     def test_one_event_panels(self):
-        t, w = composite_time_rule(0.0, 0.15, np.array([0.125]), lobatto3())
+        t, w = composite_time_rule([0.0], [0.15], [np.array([0.125])], lobatto3())
         assert len(t) == 6
         assert np.sum(w[:3]) == pytest.approx(0.125)
         assert np.sum(w[3:]) == pytest.approx(0.025)
 
     def test_bad_events_rejected(self):
         with pytest.raises(ValueError):
-            composite_time_rule(0.0, 1.0, np.array([0.5, 0.2]), lobatto3())
+            composite_time_rule([0.0], [1.0], [np.array([0.5, 0.2])], lobatto3())
         with pytest.raises(ValueError):
-            composite_time_rule(0.0, 1.0, np.array([1.5]), lobatto3())
+            composite_time_rule([0.0], [1.0], [np.array([1.5])], lobatto3())
 
     @given(
         events=st.lists(st.floats(0.05, 0.95), max_size=4, unique=True),
@@ -78,7 +78,7 @@ class TestCompositeTimeRule:
     @settings(max_examples=50, deadline=None)
     def test_cubic_exact_any_events(self, events, c3, c2):
         ev = np.sort(np.asarray(events))
-        t, w = composite_time_rule(0.0, 1.0, ev, lobatto3())
+        t, w = composite_time_rule([0.0], [1.0], [ev], lobatto3())
         val = np.sum(w * (c3 * t**3 + c2 * t**2))
         assert val == pytest.approx(c3 / 4 + c2 / 3, abs=1e-13)
 
@@ -86,7 +86,7 @@ class TestCompositeTimeRule:
     @settings(max_examples=50, deadline=None)
     def test_weights_positive_sum_to_length(self, events):
         ev = np.sort(np.asarray(events))
-        t, w = composite_time_rule(0.0, 1.0, ev, gauss_legendre3())
+        t, w = composite_time_rule([0.0], [1.0], [ev], gauss_legendre3())
         assert np.all(w > 0)
         assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from cutslab.geometry import build_slab_geometry
 from cutslab.spaces import (
     SlabSolution,
+    SlabSpaces,
+    _search_rows,
     build_slab_space,
     temporal_basis_derivs,
     temporal_basis_values,
@@ -70,6 +72,44 @@ class TestDofCounts:
             assert space.node_dof[node] == i
         assert space.node_dof[len(geom.bg_nodes)] == space.n_active_bg
         assert np.array_equal(space.node_dof[space.dof_node], np.arange(space.n_spatial))
+
+
+class TestChunkOfRecords:
+    def test_chunk_gives_each_slab_record(self):
+        # the records of a chunk of slabs, built at once, are those built
+        # one slab at a time
+        setup = make_setup(n0=16, nG=4, N=6, mu=0.6, a0=0.125, q=1)
+        spaces = build_slab_space(build_slab_geometry(setup, range(1, 7)), setup.disc)
+        assert isinstance(spaces, SlabSpaces)
+        assert spaces.n_cols == sum(sp.n_cols for sp in spaces)
+        for sp in spaces:
+            one = build_slab_space(build_slab_geometry(setup, sp.geom.n), setup.disc)
+            for name in ("active_bg", "node_dof", "times", "weights", "lam"):
+                assert np.array_equal(getattr(sp, name), getattr(one, name))
+            for a, b in zip(sp.stencil, one.stencil):
+                assert np.array_equal(a, b)
+            assert (sp.stab is None) == (one.stab is None)
+            if sp.stab is not None:
+                for a, b in zip(sp.stab, one.stab):
+                    assert np.array_equal(a, b)
+
+    def test_row_search_matches_searchsorted_at_ties(self):
+        # a search of v - a in off must count the nodes a + off at or below
+        # v exactly as a search in a + off does, also where v sits on a node
+        # or one rounding step beside it
+        rng = np.random.default_rng(7)
+        off = np.linspace(0.0, 0.25, 17)
+        a = np.repeat(rng.uniform(0.05, 0.7, 40), 3 * len(off))
+        y = a + np.tile(off, 3 * 40)
+        third = len(y) // 3
+        v = np.concatenate(
+            [y[:third], np.nextafter(y, -1.0)[third : 2 * third], np.nextafter(y, 2.0)[2 * third :]]
+        )
+        v += np.where(rng.random(len(v)) < 0.2, rng.normal(0.0, 0.05, len(v)), 0.0)
+        for side in ("left", "right"):
+            got = _search_rows(a, off, v, side)
+            want = [np.searchsorted(ai + off, vi, side=side) for ai, vi in zip(a, v)]
+            assert np.array_equal(got, want)
 
 
 def _basis_function(space, spatial_dof, mode):
