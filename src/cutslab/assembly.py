@@ -64,6 +64,7 @@ on a chunk (``solver.CHUNK_ENTRIES``) bounds them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 from scipy.sparse import coo_array, csc_array
 
@@ -425,12 +426,11 @@ class SlabSystems:
 
     The diagonal blocks are the slab matrices; ``matrix`` holds them as one
     block-diagonal matrix, slab i's block from row ``first[i]`` on.  Below
-    the diagonal, the time jump
-    feeds each slab's end-time trace into the load of the next one, so the
-    slabs are solved one after the other: ``system(i, prev)`` is slab i's
-    system once ``prev``, the solution on slab i-1, is known.  The first
-    slab's load already holds the trace of the solution before the chunk
-    (or the initial data).
+    the diagonal, the time jump feeds each slab's end-time trace into the
+    load of the next one, so the slabs are solved one after the other:
+    ``system(i, prev)`` is slab i's system once ``prev``, the solution on
+    slab i-1, is known.  The first slab's load already holds the trace of
+    the solution before the chunk (or the initial data).
     """
 
     spaces: SlabSpaces
@@ -458,7 +458,9 @@ class SlabSystems:
         )
 
 
-def assemble_slab(space: SlabSpace, setup: Setup, prev: SlabSolution | None) -> SlabSystem:
+def assemble_slab(
+    space: SlabSpace | SlabSpaces, setup: Setup, prev: SlabSolution | None
+) -> SlabSystem | SlabSystems:
     """Assemble the sparse system of one slab.
 
     ``prev`` is the solution on the previous slab, whose end-time trace enters

@@ -128,7 +128,7 @@ class SlabGeometries(tuple):
         return np.repeat(np.arange(len(self)), [len(getattr(g, field)) for g in self])
 
 
-def build_slab_geometry(setup: Setup, n):
+def build_slab_geometry(setup: Setup, n: int | range) -> SlabGeometry | SlabGeometries:
     """Cut geometry of slab n (1-based).
 
     For a range of consecutive slab numbers, the geometries of all of them

@@ -254,7 +254,9 @@ class SlabSpaces(tuple):
         return sum(sp.n_cols for sp in self)
 
 
-def build_slab_space(geom: SlabGeometry, disc: Discretization) -> SlabSpace:
+def build_slab_space(
+    geom: SlabGeometry | SlabGeometries, disc: Discretization
+) -> SlabSpace | SlabSpaces:
     """The record of slab ``geom`` under the discretization ``disc``.
 
     For the ``SlabGeometries`` of consecutive slabs, the records of all of
