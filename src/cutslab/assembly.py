@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_array, csc_array
 
-from .core import NumericalFailure, Setup
+from .core import NumericalFailure, Setup, pointwise
 from .geometry import (
     SlabGeometry,
     left_at,
@@ -239,9 +239,8 @@ def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndar
     # at each segment's left end and at the right end of each time's last one
     row = part.time_index
     last = np.append(row[1:] != row[:-1], True)
-    f = np.asarray(
-        source(np.concatenate([part.xa, part.xb[last]]), np.concatenate([part.t, part.t[last]])),
-        dtype=float,
+    f = pointwise(
+        source, np.concatenate([part.xa, part.xb[last]]), np.concatenate([part.t, part.t[last]])
     )
     fv = np.empty((2, len(part)))
     fv[0] = f[: len(part)]
@@ -257,7 +256,7 @@ def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
     against every node's hat."""
     part = spatial_partition(geom, t)
     x, w = segment_points(part)
-    fw = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape) * w
+    fw = pointwise(func, x.ravel()).reshape(x.shape) * w
     return _hat_load(geom, part, x, fw[:, :, None], np.zeros(len(part), dtype=int), 1)[0, :, 0]
 
 

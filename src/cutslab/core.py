@@ -23,6 +23,22 @@ class NumericalFailure(Exception):
     """Assembly or linear solve failed (singular system, bad residual)."""
 
 
+def pointwise(func, x, *args) -> np.ndarray:
+    """``func(x, *args)`` of a data callable, as a float array shaped like the
+    points ``x``.
+
+    The callables are evaluated elementwise on arrays, so a constant one may
+    return a scalar, which is broadcast to the points; a result of any other
+    shape raises.
+    """
+    v = np.asarray(func(x, *args), dtype=float)
+    if v.shape == np.shape(x):
+        return v
+    if v.ndim == 0:
+        return np.full(np.shape(x), v)
+    raise ValueError(f"a data callable returned shape {v.shape} for points shaped {np.shape(x)}")
+
+
 @dataclass(frozen=True)
 class ExactSolution:
     """A known solution and its two first derivatives, for error measurement.
@@ -30,7 +46,7 @@ class ExactSolution:
     ``u(x, t)``, ``u_x(x, t)`` and ``u_t(x, t)`` are evaluated elementwise on
     arrays: ``t`` is a scalar or an array shaped like ``x``.  The error norm
     passes arrays of times, one per point, so a callable that assumes a scalar
-    ``t`` is not enough.
+    ``t`` is not enough.  A constant may be returned as a scalar.
     """
 
     u: Callable[[float, float], float]
@@ -43,7 +59,8 @@ class ProblemSpec:
     """Heat equation data on a fixed interval with homogeneous Dirichlet BCs.
 
     ``source(x, t)`` and ``initial(x)`` are evaluated elementwise on arrays;
-    ``t`` is a scalar or an array shaped like ``x``.
+    ``t`` is a scalar or an array shaped like ``x``.  A constant may be
+    returned as a scalar.
     """
 
     x_lo: float

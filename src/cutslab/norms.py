@@ -6,28 +6,44 @@ and the moving-interface jump term.  Temporal integration is composite
 three-point Gauss over the interface-crossing panels of each slab; spatial
 integration is three-point Gauss per merged-partition segment.
 
-Each slab is measured in one batch, with no loop over its quadrature times,
-from the ``SlabSpace`` record that the march built for it and the assembly
-read (``spaces.build_slab_space``): one merged partition at all of the
-record's times, both representations evaluated at every Gauss point from
-each segment's own cell, and the interface terms read off the per-time
-coefficient vectors through the record's interface stencil.  The
-slab-breakpoint traces take one partition per breakpoint.  The gradient-jump
-term over the covered parts of cut cells is the quadratic form of the
-record's stabilization weights (pairwise per cut cell and overlap cell, exact
-in time) in the discrete gradient jumps, which makes it exact for discrete
-arguments.
+The norm works on flat rows across all slabs, not slab by slab, and reads
+the ``SlabSpace`` records that the march built (``spaces.build_slab_space``)
+without rebuilding any of them.  The nodal values of the whole solution form
+one (slab, node, mode) array, and the rows are the records' times with their
+weights and temporal mode values, each tagged with its slab.
+
+- Volume terms: the rows go in chunks of at most ``CHUNK_ROW_NODES`` (time
+  rows x mesh nodes) with one merged partition per chunk, and the gradient
+  and the material derivative are evaluated at every Gauss point of a chunk
+  from each segment's own cell.  A chunk may cut a slab's times, so the cap
+  bounds the temporaries of a wide slab too.
+- Interface terms: one gathered contraction over the interface stencil rows
+  of all records, with each row's slab velocity.
+- Gradient-jump term over the covered parts of cut cells: the quadratic form
+  of the records' stabilization weights (pairwise per cut cell and overlap
+  cell, exact in time) in the discrete gradient jumps, over the pairs of all
+  slabs at once; it is exact for discrete arguments.
+- Initial, time-jump and final traces: the slab breakpoints in chunks under
+  the same cap, one merged partition per chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ExactSolution
-from .geometry import segment_cells, segment_points, spatial_partition
+from .core import ExactSolution, pointwise
+from .geometry import left_at, partition_at, ragged_arange, segment_cells, segment_points
 from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_basis_values
+
+# The volume terms and the breakpoint traces take their rows (times) in
+# chunks of at most this many time rows x mesh nodes (background plus
+# overlap).  A row has fewer segments than the meshes have nodes, so the cap
+# bounds each per-chunk temporary to a (segments, 3) array of at most 48 kB.
+# At this value a mesh of 512 + 128 cells gets three rows per chunk.
+CHUNK_ROW_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -76,85 +92,152 @@ def _zero_exact() -> ExactSolution:
     return ExactSolution(u=z, u_x=z, u_t=z)
 
 
-def _stab_term(slab) -> float:
-    """Exact time integral of the squared gradient jump over the covered parts
-    of cut cells: the quadratic form of the record's stabilization weights in
-    the per-pair gradient jumps."""
-    if slab.space.stab is None:
+def _nodal_values(sol: SpaceTimeSolution) -> np.ndarray:
+    """Per-mode nodal values of every slab in the global node numbering,
+    shaped (slabs, background + overlap nodes, q+1); dropped background DOFs
+    are 0.  A slab's DOFs follow its nodes in order, so its coefficients
+    fill its nodes that carry a DOF in turn."""
+    spaces = [s.space for s in sol.slabs]
+    has_dof = np.array([sp.node_dof for sp in spaces]) >= 0
+    vals = np.zeros(has_dof.shape + (spaces[0].q + 1,))
+    vals[has_dof] = np.concatenate([s.coeffs for s in sol.slabs]).reshape(-1, vals.shape[2])
+    return vals
+
+
+def _cell_ends(vals, slab, node):
+    """Per-mode values at the two nodes of each segment's cell, from its
+    slab's nodal values ``vals`` (slabs, nodes, q+1): ``node`` is the cell's
+    left node.  Shaped (segments, q+1) each."""
+    flat = vals.reshape(-1, vals.shape[2])
+    at = slab * vals.shape[1] + node
+    return flat[at], flat[at + 1]
+
+
+def _trace(vals, slab, node, w1, lam):
+    """Values of the slabs ``slab`` with their temporal mode values
+    ``lam[slab]`` at points given as fractions ``w1`` (segments, points) of
+    each segment's cell."""
+    n0, n1 = _cell_ends(vals, slab, node)
+    c0 = np.einsum("ij,ij->i", n0, lam[slab])[:, None]
+    c1 = np.einsum("ij,ij->i", n1, lam[slab])[:, None]
+    return c0 + w1 * (c1 - c0)
+
+
+class _Rows(NamedTuple):
+    """The rule times of every slab record, slab after slab, each with its
+    slab's position, quadrature weight and temporal mode values."""
+
+    slab: np.ndarray
+    times: np.ndarray
+    weights: np.ndarray
+    lam: np.ndarray  # (rows, q+1)
+
+
+def _volume_terms(spaces, vals, rows: _Rows, exact, per_chunk: int):
+    """Squared gradient error and squared material-derivative errors on
+    side 1 and on side 2 (each slab's scaled by its length k), taking
+    ``per_chunk`` rows at a time with one merged partition each."""
+    geoms = [sp.geom for sp in spaces]
+    S = len(geoms)
+    t0, t1, mu = np.array([(g.t_start, g.t_end, g.mu) for g in geoms]).T
+    dlam = temporal_basis_derivs(spaces[0].q, t0, t1)  # (slabs, q+1)
+    a = left_at(geoms, rows.slab, rows.times)
+    grad = 0.0
+    material = np.zeros(2 * S)  # per slab on side 1, then per slab on side 2
+    for lo in range(0, len(rows.times), per_chunk):
+        part = partition_at(geoms[0], rows.times[lo : lo + per_chunk], a[lo : lo + per_chunk])
+        row = part.time_index + lo
+        s = rows.slab[row]
+        lam = rows.lam[row]
+        pts, pw = segment_points(part)
+        tt = np.broadcast_to(part.t[:, None], pts.shape)
+        node, xa, xb = segment_cells(geoms[0], part)
+        h = xb - xa
+        n0, n1 = _cell_ends(vals, s, node)
+        slope = (np.einsum("ij,ij->i", n1, lam) - np.einsum("ij,ij->i", n0, lam)) / h
+        d0, d1 = np.einsum("ij,ij->i", n0, dlam[s]), np.einsum("ij,ij->i", n1, dlam[s])
+        u_x = pointwise(exact.u_x, pts, tt)
+        ge = u_x - slope[:, None]
+        # the discrete time derivative along the trajectories of the nodes
+        traj = d0[:, None] + (pts - xa[:, None]) / h[:, None] * (d1 - d0)[:, None]
+        de = pointwise(exact.u_t, pts, tt) - traj
+        on2 = part.side == 2
+        de[on2] += mu[s[on2], None] * u_x[on2]  # side 2: the material derivative follows the motion
+        # contracted without (segments, points) temporaries
+        grad += float(rows.weights[row] @ np.einsum("ij,ij,ij->i", pw, ge, ge))
+        de_sq = rows.weights[row] * np.einsum("ij,ij,ij->i", pw, de, de)
+        material += np.bincount(s + S * on2, de_sq, minlength=2 * S)
+    k = t1 - t0
+    return grad, float(k @ material[:S]), float(k @ material[S:])
+
+
+def _interface_terms(spaces, vals, rows: _Rows, exact):
+    """Squared flux, interface-jump and moving-jump error terms: one
+    contraction over the interface stencil rows of all records (each slab's
+    left points, then its right points, at its times), with each row's slab
+    velocity.  The exact solution is continuous, so the error's jump is the
+    discrete one."""
+    nt = np.bincount(rows.slab, minlength=len(spaces))
+    idx, grad, jump, x, h_K = (
+        np.concatenate([getattr(sp.stencil, f) for sp in spaces])
+        for f in ("idx", "grad", "jump", "x", "h_K")
+    )
+    row = np.repeat(np.cumsum(nt) - nt, 2 * nt) + ragged_arange(2 * nt) % np.repeat(nt, 2 * nt)
+    s = rows.slab[row]
+    v = np.einsum("rkm,rm->rk", vals[s[:, None], idx], rows.lam[row])  # at the row's time
+    avg = pointwise(exact.u_x, x, rows.times[row]) - np.einsum("rk,rk->r", v, grad)
+    jump_sq = np.einsum("rk,rk->r", v, jump) ** 2
+    w = rows.weights[row]
+    mu = np.array([sp.geom.mu for sp in spaces])[s]
+    mu_bar = np.hypot(mu, 1.0)
+    return (
+        float(np.sum(mu_bar * w * h_K * avg * avg)),
+        float(np.sum(mu_bar * w / h_K * jump_sq)),
+        float(np.sum(np.abs(mu) * w * jump_sq)),
+    )
+
+
+def _stab_term(spaces, vals) -> float:
+    """The gradient-jump term over the covered parts of cut cells: the
+    quadratic form of the records' stabilization weights in the per-pair
+    gradient jumps, over the pairs of all slabs at once."""
+    pairs = [(i, sp.stab) for i, sp in enumerate(spaces) if sp.stab is not None]
+    if not pairs:
         return 0.0
-    idx, g, W = slab.space.stab
-    d = np.einsum("pk,pki->pi", g, slab.nodal()[idx])  # jump per pair and mode
+    slab = np.repeat([i for i, _ in pairs], [len(p[0]) for _, p in pairs])
+    idx, g, W = (np.concatenate(f) for f in zip(*(p for _, p in pairs)))
+    d = np.einsum("pk,pki->pi", g, vals[slab[:, None], idx])  # jump per pair and mode
     return float(np.einsum("pi,pij,pj->", d, W, d))
 
 
-def _point_values(slab, part, x, derivs=False):
-    """Value of a slab solution at points ``x`` shaped (segments, points per
-    segment), or with ``derivs`` its spatial gradient and trajectory time
-    derivative there.
-
-    Each row is evaluated on its segment's side, from the nodal values of the
-    segment's own cell, at the segment's time.
-    """
-    geom = slab.geom
-    t = np.broadcast_to(part.t, part.xa.shape)
-    c, lo, hi = segment_cells(geom, part)
-    nodal = slab.nodal()
-    lam = temporal_basis_values(slab.space.q, geom.t_start, geom.t_end, t)
-    n0, n1 = nodal[c], nodal[c + 1]
-    c0 = np.sum(n0 * lam, axis=1)[:, None]
-    c1 = np.sum(n1 * lam, axis=1)[:, None]
-    h = (hi - lo)[:, None]
-    w1 = (x - lo[:, None]) / h
-    if not derivs:
-        return c0 + w1 * (c1 - c0)
-    dlam = temporal_basis_derivs(slab.space.q, geom.t_start, geom.t_end)
-    d0, d1 = (n0 @ dlam)[:, None], (n1 @ dlam)[:, None]
-    return (c1 - c0) / h, d0 + w1 * (d1 - d0)
-
-
-def _volume_terms(slab, exact):
-    """Squared gradient and material-derivative (side 1, side 2) error terms of
-    one slab, at every (time, segment, Gauss point) of its rule at once."""
-    geom = slab.geom
-    part = spatial_partition(geom, slab.space.times)
-    pts, pw = segment_points(part)
-    tt = np.broadcast_to(part.t[:, None], pts.shape)
-    dx, traj = _point_values(slab, part, pts, derivs=True)
-    u_x = np.asarray(exact.u_x(pts, tt), dtype=float)
-    ge = u_x - dx
-    de = np.asarray(exact.u_t(pts, tt), dtype=float) - traj
-    on2 = part.side == 2
-    de[on2] += geom.mu * u_x[on2]  # side 2: the material derivative follows the motion
-    w = slab.space.weights[part.time_index, None] * pw
-    # contracted without (segments, points) temporaries
-    de_sq = np.einsum("ij,ij,ij->i", w, de, de)
-    return (
-        float(np.einsum("ij,ij,ij->", w, ge, ge)),
-        geom.k * float(np.sum(de_sq[~on2])),
-        geom.k * float(np.sum(de_sq[on2])),
-    )
-
-
-def _interface_terms(slab, exact):
-    """Squared flux, interface-jump and moving-jump error terms of one slab at
-    all of its rule's times, through the record's interface stencil.
-
-    The exact solution is continuous, so the error's jump is the discrete one.
-    """
-    geom, space = slab.geom, slab.space
-    st = space.stencil
-    rows = np.tile(np.arange(len(space.times)), 2)
-    vals = (space.lam @ slab.nodal().T)[rows[:, None], st.idx]  # stencil nodes at each row's time
-    u_x = np.asarray(exact.u_x(st.x, space.times[rows]), dtype=float)
-    avg = u_x - np.sum(vals * st.grad, axis=1)
-    jump_sq = np.sum(vals * st.jump, axis=1) ** 2
-    w = space.weights[rows]
-    mu_bar = float(np.hypot(geom.mu, 1.0))
-    return (
-        mu_bar * float(np.sum(w * st.h_K * avg * avg)),
-        mu_bar * float(np.sum(w / st.h_K * jump_sq)),
-        abs(geom.mu) * float(np.sum(w * jump_sq)),
-    )
+def _trace_terms(sol, vals, exact, per_chunk: int) -> np.ndarray:
+    """Squared L2 norm of the error's jump at each slab breakpoint t_0..t_N,
+    with the initial data below t_0 and the exact solution above t_N, taking
+    ``per_chunk`` breakpoints at a time.  Breakpoint n takes the partition of
+    the slab below it (of slab 1 for n = 0)."""
+    geoms = [s.geom for s in sol.slabs]
+    S = len(geoms)
+    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
+    q = sol.slabs[0].space.q
+    lam_start = temporal_basis_values(q, t0, t1, t0)
+    lam_end = temporal_basis_values(q, t0, t1, t1)
+    bp = sol.setup.partition.breakpoints
+    a = left_at(geoms, np.maximum(np.arange(S + 1) - 1, 0), bp)
+    traces = np.zeros(S + 1)
+    for lo in range(0, S + 1, per_chunk):
+        part = partition_at(geoms[0], bp[lo : lo + per_chunk], a[lo : lo + per_chunk])
+        n = part.time_index + lo
+        pts, pw = segment_points(part)
+        node, xa, xb = segment_cells(geoms[0], part)
+        w1 = (pts - xa[:, None]) / (xb - xa)[:, None]
+        upper = _trace(vals, np.minimum(n, S - 1), node, w1, lam_start)
+        lower = _trace(vals, np.maximum(n - 1, 0), node, w1, lam_end)
+        if lo == 0:
+            lower[n == 0] = pointwise(sol.setup.problem.initial, pts[n == 0])
+        if n[-1] == S:
+            upper[n == S] = pointwise(exact.u, pts[n == S], np.full_like(pts[n == S], bp[S]))
+        traces += np.bincount(n, np.sum(pw * (upper - lower) ** 2, axis=1), minlength=S + 1)
+    return traces
 
 
 def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> NormBreakdown:
@@ -164,47 +247,34 @@ def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> N
     ``exact`` is evaluated on arrays of points with ``t`` an array of the same
     shape.  Time integrals use three-point Gauss on the interface-crossing
     panels of each slab, space integrals three-point Gauss per segment; the
-    gradient-jump term reads the slab record's stabilization weights.
+    gradient-jump term reads the slab records' stabilization weights.  The
+    volume terms and the breakpoint traces take one merged partition per
+    chunk of rows under ``CHUNK_ROW_NODES``, across slabs.
     """
     if exact is None:
         exact = _zero_exact()
     if exact.u_x is None or exact.u_t is None:
         raise ValueError("exact solution must provide u_x and u_t for the error norm")
-    setup = sol.setup
-    # grad, material (side 1, side 2), flux, interface jump, moving jump, stab
-    totals = np.zeros(7)
-    for slab in sol.slabs:
-        totals += (*_volume_terms(slab, exact), *_interface_terms(slab, exact), _stab_term(slab))
-    grad, mat_bg, mat_ov, flux, ijump, moving, stab = map(float, totals)
-
-    # initial, time-jump and final traces, one partition per breakpoint
-    bp = setup.partition.breakpoints
-    N = len(sol.slabs)
-    traces = []
-    for n in range(N + 1):
-        t = float(bp[n])
-        part = spatial_partition(sol.slabs[max(n - 1, 0)].geom, t)
-        pts, pw = segment_points(part)
-        if n < N:
-            upper = _point_values(sol.slabs[n], part, pts)
-        else:
-            upper = np.asarray(exact.u(pts, np.full_like(pts, t)), dtype=float)
-        if n > 0:
-            lower = _point_values(sol.slabs[n - 1], part, pts)
-        else:
-            lower = np.asarray(setup.problem.initial(pts), dtype=float)
-        traces.append(float(np.sum(pw * (upper - lower) ** 2)))
-
+    spaces = [s.space for s in sol.slabs]
+    vals = _nodal_values(sol)
+    per_chunk = max(1, CHUNK_ROW_NODES // vals.shape[1])
+    rows = _Rows(
+        np.repeat(np.arange(len(spaces)), [len(sp.times) for sp in spaces]),
+        *(np.concatenate([getattr(sp, f) for sp in spaces]) for f in ("times", "weights", "lam")),
+    )
+    grad, material_bg, material_ov = _volume_terms(spaces, vals, rows, exact, per_chunk)
+    flux, ijump, moving = _interface_terms(spaces, vals, rows, exact)
+    traces = _trace_terms(sol, vals, exact, per_chunk)
     return NormBreakdown(
-        material_bg_sq=mat_bg,
-        material_ov_sq=mat_ov,
+        material_bg_sq=material_bg,
+        material_ov_sq=material_ov,
         grad_sq=grad,
         flux_sq=flux,
         iface_jump_sq=ijump,
-        stab_sq=stab,
-        time_jump_sq=float(sum(traces[1:-1])),
-        final_sq=traces[-1],
-        initial_sq=traces[0],
+        stab_sq=_stab_term(spaces, vals),
+        time_jump_sq=float(np.sum(traces[1:-1])),
+        final_sq=float(traces[-1]),
+        initial_sq=float(traces[0]),
         moving_jump_sq=moving,
     )
 

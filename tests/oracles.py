@@ -36,7 +36,7 @@ from cutslab.geometry import (
     sigma_side,
     spatial_partition,
 )
-from cutslab.norms import NormBreakdown, _stab_term, _zero_exact
+from cutslab.norms import NormBreakdown, _zero_exact
 from cutslab.quadrature import GL3, composite_time_rule, lobatto3, midpoint
 from cutslab.spaces import interface_stencil, temporal_basis_values
 
@@ -426,6 +426,18 @@ def _trace_l2_sq(geom, t, fa, fb=None, space_refine=1) -> float:
             d = d - np.asarray(fb(xs, side), dtype=float)
         total += float(np.sum(wts[m].ravel() * d * d))
     return total
+
+
+def _stab_term(slab) -> float:
+    """The gradient-jump term of one slab: the quadratic form of its record's
+    stabilization weights in the per-pair gradient jumps.  Those weights are
+    checked on their own against a 10-point Gauss time integral of
+    ``_stab_integral`` (``TestStabilizationTerm``)."""
+    if slab.space.stab is None:
+        return 0.0
+    idx, g, W = slab.space.stab
+    d = np.einsum("pk,pki->pi", g, slab.nodal()[idx])  # jump per pair and mode
+    return float(np.einsum("pi,pij,pj->", d, W, d))
 
 
 def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> NormBreakdown:

@@ -15,6 +15,7 @@ from cutslab.core import (
     interface_path,
     make_uniform_mesh,
     manufactured_problem,
+    pointwise,
     slab_velocity,
     zero_problem,
 )
@@ -188,3 +189,18 @@ def test_setup_mesh_sizes(n0, nG, N):
     assert np.diff(setup.bg_nodes) == pytest.approx(1.0 / n0)
     assert np.diff(setup.ov_offsets) == pytest.approx(0.25 / nG)
     assert len(setup.a_breaks) == N + 1
+
+
+class TestPointwise:
+    def test_scalar_is_broadcast(self):
+        x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        v = pointwise(lambda x, t: 2.0, x, 0.5)
+        assert v.shape == x.shape and np.all(v == 2.0)
+
+    def test_array_passes_through(self):
+        x = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(pointwise(lambda x: x**2, x), x**2)
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match=r"returned shape \(2,\)"):
+            pointwise(lambda x: np.ones(2), np.zeros(5))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutslab.core import Discretization, OverlapSpec, manufactured_problem
+import cutslab.norms
+from cutslab.core import Discretization, OverlapSpec, Setup, manufactured_problem
 from cutslab.geometry import build_slab_geometry
 from cutslab.norms import lls_slope, xnorm_error
 from cutslab.solver import march
@@ -226,6 +227,76 @@ class TestNearNodeInterface:
         assert _near_node_error(0.3) == pytest.approx(
             _near_node_error(0.30000000000000004), rel=0.05
         )
+
+
+def _oscillating_setup(q):
+    # as in test_oscillating_velocity_round_trip: slabs differ in mu and its sign
+    problem = manufactured_problem(final_time=3.0)
+    overlap = OverlapSpec(6.0 / 21.0, 0.125, lambda t: 0.5 * np.sin(2.0 * np.pi * t / 3.0))
+    return Setup.build(problem, overlap, Discretization(21, 6, 10, q=q))
+
+
+class TestChunkedNorm:
+    """The norm takes its rows in chunks under ``norms.CHUNK_ROW_NODES``;
+    the chunking must not change the result."""
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(mu=0.6),
+            dict(mu=-0.5, a0=0.55),  # mu * k = h
+            dict(mu=0.0, a0=0.2),
+            dict(mu=0.6, nG=1),
+            dict(mu=0.6, N=1),
+            "oscillating",
+        ],
+    )
+    def test_result_does_not_depend_on_the_cap(self, config, q, monkeypatch):
+        if config == "oscillating":
+            setup = _oscillating_setup(q)
+        else:
+            setup = make_setup(**{"n0": 16, "nG": 4, "N": 4, "T": 0.5, "q": q, **config})
+        sol = march(setup.problem, setup.overlap, setup.disc)
+        nodes = len(setup.bg_nodes) + len(setup.ov_offsets)
+        # every slab has at least three rule times, so two rows per chunk
+        # split the first slab's times across two chunks
+        assert min(len(s.space.times) for s in sol.slabs) >= 3
+        runs = []
+        for cap in (1, 2 * nodes, 10**12):  # one row per chunk, two, unlimited
+            monkeypatch.setattr(cutslab.norms, "CHUNK_ROW_NODES", cap)
+            runs.append(xnorm_error(sol, setup.problem.exact))
+        for bd in runs[:2]:
+            for f in dataclasses.fields(bd):
+                got, want = getattr(bd, f.name), getattr(runs[2], f.name)
+                assert abs(got - want) <= 1e-13 * (abs(want) + runs[2].x_sq), (f.name, got, want)
+
+    def test_one_partition_per_chunk(self, monkeypatch):
+        # the norm partitions a chunk of rows at once, not a slab or a
+        # breakpoint at a time (which made 2N + 1 partitions)
+        import sys
+
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        setup = make_setup(n0=64, nG=16, N=64, mu=0.6, q=0)
+        sol = march(setup.problem, setup.overlap, setup.disc)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("cutslab"):
+                for name in ("partition_at", "spatial_partition"):
+                    if hasattr(mod, name):
+                        monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+        xnorm_error(sol, setup.problem.exact)
+        per_chunk = cutslab.norms.CHUNK_ROW_NODES // (len(setup.bg_nodes) + len(setup.ov_offsets))
+        rows = sum(len(s.space.times) for s in sol.slabs)
+        chunks = -(-rows // per_chunk) + -(-(setup.disc.n_slabs + 1) // per_chunk)
+        assert 0 < len(calls) <= chunks < setup.disc.n_slabs // 4
 
 
 class TestLlsSlope:

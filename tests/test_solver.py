@@ -354,3 +354,42 @@ class TestMarch:
         x = np.linspace(0.1, 0.9, 9)
         for t in (0.5, 1.0):
             assert np.max(np.abs(sol.eval(x, t) - exact.u(x, t))) < 0.02
+
+
+class TestConstantCallables:
+    """A data callable may return a constant as a scalar: the march and the
+    norm broadcast it to the points they asked for."""
+
+    @staticmethod
+    def _solve(field, func):
+        import dataclasses
+
+        problem = manufactured_problem(final_time=0.5)
+        if field in ("source", "initial"):
+            problem = dataclasses.replace(problem, **{field: func})
+        exact = problem.exact
+        if field in ("u", "u_x", "u_t"):
+            exact = dataclasses.replace(exact, **{field: func})
+        sol = march(problem, OverlapSpec(0.25, 0.125, 0.6), Discretization(16, 4, 4, q=1))
+        return sol, xnorm_error(sol, exact)
+
+    @pytest.mark.parametrize("field", ["source", "initial", "u", "u_x", "u_t"])
+    def test_constant_matches_its_full_array(self, field):
+        if field == "initial":
+            scalar, full = (lambda x: 0.5), (lambda x: np.full_like(x, 0.5))
+        else:
+            scalar, full = (lambda x, t: 0.5), (lambda x, t: np.full_like(x, 0.5))
+        sol, norm = self._solve(field, scalar)
+        ref_sol, ref_norm = self._solve(field, full)
+        for a, b in zip(sol.slabs, ref_sol.slabs):
+            assert np.array_equal(a.coeffs, b.coeffs)
+        assert norm == ref_norm
+
+    @pytest.mark.parametrize("field", ["source", "initial", "u", "u_x", "u_t"])
+    def test_wrong_shape_raises(self, field):
+        if field == "initial":
+            func = lambda x: np.ones(3)
+        else:
+            func = lambda x, t: np.ones(np.shape(x) + (1,))
+        with pytest.raises(ValueError, match="returned shape"):
+            self._solve(field, func)
