@@ -97,6 +97,8 @@ class SlabSystem:
     matrix: csc_array
     rhs: np.ndarray
     space: SlabSpace
+    # the march's solver.FactorMemo, shared by its slabs; None factors afresh
+    memo: object = None
 
     def __post_init__(self):
         n = self.space.n_cols
@@ -439,9 +441,9 @@ class SlabSystems:
     loads: list  # per slab (nodes, q+1): the source load, for slab 0 with its trace
     start_cov: list  # per slab: the covered mass triplets at its start
 
-    def system(self, i: int, prev: SlabSolution | None) -> SlabSystem:
+    def system(self, i: int, prev: SlabSolution | None, memo=None) -> SlabSystem:
         """The system of slab i (0-based in the chunk); ``prev`` is read for
-        i > 0 only."""
+        i > 0 only.  ``memo`` is handed on to the solve (``SlabSystem.memo``)."""
         space, A, f = self.spaces[i], self.matrix, self.first[i]
         k = space.n_cols
         lo, hi = A.indptr[f], A.indptr[f + k]
@@ -454,6 +456,7 @@ class SlabSystems:
             matrix=csc_array(block, shape=(k, k)),
             rhs=load[space.dof_node].ravel(),
             space=space,
+            memo=memo,
         )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 import cutslab.solver
 from cutslab.assembly import assemble_slab
@@ -25,6 +26,39 @@ def _cap_chunk(monkeypatch, setup, slabs):
     per_slab = len(setup.mesh_matrices[0]) * (setup.disc.q + 1) ** 2
     monkeypatch.setattr(cutslab.solver, "CHUNK_ENTRIES", slabs * per_slab)
     assert cutslab.solver.chunk_length(setup) == slabs
+
+
+def _same_matrix(A, B):
+    return all(np.array_equal(getattr(A, k), getattr(B, k)) for k in ("indptr", "indices", "data"))
+
+
+def _count_factors(monkeypatch):
+    """Record the matrices the solver passes to ``splu``: one per factorization."""
+    calls = []
+    original = cutslab.solver.splu
+
+    def counting(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(cutslab.solver, "splu", counting)
+    return calls
+
+
+def _record_solves(monkeypatch, before=None):
+    """Record every system the march hands to ``solve_slab``; ``before(system)``
+    runs ahead of each solve."""
+    systems = []
+    original = cutslab.solver.solve_slab
+
+    def recording(system):
+        if before is not None:
+            before(system)
+        systems.append(system)
+        return original(system)
+
+    monkeypatch.setattr(cutslab.solver, "solve_slab", recording)
+    return systems
 
 
 def _naive_gauss(A, b):
@@ -104,8 +138,12 @@ class TestSolveSlab:
         A = system.matrix.toarray()
         A[:, 5] *= 1e-16
         bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=system.space)
-        with pytest.raises(NumericalFailure, match="singular slab system"):
+        with pytest.raises(NumericalFailure, match="singular slab system") as exc:
             solve_slab(bad)
+        # the message gives the pivot ratio against its floor
+        ratio = float(str(exc.value).split("||A||_inf ")[1].split()[0])
+        assert 0 < ratio <= cutslab.solver.PIVOT_FRACTION
+        assert f"PIVOT_FRACTION {cutslab.solver.PIVOT_FRACTION:.0e}" in str(exc.value)
 
     def test_exactly_singular_factor_reported(self):
         from cutslab.assembly import SlabSystem
@@ -126,8 +164,22 @@ class TestSolveSlab:
         import cutslab.solver
 
         monkeypatch.setattr(cutslab.solver, "RESIDUAL_TOL", 0.0)
-        with pytest.raises(NumericalFailure, match="relative residual"):
+        with pytest.raises(
+            NumericalFailure, match=r"slab 1 solve left relative residual \S+, above RESIDUAL_TOL 0e\+00"
+        ):
             solve_slab(self._system())
+
+    def test_non_finite_solution_rejected(self):
+        # a finite load so large that the solve overflows to inf and NaN; the
+        # residual bound alone lets NaN through, into the next slab's load
+        from cutslab.assembly import SlabSystem
+
+        system = self._system(q=0, mu=0.6)
+        huge = SlabSystem(
+            slab=1, matrix=system.matrix, rhs=np.full_like(system.rhs, 1e308), space=system.space
+        )
+        with pytest.raises(NumericalFailure, match="slab 1 solve gave non-finite coefficients"):
+            solve_slab(huge)
 
     def test_non_finite_matrix_rejected(self):
         from cutslab.assembly import SlabSystem
@@ -256,19 +308,16 @@ class TestMarch:
         else:
             setup = make_setup(**{"n0": 16, "nG": 4, "q": q, **config})
         runs = []
+        original = cutslab.solver.solve_slab
         for slabs in (1, 3, setup.disc.n_slabs):
             _cap_chunk(monkeypatch, setup, slabs)
-            systems = []
-            original = cutslab.solver.solve_slab
-
-            def recording(system):
-                systems.append(system)
-                return original(system)
-
-            monkeypatch.setattr(cutslab.solver, "solve_slab", recording)
+            systems = _record_solves(monkeypatch)
             sol = march(setup.problem, setup.overlap, setup.disc)
             monkeypatch.setattr(cutslab.solver, "solve_slab", original)
             runs.append((systems, sol))
+            # a reused factor solves as a fresh one would, bit for bit
+            for system, slab in zip(systems, sol.slabs):
+                assert np.array_equal(splu(system.matrix).solve(system.rhs), slab.coeffs)
         if config == "oscillating":
             events = [len(s.geom.events) for s in runs[0][1].slabs]
             assert len(set(events)) > 1
@@ -283,13 +332,12 @@ class TestMarch:
                 assert np.max(np.abs(a.rhs - b.rhs)) <= 1e-14 * np.max(np.abs(a.rhs))
                 assert np.max(np.abs(x.coeffs - y.coeffs)) <= 1e-14 * np.max(np.abs(x.coeffs))
 
-    @pytest.mark.parametrize("q", [0, 1])
-    def test_bad_source_in_a_chunk_names_its_slab(self, q, monkeypatch):
-        # one chunk holds slabs 1-5; the source is NaN at slab 3's times only
+    @staticmethod
+    def _march_with_bad_slab_3(setup, monkeypatch):
+        """March with a source that is NaN at slab 3's times only; return the
+        systems solved before the failure, which must name slab 3."""
         import dataclasses
 
-        setup = make_setup(n0=8, nG=2, N=5, mu=0.6, q=q)
-        assert cutslab.solver.chunk_length(setup) >= 5
         t2, t3 = setup.partition.breakpoints[2:4]
         base = setup.problem.source
 
@@ -297,17 +345,69 @@ class TestMarch:
             return np.where((t > t2) & (t < t3), np.nan, base(x, t))
 
         problem = dataclasses.replace(setup.problem, source=source)
-        solved = []
-        original = cutslab.solver.solve_slab
-
-        def recording(system):
-            solved.append(system.slab)
-            return original(system)
-
-        monkeypatch.setattr(cutslab.solver, "solve_slab", recording)
+        systems = _record_solves(monkeypatch)
         with pytest.raises(NumericalFailure, match="slab 3"):
             march(problem, setup.overlap, setup.disc)
-        assert solved == [1, 2]
+        return systems
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_bad_source_in_a_chunk_names_its_slab(self, q, monkeypatch):
+        # one chunk holds slabs 1-5
+        setup = make_setup(n0=8, nG=2, N=5, mu=0.6, q=q)
+        assert cutslab.solver.chunk_length(setup) >= 5
+        systems = self._march_with_bad_slab_3(setup, monkeypatch)
+        assert [s.slab for s in systems] == [1, 2]
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_bad_source_on_a_reused_factor_names_its_slab(self, q, monkeypatch):
+        # mu = 0: slab 3 repeats the matrix of slabs 1 and 2 and would reuse
+        # their factor
+        setup = make_setup(n0=8, nG=2, N=8, mu=0.0, q=q)
+        systems = _record_solves(monkeypatch)
+        march(setup.problem, setup.overlap, setup.disc)
+        assert _same_matrix(systems[0].matrix, systems[2].matrix)
+        assert _same_matrix(systems[1].matrix, systems[2].matrix)
+        factors = _count_factors(monkeypatch)
+        systems = self._march_with_bad_slab_3(setup, monkeypatch)
+        assert [s.slab for s in systems] == [1, 2]
+        assert len(factors) == 1
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_residual_failure_on_a_reused_factor_names_its_slab(self, q, monkeypatch):
+        # mu = 0: slabs 1-3 share one factor; the residual bound trips at slab 3
+        setup = make_setup(n0=8, nG=2, N=8, mu=0.0, q=q)
+
+        def tighten(system):
+            if system.slab == 3:
+                monkeypatch.setattr(cutslab.solver, "RESIDUAL_TOL", 0.0)
+
+        systems = _record_solves(monkeypatch, tighten)
+        factors = _count_factors(monkeypatch)
+        with pytest.raises(NumericalFailure, match="slab 3 solve left relative residual"):
+            march(setup.problem, setup.overlap, setup.disc)
+        assert [s.slab for s in systems] == [1, 2, 3]
+        assert len(factors) == 1
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("mu", [0.0, 0.6])
+    def test_factors_each_new_matrix_once(self, q, mu, monkeypatch):
+        # a slab whose matrix repeats the previous slab's bit for bit reuses
+        # its factor; every slab is still solved once
+        setup = make_setup(n0=16, nG=4, N=8, mu=mu, q=q)
+        systems = _record_solves(monkeypatch)
+        factors = _count_factors(monkeypatch)
+        march(setup.problem, setup.overlap, setup.disc)
+        assert [s.slab for s in systems] == list(range(1, 9))
+        new = [not _same_matrix(a.matrix, b.matrix) for a, b in zip(systems, systems[1:])]
+        assert len(factors) == 1 + sum(new)
+        if mu != 0.0:
+            assert len(factors) == 8
+        elif q == 0:
+            assert len(factors) == 1
+        else:
+            # the q = 1 matrices read the slab's absolute times, so their last
+            # bits change where the times cross a power of two
+            assert len(factors) < 8
 
     def test_deterministic(self):
         setup = make_setup(n0=12, nG=3, N=4, mu=0.6, q=1)
