@@ -64,6 +64,7 @@ on a chunk (``solver.CHUNK_ENTRIES``) bounds them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_array, csc_array
@@ -89,25 +90,38 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
 class SlabSystem:
-    """Sparse (CSC) matrix and load vector for one slab."""
+    """Sparse (CSC) matrix and load vector for one slab.
 
-    slab: int
-    matrix: csc_array
-    rhs: np.ndarray
-    space: SlabSpace
-    # the march's solver.FactorMemo, shared by its slabs; None factors afresh
-    memo: object = None
+    A system made by ``SlabSystems.system`` is given no ``matrix``: it cuts
+    its block from the chunk's block-diagonal matrix on first access of
+    ``matrix``, since the march's solve reads ``band`` instead.  ``memo`` is
+    the march's ``solver.FactorMemo``, shared by its slabs (None factors
+    afresh), and ``band`` the slab's ``solver.Band``, which the march builds
+    for a whole chunk (None builds it from ``matrix``).
+    """
 
-    def __post_init__(self):
-        n = self.space.n_cols
-        if not isinstance(self.matrix, csc_array):
-            raise TypeError("the slab matrix must be a scipy.sparse.csc_array")
-        if self.matrix.shape != (n, n) or self.rhs.shape != (n,):
+    def __init__(self, slab: int, matrix, rhs, space: SlabSpace, memo=None, band=None, chunk=None):
+        self.slab, self.rhs, self.space, self.memo, self.band = slab, rhs, space, memo, band
+        self._chunk = chunk  # (SlabSystems, position in it) when matrix is None
+        n = space.n_cols
+        if matrix is not None:
+            if not isinstance(matrix, csc_array):
+                raise TypeError("the slab matrix must be a scipy.sparse.csc_array")
+            if matrix.shape != (n, n):
+                raise ValueError("system dimensions do not match the slab space")
+            if not np.all(np.isfinite(matrix.data)):
+                raise NumericalFailure(f"non-finite entries in slab {slab} system")
+            self.matrix = matrix
+        if rhs.shape != (n,):
             raise ValueError("system dimensions do not match the slab space")
-        if not (np.all(np.isfinite(self.matrix.data)) and np.all(np.isfinite(self.rhs))):
-            raise NumericalFailure(f"non-finite entries in slab {self.slab} system")
+        if not np.all(np.isfinite(rhs)):
+            raise NumericalFailure(f"non-finite entries in slab {slab} system")
+
+    @cached_property
+    def matrix(self) -> csc_array:
+        systems, i = self._chunk
+        return systems.block(i)
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +455,29 @@ class SlabSystems:
     loads: list  # per slab (nodes, q+1): the source load, for slab 0 with its trace
     start_cov: list  # per slab: the covered mass triplets at its start
 
-    def system(self, i: int, prev: SlabSolution | None, memo=None) -> SlabSystem:
-        """The system of slab i (0-based in the chunk); ``prev`` is read for
-        i > 0 only.  ``memo`` is handed on to the solve (``SlabSystem.memo``)."""
-        space, A, f = self.spaces[i], self.matrix, self.first[i]
-        k = space.n_cols
+    def block(self, i: int) -> csc_array:
+        """The CSC matrix of slab i (0-based in the chunk)."""
+        A, f, k = self.matrix, self.first[i], self.spaces[i].n_cols
         lo, hi = A.indptr[f], A.indptr[f + k]
         block = (A.data[lo:hi], A.indices[lo:hi] - f, A.indptr[f : f + k + 1] - lo)
+        return csc_array(block, shape=(k, k))
+
+    def system(self, i: int, prev: SlabSolution | None, memo=None, band=None) -> SlabSystem:
+        """The system of slab i (0-based in the chunk); ``prev`` is read for
+        i > 0 only.  ``memo`` and ``band`` are handed on to the solve
+        (``SlabSystem.memo`` and ``SlabSystem.band``)."""
+        space = self.spaces[i]
         load = self.loads[i]
         if i > 0:
             load = load + _start_load(self.setup, space, self.start_cov[i], prev)
         return SlabSystem(
             slab=space.geom.n,
-            matrix=csc_array(block, shape=(k, k)),
+            matrix=None,
             rhs=load[space.dof_node].ravel(),
             space=space,
             memo=memo,
+            band=band,
+            chunk=(self, i),
         )
 
 

@@ -8,6 +8,7 @@ and the energy norm in ``norms`` read them there and rebuild none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -222,7 +223,7 @@ class SlabSpace:
     stencil: InterfaceStencil  # at the times
     stab: tuple | None  # stabilization_weights
 
-    @property
+    @cached_property
     def dof_node(self) -> np.ndarray:
         """Spatial DOF index -> global node index."""
         nb = len(self.geom.bg_nodes)

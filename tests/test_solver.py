@@ -4,7 +4,7 @@ from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 import cutslab.solver
-from cutslab.assembly import assemble_slab
+from cutslab.assembly import SlabSystem, assemble_slab
 from cutslab.core import (
     Discretization,
     NumericalFailure,
@@ -33,16 +33,23 @@ def _same_matrix(A, B):
 
 
 def _count_factors(monkeypatch):
-    """Record the matrices the solver passes to ``splu``: one per factorization."""
+    """Record the bands the solver passes to LAPACK's ``dgbtrf``: one per
+    factorization."""
     calls = []
-    original = cutslab.solver.splu
+    original = cutslab.solver.dgbtrf
 
-    def counting(A):
-        calls.append(A)
-        return original(A)
+    def counting(ab, *args, **kwargs):
+        calls.append(ab)
+        return original(ab, *args, **kwargs)
 
-    monkeypatch.setattr(cutslab.solver, "splu", counting)
+    monkeypatch.setattr(cutslab.solver, "dgbtrf", counting)
     return calls
+
+
+def _fresh(system):
+    """``system`` as a hand-built slab system: its band is built from its
+    matrix and factored afresh."""
+    return SlabSystem(slab=system.slab, matrix=system.matrix, rhs=system.rhs, space=system.space)
 
 
 def _record_solves(monkeypatch, before=None):
@@ -59,6 +66,19 @@ def _record_solves(monkeypatch, before=None):
 
     monkeypatch.setattr(cutslab.solver, "solve_slab", recording)
     return systems
+
+
+def _oscillating_setup(q):
+    """The overlap translates right, then back: slabs differ in mu, its sign
+    and their event count."""
+    problem = manufactured_problem(final_time=3.0)
+    overlap = OverlapSpec(
+        length=6.0 / 21.0,
+        initial_left=0.125,
+        velocity=lambda t: 0.5 * np.sin(2.0 * np.pi * t / 3.0),
+    )
+    disc = Discretization(n_background=21, n_overlap=6, n_slabs=10, q=q)
+    return Setup.build(problem, overlap, disc)
 
 
 def _naive_gauss(A, b):
@@ -158,7 +178,21 @@ class TestSolveSlab:
         assert "slab 1" in msg
         assert f"{system.space.n_cols} unknowns" in msg
         assert f"{system.space.n_active_bg} background DOFs" in msg
-        assert "condition estimate" in msg
+        assert "condition estimate inf" in msg  # an exactly zero pivot
+
+    def test_condition_estimate_tracks_dense_condition(self):
+        # the estimate comes from LAPACK's band factor, not from a dense
+        # inverse; on a near-singular slab it is within 10x of the dense
+        # 1-norm condition number
+        system = self._system()
+        A = system.matrix.toarray()
+        A[:, 5] *= 1e-16
+        bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=system.space)
+        with pytest.raises(NumericalFailure, match="pivot ratio") as exc:
+            solve_slab(bad)
+        estimate = float(str(exc.value).split("condition estimate ")[1].rstrip(")"))
+        dense = np.linalg.cond(A, 1)
+        assert dense / 10 <= estimate <= 10 * dense
 
     def test_residual_guard(self, monkeypatch):
         import cutslab.solver
@@ -293,16 +327,7 @@ class TestMarch:
         # rounding: not bit for bit, since the covered-cell product runs over
         # positions padded to the chunk's longest slab
         if config == "oscillating":
-            # as in test_oscillating_velocity_round_trip: slabs differ in mu,
-            # its sign and their event count
-            problem = manufactured_problem(final_time=3.0)
-            overlap = OverlapSpec(
-                length=6.0 / 21.0,
-                initial_left=0.125,
-                velocity=lambda t: 0.5 * np.sin(2.0 * np.pi * t / 3.0),
-            )
-            disc = Discretization(n_background=21, n_overlap=6, n_slabs=10, q=q)
-            setup = Setup.build(problem, overlap, disc)
+            setup = _oscillating_setup(q)
             mus = setup.partition.velocities
             assert np.any(mus > 0) and np.any(mus < 0)
         else:
@@ -317,7 +342,7 @@ class TestMarch:
             runs.append((systems, sol))
             # a reused factor solves as a fresh one would, bit for bit
             for system, slab in zip(systems, sol.slabs):
-                assert np.array_equal(splu(system.matrix).solve(system.rhs), slab.coeffs)
+                assert np.array_equal(solve_slab(_fresh(system)), slab.coeffs)
         if config == "oscillating":
             events = [len(s.geom.events) for s in runs[0][1].slabs]
             assert len(set(events)) > 1
@@ -429,14 +454,8 @@ class TestMarch:
     def test_oscillating_velocity_round_trip(self):
         # overlap translates right then back; interface path returns to its
         # starting point and the solve stays healthy throughout
-        problem = manufactured_problem(final_time=3.0)
-        overlap = OverlapSpec(
-            length=6.0 / 21.0,
-            initial_left=0.125,
-            velocity=lambda t: 0.5 * np.sin(2.0 * np.pi * t / 3.0),
-        )
-        disc = Discretization(n_background=21, n_overlap=6, n_slabs=10, q=0)
-        sol = march(problem, overlap, disc)
+        setup = _oscillating_setup(0)
+        sol = march(setup.problem, setup.overlap, setup.disc)
         a = sol.setup.a_breaks
         assert a[-1] == pytest.approx(a[0], abs=1e-12)
         assert a.max() > a[0] + 0.3
@@ -454,6 +473,49 @@ class TestMarch:
         x = np.linspace(0.1, 0.9, 9)
         for t in (0.5, 1.0):
             assert np.max(np.abs(sol.eval(x, t) - exact.u(x, t))) < 0.02
+
+
+class TestReferenceSolver:
+    """The banded solve against SuperLU, the tests' reference solver, on
+    slabs whose bands are unusual: wide ones where many interface-node
+    crossings or mesh-size ratios couple distant DOFs, and narrow ones."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(n0=32, nG=8, N=8, mu=-0.5, a0=0.55, q=1),
+            dict(n0=16, nG=1, N=8, mu=0.6, q=1),
+            dict(n0=16, nG=256, N=4, mu=0.6, q=1),
+            dict(n0=1024, nG=16, N=4, mu=0.6, q=1),
+            dict(n0=512, nG=128, N=2, mu=0.6, q=1),
+            "oscillating",
+        ],
+        ids=["mu_negative", "nG1", "fine_overlap", "coarse_overlap", "many_crossings", "oscillating"],
+    )
+    def test_matches_splu(self, config, monkeypatch):
+        setup = _oscillating_setup(0) if config == "oscillating" else make_setup(**config)
+        systems = _record_solves(monkeypatch)
+        sol = march(setup.problem, setup.overlap, setup.disc)
+        assert len(systems) == setup.disc.n_slabs
+        for system, slab in zip(systems, sol.slabs):
+            ref = splu(system.matrix).solve(system.rhs)
+            assert np.max(np.abs(slab.coeffs - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_import_leaves_superlu_out():
+    # SuperLU is the tests' reference solver only: importing the library
+    # loads no scipy.sparse.linalg
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cutslab.solver.__file__).parents[1])
+    code = "import sys, cutslab; print('scipy.sparse.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestConstantCallables:
