@@ -47,14 +47,23 @@ temporal quadrature error.
 
 The source load uses the lower-order rules of the reference computation:
 trapezoid in space, midpoint in time for piecewise-constant time elements and
-three-point Lobatto for linear ones, with one call of the source for the
-whole chunk.  The time-jump load of a slab after the
-first is the side-wise mass at the slab start (the full-mesh mass minus the
-covered correction there, both already built for the matrix) applied to the
-previous slab's end-time nodal values.  Both factors are P1 on every segment
-of the start partition, so this is the exact L2 pairing of that trace with the
-test functions.  The first slab integrates the initial data with three-point
-Gauss per merged-partition segment.
+three-point Lobatto for linear ones.  Its spatial sums carry no temporal mode.
+One merged partition at every distinct (slab, time) of the chunk's rule gives
+each segment two scalar hat weights, for the two nodes of its own cell, from
+the source at the segment's ends; two ``bincount`` calls sum them per time
+and node.  One product per chunk then weights each slab's times by their
+rule weights and mode values.  A chunk thus makes one partition and one call
+of the source, which sees each breakpoint of each distinct time once, and no
+spatial temporary has a mode axis: the modes enter only that product, of
+slabs x (most distinct times of a slab) x nodes x (q+1) multiply-adds.
+
+The time-jump load of a slab after the first is the side-wise mass at the
+slab start (the full-mesh mass minus the covered correction there, both
+already built for the matrix) applied to the previous slab's end-time nodal
+values.  Both factors are P1 on every segment of the start partition, so this
+is the exact L2 pairing of that trace with the test functions.  The first
+slab integrates the initial data with three-point Gauss per merged-partition
+segment, through the same hat sums.
 
 A chunk's temporaries (its triplets, the merged partitions of its source
 load, its covered-cell products) grow with its slab count; the march's cap
@@ -127,19 +136,6 @@ class SlabSystem:
 # ---------------------------------------------------------------------------
 # spatial entries as COO triplets in the global node numbering
 # ---------------------------------------------------------------------------
-
-
-def _cell_entries(d0, d1, sym):
-    """Triplets of symmetric 2x2 cell matrices on nodes (d0, d1).
-
-    ``sym`` holds (e00, e01, e11) along its second-to-last axis and the cells
-    along its last one; the values come back with the leading axes of ``sym``
-    and the entries along the last axis.
-    """
-    rows = np.concatenate([d0, d0, d1, d1])
-    cols = np.concatenate([d0, d1, d0, d1])
-    vals = sym[..., [0, 1, 1, 2], :]
-    return rows, cols, vals.reshape(vals.shape[:-2] + (-1,))
 
 
 def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
@@ -218,28 +214,36 @@ def _temporal_products(q: int, k: np.ndarray):
     return T1, T2
 
 
-def _hat_load(geom: SlabGeometry, part, x, fw, slab, n_slabs: int) -> np.ndarray:
-    """Values ``fw`` (segments, points, modes) at the points ``x`` (segments,
-    points) against the hats of each segment's own cell, summed per slab
-    (``slab`` gives each segment's) and global node: shaped (slabs, nodes,
-    modes)."""
+def _hat_sums(geom: SlabGeometry, part, points, row, n_rows: int) -> np.ndarray:
+    """Weighted values against the two hats of each segment's own cell,
+    summed per row and global node: shaped (n_rows, nodes).  ``points``
+    holds a pair (x, fw) per quadrature point of a segment, each an array
+    over the segments: the point's position and the value times its weight;
+    ``row`` gives each segment's row."""
     node, lo, hi = segment_cells(geom, part)
-    w1 = ((x - lo[:, None]) / (hi - lo)[:, None])[:, :, None]
-    m = fw.shape[2]
+    total = right = 0.0
+    for x, fw in points:
+        total = total + fw
+        right = right + fw * (x - lo)
+    right /= hi - lo
+    left = total - right
     n_nodes = len(geom.bg_nodes) + len(geom.ov_offsets)
-    per_end = np.concatenate([np.sum(fw * (1.0 - w1), axis=1), np.sum(fw * w1, axis=1)])
-    node = node + slab * n_nodes
-    key = np.concatenate([node, node + 1])[:, None] * m + np.arange(m)
-    return np.bincount(key.ravel(), per_end.ravel(), minlength=n_slabs * n_nodes * m).reshape(
-        n_slabs, n_nodes, m
-    )
+    key = row * n_nodes + node
+    size = n_rows * n_nodes
+    g = np.bincount(key, left, minlength=size)
+    g += np.bincount(key + 1, right, minlength=size)
+    return g.reshape(n_rows, n_nodes)
 
 
 def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndarray, source):
     """Load of the source against every node's hat and temporal mode of each
     slab of ``geoms``, shaped (slabs, nodes, q+1): trapezoid per segment in
     space, the rule (times, weights) in time, where ``slab`` gives the
-    position in ``geoms`` of each time's slab.  ``source`` is called once."""
+    position in ``geoms`` of each time's slab.  ``source`` is called once.
+
+    The hat sums carry no mode axis: they are formed once per distinct
+    (slab, time), and one product per chunk weights them by each time's
+    rule weight and mode values."""
     # a composite Lobatto rule repeats each inner panel endpoint of a slab
     order = np.lexsort((times, slab))
     ts, ss = times[order], slab[order]
@@ -248,23 +252,34 @@ def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndar
     slot = np.empty(len(ts), dtype=int)
     slot[order] = np.cumsum(new) - 1
     ts, ss = ts[new], ss[new]
+    # each slab's distinct times, padded with zero weights to the most of any slab
+    S = len(geoms)
+    rank = np.arange(len(ts)) - np.searchsorted(ss, ss)
+    P = int(rank.max()) + 1
     t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
+    # the trapezoid's factor 1/2 rides on the temporal weights
+    wlam = np.zeros((S, P, q + 1))
+    wlam[ss, rank] = 0.5 * np.bincount(slot, weights)[:, None] * temporal_basis_values(
+        q, t0[ss], t1[ss], ts
+    )
     part = partition_at(geoms[0], ts, left_at(geoms, ss, ts))
-    wlam = np.bincount(slot, weights)[:, None] * temporal_basis_values(q, t0[ss], t1[ss], ts)
     # the segments of one time tile the domain, so the source is evaluated
     # at each segment's left end and at the right end of each time's last one
     row = part.time_index
     last = np.append(row[1:] != row[:-1], True)
+    n = len(part)
     f = pointwise(
         source, np.concatenate([part.xa, part.xb[last]]), np.concatenate([part.t, part.t[last]])
     )
-    fv = np.empty((2, len(part)))
-    fv[0] = f[: len(part)]
-    fv[1, :-1] = f[1 : len(part)]
-    fv[1, last] = f[len(part) :]
-    fw = (fv * (0.5 * part.lengths)).T[:, :, None] * wlam[row][:, None, :]
-    del f, fv  # not needed by the hat sums, which are the chunk's largest temporaries
-    return _hat_load(geoms[0], part, np.array([part.xa, part.xb]).T, fw, ss[row], len(geoms))
+    length = part.lengths
+    fa = f[:n] * length
+    fb = np.empty(n)
+    fb[:-1] = f[1:n]
+    fb[last] = f[n:]
+    fb *= length
+    points = [(part.xa, fa), (part.xb, fb)]
+    g = _hat_sums(geoms[0], part, points, (ss * P + rank)[row], S * P)
+    return np.matmul(wlam.transpose(0, 2, 1), g.reshape(S, P, -1)).transpose(0, 2, 1)
 
 
 def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
@@ -273,7 +288,7 @@ def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
     part = spatial_partition(geom, t)
     x, w = segment_points(part)
     fw = pointwise(func, x.ravel()).reshape(x.shape) * w
-    return _hat_load(geom, part, x, fw[:, :, None], np.zeros(len(part), dtype=int), 1)[0, :, 0]
+    return _hat_sums(geom, part, zip(x.T, fw.T), part.time_index, 1)[0]
 
 
 def _jump_load(setup: Setup, start_cov, prev: SlabSolution) -> np.ndarray:

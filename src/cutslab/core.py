@@ -261,14 +261,18 @@ def check_interior(problem: ProblemSpec, spec: OverlapSpec, partition: TimeParti
     attained at slab breakpoints.
     """
     a = interface_path(spec, partition)
-    if a.min() <= problem.x_lo + INTERIOR_MARGIN:
+    left = a <= problem.x_lo + INTERIOR_MARGIN
+    right = a + spec.length >= problem.x_hi - INTERIOR_MARGIN
+    bad = np.flatnonzero(left | right)
+    if len(bad):
+        # breakpoint i ends slab i (1-based), and breakpoint 0 starts slab 1
+        i = int(bad[0])
+        if left[i]:
+            side, x, edge = "left", a[i], problem.x_lo
+        else:
+            side, x, edge = "right", a[i] + spec.length, problem.x_hi
         raise GeometryViolation(
-            f"left interface reaches {a.min():.6g}, touching the boundary {problem.x_lo}"
-        )
-    if (a.max() + spec.length) >= problem.x_hi - INTERIOR_MARGIN:
-        raise GeometryViolation(
-            f"right interface reaches {a.max() + spec.length:.6g}, "
-            f"touching the boundary {problem.x_hi}"
+            f"{side} interface reaches {x:.6g} in slab {max(i, 1)}, touching the boundary {edge}"
         )
 
 

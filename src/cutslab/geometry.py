@@ -40,10 +40,6 @@ class SlabGeometry:
     cut_cells: np.ndarray
     covered_cells: np.ndarray
 
-    @property
-    def k(self) -> float:
-        return self.t_end - self.t_start
-
     def left(self, t):
         """Left interface position."""
         return self.a_start + self.mu * (np.asarray(t) - self.t_start)

@@ -9,7 +9,9 @@ with the assembled matrices is evidence and not tautology.
 functional to evaluable functions through the library's partitions and time
 rules, one quadrature point at a time.  ``assemble_Aht``, ``mass_matrix`` and
 ``upwind_matrix`` are dense spatial matrices at one time, built from the
-library's interface stencil and per-segment cell integrals.
+library's interface stencil and per-segment cell integrals.  ``source_load``
+is the reference trapezoid-in-space source load of one slab, on the oracle's
+own segments and time rule.
 
 ``pointwise_xnorm_error`` is the energy-norm measurement written as a loop over
 the temporal quadrature points, each with its own spatial partition and
@@ -24,7 +26,6 @@ points at one time and a solution's one-sided traces at a slab breakpoint.
 import numpy as np
 
 from cutslab.assembly import (
-    _cell_entries,
     _covered_entries,
     _jump_load,
     _segment_mass_stiff,
@@ -129,7 +130,7 @@ def quadrature_breakpoints(geom) -> np.ndarray:
     t0, t1 = geom.t_start, geom.t_end
     # crossing of overlap node g with background node position X: t0 + (X - y0_g)/mu
     tt = t0 + (cut_pos[None, :] - y0[:, None]) / geom.mu
-    eps = EVENT_DEDUP_FRACTION * geom.k
+    eps = EVENT_DEDUP_FRACTION * (geom.t_end - geom.t_start)
     tt = tt[(tt > t0 + eps) & (tt < t1 - eps)]
     out = np.sort(np.concatenate([geom.events, tt.ravel()]))
     if len(out) > 1:
@@ -267,6 +268,19 @@ def oracle_bilinear(w, v, *, form="standard", gamma=None, omega1=None, include_u
     return total
 
 
+def _cell_entries(d0, d1, sym):
+    """Triplets of symmetric 2x2 cell matrices on nodes (d0, d1).
+
+    ``sym`` holds (e00, e01, e11) along its second-to-last axis and the cells
+    along its last one; the values come back with the leading axes of ``sym``
+    and the entries along the last axis.
+    """
+    rows = np.concatenate([d0, d0, d1, d1])
+    cols = np.concatenate([d0, d1, d0, d1])
+    vals = sym[..., [0, 1, 1, 2], :]
+    return rows, cols, vals.reshape(vals.shape[:-2] + (-1,))
+
+
 def jump_load(space, setup, prev):
     """The assembly's time-jump load of a slab (the side-wise start mass
     applied to ``prev``'s end-time nodal values), over the slab's spatial
@@ -295,6 +309,45 @@ def exact_trace_load(space, t: float, fn):
         vec[shift + c] += np.sum(f * (1.0 - w1))
         vec[shift + c + 1] += np.sum(f * w1)
     return vec[space.dof_node]
+
+
+def source_load(setup, geom) -> np.ndarray:
+    """The source against every node's hat and temporal mode on one slab,
+    shaped (nodes, q+1) in the global node numbering: the trapezoid rule on
+    each oracle segment at every distinct time of the slab's temporal rule
+    (the midpoint for q = 0, three-point Lobatto for q = 1, on the panels
+    between the slab's events), looped over the times.
+
+    The segments of one time are handled together: the source at both ends
+    of each, the two hats of its own cell there, and an unbuffered scatter
+    into the nodes.
+    """
+    q = setup.disc.q
+    t0, t1 = geom.t_start, geom.t_end
+    panels = np.concatenate(([t0], geom.events, [t1]))
+    weight = {}  # time -> summed rule weight; Lobatto repeats inner panel ends
+    for lo, hi in zip(panels[:-1], panels[1:]):
+        if q == 0:
+            rule = [(0.5 * (lo + hi), hi - lo)]
+        else:
+            rule = [(lo, (hi - lo) / 6), (0.5 * (lo + hi), 2 * (hi - lo) / 3), (hi, (hi - lo) / 6)]
+        for t, w in rule:
+            weight[t] = weight.get(t, 0.0) + w
+    nb = len(geom.bg_nodes)
+    load = np.zeros((nb + len(geom.ov_offsets), q + 1))
+    for t, w in weight.items():
+        modes = np.ones(1) if q == 0 else np.array([t1 - t, t - t0]) / (t1 - t0)
+        lo, hi, side = (np.array(v) for v in zip(*_segments(geom, t)))
+        mid = 0.5 * (lo + hi)
+        for s, nodes, shift in ((1, geom.bg_nodes, 0), (2, geom.ov_positions(t), nb)):
+            on = side == s
+            c = np.searchsorted(nodes, mid[on]) - 1
+            h = nodes[c + 1] - nodes[c]
+            for x in (lo[on], hi[on]):
+                fx = 0.5 * (hi[on] - lo[on]) * setup.problem.source(x, np.full_like(x, t))
+                np.add.at(load, shift + c, np.outer(w * fx * (nodes[c + 1] - x) / h, modes))
+                np.add.at(load, shift + c + 1, np.outer(w * fx * (x - nodes[c]) / h, modes))
+    return load
 
 
 def asm_bilinear(w, v):
@@ -451,7 +504,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
 
     for slab in sol.slabs:
         geom = slab.geom
-        k = geom.k
+        k = geom.t_end - geom.t_start
         mu = geom.mu
         mu_bar = float(np.hypot(mu, 1.0))
         nodes = geom.bg_nodes

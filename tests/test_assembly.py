@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from oracles import (
     jump_load,
     mass_matrix,
     oracle_bilinear,
+    source_load,
     upwind_matrix,
 )
 
@@ -172,6 +175,41 @@ class TestTimeJumpLoad:
         # the jump load tests the start-time mode only (q = 1 modes are nodal)
         expect = np.outer(jump_load(space, setup, prev), [1.0, 0.0]).ravel()
         assert np.max(np.abs(diff - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+class TestSourceLoad:
+    """Every slab's source load against ``oracles.source_load``, from a chunk
+    of all slabs and from one-slab chunks.  The initial data is zero, so a
+    chunk's first load holds the source load alone."""
+
+    CASES = [
+        # (n0, nG, N, q, mu, initial_left)
+        *(
+            (32, 8, 4, q, mu, a0)
+            for q in (0, 1)
+            for mu, a0 in ((0.6, 0.125), (-0.5, 0.625), (0.0, 0.3))
+        ),
+        (16, 1, 4, 0, 0.6, 0.125),  # nG = 1
+        (16, 1, 4, 1, -0.5, 0.625),
+        (16, 256, 4, 1, 0.6, 0.125),  # a fine overlap mesh
+        (512, 128, 2, 1, 0.6, 0.125),  # about 300 interface-node crossings per slab
+    ]
+
+    @pytest.mark.parametrize("n0, nG, N, q, mu, a0", CASES)
+    def test_matches_oracle(self, n0, nG, N, q, mu, a0):
+        setup = make_setup(n0=n0, nG=nG, N=N, q=q, mu=mu, a0=a0)
+        problem = dataclasses.replace(setup.problem, initial=lambda x: 0.0)
+        setup = Setup.build(problem, setup.overlap, setup.disc)
+        def loads(slabs):
+            spaces = build_slab_space(build_slab_geometry(setup, slabs), setup.disc)
+            return assemble_slab(spaces, setup, None).loads
+
+        chunk = loads(range(1, N + 1))
+        for n in range(1, N + 1):
+            ref = source_load(setup, build_slab_geometry(setup, n))
+            for load in (chunk[n - 1], loads(range(n, n + 1))[0]):
+                assert load.shape == ref.shape
+                assert np.max(np.abs(load - ref)) <= 1e-13 * np.max(np.abs(ref)), n
 
 
 class TestOracleAgreement:

@@ -115,8 +115,20 @@ class TestInterfacePath:
         prob = manufactured_problem()
         spec = OverlapSpec(length=0.25, initial_left=0.125, velocity=-0.3)
         part = build_time_partition(spec, 1.0, 4)
-        with pytest.raises(GeometryViolation):
+        # the left interface is at 0.05 after slab 1 and at -0.025 after slab 2
+        with pytest.raises(GeometryViolation, match=r"left interface reaches -0\.025 in slab 2,"):
             check_interior(prob, spec, part)
+
+    def test_interior_violation_names_the_first_slab(self):
+        prob = manufactured_problem()
+        # right end 1 - 1e-13 at the start, inside the margin: slab 1
+        spec = OverlapSpec(length=0.25, initial_left=0.75 - 1e-13, velocity=-0.3)
+        with pytest.raises(GeometryViolation, match="right interface .* in slab 1,"):
+            check_interior(prob, spec, build_time_partition(spec, 1.0, 4))
+        # right end 0.975 after slab 1, then 1.05, 1.125 and 1.2
+        spec = OverlapSpec(length=0.25, initial_left=0.65, velocity=0.3)
+        with pytest.raises(GeometryViolation, match=r"right interface reaches 1\.05 in slab 2,"):
+            check_interior(prob, spec, build_time_partition(spec, 1.0, 4))
 
 
 class TestValidation:
