@@ -76,7 +76,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_array, csc_array
 
 from .core import NumericalFailure, Setup, pointwise
 from .geometry import (
@@ -96,41 +95,56 @@ from .spaces import (
     SlabSpaces,
     temporal_basis_derivs,
     temporal_basis_values,
+    temporal_modes,
 )
 
 
 class SlabSystem:
-    """Sparse (CSC) matrix and load vector for one slab.
+    """The matrix and load vector of one slab: ``matrix`` a scipy.sparse CSC
+    array and ``rhs`` the load, both in the slab's DOF order.
 
-    A system made by ``SlabSystems.system`` is given no ``matrix``: it cuts
-    its block from the chunk's block-diagonal matrix on first access of
-    ``matrix``, since the march's solve reads ``band`` instead.  ``memo`` is
-    the march's ``solver.FactorMemo``, shared by its slabs (None factors
-    afresh), and ``band`` the slab's ``solver.Band``, which the march builds
-    for a whole chunk (None builds it from ``matrix``).
+    A system built by hand is given both, and they are checked here.  A
+    system made by ``SlabSystems.system`` carries the matrix as triplets in
+    the slab's position order (``triplets``, see ``SlabSystems``), its load
+    in that order (``load``), ``order`` (the slab DOF of each position) and,
+    in a march, its ``solver.Band`` (``band``); it builds ``matrix`` and
+    ``rhs`` only when they are read, off the march path.  ``memo`` is the
+    march's ``solver.FactorMemo``, shared by its slabs (None factors afresh).
     """
 
-    def __init__(self, slab: int, matrix, rhs, space: SlabSpace, memo=None, band=None, chunk=None):
-        self.slab, self.rhs, self.space, self.memo, self.band = slab, rhs, space, memo, band
-        self._chunk = chunk  # (SlabSystems, position in it) when matrix is None
+    band = load = order = triplets = None
+
+    def __init__(self, slab: int, matrix, rhs, space: SlabSpace, memo=None):
+        from scipy.sparse import csc_array
+
         n = space.n_cols
-        if matrix is not None:
-            if not isinstance(matrix, csc_array):
-                raise TypeError("the slab matrix must be a scipy.sparse.csc_array")
-            if matrix.shape != (n, n):
-                raise ValueError("system dimensions do not match the slab space")
-            if not np.all(np.isfinite(matrix.data)):
-                raise NumericalFailure(f"non-finite entries in slab {slab} system")
-            self.matrix = matrix
-        if rhs.shape != (n,):
+        if not isinstance(matrix, csc_array):
+            raise TypeError("the slab matrix must be a scipy.sparse.csc_array")
+        if matrix.shape != (n, n) or rhs.shape != (n,):
             raise ValueError("system dimensions do not match the slab space")
-        if not np.all(np.isfinite(rhs)):
+        if not (np.all(np.isfinite(matrix.data)) and np.all(np.isfinite(rhs))):
             raise NumericalFailure(f"non-finite entries in slab {slab} system")
+        self.slab, self.matrix, self.rhs, self.space, self.memo = slab, matrix, rhs, space, memo
+
+    @classmethod
+    def _of_chunk(cls, systems: "SlabSystems", i: int, load, memo, band) -> "SlabSystem":
+        system = cls.__new__(cls)
+        system.slab, system.space = systems.spaces[i].geom.n, systems.spaces[i]
+        system.load, system.memo, system.band = load, memo, band
+        system.order = systems.order[systems.first[i] : systems.first[i + 1]]
+        system.triplets = systems.triplets(i)
+        return system
 
     @cached_property
-    def matrix(self) -> csc_array:
-        systems, i = self._chunk
-        return systems.block(i)
+    def matrix(self):
+        rows, cols, vals = self.triplets
+        return _csc(self.order[rows], self.order[cols], vals, len(self.order))
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        rhs = np.empty_like(self.load)
+        rhs[self.order] = self.load
+        return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +305,6 @@ def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
     return _hat_sums(geom, part, zip(x.T, fw.T), part.time_index, 1)[0]
 
 
-def _jump_load(setup: Setup, start_cov, prev: SlabSolution) -> np.ndarray:
-    """The previous slab's end-time trace against every node's hat at the
-    slab start: the side-wise start mass, i.e. the full-mesh mass minus the
-    covered-correction mass triplets ``start_cov``, applied to its nodal
-    values."""
-    rows, cols, vals = setup.mesh_matrices
-    r, c, mv = start_cov
-    g = prev.geom
-    u = prev.nodal() @ temporal_basis_values(prev.space.q, g.t_start, g.t_end, g.t_end)
-    return np.bincount(
-        np.concatenate([rows, r]),
-        np.concatenate([vals[:, 0] * u[cols], -mv * u[c]]),
-        minlength=len(u),
-    )
-
-
 def _dof_triplets(dofs, m: int, at, rows, cols, blocks):
     """COO triplets in the DOFs of a chunk of slabs of (q+1)^2 temporal
     ``blocks`` on global node ``rows`` and ``cols``, without the entries on
@@ -327,8 +325,8 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
     """Triplets (slab, rows, cols, blocks) of the covered-interval
     correction, at each slab start and on its panel Gauss times (``t_slab``
     gives each time's slab): mass against the start trace and lam_i lam_j',
-    stiffness against lam_i lam_j; and each slab's covered mass triplets at
-    its start."""
+    stiffness against lam_i lam_j; and the covered mass triplets (slab,
+    rows, cols, values) at the slab starts, slab after slab."""
     S, mm = len(geoms), start.size
     t0, mu, a0 = np.array([(g.t_start, g.mu, g.a_start) for g in geoms]).T
     # positions: each slab's start, then its times, padded with its start
@@ -350,10 +348,7 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
     slab = np.broadcast_to(np.arange(S)[:, None, None], own.shape)[own]
     rows = np.stack([cells, cells, cells + 1, cells + 1], axis=1)[own]
     cols = np.stack([cells, cells + 1, cells, cells + 1], axis=1)[own]
-    start_mv = mv[:, 0][:, pick][own]
-    end = np.cumsum(np.bincount(slab, minlength=S)).tolist()
-    start_cov = [(rows[i:j], cols[i:j], start_mv[i:j]) for i, j in zip([0] + end[:-1], end)]
-    return (slab, rows, cols, -sym[:, pick][own]), start_cov
+    return (slab, rows, cols, -sym[:, pick][own]), (slab, rows, cols, mv[:, 0][:, pick][own])
 
 
 def _interface_part(spaces, nt, mu, gamma: float, w_ll):
@@ -382,118 +377,213 @@ def _stabilization_part(spaces):
     return (slab[:, None], *_point_entries(idx, g[:, :, None] * g[:, None, :], W))
 
 
-def _slab_matrices(spaces, setup: Setup):
-    """The block-diagonal matrix of the slabs ``spaces``, the first row of
-    each slab's block in it and each slab's covered mass triplets at its
-    start.
+def position_order(spaces):
+    """The position order of the unknowns of consecutive slabs ``spaces``,
+    which numbers each slab's rows of the chunk.
+
+    A slab's spatial DOFs are sorted by position, background nodes at their
+    coordinate and overlap nodes at their position at the slab midpoint
+    (ties in DOF order), each with its temporal modes together, mode
+    fastest.  Returns ``node_row`` (slabs, nodes), the chunk row of each
+    node's first mode or -1 for a node without DOF, and ``order``, the slab
+    DOF of each chunk row.  Slab i's rows follow those of the slabs before
+    it.
+    """
+    m = spaces[0].q + 1
+    geom = spaces[0].geom
+    nb = len(geom.bg_nodes)
+    t0, t1, mu, a0 = np.array([(sp.geom.t_start, sp.geom.t_end, sp.geom.mu, sp.geom.a_start) for sp in spaces]).T
+    node_dof = np.stack([sp.node_dof for sp in spaces])
+    x = np.empty(node_dof.shape)
+    x[:, :nb] = geom.bg_nodes
+    x[:, nb:] = np.add.outer(a0 + mu * (0.5 * (t0 + t1) - t0), geom.ov_offsets)
+    slab, node = np.nonzero(node_dof >= 0)
+    by = np.lexsort((x[slab, node], slab))
+    slab, node = slab[by], node[by]
+    node_row = np.full(node_dof.shape, -1, dtype=np.intc)
+    node_row[slab, node] = m * np.arange(len(slab))
+    order = (m * node_dof[slab, node][:, None] + np.arange(m)).ravel()
+    return node_row, order
+
+
+def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
+    """The triplets (rows, cols, vals) of the slab matrices of ``spaces``,
+    slab after slab from entry ``at[i]`` of slab i on, each in its own rows
+    (``position_order``, whose chunk rows ``node_row`` start slab i at
+    ``first[i]``) with duplicates to be summed; ``at``; and the covered mass
+    triplets at each slab start.  Raises ``NumericalFailure`` naming the
+    first slab with a non-finite entry.
 
     Each piece of the form yields triplets of the chunk, mapped to the
-    chunk's DOFs (slab after slab) as it is made; one sparse sum over the
-    chunk gives the block-diagonal matrix.
+    chunk's rows as it is made.
     """
     S = len(spaces)
     geoms = [sp.geom for sp in spaces]
     q = spaces[0].q
     m = q + 1
-    t0, t1, mu = np.array([(g.t_start, g.t_end, g.mu) for g in geoms]).T
+    k, mu = np.array([(g.k, g.mu) for g in geoms]).T
     slab_ids = np.arange(S)
-    n = np.array([sp.n_cols for sp in spaces])
-    first = np.cumsum(n) - n
-    node_dof = np.stack([sp.node_dof for sp in spaces])
-    dofs = np.where(node_dof >= 0, first[:, None] + m * node_dof, -1).astype(np.intc).ravel()
-    at = slab_ids * node_dof.shape[1]
+    dofs = node_row.ravel()
+    at = slab_ids * node_row.shape[1]
 
-    def to_dofs(slab, rows, cols, blocks):
+    def to_rows(slab, rows, cols, blocks):
         return _dof_triplets(dofs, m, at[slab], rows, cols, blocks)
 
     # constant-in-time blocks: full-mesh mass, stiffness and drift of both meshes
     # (every slab's start trace reads off its first mode)
-    lam0 = temporal_basis_values(q, 0.0, 1.0, 0.0)
+    lam0 = temporal_modes(q, 0.0)
     start = np.outer(lam0, lam0)  # slab-start mass (time jump / initial coupling)
-    T1, T2 = _temporal_products(q, t1 - t0)
+    T1, T2 = _temporal_products(q, k)
     rows, cols, vals = setup.mesh_matrices
     C = np.stack([T2 + start, T1, -mu[:, None, None] * T1], axis=1).reshape(S, 3, m * m)
-    triplets = [to_dofs(slab_ids[:, None], rows, cols, vals @ C)]
+    triplets = [to_rows(slab_ids[:, None], rows, cols, vals @ C)]
 
     # temporal weights on the panel Gauss times
     nt = np.array([len(sp.times) for sp in spaces])
     t_slab = np.repeat(slab_ids, nt)
     wts = np.concatenate([sp.weights for sp in spaces])[:, None, None]
     lam = np.concatenate([sp.lam for sp in spaces])
-    dlam = temporal_basis_derivs(q, t0[t_slab], t1[t_slab])
+    dlam = temporal_basis_derivs(q, 0.0, k[t_slab])
     w_ll = (wts * lam[:, :, None] * lam[:, None, :]).reshape(-1, m * m)
     w_ld = (wts * lam[:, :, None] * dlam[:, None, :]).reshape(-1, m * m)
     times = np.concatenate([sp.times for sp in spaces])
     covered, start_cov = _covered_part(geoms, t_slab, times, start, w_ld, w_ll)
-    triplets.append(to_dofs(*covered))
-    triplets.append(to_dofs(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
+    triplets.append(to_rows(*covered))
+    triplets.append(to_rows(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
     stab = _stabilization_part(spaces)
     if stab is not None:
-        triplets.append(to_dofs(*stab))
-    del covered, stab  # the raw triplets; the sum below needs only the DOF ones
-    rows, cols, data = (np.concatenate(x) for x in zip(*triplets))
+        triplets.append(to_rows(*stab))
+    del covered, stab  # the raw triplets; only the chunk-row ones are kept
+    rows, cols, vals = (np.concatenate(x) for x in zip(*triplets))
     del triplets
-    total = int(n.sum())
-    A = coo_array((data, (rows, cols)), shape=(total, total)).tocsc()  # sums the duplicates, once
-    return A, first.tolist(), start_cov
+    # every piece runs slab after slab, so a stable sort by slab keeps the
+    # order in which each entry's duplicates are summed
+    slab = np.repeat(np.arange(S, dtype=rows.dtype), np.diff(first))[rows]
+    if not np.isfinite(vals).all():
+        bad = slab[np.argmin(np.isfinite(vals))]
+        raise NumericalFailure(f"non-finite entries in slab {geoms[bad].n} system")
+    count = np.bincount(slab, minlength=S)
+    by = np.argsort(slab, kind="stable")
+    del slab
+    # one array at a time: a chunk's triplets are its largest arrays
+    vals = vals[by]
+    rows = rows[by]
+    cols = cols[by]
+    del by
+    start = np.repeat(np.array(first[:-1], dtype=rows.dtype), count)
+    rows -= start
+    cols -= start
+    return rows, cols, vals, [0] + np.cumsum(count).tolist(), start_cov
 
 
-def _start_load(setup: Setup, space: SlabSpace, start_cov, prev: SlabSolution | None):
-    """The previous slab's end-time trace (the initial data when ``prev`` is
-    None) against every node's hat and temporal mode at the slab start."""
-    geom = space.geom
-    lam0 = temporal_basis_values(space.q, geom.t_start, geom.t_end, geom.t_start)
-    if prev is None:
-        trace = _trace_load(geom, geom.t_start, setup.problem.initial)
-    else:
-        trace = _jump_load(setup, start_cov, prev)
-    return trace[:, None] * lam0
+def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
+    """The time-jump maps of consecutive slabs: triplets (rows, cols, vals),
+    each shaped (slabs, entries), that take the previous slab's coefficients
+    (``cols``, its DOFs) to each slab's load (``rows``, its local rows in
+    position order).
+
+    The map is the side-wise mass at the slab start, the full-mesh mass minus
+    the covered mass triplets ``start_cov``, between the slab's start-mode
+    test functions and the previous slab's end-time trace.  Both factors are
+    P1 on every segment of the start partition, so it is the exact L2
+    pairing of that trace with the test functions.  ``local_row`` (slabs,
+    nodes) gives each node's first local row or -1, ``prev_dof`` the
+    previous slab's DOF of its first mode or a negative number.  An entry on
+    a node without either becomes a zero on row and column 0, and so do the
+    pads of slabs with fewer covered cells.
+    """
+    S, N = local_row.shape
+    rows, cols, vals = setup.mesh_matrices
+    cs, cr, cc, cv = start_cov
+    # the covered triplets of each slab, padded to the most of any slab
+    count = np.bincount(cs, minlength=S)
+    pad = np.zeros((3, S, count.max()))
+    at = (cs, np.arange(len(cs)) - (np.cumsum(count) - count)[cs])
+    pad[0][at], pad[1][at], pad[2][at] = cr, cc, -cv
+    r = np.concatenate([local_row[:, rows], local_row.ravel()[N * np.arange(S)[:, None] + pad[0].astype(int)]], axis=1)
+    c = np.concatenate([prev_dof[:, cols], prev_dof.ravel()[N * np.arange(S)[:, None] + pad[1].astype(int)]], axis=1)
+    v = np.concatenate([np.broadcast_to(vals[:, 0], (S, len(rows))), pad[2]], axis=1)
+    drop = (r < 0) | (c < 0)
+    r[drop], c[drop], v[drop] = 0, 0, 0.0
+    # the modes met: the slab's at its start, the previous slab's at its end
+    w = np.outer(temporal_modes(q, 0.0), temporal_modes(q, 1.0))
+    i, j = np.nonzero(w)
+    return (
+        (r[:, :, None] + i).reshape(S, -1),
+        (c[:, :, None] + j).reshape(S, -1),
+        (v[:, :, None] * w[i, j]).reshape(S, -1),
+    )
+
+
+def _apply(jump, i: int, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The load of slab i's jump map on the previous slab's ``coeffs``."""
+    rows, cols, vals = jump
+    return np.bincount(rows[i], vals[i] * coeffs[cols[i]], minlength=n)
+
+
+def _csc(rows, cols, vals, n: int):
+    """The n x n CSC array of the triplets, each entry's duplicates summed
+    in their order, as ``np.bincount`` sums them into a band."""
+    from scipy.sparse import csc_array
+
+    keys, at = np.unique(cols.astype(np.int64) * n + rows, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return csc_array((np.bincount(at, vals), (keys % n).astype(np.intc), indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
 class SlabSystems:
     """The system of consecutive slabs, block lower bidiagonal in time.
 
-    The diagonal blocks are the slab matrices; ``matrix`` holds them as one
-    block-diagonal matrix, slab i's block from row ``first[i]`` on.  Below
-    the diagonal, the time jump feeds each slab's end-time trace into the
-    load of the next one, so the slabs are solved one after the other:
-    ``system(i, prev)`` is slab i's system once ``prev``, the solution on
-    slab i-1, is known.  The first slab's load already holds the trace of
-    the solution before the chunk (or the initial data).
+    Slab i's unknowns are the chunk rows ``first[i]`` to ``first[i + 1]``,
+    in its position order (``position_order``): ``order`` gives the slab DOF
+    of each row.  The diagonal blocks, the slab matrices, come as triplets
+    ``rows``, ``cols``, ``vals``, slab i's from entry ``at[i]`` to
+    ``at[i + 1]`` in its own rows, with duplicates to be summed;
+    ``matrix`` builds them into one block-diagonal CSC array in DOF order
+    when it is read.  ``loads`` holds each row's source load; the first
+    slab's also holds the trace of the solution before the chunk (or the
+    initial data).  Below the diagonal, ``jump`` takes the solution on slab
+    i-1 to slab i's time-jump load, so the slabs are solved one after the
+    other: ``system(i, prev)`` is slab i's system once ``prev``, the solution
+    on slab i-1, is known.
     """
 
     spaces: SlabSpaces
-    setup: Setup
-    matrix: csc_array
     first: list
-    loads: list  # per slab (nodes, q+1): the source load, for slab 0 with its trace
-    start_cov: list  # per slab: the covered mass triplets at its start
+    at: list
+    order: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    loads: np.ndarray
+    jump: tuple  # (rows, cols, vals), each (slabs, entries): see _jump_maps
 
-    def block(self, i: int) -> csc_array:
-        """The CSC matrix of slab i (0-based in the chunk)."""
-        A, f, k = self.matrix, self.first[i], self.spaces[i].n_cols
-        lo, hi = A.indptr[f], A.indptr[f + k]
-        block = (A.data[lo:hi], A.indices[lo:hi] - f, A.indptr[f : f + k + 1] - lo)
-        return csc_array(block, shape=(k, k))
+    def triplets(self, i: int) -> tuple:
+        """Slab i's matrix triplets (rows, cols, vals) in its own rows."""
+        a, b = self.at[i], self.at[i + 1]
+        return self.rows[a:b], self.cols[a:b], self.vals[a:b]
+
+    @cached_property
+    def matrix(self):
+        """The block-diagonal CSC array of the slab matrices, slab i's block
+        from row and column ``first[i]`` on, in its DOF order."""
+        start = np.repeat(self.first[:-1], np.diff(self.at))
+        dof = np.repeat(self.first[:-1], np.diff(self.first)) + self.order
+        return _csc(dof[start + self.rows], dof[start + self.cols], self.vals, self.first[-1])
 
     def system(self, i: int, prev: SlabSolution | None, memo=None, band=None) -> SlabSystem:
         """The system of slab i (0-based in the chunk); ``prev`` is read for
         i > 0 only.  ``memo`` and ``band`` are handed on to the solve
-        (``SlabSystem.memo`` and ``SlabSystem.band``)."""
-        space = self.spaces[i]
-        load = self.loads[i]
+        (``SlabSystem.memo`` and ``SlabSystem.band``).  Raises
+        ``NumericalFailure`` naming the slab when its load is not finite."""
+        f, k = self.first[i], self.first[i + 1]
+        load = self.loads[f:k]
         if i > 0:
-            load = load + _start_load(self.setup, space, self.start_cov[i], prev)
-        return SlabSystem(
-            slab=space.geom.n,
-            matrix=None,
-            rhs=load[space.dof_node].ravel(),
-            space=space,
-            memo=memo,
-            band=band,
-            chunk=(self, i),
-        )
+            load = load + _apply(self.jump, i, prev.coeffs, k - f)
+        if not np.isfinite(load).all():
+            raise NumericalFailure(f"non-finite entries in slab {self.spaces[i].geom.n} system")
+        return SlabSystem._of_chunk(self, i, load, memo, band)
 
 
 def assemble_slab(
@@ -503,20 +593,40 @@ def assemble_slab(
 
     ``prev`` is the solution on the previous slab, whose end-time trace enters
     the load; for the first slab it is None and the initial data enters
-    instead.  For the ``SlabSpaces`` of consecutive slabs, their matrices
-    and source loads are built at once and come back as ``SlabSystems``,
-    with ``prev`` (the solution on the slab before them) in the first load.
+    instead.  For the ``SlabSpaces`` of consecutive slabs, their matrices,
+    source loads and time-jump maps are built at once and come back as
+    ``SlabSystems``, with ``prev`` (the solution on the slab before them) in
+    the first load.
     """
     spaces = SlabSpaces((space,) if isinstance(space, SlabSpace) else space)
-    A, first, start_cov = _slab_matrices(spaces, setup)
-    geoms = [sp.geom for sp in spaces]
+    S = len(spaces)
     q = spaces[0].q
+    m = q + 1
+    node_row, order = position_order(spaces)
+    first = [0] + np.cumsum([sp.n_cols for sp in spaces]).tolist()
+    rows, cols, vals, at, start_cov = _slab_matrices(spaces, setup, node_row, first)
+
+    geoms = [sp.geom for sp in spaces]
     t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
     rule = midpoint() if q == 0 else lobatto3()
     times, wts = composite_time_rule(t0, t1, [g.events for g in geoms], rule)
     panels = np.array([len(g.events) + 1 for g in geoms])
-    slab = np.repeat(np.arange(len(geoms)), len(rule.nodes) * panels)
-    loads = list(_f_load(geoms, q, slab, times, wts, setup.problem.source))
-    loads[0] = loads[0] + _start_load(setup, spaces[0], start_cov[0], prev)
-    systems = SlabSystems(spaces, setup, A, first, loads, start_cov)
+    slab = np.repeat(np.arange(S), len(rule.nodes) * panels)
+    F = _f_load(geoms, q, slab, times, wts, setup.problem.source)
+    if prev is None:
+        F[0] += np.outer(_trace_load(geoms[0], t0[0], setup.problem.initial), temporal_modes(q, 0.0))
+    slab, node = np.nonzero(node_row >= 0)
+    loads = np.empty(first[-1])
+    loads[(node_row[slab, node][:, None] + np.arange(m)).ravel()] = F[slab, node].ravel()
+
+    # each slab's rows, and the previous slab's DOFs, of every node's first mode
+    local_row = np.where(node_row >= 0, node_row - np.array(first[:-1], dtype=np.intc)[:, None], -1)
+    node_dof = np.stack([sp.node_dof for sp in spaces])
+    prev_dof = np.empty_like(node_dof)
+    prev_dof[1:] = m * node_dof[:-1]
+    prev_dof[0] = -1 if prev is None else m * prev.space.node_dof
+    jump = _jump_maps(setup, local_row, prev_dof, start_cov, q)
+    if prev is not None:
+        loads[: first[1]] += _apply(jump, 0, prev.coeffs, first[1])
+    systems = SlabSystems(spaces, first, at, order, rows, cols, vals, loads, jump)
     return systems.system(0, prev) if isinstance(space, SlabSpace) else systems

@@ -131,10 +131,15 @@ class Discretization:
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Slab breakpoints t_0 < ... < t_N and the constant velocity of each slab."""
+    """Slab breakpoints t_0 < ... < t_N and the constant velocity of each slab.
+
+    ``k`` is the one slab length of a uniform partition (t_n = n k), None
+    for any other.
+    """
 
     breakpoints: np.ndarray
     velocities: np.ndarray
+    k: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.breakpoints, dtype=float)
@@ -148,6 +153,16 @@ class TimePartition:
     @property
     def n_slabs(self) -> int:
         return len(self.breakpoints) - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The length of each slab, which its temporal modes and time rules
+        scale by: ``k`` for every slab of a uniform partition, whose
+        breakpoint differences vary in the last bits, so that slabs alike
+        but for their start get bit-identical matrices."""
+        if self.k is None:
+            return np.diff(self.breakpoints)
+        return np.full(self.n_slabs, self.k)
 
     def slab_interval(self, n: int) -> tuple[float, float]:
         """Interval (t_{n-1}, t_n] of slab n (1-based)."""
@@ -239,10 +254,12 @@ def slab_velocity(spec: OverlapSpec, t_start: float, t_end: float) -> float:
 
 
 def build_time_partition(spec: OverlapSpec, final_time: float, n_slabs: int) -> TimePartition:
-    """Uniform partition of (0, T] with the slabwise discrete velocities."""
+    """Uniform partition of (0, T] with the slabwise discrete velocities:
+    t_n = n k with k = T / N (``np.linspace`` computes them so, and sets t_N
+    to T)."""
     t = np.linspace(0.0, final_time, n_slabs + 1)
     mu = np.array([slab_velocity(spec, t[n], t[n + 1]) for n in range(n_slabs)])
-    return TimePartition(breakpoints=t, velocities=mu)
+    return TimePartition(breakpoints=t, velocities=mu, k=final_time / n_slabs)
 
 
 def interface_path(spec: OverlapSpec, partition: TimePartition) -> np.ndarray:

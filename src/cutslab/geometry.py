@@ -31,6 +31,7 @@ class SlabGeometry:
     n: int
     t_start: float
     t_end: float
+    k: float  # slab length, in TimePartition.lengths: the temporal modes and rules scale by it
     mu: float
     a_start: float
     overlap_length: float
@@ -139,6 +140,7 @@ def build_slab_geometry(setup: Setup, n: int | range) -> SlabGeometry | SlabGeom
     t1 = setup.partition.breakpoints[num]
     k = t1 - t0
     mu = setup.partition.velocities[num - 1]
+    ks = setup.partition.lengths[num - 1]
     a0, a1 = setup.a_breaks[num - 1], setup.a_breaks[num]
     length = float(setup.overlap.length)
     nodes = setup.bg_nodes
@@ -187,11 +189,12 @@ def build_slab_geometry(setup: Setup, n: int | range) -> SlabGeometry | SlabGeom
 
     geoms = SlabGeometries(
         SlabGeometry(
-            n=int(n_), t_start=t0_, t_end=t1_, mu=mu_, a_start=a_, overlap_length=length,
+            n=int(n_), t_start=t0_, t_end=t1_, k=k_, mu=mu_, a_start=a_, overlap_length=length,
             bg_nodes=nodes, ov_offsets=setup.ov_offsets, events=ev, cut_cells=c, covered_cells=cv,
         )
-        for n_, t0_, t1_, mu_, a_, ev, c, cv in zip(
-            num.tolist(), t0.tolist(), t1.tolist(), mu.tolist(), a0.tolist(), events, cut, covered
+        for n_, t0_, t1_, k_, mu_, a_, ev, c, cv in zip(
+            num.tolist(), t0.tolist(), t1.tolist(), ks.tolist(), mu.tolist(), a0.tolist(),
+            events, cut, covered,
         )
     )
     return geoms if isinstance(n, range) else geoms[0]

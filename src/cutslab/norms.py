@@ -139,8 +139,8 @@ def _volume_terms(spaces, vals, rows: _Rows, exact, per_chunk: int):
     ``per_chunk`` rows at a time with one merged partition each."""
     geoms = [sp.geom for sp in spaces]
     S = len(geoms)
-    t0, t1, mu = np.array([(g.t_start, g.t_end, g.mu) for g in geoms]).T
-    dlam = temporal_basis_derivs(spaces[0].q, t0, t1)  # (slabs, q+1)
+    k, mu = np.array([(g.k, g.mu) for g in geoms]).T
+    dlam = temporal_basis_derivs(spaces[0].q, 0.0, k)  # (slabs, q+1)
     a = left_at(geoms, rows.slab, rows.times)
     grad = 0.0
     material = np.zeros(2 * S)  # per slab on side 1, then per slab on side 2
@@ -167,7 +167,6 @@ def _volume_terms(spaces, vals, rows: _Rows, exact, per_chunk: int):
         grad += float(rows.weights[row] @ np.einsum("ij,ij,ij->i", pw, ge, ge))
         de_sq = rows.weights[row] * np.einsum("ij,ij,ij->i", pw, de, de)
         material += np.bincount(s + S * on2, de_sq, minlength=2 * S)
-    k = t1 - t0
     return grad, float(k @ material[:S]), float(k @ material[S:])
 
 

@@ -53,12 +53,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
-from scipy.sparse import csc_array
 
-from .assembly import SlabSystem, assemble_slab
+from .assembly import SlabSystem, assemble_slab, position_order
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
 from .geometry import build_slab_geometry
-from .spaces import SlabSolution, SpaceTimeSolution, build_slab_space
+from .spaces import SlabSolution, SlabSpaces, SpaceTimeSolution, build_slab_space
 
 PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
@@ -67,102 +66,113 @@ RESIDUAL_TOL = 1e-10
 # many entries, and at least one slab.  At this value slabs of 512 + 128
 # cells with q = 1 go two to a chunk, enough to spread the batched code's
 # fixed cost per chunk, and a chunk's temporaries stay within about 2 MB.
+# The bands of a chunk are built in groups of slabs of at most 8 times as
+# many band entries (1.3 MB), and at least one slab.
 CHUNK_ENTRIES = 20480
 
 
 class Band(NamedTuple):
     """A slab matrix A in LAPACK band storage, its rows and columns in
-    position order: ``order[i]`` is the slab DOF of band row and column i,
-    and A[order[i], order[j]] sits at ``ab[kl + ku + i - j, j]``.  The first
-    ``kl`` rows of ``ab`` are zero, room for the fill of the LU factor."""
+    position order: A[i, j] sits at ``ab[kl + ku + i - j, j]``.  The first
+    ``kl`` rows of ``ab`` are zero, room for the fill of the LU factor,
+    which ``dgbtrf`` writes over A."""
 
     ab: np.ndarray  # (2 kl + ku + 1, n), Fortran order
     kl: int
     ku: int
-    order: np.ndarray
     scale: float  # ||A||_inf
 
 
-def _bands(A: csc_array, spaces) -> list:
-    """The ``Band`` of every slab of a chunk, from the chunk's block-diagonal
-    matrix ``A``, slab after slab as ``spaces`` gives them.  Raises
-    ``NumericalFailure`` naming the first slab with a non-finite entry."""
-    m = spaces[0].q + 1
-    n = np.array([sp.n_cols for sp in spaces])
-    first = np.cumsum(n) - n
-    # the slab and position of each chunk row (temporal mode fastest)
-    geom = spaces[0].geom
-    nb = len(geom.bg_nodes)
-    mid = [sp.geom.left(0.5 * (sp.geom.t_start + sp.geom.t_end)) for sp in spaces]
-    x = np.empty((len(spaces), nb + len(geom.ov_offsets)))
-    x[:, :nb] = geom.bg_nodes
-    x[:, nb:] = np.add.outer(mid, geom.ov_offsets)
-    slab, node = np.nonzero(np.stack([sp.node_dof for sp in spaces]) >= 0)
-    pos = np.repeat(x[slab, node], m)
-    slab = np.repeat(slab, m)
-    count = np.diff(A.indptr)
-    col = np.repeat(np.arange(len(count)), count)  # the column of each entry
-    finite = np.isfinite(A.data)
-    if not finite.all():
-        bad = slab[col[np.argmin(finite)]]
-        raise NumericalFailure(f"non-finite entries in slab {spaces[bad].geom.n} system")
+def _half_bandwidths(rows, cols, at) -> tuple[np.ndarray, np.ndarray]:
+    """kl and ku of each of consecutive slabs from their triplets, slab i's
+    from entry ``at[i]`` to ``at[i + 1]``."""
+    if not len(rows):
+        return np.zeros((2, len(at) - 1), dtype=np.intp)
+    kl = np.maximum.reduceat(rows - cols, at[:-1])
+    ku = np.maximum.reduceat(cols - rows, at[:-1])
+    return np.maximum(kl, 0).astype(np.intp), np.maximum(ku, 0).astype(np.intp)
 
-    # band row and column of each chunk row: its place in (slab, position) order
-    order = np.lexsort((pos, slab))
-    local = np.empty_like(order)
-    local[order] = np.arange(len(order))
-    local -= first[slab]
-    # each entry's band column, band row minus band column, and slab
-    c = local[col]
-    d = local[A.indices] - c
-    s = slab[col]
-    start = A.indptr[first]
-    has = A.indptr[first + n] > start
-    kl = np.where(has, np.maximum(np.maximum.reduceat(np.append(d, 0), start), 0), 0)
-    ku = np.where(has, np.maximum(np.maximum.reduceat(np.append(-d, 0), start), 0), 0)
+
+def _groups(kl, ku, n):
+    """Runs (lo, hi) of consecutive slabs whose band storage, (2 kl + ku + 1)
+    n entries each, stays within 8 CHUNK_ENTRIES (1.3 MB), and at least one
+    slab each."""
+    size = np.cumsum((2 * kl + ku + 1) * n)
+    lo = 0
+    while lo < len(n):
+        limit = (size[lo - 1] if lo else 0) + 8 * CHUNK_ENTRIES
+        hi = max(lo + 1, int(np.searchsorted(size, limit, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _bands(rows, cols, vals, at, kl, ku, n) -> list:
+    """The ``Band`` of each of consecutive slabs from their triplets, slab
+    i's from entry ``at[i]`` to ``at[i + 1]`` in its own rows, duplicates
+    summed in their order: one ``bincount`` into the storage of all of
+    them."""
     ld = 2 * kl + ku + 1
     size = ld * n
-    at = np.cumsum(size) - size
-    flat = np.bincount(at[s] + (kl + ku)[s] + d + c * ld[s], A.data, minlength=int(size.sum()))
-    scale = np.maximum.reduceat(np.bincount(A.indices, np.abs(A.data), minlength=len(count)), first)
+    start = np.cumsum(size) - size  # of each band in the storage
+    # entry (r, c) of slab i sits at start[i] + kl + ku + r - c + c ld[i]
+    slab = np.repeat(np.arange(len(n)), np.diff(at))
+    slot = (start + kl + ku)[slab] + rows + cols * (ld - 1)[slab]
+    flat = np.bincount(slot, vals, minlength=int(size.sum()))
+    # ||A||_inf: the largest row sum of |A| over the stored entries
+    stored = np.zeros(len(flat), dtype=bool)
+    stored[slot] = True
+    p = np.flatnonzero(stored)
+    i = np.searchsorted(start, p, "right") - 1
+    col, band_row = np.divmod(p - start[i], ld[i])
+    first = np.cumsum(n) - n
+    row = first[i] + col + band_row - (kl + ku)[i]
+    rowsum = np.bincount(row, np.abs(flat[p]), minlength=int(n.sum()))
+    scale = np.maximum.reduceat(rowsum, first)
     return [
-        Band(flat[a : a + z].reshape((r, k), order="F"), lo, up, order[f : f + k] - f, w)
-        for a, z, r, k, lo, up, f, w in zip(
-            *(v.tolist() for v in (at, size, ld, n, kl, ku, first, scale))
-        )
+        Band(flat[f : f + z].reshape((w, k), order="F"), lo, up, sc)
+        for f, z, w, k, lo, up, sc in zip(*(v.tolist() for v in (start, size, ld, n, kl, ku, scale)))
     ]
 
 
 @dataclass
 class FactorMemo:
-    """The last band that one march factored and its LU factor (``lu``,
-    ``ipiv``).  ``march`` makes one and hands it to every slab system."""
+    """The triplets of the last slab matrix one march factored (copies),
+    its size and the band LU factor (``lu``, ``ipiv``, the band's kl, ku
+    and ||A||_inf).  ``march`` makes one and hands it to every slab
+    system."""
 
-    band: Band | None = None
-    lu: np.ndarray | None = None
-    ipiv: np.ndarray | None = None
+    triplets: tuple | None = None
+    n: int = 0
+    factor: tuple | None = None
 
-    def holds(self, band: Band) -> bool:
-        """Whether ``band`` is the factored band, bit for bit.  The band of a
-        moving slab mostly differs in ||A||_inf already, which is compared
-        first, without a pass over the band."""
-        B = self.band
+    def holds(self, triplets, n: int) -> bool:
+        """Whether ``triplets`` of an n x n matrix are the factored ones,
+        bit for bit, and so sum to the factored band.  The values of a
+        moving slab differ, and they are compared first."""
+        T = self.triplets
         return (
-            B is not None
-            and (B.kl, B.ku, B.scale) == (band.kl, band.ku, band.scale)
-            and np.array_equal(B.ab, band.ab)
+            T is not None
+            and self.n == n
+            and len(T[2]) == len(triplets[2])
+            and all(np.array_equal(a, b) for a, b in zip(T[::-1], triplets[::-1]))
         )
+
+    def clear(self) -> None:
+        self.triplets = self.factor = None
 
 
 def _singular(
-    system: SlabSystem, band: Band, factor=None, pivot_ratio: float | None = None
+    system: SlabSystem, band: Band, triplets=None, factor=None, pivot_ratio: float | None = None
 ) -> NumericalFailure:
     """The failure of a singular slab system.  The condition estimate is
-    LAPACK's 1-norm estimate from the band ``factor`` (lu, ipiv), or inf
-    when there is none (a zero matrix or an exactly zero pivot)."""
+    LAPACK's 1-norm estimate from the band ``factor`` (lu, ipiv) of the
+    matrix ``triplets``, or inf when there is none (a zero matrix or an
+    exactly zero pivot)."""
     cond = np.inf
     if factor is not None:
-        norm1 = float(np.max(np.abs(band.ab).sum(axis=0)))
+        shape = (np.array([v]) for v in (band.kl, band.ku, band.ab.shape[1]))
+        A = _bands(*triplets, [0, len(triplets[2])], *shape)[0].ab  # the factor overwrote it
+        norm1 = float(np.max(np.abs(A).sum(axis=0)))
         rcond, _ = dgbcon(band.kl, band.ku, *factor, norm1)
         cond = 1.0 / rcond if rcond > 0 else np.inf
     floor = (
@@ -177,52 +187,85 @@ def _singular(
     )
 
 
-def _factor(system: SlabSystem, band: Band) -> tuple[np.ndarray, np.ndarray]:
-    """The banded LU factor (lu, ipiv) of the slab matrix, which must pass the
-    pivot floor min|U_jj| > PIVOT_FRACTION ||A||_inf."""
+def _factor(system: SlabSystem, triplets, band: Band) -> tuple:
+    """The banded LU factor (lu, ipiv, kl, ku, ||A||_inf) of the slab matrix
+    ``triplets``, written over ``band.ab``; it must pass the pivot floor
+    min|U_jj| > PIVOT_FRACTION ||A||_inf."""
     if band.scale == 0.0:
         raise _singular(system, band)
-    lu, ipiv, info = dgbtrf(band.ab, band.kl, band.ku)
+    lu, ipiv, info = dgbtrf(band.ab, band.kl, band.ku, overwrite_ab=1)
     if info > 0:  # U_jj exactly zero
         raise _singular(system, band)
-    pivot = np.min(np.abs(lu[band.kl + band.ku]))  # the diagonal of U
+    pivot = np.abs(lu[band.kl + band.ku]).min()  # the diagonal of U
     if not pivot > PIVOT_FRACTION * band.scale:
-        raise _singular(system, band, (lu, ipiv), pivot / band.scale)
-    return lu, ipiv
+        raise _singular(system, band, triplets, (lu, ipiv), pivot / band.scale)
+    return lu, ipiv, band.kl, band.ku, band.scale
+
+
+def _chunk_bands(systems, memo: FactorMemo):
+    """Yields (i, band) for each slab of the chunk ``systems``, building the
+    bands a group of slabs at a time (``_groups``), each group once the
+    slabs before it are solved.  Unless ``memo`` holds a group's first slab,
+    which then reuses its factor, the memo lets go of its factor before the
+    group's bands are built, so the factor is not held beside them."""
+    rows, cols, vals, at = systems.rows, systems.cols, systems.vals, systems.at
+    kl, ku = _half_bandwidths(rows, cols, at)
+    n = np.diff(systems.first)
+    for lo, hi in _groups(kl, ku, n):
+        if not memo.holds(systems.triplets(lo), n[lo]):
+            memo.clear()
+        a, b = at[lo], at[hi]
+        where = [f - a for f in at[lo : hi + 1]]
+        bands = _bands(rows[a:b], cols[a:b], vals[a:b], where, kl[lo:hi], ku[lo:hi], n[lo:hi])
+        yield from enumerate(bands, lo)
+        del bands
+
+
+def _position_triplets(system: SlabSystem):
+    """The triplets of a system given as a CSC matrix, in its position
+    order, and that order."""
+    A = system.matrix.tocoo()
+    order = position_order(SlabSpaces((system.space,)))[1]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return (rank[A.row], rank[A.col], A.data), order
 
 
 def solve_slab(system: SlabSystem) -> np.ndarray:
-    """Solve one slab system by banded LU with partial pivoting, with sanity checks.
+    """Solve one slab system by banded LU with partial pivoting, with sanity
+    checks; the coefficients come back in the slab's DOF order.
 
-    The solve reads ``system.band``, or the band built from
-    ``system.matrix`` when it has none.  The band is factored unless
-    ``system.memo`` holds it bit for bit; then the memo's factor, which
+    The solve reads the system's triplets, load and band in position order,
+    or, for a system given as a CSC matrix, builds them from ``matrix`` and
+    ``rhs``.  The band is factored, over its storage, unless ``system.memo``
+    holds the slab's triplets bit for bit; then the memo's factor, which
     passed the pivot floor when it was made, is reused.  A new factor
     replaces the memo's.  Whichever factor is used, the coefficients must be
     finite and meet the residual bound
     ||A x - b||_inf <= RESIDUAL_TOL (||A||_inf ||x||_inf + ||b||_inf).
     """
-    band = system.band if system.band is not None else _bands(system.matrix, [system.space])[0]
+    triplets, order, band, b = system.triplets, system.order, system.band, system.load
+    if triplets is None:
+        triplets, order = _position_triplets(system)
+        b = system.rhs[order]
+    n = len(b)
     memo = system.memo if system.memo is not None else FactorMemo()
-    if not memo.holds(band):
-        memo.band = memo.lu = memo.ipiv = None  # never hold two factors at once
-        memo.lu, memo.ipiv = _factor(system, band)
-        # a copy: a view would keep its chunk's whole band storage alive
-        memo.band = band._replace(ab=band.ab.copy(order="F"))
-    b = system.rhs[band.order]
-    y, _ = dgbtrs(memo.lu, band.kl, band.ku, b, memo.ipiv)
+    if not memo.holds(triplets, n):
+        memo.clear()  # never hold two factors at once
+        if band is None:
+            kl, ku = _half_bandwidths(triplets[0], triplets[1], [0, len(triplets[2])])
+            band = _bands(*triplets, [0, len(triplets[2])], kl, ku, np.array([n]))[0]
+        memo.factor = _factor(system, triplets, band)
+        memo.triplets, memo.n = tuple(v.copy() for v in triplets), n
+    lu, ipiv, kl, ku, scale = memo.factor
+    y, _ = dgbtrs(lu, kl, ku, b, ipiv)
     y_inf = np.abs(y).max()  # NaN or inf when any coefficient is
     if not np.isfinite(y_inf):
         raise NumericalFailure(f"slab {system.slab} solve gave non-finite coefficients")
-    denom = band.scale * y_inf + np.abs(b).max()
+    denom = scale * y_inf + np.abs(b).max()
     if denom > 0:
-        # A y - b on the unfactored band, whose kl zero rows widen its upper
-        # band; scipy's dgbmv asks for at least as many rows as band rows, so
-        # a small slab gets zero rows below its last one
-        n, rows = len(y), max(len(y), band.ab.shape[0])
-        r = np.zeros(rows)
-        r[:n] = b
-        r = dgbmv(rows, n, band.kl, band.kl + band.ku, 1.0, band.ab, y, beta=-1.0, y=r)
+        rows, cols, vals = triplets
+        r = np.bincount(rows, vals * y[cols], minlength=n) - b
         rel = np.abs(r).max() / denom
         if not rel <= RESIDUAL_TOL:
             raise NumericalFailure(
@@ -230,7 +273,7 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
                 f"above RESIDUAL_TOL {RESIDUAL_TOL:.0e}"
             )
     x = np.empty_like(y)
-    x[band.order] = y
+    x[order] = y
     return x
 
 
@@ -253,12 +296,10 @@ def march(
         geoms = build_slab_geometry(setup, range(first, min(first + step, disc.n_slabs + 1)))
         spaces = build_slab_space(geoms, disc)
         systems = assemble_slab(spaces, setup, prev)
-        bands = _bands(systems.matrix, spaces)
-        for i, space in enumerate(spaces):
-            coeffs = solve_slab(systems.system(i, prev, memo, bands[i]))
-            prev = SlabSolution(space=space, coeffs=coeffs)
+        for i, band in _chunk_bands(systems, memo):
+            coeffs = solve_slab(systems.system(i, prev, memo, band))
+            del band  # not to be held while the next group's bands are built
+            prev = SlabSolution(space=spaces[i], coeffs=coeffs)
             slabs.append(prev)
-        # free them before the next chunk builds its own: wide bands take far
-        # more room than the chunk's matrix
-        del bands
+        del systems  # nor this chunk's triplets while the next chunk's are
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))

@@ -25,25 +25,32 @@ from .geometry import (
 from .quadrature import GL3, composite_time_rule
 
 
-def temporal_basis_values(q: int, t_start: float, t_end: float, t) -> np.ndarray:
-    """Values of the q+1 temporal modes at t, shaped ``np.shape(t) + (q+1,)``.
+def temporal_modes(q: int, tau) -> np.ndarray:
+    """Values of the q+1 temporal modes at the slab-relative times ``tau``
+    in [0, 1], shaped ``np.shape(tau) + (q+1,)``.
 
     q=0 is the constant mode; q=1 is the nodal Lagrange pair at the slab
-    endpoints, so traces at the endpoints read off single modes.
+    endpoints, so traces at the endpoints read off single modes.  Slabs whose
+    rules share their relative times share these values bit for bit.
     """
     if q == 0:
-        return np.ones(np.shape(t) + (1,))
-    k = t_end - t_start
-    lam = np.array([(t_end - t) / k, (t - t_start) / k])
-    return np.moveaxis(lam, 0, -1) if lam.ndim > 1 else lam
+        return np.ones(np.shape(tau) + (1,))
+    tau = np.asarray(tau, dtype=float)
+    return np.stack([1.0 - tau, tau], axis=-1)
+
+
+def temporal_basis_values(q: int, t_start, t_end, t) -> np.ndarray:
+    """Values of the q+1 temporal modes at the absolute time t of the slab
+    (t_start, t_end), shaped ``np.shape(t) + (q+1,)``."""
+    return temporal_modes(q, (np.asarray(t) - t_start) / (np.asarray(t_end) - t_start))
 
 
 def temporal_basis_derivs(q: int, t_start, t_end) -> np.ndarray:
     """Time derivatives of the q+1 temporal modes, shaped
-    ``np.shape(t_start) + (q+1,)``."""
+    ``np.shape(t_end - t_start) + (q+1,)``."""
+    k = np.asarray(t_end) - t_start
     if q == 0:
-        return np.zeros(np.shape(t_start) + (1,))
-    k = t_end - t_start
+        return np.zeros(np.shape(k) + (1,))
     d = np.array([-1.0 / k, 1.0 / k])
     return np.moveaxis(d, 0, -1) if d.ndim > 1 else d
 
@@ -157,7 +164,7 @@ def stabilization_weights(geoms, q: int) -> list:
     so three-point Gauss per panel makes ``W`` exact.
     """
     nodes, off = geoms[0].bg_nodes, geoms[0].ov_offsets
-    t0, t1, mu, a0 = np.array([(g.t_start, g.t_end, g.mu, g.a_start) for g in geoms]).T
+    t0, t1, k, mu, a0 = np.array([(g.t_start, g.t_end, g.k, g.mu, g.a_start) for g in geoms]).T
     K = geoms.cut_cells
     s = geoms.slab_index("cut_cells")
     # overlap cells meeting each cut cell at some slab time
@@ -177,18 +184,19 @@ def stabilization_weights(geoms, q: int) -> list:
     x[:, :2] = nodes[idx[:, :2]]
     x[:, 2:] = a0[ps, None] + off[pc[:, None] + [0, 1]]  # overlap nodes at the slab start
     g = np.array([-1.0, 1.0, 1.0, -1.0]) / (x[:, [1, 1, 3, 3]] - x[:, [0, 0, 2, 2]])
-    pt0, pt1, pmu = t0[ps, None], t1[ps, None], mu[ps, None]
-    breaks = np.repeat(pt0, 6, axis=1)
-    breaks[:, 5] = pt1[:, 0]
+    # the panels in slab-relative time, from the pair's endpoint crossings
+    pk, pmu = k[ps, None], mu[ps, None]
+    breaks = np.zeros((n, 6))
+    breaks[:, 5] = 1.0
     moving = pmu != 0.0
-    cross = pt0 + (x[:, [0, 1, 0, 1]] - x[:, [2, 2, 3, 3]]) / np.where(moving, pmu, 1.0)
-    breaks[:, 1:5] = np.where(moving, np.sort(np.clip(cross, pt0, pt1), axis=1), pt0)
+    cross = (x[:, [0, 1, 0, 1]] - x[:, [2, 2, 3, 3]]) / np.where(moving, pmu * pk, 1.0)
+    breaks[:, 1:5] = np.where(moving, np.sort(np.clip(cross, 0.0, 1.0), axis=1), 0.0)
     panel = np.diff(breaks, axis=1)[:, :, None]
-    tq = (breaks[:, :-1, None] + panel * GL3.nodes).reshape(n, -1)
-    wq = (panel * GL3.weights).reshape(n, -1)
-    drift = pmu * (tq - pt0)
+    tau = (breaks[:, :-1, None] + panel * GL3.nodes).reshape(n, -1)
+    wq = pk * (panel * GL3.weights).reshape(n, -1)
+    drift = pmu * pk * tau
     L = np.minimum(x[:, [1]], x[:, [3]] + drift) - np.maximum(x[:, [0]], x[:, [2]] + drift)
-    lam = temporal_basis_values(q, pt0, pt1, tq)
+    lam = temporal_modes(q, tau)
     W = np.einsum("pt,pti,ptj->pij", wq * np.maximum(L, 0.0), lam, lam)
     end = np.cumsum(np.bincount(ps, minlength=len(geoms)))
     return [
@@ -276,11 +284,15 @@ def build_slab_space(
     node_dof[:, nb:] = n_active[:, None] + np.arange(n_ov)
     active_bg = np.split(active.nonzero()[1] + 1, np.cumsum(n_active)[:-1])
 
-    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
-    times, weights = composite_time_rule(t0, t1, [g.events for g in geoms], GL3)
+    # the rule in slab-relative time: slabs without events share it bit for bit
+    t0, k = np.array([(g.t_start, g.k) for g in geoms]).T
+    events = [(g.events - g.t_start) / g.k for g in geoms]
+    tau, weights = composite_time_rule(np.zeros(S), np.ones(S), events, GL3)
     nt = len(GL3.nodes) * (np.array([len(g.events) for g in geoms]) + 1)
     slab = np.repeat(np.arange(S), nt)
-    lam = temporal_basis_values(disc.q, t0[slab], t1[slab], times)
+    times = t0[slab] + k[slab] * tau
+    weights *= k[slab]
+    lam = temporal_modes(disc.q, tau)
     stencil = interface_stencil(geoms, slab, times, disc.omega1)
     stab = stabilization_weights(geoms, disc.q)
     end = np.cumsum(nt).tolist()

@@ -25,12 +25,7 @@ points at one time and a solution's one-sided traces at a slab breakpoint.
 
 import numpy as np
 
-from cutslab.assembly import (
-    _covered_entries,
-    _jump_load,
-    _segment_mass_stiff,
-    assemble_slab,
-)
+from cutslab.assembly import _covered_entries, _segment_mass_stiff, assemble_slab
 from cutslab.geometry import (
     EVENT_DEDUP_FRACTION,
     SpatialPartition,
@@ -279,6 +274,22 @@ def _cell_entries(d0, d1, sym):
     cols = np.concatenate([d0, d1, d0, d1])
     vals = sym[..., [0, 1, 1, 2], :]
     return rows, cols, vals.reshape(vals.shape[:-2] + (-1,))
+
+
+def _jump_load(setup, start_cov, prev):
+    """The previous slab's end-time trace against every node's hat at the
+    slab start: the side-wise start mass, i.e. the full-mesh mass minus the
+    covered-correction mass triplets ``start_cov``, applied to its nodal
+    values, with one ``bincount`` over all mesh triplets."""
+    rows, cols, vals = setup.mesh_matrices
+    r, c, mv = start_cov
+    g = prev.geom
+    u = prev.nodal() @ temporal_basis_values(prev.space.q, g.t_start, g.t_end, g.t_end)
+    return np.bincount(
+        np.concatenate([rows, r]),
+        np.concatenate([vals[:, 0] * u[cols], -mv * u[c]]),
+        minlength=len(u),
+    )
 
 
 def jump_load(space, setup, prev):
