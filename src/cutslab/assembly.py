@@ -2,28 +2,31 @@
 
 Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slab``,
 given the ``SlabSpaces`` of a chunk of slabs, builds everything else, the
-matrices and the source loads, for all of them in one pass over flat arrays
-of the chunk's (slab, time) rows and (slab, entry) triplets, each carrying
-its slab's index.  It reads the chunk's records (``spaces.build_slab_space``):
-each slab's DOF map, the composite Gauss rule on its crossing panels with the
-temporal mode values there, its interface stencil and its stabilization
-weights.  The result, ``SlabSystems``, is the chunk's block lower-bidiagonal
-system: the first slab's load holds the trace of the solution before the
-chunk (the initial data for slab 1), and ``SlabSystems.system`` adds the
-previous slab's end-time trace to each later slab's load once that slab is
-solved; the march calls it slab by slab, between the solves.  Given one
-``SlabSpace``, ``assemble_slab`` runs the same code on a chunk of that slab
-and returns its ``SlabSystem``.
+matrices, the source loads and the maps that give each slab's time-jump
+load, for all of them in one pass over flat arrays of the chunk's (slab,
+time) rows and (slab, entry) triplets, each carrying its slab's index.  It
+reads the chunk's records (``spaces.build_slab_space``): each slab's DOF map,
+the composite Gauss rule on its crossing panels with the temporal mode
+values there, its interface stencil and its stabilization weights.  The
+result, ``SlabSystems``, is the chunk's block lower-bidiagonal system: the
+first slab's load holds the trace of the solution before the chunk (the
+initial data for slab 1), and ``SlabSystems.system`` adds the previous
+slab's end-time trace to each later slab's load, by one product of its jump
+map, once that slab is solved; the march calls it slab by slab, between the
+solves.  Given one ``SlabSpace``, ``assemble_slab`` runs the same code on a
+chunk of that slab and returns its ``SlabSystem``.
 
 Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
 nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
 that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
-temporal modes.  The chunk's ``node -> DOF`` table (-1 for a dropped
-background node) maps them to DOFs once, numbering the chunk's DOFs slab
-after slab.  One sparse sum over the chunk then gives a block-diagonal
-matrix whose diagonal blocks are the CSC slab matrices, and the loads are
-gathered per slab and node the same way.  The pieces differ in their time
-dependence:
+temporal modes.  A ``node -> row`` table maps them once to each slab's rows
+in position order (``position_order``: its DOFs sorted by position), in
+which the solver's bands are banded; -1 marks a dropped background node.
+The triplets are handed over as they are, duplicates unsummed, sorted slab
+after slab with per-slab offsets, and so are the loads and jump maps, in the
+same rows.  No CSC matrix is built unless one is read (``SlabSystem.matrix``,
+``SlabSystems.matrix``), which imports ``scipy.sparse``.  The pieces differ
+in their time dependence:
 
 * the full-mesh P1 mass, stiffness and drift entries of both meshes are
   constant.  The overlap mesh moves rigidly, so its entries depend only on the
@@ -61,9 +64,12 @@ The time-jump load of a slab after the first is the side-wise mass at the
 slab start (the full-mesh mass minus the covered correction there, both
 already built for the matrix) applied to the previous slab's end-time nodal
 values.  Both factors are P1 on every segment of the start partition, so this
-is the exact L2 pairing of that trace with the test functions.  The first
-slab integrates the initial data with three-point Gauss per merged-partition
-segment, through the same hat sums.
+is the exact L2 pairing of that trace with the test functions.  Per chunk,
+each slab's map holds those mass triplets with its start-mode rows and the
+previous slab's end-mode DOFs as columns, the mode values folded in, so the
+load is one gather, product and ``bincount`` on the previous coefficients.
+The first slab integrates the initial data with three-point Gauss per
+merged-partition segment, through the same hat sums.
 
 A chunk's temporaries (its triplets, the merged partitions of its source
 load, its covered-cell products) grow with its slab count; the march's cap
@@ -335,7 +341,8 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
     t = np.repeat(t0[:, None], p.max() + 1, axis=1)
     t[t_slab, p] = times
     P = t.shape[1]
-    cells, own, (mv, kv) = _covered_entries(geoms[0], a0[:, None] + mu[:, None] * (t - t0[:, None]))
+    a = a0[:, None] + mu[:, None] * (t - t0[:, None])
+    cells, own, (mv, kv) = _covered_entries(geoms[0], a)
     weights = np.zeros((S, 2, P, mm))
     weights[:, 0, 0] = start.ravel()
     weights[t_slab, 0, p] = w_ld
@@ -390,9 +397,10 @@ def position_order(spaces):
     it.
     """
     m = spaces[0].q + 1
-    geom = spaces[0].geom
+    geoms = [sp.geom for sp in spaces]
+    geom = geoms[0]
     nb = len(geom.bg_nodes)
-    t0, t1, mu, a0 = np.array([(sp.geom.t_start, sp.geom.t_end, sp.geom.mu, sp.geom.a_start) for sp in spaces]).T
+    t0, t1, mu, a0 = np.array([(g.t_start, g.t_end, g.mu, g.a_start) for g in geoms]).T
     node_dof = np.stack([sp.node_dof for sp in spaces])
     x = np.empty(node_dof.shape)
     x[:, :nb] = geom.bg_nodes
@@ -492,17 +500,20 @@ def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
     a node without either becomes a zero on row and column 0, and so do the
     pads of slabs with fewer covered cells.
     """
-    S, N = local_row.shape
+    S = len(local_row)
     rows, cols, vals = setup.mesh_matrices
     cs, cr, cc, cv = start_cov
-    # the covered triplets of each slab, padded to the most of any slab
+    # the covered triplets of each slab, padded to the most of any slab by
+    # zeros on node 0, which never carries a DOF
     count = np.bincount(cs, minlength=S)
-    pad = np.zeros((3, S, count.max()))
     at = (cs, np.arange(len(cs)) - (np.cumsum(count) - count)[cs])
-    pad[0][at], pad[1][at], pad[2][at] = cr, cc, -cv
-    r = np.concatenate([local_row[:, rows], local_row.ravel()[N * np.arange(S)[:, None] + pad[0].astype(int)]], axis=1)
-    c = np.concatenate([prev_dof[:, cols], prev_dof.ravel()[N * np.arange(S)[:, None] + pad[1].astype(int)]], axis=1)
-    v = np.concatenate([np.broadcast_to(vals[:, 0], (S, len(rows))), pad[2]], axis=1)
+    pr, pc = np.zeros((2, S, count.max()), dtype=int)
+    pv = np.zeros((S, count.max()))
+    pr[at], pc[at], pv[at] = cr, cc, -cv
+    s = np.arange(S)[:, None]
+    r = np.concatenate([local_row[:, rows], local_row[s, pr]], axis=1)
+    c = np.concatenate([prev_dof[:, cols], prev_dof[s, pc]], axis=1)
+    v = np.concatenate([np.broadcast_to(vals[:, 0], (S, len(rows))), pv], axis=1)
     drop = (r < 0) | (c < 0)
     r[drop], c[drop], v[drop] = 0, 0, 0.0
     # the modes met: the slab's at its start, the previous slab's at its end
@@ -614,13 +625,15 @@ def assemble_slab(
     slab = np.repeat(np.arange(S), len(rule.nodes) * panels)
     F = _f_load(geoms, q, slab, times, wts, setup.problem.source)
     if prev is None:
-        F[0] += np.outer(_trace_load(geoms[0], t0[0], setup.problem.initial), temporal_modes(q, 0.0))
+        trace = _trace_load(geoms[0], t0[0], setup.problem.initial)
+        F[0] += np.outer(trace, temporal_modes(q, 0.0))
     slab, node = np.nonzero(node_row >= 0)
     loads = np.empty(first[-1])
     loads[(node_row[slab, node][:, None] + np.arange(m)).ravel()] = F[slab, node].ravel()
 
     # each slab's rows, and the previous slab's DOFs, of every node's first mode
-    local_row = np.where(node_row >= 0, node_row - np.array(first[:-1], dtype=np.intc)[:, None], -1)
+    start = np.array(first[:-1], dtype=np.intc)[:, None]
+    local_row = np.where(node_row >= 0, node_row - start, -1)
     node_dof = np.stack([sp.node_dof for sp in spaces])
     prev_dof = np.empty_like(node_dof)
     prev_dof[1:] = m * node_dof[:-1]

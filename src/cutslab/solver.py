@@ -2,41 +2,49 @@
 
 ``march`` takes the slabs in chunks of consecutive slabs.  For a chunk it
 builds the geometry (``build_slab_geometry`` on a range of slabs), the slab
-records (``build_slab_space``) and the matrices and source loads
-(``assemble_slab``) of all its slabs at once, since none of them reads the
-previous slab.  The result is the chunk's block lower-bidiagonal system
-(``assembly.SlabSystems``), solved slab after slab: the loop over the
-chunk's slabs keeps only what reads the previous slab, the time-jump load of
-its end-time trace and the ``SlabSystem`` with its finiteness check
-(``SlabSystems.system``), and ``solve_slab`` with its pivot floor and
-residual bound.  A failure there names its slab, and no later slab is
-solved.
+records (``build_slab_space``) and the matrix triplets, source loads and
+time-jump maps (``assemble_slab``) of all its slabs at once, since none of
+them reads the previous slab.  The result is the chunk's block
+lower-bidiagonal system (``assembly.SlabSystems``), solved slab after slab.
+The loop over the chunk's slabs keeps only what reads the previous slab:
+one jump product on its coefficients and the finiteness check of the load
+(``SlabSystems.system``), then ``solve_slab``: ``dgbtrf`` unless the factor
+is reused, ``dgbtrs``, the pivot floor, the finiteness of the coefficients,
+the residual bound and one scatter back to DOF order.  A failure names its
+slab, and no later slab is solved.
 
 Every term of the slab form is local in x: P1 cells on both meshes, the
 interface stencil and the gradient-jump pairs.  With its DOFs sorted by
-position, background nodes at their coordinate and overlap nodes at their
-position at the slab midpoint (temporal modes kept together), a slab matrix
-is banded, and ``solve_slab`` factors it by LAPACK's banded LU with partial
-pivoting (``dgbtrf``/``dgbtrs``) in O(n b^2) for n unknowns and bandwidth b.
-The bandwidth grows with (q+1) times the interface-node crossings per slab,
+position (``assembly.position_order``), a slab matrix is banded, and
+``solve_slab`` factors it by LAPACK's banded LU with partial pivoting
+(``dgbtrf``/``dgbtrs``) in O(n b^2) for n unknowns and bandwidth b.  The
+bandwidth grows with (q+1) times the interface-node crossings per slab,
 since the interface stencil couples the overlap's end nodes to every
 background node the interface passes during the slab, and with the ratio of
 the mesh sizes, since a stabilized pair couples a cut background cell to all
 overlap cells that meet it.  On the benchmark workloads b is 3-4
 (``long_march``), 7 (``stationary``) and 15-17 (``wide_slab``).  The order
 changes only the speed of the solve: any symmetric permutation gives the same
-solution, up to rounding.  ``_bands`` builds the band storage of all slabs of
-a chunk at once from the chunk's block-diagonal CSC matrix; the band layout
-is known to this module alone.
+solution, up to rounding.
+
+The bands come straight from the chunk's triplets, whose rows are already
+in position order: kl, ku and the storage of every slab of a group follow
+from them, one ``bincount`` sums each entry's duplicates into its band slot,
+and ||A||_inf comes from the summed slots.  The band layout is known to this
+module alone.  A group holds as many consecutive slabs as keep their band
+storage within 8 ``CHUNK_ENTRIES`` entries, and at least one, and it is
+built once the slabs before it are solved; ``dgbtrf`` writes the factor over
+the band.  So a chunk of wide bands holds one band or factor at a time.
 
 A march factors a slab matrix only when it differs from the previous slab's.
-When slab n's band repeats slab n-1's bit for bit, as under a stationary
-overlap, ``solve_slab`` reuses slab n-1's factor from the march's one-entry
-``FactorMemo`` and skips ``dgbtrf`` and the pivot floor: the floor belongs to
-the shared factor and was checked when it was made.  Every slab still gets
-its own solve, the finiteness check of its coefficients and the residual
-bound.  The coefficients are those of a fresh factor, bit for bit: the LU
-factors equal bands alike.
+When slab n's triplets repeat those of slab n-1 bit for bit, as under a
+stationary overlap, their bands do too, and ``solve_slab`` reuses slab n-1's
+factor from the march's one-entry ``FactorMemo``, skipping ``dgbtrf`` and the
+pivot floor: the floor belongs to the shared factor and was checked when it
+was made.  Every slab still gets its own solve, the finiteness check of its
+coefficients and the residual bound, which reads the triplets.  The
+coefficients are those of a fresh factor, bit for bit: the LU factors equal
+bands alike.
 
 ``CHUNK_ENTRIES`` caps a chunk: it holds as many slabs as keep the entries
 of their constant mesh blocks within the cap, and at least one.  The
@@ -51,7 +59,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .assembly import SlabSystem, assemble_slab, position_order
@@ -65,9 +72,8 @@ RESIDUAL_TOL = 1e-10
 # triplets times (q+1)^2 temporal entries, summed over the slabs) within this
 # many entries, and at least one slab.  At this value slabs of 512 + 128
 # cells with q = 1 go two to a chunk, enough to spread the batched code's
-# fixed cost per chunk, and a chunk's temporaries stay within about 2 MB.
-# The bands of a chunk are built in groups of slabs of at most 8 times as
-# many band entries (1.3 MB), and at least one slab.
+# fixed cost per chunk, and a chunk's temporaries stay within about 2 MB;
+# so do its bands, built in groups of at most 8 times as many entries.
 CHUNK_ENTRIES = 20480
 
 
@@ -128,9 +134,10 @@ def _bands(rows, cols, vals, at, kl, ku, n) -> list:
     row = first[i] + col + band_row - (kl + ku)[i]
     rowsum = np.bincount(row, np.abs(flat[p]), minlength=int(n.sum()))
     scale = np.maximum.reduceat(rowsum, first)
+    fields = (v.tolist() for v in (start, size, ld, n, kl, ku, scale))
     return [
         Band(flat[f : f + z].reshape((w, k), order="F"), lo, up, sc)
-        for f, z, w, k, lo, up, sc in zip(*(v.tolist() for v in (start, size, ld, n, kl, ku, scale)))
+        for f, z, w, k, lo, up, sc in zip(*fields)
     ]
 
 

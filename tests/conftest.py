@@ -51,6 +51,19 @@ def make_setup(
     return Setup.build(problem, overlap, disc)
 
 
+def oscillating_setup(q):
+    """The overlap translates right, then back: slabs differ in mu, its sign
+    and their event count."""
+    problem = manufactured_problem(final_time=3.0)
+    overlap = OverlapSpec(
+        length=6.0 / 21.0,
+        initial_left=0.125,
+        velocity=lambda t: 0.5 * np.sin(2.0 * np.pi * t / 3.0),
+    )
+    disc = Discretization(n_background=21, n_overlap=6, n_slabs=10, q=q)
+    return Setup.build(problem, overlap, disc)
+
+
 def random_discrete(setup, rng) -> SpaceTimeSolution:
     """Random coefficients on every slab of a setup."""
     geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))

@@ -16,7 +16,7 @@ from cutslab.geometry import DEGENERATE_FRACTION, build_slab_geometry
 from cutslab.solver import march
 from cutslab.spaces import SlabSolution, build_slab_space
 
-from conftest import make_setup, random_discrete
+from conftest import make_setup, oscillating_setup, random_discrete
 from oracles import (
     apply_Bh,
     apply_load,
@@ -165,6 +165,39 @@ class TestTimeJumpLoad:
                 space, geom.t_start, lambda x, s: prev.eval(x, t_end, side=s)
             )
             assert np.max(np.abs(got - exact)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("config", ["moving", "stationary", "oscillating"])
+    @pytest.mark.parametrize("cap", [1, 3, None])
+    def test_chunk_jump_maps_match_oracle(self, q, config, cap, rng):
+        # each slab's jump map, built per chunk of ``cap`` slabs (all of them
+        # for None), applied to random coefficients on the slab before,
+        # against the oracle's bincount over all mesh triplets
+        if config == "oscillating":
+            setup = oscillating_setup(q)
+        else:
+            setup = make_setup(n0=16, nG=4, N=7, q=q, mu=0.6 if config == "moving" else 0.0)
+        N = setup.disc.n_slabs
+        step = cap or N
+        lam0 = np.eye(q + 1)[0]  # the jump tests the start-time mode only
+        before = None  # random coefficients on the slab before the chunk
+        for first in range(1, N + 1, step):
+            geoms = build_slab_geometry(setup, range(first, min(first + step, N + 1)))
+            spaces = build_slab_space(geoms, setup.disc)
+            prevs = [before]
+            prevs += [SlabSolution(sp, rng.standard_normal(sp.n_cols)) for sp in spaces[:-1]]
+            zeros = [p and SlabSolution(p.space, np.zeros_like(p.coeffs)) for p in prevs]
+            systems = assemble_slab(spaces, setup, before)
+            # the first slab's jump load comes with the chunk
+            unloaded = assemble_slab(spaces, setup, zeros[0])
+            for i, (space, prev, zero) in enumerate(zip(spaces, prevs, zeros)):
+                if prev is None:
+                    continue  # the initial data
+                zero_load = (unloaded if i == 0 else systems).system(i, zero).rhs
+                got = systems.system(i, prev).rhs - zero_load
+                expect = np.outer(jump_load(space, setup, prev), lam0).ravel()
+                assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect)), space.geom.n
+            before = SlabSolution(spaces[-1], rng.standard_normal(spaces[-1].n_cols))
 
     def test_rhs_carries_the_jump_load(self, rng):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)

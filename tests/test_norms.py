@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cutslab.norms
-from cutslab.core import Discretization, OverlapSpec, Setup, manufactured_problem
+from cutslab.core import Discretization, OverlapSpec, manufactured_problem
 from cutslab.geometry import build_slab_geometry
 from cutslab.norms import lls_slope, xnorm_error
 from cutslab.solver import march
 from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space
 
-from conftest import make_setup, random_discrete, scaled
+from conftest import make_setup, oscillating_setup, random_discrete, scaled
 from oracles import (
     _GL10_W,
     _GL10_X,
@@ -229,13 +229,6 @@ class TestNearNodeInterface:
         )
 
 
-def _oscillating_setup(q):
-    # as in test_oscillating_velocity_round_trip: slabs differ in mu and its sign
-    problem = manufactured_problem(final_time=3.0)
-    overlap = OverlapSpec(6.0 / 21.0, 0.125, lambda t: 0.5 * np.sin(2.0 * np.pi * t / 3.0))
-    return Setup.build(problem, overlap, Discretization(21, 6, 10, q=q))
-
-
 class TestChunkedNorm:
     """The norm takes its rows in chunks under ``norms.CHUNK_ROW_NODES``;
     the chunking must not change the result."""
@@ -254,7 +247,7 @@ class TestChunkedNorm:
     )
     def test_result_does_not_depend_on_the_cap(self, config, q, monkeypatch):
         if config == "oscillating":
-            setup = _oscillating_setup(q)
+            setup = oscillating_setup(q)
         else:
             setup = make_setup(**{"n0": 16, "nG": 4, "N": 4, "T": 0.5, "q": q, **config})
         sol = march(setup.problem, setup.overlap, setup.disc)

@@ -9,7 +9,6 @@ from cutslab.core import (
     Discretization,
     NumericalFailure,
     OverlapSpec,
-    Setup,
     manufactured_problem,
     zero_problem,
 )
@@ -18,7 +17,7 @@ from cutslab.norms import xnorm_error
 from cutslab.solver import march, solve_slab
 from cutslab.spaces import SlabSolution, build_slab_space
 
-from conftest import make_setup
+from conftest import make_setup, oscillating_setup
 
 
 def _cap_chunk(monkeypatch, setup, slabs):
@@ -66,19 +65,6 @@ def _record_solves(monkeypatch, before=None):
 
     monkeypatch.setattr(cutslab.solver, "solve_slab", recording)
     return systems
-
-
-def _oscillating_setup(q):
-    """The overlap translates right, then back: slabs differ in mu, its sign
-    and their event count."""
-    problem = manufactured_problem(final_time=3.0)
-    overlap = OverlapSpec(
-        length=6.0 / 21.0,
-        initial_left=0.125,
-        velocity=lambda t: 0.5 * np.sin(2.0 * np.pi * t / 3.0),
-    )
-    disc = Discretization(n_background=21, n_overlap=6, n_slabs=10, q=q)
-    return Setup.build(problem, overlap, disc)
 
 
 def _naive_gauss(A, b):
@@ -327,7 +313,7 @@ class TestMarch:
         # rounding: not bit for bit, since the covered-cell product runs over
         # positions padded to the chunk's longest slab
         if config == "oscillating":
-            setup = _oscillating_setup(q)
+            setup = oscillating_setup(q)
             mus = setup.partition.velocities
             assert np.any(mus > 0) and np.any(mus < 0)
         else:
@@ -459,7 +445,7 @@ class TestMarch:
     def test_oscillating_velocity_round_trip(self):
         # overlap translates right then back; interface path returns to its
         # starting point and the solve stays healthy throughout
-        setup = _oscillating_setup(0)
+        setup = oscillating_setup(0)
         sol = march(setup.problem, setup.overlap, setup.disc)
         a = sol.setup.a_breaks
         assert a[-1] == pytest.approx(a[0], abs=1e-12)
@@ -480,6 +466,72 @@ class TestMarch:
             assert np.max(np.abs(sol.eval(x, t) - exact.u(x, t))) < 0.02
 
 
+class TestBands:
+    """The bands the march builds straight from a chunk's triplets."""
+
+    @staticmethod
+    def _dense(band):
+        """The matrix of a band, in position order."""
+        n = band.ab.shape[1]
+        A = np.zeros((n, n))
+        i, j = np.indices((n, n))
+        inside = (i - j <= band.kl) & (j - i <= band.ku)
+        A[inside] = band.ab[band.kl + band.ku + (i - j)[inside], j[inside]]
+        return A
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize(
+        "config",
+        [dict(mu=0.6), dict(mu=0.0, a0=0.3), dict(n0=16, nG=256, N=4, mu=0.6), "oscillating"],
+        ids=["moving", "stationary", "wide", "oscillating"],
+    )
+    def test_band_densifies_to_its_slab_matrix(self, q, config, monkeypatch):
+        # in groups of slabs under the storage cap (one slab each for the
+        # wide bands), against scipy's sum of the chunk's triplets in DOF order
+        from scipy.sparse import coo_array
+
+        if config == "oscillating":
+            setup = oscillating_setup(q)
+        else:
+            setup = make_setup(**{"n0": 16, "nG": 4, "N": 6, "q": q, **config})
+        geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))
+        spaces = build_slab_space(geoms, setup.disc)
+        systems = assemble_slab(spaces, setup, None)
+        kl, ku = cutslab.solver._half_bandwidths(systems.rows, systems.cols, systems.at)
+        groups = list(cutslab.solver._groups(kl, ku, np.diff(systems.first)))
+        wide = setup.disc.n_overlap == 256
+        assert len(groups) == (len(spaces) if wide else 1)
+        bands = list(cutslab.solver._chunk_bands(systems, cutslab.solver.FactorMemo()))
+        assert [i for i, _ in bands] == list(range(len(spaces)))
+        for i, band in bands:
+            rows, cols, vals = systems.triplets(i)
+            order = systems.order[systems.first[i] : systems.first[i + 1]]
+            n = len(order)
+            ref = coo_array((vals, (order[rows], order[cols])), shape=(n, n)).toarray()
+            A = np.empty_like(ref)
+            A[np.ix_(order, order)] = self._dense(band)
+            assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert band.scale == pytest.approx(np.max(np.abs(ref).sum(axis=1)), rel=1e-14)
+            # nothing outside the band, and the fill rows stay zero
+            assert not band.ab[: band.kl].any()
+
+    def test_wide_bands_stay_under_the_memory_cap(self):
+        # half-bandwidths 109-171 on 540 unknowns: one band takes 1.4-2.2 MB,
+        # so the march holds one band at a time, and its factor only while a
+        # later slab may reuse it
+        import tracemalloc
+
+        setup = make_setup(n0=16, nG=256, N=16, mu=0.6, q=1)
+        march(setup.problem, setup.overlap, setup.disc)
+        tracemalloc.start()
+        try:
+            march(setup.problem, setup.overlap, setup.disc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+
+
 class TestReferenceSolver:
     """The banded solve against SuperLU, the tests' reference solver, on
     slabs whose bands are unusual: wide ones where many interface-node
@@ -498,7 +550,7 @@ class TestReferenceSolver:
         ids=["mu_negative", "nG1", "fine_overlap", "coarse_overlap", "many_crossings", "oscillating"],
     )
     def test_matches_splu(self, config, monkeypatch):
-        setup = _oscillating_setup(0) if config == "oscillating" else make_setup(**config)
+        setup = oscillating_setup(0) if config == "oscillating" else make_setup(**config)
         systems = _record_solves(monkeypatch)
         sol = march(setup.problem, setup.overlap, setup.disc)
         assert len(systems) == setup.disc.n_slabs
@@ -517,7 +569,8 @@ def test_import_leaves_superlu_out():
     from pathlib import Path
 
     src = str(Path(cutslab.solver.__file__).parents[1])
-    code = "import sys, cutslab; print([m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.sparse')])"
+    modules = "('scipy.sparse.linalg', 'scipy.sparse')"
+    code = f"import sys, cutslab; print([m in sys.modules for m in {modules}])"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
