@@ -370,7 +370,12 @@ def _interface_part(spaces, nt, mu, gamma: float, w_ll):
     pen = (np.hypot(mu[slab], 1.0) * gamma / st.h_K)[:, None]
     vals = J[:, :, None] * (pen * J - n1G)[:, None, :]
     vals += (st.upwind - n1G)[:, :, None] * J[:, None, :]
-    return (slab[:, None], *_point_entries(st.idx, vals, w_ll[time].reshape(-1, m, m)))
+    rows, cols, blocks = _point_entries(st.idx, vals, w_ll[time].reshape(-1, m, m))
+    # every term pairs a trace slot (0, 1, 4) with another slot: the 16
+    # entries between two gradient-only slots are zero
+    trace = np.isin(np.arange(7), [0, 1, 4])
+    keep = (trace[:, None] | trace[None, :]).ravel()
+    return slab[:, None], rows[:, keep], cols[:, keep], blocks[:, keep]
 
 
 def _stabilization_part(spaces):

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dlangb
 
 from .assembly import SlabSystem, assemble_slab, position_order
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
@@ -86,7 +86,6 @@ class Band(NamedTuple):
     ab: np.ndarray  # (2 kl + ku + 1, n), Fortran order
     kl: int
     ku: int
-    scale: float  # ||A||_inf
 
 
 def _half_bandwidths(rows, cols, at) -> tuple[np.ndarray, np.ndarray]:
@@ -124,21 +123,20 @@ def _bands(rows, cols, vals, at, kl, ku, n) -> list:
     slab = np.repeat(np.arange(len(n)), np.diff(at))
     slot = (start + kl + ku)[slab] + rows + cols * (ld - 1)[slab]
     flat = np.bincount(slot, vals, minlength=int(size.sum()))
-    # ||A||_inf: the largest row sum of |A| over the stored entries
-    stored = np.zeros(len(flat), dtype=bool)
-    stored[slot] = True
-    p = np.flatnonzero(stored)
-    i = np.searchsorted(start, p, "right") - 1
-    col, band_row = np.divmod(p - start[i], ld[i])
-    first = np.cumsum(n) - n
-    row = first[i] + col + band_row - (kl + ku)[i]
-    rowsum = np.bincount(row, np.abs(flat[p]), minlength=int(n.sum()))
-    scale = np.maximum.reduceat(rowsum, first)
-    fields = (v.tolist() for v in (start, size, ld, n, kl, ku, scale))
+    fields = (v.tolist() for v in (start, size, ld, n, kl, ku))
     return [
-        Band(flat[f : f + z].reshape((w, k), order="F"), lo, up, sc)
-        for f, z, w, k, lo, up, sc in zip(*fields)
+        Band(flat[f : f + z].reshape((w, k), order="F"), lo, up)
+        for f, z, w, k, lo, up in zip(*fields)
     ]
+
+
+def _same(a, b) -> bool:
+    """Whether the triplets ``a`` and ``b`` are equal bit for bit.  Their last
+    values, of the interface and stabilization terms, move with the overlap,
+    and they are compared first."""
+    if len(a[2]) != len(b[2]) or (len(a[2]) and a[2][-1] != b[2][-1]):
+        return False
+    return all(np.array_equal(x, y) for x, y in zip(a[::-1], b[::-1]))
 
 
 @dataclass
@@ -154,18 +152,17 @@ class FactorMemo:
 
     def holds(self, triplets, n: int) -> bool:
         """Whether ``triplets`` of an n x n matrix are the factored ones,
-        bit for bit, and so sum to the factored band.  The values of a
-        moving slab differ, and they are compared first."""
-        T = self.triplets
-        return (
-            T is not None
-            and self.n == n
-            and len(T[2]) == len(triplets[2])
-            and all(np.array_equal(a, b) for a, b in zip(T[::-1], triplets[::-1]))
-        )
+        bit for bit, and so sum to the factored band."""
+        return self.triplets is not None and self.n == n and _same(self.triplets, triplets)
 
     def clear(self) -> None:
         self.triplets = self.factor = None
+
+
+def _norm(norm: str, band: Band) -> float:
+    """LAPACK's ``norm`` ("I" or "1") of the matrix of ``band``, whose kl
+    zero rows widen its upper band."""
+    return dlangb(norm, band.kl, band.kl + band.ku, band.ab)
 
 
 def _singular(
@@ -177,10 +174,10 @@ def _singular(
     exactly zero pivot)."""
     cond = np.inf
     if factor is not None:
+        at = [0, len(triplets[2])]
         shape = (np.array([v]) for v in (band.kl, band.ku, band.ab.shape[1]))
-        A = _bands(*triplets, [0, len(triplets[2])], *shape)[0].ab  # the factor overwrote it
-        norm1 = float(np.max(np.abs(A).sum(axis=0)))
-        rcond, _ = dgbcon(band.kl, band.ku, *factor, norm1)
+        A = _bands(*triplets, at, *shape)[0]  # the factor overwrote the band
+        rcond, _ = dgbcon(band.kl, band.ku, *factor, _norm("1", A))
         cond = 1.0 / rcond if rcond > 0 else np.inf
     floor = (
         ""
@@ -198,34 +195,50 @@ def _factor(system: SlabSystem, triplets, band: Band) -> tuple:
     """The banded LU factor (lu, ipiv, kl, ku, ||A||_inf) of the slab matrix
     ``triplets``, written over ``band.ab``; it must pass the pivot floor
     min|U_jj| > PIVOT_FRACTION ||A||_inf."""
-    if band.scale == 0.0:
+    scale = _norm("I", band)
+    if scale == 0.0:
         raise _singular(system, band)
     lu, ipiv, info = dgbtrf(band.ab, band.kl, band.ku, overwrite_ab=1)
     if info > 0:  # U_jj exactly zero
         raise _singular(system, band)
     pivot = np.abs(lu[band.kl + band.ku]).min()  # the diagonal of U
-    if not pivot > PIVOT_FRACTION * band.scale:
-        raise _singular(system, band, triplets, (lu, ipiv), pivot / band.scale)
-    return lu, ipiv, band.kl, band.ku, band.scale
+    if not pivot > PIVOT_FRACTION * scale:
+        raise _singular(system, band, triplets, (lu, ipiv), pivot / scale)
+    return lu, ipiv, band.kl, band.ku, scale
 
 
 def _chunk_bands(systems, memo: FactorMemo):
-    """Yields (i, band) for each slab of the chunk ``systems``, building the
-    bands a group of slabs at a time (``_groups``), each group once the
-    slabs before it are solved.  Unless ``memo`` holds a group's first slab,
-    which then reuses its factor, the memo lets go of its factor before the
-    group's bands are built, so the factor is not held beside them."""
+    """Yields (i, band) for each slab of the chunk ``systems``.
+
+    A slab whose triplets repeat those of the slab before it (for the first,
+    those ``memo`` holds) will reuse that slab's factor, and its band is
+    None.  The bands of each run of other slabs are built a group at a time
+    (``_groups``), each group once the slabs before it are solved; the memo
+    lets go of its factor first, since no slab of the group reuses it."""
     rows, cols, vals, at = systems.rows, systems.cols, systems.vals, systems.at
-    kl, ku = _half_bandwidths(rows, cols, at)
     n = np.diff(systems.first)
-    for lo, hi in _groups(kl, ku, n):
-        if not memo.holds(systems.triplets(lo), n[lo]):
-            memo.clear()
-        a, b = at[lo], at[hi]
-        where = [f - a for f in at[lo : hi + 1]]
-        bands = _bands(rows[a:b], cols[a:b], vals[a:b], where, kl[lo:hi], ku[lo:hi], n[lo:hi])
-        yield from enumerate(bands, lo)
-        del bands
+    S = len(n)
+    new = [not memo.holds(systems.triplets(0), n[0])]
+    for i in range(1, S):
+        new.append(n[i] != n[i - 1] or not _same(systems.triplets(i - 1), systems.triplets(i)))
+    kl, ku = _half_bandwidths(rows, cols, at)
+    i = 0
+    while i < S:
+        j = i + 1
+        if not new[i]:
+            yield i, None
+        else:
+            while j < S and new[j]:
+                j += 1
+            for lo, hi in _groups(kl[i:j], ku[i:j], n[i:j]):
+                lo, hi = i + lo, i + hi
+                memo.clear()
+                a, b = at[lo], at[hi]
+                where = [f - a for f in at[lo : hi + 1]]
+                bands = _bands(rows[a:b], cols[a:b], vals[a:b], where, kl[lo:hi], ku[lo:hi], n[lo:hi])
+                yield from enumerate(bands, lo)
+                del bands
+        i = j
 
 
 def _position_triplets(system: SlabSystem):
@@ -260,10 +273,11 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
     if not memo.holds(triplets, n):
         memo.clear()  # never hold two factors at once
         if band is None:
-            kl, ku = _half_bandwidths(triplets[0], triplets[1], [0, len(triplets[2])])
-            band = _bands(*triplets, [0, len(triplets[2])], kl, ku, np.array([n]))[0]
+            at = [0, len(triplets[2])]
+            band = _bands(*triplets, at, *_half_bandwidths(*triplets[:2], at), np.array([n]))[0]
         memo.factor = _factor(system, triplets, band)
-        memo.triplets, memo.n = tuple(v.copy() for v in triplets), n
+        rows, cols, vals = triplets
+        memo.triplets, memo.n = (rows.copy(), cols.copy(), vals.copy()), n
     lu, ipiv, kl, ku, scale = memo.factor
     y, _ = dgbtrs(lu, kl, ku, b, ipiv)
     y_inf = np.abs(y).max()  # NaN or inf when any coefficient is

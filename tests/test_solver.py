@@ -503,7 +503,10 @@ class TestBands:
         assert len(groups) == (len(spaces) if wide else 1)
         bands = list(cutslab.solver._chunk_bands(systems, cutslab.solver.FactorMemo()))
         assert [i for i, _ in bands] == list(range(len(spaces)))
-        for i, band in bands:
+        # a slab that repeats the one before gets no band: it reuses its factor
+        stationary = np.all(setup.partition.velocities == 0.0)
+        assert all((band is None) == (stationary and i > 0) for i, band in bands)
+        for i, band in bands[:1] if stationary else bands:
             rows, cols, vals = systems.triplets(i)
             order = systems.order[systems.first[i] : systems.first[i + 1]]
             n = len(order)
@@ -511,7 +514,6 @@ class TestBands:
             A = np.empty_like(ref)
             A[np.ix_(order, order)] = self._dense(band)
             assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
-            assert band.scale == pytest.approx(np.max(np.abs(ref).sum(axis=1)), rel=1e-14)
             # nothing outside the band, and the fill rows stay zero
             assert not band.ab[: band.kl].any()
 
