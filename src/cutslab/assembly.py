@@ -82,6 +82,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dasum
 
 from .core import NumericalFailure, Setup, pointwise
 from .geometry import (
@@ -103,6 +104,14 @@ from .spaces import (
     temporal_basis_values,
     temporal_modes,
 )
+
+
+def all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the float vector ``v`` is finite.  BLAS's sum
+    of magnitudes is NaN or inf when an entry is; only when it overflows are
+    the entries looked at one by one."""
+    s = dasum(v)
+    return s - s == 0.0 or bool(np.isfinite(v).all())
 
 
 class SlabSystem:
@@ -597,7 +606,7 @@ class SlabSystems:
         load = self.loads[f:k]
         if i > 0:
             load = load + _apply(self.jump, i, prev.coeffs, k - f)
-        if not np.isfinite(load).all():
+        if not all_finite(load):
             raise NumericalFailure(f"non-finite entries in slab {self.spaces[i].geom.n} system")
         return SlabSystem._of_chunk(self, i, load, memo, band)
 

@@ -59,9 +59,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import idamax
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dlangb
 
-from .assembly import SlabSystem, assemble_slab, position_order
+from .assembly import SlabSystem, all_finite, assemble_slab, position_order
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
 from .geometry import build_slab_geometry
 from .spaces import SlabSolution, SlabSpaces, SpaceTimeSolution, build_slab_space
@@ -280,10 +281,9 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
         memo.triplets, memo.n = (rows.copy(), cols.copy(), vals.copy()), n
     lu, ipiv, kl, ku, scale = memo.factor
     y, _ = dgbtrs(lu, kl, ku, b, ipiv)
-    y_inf = np.abs(y).max()  # NaN or inf when any coefficient is
-    if not np.isfinite(y_inf):
+    if not all_finite(y):
         raise NumericalFailure(f"slab {system.slab} solve gave non-finite coefficients")
-    denom = scale * y_inf + np.abs(b).max()
+    denom = scale * abs(y[idamax(y)]) + abs(b[idamax(b)])  # b is finite
     if denom > 0:
         rows, cols, vals = triplets
         r = np.bincount(rows, vals * y[cols], minlength=n) - b
