@@ -2,31 +2,25 @@
 
 Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slab``,
 given the ``SlabSpaces`` of a chunk of slabs, builds everything else, the
-matrices, the source loads and the maps that give each slab's time-jump
-load, for all of them in one pass over flat arrays of the chunk's (slab,
-time) rows and (slab, entry) triplets, each carrying its slab's index.  It
-reads the chunk's records (``spaces.build_slab_space``): each slab's DOF map,
-the composite Gauss rule on its crossing panels with the temporal mode
-values there, its interface stencil and its stabilization weights.  The
+matrices, the source loads and the time-jump maps, for all of them in one
+pass over flat arrays of the chunk's (slab, time) rows and (slab, entry)
+triplets.  It reads the chunk's records (``spaces.build_slab_space``).  The
 result, ``SlabSystems``, is the chunk's block lower-bidiagonal system: the
 first slab's load holds the trace of the solution before the chunk (the
 initial data for slab 1), and ``SlabSystems.system`` adds the previous
-slab's end-time trace to each later slab's load, by one product of its jump
-map, once that slab is solved; the march calls it slab by slab, between the
-solves.  Given one ``SlabSpace``, ``assemble_slab`` runs the same code on a
-chunk of that slab and returns its ``SlabSystem``.
+slab's end-time trace to each later slab's load, one product of its jump
+map, once that slab is solved.  Given one ``SlabSpace``, ``assemble_slab``
+runs the same code on a chunk of that slab and returns its ``SlabSystem``.
 
 Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
 nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
 that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
-temporal modes.  A ``node -> row`` table maps them once to each slab's rows
-in position order (``position_order``: its DOFs sorted by position), in
-which the solver's bands are banded; -1 marks a dropped background node.
-The triplets are handed over as they are, duplicates unsummed, sorted slab
-after slab with per-slab offsets, and so are the loads and jump maps, in the
-same rows.  No CSC matrix is built unless one is read (``SlabSystem.matrix``,
-``SlabSystems.matrix``), which imports ``scipy.sparse``.  The pieces differ
-in their time dependence:
+temporal modes.  A ``node -> row`` table (``position_order``, -1 for a
+dropped background node) maps them once to each slab's rows, its DOFs
+sorted by position, in which the solver's bands are banded.  The triplets
+go to the solver unsummed, slab after slab, and the loads and jump maps in
+the same rows.  A CSC matrix is built, with ``scipy.sparse``, only when one
+is read.  The pieces differ in their time dependence:
 
 * the full-mesh P1 mass, stiffness and drift entries of both meshes are
   constant.  The overlap mesh moves rigidly, so its entries depend only on the
@@ -61,15 +55,10 @@ spatial temporary has a mode axis: the modes enter only that product, of
 slabs x (most distinct times of a slab) x nodes x (q+1) multiply-adds.
 
 The time-jump load of a slab after the first is the side-wise mass at the
-slab start (the full-mesh mass minus the covered correction there, both
-already built for the matrix) applied to the previous slab's end-time nodal
-values.  Both factors are P1 on every segment of the start partition, so this
-is the exact L2 pairing of that trace with the test functions.  Per chunk,
-each slab's map holds those mass triplets with its start-mode rows and the
-previous slab's end-mode DOFs as columns, the mode values folded in, so the
-load is one gather, product and ``bincount`` on the previous coefficients.
-The first slab integrates the initial data with three-point Gauss per
-merged-partition segment, through the same hat sums.
+slab start (the full-mesh mass minus the covered correction there)
+applied to the previous slab's end-time trace (``_jump_maps``); the first
+slab integrates the initial data with three-point Gauss per merged-partition
+segment, through the same hat sums.
 
 A chunk's temporaries (its triplets, the merged partitions of its source
 load, its covered-cell products) grow with its slab count; the march's cap
@@ -399,16 +388,12 @@ def _stabilization_part(spaces):
 
 
 def position_order(spaces):
-    """The position order of the unknowns of consecutive slabs ``spaces``,
-    which numbers each slab's rows of the chunk.
-
-    A slab's spatial DOFs are sorted by position, background nodes at their
-    coordinate and overlap nodes at their position at the slab midpoint
-    (ties in DOF order), each with its temporal modes together, mode
-    fastest.  Returns ``node_row`` (slabs, nodes), the chunk row of each
-    node's first mode or -1 for a node without DOF, and ``order``, the slab
-    DOF of each chunk row.  Slab i's rows follow those of the slabs before
-    it.
+    """The rows of the unknowns of consecutive slabs ``spaces``, slab after
+    slab, each slab's spatial DOFs sorted by position (background nodes at
+    their coordinate, overlap nodes at the slab midpoint, ties in DOF order)
+    with the temporal modes of each together.  Returns ``node_row`` (slabs,
+    nodes), the row of each node's first mode or -1 for a node without DOF,
+    and ``order``, the slab DOF of each row.
     """
     m = spaces[0].q + 1
     geoms = [sp.geom for sp in spaces]
@@ -429,15 +414,11 @@ def position_order(spaces):
 
 
 def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
-    """The triplets (rows, cols, vals) of the slab matrices of ``spaces``,
-    slab after slab from entry ``at[i]`` of slab i on, each in its own rows
-    (``position_order``, whose chunk rows ``node_row`` start slab i at
-    ``first[i]``) with duplicates to be summed; ``at``; and the covered mass
-    triplets at each slab start.  Raises ``NumericalFailure`` naming the
-    first slab with a non-finite entry.
-
-    Each piece of the form yields triplets of the chunk, mapped to the
-    chunk's rows as it is made.
+    """The triplets (rows, cols, vals) of the slab matrices of ``spaces``
+    with duplicates unsummed, slab i's from entry ``at[i]`` on and in its own
+    rows (``node_row`` starts slab i at row ``first[i]``); ``at``; and the
+    covered mass triplets at each slab start.  Raises ``NumericalFailure``
+    naming the first slab with a non-finite entry.
     """
     S = len(spaces)
     geoms = [sp.geom for sp in spaces]
@@ -500,19 +481,17 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
 
 def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
     """The time-jump maps of consecutive slabs: triplets (rows, cols, vals),
-    each shaped (slabs, entries), that take the previous slab's coefficients
-    (``cols``, its DOFs) to each slab's load (``rows``, its local rows in
-    position order).
+    each shaped (slabs, entries), from the previous slab's coefficients
+    (``cols``, its DOFs) to each slab's load (``rows``, its own rows).
 
     The map is the side-wise mass at the slab start, the full-mesh mass minus
-    the covered mass triplets ``start_cov``, between the slab's start-mode
-    test functions and the previous slab's end-time trace.  Both factors are
-    P1 on every segment of the start partition, so it is the exact L2
-    pairing of that trace with the test functions.  ``local_row`` (slabs,
-    nodes) gives each node's first local row or -1, ``prev_dof`` the
-    previous slab's DOF of its first mode or a negative number.  An entry on
-    a node without either becomes a zero on row and column 0, and so do the
-    pads of slabs with fewer covered cells.
+    the covered mass ``start_cov``, between the slab's start-mode test
+    functions and the previous slab's end-time trace: both P1 on every
+    segment of the start partition, so the pairing is exact.  ``local_row``
+    (slabs, nodes) gives each node's first row or -1, ``prev_dof`` the
+    previous slab's DOF of its first mode or a negative number; an entry on
+    a node without either, or padding a slab with fewer covered cells, is a
+    zero on row and column 0.
     """
     S = len(local_row)
     rows, cols, vals = setup.mesh_matrices

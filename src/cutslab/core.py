@@ -180,18 +180,23 @@ def make_uniform_mesh(interval: tuple[float, float], n_cells: int) -> np.ndarray
 
 
 def p1_triplets(nodes: np.ndarray):
-    """COO triplets of the full-mesh P1 matrices of a mesh: rows, cols, and
-    values shaped (entries, 3) holding the mass, the stiffness and the drift
-    (integral of phi_trial' phi_test) entries."""
-    i = np.arange(len(nodes) - 1)
+    """COO triplets of the full-mesh P1 matrices of a mesh, one per nonzero
+    entry (the diagonal, then the entries above and below it): rows, cols,
+    and values shaped (entries, 3) holding the mass, the stiffness and the
+    drift (integral of phi_trial' phi_test) entries."""
+    n = len(nodes)
     h = np.diff(nodes)
-    half = np.full_like(h, 0.5)
-    rows = np.concatenate([i, i, i + 1, i + 1])
-    cols = np.concatenate([i, i + 1, i, i + 1])
-    vals = np.empty((len(rows), 3))
-    vals[:, 0] = np.concatenate([h / 3, h / 6, h / 6, h / 3])
-    vals[:, 1] = np.concatenate([1 / h, -1 / h, -1 / h, 1 / h])
-    vals[:, 2] = np.concatenate([-half, half, -half, half])
+    i = np.arange(n - 1)
+    rows = np.concatenate([np.arange(n), i, i + 1])
+    cols = np.concatenate([np.arange(n), i + 1, i])
+    vals = np.zeros((len(rows), 3))
+    for cell in (slice(0, n - 1), slice(1, n)):  # each node's cells, left and right
+        vals[cell, 0] += h / 3
+        vals[cell, 1] += 1 / h
+    vals[[0, n - 1], 2] = -0.5, 0.5
+    vals[n:, 0] = np.tile(h / 6, 2)
+    vals[n:, 1] = np.tile(-1 / h, 2)
+    vals[n:, 2] = np.repeat([0.5, -0.5], n - 1)
     return rows, cols, vals
 
 

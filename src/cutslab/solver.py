@@ -4,53 +4,44 @@
 builds the geometry (``build_slab_geometry`` on a range of slabs), the slab
 records (``build_slab_space``) and the matrix triplets, source loads and
 time-jump maps (``assemble_slab``) of all its slabs at once, since none of
-them reads the previous slab.  The result is the chunk's block
-lower-bidiagonal system (``assembly.SlabSystems``), solved slab after slab.
-The loop over the chunk's slabs keeps only what reads the previous slab:
-one jump product on its coefficients and the finiteness check of the load
-(``SlabSystems.system``), then ``solve_slab``: ``dgbtrf`` unless the factor
-is reused, ``dgbtrs``, the pivot floor, the finiteness of the coefficients,
-the residual bound and one scatter back to DOF order.  A failure names its
-slab, and no later slab is solved.
+them reads the previous slab.  The loop over the chunk's slabs keeps only
+what does: one jump product on the previous coefficients with the
+finiteness check of the load (``SlabSystems.system``), then ``solve_slab``:
+``dgbtrf`` unless the factor is reused, ``dgbtrs``, the pivot floor, the
+finiteness of the coefficients, the residual bound and one scatter back to
+DOF order.  A failure names its slab, and no later slab is solved.
 
-Every term of the slab form is local in x: P1 cells on both meshes, the
-interface stencil and the gradient-jump pairs.  With its DOFs sorted by
-position (``assembly.position_order``), a slab matrix is banded, and
-``solve_slab`` factors it by LAPACK's banded LU with partial pivoting
-(``dgbtrf``/``dgbtrs``) in O(n b^2) for n unknowns and bandwidth b.  The
-bandwidth grows with (q+1) times the interface-node crossings per slab,
-since the interface stencil couples the overlap's end nodes to every
-background node the interface passes during the slab, and with the ratio of
-the mesh sizes, since a stabilized pair couples a cut background cell to all
-overlap cells that meet it.  On the benchmark workloads b is 3-4
-(``long_march``), 7 (``stationary``) and 15-17 (``wide_slab``).  The order
-changes only the speed of the solve: any symmetric permutation gives the same
-solution, up to rounding.
+Every term of the slab form is local in x, so with its DOFs in position
+order (``assembly.position_order``) a slab matrix is banded, and
+``solve_slab`` factors it by LAPACK's banded LU with partial pivoting in
+O(n b^2) for n unknowns and bandwidth b.  The bandwidth grows with (q+1)
+times the interface-node crossings per slab, since the interface stencil
+couples the overlap's end nodes to every background node the interface
+passes, and with the ratio of the mesh sizes, since a stabilized pair
+couples a cut background cell to all overlap cells that meet it.  On the
+benchmark workloads b is 3-4 (``long_march``), 7 (``stationary``) and 15-17
+(``wide_slab``).  The order changes only the speed of the solve.
 
-The bands come straight from the chunk's triplets, whose rows are already
-in position order: kl, ku and the storage of every slab of a group follow
-from them, one ``bincount`` sums each entry's duplicates into its band slot,
-and ||A||_inf comes from the summed slots.  The band layout is known to this
+The bands come straight from the chunk's triplets, whose rows are already in
+position order: kl and ku follow from them, and one ``bincount`` sums each
+entry's duplicates into its band slot.  The band layout is known to this
 module alone.  A group holds as many consecutive slabs as keep their band
-storage within 8 ``CHUNK_ENTRIES`` entries, and at least one, and it is
-built once the slabs before it are solved; ``dgbtrf`` writes the factor over
-the band.  So a chunk of wide bands holds one band or factor at a time.
+storage within 8 ``CHUNK_ENTRIES`` entries, and at least one; it is built
+once the slabs before it are solved, and ``dgbtrf`` writes each factor over
+its band, so a chunk of wide bands holds one band at a time.
 
 A march factors a slab matrix only when it differs from the previous slab's.
-When slab n's triplets repeat those of slab n-1 bit for bit, as under a
-stationary overlap, their bands do too, and ``solve_slab`` reuses slab n-1's
-factor from the march's one-entry ``FactorMemo``, skipping ``dgbtrf`` and the
-pivot floor: the floor belongs to the shared factor and was checked when it
-was made.  Every slab still gets its own solve, the finiteness check of its
-coefficients and the residual bound, which reads the triplets.  The
-coefficients are those of a fresh factor, bit for bit: the LU factors equal
-bands alike.
+When slab n's triplets repeat slab n-1's bit for bit, as under a stationary
+overlap, slab n gets no band and reuses slab n-1's factor from the march's
+one-entry ``FactorMemo``, whose pivot floor was checked when it was made.
+Every slab still gets its own solve and the checks of its coefficients; the
+residual reads the triplets.  The coefficients are those of a fresh factor,
+bit for bit.
 
 ``CHUNK_ENTRIES`` caps a chunk: it holds as many slabs as keep the entries
-of their constant mesh blocks within the cap, and at least one.  The
-chunk's temporaries grow about in proportion, so the cap bounds the memory
-that batching adds; the per-slab records and solutions that the march
-returns are the same as when it built one slab at a time.
+of their constant mesh blocks within the cap, and at least one.  The chunk's
+temporaries grow about in proportion, so the cap bounds the memory that
+batching adds.
 """
 
 from __future__ import annotations
@@ -69,9 +60,9 @@ from .spaces import SlabSolution, SlabSpaces, SpaceTimeSolution, build_slab_spac
 
 PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
-# A chunk holds as many slabs as keep its constant mesh blocks (mesh
-# triplets times (q+1)^2 temporal entries, summed over the slabs) within this
-# many entries, and at least one slab.  At this value slabs of 512 + 128
+# A chunk holds as many slabs as keep its constant mesh blocks (four entries
+# per cell of both meshes, times (q+1)^2 temporal entries, summed over the
+# slabs) within this many entries, and at least one slab.  At this value slabs of 512 + 128
 # cells with q = 1 go two to a chunk, enough to spread the batched code's
 # fixed cost per chunk, and a chunk's temporaries stay within about 2 MB;
 # so do its bands, built in groups of at most 8 times as many entries.
@@ -299,9 +290,10 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
 
 
 def chunk_length(setup: Setup) -> int:
-    """Slabs per chunk of the march under ``CHUNK_ENTRIES``."""
-    per_slab = len(setup.mesh_matrices[0]) * (setup.disc.q + 1) ** 2
-    return max(1, CHUNK_ENTRIES // per_slab)
+    """Slabs per chunk of the march under ``CHUNK_ENTRIES``, counting four
+    mesh entries per cell of both meshes."""
+    cells = len(setup.bg_nodes) + len(setup.ov_offsets) - 2
+    return max(1, CHUNK_ENTRIES // (4 * cells * (setup.disc.q + 1) ** 2))
 
 
 def march(
