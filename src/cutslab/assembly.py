@@ -359,21 +359,19 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
 def _interface_part(spaces, nt, mu, gamma: float, w_ll):
     """Triplets of the interface point terms on the panel Gauss times:
     -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind trace_i J_j."""
-    m = spaces[0].q + 1
     st = InterfaceStencil(*(np.concatenate(f) for f in zip(*(sp.stencil for sp in spaces))))
     slab = np.repeat(np.arange(len(spaces)), 2 * nt)
     time = (np.cumsum(nt) - nt)[slab] + ragged_arange(2 * nt) % nt[slab]
+    # every term pairs a trace slot (0, 1 or 4) with a slot: the entries
+    # (i, j) between two gradient-only slots are zero and left out
+    trace = np.isin(np.arange(7), [0, 1, 4])
+    i, j = np.nonzero(trace[:, None] | trace)
     J = st.jump
     n1G = st.n1[:, None] * st.grad
     pen = (np.hypot(mu[slab], 1.0) * gamma / st.h_K)[:, None]
-    vals = J[:, :, None] * (pen * J - n1G)[:, None, :]
-    vals += (st.upwind - n1G)[:, :, None] * J[:, None, :]
-    rows, cols, blocks = _point_entries(st.idx, vals, w_ll[time].reshape(-1, m, m))
-    # every term pairs a trace slot (0, 1, 4) with another slot: the 16
-    # entries between two gradient-only slots are zero
-    trace = np.isin(np.arange(7), [0, 1, 4])
-    keep = (trace[:, None] | trace[None, :]).ravel()
-    return slab[:, None], rows[:, keep], cols[:, keep], blocks[:, keep]
+    vals = J[:, i] * (pen * J[:, j] - n1G[:, j]) + (st.upwind - n1G)[:, i] * J[:, j]
+    blocks = vals[:, :, None] * w_ll[time][:, None, :]
+    return slab[:, None], st.idx[:, i], st.idx[:, j], blocks
 
 
 def _stabilization_part(spaces):
@@ -401,16 +399,20 @@ def position_order(spaces):
     nb = len(geom.bg_nodes)
     t0, t1, mu, a0 = np.array([(g.t_start, g.t_end, g.mu, g.a_start) for g in geoms]).T
     node_dof = np.stack([sp.node_dof for sp in spaces])
+    active = node_dof >= 0
     x = np.empty(node_dof.shape)
     x[:, :nb] = geom.bg_nodes
     x[:, nb:] = np.add.outer(a0 + mu * (0.5 * (t0 + t1) - t0), geom.ov_offsets)
-    slab, node = np.nonzero(node_dof >= 0)
-    by = np.lexsort((x[slab, node], slab))
-    slab, node = slab[by], node[by]
-    node_row = np.full(node_dof.shape, -1, dtype=np.intc)
-    node_row[slab, node] = m * np.arange(len(slab))
+    x[~active] = np.inf  # after every DOF
+    by = np.argsort(x, axis=1, kind="stable")
+    rank = np.empty_like(by)
+    np.put_along_axis(rank, by, np.arange(by.shape[1]), axis=1)
+    count = active.sum(axis=1)
+    node_row = np.where(active, m * (np.cumsum(count) - count)[:, None] + m * rank, -1)
+    node = by[np.arange(by.shape[1]) < count[:, None]]
+    slab = np.repeat(np.arange(len(count)), count)
     order = (m * node_dof[slab, node][:, None] + np.arange(m)).ravel()
-    return node_row, order
+    return node_row.astype(np.intc), order
 
 
 def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
@@ -509,14 +511,9 @@ def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
     v = np.concatenate([np.broadcast_to(vals[:, 0], (S, len(rows))), pv], axis=1)
     drop = (r < 0) | (c < 0)
     r[drop], c[drop], v[drop] = 0, 0, 0.0
-    # the modes met: the slab's at its start, the previous slab's at its end
-    w = np.outer(temporal_modes(q, 0.0), temporal_modes(q, 1.0))
-    i, j = np.nonzero(w)
-    return (
-        (r[:, :, None] + i).reshape(S, -1),
-        (c[:, :, None] + j).reshape(S, -1),
-        (v[:, :, None] * w[i, j]).reshape(S, -1),
-    )
+    # the modes are nodal in time: the slab's first mode is its start value,
+    # the previous slab's last mode its end value
+    return r, c + q, v
 
 
 def _apply(jump, i: int, coeffs: np.ndarray, n: int) -> np.ndarray:
