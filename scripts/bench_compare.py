@@ -2,7 +2,8 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_compare.py --base 11fc424 --tag pr12 --pairs 10 --seconds 6
+    python3 scripts/bench_compare.py --base 11fc424 --tag pr12 --pairs 10 \
+        --seconds 6 --seed 0 --seed 1
 
 The base revision is exported with ``git archive`` into a temporary
 directory, so the repository gets no extra worktree.  For each workload of
@@ -30,13 +31,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    proc = subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True)
+    return proc.stdout
 
 
 def export(rev: str, into: str) -> None:
     """The tree of ``rev`` as plain files under ``into``."""
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -98,7 +100,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=6.0, help="per run")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, action="append", help="default: 0; may repeat")
     ap.add_argument("--workload", action="append", help="default: all of BENCHMARK.json")
     ap.add_argument("--out", help="default: BENCH_<tag>.json at the root of the checkout")
     args = ap.parse_args(argv)
@@ -107,46 +109,50 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     base_rev = git("rev-parse", args.base).strip()
+    dirty = " + uncommitted" if git("status", "--porcelain", "src") else ""
     record = {
         "tag": args.tag,
         "base": base_rev,
-        "change": git("rev-parse", "HEAD").strip() + (" + uncommitted" if git("status", "--porcelain", "src") else ""),
-        "seed": args.seed,
+        "change": git("rev-parse", "HEAD").strip() + dirty,
         "seconds_per_run": args.seconds,
-        "workloads": {},
+        "workloads": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench_base_") as base_dir:
         export(base_rev, base_dir)
-        for name in workloads:
-            pairs = []
-            for i in range(args.pairs):
-                sides = [("base", base_dir), ("change", ROOT)]
-                res = {side: run(where, name, args.seed, args.seconds) for side, where in sides[:: 1 - 2 * (i % 2)]}
-                pairs.append((res["base"], res["change"]))
-                record.setdefault("machine", res["change"].get("machine"))
-                record.setdefault("versions", res["change"].get("versions"))
-                b, c = (r["metrics"].get("march_s", {}).get("value") for r in pairs[-1])
-                print(f"{name} pair {i + 1}: march_s base {b} change {c}", flush=True)
-            record["workloads"][name] = {
-                "summary": summary(pairs, spec["end_to_end"]),
-                "runs": [
-                    {side: {k: r.get(k) for k in ("correct", "attempted", "failed", "metrics", "error") if k in r}
-                     for side, r in zip(("base", "change"), pair)}
-                    for pair in pairs
-                ],
-            }
+        for seed in args.seed or [0]:
+            for name in workloads:
+                pairs = []
+                for i in range(args.pairs):
+                    sides = [("base", base_dir), ("change", ROOT)][:: 1 - 2 * (i % 2)]
+                    res = {side: run(where, name, seed, args.seconds) for side, where in sides}
+                    pairs.append((res["base"], res["change"]))
+                    record.setdefault("machine", res["change"].get("machine"))
+                    record.setdefault("versions", res["change"].get("versions"))
+                    b, c = (r["metrics"].get("march_s", {}).get("value") for r in pairs[-1])
+                    print(f"{name} seed {seed} pair {i + 1}: march_s {b} -> {c}", flush=True)
+                keep = ("correct", "attempted", "failed", "metrics", "error")
+                sides = ("base", "change")
+                record["workloads"].append({
+                    "workload": name,
+                    "seed": seed,
+                    "summary": summary(pairs, spec["end_to_end"]),
+                    "runs": [
+                        {side: {k: r[k] for k in keep if k in r} for side, r in zip(sides, pair)}
+                        for pair in pairs
+                    ],
+                })
     out = args.out or os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    for name, w in record["workloads"].items():
+    for w in record["workloads"]:
         s = w["summary"]
-        for m in ("march_s", "total_s", "setup_s", "peak_rss_mb"):
+        for m in (m["name"] for m in spec["end_to_end"]):
             if m in s:
                 v = s[m]
-                print(f"{name:11s} {m:12s} {v['base_median']:.4g} -> {v['change_median']:.4g} "
-                      f"({v['relative_change']:+.1%}), wins {v['wins']}/{s['pairs_correct']}, "
-                      f"base IQR {v['base_iqr']:.3g}")
+                print(f"{w['workload']:11s} seed {w['seed']} {m:12s} {v['base_median']:.4g} -> "
+                      f"{v['change_median']:.4g} ({v['relative_change']:+.1%}), wins "
+                      f"{v['wins']}/{s['pairs_correct']}, base IQR {v['base_iqr']:.3g}")
     print(f"wrote {out}")
     return 0
 

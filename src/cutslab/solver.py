@@ -62,10 +62,11 @@ PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
 # A chunk holds as many slabs as keep its constant mesh blocks (four entries
 # per cell of both meshes, times (q+1)^2 temporal entries, summed over the
-# slabs) within this many entries, and at least one slab.  At this value slabs of 512 + 128
-# cells with q = 1 go two to a chunk, enough to spread the batched code's
-# fixed cost per chunk, and a chunk's temporaries stay within about 2 MB;
-# so do its bands, built in groups of at most 8 times as many entries.
+# slabs) within this many entries, and at least one slab.  At this value
+# slabs of 512 + 128 cells with q = 1 go two to a chunk, enough to spread the
+# batched code's fixed cost per chunk, and a chunk's temporaries stay within
+# about 2 MB; so do its bands, built in groups of at most 8 times as many
+# entries.
 CHUNK_ENTRIES = 20480
 
 
@@ -112,8 +113,8 @@ def _bands(rows, cols, vals, at, kl, ku, n) -> list:
     size = ld * n
     start = np.cumsum(size) - size  # of each band in the storage
     # entry (r, c) of slab i sits at start[i] + kl + ku + r - c + c ld[i]
-    slab = np.repeat(np.arange(len(n)), np.diff(at))
-    slot = (start + kl + ku)[slab] + rows + cols * (ld - 1)[slab]
+    count = np.diff(at)
+    slot = np.repeat(start + kl + ku, count) + rows + cols * np.repeat(ld - 1, count)
     flat = np.bincount(slot, vals, minlength=int(size.sum()))
     fields = (v.tolist() for v in (start, size, ld, n, kl, ku))
     return [
@@ -227,7 +228,8 @@ def _chunk_bands(systems, memo: FactorMemo):
                 memo.clear()
                 a, b = at[lo], at[hi]
                 where = [f - a for f in at[lo : hi + 1]]
-                bands = _bands(rows[a:b], cols[a:b], vals[a:b], where, kl[lo:hi], ku[lo:hi], n[lo:hi])
+                group = (rows[a:b], cols[a:b], vals[a:b], where, kl[lo:hi], ku[lo:hi], n[lo:hi])
+                bands = _bands(*group)
                 yield from enumerate(bands, lo)
                 del bands
         i = j

@@ -302,7 +302,8 @@ def build_slab_space(
     stencils = map(InterfaceStencil._make, zip(*(split_counts(f, 2 * nt) for f in stencil)))
     spaces = SlabSpaces(
         SlabSpace(
-            geom=g, q=disc.q, active_bg=a, node_dof=d, times=t, weights=w, lam=lm, stencil=st, stab=sb
+            geom=g, q=disc.q, active_bg=a, node_dof=d, times=t, weights=w, lam=lm,
+            stencil=st, stab=sb,
         )
         for g, a, d, t, w, lm, st, sb in zip(geoms, active_bg, node_dof, *rules, stencils, stab)
     )
