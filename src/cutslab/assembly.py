@@ -461,8 +461,8 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     w_ll = (wts * lam[:, :, None] * lam[:, None, :]).reshape(-1, m * m)
     w_ld = (wts * lam[:, :, None] * dlam[:, None, :]).reshape(-1, m * m)
     times = np.concatenate([sp.times for sp in spaces])
-    nb = len(geoms[0].bg_nodes)
-    covered, start_cov = _covered_part(geoms, t_slab, times, start, w_ld, w_ll, node_row[:, :nb] >= 0)
+    active = node_row[:, : len(geoms[0].bg_nodes)] >= 0
+    covered, start_cov = _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active)
     triplets.append(to_rows(*covered))
     triplets.append(to_rows(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
     stab = _stabilization_part(spaces)
