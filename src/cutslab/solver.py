@@ -123,6 +123,12 @@ def _bands(rows, cols, vals, at, kl, ku, n) -> list:
     ]
 
 
+def _band(triplets, n: int) -> Band:
+    """The ``Band`` of one n x n slab matrix from its triplets."""
+    at = [0, len(triplets[2])]
+    return _bands(*triplets, at, *_half_bandwidths(*triplets[:2], at), np.array([n]))[0]
+
+
 def _same(a, b) -> bool:
     """Whether the triplets ``a`` and ``b`` are equal bit for bit.  Their last
     values, of the interface and stabilization terms, move with the overlap,
@@ -167,9 +173,7 @@ def _singular(
     exactly zero pivot)."""
     cond = np.inf
     if factor is not None:
-        at = [0, len(triplets[2])]
-        shape = (np.array([v]) for v in (band.kl, band.ku, band.ab.shape[1]))
-        A = _bands(*triplets, at, *shape)[0]  # the factor overwrote the band
+        A = _band(triplets, band.ab.shape[1])  # the factor overwrote the band
         rcond, _ = dgbcon(band.kl, band.ku, *factor, _norm("1", A))
         cond = 1.0 / rcond if rcond > 0 else np.inf
     floor = (
@@ -267,8 +271,7 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
     if not memo.holds(triplets, n):
         memo.clear()  # never hold two factors at once
         if band is None:
-            at = [0, len(triplets[2])]
-            band = _bands(*triplets, at, *_half_bandwidths(*triplets[:2], at), np.array([n]))[0]
+            band = _band(triplets, n)
         memo.factor = _factor(system, triplets, band)
         rows, cols, vals = triplets
         memo.triplets, memo.n = (rows.copy(), cols.copy(), vals.copy()), n
