@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_compare.py --base 11fc424 --tag pr12 --pairs 10 \
+    python3 scripts/bench_compare.py --base HEAD~1 --tag mychange --pairs 10 \
         --seconds 6 --seed 0 --seed 1
 
 The base revision is exported with ``git archive`` into a temporary
