@@ -3,18 +3,20 @@
 Usage, from the root of a checkout:
 
     python3 scripts/bench_compare.py --base HEAD~1 --tag mychange --pairs 10 \
-        --seconds 6 --seed 0 --seed 1
+        --seed 0 --seed 1
 
 The base revision is exported with ``git archive`` into a temporary
 directory, so the repository gets no extra worktree.  For each workload of
 ``BENCHMARK.json`` the script alternates ``perfbench/run.py --trace 0`` runs
 of the base and of the working tree (which side goes first alternates too),
-each in its own checkout and process.  It writes ``BENCH_<tag>.json``: per
-workload and end-to-end metric the medians and interquartile ranges of both
-sides, the pairs the change won (by the metric's ``better`` direction) and
-whether the change's median beats the base's by more than the base's
-interquartile range; the machine and library versions the runs reported;
-and every run's metrics and gate result.
+each in its own checkout and process, for ``BENCHMARK.json``'s
+``run_seconds`` unless ``--seconds`` overrides it.  A run that printed no
+result counts as one failed child.  It writes ``BENCH_<tag>.json``: per
+workload, both sides' failed and attempted children; per end-to-end metric,
+the medians and interquartile ranges of both sides, the pairs the change won
+(by the metric's ``better`` direction) and whether the change's median beats
+the base's by more than the base's interquartile range; the machine and
+library versions the runs reported; and every run's metrics and gate result.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     try:
         out = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        out = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+        out = {"correct": False, "attempted": 1, "failed": 1, "metrics": {},
                "error": (proc.stderr or proc.stdout)[-2000:]}
     for line in lines:
         for key in ("machine", "versions"):
@@ -67,10 +69,14 @@ def quartiles(values: list) -> tuple[float, float]:
 
 
 def summary(pairs: list, metrics: list) -> dict:
-    """Per end-to-end metric: both sides' median and IQR and the change's
-    wins over the pairs whose runs both passed the gate."""
+    """Both sides' failed and attempted children; per end-to-end metric, both
+    sides' median and IQR and the change's wins over the pairs whose runs
+    both passed the gate."""
     good = [(b, c) for b, c in pairs if b["correct"] and c["correct"]]
     out = {"pairs": len(pairs), "pairs_correct": len(good)}
+    for i, side in enumerate(("base", "change")):
+        out[side + "_failed"] = sum(p[i]["failed"] for p in pairs)
+        out[side + "_attempted"] = sum(p[i]["attempted"] for p in pairs)
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         got = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in good
@@ -99,7 +105,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="the base revision")
     ap.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=6.0, help="per run")
+    ap.add_argument("--seconds", type=float, help="per run; default: run_seconds of BENCHMARK.json")
     ap.add_argument("--seed", type=int, action="append", help="default: 0; may repeat")
     ap.add_argument("--workload", action="append", help="default: all of BENCHMARK.json")
     ap.add_argument("--out", help="default: BENCH_<tag>.json at the root of the checkout")
@@ -108,13 +114,14 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     base_rev = git("rev-parse", args.base).strip()
     dirty = " + uncommitted" if git("status", "--porcelain", "src") else ""
     record = {
         "tag": args.tag,
         "base": base_rev,
         "change": git("rev-parse", "HEAD").strip() + dirty,
-        "seconds_per_run": args.seconds,
+        "seconds_per_run": seconds,
         "workloads": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench_base_") as base_dir:
@@ -124,7 +131,7 @@ def main(argv=None) -> int:
                 pairs = []
                 for i in range(args.pairs):
                     sides = [("base", base_dir), ("change", ROOT)][:: 1 - 2 * (i % 2)]
-                    res = {side: run(where, name, seed, args.seconds) for side, where in sides}
+                    res = {side: run(where, name, seed, seconds) for side, where in sides}
                     pairs.append((res["base"], res["change"]))
                     record.setdefault("machine", res["change"].get("machine"))
                     record.setdefault("versions", res["change"].get("versions"))

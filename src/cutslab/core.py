@@ -131,15 +131,10 @@ class Discretization:
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Slab breakpoints t_0 < ... < t_N and the constant velocity of each slab.
-
-    ``k`` is the one slab length of a uniform partition (t_n = n k), None
-    for any other.
-    """
+    """Slab breakpoints t_0 < ... < t_N and the constant velocity of each slab."""
 
     breakpoints: np.ndarray
     velocities: np.ndarray
-    k: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.breakpoints, dtype=float)
@@ -157,12 +152,14 @@ class TimePartition:
     @property
     def lengths(self) -> np.ndarray:
         """The length of each slab, which its temporal modes and time rules
-        scale by: ``k`` for every slab of a uniform partition, whose
-        breakpoint differences vary in the last bits, so that slabs alike
+        scale by.  A uniform partition (the breakpoints of ``np.linspace``,
+        bit for bit) gives every slab the one length (t_N - t_0) / N, where
+        the breakpoint differences vary in the last bits, so that slabs alike
         but for their start get bit-identical matrices."""
-        if self.k is None:
-            return np.diff(self.breakpoints)
-        return np.full(self.n_slabs, self.k)
+        t, n = self.breakpoints, self.n_slabs
+        if np.array_equal(t, np.linspace(t[0], t[-1], n + 1)):
+            return np.full(n, (t[-1] - t[0]) / n)
+        return np.diff(t)
 
     def slab_interval(self, n: int) -> tuple[float, float]:
         """Interval (t_{n-1}, t_n] of slab n (1-based)."""
@@ -180,23 +177,18 @@ def make_uniform_mesh(interval: tuple[float, float], n_cells: int) -> np.ndarray
 
 
 def p1_triplets(nodes: np.ndarray):
-    """COO triplets of the full-mesh P1 matrices of a mesh, one per nonzero
-    entry (the diagonal, then the entries above and below it): rows, cols,
-    and values shaped (entries, 3) holding the mass, the stiffness and the
-    drift (integral of phi_trial' phi_test) entries."""
-    n = len(nodes)
+    """COO triplets of the full-mesh P1 matrices of a mesh: rows, cols, and
+    values shaped (entries, 3) holding the mass, the stiffness and the drift
+    (integral of phi_trial' phi_test) entries."""
+    i = np.arange(len(nodes) - 1)
     h = np.diff(nodes)
-    i = np.arange(n - 1)
-    rows = np.concatenate([np.arange(n), i, i + 1])
-    cols = np.concatenate([np.arange(n), i + 1, i])
-    vals = np.zeros((len(rows), 3))
-    for cell in (slice(0, n - 1), slice(1, n)):  # each node's cells, left and right
-        vals[cell, 0] += h / 3
-        vals[cell, 1] += 1 / h
-    vals[[0, n - 1], 2] = -0.5, 0.5
-    vals[n:, 0] = np.tile(h / 6, 2)
-    vals[n:, 1] = np.tile(-1 / h, 2)
-    vals[n:, 2] = np.repeat([0.5, -0.5], n - 1)
+    half = np.full_like(h, 0.5)
+    rows = np.concatenate([i, i, i + 1, i + 1])
+    cols = np.concatenate([i, i + 1, i, i + 1])
+    vals = np.empty((len(rows), 3))
+    vals[:, 0] = np.concatenate([h / 3, h / 6, h / 6, h / 3])
+    vals[:, 1] = np.concatenate([1 / h, -1 / h, -1 / h, 1 / h])
+    vals[:, 2] = np.concatenate([-half, half, -half, half])
     return rows, cols, vals
 
 
@@ -259,12 +251,10 @@ def slab_velocity(spec: OverlapSpec, t_start: float, t_end: float) -> float:
 
 
 def build_time_partition(spec: OverlapSpec, final_time: float, n_slabs: int) -> TimePartition:
-    """Uniform partition of (0, T] with the slabwise discrete velocities:
-    t_n = n k with k = T / N (``np.linspace`` computes them so, and sets t_N
-    to T)."""
+    """Uniform partition of (0, T] with the slabwise discrete velocities."""
     t = np.linspace(0.0, final_time, n_slabs + 1)
     mu = np.array([slab_velocity(spec, t[n], t[n + 1]) for n in range(n_slabs)])
-    return TimePartition(breakpoints=t, velocities=mu, k=final_time / n_slabs)
+    return TimePartition(breakpoints=t, velocities=mu)
 
 
 def interface_path(spec: OverlapSpec, partition: TimePartition) -> np.ndarray:

@@ -87,13 +87,6 @@ def ragged_arange(counts) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def split_counts(values: np.ndarray, counts) -> list[np.ndarray]:
-    """``values`` cut into consecutive views of the lengths ``counts``, at a
-    fraction of ``np.split``'s cost per piece."""
-    end = np.cumsum(counts).tolist()
-    return [values[i:j] for i, j in zip([0] + end[:-1], end)]
-
-
 def _by_slab(values: np.ndarray, slab: np.ndarray, gap: np.ndarray) -> list[np.ndarray]:
     """``values`` grouped by their ``slab`` into one sorted array per entry of
     ``gap``, dropping each value within ``gap[slab]`` of the one before it."""
@@ -101,7 +94,7 @@ def _by_slab(values: np.ndarray, slab: np.ndarray, gap: np.ndarray) -> list[np.n
     values, slab = values[order], slab[order]
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = (slab[1:] != slab[:-1]) | (np.diff(values) > gap[slab[1:]])
-    return split_counts(values[keep], np.bincount(slab[keep], minlength=len(gap)))
+    return np.split(values[keep], np.cumsum(np.bincount(slab[keep], minlength=len(gap)))[:-1])
 
 
 def left_at(geoms, slab: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -50,23 +50,21 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import idamax
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dlangb
 
-from .assembly import SlabSystem, all_finite, assemble_slab, position_order
+from .assembly import SlabSystem, assemble_slab, position_order
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
 from .geometry import build_slab_geometry
 from .spaces import SlabSolution, SlabSpaces, SpaceTimeSolution, build_slab_space
 
 PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
-# A chunk holds as many slabs as keep its constant mesh blocks (four entries
-# per cell of both meshes, times (q+1)^2 temporal entries, summed over the
-# slabs) within this many entries, and at least one slab.  At this value
-# slabs of 512 + 128 cells with q = 1 go two to a chunk, enough to spread the
-# batched code's fixed cost per chunk, and a chunk's temporaries stay within
-# about 2 MB; so do its bands, built in groups of at most 8 times as many
-# entries.
+# A chunk holds as many slabs as keep its constant mesh blocks (mesh
+# triplets times (q+1)^2 temporal entries, summed over the slabs) within this
+# many entries, and at least one slab.  At this value slabs of 512 + 128
+# cells with q = 1 go two to a chunk, enough to spread the batched code's
+# fixed cost per chunk, and a chunk's temporaries stay within about 2 MB;
+# so do its bands, built in groups of at most 8 times as many entries.
 CHUNK_ENTRIES = 20480
 
 
@@ -277,9 +275,10 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
         memo.triplets, memo.n = (rows.copy(), cols.copy(), vals.copy()), n
     lu, ipiv, kl, ku, scale = memo.factor
     y, _ = dgbtrs(lu, kl, ku, b, ipiv)
-    if not all_finite(y):
+    y_inf = np.abs(y).max()  # NaN or inf when any coefficient is
+    if not np.isfinite(y_inf):
         raise NumericalFailure(f"slab {system.slab} solve gave non-finite coefficients")
-    denom = scale * abs(y[idamax(y)]) + abs(b[idamax(b)])  # b is finite
+    denom = scale * y_inf + np.abs(b).max()
     if denom > 0:
         rows, cols, vals = triplets
         r = np.bincount(rows, vals * y[cols], minlength=n) - b
@@ -295,10 +294,9 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
 
 
 def chunk_length(setup: Setup) -> int:
-    """Slabs per chunk of the march under ``CHUNK_ENTRIES``, counting four
-    mesh entries per cell of both meshes."""
-    cells = len(setup.bg_nodes) + len(setup.ov_offsets) - 2
-    return max(1, CHUNK_ENTRIES // (4 * cells * (setup.disc.q + 1) ** 2))
+    """Slabs per chunk of the march under ``CHUNK_ENTRIES``."""
+    per_slab = len(setup.mesh_matrices[0]) * (setup.disc.q + 1) ** 2
+    return max(1, CHUNK_ENTRIES // per_slab)
 
 
 def march(

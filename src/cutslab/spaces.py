@@ -21,7 +21,6 @@ from .geometry import (
     left_at,
     ragged_arange,
     sigma_side,
-    split_counts,
 )
 from .quadrature import GL3, composite_time_rule
 
@@ -283,29 +282,33 @@ def build_slab_space(
     node_dof = np.full((S, nb + n_ov), -1, dtype=np.intc)
     node_dof[:, 1 : nb - 1] = np.where(active, np.cumsum(active, axis=1) - 1, -1)
     node_dof[:, nb:] = n_active[:, None] + np.arange(n_ov)
-    active_bg = split_counts(active.nonzero()[1] + 1, n_active)
+    active_bg = np.split(active.nonzero()[1] + 1, np.cumsum(n_active)[:-1])
 
     # the rule in slab-relative time: slabs without events share it bit for bit
     t0, k = np.array([(g.t_start, g.k) for g in geoms]).T
-    count = np.array([len(g.events) for g in geoms])
-    s = np.repeat(np.arange(S), count)
-    events = split_counts((geoms.events - t0[s]) / k[s], count)
+    events = [(g.events - g.t_start) / g.k for g in geoms]
     tau, weights = composite_time_rule(np.zeros(S), np.ones(S), events, GL3)
-    nt = len(GL3.nodes) * (count + 1)
+    nt = len(GL3.nodes) * (np.array([len(e) for e in events]) + 1)
     slab = np.repeat(np.arange(S), nt)
     times = t0[slab] + k[slab] * tau
     weights *= k[slab]
     lam = temporal_modes(disc.q, tau)
     stencil = interface_stencil(geoms, slab, times, disc.omega1)
     stab = stabilization_weights(geoms, disc.q)
-    rules = (split_counts(f, nt) for f in (times, weights, lam))
-    stencils = map(InterfaceStencil._make, zip(*(split_counts(f, 2 * nt) for f in stencil)))
+    end = np.cumsum(nt).tolist()
     spaces = SlabSpaces(
         SlabSpace(
-            geom=g, q=disc.q, active_bg=a, node_dof=d, times=t, weights=w, lam=lm,
-            stencil=st, stab=sb,
+            geom=g,
+            q=disc.q,
+            active_bg=active_bg[s],
+            node_dof=node_dof[s],
+            times=times[i:j],
+            weights=weights[i:j],
+            lam=lam[i:j],
+            stencil=InterfaceStencil(*(f[2 * i : 2 * j] for f in stencil)),
+            stab=stab[s],
         )
-        for g, a, d, t, w, lm, st, sb in zip(geoms, active_bg, node_dof, *rules, stencils, stab)
+        for s, (g, i, j) in enumerate(zip(geoms, [0] + end[:-1], end))
     )
     return spaces[0] if isinstance(geom, SlabGeometry) else spaces
 

@@ -180,6 +180,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             TimePartition(breakpoints=np.array([0.0, 0.5, 0.5]), velocities=np.zeros(2))
 
+    def test_partition_lengths(self):
+        # a uniform partition: one length for every slab, though the
+        # breakpoint differences of T = 1, N = 6 differ in the last bits
+        t = np.linspace(0.0, 1.0, 7)
+        assert len(set(np.diff(t).tolist())) > 1
+        lengths = TimePartition(breakpoints=t, velocities=np.zeros(6)).lengths
+        assert lengths.tolist() == [1.0 / 6] * 6
+        # any other partition: the breakpoint differences
+        t = np.array([0.0, 0.25, 0.5, 1.0])
+        lengths = TimePartition(breakpoints=t, velocities=np.zeros(3)).lengths
+        assert lengths.tolist() == [0.25, 0.25, 0.5]
+
     def test_zero_problem_is_zero(self):
         prob = zero_problem()
         x = np.linspace(0, 1, 9)

@@ -22,8 +22,7 @@ from conftest import make_setup, oscillating_setup
 
 def _cap_chunk(monkeypatch, setup, slabs):
     """Set the march's chunk cap to hold ``slabs`` slabs of ``setup``."""
-    cells = len(setup.bg_nodes) + len(setup.ov_offsets) - 2
-    per_slab = 4 * cells * (setup.disc.q + 1) ** 2
+    per_slab = len(setup.mesh_matrices[0]) * (setup.disc.q + 1) ** 2
     monkeypatch.setattr(cutslab.solver, "CHUNK_ENTRIES", slabs * per_slab)
     assert cutslab.solver.chunk_length(setup) == slabs
 
