@@ -169,14 +169,15 @@ def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
     return out
 
 
-def _covered_entries(geom: SlabGeometry, a: np.ndarray):
+def _covered_entries(geom: SlabGeometry, a: np.ndarray, active=None):
     """Mass/stiffness of the background basis over the covered interval
     [a, a + L] at the left positions ``a``, shaped (slabs, positions).
 
     Each slab's entries run over the background cells met at any of its
-    positions, padded to the most cells of any slab by repeating its last
-    cell.  Returns the cells (slabs, cells), which of them are the slab's
-    own, and the (e00, e01, e11) mass and stiffness shaped (2, slabs,
+    positions, padded to the most cells of any slab by repeating one of its
+    cells; given ``active`` (slabs, background nodes), only over those with
+    an active node.  Returns the cells (slabs, cells), which of them are the
+    slab's own, and the (e00, e01, e11) mass and stiffness shaped (2, slabs,
     positions, 3, cells); they vanish where a cell lies outside that
     position's interval.
     """
@@ -188,6 +189,12 @@ def _covered_entries(geom: SlabGeometry, a: np.ndarray):
     cells = c_lo[:, None] + np.arange((c_hi - c_lo).max() + 1)
     own = cells <= c_hi[:, None]
     cells = np.minimum(cells, c_hi[:, None])
+    if active is not None:
+        s = np.arange(len(cells))[:, None]
+        own &= active[s, cells] | active[s, cells + 1]
+        # the kept cells first, in order, and as few columns as any slab needs
+        by = np.argsort(~own, axis=1, kind="stable")[:, : max(own.sum(axis=1).max(), 1)]
+        cells, own = np.take_along_axis(cells, by, 1), np.take_along_axis(own, by, 1)
     lo, hi = nodes[cells][:, None], nodes[cells + 1][:, None]
     xa = np.maximum(lo, a[:, :, None])
     xb = np.maximum(np.minimum(hi, b[:, :, None]), xa)
@@ -316,12 +323,14 @@ def _dof_triplets(dofs, m: int, at, rows, cols, blocks):
     return r, c, blocks.reshape(-1, m * m)[ok].ravel()
 
 
-def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
+def _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active):
     """Triplets (slab, rows, cols, blocks) of the covered-interval
     correction, at each slab start and on its panel Gauss times (``t_slab``
     gives each time's slab): mass against the start trace and lam_i lam_j',
     stiffness against lam_i lam_j; and the covered mass triplets (slab,
-    rows, cols, values) at the slab starts, slab after slab."""
+    rows, cols, values) at the slab starts, slab after slab.  Only the cells
+    with a node in ``active`` (slabs, background nodes) give triplets: the
+    others give none that a slab's DOFs keep."""
     S, mm = len(geoms), start.size
     t0, mu, a0 = np.array([(g.t_start, g.mu, g.a_start) for g in geoms]).T
     # positions: each slab's start, then its times, padded with its start
@@ -330,7 +339,8 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
     t = np.repeat(t0[:, None], p.max() + 1, axis=1)
     t[t_slab, p] = times
     P = t.shape[1]
-    cells, own, (mv, kv) = _covered_entries(geoms[0], a0[:, None] + mu[:, None] * (t - t0[:, None]))
+    a = a0[:, None] + mu[:, None] * (t - t0[:, None])
+    cells, own, (mv, kv) = _covered_entries(geoms[0], a, active)
     weights = np.zeros((S, 2, P, mm))
     weights[:, 0, 0] = start.ravel()
     weights[t_slab, 0, p] = w_ld
@@ -349,16 +359,19 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll):
 def _interface_part(spaces, nt, mu, gamma: float, w_ll):
     """Triplets of the interface point terms on the panel Gauss times:
     -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind trace_i J_j."""
-    m = spaces[0].q + 1
     st = InterfaceStencil(*(np.concatenate(f) for f in zip(*(sp.stencil for sp in spaces))))
     slab = np.repeat(np.arange(len(spaces)), 2 * nt)
     time = (np.cumsum(nt) - nt)[slab] + ragged_arange(2 * nt) % nt[slab]
+    # every term pairs a trace slot (0, 1 or 4) with a slot: the entries
+    # (i, j) between two gradient-only slots are zero and left out
+    trace = np.isin(np.arange(7), [0, 1, 4])
+    i, j = np.nonzero(trace[:, None] | trace)
     J = st.jump
     n1G = st.n1[:, None] * st.grad
     pen = (np.hypot(mu[slab], 1.0) * gamma / st.h_K)[:, None]
-    vals = J[:, :, None] * (pen * J - n1G)[:, None, :]
-    vals += (st.upwind - n1G)[:, :, None] * J[:, None, :]
-    return (slab[:, None], *_point_entries(st.idx, vals, w_ll[time].reshape(-1, m, m)))
+    vals = J[:, i] * (pen * J[:, j] - n1G[:, j]) + (st.upwind - n1G)[:, i] * J[:, j]
+    blocks = vals[:, :, None] * w_ll[time][:, None, :]
+    return slab[:, None], st.idx[:, i], st.idx[:, j], blocks
 
 
 def _stabilization_part(spaces):
@@ -439,7 +452,8 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     w_ll = (wts * lam[:, :, None] * lam[:, None, :]).reshape(-1, m * m)
     w_ld = (wts * lam[:, :, None] * dlam[:, None, :]).reshape(-1, m * m)
     times = np.concatenate([sp.times for sp in spaces])
-    covered, start_cov = _covered_part(geoms, t_slab, times, start, w_ld, w_ll)
+    active = node_row[:, : len(geoms[0].bg_nodes)] >= 0
+    covered, start_cov = _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active)
     triplets.append(to_rows(*covered))
     triplets.append(to_rows(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
     stab = _stabilization_part(spaces)
