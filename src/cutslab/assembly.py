@@ -12,6 +12,11 @@ slab's end-time trace to each later slab's load, one product of its jump
 map, once that slab is solved.  Given one ``SlabSpace``, ``assemble_slab``
 runs the same code on a chunk of that slab and returns its ``SlabSystem``.
 
+A slab whose matrix repeats the previous slab's, known from the time
+partition (``Setup.repeats``: a run of stationary slabs), gets no triplets:
+it reads those of the slab it repeats, also across chunks, so a stationary
+march builds one matrix in all.  Its loads and jump map are its own.
+
 Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
 nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
 that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
@@ -105,9 +110,12 @@ class SlabSystem:
     in a march, its ``solver.Band`` (``band``); it builds ``matrix`` and
     ``rhs`` only when they are read, off the march path.  ``memo`` is the
     march's ``solver.FactorMemo``, shared by its slabs (None factors afresh).
+    ``repeats`` tells that the matrix is the previous slab's
+    (``Setup.repeats``), whose factor ``memo`` then holds.
     """
 
     band = load = order = triplets = None
+    repeats = False
 
     def __init__(self, slab: int, matrix, rhs, space: SlabSpace, memo=None):
         from scipy.sparse import csc_array
@@ -128,6 +136,7 @@ class SlabSystem:
         system.load, system.memo, system.band = load, memo, band
         system.order = systems.order[systems.first[i] : systems.first[i + 1]]
         system.triplets = systems.triplets(i)
+        system.repeats = not systems.new[i]
         return system
 
     @cached_property
@@ -336,7 +345,7 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active):
     # positions: each slab's start, then its times, padded with its start
     # (whose temporal weights stay zero)
     p = np.arange(len(times)) - np.searchsorted(t_slab, t_slab) + 1
-    t = np.repeat(t0[:, None], p.max() + 1, axis=1)
+    t = np.repeat(t0[:, None], p.max(initial=0) + 1, axis=1)
     t[t_slab, p] = times
     P = t.shape[1]
     a = a0[:, None] + mu[:, None] * (t - t0[:, None])
@@ -482,6 +491,41 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     return rows, cols, vals, [0] + np.cumsum(count).tolist(), start_cov
 
 
+def _chunk_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list, new: np.ndarray):
+    """``_slab_matrices`` of the slabs of ``spaces`` with ``new`` true, on
+    their own: their triplets, in rows counted over them alone, and ``at``;
+    and the covered mass triplets at the start of every slab, slab after
+    slab.  A slab without a matrix of its own gets that mass from its
+    covered part on no times.  ``node_row`` and ``first`` are the chunk's
+    (``position_order``)."""
+    rows = cols = np.empty(0, dtype=np.intc)
+    vals, at = np.empty(0), [0]
+    made, rest = np.flatnonzero(new), np.flatnonzero(~new)
+    covers = []  # (slabs of the chunk, their covered mass triplets)
+    if len(made):
+        count = np.diff(first)[made]
+        made_first = [0] + np.cumsum(count).tolist()
+        shift = (np.array(first)[made] - made_first[:-1]).astype(np.intc)
+        made_row = np.where(node_row[made] >= 0, node_row[made] - shift[:, None], -1)
+        made_spaces = SlabSpaces(spaces[i] for i in made)
+        rows, cols, vals, at, cov = _slab_matrices(made_spaces, setup, made_row, made_first)
+        if not len(rest):
+            return rows, cols, vals, at, cov
+        covers.append((made, cov))
+    m = spaces[0].q + 1
+    lam0 = temporal_modes(m - 1, 0.0)
+    geoms = [spaces[i].geom for i in rest]
+    times, weights = np.empty(0), np.empty((0, m * m))
+    active = node_row[rest, : len(setup.bg_nodes)] >= 0
+    start = np.outer(lam0, lam0)
+    cov = _covered_part(geoms, times.astype(int), times, start, weights, weights, active)[1]
+    covers.append((rest, cov))
+    slab = np.concatenate([ids[cov[0]] for ids, cov in covers])
+    by = np.argsort(slab, kind="stable")
+    start_cov = [slab[by]] + [np.concatenate([cov[f] for _, cov in covers])[by] for f in (1, 2, 3)]
+    return rows, cols, vals, at, start_cov
+
+
 def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
     """The time-jump maps of consecutive slabs: triplets (rows, cols, vals),
     each shaped (slabs, entries), from the previous slab's coefficients
@@ -540,10 +584,13 @@ class SlabSystems:
     Slab i's unknowns are the chunk rows ``first[i]`` to ``first[i + 1]``,
     in its position order (``position_order``): ``order`` gives the slab DOF
     of each row.  The diagonal blocks, the slab matrices, come as triplets
-    ``rows``, ``cols``, ``vals``, slab i's from entry ``at[i]`` to
-    ``at[i + 1]`` in its own rows, with duplicates to be summed;
-    ``matrix`` builds them into one block-diagonal CSC array in DOF order
-    when it is read.  ``loads`` holds each row's source load; the first
+    with duplicates to be summed, each slab's in its own rows
+    (``triplets``).  A slab with ``new`` true was assembled: the j-th such
+    slab's triplets are ``rows``, ``cols``, ``vals`` from entry ``at[j]``
+    to ``at[j + 1]``.  Any other slab repeats the slab before it and reads
+    its triplets, the first slab those ``held`` of the slab before the
+    chunk.  ``matrix`` builds them all into one block-diagonal CSC array in
+    DOF order when it is read.  ``loads`` holds each row's source load; the first
     slab's also holds the trace of the solution before the chunk (or the
     initial data).  Below the diagonal, ``jump`` takes the solution on slab
     i-1 to slab i's time-jump load, so the slabs are solved one after the
@@ -553,8 +600,10 @@ class SlabSystems:
 
     spaces: SlabSpaces
     first: list
-    at: list
     order: np.ndarray
+    new: np.ndarray
+    held: tuple | None
+    at: list
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -563,16 +612,23 @@ class SlabSystems:
 
     def triplets(self, i: int) -> tuple:
         """Slab i's matrix triplets (rows, cols, vals) in its own rows."""
-        a, b = self.at[i], self.at[i + 1]
+        j = int(np.count_nonzero(self.new[: i + 1])) - 1  # the assembled slab it is or repeats
+        if j < 0:
+            return self.held
+        a, b = self.at[j], self.at[j + 1]
         return self.rows[a:b], self.cols[a:b], self.vals[a:b]
 
     @cached_property
     def matrix(self):
         """The block-diagonal CSC array of the slab matrices, slab i's block
         from row and column ``first[i]`` on, in its DOF order."""
-        start = np.repeat(self.first[:-1], np.diff(self.at))
         dof = np.repeat(self.first[:-1], np.diff(self.first)) + self.order
-        return _csc(dof[start + self.rows], dof[start + self.cols], self.vals, self.first[-1])
+        blocks = [self.triplets(i) for i in range(len(self.spaces))]
+        rows, cols, vals = (
+            np.concatenate(x)
+            for x in zip(*((dof[f + r], dof[f + c], v) for f, (r, c, v) in zip(self.first, blocks)))
+        )
+        return _csc(rows, cols, vals, self.first[-1])
 
     def system(self, i: int, prev: SlabSolution | None, memo=None, band=None) -> SlabSystem:
         """The system of slab i (0-based in the chunk); ``prev`` is read for
@@ -589,7 +645,7 @@ class SlabSystems:
 
 
 def assemble_slab(
-    space: SlabSpace | SlabSpaces, setup: Setup, prev: SlabSolution | None
+    space: SlabSpace | SlabSpaces, setup: Setup, prev: SlabSolution | None, held=None
 ) -> SlabSystem | SlabSystems:
     """Assemble the sparse system of one slab.
 
@@ -599,16 +655,24 @@ def assemble_slab(
     source loads and time-jump maps are built at once and come back as
     ``SlabSystems``, with ``prev`` (the solution on the slab before them) in
     the first load.
+
+    A slab that repeats the slab before it (``Setup.repeats``) gets no matrix
+    of its own: it reads the triplets of the slab it repeats, in the chunk
+    or, for the first slab, ``held``, the triplets of the slab before the
+    chunk.  Without ``held`` the first slab is assembled.  Its loads and jump
+    map are its own, as every slab's.
     """
     spaces = SlabSpaces((space,) if isinstance(space, SlabSpace) else space)
     S = len(spaces)
     q = spaces[0].q
     m = q + 1
+    geoms = [sp.geom for sp in spaces]
     node_row, order = position_order(spaces)
     first = [0] + np.cumsum([sp.n_cols for sp in spaces]).tolist()
-    rows, cols, vals, at, start_cov = _slab_matrices(spaces, setup, node_row, first)
+    new = ~setup.repeats[[g.n - 1 for g in geoms]]
+    new[0] |= held is None
+    rows, cols, vals, at, start_cov = _chunk_matrices(spaces, setup, node_row, first, new)
 
-    geoms = [sp.geom for sp in spaces]
     t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
     rule = midpoint() if q == 0 else lobatto3()
     times, wts = composite_time_rule(t0, t1, [g.events for g in geoms], rule)
@@ -632,5 +696,6 @@ def assemble_slab(
     jump = _jump_maps(setup, local_row, prev_dof, start_cov, q)
     if prev is not None:
         loads[: first[1]] += _apply(jump, 0, prev.coeffs, first[1])
-    systems = SlabSystems(spaces, first, at, order, rows, cols, vals, loads, jump)
+    held = None if new[0] else held
+    systems = SlabSystems(spaces, first, order, new, held, at, rows, cols, vals, loads, jump)
     return systems.system(0, prev) if isinstance(space, SlabSpace) else systems

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -53,6 +54,8 @@ def _require(cfg: dict, key: str, where: str):
 def _velocity_from_config(vcfg: dict):
     mode = _require(vcfg, "mode", "overlap.velocity")
     value = float(_require(vcfg, "value", "overlap.velocity"))
+    if not math.isfinite(value):
+        raise ConfigError(f"overlap.velocity.value must be finite, got {value}")
     if mode == "constant":
         return value
     if mode == "sin_demo":

@@ -71,6 +71,9 @@ class ProblemSpec:
     exact: Optional[ExactSolution] = None
 
     def __post_init__(self):
+        for name in ("x_lo", "x_hi", "final_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_lo < self.x_hi:
             raise ValueError(f"need x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
         if not self.final_time > 0:
@@ -140,6 +143,9 @@ class TimePartition:
         t = np.asarray(self.breakpoints, dtype=float)
         if t.ndim != 1 or len(t) < 2:
             raise ValueError("need at least two time breakpoints")
+        for name, v in (("breakpoints", t), ("velocities", self.velocities)):
+            if not np.isfinite(np.asarray(v, dtype=float)).all():
+                raise ValueError(f"time partition {name} must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("time breakpoints must be strictly increasing")
         if len(self.velocities) != len(t) - 1:
@@ -308,6 +314,20 @@ class Setup:
         ov_offsets = make_uniform_mesh((0.0, overlap.length), disc.n_overlap)
         a_breaks = interface_path(overlap, partition)
         return cls(problem, overlap, disc, partition, bg_nodes, ov_offsets, a_breaks)
+
+    @cached_property
+    def repeats(self) -> np.ndarray:
+        """Whether each slab's matrix repeats the previous slab's bit for bit
+        (entry n - 1 for slab n), known from the time partition alone: slab
+        n >= 2 does when both it and slab n - 1 are stationary (velocity
+        exactly 0.0), ``TimePartition.lengths`` gives them one length, and
+        they start at the same position.  With mu = 0 a slab's geometry,
+        record and matrix read nothing else of it: every position in it is
+        its start, and its temporal modes and rules are slab-relative."""
+        mu, k, a = self.partition.velocities, self.partition.lengths, self.a_breaks[:-1]
+        out = np.zeros(len(mu), dtype=bool)
+        out[1:] = (mu[1:] == 0.0) & (mu[:-1] == 0.0) & (k[1:] == k[:-1]) & (a[1:] == a[:-1])
+        return out
 
     @cached_property
     def mesh_matrices(self):

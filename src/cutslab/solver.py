@@ -30,12 +30,17 @@ storage within 8 ``CHUNK_ENTRIES`` entries, and at least one; it is built
 once the slabs before it are solved, and ``dgbtrf`` writes each factor over
 its band, so a chunk of wide bands holds one band at a time.
 
-A march factors a slab matrix only when it differs from the previous slab's.
-When slab n's triplets repeat slab n-1's bit for bit, as under a stationary
-overlap, slab n gets no band and reuses slab n-1's factor from the march's
-one-entry ``FactorMemo``, whose pivot floor was checked when it was made.
-Every slab still gets its own solve and the checks of its coefficients; the
-residual reads the triplets.  The coefficients are those of a fresh factor,
+A march factors a slab matrix only when it differs from the previous slab's,
+which the time partition tells before anything is assembled: slab n repeats
+slab n-1 when both are stationary, of one length and at one position
+(``Setup.repeats``).  Such a slab gets no triplets of its own, no band and
+no factor: it reuses slab n-1's factor from the march's one-entry
+``FactorMemo``, whose pivot floor was checked when it was made.  The memo
+also keeps copies of the factored slab's triplets, which the march hands on
+to the next chunk's ``assemble_slab``, so a chunk whose first slab repeats
+the previous chunk's last assembles no matrix for it either.  Every slab
+still gets its own solve and the checks of its coefficients; the residual
+reads the shared triplets.  The coefficients are those of a fresh factor,
 bit for bit.
 
 ``CHUNK_ENTRIES`` caps a chunk: it holds as many slabs as keep the entries
@@ -127,30 +132,16 @@ def _band(triplets, n: int) -> Band:
     return _bands(*triplets, at, *_half_bandwidths(*triplets[:2], at), np.array([n]))[0]
 
 
-def _same(a, b) -> bool:
-    """Whether the triplets ``a`` and ``b`` are equal bit for bit.  Their last
-    values, of the interface and stabilization terms, move with the overlap,
-    and they are compared first."""
-    if len(a[2]) != len(b[2]) or (len(a[2]) and a[2][-1] != b[2][-1]):
-        return False
-    return all(np.array_equal(x, y) for x, y in zip(a[::-1], b[::-1]))
-
-
 @dataclass
 class FactorMemo:
-    """The triplets of the last slab matrix one march factored (copies),
-    its size and the band LU factor (``lu``, ``ipiv``, the band's kl, ku
-    and ||A||_inf).  ``march`` makes one and hands it to every slab
+    """The band LU factor (``lu``, ``ipiv``, the band's kl, ku and
+    ||A||_inf) of the last slab matrix one march factored, and copies of
+    that matrix's triplets, which the march hands on to the next chunk's
+    ``assemble_slab``.  ``march`` makes one and hands it to every slab
     system."""
 
     triplets: tuple | None = None
-    n: int = 0
     factor: tuple | None = None
-
-    def holds(self, triplets, n: int) -> bool:
-        """Whether ``triplets`` of an n x n matrix are the factored ones,
-        bit for bit, and so sum to the factored band."""
-        return self.triplets is not None and self.n == n and _same(self.triplets, triplets)
 
     def clear(self) -> None:
         self.triplets = self.factor = None
@@ -205,19 +196,16 @@ def _factor(system: SlabSystem, triplets, band: Band) -> tuple:
 def _chunk_bands(systems, memo: FactorMemo):
     """Yields (i, band) for each slab of the chunk ``systems``.
 
-    A slab whose triplets repeat those of the slab before it (for the first,
-    those ``memo`` holds) will reuse that slab's factor, and its band is
-    None.  The bands of each run of other slabs are built a group at a time
-    (``_groups``), each group once the slabs before it are solved; the memo
-    lets go of its factor first, since no slab of the group reuses it."""
-    rows, cols, vals, at = systems.rows, systems.cols, systems.vals, systems.at
+    A slab that repeats the slab before it (``SlabSystems.new`` false) will
+    reuse that slab's factor, and its band is None.  The bands of each run
+    of assembled slabs are built a group at a time (``_groups``), each group
+    once the slabs before it are solved; the memo lets go of its factor
+    first, since no slab of the group reuses it."""
+    rows, cols, vals, at, new = systems.rows, systems.cols, systems.vals, systems.at, systems.new
     n = np.diff(systems.first)
     S = len(n)
-    new = [not memo.holds(systems.triplets(0), n[0])]
-    for i in range(1, S):
-        new.append(n[i] != n[i - 1] or not _same(systems.triplets(i - 1), systems.triplets(i)))
-    kl, ku = _half_bandwidths(rows, cols, at)
-    i = 0
+    kl, ku = _half_bandwidths(rows, cols, at)  # of the assembled slabs
+    i = s = 0  # s: the assembled slabs before slab i
     while i < S:
         j = i + 1
         if not new[i]:
@@ -225,15 +213,15 @@ def _chunk_bands(systems, memo: FactorMemo):
         else:
             while j < S and new[j]:
                 j += 1
-            for lo, hi in _groups(kl[i:j], ku[i:j], n[i:j]):
-                lo, hi = i + lo, i + hi
+            for lo, hi in _groups(kl[s : s + j - i], ku[s : s + j - i], n[i:j]):
                 memo.clear()
-                a, b = at[lo], at[hi]
-                where = [f - a for f in at[lo : hi + 1]]
-                group = (rows[a:b], cols[a:b], vals[a:b], where, kl[lo:hi], ku[lo:hi], n[lo:hi])
-                bands = _bands(*group)
-                yield from enumerate(bands, lo)
+                a, b = at[s + lo], at[s + hi]
+                where = [f - a for f in at[s + lo : s + hi + 1]]
+                group = (rows[a:b], cols[a:b], vals[a:b], where)
+                bands = _bands(*group, kl[s + lo : s + hi], ku[s + lo : s + hi], n[i + lo : i + hi])
+                yield from enumerate(bands, i + lo)
                 del bands
+            s += j - i
         i = j
 
 
@@ -253,10 +241,11 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
 
     The solve reads the system's triplets, load and band in position order,
     or, for a system given as a CSC matrix, builds them from ``matrix`` and
-    ``rhs``.  The band is factored, over its storage, unless ``system.memo``
-    holds the slab's triplets bit for bit; then the memo's factor, which
-    passed the pivot floor when it was made, is reused.  A new factor
-    replaces the memo's.  Whichever factor is used, the coefficients must be
+    ``rhs``.  The band is factored, over its storage, unless the slab
+    repeats the previous one (``system.repeats``) and ``system.memo`` holds
+    that slab's factor, which passed the pivot floor when it was made; then
+    that factor is reused.  A new factor replaces the memo's, with copies of
+    its triplets.  Whichever factor is used, the coefficients must be
     finite and meet the residual bound
     ||A x - b||_inf <= RESIDUAL_TOL (||A||_inf ||x||_inf + ||b||_inf).
     """
@@ -266,13 +255,12 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
         b = system.rhs[order]
     n = len(b)
     memo = system.memo if system.memo is not None else FactorMemo()
-    if not memo.holds(triplets, n):
+    if not (system.repeats and memo.factor is not None):
         memo.clear()  # never hold two factors at once
         if band is None:
             band = _band(triplets, n)
         memo.factor = _factor(system, triplets, band)
-        rows, cols, vals = triplets
-        memo.triplets, memo.n = (rows.copy(), cols.copy(), vals.copy()), n
+        memo.triplets = tuple(x.copy() for x in triplets)
     lu, ipiv, kl, ku, scale = memo.factor
     y, _ = dgbtrs(lu, kl, ku, b, ipiv)
     y_inf = np.abs(y).max()  # NaN or inf when any coefficient is
@@ -311,7 +299,7 @@ def march(
     for first in range(1, disc.n_slabs + 1, step):
         geoms = build_slab_geometry(setup, range(first, min(first + step, disc.n_slabs + 1)))
         spaces = build_slab_space(geoms, disc)
-        systems = assemble_slab(spaces, setup, prev)
+        systems = assemble_slab(spaces, setup, prev, memo.triplets)
         for i, band in _chunk_bands(systems, memo):
             coeffs = solve_slab(systems.system(i, prev, memo, band))
             del band  # not to be held while the next group's bands are built

@@ -297,6 +297,29 @@ class TestMainErrors:
         assert rc == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("problem", "T", 1e400), ("problem", "T", float("nan")), ("velocity", "value", 1e400)],
+    )
+    def test_non_finite_problem_or_velocity_is_config_error(
+        self, tmp_path, capsys, section, key, value
+    ):
+        # T = 1e400 parses as inf; it used to fail inside assembly with an
+        # IndexError traceback and exit 1
+        cfg = _base_config()
+        if section == "velocity":
+            cfg["overlap"]["velocity"] = {"mode": "sin_demo", "value": value}
+        else:
+            cfg[section][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace("Infinity", "1e400"), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["solve", str(path), "--output-dir", str(out), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        field = {"T": "final_time", "value": "overlap.velocity.value"}[key]
+        assert field in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["solve", "converge"])
     def test_top_level_list_is_config_error(self, tmp_path, capsys, monkeypatch, command):
         # without --output-dir the output directory is read from the config

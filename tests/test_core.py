@@ -142,6 +142,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProblemSpec(x_lo=0.0, x_hi=1.0, final_time=0.0, source=z, initial=z)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("x_lo", -np.inf), ("x_hi", np.inf), ("x_hi", np.nan), ("final_time", np.inf),
+         ("final_time", np.nan), ("final_time", 1e400)],
+    )
+    def test_problem_non_finite(self, field, value):
+        # an infinite final time used to reach assembly and fail there
+        z = lambda *a: 0.0
+        kwargs = dict(x_lo=0.0, x_hi=1.0, final_time=1.0, source=z, initial=z)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ProblemSpec(**kwargs)
+
     def test_discretization_bad_q(self):
         with pytest.raises(ValueError):
             Discretization(n_background=4, n_overlap=2, n_slabs=2, q=2)
@@ -179,6 +192,22 @@ class TestValidation:
     def test_partition_not_increasing(self):
         with pytest.raises(ValueError):
             TimePartition(breakpoints=np.array([0.0, 0.5, 0.5]), velocities=np.zeros(2))
+
+    @pytest.mark.parametrize("field", ["breakpoints", "velocities"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_partition_non_finite(self, field, value):
+        # np.diff(t) <= 0 is False for NaN, so the order check alone let
+        # NaN breakpoints through
+        kwargs = dict(breakpoints=np.array([0.0, 0.5, 1.0]), velocities=np.zeros(2))
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field][1] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TimePartition(**kwargs)
+
+    def test_partition_from_a_non_finite_velocity_callable(self):
+        spec = OverlapSpec(length=0.25, initial_left=0.3, velocity=lambda t: np.nan)
+        with pytest.raises(ValueError, match="velocities must be finite"):
+            build_time_partition(spec, 1.0, 4)
 
     def test_partition_lengths(self):
         # a uniform partition: one length for every slab, though the

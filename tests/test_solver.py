@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
+import cutslab.assembly
 import cutslab.solver
 from cutslab.assembly import SlabSystem, assemble_slab
 from cutslab.core import (
     Discretization,
     NumericalFailure,
     OverlapSpec,
+    Setup,
     manufactured_problem,
     zero_problem,
 )
@@ -371,11 +375,12 @@ class TestMarch:
 
     @pytest.mark.parametrize("q", [0, 1])
     def test_bad_source_on_a_reused_factor_names_its_slab(self, q, monkeypatch):
-        # mu = 0: slab 3 repeats the matrix of slabs 1 and 2 and would reuse
-        # their factor
+        # mu = 0: slab 3 repeats the matrix of slabs 1 and 2, gets none of
+        # its own and would reuse their factor
         setup = make_setup(n0=8, nG=2, N=8, mu=0.0, q=q)
         systems = _record_solves(monkeypatch)
         march(setup.problem, setup.overlap, setup.disc)
+        assert [s.repeats for s in systems[:3]] == [False, True, True]
         assert _same_matrix(systems[0].matrix, systems[2].matrix)
         assert _same_matrix(systems[1].matrix, systems[2].matrix)
         factors = _count_factors(monkeypatch)
@@ -397,6 +402,7 @@ class TestMarch:
         with pytest.raises(NumericalFailure, match="slab 3 solve left relative residual"):
             march(setup.problem, setup.overlap, setup.disc)
         assert [s.slab for s in systems] == [1, 2, 3]
+        assert systems[2].repeats
         assert len(factors) == 1
 
     @pytest.mark.parametrize("q", [0, 1])
@@ -412,17 +418,21 @@ class TestMarch:
 
     @staticmethod
     def _check_factors(N, q, mu, monkeypatch):
-        # a slab whose matrix repeats the previous slab's bit for bit reuses
-        # its factor; every slab is still solved once.  The matrices read the
-        # temporal modes at slab-relative times and one slab length, so every
-        # stationary slab repeats the first one's
+        # a slab that repeats the previous one (Setup.repeats, read off the
+        # time partition) reuses its factor, and every other slab is
+        # factored; every slab is still solved once.  The rule fires exactly
+        # where the matrix repeats: the matrices read the temporal modes at
+        # slab-relative times and one slab length, so every stationary slab
+        # repeats the first one's
         setup = make_setup(n0=16, nG=4, N=N, mu=mu, q=q, T=1.0)
         systems = _record_solves(monkeypatch)
         factors = _count_factors(monkeypatch)
         march(setup.problem, setup.overlap, setup.disc)
         assert [s.slab for s in systems] == list(range(1, N + 1))
-        new = [not _same_matrix(a.matrix, b.matrix) for a, b in zip(systems, systems[1:])]
-        assert len(factors) == 1 + sum(new)
+        same = [_same_matrix(a.matrix, b.matrix) for a, b in zip(systems, systems[1:])]
+        assert setup.repeats.tolist() == [False] + same
+        assert [s.repeats for s in systems] == setup.repeats.tolist()
+        assert len(factors) == N - sum(same)
         assert len(factors) == (N if mu != 0.0 else 1)
 
     def test_deterministic(self):
@@ -466,6 +476,72 @@ class TestMarch:
             assert np.max(np.abs(sol.eval(x, t) - exact.u(x, t))) < 0.02
 
 
+class TestRepeatRule:
+    """``Setup.repeats``, the slabs whose matrix repeats the previous slab's,
+    read off the time partition, against bit identity of the slab
+    matrices; and the march, which gives those slabs no matrix and no
+    factor of their own."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        before=st.lists(st.sampled_from([0.25, -0.25, 0.4]), max_size=2),
+        zeros=st.integers(2, 3),
+        after=st.lists(st.sampled_from([0.0, 0.25, -0.25, 0.4]), max_size=2),
+        N=st.sampled_from([6, 8, 12]),
+        q=st.sampled_from([0, 1]),
+        mode=st.sampled_from(["sample", "average"]),
+        a0=st.sampled_from([0.3, 0.3125]),
+        nG=st.sampled_from([2, 4]),
+    )
+    @example(before=[0.25], zeros=3, after=[-0.25], N=12, q=1, mode="average", a0=0.3, nG=4)
+    @example(before=[], zeros=2, after=[0.4], N=8, q=0, mode="sample", a0=0.3125, nG=2)
+    def test_rule_is_bit_identity(self, before, zeros, after, N, q, mode, a0, nG):
+        # the velocity is constant on each of equal pieces of (0, 1], zero on
+        # a run of them; k = 1/8 is binary, 1/6 and 1/12 are not
+        pieces = np.array(before + [0.0] * zeros + after)
+        edges = np.linspace(0.0, 1.0, len(pieces) + 1)[1:-1]
+        overlap = OverlapSpec(0.25, a0, lambda t: pieces[np.searchsorted(edges, t)], mode)
+        setup = Setup.build(manufactured_problem(1.0), overlap, Discretization(16, nG, N, q=q))
+        spaces = [build_slab_space(build_slab_geometry(setup, n), setup.disc) for n in range(1, N + 1)]
+
+        # each slab assembled on its own: the rule says "repeats" exactly
+        # where its triplets are the previous slab's, bit for bit
+        bits = [
+            tuple(x.tobytes() for x in (*system.triplets, system.order))
+            for system in (assemble_slab(space, setup, None) for space in spaces)
+        ]
+        assert setup.repeats.tolist() == [False] + [a == b for a, b in zip(bits, bits[1:])]
+
+        # the reference: each slab's own system, solved with a fresh factor
+        ref, prev = [], None
+        for space in spaces:
+            prev = SlabSolution(space, solve_slab(assemble_slab(space, setup, prev)))
+            ref.append(prev.coeffs)
+        new = [n for n in range(1, N + 1) if not setup.repeats[n - 1]]
+        original = cutslab.assembly._slab_matrices
+        for slabs in (1, 3, N):
+            made = []
+
+            def recording(spaces, *args):
+                made.extend(sp.geom.n for sp in spaces)
+                return original(spaces, *args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                _cap_chunk(mp, setup, slabs)
+                mp.setattr(cutslab.assembly, "_slab_matrices", recording)
+                factors = _count_factors(mp)
+                sol = march(setup.problem, setup.overlap, setup.disc)
+            # a repeated slab gets no matrix, also as a chunk's first slab
+            assert made == new
+            assert len(factors) == len(new)
+            for x, slab in zip(ref, sol.slabs):
+                if slabs == 1:
+                    assert np.array_equal(slab.coeffs, x)
+                else:
+                    # chunks pad the covered-cell and load products
+                    assert np.max(np.abs(slab.coeffs - x)) <= 1e-13 * np.max(np.abs(x))
+
+
 class TestBands:
     """The bands the march builds straight from a chunk's triplets."""
 
@@ -497,14 +573,17 @@ class TestBands:
         geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))
         spaces = build_slab_space(geoms, setup.disc)
         systems = assemble_slab(spaces, setup, None)
+        # a slab that repeats the one before gets no triplets of its own
+        stationary = np.all(setup.partition.velocities == 0.0)
+        assert systems.new.tolist() == [True] + [not stationary] * (len(spaces) - 1)
+        assert len(systems.at) == 1 + systems.new.sum()
         kl, ku = cutslab.solver._half_bandwidths(systems.rows, systems.cols, systems.at)
-        groups = list(cutslab.solver._groups(kl, ku, np.diff(systems.first)))
+        groups = list(cutslab.solver._groups(kl, ku, np.diff(systems.first)[systems.new]))
         wide = setup.disc.n_overlap == 256
         assert len(groups) == (len(spaces) if wide else 1)
         bands = list(cutslab.solver._chunk_bands(systems, cutslab.solver.FactorMemo()))
         assert [i for i, _ in bands] == list(range(len(spaces)))
-        # a slab that repeats the one before gets no band: it reuses its factor
-        stationary = np.all(setup.partition.velocities == 0.0)
+        # nor a band: it reuses the factor of the slab it repeats
         assert all((band is None) == (stationary and i > 0) for i, band in bands)
         for i, band in bands[:1] if stationary else bands:
             rows, cols, vals = systems.triplets(i)
@@ -516,6 +595,33 @@ class TestBands:
             assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
             # nothing outside the band, and the fill rows stay zero
             assert not band.ab[: band.kl].any()
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_a_chunk_of_repeated_slabs_has_no_triplets(self, q):
+        # slabs 2-6 of a stationary march repeat slab 1: given slab 1's
+        # triplets, they are assembled as none, get no band, and still read
+        # as full matrices
+        setup = make_setup(n0=16, nG=4, N=6, mu=0.0, a0=0.3, q=q)
+        geoms = build_slab_geometry(setup, range(1, 7))
+        spaces = build_slab_space(geoms, setup.disc)
+        one = assemble_slab(spaces[0], setup, None)
+        prev = SlabSolution(spaces[0], solve_slab(one))
+        systems = assemble_slab(spaces[1:], setup, prev, one.triplets)
+        assert not systems.new.any() and systems.at == [0]
+        assert not len(systems.rows) and not len(systems.vals)
+        assert all(systems.triplets(i) is one.triplets for i in range(5))
+        kl, ku = cutslab.solver._half_bandwidths(systems.rows, systems.cols, systems.at)
+        assert kl.shape == ku.shape == (0,)
+        bands = list(cutslab.solver._chunk_bands(systems, cutslab.solver.FactorMemo()))
+        assert bands == [(i, None) for i in range(5)]
+        A = one.matrix.toarray()
+        blocks = systems.matrix.toarray()
+        for i, f in enumerate(systems.first[:-1]):
+            assert np.array_equal(blocks[f : f + len(A), f : f + len(A)], A)
+        # without the triplets, the first slab is assembled
+        alone = assemble_slab(spaces[1:], setup, prev)
+        assert alone.new.tolist() == [True, False, False, False, False]
+        assert all(np.array_equal(a, b) for a, b in zip(alone.triplets(0), one.triplets))
 
     def test_wide_bands_stay_under_the_memory_cap(self):
         # half-bandwidths 109-171 on 540 unknowns: one band takes 1.4-2.2 MB,
