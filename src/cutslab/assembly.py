@@ -491,39 +491,37 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     return rows, cols, vals, [0] + np.cumsum(count).tolist(), start_cov
 
 
-def _chunk_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list, new: np.ndarray):
+def _chunk_matrices(spaces, setup: Setup, node_row, first: list, new: np.ndarray, held):
     """``_slab_matrices`` of the slabs of ``spaces`` with ``new`` true, on
     their own: their triplets, in rows counted over them alone, and ``at``;
-    and the covered mass triplets at the start of every slab, slab after
-    slab.  A slab without a matrix of its own gets that mass from its
-    covered part on no times.  ``node_row`` and ``first`` are the chunk's
-    (``position_order``)."""
+    and the covered mass triplets (slab, rows, cols, values) at the start of
+    every slab, slab after slab.  Any other slab starts where the slab it
+    repeats starts, with the same DOFs, so its covered mass is that slab's:
+    in the chunk, or for the first slab ``held``'s.  ``node_row`` and
+    ``first`` are the chunk's (``position_order``)."""
     rows = cols = np.empty(0, dtype=np.intc)
     vals, at = np.empty(0), [0]
-    made, rest = np.flatnonzero(new), np.flatnonzero(~new)
-    covers = []  # (slabs of the chunk, their covered mass triplets)
+    cover = [np.empty(0, dtype=int)] * 3 + [np.empty(0)]
+    made = np.flatnonzero(new)
     if len(made):
         count = np.diff(first)[made]
         made_first = [0] + np.cumsum(count).tolist()
         shift = (np.array(first)[made] - made_first[:-1]).astype(np.intc)
         made_row = np.where(node_row[made] >= 0, node_row[made] - shift[:, None], -1)
         made_spaces = SlabSpaces(spaces[i] for i in made)
-        rows, cols, vals, at, cov = _slab_matrices(made_spaces, setup, made_row, made_first)
-        if not len(rest):
-            return rows, cols, vals, at, cov
-        covers.append((made, cov))
-    m = spaces[0].q + 1
-    lam0 = temporal_modes(m - 1, 0.0)
-    geoms = [spaces[i].geom for i in rest]
-    times, weights = np.empty(0), np.empty((0, m * m))
-    active = node_row[rest, : len(setup.bg_nodes)] >= 0
-    start = np.outer(lam0, lam0)
-    cov = _covered_part(geoms, times.astype(int), times, start, weights, weights, active)[1]
-    covers.append((rest, cov))
-    slab = np.concatenate([ids[cov[0]] for ids, cov in covers])
-    by = np.argsort(slab, kind="stable")
-    start_cov = [slab[by]] + [np.concatenate([cov[f] for _, cov in covers])[by] for f in (1, 2, 3)]
-    return rows, cols, vals, at, start_cov
+        rows, cols, vals, at, cover = _slab_matrices(made_spaces, setup, made_row, made_first)
+        if len(made) == len(new):
+            return rows, cols, vals, at, cover
+    # the covered mass of each slab's source: the assembled slab it is or
+    # repeats, or (source -1) the slab before the chunk
+    source, *cover = cover
+    if held is not None:
+        source = np.concatenate([np.full(len(held[1][0]), -1), source])
+        cover = [np.concatenate(x) for x in zip(held[1], cover)]
+    per = np.bincount(source + 1, minlength=len(made) + 1)
+    count = per[np.cumsum(new)]
+    take = np.repeat((np.cumsum(per) - per)[np.cumsum(new)], count) + ragged_arange(count)
+    return rows, cols, vals, at, [np.repeat(np.arange(len(new)), count)] + [x[take] for x in cover]
 
 
 def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
@@ -588,8 +586,8 @@ class SlabSystems:
     (``triplets``).  A slab with ``new`` true was assembled: the j-th such
     slab's triplets are ``rows``, ``cols``, ``vals`` from entry ``at[j]``
     to ``at[j + 1]``.  Any other slab repeats the slab before it and reads
-    its triplets, the first slab those ``held`` of the slab before the
-    chunk.  ``matrix`` builds them all into one block-diagonal CSC array in
+    its triplets, the first slab those in ``held``, the previous chunk's
+    ``handoff``.  ``matrix`` builds them all into one block-diagonal CSC array in
     DOF order when it is read.  ``loads`` holds each row's source load; the first
     slab's also holds the trace of the solution before the chunk (or the
     initial data).  Below the diagonal, ``jump`` takes the solution on slab
@@ -609,12 +607,16 @@ class SlabSystems:
     vals: np.ndarray
     loads: np.ndarray
     jump: tuple  # (rows, cols, vals), each (slabs, entries): see _jump_maps
+    # when the slab after the chunk repeats its last: copies of that slab's
+    # triplets and of its covered mass triplets (rows, cols, values) at its
+    # start, which the next chunk's ``assemble_slab`` reads as ``held``
+    handoff: tuple | None
 
     def triplets(self, i: int) -> tuple:
         """Slab i's matrix triplets (rows, cols, vals) in its own rows."""
         j = int(np.count_nonzero(self.new[: i + 1])) - 1  # the assembled slab it is or repeats
         if j < 0:
-            return self.held
+            return self.held[0]
         a, b = self.at[j], self.at[j + 1]
         return self.rows[a:b], self.cols[a:b], self.vals[a:b]
 
@@ -658,9 +660,9 @@ def assemble_slab(
 
     A slab that repeats the slab before it (``Setup.repeats``) gets no matrix
     of its own: it reads the triplets of the slab it repeats, in the chunk
-    or, for the first slab, ``held``, the triplets of the slab before the
-    chunk.  Without ``held`` the first slab is assembled.  Its loads and jump
-    map are its own, as every slab's.
+    or, for the first slab, in ``held``, the previous chunk's
+    ``SlabSystems.handoff``.  Without ``held`` the first slab is assembled.
+    Its loads and jump map are its own, as every slab's.
     """
     spaces = SlabSpaces((space,) if isinstance(space, SlabSpace) else space)
     S = len(spaces)
@@ -671,7 +673,8 @@ def assemble_slab(
     first = [0] + np.cumsum([sp.n_cols for sp in spaces]).tolist()
     new = ~setup.repeats[[g.n - 1 for g in geoms]]
     new[0] |= held is None
-    rows, cols, vals, at, start_cov = _chunk_matrices(spaces, setup, node_row, first, new)
+    held = None if new[0] else held
+    rows, cols, vals, at, start_cov = _chunk_matrices(spaces, setup, node_row, first, new, held)
 
     t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
     rule = midpoint() if q == 0 else lobatto3()
@@ -696,6 +699,13 @@ def assemble_slab(
     jump = _jump_maps(setup, local_row, prev_dof, start_cov, q)
     if prev is not None:
         loads[: first[1]] += _apply(jump, 0, prev.coeffs, first[1])
-    held = None if new[0] else held
-    systems = SlabSystems(spaces, first, order, new, held, at, rows, cols, vals, loads, jump)
+    handoff = None
+    if geoms[-1].n < len(setup.repeats) and setup.repeats[geoms[-1].n]:
+        # the slab after the chunk repeats its last: copies of what it reads
+        matrix = tuple(x[at[-2] :].copy() for x in (rows, cols, vals)) if len(at) > 1 else held[0]
+        last = start_cov[0] == S - 1
+        handoff = (matrix, tuple(x[last] for x in start_cov[1:]))
+    systems = SlabSystems(
+        spaces, first, order, new, held, at, rows, cols, vals, loads, jump, handoff
+    )
     return systems.system(0, prev) if isinstance(space, SlabSpace) else systems

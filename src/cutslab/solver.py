@@ -35,10 +35,10 @@ which the time partition tells before anything is assembled: slab n repeats
 slab n-1 when both are stationary, of one length and at one position
 (``Setup.repeats``).  Such a slab gets no triplets of its own, no band and
 no factor: it reuses slab n-1's factor from the march's one-entry
-``FactorMemo``, whose pivot floor was checked when it was made.  The memo
-also keeps copies of the factored slab's triplets, which the march hands on
-to the next chunk's ``assemble_slab``, so a chunk whose first slab repeats
-the previous chunk's last assembles no matrix for it either.  Every slab
+``FactorMemo``, whose pivot floor was checked when it was made.  When the
+first slab of a chunk repeats the previous chunk's last, that chunk hands
+on copies of its last slab's triplets (``SlabSystems.handoff``), so the
+first slab is not assembled either.  Every slab
 still gets its own solve and the checks of its coefficients; the residual
 reads the shared triplets.  The coefficients are those of a fresh factor,
 bit for bit.
@@ -135,16 +135,13 @@ def _band(triplets, n: int) -> Band:
 @dataclass
 class FactorMemo:
     """The band LU factor (``lu``, ``ipiv``, the band's kl, ku and
-    ||A||_inf) of the last slab matrix one march factored, and copies of
-    that matrix's triplets, which the march hands on to the next chunk's
-    ``assemble_slab``.  ``march`` makes one and hands it to every slab
-    system."""
+    ||A||_inf) of the last slab matrix one march factored.  ``march`` makes
+    one and hands it to every slab system."""
 
-    triplets: tuple | None = None
     factor: tuple | None = None
 
     def clear(self) -> None:
-        self.triplets = self.factor = None
+        self.factor = None
 
 
 def _norm(norm: str, band: Band) -> float:
@@ -244,9 +241,9 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
     ``rhs``.  The band is factored, over its storage, unless the slab
     repeats the previous one (``system.repeats``) and ``system.memo`` holds
     that slab's factor, which passed the pivot floor when it was made; then
-    that factor is reused.  A new factor replaces the memo's, with copies of
-    its triplets.  Whichever factor is used, the coefficients must be
-    finite and meet the residual bound
+    that factor is reused.  A new factor replaces the memo's.  Whichever
+    factor is used, the coefficients must be finite and meet the residual
+    bound
     ||A x - b||_inf <= RESIDUAL_TOL (||A||_inf ||x||_inf + ||b||_inf).
     """
     triplets, order, band, b = system.triplets, system.order, system.band, system.load
@@ -260,7 +257,6 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
         if band is None:
             band = _band(triplets, n)
         memo.factor = _factor(system, triplets, band)
-        memo.triplets = tuple(x.copy() for x in triplets)
     lu, ipiv, kl, ku, scale = memo.factor
     y, _ = dgbtrs(lu, kl, ku, b, ipiv)
     y_inf = np.abs(y).max()  # NaN or inf when any coefficient is
@@ -293,13 +289,14 @@ def march(
     """March the discrete system through all slabs and collect the solution."""
     setup = Setup.build(problem, overlap, disc)
     step = chunk_length(setup)
-    prev = None
+    prev = held = None
     memo = FactorMemo()
     slabs = []
     for first in range(1, disc.n_slabs + 1, step):
         geoms = build_slab_geometry(setup, range(first, min(first + step, disc.n_slabs + 1)))
         spaces = build_slab_space(geoms, disc)
-        systems = assemble_slab(spaces, setup, prev, memo.triplets)
+        systems = assemble_slab(spaces, setup, prev, held)
+        held = systems.handoff
         for i, band in _chunk_bands(systems, memo):
             coeffs = solve_slab(systems.system(i, prev, memo, band))
             del band  # not to be held while the next group's bands are built

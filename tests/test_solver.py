@@ -502,7 +502,8 @@ class TestRepeatRule:
         edges = np.linspace(0.0, 1.0, len(pieces) + 1)[1:-1]
         overlap = OverlapSpec(0.25, a0, lambda t: pieces[np.searchsorted(edges, t)], mode)
         setup = Setup.build(manufactured_problem(1.0), overlap, Discretization(16, nG, N, q=q))
-        spaces = [build_slab_space(build_slab_geometry(setup, n), setup.disc) for n in range(1, N + 1)]
+        geoms = build_slab_geometry(setup, range(1, N + 1))
+        spaces = [build_slab_space(geom, setup.disc) for geom in geoms]
 
         # each slab assembled on its own: the rule says "repeats" exactly
         # where its triplets are the previous slab's, bit for bit
@@ -598,18 +599,29 @@ class TestBands:
 
     @pytest.mark.parametrize("q", [0, 1])
     def test_a_chunk_of_repeated_slabs_has_no_triplets(self, q):
-        # slabs 2-6 of a stationary march repeat slab 1: given slab 1's
-        # triplets, they are assembled as none, get no band, and still read
-        # as full matrices
+        # slabs 2-6 of a stationary march repeat slab 1: given what slab 1's
+        # chunk hands on, they are assembled as none, get no band, and still
+        # read as full matrices; their jump maps are the slab-by-slab ones
         setup = make_setup(n0=16, nG=4, N=6, mu=0.0, a0=0.3, q=q)
         geoms = build_slab_geometry(setup, range(1, 7))
         spaces = build_slab_space(geoms, setup.disc)
-        one = assemble_slab(spaces[0], setup, None)
+        head = assemble_slab(spaces[:1], setup, None)
+        one = head.system(0, None)
         prev = SlabSolution(spaces[0], solve_slab(one))
-        systems = assemble_slab(spaces[1:], setup, prev, one.triplets)
+        matrix, cover = head.handoff
+        assert all(np.array_equal(a, b) for a, b in zip(matrix, one.triplets))
+        systems = assemble_slab(spaces[1:], setup, prev, head.handoff)
         assert not systems.new.any() and systems.at == [0]
         assert not len(systems.rows) and not len(systems.vals)
-        assert all(systems.triplets(i) is one.triplets for i in range(5))
+        assert all(systems.triplets(i) is matrix for i in range(5))
+        # the slab after the chunk would repeat it, too: none here
+        assert systems.handoff is None
+        for i, space in enumerate(spaces[1:]):
+            ref = assemble_slab(space, setup, prev).matrix  # nothing handed on: assembled
+            assert _same_matrix(systems.system(i, prev).matrix, ref)
+        for i in range(1, 5):
+            pair = assemble_slab(spaces[i : i + 2], setup, prev)  # slabs i + 1, i + 2
+            assert all(np.array_equal(a[i], b[1]) for a, b in zip(systems.jump, pair.jump))
         kl, ku = cutslab.solver._half_bandwidths(systems.rows, systems.cols, systems.at)
         assert kl.shape == ku.shape == (0,)
         bands = list(cutslab.solver._chunk_bands(systems, cutslab.solver.FactorMemo()))
@@ -618,10 +630,11 @@ class TestBands:
         blocks = systems.matrix.toarray()
         for i, f in enumerate(systems.first[:-1]):
             assert np.array_equal(blocks[f : f + len(A), f : f + len(A)], A)
-        # without the triplets, the first slab is assembled
+        # without them, the first slab is assembled
         alone = assemble_slab(spaces[1:], setup, prev)
         assert alone.new.tolist() == [True, False, False, False, False]
         assert all(np.array_equal(a, b) for a, b in zip(alone.triplets(0), one.triplets))
+        assert all(np.array_equal(a, b) for a, b in zip(alone.jump, systems.jump))
 
     def test_wide_bands_stay_under_the_memory_cap(self):
         # half-bandwidths 109-171 on 540 unknowns: one band takes 1.4-2.2 MB,
