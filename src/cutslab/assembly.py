@@ -345,7 +345,7 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active):
     # positions: each slab's start, then its times, padded with its start
     # (whose temporal weights stay zero)
     p = np.arange(len(times)) - np.searchsorted(t_slab, t_slab) + 1
-    t = np.repeat(t0[:, None], p.max(initial=0) + 1, axis=1)
+    t = np.repeat(t0[:, None], p.max() + 1, axis=1)
     t[t_slab, p] = times
     P = t.shape[1]
     a = a0[:, None] + mu[:, None] * (t - t0[:, None])
@@ -587,13 +587,13 @@ class SlabSystems:
     slab's triplets are ``rows``, ``cols``, ``vals`` from entry ``at[j]``
     to ``at[j + 1]``.  Any other slab repeats the slab before it and reads
     its triplets, the first slab those in ``held``, the previous chunk's
-    ``handoff``.  ``matrix`` builds them all into one block-diagonal CSC array in
-    DOF order when it is read.  ``loads`` holds each row's source load; the first
-    slab's also holds the trace of the solution before the chunk (or the
-    initial data).  Below the diagonal, ``jump`` takes the solution on slab
-    i-1 to slab i's time-jump load, so the slabs are solved one after the
-    other: ``system(i, prev)`` is slab i's system once ``prev``, the solution
-    on slab i-1, is known.
+    ``handoff``.  ``matrix`` builds them all into one block-diagonal CSC
+    array in DOF order when it is read.  ``loads`` holds each row's source
+    load; the first slab's also holds the trace of the solution before the
+    chunk (or the initial data).  Below the diagonal, ``jump`` takes the
+    solution on slab i-1 to slab i's time-jump load, so the slabs are solved
+    one after the other: ``system(i, prev)`` is slab i's system once
+    ``prev``, the solution on slab i-1, is known.
     """
 
     spaces: SlabSpaces
