@@ -51,6 +51,14 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _integer(value, where: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or boolean raises,
+    as ``int()`` would truncate or convert it silently."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _velocity_from_config(vcfg: dict):
     mode = _require(vcfg, "mode", "overlap.velocity")
     value = float(_require(vcfg, "value", "overlap.velocity"))
@@ -65,7 +73,10 @@ def _velocity_from_config(vcfg: dict):
 
 def _problem_from_config(pcfg: dict):
     T = float(_require(pcfg, "T", "problem"))
-    if bool(pcfg.get("manufactured", True)):
+    manufactured = pcfg.get("manufactured", True)
+    if not isinstance(manufactured, bool):
+        raise ConfigError(f"problem.manufactured must be true or false, got {manufactured!r}")
+    if manufactured:
         return manufactured_problem(final_time=T)
     return zero_problem(final_time=T)
 
@@ -83,10 +94,10 @@ def parse_config(cfg: dict):
         )
         dcfg = _require(cfg, "discretization", "config")
         disc = Discretization(
-            n_background=int(_require(dcfg, "n0", "discretization")),
-            n_overlap=int(_require(dcfg, "nG", "discretization")),
-            n_slabs=int(_require(dcfg, "N", "discretization")),
-            q=int(dcfg.get("q", 0)),
+            n_background=_integer(_require(dcfg, "n0", "discretization"), "discretization.n0"),
+            n_overlap=_integer(_require(dcfg, "nG", "discretization"), "discretization.nG"),
+            n_slabs=_integer(_require(dcfg, "N", "discretization"), "discretization.N"),
+            q=_integer(dcfg.get("q", 0), "discretization.q"),
             gamma=float(dcfg.get("gamma", 10.0)),
             omega1=float(dcfg.get("omega1", 0.5)),
         )
@@ -251,8 +262,8 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
     study = _require(cfg, "study", "config")
     resolutions = _require(study, "resolutions", "study")
     try:
-        resolutions = sorted(int(r) for r in resolutions)
-    except (TypeError, ValueError) as exc:
+        resolutions = sorted(_integer(r, "study.resolutions") for r in resolutions)
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"study.resolutions must be integers, got {resolutions!r}") from exc
     if not resolutions:
         raise ConfigError("study.resolutions must be nonempty")
@@ -263,8 +274,8 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
     i, j = 1, len(resolutions)
     if window is not None:
         try:
-            i, j = (int(w) for w in window)
-        except (TypeError, ValueError) as exc:
+            i, j = (_integer(w, "study.fit_window") for w in window)
+        except (TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"study.fit_window must be two integers, got {window!r}") from exc
         if not 1 <= i < j <= len(resolutions):
             raise ConfigError(

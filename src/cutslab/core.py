@@ -121,6 +121,11 @@ class Discretization:
     omega1: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_background", "n_overlap", "n_slabs", "q"):
+            value = getattr(self, name)
+            # bool is an int; a float, string or bool count would be truncated or fail later
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_background < 1 or self.n_overlap < 1 or self.n_slabs < 1:
             raise ValueError("cell and slab counts must be at least 1")
         if self.q not in (0, 1):

@@ -13,10 +13,12 @@ one (slab, node, mode) array, and the rows are the records' times with their
 weights and temporal mode values, each tagged with its slab.
 
 - Volume terms: the rows go in chunks of at most ``CHUNK_ROW_NODES`` (time
-  rows x mesh nodes) with one merged partition per chunk, and the gradient
-  and the material derivative are evaluated at every Gauss point of a chunk
-  from each segment's own cell.  A chunk may cut a slab's times, so the cap
-  bounds the temporaries of a wide slab too.
+  rows x mesh nodes) with one merged partition per chunk.  A chunk first
+  forms the discrete solution and its time derivative at every node of each
+  of its rows, one (rows, nodes) contraction each; a segment then reads the
+  two ends of its own cell by 1-D gathers, and the gradient and the
+  material derivative follow at its Gauss points.  A chunk may cut a slab's
+  times, so the cap bounds the temporaries of a wide slab too.
 - Interface terms: one gathered contraction over the interface stencil rows
   of all records, with each row's slab velocity.
 - Gradient-jump term over the covered parts of cut cells: the quadratic form
@@ -24,7 +26,9 @@ weights and temporal mode values, each tagged with its slab.
   cell, exact in time) in the discrete gradient jumps, over the pairs of all
   slabs at once; it is exact for discrete arguments.
 - Initial, time-jump and final traces: the slab breakpoints in chunks under
-  the same cap, one merged partition per chunk.
+  the same cap, one merged partition per chunk, each breakpoint with the
+  nodal values of the slab above it at that slab's start and of the slab
+  below it at its end.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_basis_val
 
 # The volume terms and the breakpoint traces take their rows (times) in
 # chunks of at most this many time rows x mesh nodes (background plus
-# overlap).  A row has fewer segments than the meshes have nodes, so the cap
-# bounds each per-chunk temporary to a (segments, 3) array of at most 48 kB.
-# At this value a mesh of 512 + 128 cells gets three rows per chunk.
+# overlap).  The cap bounds the per-row nodal values of a chunk, (rows,
+# nodes) each, to 16 kB, and since a row has fewer segments than the meshes
+# have nodes, each per-segment temporary to a (segments, 3) array of at most
+# 48 kB.  At this value a mesh of 512 + 128 cells gets three rows per chunk.
 CHUNK_ROW_NODES = 2048
 
 
@@ -104,23 +109,11 @@ def _nodal_values(sol: SpaceTimeSolution) -> np.ndarray:
     return vals
 
 
-def _cell_ends(vals, slab, node):
-    """Per-mode values at the two nodes of each segment's cell, from its
-    slab's nodal values ``vals`` (slabs, nodes, q+1): ``node`` is the cell's
-    left node.  Shaped (segments, q+1) each."""
-    flat = vals.reshape(-1, vals.shape[2])
-    at = slab * vals.shape[1] + node
-    return flat[at], flat[at + 1]
-
-
-def _trace(vals, slab, node, w1, lam):
-    """Values of the slabs ``slab`` with their temporal mode values
-    ``lam[slab]`` at points given as fractions ``w1`` (segments, points) of
-    each segment's cell."""
-    n0, n1 = _cell_ends(vals, slab, node)
-    c0 = np.einsum("ij,ij->i", n0, lam[slab])[:, None]
-    c1 = np.einsum("ij,ij->i", n1, lam[slab])[:, None]
-    return c0 + w1 * (c1 - c0)
+def _row_values(vals, slab, lam) -> np.ndarray:
+    """The nodal values of the slabs ``slab`` with their temporal mode values
+    ``lam`` (rows, q+1), one row of nodes per entry, flattened: node i of
+    row r is entry ``r * nodes + i``."""
+    return np.einsum("rnm,rm->rn", vals[slab], lam).ravel()
 
 
 class _Rows(NamedTuple):
@@ -145,24 +138,29 @@ def _volume_terms(spaces, vals, rows: _Rows, exact, per_chunk: int):
     grad = 0.0
     material = np.zeros(2 * S)  # per slab on side 1, then per slab on side 2
     for lo in range(0, len(rows.times), per_chunk):
-        part = partition_at(geoms[0], rows.times[lo : lo + per_chunk], a[lo : lo + per_chunk])
+        chunk = slice(lo, lo + per_chunk)
+        part = partition_at(geoms[0], rows.times[chunk], a[chunk])
         row = part.time_index + lo
         s = rows.slab[row]
-        lam = rows.lam[row]
+        # the discrete solution and its time derivative at every node of
+        # each row, so a segment reads its cell's ends by 1-D gathers
+        V = _row_values(vals, rows.slab[chunk], rows.lam[chunk])
+        D = _row_values(vals, rows.slab[chunk], dlam[rows.slab[chunk]])
         pts, pw = segment_points(part)
         tt = np.broadcast_to(part.t[:, None], pts.shape)
         node, xa, xb = segment_cells(geoms[0], part)
+        at = part.time_index * vals.shape[1] + node
         h = xb - xa
-        n0, n1 = _cell_ends(vals, s, node)
-        slope = (np.einsum("ij,ij->i", n1, lam) - np.einsum("ij,ij->i", n0, lam)) / h
-        d0, d1 = np.einsum("ij,ij->i", n0, dlam[s]), np.einsum("ij,ij->i", n1, dlam[s])
+        d0 = D[at]
+        dslope = (D[at + 1] - d0) / h
         u_x = pointwise(exact.u_x, pts, tt)
-        ge = u_x - slope[:, None]
+        ge = u_x - ((V[at + 1] - V[at]) / h)[:, None]
         # the discrete time derivative along the trajectories of the nodes
-        traj = d0[:, None] + (pts - xa[:, None]) / h[:, None] * (d1 - d0)[:, None]
-        de = pointwise(exact.u_t, pts, tt) - traj
+        de = pointwise(exact.u_t, pts, tt) - d0[:, None]  # a new array, not u_t's own
+        de -= (pts - xa[:, None]) * dslope[:, None]
         on2 = part.side == 2
-        de[on2] += mu[s[on2], None] * u_x[on2]  # side 2: the material derivative follows the motion
+        # side 2: the material derivative follows the motion
+        de += np.where(on2, mu[s], 0.0)[:, None] * u_x
         # contracted without (segments, points) temporaries
         grad += float(rows.weights[row] @ np.einsum("ij,ij,ij->i", pw, ge, ge))
         de_sq = rows.weights[row] * np.einsum("ij,ij,ij->i", pw, de, de)
@@ -221,16 +219,25 @@ def _trace_terms(sol, vals, exact, per_chunk: int) -> np.ndarray:
     lam_start = temporal_basis_values(q, t0, t1, t0)
     lam_end = temporal_basis_values(q, t0, t1, t1)
     bp = sol.setup.partition.breakpoints
-    a = left_at(geoms, np.maximum(np.arange(S + 1) - 1, 0), bp)
+    above = np.minimum(np.arange(S + 1), S - 1)  # the slab above each breakpoint
+    below = np.maximum(np.arange(S + 1) - 1, 0)  # and the slab below it
+    a = left_at(geoms, below, bp)
     traces = np.zeros(S + 1)
     for lo in range(0, S + 1, per_chunk):
-        part = partition_at(geoms[0], bp[lo : lo + per_chunk], a[lo : lo + per_chunk])
+        chunk = slice(lo, lo + per_chunk)
+        part = partition_at(geoms[0], bp[chunk], a[chunk])
         n = part.time_index + lo
         pts, pw = segment_points(part)
         node, xa, xb = segment_cells(geoms[0], part)
         w1 = (pts - xa[:, None]) / (xb - xa)[:, None]
-        upper = _trace(vals, np.minimum(n, S - 1), node, w1, lam_start)
-        lower = _trace(vals, np.maximum(n - 1, 0), node, w1, lam_end)
+        at = part.time_index * vals.shape[1] + node
+        upper, lower = (
+            V[at, None] + w1 * (V[at + 1] - V[at])[:, None]
+            for V in (
+                _row_values(vals, above[chunk], lam_start[above[chunk]]),
+                _row_values(vals, below[chunk], lam_end[below[chunk]]),
+            )
+        )
         if lo == 0:
             lower[n == 0] = pointwise(sol.setup.problem.initial, pts[n == 0])
         if n[-1] == S:
