@@ -13,12 +13,10 @@ one (slab, node, mode) array, and the rows are the records' times with their
 weights and temporal mode values, each tagged with its slab.
 
 - Volume terms: the rows go in chunks of at most ``CHUNK_ROW_NODES`` (time
-  rows x mesh nodes) with one merged partition per chunk.  A chunk first
-  forms the discrete solution and its time derivative at every node of each
-  of its rows, one (rows, nodes) contraction each; a segment then reads the
-  two ends of its own cell by 1-D gathers, and the gradient and the
-  material derivative follow at its Gauss points.  A chunk may cut a slab's
-  times, so the cap bounds the temporaries of a wide slab too.
+  rows x mesh nodes) with one merged partition per chunk.  A chunk forms the
+  discrete solution and its time derivative at every node of its rows once;
+  each segment reads its own cell's ends from those by 1-D gathers.  A chunk
+  may cut a slab's times, so the cap bounds the temporaries of a wide slab.
 - Interface terms: one gathered contraction over the interface stencil rows
   of all records, with each row's slab velocity.
 - Gradient-jump term over the covered parts of cut cells: the quadratic form
@@ -26,9 +24,8 @@ weights and temporal mode values, each tagged with its slab.
   cell, exact in time) in the discrete gradient jumps, over the pairs of all
   slabs at once; it is exact for discrete arguments.
 - Initial, time-jump and final traces: the slab breakpoints in chunks under
-  the same cap, one merged partition per chunk, each breakpoint with the
-  nodal values of the slab above it at that slab's start and of the slab
-  below it at its end.
+  the same cap, one merged partition per chunk, with the nodal values of the
+  slabs above and below each breakpoint.
 """
 
 from __future__ import annotations
@@ -44,10 +41,9 @@ from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_basis_val
 
 # The volume terms and the breakpoint traces take their rows (times) in
 # chunks of at most this many time rows x mesh nodes (background plus
-# overlap).  The cap bounds the per-row nodal values of a chunk, (rows,
-# nodes) each, to 16 kB, and since a row has fewer segments than the meshes
-# have nodes, each per-segment temporary to a (segments, 3) array of at most
-# 48 kB.  At this value a mesh of 512 + 128 cells gets three rows per chunk.
+# overlap).  The cap bounds a chunk's per-row nodal values to 16 kB and, as a
+# row has fewer segments than the meshes have nodes, each per-segment
+# temporary to 48 kB.  At this value 512 + 128 cells get three rows a chunk.
 CHUNK_ROW_NODES = 2048
 
 
@@ -151,13 +147,11 @@ def _volume_terms(spaces, vals, rows: _Rows, exact, per_chunk: int):
         node, xa, xb = segment_cells(geoms[0], part)
         at = part.time_index * vals.shape[1] + node
         h = xb - xa
-        d0 = D[at]
-        dslope = (D[at + 1] - d0) / h
         u_x = pointwise(exact.u_x, pts, tt)
         ge = u_x - ((V[at + 1] - V[at]) / h)[:, None]
         # the discrete time derivative along the trajectories of the nodes
-        de = pointwise(exact.u_t, pts, tt) - d0[:, None]  # a new array, not u_t's own
-        de -= (pts - xa[:, None]) * dslope[:, None]
+        de = pointwise(exact.u_t, pts, tt) - D[at, None]  # a new array, not u_t's own
+        de -= (pts - xa[:, None]) * ((D[at + 1] - D[at]) / h)[:, None]
         on2 = part.side == 2
         # side 2: the material derivative follows the motion
         de += np.where(on2, mu[s], 0.0)[:, None] * u_x
@@ -221,6 +215,7 @@ def _trace_terms(sol, vals, exact, per_chunk: int) -> np.ndarray:
     bp = sol.setup.partition.breakpoints
     above = np.minimum(np.arange(S + 1), S - 1)  # the slab above each breakpoint
     below = np.maximum(np.arange(S + 1) - 1, 0)  # and the slab below it
+    sides = ((above, lam_start), (below, lam_end))
     a = left_at(geoms, below, bp)
     traces = np.zeros(S + 1)
     for lo in range(0, S + 1, per_chunk):
@@ -233,10 +228,7 @@ def _trace_terms(sol, vals, exact, per_chunk: int) -> np.ndarray:
         at = part.time_index * vals.shape[1] + node
         upper, lower = (
             V[at, None] + w1 * (V[at + 1] - V[at])[:, None]
-            for V in (
-                _row_values(vals, above[chunk], lam_start[above[chunk]]),
-                _row_values(vals, below[chunk], lam_end[below[chunk]]),
-            )
+            for V in (_row_values(vals, s[chunk], lam[s[chunk]]) for s, lam in sides)
         )
         if lo == 0:
             lower[n == 0] = pointwise(sol.setup.problem.initial, pts[n == 0])
