@@ -1,13 +1,17 @@
-"""``scripts/bench_compare.py`` offline: its summary of synthetic pairs, and
-the record of a run that printed no result.  No benchmark is run."""
+"""``scripts/bench_compare.py`` offline: its summary of synthetic pairs, the
+record of a run that printed no result, and the committed ``BENCH_*.json``
+records.  No benchmark is run."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_compare.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_compare.py"
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 METRICS = [
     {"name": "march_s", "unit": "s", "better": "lower"},
     {"name": "dofs_per_s", "unit": "1/s", "better": "higher"},
@@ -100,3 +104,15 @@ def test_run_records_a_child_that_printed_nothing_as_failed(bench, monkeypatch):
     assert out["correct"] is False
     assert (out["attempted"], out["failed"]) == (1, 1)
     assert out["metrics"] == {} and "boom" in out["error"]
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_committed_record_has_no_failed_gate_or_child(path):
+    # a speed claim counts only from a record whose runs all passed
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record["workloads"], "a record without workloads"
+    for w in record["workloads"]:
+        s = w["summary"]
+        where = (w["workload"], w["seed"])
+        assert s["pairs"] > 0 and s["pairs_correct"] == s["pairs"], where
+        assert s["base_failed"] == s["change_failed"] == 0, where

@@ -58,6 +58,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("key", ["n0", "nG", "N", "q"])
+    @pytest.mark.parametrize("value", [8.5, 1.0, "16", True])
+    def test_non_integer_count_is_config_error(self, key, value):
+        # int() used to truncate 8.5 to 8 and convert "16" and true
+        cfg = _base_config()
+        cfg["discretization"][key] = value
+        with pytest.raises(ConfigError, match=f"discretization.{key} must be an integer"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_manufactured_is_config_error(self, value):
+        # bool("false") is True: the string selected the manufactured problem
+        cfg = _base_config(problem={"manufactured": value, "T": 1.0})
+        with pytest.raises(ConfigError, match="problem.manufactured must be true or false"):
+            parse_config(cfg)
+
     def test_sin_demo_velocity(self):
         cfg = _base_config()
         cfg["overlap"]["velocity"] = {"mode": "sin_demo", "value": 0.5}
@@ -171,6 +187,11 @@ class TestMainConverge:
         "study, message",
         [
             ({"sweep": "k", "resolutions": ["x", 4]}, "study.resolutions must be integers"),
+            ({"sweep": "k", "resolutions": [4, 8.5]}, "study.resolutions must be integers"),
+            (
+                {"sweep": "k", "resolutions": [4, 8], "fit_window": [1, 1.5]},
+                "study.fit_window must be two integers",
+            ),
             (
                 {"sweep": "k", "resolutions": [4, 8], "fit_window": [1, 5]},
                 "study.fit_window [1, 5] needs 1 <= i < j <= 2",
@@ -180,7 +201,13 @@ class TestMainConverge:
                 "study.resolutions must not repeat, got [4, 8, 4]",
             ),
         ],
-        ids=["non_integer_resolution", "fit_window_beyond_resolutions", "repeated_resolution"],
+        ids=[
+            "non_integer_resolution",
+            "fractional_resolution",
+            "fractional_fit_window",
+            "fit_window_beyond_resolutions",
+            "repeated_resolution",
+        ],
     )
     def test_bad_study_is_config_error_before_any_solve(
         self, tmp_path, capsys, monkeypatch, study, message
@@ -286,6 +313,14 @@ class TestMainErrors:
         del cfg["discretization"]
         cfg_path = _write(tmp_path, cfg)
         assert main(["solve", str(cfg_path), "--quiet"]) == EXIT_CONFIG
+
+    def test_fractional_count_exits_with_config_error(self, tmp_path, capsys):
+        # used to solve at n0 = 8 and exit 0
+        cfg = _base_config()
+        cfg["discretization"]["n0"] = 8.5
+        assert main(["solve", str(_write(tmp_path, cfg)), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: discretization.n0 must be an integer, got 8.5" in err
 
     def test_non_finite_initial_left_is_config_error(self, tmp_path):
         cfg = _base_config()

@@ -159,6 +159,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             Discretization(n_background=4, n_overlap=2, n_slabs=2, q=2)
 
+    @pytest.mark.parametrize("field", ["n_background", "n_overlap", "n_slabs", "q"])
+    @pytest.mark.parametrize("value", [8.5, 1.0, "1", True, np.float64(1.0)])
+    def test_discretization_non_integer_count(self, field, value):
+        # 8.5 cells used to build and fail later inside the geometry
+        kwargs = dict(n_background=4, n_overlap=2, n_slabs=2, q=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Discretization(**kwargs)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32])
+    def test_discretization_integer_types(self, kind):
+        disc = Discretization(kind(4), kind(2), kind(2), q=kind(1))
+        assert (disc.n_background, disc.n_overlap, disc.n_slabs, disc.q) == (4, 2, 2, 1)
+
     def test_discretization_bad_omega(self):
         with pytest.raises(ValueError):
             Discretization(n_background=4, n_overlap=2, n_slabs=2, omega1=1.5)

@@ -292,6 +292,86 @@ class TestChunkedNorm:
         assert 0 < len(calls) <= chunks < setup.disc.n_slabs // 4
 
 
+# Every NormBreakdown component of the march's error on small configs,
+# recorded at commit 50a0beb.  A rewrite of the norm kernel must reproduce
+# these, not only agree with the pointwise oracle to its own tolerance.
+# The stationary configs put both interfaces mid-cell: 0.15625 and 0.40625
+# are the midpoints of background cells 2 and 6.
+GOLDEN_NORMS = {
+    "moving_q1": (
+        dict(n0=16, nG=4, N=4, T=0.5, q=1, mu=0.6),
+        {
+            "material_bg_sq": 0.00010905226409753757,
+            "material_ov_sq": 0.0005776310690076772,
+            "grad_sq": 0.02647402735654696,
+            "flux_sq": 0.003712450051118098,
+            "iface_jump_sq": 0.00010320583969333116,
+            "stab_sq": 0.0038443000261902133,
+            "time_jump_sq": 0.00015615720639367667,
+            "final_sq": 6.499159112580612e-05,
+            "initial_sq": 3.294983841338031e-05,
+            "moving_jump_sq": 3.3186854035970386e-06,
+        },
+    ),
+    "many_slabs_q0": (
+        dict(n0=16, nG=4, N=48, q=0, mu=0.6),
+        {
+            "material_bg_sq": 0.0007354480189149715,
+            "material_ov_sq": 0.0063956766190762055,
+            "grad_sq": 0.0422872601763357,
+            "flux_sq": 0.006210794430707602,
+            "iface_jump_sq": 0.0013991166843266688,
+            "stab_sq": 0.0025962286333257724,
+            "time_jump_sq": 0.0068189436601079085,
+            "final_sq": 4.80101504883113e-05,
+            "initial_sq": 0.0001514904393993075,
+            "moving_jump_sq": 4.49899747146191e-05,
+        },
+    ),
+    "stationary_nG1_q1": (
+        dict(n0=16, nG=1, N=4, T=0.5, q=1, mu=0.0, a0=0.15625),
+        {
+            "material_bg_sq": 8.958976720261898e-06,
+            "material_ov_sq": 7.0687955203831755e-06,
+            "grad_sq": 0.040883371978552054,
+            "flux_sq": 0.01159712326898529,
+            "iface_jump_sq": 0.0001231629620616195,
+            "stab_sq": 0.004619647446827332,
+            "time_jump_sq": 4.57822740433147e-07,
+            "final_sq": 0.00010720538191601298,
+            "initial_sq": 0.00013024753979807712,
+            "moving_jump_sq": 0.0,
+        },
+    ),
+    "stationary_nG4_q0": (
+        dict(n0=16, nG=4, N=4, T=0.5, q=0, mu=0.0, a0=0.15625),
+        {
+            "material_bg_sq": 0.00341426412543434,
+            "material_ov_sq": 0.0011967047299243194,
+            "grad_sq": 0.02640673143894349,
+            "flux_sq": 0.0010889508860739716,
+            "iface_jump_sq": 1.2516414323413428e-05,
+            "stab_sq": 0.0014264564691961112,
+            "time_jump_sq": 0.0028696030462588657,
+            "final_sq": 0.0002991329877894179,
+            "initial_sq": 0.0006872996143051403,
+            "moving_jump_sq": 0.0,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NORMS))
+def test_breakdown_matches_recorded_values(name):
+    config, want = GOLDEN_NORMS[name]
+    setup = make_setup(**config)
+    sol = march(setup.problem, setup.overlap, setup.disc)
+    bd = xnorm_error(sol, setup.problem.exact)
+    assert [f.name for f in dataclasses.fields(bd)] == list(want)
+    for f, value in want.items():
+        assert abs(getattr(bd, f) - value) <= 1e-12 * abs(value), (f, getattr(bd, f), value)
+
+
 class TestLlsSlope:
     def test_exact_first_order(self):
         assert lls_slope([(1, 10), (10, 100)]) == pytest.approx(1.0)
