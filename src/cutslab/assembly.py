@@ -9,8 +9,7 @@ result, ``SlabSystems``, is the chunk's block lower-bidiagonal system: the
 first slab's load holds the trace of the solution before the chunk (the
 initial data for slab 1), and ``SlabSystems.system`` adds the previous
 slab's end-time trace to each later slab's load, one product of its jump
-map, once that slab is solved.  Given one ``SlabSpace``, ``assemble_slab``
-runs the same code on a chunk of that slab and returns its ``SlabSystem``.
+map, once that slab is solved.
 
 A slab whose matrix repeats the previous slab's, known from the time
 partition (``Setup.repeats``: a run of stationary slabs), gets no triplets:
@@ -89,55 +88,32 @@ from .geometry import (
 )
 from .quadrature import GL3, composite_time_rule, lobatto3, midpoint
 from .spaces import (
-    InterfaceStencil,
-    SlabSolution,
-    SlabSpace,
-    SlabSpaces,
-    temporal_basis_derivs,
-    temporal_basis_values,
-    temporal_modes,
+    InterfaceStencil, SlabSolution, SlabSpace, SlabSpaces, temporal_basis_derivs, temporal_modes
 )
 
 
+@dataclass(eq=False)
 class SlabSystem:
-    """The matrix and load vector of one slab: ``matrix`` a scipy.sparse CSC
-    array and ``rhs`` the load, both in the slab's DOF order.
-
-    A system built by hand is given both, and they are checked here.  A
-    system made by ``SlabSystems.system`` carries the matrix as triplets in
-    the slab's position order (``triplets``, see ``SlabSystems``), its load
-    in that order (``load``), ``order`` (the slab DOF of each position) and,
-    in a march, its ``solver.Band`` (``band``); it builds ``matrix`` and
-    ``rhs`` only when they are read, off the march path.  ``memo`` is the
-    march's ``solver.FactorMemo``, shared by its slabs (None factors afresh).
-    ``repeats`` tells that the matrix is the previous slab's
-    (``Setup.repeats``), whose factor ``memo`` then holds.
+    """The system of one slab, as ``SlabSystems.system`` builds it: the
+    matrix as ``triplets`` (rows, cols, vals) in the slab's position order
+    with duplicates unsummed, the ``load`` in that order, and ``order``, the
+    slab DOF of each position.  ``matrix``, a scipy.sparse CSC array, and
+    ``rhs`` give them in DOF order; they are built only when read, off the
+    march path.  ``repeats`` tells that the matrix is the previous slab's
+    (``Setup.repeats``).  ``memo`` is the march's ``solver.FactorMemo``,
+    shared by its slabs, which then holds that slab's factor (None factors
+    afresh), and ``band`` the matrix's ``solver.Band`` (None builds it from
+    the triplets).
     """
 
-    band = load = order = triplets = None
-    repeats = False
-
-    def __init__(self, slab: int, matrix, rhs, space: SlabSpace, memo=None):
-        from scipy.sparse import csc_array
-
-        n = space.n_cols
-        if not isinstance(matrix, csc_array):
-            raise TypeError("the slab matrix must be a scipy.sparse.csc_array")
-        if matrix.shape != (n, n) or rhs.shape != (n,):
-            raise ValueError("system dimensions do not match the slab space")
-        if not (np.all(np.isfinite(matrix.data)) and np.all(np.isfinite(rhs))):
-            raise NumericalFailure(f"non-finite entries in slab {slab} system")
-        self.slab, self.matrix, self.rhs, self.space, self.memo = slab, matrix, rhs, space, memo
-
-    @classmethod
-    def _of_chunk(cls, systems: "SlabSystems", i: int, load, memo, band) -> "SlabSystem":
-        system = cls.__new__(cls)
-        system.slab, system.space = systems.spaces[i].geom.n, systems.spaces[i]
-        system.load, system.memo, system.band = load, memo, band
-        system.order = systems.order[systems.first[i] : systems.first[i + 1]]
-        system.triplets = systems.triplets(i)
-        system.repeats = not systems.new[i]
-        return system
+    slab: int
+    space: SlabSpace
+    triplets: tuple
+    order: np.ndarray
+    load: np.ndarray
+    repeats: bool = False
+    memo: object = None
+    band: object = None
 
     @cached_property
     def matrix(self):
@@ -178,15 +154,15 @@ def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
     return out
 
 
-def _covered_entries(geom: SlabGeometry, a: np.ndarray, active=None):
+def _covered_entries(geom: SlabGeometry, a: np.ndarray, active: np.ndarray):
     """Mass/stiffness of the background basis over the covered interval
     [a, a + L] at the left positions ``a``, shaped (slabs, positions).
 
     Each slab's entries run over the background cells met at any of its
-    positions, padded to the most cells of any slab by repeating one of its
-    cells; given ``active`` (slabs, background nodes), only over those with
-    an active node.  Returns the cells (slabs, cells), which of them are the
-    slab's own, and the (e00, e01, e11) mass and stiffness shaped (2, slabs,
+    positions, only those with a node in ``active`` (slabs, background
+    nodes), padded to the most cells of any slab by repeating one of its
+    cells.  Returns the cells (slabs, cells), which of them are the slab's
+    own, and the (e00, e01, e11) mass and stiffness shaped (2, slabs,
     positions, 3, cells); they vanish where a cell lies outside that
     position's interval.
     """
@@ -198,12 +174,11 @@ def _covered_entries(geom: SlabGeometry, a: np.ndarray, active=None):
     cells = c_lo[:, None] + np.arange((c_hi - c_lo).max() + 1)
     own = cells <= c_hi[:, None]
     cells = np.minimum(cells, c_hi[:, None])
-    if active is not None:
-        s = np.arange(len(cells))[:, None]
-        own &= active[s, cells] | active[s, cells + 1]
-        # the kept cells first, in order, and as few columns as any slab needs
-        by = np.argsort(~own, axis=1, kind="stable")[:, : max(own.sum(axis=1).max(), 1)]
-        cells, own = np.take_along_axis(cells, by, 1), np.take_along_axis(own, by, 1)
+    s = np.arange(len(cells))[:, None]
+    own &= active[s, cells] | active[s, cells + 1]
+    # the kept cells first, in order, and as few columns as any slab needs
+    by = np.argsort(~own, axis=1, kind="stable")[:, : max(own.sum(axis=1).max(), 1)]
+    cells, own = np.take_along_axis(cells, by, 1), np.take_along_axis(own, by, 1)
     lo, hi = nodes[cells][:, None], nodes[cells + 1][:, None]
     xa = np.maximum(lo, a[:, :, None])
     xb = np.maximum(np.minimum(hi, b[:, :, None]), xa)
@@ -284,9 +259,8 @@ def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndar
     t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
     # the trapezoid's factor 1/2 rides on the temporal weights
     wlam = np.zeros((S, P, q + 1))
-    wlam[ss, rank] = 0.5 * np.bincount(slot, weights)[:, None] * temporal_basis_values(
-        q, t0[ss], t1[ss], ts
-    )
+    tau = (ts - t0[ss]) / (t1[ss] - t0[ss])
+    wlam[ss, rank] = 0.5 * np.bincount(slot, weights)[:, None] * temporal_modes(q, tau)
     part = partition_at(geoms[0], ts, left_at(geoms, ss, ts))
     # the segments of one time tile the domain, so the source is evaluated
     # at each segment's left end and at the right end of each time's last one
@@ -641,22 +615,23 @@ class SlabSystems:
         load = self.loads[f:k]
         if i > 0:
             load = load + _apply(self.jump, i, prev.coeffs, k - f)
+        space = self.spaces[i]
         if not np.isfinite(load).all():
-            raise NumericalFailure(f"non-finite entries in slab {self.spaces[i].geom.n} system")
-        return SlabSystem._of_chunk(self, i, load, memo, band)
+            raise NumericalFailure(f"non-finite entries in slab {space.geom.n} system")
+        return SlabSystem(
+            space.geom.n, space, self.triplets(i), self.order[f:k], load, not self.new[i], memo, band
+        )
 
 
 def assemble_slab(
-    space: SlabSpace | SlabSpaces, setup: Setup, prev: SlabSolution | None, held=None
-) -> SlabSystem | SlabSystems:
-    """Assemble the sparse system of one slab.
+    spaces: SlabSpaces, setup: Setup, prev: SlabSolution | None, held=None
+) -> SlabSystems:
+    """The matrices, source loads and time-jump maps of the consecutive slabs
+    ``spaces``, built at once.
 
-    ``prev`` is the solution on the previous slab, whose end-time trace enters
-    the load; for the first slab it is None and the initial data enters
-    instead.  For the ``SlabSpaces`` of consecutive slabs, their matrices,
-    source loads and time-jump maps are built at once and come back as
-    ``SlabSystems``, with ``prev`` (the solution on the slab before them) in
-    the first load.
+    ``prev`` is the solution on the slab before them, whose end-time trace
+    enters the first slab's load; before slab 1 it is None and the initial
+    data enters instead.
 
     A slab that repeats the slab before it (``Setup.repeats``) gets no matrix
     of its own: it reads the triplets of the slab it repeats, in the chunk
@@ -664,7 +639,6 @@ def assemble_slab(
     ``SlabSystems.handoff``.  Without ``held`` the first slab is assembled.
     Its loads and jump map are its own, as every slab's.
     """
-    spaces = SlabSpaces((space,) if isinstance(space, SlabSpace) else space)
     S = len(spaces)
     q = spaces[0].q
     m = q + 1
@@ -705,7 +679,6 @@ def assemble_slab(
         matrix = tuple(x[at[-2] :].copy() for x in (rows, cols, vals)) if len(at) > 1 else held[0]
         last = start_cov[0] == S - 1
         handoff = (matrix, tuple(x[last] for x in start_cov[1:]))
-    systems = SlabSystems(
+    return SlabSystems(
         spaces, first, order, new, held, at, rows, cols, vals, loads, jump, handoff
     )
-    return systems.system(0, prev) if isinstance(space, SlabSpace) else systems

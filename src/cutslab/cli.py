@@ -59,9 +59,21 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _real(value, where: str) -> float:
+    """``value`` as a float if it is a JSON number; a boolean or string
+    raises, as ``float()`` would take true as 1 and "0.25" as 0.25, and so
+    does an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} must be finite, got an integer too large for a float") from None
+
+
 def _velocity_from_config(vcfg: dict):
     mode = _require(vcfg, "mode", "overlap.velocity")
-    value = float(_require(vcfg, "value", "overlap.velocity"))
+    value = _real(_require(vcfg, "value", "overlap.velocity"), "overlap.velocity.value")
     if not math.isfinite(value):
         raise ConfigError(f"overlap.velocity.value must be finite, got {value}")
     if mode == "constant":
@@ -72,7 +84,7 @@ def _velocity_from_config(vcfg: dict):
 
 
 def _problem_from_config(pcfg: dict):
-    T = float(_require(pcfg, "T", "problem"))
+    T = _real(_require(pcfg, "T", "problem"), "problem.T")
     manufactured = pcfg.get("manufactured", True)
     if not isinstance(manufactured, bool):
         raise ConfigError(f"problem.manufactured must be true or false, got {manufactured!r}")
@@ -87,8 +99,8 @@ def parse_config(cfg: dict):
         problem = _problem_from_config(_require(cfg, "problem", "config"))
         ocfg = _require(cfg, "overlap", "config")
         overlap = OverlapSpec(
-            length=float(_require(ocfg, "length", "overlap")),
-            initial_left=float(_require(ocfg, "initial_left", "overlap")),
+            length=_real(_require(ocfg, "length", "overlap"), "overlap.length"),
+            initial_left=_real(_require(ocfg, "initial_left", "overlap"), "overlap.initial_left"),
             velocity=_velocity_from_config(_require(ocfg, "velocity", "overlap")),
             velocity_mode=ocfg.get("velocity_mode", "sample"),
         )
@@ -98,8 +110,8 @@ def parse_config(cfg: dict):
             n_overlap=_integer(_require(dcfg, "nG", "discretization"), "discretization.nG"),
             n_slabs=_integer(_require(dcfg, "N", "discretization"), "discretization.N"),
             q=_integer(dcfg.get("q", 0), "discretization.q"),
-            gamma=float(dcfg.get("gamma", 10.0)),
-            omega1=float(dcfg.get("omega1", 0.5)),
+            gamma=_real(dcfg.get("gamma", 10.0), "discretization.gamma"),
+            omega1=_real(dcfg.get("omega1", 0.5), "discretization.omega1"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -120,7 +132,7 @@ def _entry_config(cfg: dict, resolution: int) -> dict:
         dcfg["n0"] = int(resolution)
         # keep the two mesh sizes comparable unless pinned explicitly
         if "nG" not in fixed:
-            length = float(_require(ocfg, "length", "overlap"))
+            length = _real(_require(ocfg, "length", "overlap"), "overlap.length")
             dcfg["nG"] = max(1, round(int(resolution) * length))
     else:
         raise ConfigError(f"study.sweep must be 'k' or 'h', got {sweep!r}")
@@ -282,6 +294,7 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
                 f"study.fit_window {window} needs 1 <= i < j <= {len(resolutions)} (the resolutions)"
             )
     sweep = _require(study, "sweep", "study")
+    ref = _real(study.get("reference_slope", 1.0), "study.reference_slope")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows, failures = [], []
@@ -329,7 +342,6 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     points = [(row[key], row["error_x"]) for row in rows]
-    ref = float(study.get("reference_slope", 1.0))
     title = f"{sweep}-sweep, fitted slope {slope:.4f}"
     write_loglog_svg(out_dir / "convergence.svg", *zip(*points), slope, ref, title)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:

@@ -125,16 +125,12 @@ class SlabGeometries(tuple):
         return np.repeat(np.arange(len(self)), [len(getattr(g, field)) for g in self])
 
 
-def build_slab_geometry(setup: Setup, n: int | range) -> SlabGeometry | SlabGeometries:
-    """Cut geometry of slab n (1-based).
-
-    For a range of consecutive slab numbers, the geometries of all of them
-    come back as one ``SlabGeometries``, built at once.
-    """
-    slabs = n if isinstance(n, range) else range(n, n + 1)
+def build_slab_geometry(setup: Setup, slabs: range) -> SlabGeometries:
+    """The cut geometries of the consecutive slabs ``slabs`` (a range of
+    1-based slab numbers), built at once."""
     n_slabs = setup.partition.n_slabs
     if not (len(slabs) and slabs.step == 1 and 1 <= slabs[0] and slabs[-1] <= n_slabs):
-        raise ValueError(f"slab index {n} out of range")
+        raise ValueError(f"slab {slabs} out of range")
     num = np.arange(slabs.start, slabs.stop)
     t0 = setup.partition.breakpoints[num - 1]
     t1 = setup.partition.breakpoints[num]
@@ -187,7 +183,7 @@ def build_slab_geometry(setup: Setup, n: int | range) -> SlabGeometry | SlabGeom
         in_cut |= (cell >= lo_cell[side]) & (cell < hi_cell[side])
     covered = _by_slab(cell[~in_cut], s[~in_cut], np.zeros(S))
 
-    geoms = SlabGeometries(
+    return SlabGeometries(
         SlabGeometry(
             n=int(n_), t_start=t0_, t_end=t1_, k=k_, mu=mu_, a_start=a_, overlap_length=length,
             bg_nodes=nodes, ov_offsets=setup.ov_offsets, events=ev, cut_cells=c, covered_cells=cv,
@@ -197,7 +193,6 @@ def build_slab_geometry(setup: Setup, n: int | range) -> SlabGeometry | SlabGeom
             events, cut, covered,
         )
     )
-    return geoms if isinstance(n, range) else geoms[0]
 
 
 def spatial_partition(geom: SlabGeometry, t) -> SpatialPartition:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import ExactSolution, pointwise
 from .geometry import left_at, partition_at, ragged_arange, segment_cells, segment_points
-from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_basis_values
+from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_modes
 
 # The volume terms and the breakpoint traces take their rows (times) in
 # chunks of at most this many time rows x mesh nodes (background plus
@@ -208,10 +208,9 @@ def _trace_terms(sol, vals, exact, per_chunk: int) -> np.ndarray:
     the slab below it (of slab 1 for n = 0)."""
     geoms = [s.geom for s in sol.slabs]
     S = len(geoms)
-    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
     q = sol.slabs[0].space.q
-    lam_start = temporal_basis_values(q, t0, t1, t0)
-    lam_end = temporal_basis_values(q, t0, t1, t1)
+    lam_start = temporal_modes(q, np.zeros(S))
+    lam_end = temporal_modes(q, np.ones(S))
     bp = sol.setup.partition.breakpoints
     above = np.minimum(np.arange(S + 1), S - 1)  # the slab above each breakpoint
     below = np.maximum(np.arange(S + 1) - 1, 0)  # and the slab below it

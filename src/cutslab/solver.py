@@ -57,10 +57,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dlangb
 
-from .assembly import SlabSystem, assemble_slab, position_order
+from .assembly import SlabSystem, assemble_slab
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
 from .geometry import build_slab_geometry
-from .spaces import SlabSolution, SlabSpaces, SpaceTimeSolution, build_slab_space
+from .spaces import SlabSolution, SpaceTimeSolution, build_slab_space
 
 PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
@@ -222,34 +222,20 @@ def _chunk_bands(systems, memo: FactorMemo):
         i = j
 
 
-def _position_triplets(system: SlabSystem):
-    """The triplets of a system given as a CSC matrix, in its position
-    order, and that order."""
-    A = system.matrix.tocoo()
-    order = position_order(SlabSpaces((system.space,)))[1]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return (rank[A.row], rank[A.col], A.data), order
-
-
 def solve_slab(system: SlabSystem) -> np.ndarray:
     """Solve one slab system by banded LU with partial pivoting, with sanity
     checks; the coefficients come back in the slab's DOF order.
 
     The solve reads the system's triplets, load and band in position order,
-    or, for a system given as a CSC matrix, builds them from ``matrix`` and
-    ``rhs``.  The band is factored, over its storage, unless the slab
-    repeats the previous one (``system.repeats``) and ``system.memo`` holds
-    that slab's factor, which passed the pivot floor when it was made; then
-    that factor is reused.  A new factor replaces the memo's.  Whichever
-    factor is used, the coefficients must be finite and meet the residual
-    bound
+    and builds the band from the triplets when there is none.  The band is
+    factored, over its storage, unless the slab repeats the previous one
+    (``system.repeats``) and ``system.memo`` holds that slab's factor, which
+    passed the pivot floor when it was made; then that factor is reused.  A
+    new factor replaces the memo's.  Whichever factor is used, the
+    coefficients must be finite and meet the residual bound
     ||A x - b||_inf <= RESIDUAL_TOL (||A||_inf ||x||_inf + ||b||_inf).
     """
     triplets, order, band, b = system.triplets, system.order, system.band, system.load
-    if triplets is None:
-        triplets, order = _position_triplets(system)
-        b = system.rhs[order]
     n = len(b)
     memo = system.memo if system.memo is not None else FactorMemo()
     if not (system.repeats and memo.factor is not None):

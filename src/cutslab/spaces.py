@@ -1,5 +1,5 @@
 """The temporal basis, the per-slab record ``SlabSpace``, and the coefficients
-and evaluation of a space-time solution.  ``build_slab_space`` builds each
+and values of a space-time solution.  ``build_slab_space`` builds each
 slab's record once, for a chunk of consecutive slabs at once: its DOF map,
 time rule, interface stencil and stabilization weights.  ``assemble_slab``
 and the energy norm in ``norms`` read them there and rebuild none of them.
@@ -14,14 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Discretization, Setup
-from .geometry import (
-    DEGENERATE_FRACTION,
-    SlabGeometries,
-    SlabGeometry,
-    left_at,
-    ragged_arange,
-    sigma_side,
-)
+from .geometry import SlabGeometries, SlabGeometry, left_at, ragged_arange, sigma_side
 from .quadrature import GL3, composite_time_rule
 
 
@@ -37,12 +30,6 @@ def temporal_modes(q: int, tau) -> np.ndarray:
         return np.ones(np.shape(tau) + (1,))
     tau = np.asarray(tau, dtype=float)
     return np.stack([1.0 - tau, tau], axis=-1)
-
-
-def temporal_basis_values(q: int, t_start, t_end, t) -> np.ndarray:
-    """Values of the q+1 temporal modes at the absolute time t of the slab
-    (t_start, t_end), shaped ``np.shape(t) + (q+1,)``."""
-    return temporal_modes(q, (np.asarray(t) - t_start) / (np.asarray(t_end) - t_start))
 
 
 def temporal_basis_derivs(q: int, t_start, t_end) -> np.ndarray:
@@ -263,15 +250,9 @@ class SlabSpaces(tuple):
         return sum(sp.n_cols for sp in self)
 
 
-def build_slab_space(
-    geom: SlabGeometry | SlabGeometries, disc: Discretization
-) -> SlabSpace | SlabSpaces:
-    """The record of slab ``geom`` under the discretization ``disc``.
-
-    For the ``SlabGeometries`` of consecutive slabs, the records of all of
-    them come back as one ``SlabSpaces``, built at once.
-    """
-    geoms = SlabGeometries((geom,) if isinstance(geom, SlabGeometry) else geom)
+def build_slab_space(geoms: SlabGeometries, disc: Discretization) -> SlabSpaces:
+    """The records of the consecutive slabs ``geoms`` under the
+    discretization ``disc``, built at once."""
     S = len(geoms)
     nb, n_ov = len(geoms[0].bg_nodes), len(geoms[0].ov_offsets)
     dead = np.zeros((S, nb - 1), dtype=bool)
@@ -296,7 +277,7 @@ def build_slab_space(
     stencil = interface_stencil(geoms, slab, times, disc.omega1)
     stab = stabilization_weights(geoms, disc.q)
     end = np.cumsum(nt).tolist()
-    spaces = SlabSpaces(
+    return SlabSpaces(
         SlabSpace(
             geom=g,
             q=disc.q,
@@ -310,16 +291,6 @@ def build_slab_space(
         )
         for s, (g, i, j) in enumerate(zip(geoms, [0] + end[:-1], end))
     )
-    return spaces[0] if isinstance(geom, SlabGeometry) else spaces
-
-
-def _hat_eval(nodes: np.ndarray, x: np.ndarray):
-    """Cell index and the two nodal P1 basis values/slopes at each x."""
-    x = np.asarray(x, dtype=float)
-    c = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-    h = nodes[c + 1] - nodes[c]
-    v1 = (x - nodes[c]) / h
-    return c, 1.0 - v1, v1, -1.0 / h, 1.0 / h
 
 
 @dataclass(frozen=True)
@@ -344,61 +315,28 @@ class SlabSolution:
         vals[self.space.dof_node] = self.by_mode
         return vals
 
-    def eval(self, x, t: float, side="auto", deriv="value"):
-        """Side-wise evaluation at time t in the slab.
-
-        side "auto" picks the covering representation; forcing side 1 evaluates
-        the background polynomial (its natural extension inside the moving
-        interval), forcing side 2 the overlap representation, which must be
-        evaluated within the closure of the moving interval.
-        """
-        geom, space = self.geom, self.space
+    def eval(self, x, t: float) -> np.ndarray:
+        """The value at the points ``x`` and the time t in the slab, from the
+        representation that covers each point: the overlap's strictly inside
+        the moving interval, the background's elsewhere."""
+        geom = self.geom
         if not geom.contains_time(t):
             raise ValueError(f"t={t} outside slab {geom.n}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        lam = temporal_basis_values(space.q, geom.t_start, geom.t_end, t)
-        dlam = temporal_basis_derivs(space.q, geom.t_start, geom.t_end)
+        lam = temporal_modes(self.space.q, (t - geom.t_start) / (geom.t_end - geom.t_start))
         a = float(geom.left(t))
-        b = a + geom.overlap_length
-        if side == "auto":
-            on2 = (x > a) & (x < b)
-        elif side == 1:
-            on2 = np.zeros_like(x, dtype=bool)
-        elif side == 2:
-            tol = DEGENERATE_FRACTION * (geom.bg_nodes[-1] - geom.bg_nodes[0])
-            if np.any((x < a - tol) | (x > b + tol)):
-                raise ValueError("side-2 evaluation outside the moving interval")
-            on2 = np.ones_like(x, dtype=bool)
-        else:
-            raise ValueError(f"side must be 'auto', 1, or 2, got {side!r}")
-
-        out = np.empty_like(x)
+        on2 = (x > a) & (x < a + geom.overlap_length)
         nodal = self.nodal()
         nb = len(geom.bg_nodes)
-        if np.any(~on2):
-            out[~on2] = _eval_rep(geom.bg_nodes, nodal[:nb], lam, dlam, x[~on2], deriv, mu=0.0)
-        if np.any(on2):
-            pos = geom.ov_positions(t)
-            out[on2] = _eval_rep(pos, nodal[nb:], lam, dlam, x[on2], deriv, mu=geom.mu)
+        pos = geom.ov_positions(t)
+        out = np.empty_like(x)
+        for on, nodes, vals in ((~on2, geom.bg_nodes, nodal[:nb]), (on2, pos, nodal[nb:])):
+            if on.any():
+                c = np.clip(np.searchsorted(nodes, x[on], side="right") - 1, 0, len(nodes) - 2)
+                w1 = (x[on] - nodes[c]) / (nodes[c + 1] - nodes[c])
+                u = vals @ lam
+                out[on] = (1.0 - w1) * u[c] + w1 * u[c + 1]
         return out
-
-
-def _eval_rep(nodes, nodal, lam, dlam, x, deriv, mu):
-    c, w0, w1, s0, s1 = _hat_eval(nodes, x)
-    if deriv == "value":
-        coeff = nodal @ lam
-        return w0 * coeff[c] + w1 * coeff[c + 1]
-    if deriv == "dx":
-        coeff = nodal @ lam
-        return s0 * coeff[c] + s1 * coeff[c + 1]
-    if deriv in ("dt", "Dt"):
-        dcoeff = nodal @ dlam
-        traj = w0 * dcoeff[c] + w1 * dcoeff[c + 1]
-        if deriv == "Dt":
-            return traj
-        coeff = nodal @ lam
-        return traj - mu * (s0 * coeff[c] + s1 * coeff[c + 1])
-    raise ValueError(f"unknown derivative kind {deriv!r}")
 
 
 @dataclass(frozen=True)
@@ -416,5 +354,7 @@ class SpaceTimeSolution:
         n = int(np.searchsorted(bp, t, side="left"))
         return min(n, len(self.slabs))
 
-    def eval(self, x, t: float, side="auto", deriv="value"):
-        return self.slabs[self.slab_index(t) - 1].eval(x, t, side=side, deriv=deriv)
+    def eval(self, x, t: float) -> np.ndarray:
+        """The value at the points ``x`` and the time t (``SlabSolution.eval``
+        on the slab ``slab_index(t)``)."""
+        return self.slabs[self.slab_index(t) - 1].eval(x, t)

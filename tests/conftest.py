@@ -1,8 +1,10 @@
-"""Shared fixtures and the acceptance-criteria reporting hook."""
+"""Shared fixtures, the one-slab helpers over the chunk builders, and the
+acceptance-criteria reporting hook."""
 
 import numpy as np
 import pytest
 
+from cutslab.assembly import assemble_slab
 from cutslab.core import (
     Discretization,
     OverlapSpec,
@@ -11,7 +13,7 @@ from cutslab.core import (
     zero_problem,
 )
 from cutslab.geometry import build_slab_geometry
-from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space
+from cutslab.spaces import SlabSolution, SlabSpaces, SpaceTimeSolution, build_slab_space
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_RESULTS = []
@@ -64,6 +66,24 @@ def oscillating_setup(q):
     return Setup.build(problem, overlap, disc)
 
 
+def slab_geometry(setup, n):
+    """Slab n's geometry, from the chunk builder on slab n alone."""
+    return build_slab_geometry(setup, range(n, n + 1))[0]
+
+
+def slab_space(setup, n, disc=None):
+    """Slab n's record under ``disc`` (the setup's by default), from the
+    chunk builders on slab n alone."""
+    return build_slab_space(build_slab_geometry(setup, range(n, n + 1)), disc or setup.disc)[0]
+
+
+def slab_system(space, setup, prev=None):
+    """The system of the slab of the record ``space``, from ``assemble_slab``
+    on that slab alone; ``prev`` is the solution on the slab before it (None:
+    the initial data enters the load)."""
+    return assemble_slab(SlabSpaces((space,)), setup, prev).system(0, prev)
+
+
 def random_discrete(setup, rng) -> SpaceTimeSolution:
     """Random coefficients on every slab of a setup."""
     geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))
@@ -84,8 +104,8 @@ def nodal_interpolant(setup, func) -> SpaceTimeSolution:
     """Interpolate func(x) nodally on both meshes, constant in time."""
     slabs = []
     for n in range(1, setup.disc.n_slabs + 1):
-        geom = build_slab_geometry(setup, n)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, n)
+        geom = space.geom
         q = setup.disc.q
         coeffs = np.zeros((space.n_spatial, q + 1))
         bg_vals = func(setup.bg_nodes[space.active_bg])

@@ -1,9 +1,13 @@
 """Independent reference computations used by the test suite.
 
-The bilinear-form oracle below shares only the evaluation routines with the
-library: panel detection, quadrature rules, and the term-by-term integration
-are written from scratch with high-order composite Gauss rules, so agreement
-with the assembled matrices is evidence and not tautology.
+The bilinear-form oracle below shares only the temporal basis and each slab's
+nodal values with the library: its side-wise evaluator ``evaluate``, panel
+detection, quadrature rules and the term-by-term integration are written
+from scratch, with high-order composite Gauss rules, so agreement with the
+assembled matrices is evidence and not tautology.  ``evaluate`` gives a slab
+solution's value or a derivative on either side of the interface, also where
+the other side covers the point; the library's ``SlabSolution.eval`` gives
+only the value on the covering side, and must agree with ``evaluate`` there.
 
 ``apply_Bh`` and ``apply_load`` apply the space-time form and the load
 functional to evaluable functions through the library's partitions and time
@@ -15,7 +19,7 @@ own segments and time rule.
 
 ``pointwise_xnorm_error`` is the energy-norm measurement written as a loop over
 the temporal quadrature points, each with its own spatial partition and
-side-wise ``SlabSolution.eval`` calls, with optional refined panels and
+side-wise ``evaluate`` calls, with optional refined panels and
 segments; the library's batched norm must agree with it to rounding.
 ``anorm_sq`` is the spatial energy norm at one time.  ``overlap_segments``
 and ``quadrature_breakpoints`` (every node crossing of the overlap mesh) serve
@@ -25,8 +29,9 @@ points at one time and a solution's one-sided traces at a slab breakpoint.
 
 import numpy as np
 
-from cutslab.assembly import _covered_entries, _segment_mass_stiff, assemble_slab
+from cutslab.assembly import _covered_entries, _segment_mass_stiff
 from cutslab.geometry import (
+    DEGENERATE_FRACTION,
     EVENT_DEDUP_FRACTION,
     SpatialPartition,
     sigma_side,
@@ -34,7 +39,9 @@ from cutslab.geometry import (
 )
 from cutslab.norms import NormBreakdown, _zero_exact
 from cutslab.quadrature import GL3, composite_time_rule, lobatto3, midpoint
-from cutslab.spaces import interface_stencil, temporal_basis_values
+from cutslab.spaces import interface_stencil, temporal_basis_derivs, temporal_modes
+
+from conftest import slab_system
 
 _GL10_X, _GL10_W = np.polynomial.legendre.leggauss(10)
 _GL10_X = 0.5 * (_GL10_X + 1.0)  # nodes on [0, 1]
@@ -47,6 +54,73 @@ def interfaces(geom, t):
     return [("left", a, 1.0), ("right", a + geom.overlap_length, -1.0)]
 
 
+def _modes_at(geom, q: int, t) -> np.ndarray:
+    """The slab's temporal mode values at the absolute time t."""
+    return temporal_modes(q, (t - geom.t_start) / (geom.t_end - geom.t_start))
+
+
+def evaluate(slab, x, t: float, side="auto", deriv="value") -> np.ndarray:
+    """Side-wise evaluation of the ``SlabSolution`` ``slab`` at time t.
+
+    side "auto" picks the covering representation; side 1 evaluates the
+    background polynomial (its natural extension inside the moving
+    interval), side 2 the overlap representation, which must be evaluated
+    within the closure of the moving interval.  ``deriv`` is "value", "dx",
+    "dt" (at a fixed point) or "Dt" (along the overlap's motion on side 2;
+    "dt" on side 1).
+    """
+    geom, space = slab.geom, slab.space
+    if not geom.contains_time(t):
+        raise ValueError(f"t={t} outside slab {geom.n}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lam = _modes_at(geom, space.q, t)
+    dlam = temporal_basis_derivs(space.q, geom.t_start, geom.t_end)
+    a = float(geom.left(t))
+    b = a + geom.overlap_length
+    if side == "auto":
+        on2 = (x > a) & (x < b)
+    elif side == 1:
+        on2 = np.zeros_like(x, dtype=bool)
+    elif side == 2:
+        tol = DEGENERATE_FRACTION * (geom.bg_nodes[-1] - geom.bg_nodes[0])
+        if np.any((x < a - tol) | (x > b + tol)):
+            raise ValueError("side-2 evaluation outside the moving interval")
+        on2 = np.ones_like(x, dtype=bool)
+    else:
+        raise ValueError(f"side must be 'auto', 1, or 2, got {side!r}")
+    out = np.empty_like(x)
+    nodal = slab.nodal()
+    nb = len(geom.bg_nodes)
+    if np.any(~on2):
+        out[~on2] = _eval_rep(geom.bg_nodes, nodal[:nb], lam, dlam, x[~on2], deriv, mu=0.0)
+    if np.any(on2):
+        pos = geom.ov_positions(t)
+        out[on2] = _eval_rep(pos, nodal[nb:], lam, dlam, x[on2], deriv, mu=geom.mu)
+    return out
+
+
+def _eval_rep(nodes, nodal, lam, dlam, x, deriv, mu):
+    """One mesh's P1 representation, or a derivative of it, at the points x."""
+    c = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    h = nodes[c + 1] - nodes[c]
+    w1 = (x - nodes[c]) / h
+    w0, s0, s1 = 1.0 - w1, -1.0 / h, 1.0 / h
+    if deriv == "value":
+        coeff = nodal @ lam
+        return w0 * coeff[c] + w1 * coeff[c + 1]
+    if deriv == "dx":
+        coeff = nodal @ lam
+        return s0 * coeff[c] + s1 * coeff[c + 1]
+    if deriv in ("dt", "Dt"):
+        dcoeff = nodal @ dlam
+        traj = w0 * dcoeff[c] + w1 * dcoeff[c + 1]
+        if deriv == "Dt":
+            return traj
+        coeff = nodal @ lam
+        return traj - mu * (s0 * coeff[c] + s1 * coeff[c + 1])
+    raise ValueError(f"unknown derivative kind {deriv!r}")
+
+
 def trace(sol, n, sign):
     """Callable evaluating the trace of ``sol`` at t_n from above ('+') or
     below ('-')."""
@@ -56,7 +130,7 @@ def trace(sol, n, sign):
     if not 0 <= i < len(sol.slabs):
         raise ValueError(f"no slab {'above' if sign == '+' else 'below'} t_{n}")
     slab, t = sol.slabs[i], float(sol.setup.partition.breakpoints[n])
-    return lambda x, side="auto", deriv="value": slab.eval(x, t, side=side, deriv=deriv)
+    return lambda x, side="auto", deriv="value": evaluate(slab, x, t, side=side, deriv=deriv)
 
 
 def _time_panels(geom):
@@ -166,8 +240,8 @@ def _stab_integral(geom, t, ws, vs):
         cell = int(np.searchsorted(nodes, mid) - 1)
         if cell not in cut:
             continue
-        jw = ws.eval(mid, t, side=1, deriv="dx")[0] - ws.eval(mid, t, side=2, deriv="dx")[0]
-        jv = vs.eval(mid, t, side=1, deriv="dx")[0] - vs.eval(mid, t, side=2, deriv="dx")[0]
+        jw = evaluate(ws, mid, t, 1, "dx")[0] - evaluate(ws, mid, t, 2, "dx")[0]
+        jv = evaluate(vs, mid, t, 1, "dx")[0] - evaluate(vs, mid, t, 2, "dx")[0]
         total += (hi - lo) * jw * jv
     return total
 
@@ -178,10 +252,10 @@ def _point_terms(geom, t, ws, vs, gamma, omega1, form, include_upwind):
     h_K = float(geom.bg_nodes[1] - geom.bg_nodes[0])
     total = 0.0
     for label, s, n1 in interfaces(geom, t):
-        w1 = float(ws.eval(s, t, side=1)[0])
-        w2 = float(ws.eval(s, t, side=2)[0])
-        v1 = float(vs.eval(s, t, side=1)[0])
-        v2 = float(vs.eval(s, t, side=2)[0])
+        w1 = float(evaluate(ws, s, t, side=1)[0])
+        w2 = float(evaluate(ws, s, t, side=2)[0])
+        v1 = float(evaluate(vs, s, t, side=1)[0])
+        v2 = float(evaluate(vs, s, t, side=2)[0])
         gw = omega1 * interface_gradient(ws, label, t, 1) + (1 - omega1) * interface_gradient(
             ws, label, t, 2
         )
@@ -215,21 +289,21 @@ def oracle_bilinear(w, v, *, form="standard", gamma=None, omega1=None, include_u
                     vol = _integrate_space(
                         geom,
                         tx,
-                        lambda x, s: ws.eval(x, tx, side=s, deriv="dt")
-                        * vs.eval(x, tx, side=s),
+                        lambda x, s: evaluate(ws, x, tx, side=s, deriv="dt")
+                        * evaluate(vs, x, tx, side=s),
                     )
                 else:
                     vol = -_integrate_space(
                         geom,
                         tx,
-                        lambda x, s: ws.eval(x, tx, side=s)
-                        * vs.eval(x, tx, side=s, deriv="dt"),
+                        lambda x, s: evaluate(ws, x, tx, side=s)
+                        * evaluate(vs, x, tx, side=s, deriv="dt"),
                     )
                 grad = _integrate_space(
                     geom,
                     tx,
-                    lambda x, s: ws.eval(x, tx, side=s, deriv="dx")
-                    * vs.eval(x, tx, side=s, deriv="dx"),
+                    lambda x, s: evaluate(ws, x, tx, side=s, deriv="dx")
+                    * evaluate(vs, x, tx, side=s, deriv="dx"),
                 )
                 stab = _stab_integral(geom, tx, ws, vs)
                 pts = _point_terms(geom, tx, ws, vs, gamma, omega1, form, include_upwind)
@@ -284,7 +358,7 @@ def _jump_load(setup, start_cov, prev):
     rows, cols, vals = setup.mesh_matrices
     r, c, mv = start_cov
     g = prev.geom
-    u = prev.nodal() @ temporal_basis_values(prev.space.q, g.t_start, g.t_end, g.t_end)
+    u = prev.nodal() @ _modes_at(g, prev.space.q, g.t_end)
     return np.bincount(
         np.concatenate([rows, r]),
         np.concatenate([vals[:, 0] * u[cols], -mv * u[c]]),
@@ -297,7 +371,8 @@ def jump_load(space, setup, prev):
     applied to ``prev``'s end-time nodal values), over the slab's spatial
     DOFs."""
     geom = space.geom
-    cells, _, (mv, _) = _covered_entries(geom, geom.left(np.array([[geom.t_start]])))
+    every = np.ones((1, len(geom.bg_nodes)), dtype=bool)  # each cell met, active or not
+    cells, _, (mv, _) = _covered_entries(geom, geom.left(np.array([[geom.t_start]])), every)
     return _jump_load(setup, _cell_entries(cells[0], cells[0] + 1, mv[0, 0]), prev)[space.dof_node]
 
 
@@ -369,11 +444,11 @@ def asm_bilinear(w, v):
     q = setup.disc.q
     total = 0.0
     for n, (ws, vs) in enumerate(zip(w.slabs, v.slabs), start=1):
-        system = assemble_slab(ws.space, setup, None)
+        system = slab_system(ws.space, setup)
         total += float(vs.coeffs @ system.matrix @ ws.coeffs)
         if n > 1:
             uvec = jump_load(ws.space, setup, w.slabs[n - 2])
-            lam0 = temporal_basis_values(q, ws.geom.t_start, ws.geom.t_end, ws.geom.t_start)
+            lam0 = _modes_at(ws.geom, q, ws.geom.t_start)
             total -= float(vs.by_mode @ lam0 @ uvec)
     return total
 
@@ -398,13 +473,13 @@ def oracle_bnorm_sq(v):
         for lo, hi in zip(panels[:-1], panels[1:]):
             for tx, tw in zip(lo + (hi - lo) * _GL10_X, (hi - lo) * _GL10_W):
                 grad = _integrate_space(
-                    geom, tx, lambda x, s: vs.eval(x, tx, side=s, deriv="dx") ** 2
+                    geom, tx, lambda x, s: evaluate(vs, x, tx, side=s, deriv="dx") ** 2
                 )
                 stab = _stab_integral(geom, tx, vs, vs)
                 pts = 0.0
                 for label, s, n1 in interfaces(geom, tx):
-                    v1 = float(vs.eval(s, tx, side=1)[0])
-                    v2 = float(vs.eval(s, tx, side=2)[0])
+                    v1 = float(evaluate(vs, s, tx, side=1)[0])
+                    v2 = float(evaluate(vs, s, tx, side=2)[0])
                     g1 = interface_gradient(vs, label, tx, 1)
                     g2 = interface_gradient(vs, label, tx, 2)
                     avg = omega1 * g1 + (1 - omega1) * g2
@@ -530,9 +605,9 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
                     continue
                 xs = pts[m].ravel()
                 ws = pw[m].ravel()
-                ge = np.asarray(exact.u_x(xs, t)) - slab.eval(xs, t, side=side, deriv="dx")
+                ge = np.asarray(exact.u_x(xs, t)) - evaluate(slab, xs, t, side=side, deriv="dx")
                 grad += wt * float(np.sum(ws * ge * ge))
-                de = np.asarray(exact.u_t(xs, t)) - slab.eval(xs, t, side=side, deriv="Dt")
+                de = np.asarray(exact.u_t(xs, t)) - evaluate(slab, xs, t, side=side, deriv="Dt")
                 if side == 2:
                     de = de + mu * np.asarray(exact.u_x(xs, t))
                     mat_ov += k * wt * float(np.sum(ws * de * de))
@@ -540,8 +615,8 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
                     mat_bg += k * wt * float(np.sum(ws * de * de))
             for label, s, n1 in interfaces(geom, t):
                 sx = np.array([s])
-                e1 = float((np.asarray(exact.u(sx, t)) - slab.eval(sx, t, side=1))[0])
-                e2 = float((np.asarray(exact.u(sx, t)) - slab.eval(sx, t, side=2))[0])
+                e1 = float((np.asarray(exact.u(sx, t)) - evaluate(slab, sx, t, side=1))[0])
+                e2 = float((np.asarray(exact.u(sx, t)) - evaluate(slab, sx, t, side=2))[0])
                 g1 = float(np.asarray(exact.u_x(sx, t))[0]) - interface_gradient(slab, label, t, 1)
                 g2 = float(np.asarray(exact.u_x(sx, t))[0]) - interface_gradient(slab, label, t, 2)
                 c = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
@@ -602,7 +677,7 @@ def interface_gradient(slab, label: str, t: float, side: int) -> float:
     taken from the cell of the given side even when the point sits exactly on
     a node."""
     geom, space = slab.geom, slab.space
-    lam = temporal_basis_values(space.q, geom.t_start, geom.t_end, t)
+    lam = _modes_at(geom, space.q, t)
     a = float(geom.left(t))
     s = a if label == "left" else a + geom.overlap_length
     nb = len(geom.bg_nodes)
@@ -744,11 +819,11 @@ def _volume_pairing(ws, vs, t, form):
             continue
         xs = pts[m].ravel()
         if form == "standard":
-            fa = ws.eval(xs, t, side=side, deriv="dt")
-            fb = vs.eval(xs, t, side=side)
+            fa = evaluate(ws, xs, t, side=side, deriv="dt")
+            fb = evaluate(vs, xs, t, side=side)
         else:
-            fa = ws.eval(xs, t, side=side)
-            fb = -vs.eval(xs, t, side=side, deriv="dt")
+            fa = evaluate(ws, xs, t, side=side)
+            fb = -evaluate(vs, xs, t, side=side, deriv="dt")
         total += float(np.sum(wts[m].ravel() * fa * fb))
     return total
 
@@ -761,8 +836,8 @@ def _gradient_pairing(ws, vs, t):
         if not np.any(m):
             continue
         mids = 0.5 * (part.xa[m] + part.xb[m])
-        gw = ws.eval(mids, t, side=side, deriv="dx")
-        gv = vs.eval(mids, t, side=side, deriv="dx")
+        gw = evaluate(ws, mids, t, side=side, deriv="dx")
+        gv = evaluate(vs, mids, t, side=side, deriv="dx")
         total += float(np.sum(part.lengths[m] * gw * gv))
     return total
 
@@ -772,8 +847,8 @@ def _stabilization_pairing(ws, vs, t):
     if len(seg) == 0:
         return 0.0
     mids = 0.5 * (seg.xa + seg.xb)
-    jw = ws.eval(mids, t, side=1, deriv="dx") - ws.eval(mids, t, side=2, deriv="dx")
-    jv = vs.eval(mids, t, side=1, deriv="dx") - vs.eval(mids, t, side=2, deriv="dx")
+    jw = evaluate(ws, mids, t, side=1, deriv="dx") - evaluate(ws, mids, t, side=2, deriv="dx")
+    jv = evaluate(vs, mids, t, side=1, deriv="dx") - evaluate(vs, mids, t, side=2, deriv="dx")
     return float(np.sum(seg.lengths * jw * jv))
 
 
@@ -785,10 +860,10 @@ def _point_pairing(ws, vs, t, gamma, omega1, form, include_upwind):
     sym = 0.0
     upwind = 0.0
     for label, s, n1 in interfaces(geom, t):
-        w1 = float(ws.eval(s, t, side=1)[0])
-        w2 = float(ws.eval(s, t, side=2)[0])
-        v1 = float(vs.eval(s, t, side=1)[0])
-        v2 = float(vs.eval(s, t, side=2)[0])
+        w1 = float(evaluate(ws, s, t, side=1)[0])
+        w2 = float(evaluate(ws, s, t, side=2)[0])
+        v1 = float(evaluate(vs, s, t, side=1)[0])
+        v2 = float(evaluate(vs, s, t, side=2)[0])
         gw = omega1 * interface_gradient(ws, label, t, 1) + (1 - omega1) * interface_gradient(
             ws, label, t, 2
         )
@@ -920,7 +995,7 @@ def apply_load(v) -> float:
                         continue
                     fv = np.asarray(problem.source(xs[m], t), dtype=float)
                     total += wt * float(
-                        np.sum(half[m] * fv * vs.eval(xs[m], t, side=side))
+                        np.sum(half[m] * fv * evaluate(vs, xs[m], t, side=side))
                     )
     v0 = trace(v, 0, "+")
     total += _l2_pairing(

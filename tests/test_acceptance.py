@@ -11,15 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from cutslab.assembly import assemble_slab
 from cutslab.core import manufactured_problem, zero_problem
-from cutslab.geometry import build_slab_geometry
 from cutslab.norms import lls_slope, xnorm_error
 from cutslab.quadrature import composite_time_rule, gauss_legendre3, lobatto3
 from cutslab.solver import march, solve_slab
-from cutslab.spaces import SlabSolution, build_slab_space, temporal_basis_values
+from cutslab.spaces import SlabSolution, temporal_modes
 
-from conftest import make_setup, random_discrete, record_acceptance
+from conftest import make_setup, random_discrete, record_acceptance, slab_space, slab_system
 from oracles import (
     apply_Bh,
     apply_load,
@@ -150,10 +148,10 @@ class TestCriterion4Coercivity:
             q = setup.disc.q
             slabs = []
             for n in range(1, setup.disc.n_slabs + 1):
-                geom = build_slab_geometry(setup, n)
-                space = build_slab_space(geom, setup.disc)
-                system = assemble_slab(space, setup, None)
-                lam0 = temporal_basis_values(q, geom.t_start, geom.t_end, geom.t_start)
+                space = slab_space(setup, n)
+                geom = space.geom
+                system = slab_system(space, setup)
+                lam0 = temporal_modes(q, 0.0)  # at the slab start
                 slabs.append((geom, space, system.matrix, lam0))
             for _ in range(40):
                 v = random_discrete(setup, rng)
@@ -179,9 +177,8 @@ class TestCriterion5GalerkinResidual:
             setup = make_setup(n0=16, nG=4, N=4, q=q, mu=0.6)
             prev = None
             for n in range(1, setup.disc.n_slabs + 1):
-                geom = build_slab_geometry(setup, n)
-                space = build_slab_space(geom, setup.disc)
-                system = assemble_slab(space, setup, prev)
+                space = slab_space(setup, n)
+                system = slab_system(space, setup, prev)
                 coeffs = solve_slab(system)
                 scale = (
                     np.linalg.norm(system.matrix.toarray(), np.inf) * np.max(np.abs(coeffs))
@@ -247,9 +244,9 @@ class TestCriterion7TrivialLimits:
         # stationary overlap: no crossing events, no moving-interface term
         setup0 = make_setup(n0=8, nG=2, N=3, q=0, mu=0.0, a0=0.2)
         for n in range(1, 4):
-            geom = build_slab_geometry(setup0, n)
+            space = slab_space(setup0, n)
+            geom = space.geom
             checks.append(len(geom.events) == 0)
-            space = build_slab_space(geom, setup0.disc)
             checks.append(not np.any(upwind_matrix(space, geom.t_start + 0.1)))
         sol0 = march(setup0.problem, setup0.overlap, setup0.disc)
         checks.append(xnorm_error(sol0, EXACT).moving_jump_sq == 0.0)

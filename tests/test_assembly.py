@@ -16,12 +16,20 @@ from cutslab.geometry import DEGENERATE_FRACTION, build_slab_geometry
 from cutslab.solver import march
 from cutslab.spaces import SlabSolution, build_slab_space
 
-from conftest import make_setup, oscillating_setup, random_discrete
+from conftest import (
+    make_setup,
+    oscillating_setup,
+    random_discrete,
+    slab_geometry,
+    slab_space,
+    slab_system,
+)
 from oracles import (
     apply_Bh,
     apply_load,
     asm_bilinear,
     assemble_Aht,
+    evaluate,
     exact_trace_load,
     jump_load,
     mass_matrix,
@@ -31,14 +39,10 @@ from oracles import (
 )
 
 
-def _space(setup, n=1):
-    return build_slab_space(build_slab_geometry(setup, n), setup.disc)
-
-
 class TestPointwiseMatrices:
     def test_aht_symmetric(self):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
-        space = _space(setup)
+        space = slab_space(setup, 1)
         for t in (0.0, 0.21, 0.5):
             A = assemble_Aht(space, t, gamma=10.0, omega1=0.5)
             assert np.max(np.abs(A - A.T)) < 1e-13
@@ -46,14 +50,14 @@ class TestPointwiseMatrices:
     def test_aht_without_cut_cells(self):
         # an aligned stationary overlap cuts no cell: no stabilized segment
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.25)
-        space = _space(setup)
+        space = slab_space(setup, 1)
         A = assemble_Aht(space, 0.5, gamma=10.0, omega1=0.5)
         assert np.max(np.abs(A - A.T)) < 1e-13
         assert np.linalg.eigvalsh(A).min() > -1e-12
 
     def test_aht_positive_semidefinite_with_penalty(self):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, gamma=10.0)
-        space = _space(setup)
+        space = slab_space(setup, 1)
         A = assemble_Aht(space, 0.3, gamma=10.0, omega1=0.5)
         eigs = np.linalg.eigvalsh(A)
         assert eigs.min() > -1e-12
@@ -61,25 +65,25 @@ class TestPointwiseMatrices:
     def test_aht_indefinite_without_penalty(self):
         # the unpenalized symmetric form is not coercive on the broken space
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
-        space = _space(setup)
+        space = slab_space(setup, 1)
         A = assemble_Aht(space, 0.3, gamma=0.0, omega1=0.5)
         assert np.linalg.eigvalsh(A).min() < -1e-6
 
     def test_mass_symmetric_positive(self):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
-        space = _space(setup)
+        space = slab_space(setup, 1)
         M = mass_matrix(space, 0.37)
         assert np.max(np.abs(M - M.T)) < 1e-14
         assert np.linalg.eigvalsh(M).min() > 0.0
 
     def test_upwind_zero_when_stationary(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.2)
-        space = _space(setup)
+        space = slab_space(setup, 1)
         assert not np.any(upwind_matrix(space, 0.5))
 
     def test_upwind_nonzero_when_moving(self):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
-        space = _space(setup)
+        space = slab_space(setup, 1)
         assert np.max(np.abs(upwind_matrix(space, 0.3))) > 0.01
 
 
@@ -89,18 +93,18 @@ class TestAssembledSystem:
         overlap = OverlapSpec(length=0.25, initial_left=0.125, velocity=0.6)
         disc = Discretization(n_background=8, n_overlap=2, n_slabs=2, q=1)
         setup = Setup.build(problem, overlap, disc)
-        space = _space(setup)
-        system = assemble_slab(space, setup, None)
+        space = slab_space(setup, 1)
+        system = slab_system(space, setup, None)
         assert not np.any(system.rhs)
         assert system.matrix.shape == (space.n_cols, space.n_cols)
 
     def test_matrix_independent_of_data(self, rng):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)
-        space1, space = _space(setup, 1), _space(setup, 2)
+        space1, space = slab_space(setup, 1), slab_space(setup, 2)
         zero = SlabSolution(space1, np.zeros(space1.n_cols))
         prev = SlabSolution(space1, rng.standard_normal(space1.n_cols))
-        s1 = assemble_slab(space, setup, zero)
-        s2 = assemble_slab(space, setup, prev)
+        s1 = slab_system(space, setup, zero)
+        s2 = slab_system(space, setup, prev)
         assert np.array_equal(s1.matrix.toarray(), s2.matrix.toarray())
         assert np.any(s1.rhs != s2.rhs)
 
@@ -117,7 +121,7 @@ class TestAssembledSystem:
         prev = None
         for i, space in enumerate(spaces):
             system = systems.system(i, prev)
-            alone = assemble_slab(space, setup, prev)
+            alone = slab_system(space, setup, prev)
             k, f = space.n_cols, systems.first[i]
             A = system.matrix.toarray()
             assert np.array_equal(A, systems.matrix[f : f + k, f : f + k].toarray())
@@ -146,7 +150,7 @@ class TestTimeJumpLoad:
         setup = make_setup(n0=16, nG=nG, N=3, q=q, mu=mu, a0=0.125 + shift, T=0.25)
         sol = march(setup.problem, setup.overlap, setup.disc)
         for n in (2, 3):
-            space = _space(setup, n)
+            space = slab_space(setup, n)
             geom = space.geom
             prev = sol.slabs[n - 2]
             t_end = prev.geom.t_end
@@ -162,7 +166,7 @@ class TestTimeJumpLoad:
             assert np.max(np.abs(got - ref)) <= 1e-13 * scale + slack
             # against segments that keep such slivers the pairing is exact
             exact = exact_trace_load(
-                space, geom.t_start, lambda x, s: prev.eval(x, t_end, side=s)
+                space, geom.t_start, lambda x, s: evaluate(prev, x, t_end, side=s)
             )
             assert np.max(np.abs(got - exact)) <= 1e-13 * scale
 
@@ -201,10 +205,10 @@ class TestTimeJumpLoad:
 
     def test_rhs_carries_the_jump_load(self, rng):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)
-        space1, space = _space(setup, 1), _space(setup, 2)
+        space1, space = slab_space(setup, 1), slab_space(setup, 2)
         zero = SlabSolution(space1, np.zeros(space1.n_cols))
         prev = SlabSolution(space1, rng.standard_normal(space1.n_cols))
-        diff = assemble_slab(space, setup, prev).rhs - assemble_slab(space, setup, zero).rhs
+        diff = slab_system(space, setup, prev).rhs - slab_system(space, setup, zero).rhs
         # the jump load tests the start-time mode only (q = 1 modes are nodal)
         expect = np.outer(jump_load(space, setup, prev), [1.0, 0.0]).ravel()
         assert np.max(np.abs(diff - expect)) <= 1e-14 * np.max(np.abs(expect))
@@ -242,8 +246,8 @@ class TestSourceLoad:
 
         chunk = loads(range(1, N + 1))
         for n in range(1, N + 1):
-            ref = source_load(setup, build_slab_geometry(setup, n))
-            space = _space(setup, n)
+            ref = source_load(setup, slab_geometry(setup, n))
+            space = slab_space(setup, n)
             ref = ref[space.dof_node].ravel()
             for load in (chunk[n - 1], loads(range(n, n + 1))[0]):
                 assert load.shape == ref.shape
@@ -323,8 +327,8 @@ class TestStationaryAlignedEquivalence:
 
         slabs = []
         for n in range(1, setup.disc.n_slabs + 1):
-            geom = build_slab_geometry(setup, n)
-            space = build_slab_space(geom, setup.disc)
+            space = slab_space(setup, n)
+            geom = space.geom
             full = vals_by_slab[n - 1]  # (n_nodes, q+1) nodal values
             ov_idx = np.searchsorted(setup.bg_nodes, geom.ov_positions(0.0))
             coeffs = np.concatenate([full[space.active_bg], full[ov_idx]], axis=0)

@@ -67,6 +67,48 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"discretization.{key} must be an integer"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "problem.T",
+            "overlap.length",
+            "overlap.initial_left",
+            "overlap.velocity.value",
+            "discretization.gamma",
+            "discretization.omega1",
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, "0.25", None])
+    def test_non_numeric_real_is_config_error(self, path, value):
+        # float() used to take true as 1 and "0.25" as 0.25
+        cfg = _base_config()
+        *outer, key = path.split(".")
+        section = cfg
+        for name in outer:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(ConfigError, match=f"{path} must be a number, got {value!r}"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("path", ["problem.T", "overlap.length", "discretization.gamma"])
+    def test_integer_beyond_float_range_is_config_error(self, path):
+        # float(10**400) raises OverflowError, which escaped as a traceback
+        cfg = _base_config()
+        section, key = path.split(".")
+        cfg[section][key] = 10**400
+        with pytest.raises(ConfigError, match=f"{path} must be finite"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("path", ["problem.T", "discretization.gamma"])
+    def test_integer_real_is_a_float(self, path):
+        # a JSON integer is a number: "T": 1 solves at T = 1.0
+        cfg = _base_config()
+        section, key = path.split(".")
+        cfg[section][key] = 1
+        problem, _, disc = parse_config(cfg)
+        value = problem.final_time if section == "problem" else disc.gamma
+        assert value == 1.0 and isinstance(value, float)
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_non_boolean_manufactured_is_config_error(self, value):
         # bool("false") is True: the string selected the manufactured problem
@@ -200,6 +242,10 @@ class TestMainConverge:
                 {"sweep": "k", "resolutions": [4, 8, 4]},
                 "study.resolutions must not repeat, got [4, 8, 4]",
             ),
+            (
+                {"sweep": "k", "resolutions": [4, 8], "reference_slope": "1"},
+                "study.reference_slope must be a number, got '1'",
+            ),
         ],
         ids=[
             "non_integer_resolution",
@@ -207,6 +253,7 @@ class TestMainConverge:
             "fractional_fit_window",
             "fit_window_beyond_resolutions",
             "repeated_resolution",
+            "string_reference_slope",
         ],
     )
     def test_bad_study_is_config_error_before_any_solve(
@@ -321,6 +368,15 @@ class TestMainErrors:
         assert main(["solve", str(_write(tmp_path, cfg)), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error: discretization.n0 must be an integer, got 8.5" in err
+
+    def test_boolean_final_time_exits_with_config_error(self, tmp_path, capsys):
+        # used to solve at T = 1 and exit 0
+        cfg = _base_config(problem={"T": True})
+        out = tmp_path / "out"
+        rc = main(["solve", str(_write(tmp_path, cfg)), "--output-dir", str(out), "--quiet"])
+        assert rc == EXIT_CONFIG
+        assert "config error: problem.T must be a number, got True" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_initial_left_is_config_error(self, tmp_path):
         cfg = _base_config()

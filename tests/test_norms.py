@@ -7,18 +7,25 @@ from hypothesis import strategies as st
 
 import cutslab.norms
 from cutslab.core import Discretization, OverlapSpec, manufactured_problem
-from cutslab.geometry import build_slab_geometry
 from cutslab.norms import lls_slope, xnorm_error
 from cutslab.solver import march
-from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space
+from cutslab.spaces import SlabSolution, SpaceTimeSolution
 
-from conftest import make_setup, oscillating_setup, random_discrete, scaled
+from conftest import (
+    make_setup,
+    oscillating_setup,
+    random_discrete,
+    scaled,
+    slab_geometry,
+    slab_space,
+)
 from oracles import (
     _GL10_W,
     _GL10_X,
     _stab_integral,
     _time_panels,
     anorm_sq,
+    evaluate,
     oracle_bnorm_sq,
     pointwise_xnorm_error,
 )
@@ -38,8 +45,7 @@ def assert_breakdowns_agree(batched, pointwise):
 def _zero_solution(setup):
     slabs = []
     for n in range(1, setup.disc.n_slabs + 1):
-        geom = build_slab_geometry(setup, n)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, n)
         slabs.append(SlabSolution(space, np.zeros(space.n_cols)))
     return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
 
@@ -47,7 +53,7 @@ def _zero_solution(setup):
 class TestAnorm:
     def test_zero_function(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.15)
-        geom = build_slab_geometry(setup, 1)
+        geom = slab_geometry(setup, 1)
         fn = lambda x, side, deriv: np.zeros_like(np.asarray(x, dtype=float))
         assert anorm_sq(fn, geom, 0.5) == 0.0
 
@@ -56,7 +62,7 @@ class TestAnorm:
         # average flux beta at both interfaces, no jumps, no stabilization:
         # total = beta^2 * (1 + 2 h)
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.15)
-        geom = build_slab_geometry(setup, 1)
+        geom = slab_geometry(setup, 1)
         beta = 1.7
 
         def fn(x, side, deriv):
@@ -69,7 +75,7 @@ class TestAnorm:
     def test_moving_weight(self):
         # with motion the interface terms scale by sqrt(mu^2 + 1)
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
-        geom = build_slab_geometry(setup, 1)
+        geom = slab_geometry(setup, 1)
         beta = 1.0
 
         def fn(x, side, deriv):
@@ -82,15 +88,13 @@ class TestAnorm:
 
     def test_homogeneity(self, rng):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
-        geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, 1)
+        geom = space.geom
         slab = SlabSolution(space, rng.standard_normal(space.n_cols))
         t = 0.23
-        fn = lambda x, side, deriv: slab.eval(x, t, side=side, deriv=deriv)
+        fn = lambda x, side, deriv: evaluate(slab, x, t, side=side, deriv=deriv)
         base = anorm_sq(fn, geom, t)
-        scaled = anorm_sq(
-            lambda x, side, deriv: 3.0 * slab.eval(x, t, side=side, deriv=deriv), geom, t
-        )
+        scaled = anorm_sq(lambda x, side, deriv: 3.0 * fn(x, side, deriv), geom, t)
         assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
 

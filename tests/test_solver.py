@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csc_array
+from scipy.sparse import coo_array, csc_array
 from scipy.sparse.linalg import splu
 
 import cutslab.assembly
+import cutslab.core
 import cutslab.solver
-from cutslab.assembly import SlabSystem, assemble_slab
+from cutslab.assembly import assemble_slab
 from cutslab.core import (
     Discretization,
     NumericalFailure,
@@ -21,7 +24,7 @@ from cutslab.norms import xnorm_error
 from cutslab.solver import march, solve_slab
 from cutslab.spaces import SlabSolution, build_slab_space
 
-from conftest import make_setup, oscillating_setup
+from conftest import make_setup, oscillating_setup, slab_space, slab_system
 
 
 def _cap_chunk(monkeypatch, setup, slabs):
@@ -50,9 +53,23 @@ def _count_factors(monkeypatch):
 
 
 def _fresh(system):
-    """``system`` as a hand-built slab system: its band is built from its
-    matrix and factored afresh."""
-    return SlabSystem(slab=system.slab, matrix=system.matrix, rhs=system.rhs, space=system.space)
+    """``system`` with no band, memo or repeat: its band is built from its
+    triplets and factored afresh."""
+    return dataclasses.replace(system, repeats=False, memo=None, band=None)
+
+
+def _with(system, A=None, rhs=None):
+    """``_fresh(system)`` with its matrix replaced by ``A`` and its load by
+    ``rhs``, each given in DOF order (dense or scipy.sparse for ``A``)."""
+    triplets, load = system.triplets, system.load
+    if A is not None:
+        A = coo_array(A)
+        rank = np.empty_like(system.order)
+        rank[system.order] = np.arange(len(rank))
+        triplets = (rank[A.row], rank[A.col], A.data)
+    if rhs is not None:
+        load = rhs[system.order]
+    return dataclasses.replace(_fresh(system), triplets=triplets, load=load)
 
 
 def _record_solves(monkeypatch, before=None):
@@ -92,78 +109,54 @@ def _naive_gauss(A, b):
 
 
 class TestSolveSlab:
+    @staticmethod
+    def _system(q=0, mu=0.6):
+        setup = make_setup(n0=8, nG=2, N=3, mu=mu, q=q)
+        return slab_system(slab_space(setup, 1), setup)
+
     @pytest.mark.parametrize("q", [0, 1])
     def test_matches_naive_elimination(self, q):
-        setup = make_setup(n0=8, nG=2, N=3, mu=0.6, q=q)
-        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
-        system = assemble_slab(space, setup, None)
+        system = self._system(q=q)
         x = solve_slab(system)
         ref = _naive_gauss(system.matrix.toarray(), system.rhs)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(x - ref)) <= 1e-10 * scale
 
     def test_zero_rhs_gives_zero(self):
-        setup = make_setup(n0=8, nG=2, N=3, mu=0.6)
-        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
-        system = assemble_slab(space, setup, None)
-        from cutslab.assembly import SlabSystem
-
-        zsys = SlabSystem(
-            slab=1, matrix=system.matrix, rhs=np.zeros_like(system.rhs), space=space
-        )
-        assert not np.any(solve_slab(zsys))
+        system = self._system()
+        assert not np.any(solve_slab(_with(system, rhs=np.zeros_like(system.rhs))))
 
     def test_singular_matrix_detected(self):
-        setup = make_setup(n0=8, nG=2, N=3, mu=0.6)
-        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
-        from cutslab.assembly import SlabSystem
-
-        n = space.n_cols
-        bad = SlabSystem(slab=1, matrix=csc_array((n, n)), rhs=np.zeros(n), space=space)
+        system = self._system()
+        n = system.space.n_cols
+        bad = _with(system, csc_array((n, n)), np.zeros(n))
         with pytest.raises(NumericalFailure):
             solve_slab(bad)
 
     def test_rank_deficient_detected(self):
-        setup = make_setup(n0=8, nG=2, N=3, mu=0.6)
-        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
-        system = assemble_slab(space, setup, None)
-        from cutslab.assembly import SlabSystem
-
+        system = self._system()
         A = system.matrix.toarray()
         A[3] = A[4]  # duplicate row
-        bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=space)
         with pytest.raises(NumericalFailure):
-            solve_slab(bad)
-
-
-    def _system(self, q=0, mu=0.6):
-        setup = make_setup(n0=8, nG=2, N=3, mu=mu, q=q)
-        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
-        return assemble_slab(space, setup, None)
+            solve_slab(_with(system, A))
 
     def test_near_singular_column_trips_pivot_floor(self):
-        from cutslab.assembly import SlabSystem
-
         system = self._system()
         A = system.matrix.toarray()
         A[:, 5] *= 1e-16
-        bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=system.space)
         with pytest.raises(NumericalFailure, match="singular slab system") as exc:
-            solve_slab(bad)
+            solve_slab(_with(system, A))
         # the message gives the pivot ratio against its floor
         ratio = float(str(exc.value).split("||A||_inf ")[1].split()[0])
         assert 0 < ratio <= cutslab.solver.PIVOT_FRACTION
         assert f"PIVOT_FRACTION {cutslab.solver.PIVOT_FRACTION:.0e}" in str(exc.value)
 
     def test_exactly_singular_factor_reported(self):
-        from cutslab.assembly import SlabSystem
-
         system = self._system()
         A = system.matrix.toarray()
         A[:, 2] = 0.0
-        bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=system.space)
         with pytest.raises(NumericalFailure) as exc:
-            solve_slab(bad)
+            solve_slab(_with(system, A))
         msg = str(exc.value)
         assert "slab 1" in msg
         assert f"{system.space.n_cols} unknowns" in msg
@@ -177,16 +170,13 @@ class TestSolveSlab:
         system = self._system()
         A = system.matrix.toarray()
         A[:, 5] *= 1e-16
-        bad = SlabSystem(slab=1, matrix=csc_array(A), rhs=system.rhs, space=system.space)
         with pytest.raises(NumericalFailure, match="pivot ratio") as exc:
-            solve_slab(bad)
+            solve_slab(_with(system, A))
         estimate = float(str(exc.value).split("condition estimate ")[1].rstrip(")"))
         dense = np.linalg.cond(A, 1)
         assert dense / 10 <= estimate <= 10 * dense
 
     def test_residual_guard(self, monkeypatch):
-        import cutslab.solver
-
         monkeypatch.setattr(cutslab.solver, "RESIDUAL_TOL", 0.0)
         with pytest.raises(
             NumericalFailure, match=r"slab 1 solve left relative residual \S+, above RESIDUAL_TOL 0e\+00"
@@ -196,32 +186,36 @@ class TestSolveSlab:
     def test_non_finite_solution_rejected(self):
         # a finite load so large that the solve overflows to inf and NaN; the
         # residual bound alone lets NaN through, into the next slab's load
-        from cutslab.assembly import SlabSystem
-
         system = self._system(q=0, mu=0.6)
-        huge = SlabSystem(
-            slab=1, matrix=system.matrix, rhs=np.full_like(system.rhs, 1e308), space=system.space
-        )
+        huge = _with(system, rhs=np.full_like(system.rhs, 1e308))
         with pytest.raises(NumericalFailure, match="slab 1 solve gave non-finite coefficients"):
             solve_slab(huge)
 
-    def test_non_finite_matrix_rejected(self):
-        from cutslab.assembly import SlabSystem
+    def test_non_finite_source_names_its_slab(self):
+        # the load of slab 5, (0.5, 0.625], is the first to read the NaN
+        setup = make_setup(n0=16, nG=4, N=8, q=1)
+        base = setup.problem.source
+        problem = dataclasses.replace(
+            setup.problem, source=lambda x, t: np.where(t > 0.5, np.nan, base(x, t))
+        )
+        with pytest.raises(NumericalFailure, match="non-finite entries in slab 5 system"):
+            march(problem, setup.overlap, setup.disc)
 
-        system = self._system()
-        A = system.matrix.copy()
-        A.data[0] = np.nan
-        with pytest.raises(NumericalFailure, match="non-finite"):
-            SlabSystem(slab=1, matrix=A, rhs=system.rhs, space=system.space)
+    def test_non_finite_mesh_entry_names_slab_1(self, monkeypatch):
+        # one NaN in the overlap mesh's stiffness, which every slab reads
+        original = cutslab.core.p1_triplets
 
-    def test_dense_matrix_rejected(self):
-        from cutslab.assembly import SlabSystem
+        def poisoned(nodes):
+            rows, cols, vals = original(nodes)
+            if len(nodes) == 5:  # the overlap mesh: every node carries a DOF
+                vals[1, 1] = np.nan
+            return rows, cols, vals
 
-        system = self._system()
-        with pytest.raises(TypeError):
-            SlabSystem(
-                slab=1, matrix=system.matrix.toarray(), rhs=system.rhs, space=system.space
-            )
+        monkeypatch.setattr(cutslab.core, "p1_triplets", poisoned)
+        setup = make_setup(n0=16, nG=4, N=8, q=1)
+        with pytest.raises(NumericalFailure, match="non-finite entries in slab 1 system") as exc:
+            march(setup.problem, setup.overlap, setup.disc)
+        assert exc.traceback[-1].name == "_slab_matrices"
 
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize("mu", [0.0, 0.6])
@@ -502,21 +496,20 @@ class TestRepeatRule:
         edges = np.linspace(0.0, 1.0, len(pieces) + 1)[1:-1]
         overlap = OverlapSpec(0.25, a0, lambda t: pieces[np.searchsorted(edges, t)], mode)
         setup = Setup.build(manufactured_problem(1.0), overlap, Discretization(16, nG, N, q=q))
-        geoms = build_slab_geometry(setup, range(1, N + 1))
-        spaces = [build_slab_space(geom, setup.disc) for geom in geoms]
+        spaces = [slab_space(setup, n) for n in range(1, N + 1)]
 
         # each slab assembled on its own: the rule says "repeats" exactly
         # where its triplets are the previous slab's, bit for bit
         bits = [
             tuple(x.tobytes() for x in (*system.triplets, system.order))
-            for system in (assemble_slab(space, setup, None) for space in spaces)
+            for system in (slab_system(space, setup) for space in spaces)
         ]
         assert setup.repeats.tolist() == [False] + [a == b for a, b in zip(bits, bits[1:])]
 
         # the reference: each slab's own system, solved with a fresh factor
         ref, prev = [], None
         for space in spaces:
-            prev = SlabSolution(space, solve_slab(assemble_slab(space, setup, prev)))
+            prev = SlabSolution(space, solve_slab(slab_system(space, setup, prev)))
             ref.append(prev.coeffs)
         new = [n for n in range(1, N + 1) if not setup.repeats[n - 1]]
         original = cutslab.assembly._slab_matrices
@@ -617,7 +610,7 @@ class TestBands:
         # the slab after the chunk would repeat it, too: none here
         assert systems.handoff is None
         for i, space in enumerate(spaces[1:]):
-            ref = assemble_slab(space, setup, prev).matrix  # nothing handed on: assembled
+            ref = slab_system(space, setup, prev).matrix  # nothing handed on: assembled
             assert _same_matrix(systems.system(i, prev).matrix, ref)
         for i in range(1, 5):
             pair = assemble_slab(spaces[i : i + 2], setup, prev)  # slabs i + 1, i + 2

@@ -12,28 +12,28 @@ from cutslab.spaces import (
     _search_rows,
     build_slab_space,
     temporal_basis_derivs,
-    temporal_basis_values,
+    temporal_modes,
 )
 
-from conftest import make_setup, nodal_interpolant, random_discrete, scaled
-from oracles import interface_gradient, interfaces, trace
+from conftest import make_setup, nodal_interpolant, random_discrete, scaled, slab_space
+from oracles import evaluate, interface_gradient, interfaces, trace
 
 
 class TestTemporalBasis:
     def test_constant_mode(self):
-        assert temporal_basis_values(0, 0.0, 0.5, 0.3) == pytest.approx([1.0])
+        assert temporal_modes(0, 0.6) == pytest.approx([1.0])
         assert temporal_basis_derivs(0, 0.0, 0.5) == pytest.approx([0.0])
 
     def test_linear_nodal(self):
-        vals = temporal_basis_values(1, 0.2, 0.7, 0.2)
-        assert vals == pytest.approx([1.0, 0.0])
-        vals = temporal_basis_values(1, 0.2, 0.7, 0.7)
-        assert vals == pytest.approx([0.0, 1.0])
+        # the modes take slab-relative time: 0 at the slab start, 1 at its end
+        assert temporal_modes(1, 0.0) == pytest.approx([1.0, 0.0])
+        assert temporal_modes(1, 1.0) == pytest.approx([0.0, 1.0])
         assert temporal_basis_derivs(1, 0.2, 0.7) == pytest.approx([-2.0, 2.0])
 
     def test_linear_partition_of_unity(self):
-        for t in np.linspace(0.2, 0.7, 7):
-            assert np.sum(temporal_basis_values(1, 0.2, 0.7, t)) == pytest.approx(1.0)
+        tau = np.linspace(0.0, 1.0, 7)
+        assert temporal_modes(1, tau).shape == (7, 2)
+        assert np.sum(temporal_modes(1, tau), axis=1) == pytest.approx(np.ones(7))
 
 
 class TestDofCounts:
@@ -41,7 +41,7 @@ class TestDofCounts:
         # overlap [0.15, 0.35] covers cells 3..6 of a 20-cell mesh, so the
         # three interior nodes 4, 5, 6 lose both support cells
         setup = make_setup(n0=20, nG=4, N=1, mu=0.0, a0=0.15, length=0.2)
-        space = build_slab_space(build_slab_geometry(setup, 1), setup.disc)
+        space = slab_space(setup, 1)
         assert space.n_active_bg == 19 - 3
         assert set(np.setdiff1d(np.arange(1, 20), space.active_bg)) == {4, 5, 6}
         assert space.n_ov == 5
@@ -49,16 +49,15 @@ class TestDofCounts:
 
     def test_q1_doubles_columns(self):
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6)
-        geom = build_slab_geometry(setup, 1)
-        s0 = build_slab_space(geom, setup.disc)
-        s1 = build_slab_space(geom, dataclasses.replace(setup.disc, q=1))
+        s0 = slab_space(setup, 1)
+        s1 = slab_space(setup, 1, dataclasses.replace(setup.disc, q=1))
         assert s1.n_cols == 2 * s0.n_cols
 
     def test_cut_cells_keep_their_nodes(self):
         # moving overlap: any node touching a cut cell stays active
         setup = make_setup(n0=16, nG=4, N=2, mu=0.6, a0=0.13)
-        geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, 1)
+        geom = space.geom
         for c in geom.cut_cells:
             for node in (c, c + 1):
                 if 0 < node < 16:
@@ -66,8 +65,8 @@ class TestDofCounts:
 
     def test_dof_map_consistency(self):
         setup = make_setup(n0=12, nG=3, N=3, mu=0.35, a0=0.2, q=1)
-        geom = build_slab_geometry(setup, 2)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, 2)
+        geom = space.geom
         for i, node in enumerate(space.active_bg):
             assert space.node_dof[node] == i
         assert space.node_dof[len(geom.bg_nodes)] == space.n_active_bg
@@ -83,7 +82,7 @@ class TestChunkOfRecords:
         assert isinstance(spaces, SlabSpaces)
         assert spaces.n_cols == sum(sp.n_cols for sp in spaces)
         for sp in spaces:
-            one = build_slab_space(build_slab_geometry(setup, sp.geom.n), setup.disc)
+            one = slab_space(setup, sp.geom.n)
             for name in ("active_bg", "node_dof", "times", "weights", "lam"):
                 assert np.array_equal(getattr(sp, name), getattr(one, name))
             for a, b in zip(sp.stencil, one.stencil):
@@ -122,48 +121,48 @@ def _basis_function(space, spatial_dof, mode):
 class TestEvalBasis:
     def test_background_value_and_slope(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.15)
-        geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, 1)
+        geom = space.geom
         # first active node is node 1 at x=0.125
         phi = _basis_function(space, 0, 0)
         assert phi.eval(0.125, 0.5)[0] == pytest.approx(1.0)
-        assert phi.eval(0.125, 0.5, deriv="dt")[0] == 0.0
-        assert phi.eval(0.125, 0.5, deriv="Dt")[0] == 0.0
+        assert evaluate(phi, 0.125, 0.5, deriv="dt")[0] == 0.0
+        assert evaluate(phi, 0.125, 0.5, deriv="Dt")[0] == 0.0
         assert phi.eval(0.0625, 0.5)[0] == pytest.approx(0.5)
-        assert phi.eval(0.0625, 0.5, deriv="dx")[0] == pytest.approx(8.0)
+        assert evaluate(phi, 0.0625, 0.5, deriv="dx")[0] == pytest.approx(8.0)
 
     def test_overlap_peak_moves(self):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.6, a0=0.125, q=0)
-        geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, 1)
+        geom = space.geom
         g = 1  # middle overlap node, offset 0.125
         phi = _basis_function(space, space.n_active_bg + g, 0)
         for t in (0.0, 0.4, 1.0):
             peak = geom.left(t) + 0.125
-            assert phi.eval(peak, t, side=2)[0] == pytest.approx(1.0)
+            assert evaluate(phi, peak, t, side=2)[0] == pytest.approx(1.0)
 
     def test_overlap_material_derivative(self):
         # riding along the trajectory, only the temporal mode varies
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, a0=0.125, q=1)
-        geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, 1)
+        geom = space.geom
         dof = space.n_active_bg + 1
         t = 0.2
         x = geom.left(t) + 0.07
         for mode in (0, 1):
             phi = _basis_function(space, dof, mode)
             v, dx, dt, dtraj = (
-                phi.eval(x, t, side=2, deriv=d)[0] for d in ("value", "dx", "dt", "Dt")
+                evaluate(phi, x, t, side=2, deriv=d)[0] for d in ("value", "dx", "dt", "Dt")
             )
             dlam = temporal_basis_derivs(1, geom.t_start, geom.t_end)[mode]
-            lam = temporal_basis_values(1, geom.t_start, geom.t_end, t)[mode]
+            lam = temporal_modes(1, (t - geom.t_start) / (geom.t_end - geom.t_start))[mode]
             assert dtraj == pytest.approx(v / lam * dlam)
             assert dt == pytest.approx(dtraj - geom.mu * dx)
 
     def test_out_of_slab_raises(self):
         setup = make_setup(N=2)
-        geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, 1)
+        geom = space.geom
         with pytest.raises(ValueError):
             _basis_function(space, 0, 0).eval(0.3, 0.9)
 
@@ -182,15 +181,15 @@ class TestSlabSolution:
                 slab = sol.slabs[sol.slab_index(t) - 1]
                 x = rng.uniform(0.125, 0.875)
                 assert slab.eval(x, t)[0] == pytest.approx(f(x), abs=1e-12)
-                assert slab.eval(x, t, deriv="dx")[0] == pytest.approx(1.3, abs=1e-10)
+                assert evaluate(slab, x, t, deriv="dx")[0] == pytest.approx(1.3, abs=1e-10)
                 # both representations agree at the interfaces: zero jump
                 # (skip interfaces inside a boundary cell, where the missing
                 # boundary DOF makes the nonzero affine unrepresentable)
                 for lab, s, n1 in interfaces(slab.geom, t):
                     if not 0.125 <= s <= 0.875:
                         continue
-                    v1 = slab.eval(s, t, side=1)[0]
-                    v2 = slab.eval(s, t, side=2)[0]
+                    v1 = evaluate(slab, s, t, side=1)[0]
+                    v2 = evaluate(slab, s, t, side=2)[0]
                     assert v1 - v2 == pytest.approx(0.0, abs=1e-12)
 
     def test_q1_traces_are_nodal(self, rng):
@@ -207,11 +206,32 @@ class TestSlabSolution:
         only1 = SlabSolution(slab.space, _mask_mode(slab, keep=1))
         assert np.allclose(end, only1.eval(x, geom.t_end))
 
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("mu, a0", [(0.6, 0.13), (0.0, 0.3)], ids=["moving", "stationary"])
+    def test_eval_is_the_oracle_on_the_covering_side(self, rng, q, mu, a0):
+        # the value-only eval, which the CLI's solution.csv reads, equals
+        # the oracle's side-wise evaluator on the side covering each point:
+        # at the nodes of both meshes, the interface points and mid-cell
+        setup = make_setup(n0=16, nG=4, N=4, mu=mu, a0=a0, q=q)
+        sol = random_discrete(setup, rng)
+        for slab in sol.slabs:
+            geom = slab.geom
+            for t in np.linspace(geom.t_start, geom.t_end, 4):
+                a = float(geom.left(t))
+                b = a + geom.overlap_length
+                nodes = np.sort(np.concatenate([geom.bg_nodes, geom.ov_positions(t), [a, b]]))
+                x = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])])
+                got = slab.eval(x, t)
+                assert np.array_equal(got, evaluate(slab, x, t))
+                inside = (x > a) & (x < b)
+                assert np.array_equal(got[inside], evaluate(slab, x[inside], t, side=2))
+                assert np.array_equal(got[~inside], evaluate(slab, x[~inside], t, side=1))
+
     def test_forced_side_outside_interval_raises(self, rng):
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.3)
         sol = random_discrete(setup, rng)
         with pytest.raises(ValueError):
-            sol.slabs[0].eval(0.05, 0.5, side=2)
+            evaluate(sol.slabs[0], 0.05, 0.5, side=2)
 
     def test_interface_gradient_matches_one_sided_eval(self, rng):
         # away from nodes the explicit interface gradient equals eval dx
@@ -222,15 +242,15 @@ class TestSlabSolution:
         for lab, s, n1 in interfaces(slab.geom, t):
             g1 = interface_gradient(slab, lab, t, 1)
             g2 = interface_gradient(slab, lab, t, 2)
-            assert g1 == pytest.approx(slab.eval(s, t, side=1, deriv="dx")[0])
-            assert g2 == pytest.approx(slab.eval(s, t, side=2, deriv="dx")[0])
+            assert g1 == pytest.approx(evaluate(slab, s, t, side=1, deriv="dx")[0])
+            assert g2 == pytest.approx(evaluate(slab, s, t, side=2, deriv="dx")[0])
 
     def test_interface_gradient_on_node_uses_correct_cell(self):
         # stationary aligned overlap: interfaces sit exactly on nodes, and the
         # side-1 gradient at the left interface must come from the left cell
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.25, q=0)
-        geom = build_slab_geometry(setup, 1)
-        space = build_slab_space(geom, setup.disc)
+        space = slab_space(setup, 1)
+        geom = space.geom
         f = lambda x: np.minimum(x, 0.25)  # kink exactly at the interface
         coeffs = np.concatenate([f(setup.bg_nodes[space.active_bg]), f(geom.ov_positions(0.0))])
         slab = SlabSolution(space, coeffs)
@@ -241,18 +261,18 @@ class TestSlabSolution:
         # all-ones coefficients represent 1 wherever evaluation is admissible
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, q=1)
         for n in (1, 2):
-            geom = build_slab_geometry(setup, n)
-            space = build_slab_space(geom, setup.disc)
+            space = slab_space(setup, n)
+            geom = space.geom
             slab = SlabSolution(space, np.ones(space.n_cols))
             for _ in range(20):
                 t = rng.uniform(geom.t_start, geom.t_end)
                 a = geom.left(t)
                 b = a + geom.overlap_length
                 x2 = rng.uniform(a, b)
-                assert slab.eval(x2, t, side=2)[0] == pytest.approx(1.0)
+                assert evaluate(slab, x2, t, side=2)[0] == pytest.approx(1.0)
                 x1 = rng.uniform(0.125, 0.875)
                 if not (a - 0.13 < x1 < b + 0.13):
-                    assert slab.eval(x1, t, side=1)[0] == pytest.approx(1.0)
+                    assert evaluate(slab, x1, t, side=1)[0] == pytest.approx(1.0)
 
 
 def _mask_mode(slab, keep):
