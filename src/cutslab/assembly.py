@@ -169,6 +169,7 @@ def _covered_entries(geom: SlabGeometry, a: np.ndarray, active: np.ndarray):
     nodes = geom.bg_nodes
     last = len(nodes) - 2
     b = a + geom.overlap_length
+    # not snapped: these cells only bound the loop of the exact integral over [a, a + L]
     c_lo = np.clip(np.searchsorted(nodes, a.min(axis=1), side="right") - 1, 0, last)
     c_hi = np.clip(np.searchsorted(nodes, b.max(axis=1), side="left") - 1, 0, last)
     cells = c_lo[:, None] + np.arange((c_hi - c_lo).max() + 1)

@@ -1,6 +1,7 @@
 """Per-slab cut geometry: interface trajectories, node-crossing events, spatial
 partitions with their per-segment cells and Gauss points, and the upwind side
-of the moving-interface jump."""
+of the moving-interface jump.  ``snap`` alone decides which points lie on a
+background node, for every cell lookup that classifies a point."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import numpy as np
 from .core import GeometryViolation, Setup
 from .quadrature import GL3
 
-# Segments shorter than this fraction of the domain are dropped; a cell cut by
-# less than this is classified uncut at that instant.
+# A point within this fraction of the domain length of a background node is on
+# it (``snap``): a cell cut by less is uncut, and a sliver that thin is no segment.
 DEGENERATE_FRACTION = 1e-12
 EVENT_DEDUP_FRACTION = 1e-14
 
@@ -97,6 +98,15 @@ def _by_slab(values: np.ndarray, slab: np.ndarray, gap: np.ndarray) -> list[np.n
     return np.split(values[keep], np.cumsum(np.bincount(slab[keep], minlength=len(gap)))[:-1])
 
 
+def snap(nodes: np.ndarray, x) -> np.ndarray:
+    """``x`` with each point within ``DEGENERATE_FRACTION`` of the domain
+    length of its nearest node in ``nodes`` moved onto that node."""
+    tol = DEGENERATE_FRACTION * (nodes[-1] - nodes[0])
+    # the first node not below x - tol is the only one that can lie within tol
+    near = nodes[np.minimum(np.searchsorted(nodes, x - tol), len(nodes) - 1)]
+    return np.where(np.abs(near - x) <= tol, near, x)
+
+
 def left_at(geoms, slab: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Left interface position at each time ``t`` in the slab ``geoms[slab]``."""
     a0, mu, t0 = np.array([(g.a_start, g.mu, g.t_start) for g in geoms]).T
@@ -144,44 +154,32 @@ def build_slab_geometry(setup: Setup, slabs: range) -> SlabGeometries:
     bad = (np.minimum(a0, a1) <= lo) | (np.maximum(a0, a1) + length >= hi)
     if bad.any():
         raise GeometryViolation(f"interface touches the domain boundary in slab {num[bad][0]}")
-    tol = DEGENERATE_FRACTION * (hi - lo)
-    n_cells = len(nodes) - 1
     S = len(num)
     s2 = np.tile(np.arange(S), 2)  # rows 0..S-1: left interface, S..2S-1: right
 
-    # events: the times in the open slab at which an interface hits a node
+    # each interface sweeps [p_lo, p_hi] in the slab; i0..i1-1 are the nodes
+    # strictly inside it once its ends are snapped onto the nodes they lie on
     p0 = np.concatenate([a0, a0 + length])
-    p1 = p0 + mu[s2] * k[s2]
-    i0 = np.searchsorted(nodes, np.minimum(p0, p1), side="right")
-    i1 = np.searchsorted(nodes, np.maximum(p0, p1), side="left")
-    count = np.where(mu[s2] == 0.0, 0, np.maximum(i1 - i0, 0))
+    p1 = np.concatenate([a1, a1 + length])
+    i0 = np.searchsorted(nodes, snap(nodes, np.minimum(p0, p1)), side="right")
+    i1 = np.searchsorted(nodes, snap(nodes, np.maximum(p0, p1)), side="left")
+    # events: the times at which an interface passes one of those nodes
+    count = np.maximum(i1 - i0, 0)
     row = np.repeat(np.arange(2 * S), count)
     s = s2[row]
     t = t0[s] + (nodes[i0[row] + ragged_arange(count)] - p0[row]) / mu[s]
-    eps = EVENT_DEDUP_FRACTION * k
-    keep = (t > t0[s] + eps[s]) & (t < t1[s] - eps[s])
-    events = _by_slab(t[keep], s[keep], eps)
+    events = _by_slab(t, s, EVENT_DEDUP_FRACTION * k)
 
-    # cut cells: the cells whose interior an interface visits, a range of
-    # cells [lo_cell, hi_cell) per interface
-    p1 = np.concatenate([a1, a1 + length])
-    lo_cell = np.maximum(np.searchsorted(nodes, np.minimum(p0, p1) + tol, side="right") - 1, 0)
-    hi_cell = np.minimum(np.searchsorted(nodes, np.maximum(p0, p1) - tol, side="left"), n_cells)
-    count = np.maximum(hi_cell - lo_cell, 0)
-    cell = np.repeat(lo_cell, count) + ragged_arange(count)
+    # cut cells: the cells whose interior an interface visits, [i0 - 1, i1)
+    count = i1 - i0 + 1
+    cell = np.repeat(i0 - 1, count) + ragged_arange(count)
     cut = _by_slab(cell, np.repeat(s2, count), np.zeros(S))
 
-    # covered cells: inside the moving interval for the whole slab, not cut
-    c_lo = np.searchsorted(nodes, np.maximum(a0, a1) - tol, side="left")
-    c_hi = np.searchsorted(nodes, np.minimum(a0, a1) + length + tol, side="right") - 1
-    c_hi = np.minimum(c_hi, n_cells)
-    count = np.maximum(c_hi - c_lo, 0)
-    s = np.repeat(np.arange(S), count)
-    cell = np.repeat(c_lo, count) + ragged_arange(count)
-    in_cut = np.zeros(len(cell), dtype=bool)
-    for side in (s, s + S):
-        in_cut |= (cell >= lo_cell[side]) & (cell < hi_cell[side])
-    covered = _by_slab(cell[~in_cut], s[~in_cut], np.zeros(S))
+    # covered cells: right of the left sweep and left of the right one, so
+    # disjoint from the cut cells
+    count = np.maximum(i0[S:] - 1 - i1[:S], 0)
+    cell = np.repeat(i1[:S], count) + ragged_arange(count)
+    covered = np.split(cell, np.cumsum(count)[:-1])
 
     return SlabGeometries(
         SlabGeometry(
@@ -218,17 +216,16 @@ def partition_at(geom: SlabGeometry, times: np.ndarray, a: np.ndarray, t=None) -
     nb = len(nodes)
     pts = np.empty((len(a), nb + len(offsets)))
     pts[:, :nb] = nodes
-    pts[:, nb:] = a[:, None] + offsets
+    pts[:, nb:] = snap(nodes, a[:, None] + offsets)
     pts.sort(axis=1)
-    tol = DEGENERATE_FRACTION * (nodes[-1] - nodes[0])
     keep = np.empty(pts.shape, dtype=bool)
     keep[:, 0] = True
-    np.greater(pts[:, 1:] - pts[:, :-1], tol, out=keep[:, 1:])
+    np.not_equal(pts[:, 1:], pts[:, :-1], out=keep[:, 1:])
     row = keep.nonzero()[0]
     pts = pts[keep]
     # consecutive kept breakpoints of one time bound a segment
     xa, xb = pts[:-1], pts[1:]
-    seg = (row[1:] == row[:-1]) & ((xb - xa) > tol)
+    seg = row[1:] == row[:-1]
     xa, xb, row = xa[seg], xb[seg], row[1:][seg]
     mid = 0.5 * (xa + xb)
     a = a[row]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Discretization, Setup
-from .geometry import SlabGeometries, SlabGeometry, left_at, ragged_arange, sigma_side
+from .geometry import SlabGeometries, SlabGeometry, left_at, ragged_arange, sigma_side, snap
 from .quadrature import GL3, composite_time_rule
 
 
@@ -79,10 +79,12 @@ def interface_stencil(
     a = left_at(geoms, slab, times)
     x = np.concatenate([a, a + geoms[0].overlap_length])
     # value cell: the cell holding the point; gradient cell: the cell on the
-    # uncovered side, left of the left point and right of the right one
+    # uncovered side, left of the left point and right of the right one.  Both
+    # are looked up at the snapped point, the weights take the true one
+    xs = snap(nodes, x)
     cells = np.empty((2, 2 * nt), dtype=int)
-    cells[0] = np.searchsorted(nodes, x, side="right")
-    cells[1, :nt] = np.searchsorted(nodes, a, side="left")
+    cells[0] = np.searchsorted(nodes, xs, side="right")
+    cells[1, :nt] = np.searchsorted(nodes, xs[:nt], side="left")
     cells[1, nt:] = cells[0, nt:]
     c, c1 = np.clip(cells - 1, 0, nb - 2)
     h = nodes[c + 1] - nodes[c]

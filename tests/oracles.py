@@ -54,6 +54,25 @@ def interfaces(geom, t):
     return [("left", a, 1.0), ("right", a + geom.overlap_length, -1.0)]
 
 
+def _node_tolerance(nodes) -> float:
+    """How close a point must be to a background node to count as on it."""
+    return DEGENERATE_FRACTION * (nodes[-1] - nodes[0])
+
+
+def _placed(nodes, s: float) -> float:
+    """The point ``s`` as the stencils take it: on its nearest background
+    node when it lies within the tolerance of that node, else where it is."""
+    near = float(nodes[np.argmin(np.abs(nodes - s))])
+    return near if abs(near - s) <= _node_tolerance(nodes) else s
+
+
+def _h_K(nodes, s: float) -> float:
+    """The size of the background cell holding the interface point ``s``,
+    the one right of its node when it is placed on one."""
+    c = int(np.clip(np.searchsorted(nodes, _placed(nodes, s), side="right") - 1, 0, len(nodes) - 2))
+    return float(nodes[c + 1] - nodes[c])
+
+
 def _modes_at(geom, q: int, t) -> np.ndarray:
     """The slab's temporal mode values at the absolute time t."""
     return temporal_modes(q, (t - geom.t_start) / (geom.t_end - geom.t_start))
@@ -82,7 +101,7 @@ def evaluate(slab, x, t: float, side="auto", deriv="value") -> np.ndarray:
     elif side == 1:
         on2 = np.zeros_like(x, dtype=bool)
     elif side == 2:
-        tol = DEGENERATE_FRACTION * (geom.bg_nodes[-1] - geom.bg_nodes[0])
+        tol = _node_tolerance(geom.bg_nodes)
         if np.any((x < a - tol) | (x > b + tol)):
             raise ValueError("side-2 evaluation outside the moving interval")
         on2 = np.ones_like(x, dtype=bool)
@@ -536,8 +555,7 @@ def anorm_sq(fn, geom, t: float, omega1: float = 0.5) -> float:
         v2 = float(fn(np.array([s]), 2, "value")[0])
         g1 = float(fn(np.array([s]), 1, "dx")[0])
         g2 = float(fn(np.array([s]), 2, "dx")[0])
-        c = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
-        h_K = float(nodes[c + 1] - nodes[c])
+        h_K = _h_K(nodes, s)
         avg = omega1 * g1 + (1.0 - omega1) * g2
         total += mu_bar * h_K * avg * avg
         total += mu_bar / h_K * (v1 - v2) ** 2
@@ -619,8 +637,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
                 e2 = float((np.asarray(exact.u(sx, t)) - evaluate(slab, sx, t, side=2))[0])
                 g1 = float(np.asarray(exact.u_x(sx, t))[0]) - interface_gradient(slab, label, t, 1)
                 g2 = float(np.asarray(exact.u_x(sx, t))[0]) - interface_gradient(slab, label, t, 2)
-                c = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
-                h_K = float(nodes[c + 1] - nodes[c])
+                h_K = _h_K(nodes, s)
                 avg = omega1 * g1 + (1.0 - omega1) * g2
                 flux += wt * mu_bar * h_K * avg * avg
                 ijump += wt * mu_bar / h_K * (e1 - e2) ** 2
@@ -674,8 +691,8 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
 
 def interface_gradient(slab, label: str, t: float, side: int) -> float:
     """One-sided spatial gradient of a slab solution at an interface point,
-    taken from the cell of the given side even when the point sits exactly on
-    a node."""
+    taken from the cell of the given side also when the point is placed on a
+    node (``_placed``)."""
     geom, space = slab.geom, slab.space
     lam = _modes_at(geom, space.q, t)
     a = float(geom.left(t))
@@ -689,7 +706,7 @@ def interface_gradient(slab, label: str, t: float, side: int) -> float:
         return float((nodal[c + 1] - nodal[c]) / (pos[c + 1] - pos[c]))
     nodes = geom.bg_nodes
     edge = "left" if label == "left" else "right"
-    c = int(np.clip(np.searchsorted(nodes, s, side=edge) - 1, 0, len(nodes) - 2))
+    c = int(np.clip(np.searchsorted(nodes, _placed(nodes, s), side=edge) - 1, 0, len(nodes) - 2))
     return float((nodal[c + 1] - nodal[c]) / (nodes[c + 1] - nodes[c]))
 
 
@@ -871,8 +888,7 @@ def _point_pairing(ws, vs, t, gamma, omega1, form, include_upwind):
             vs, label, t, 2
         )
         jw, jv = w1 - w2, v1 - v2
-        c = int(np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2))
-        h_K = float(nodes[c + 1] - nodes[c])
+        h_K = _h_K(nodes, s)
         sym += -n1 * (jw * gv + gw * jv) + mu_bar * gamma / h_K * jw * jv
         if include_upwind and mu != 0.0:
             sigma, w_up = sigma_side(label, mu)

@@ -158,9 +158,9 @@ class TestTimeJumpLoad:
             ref = _trace_load(geom, geom.t_start, lambda x: prev.eval(x, t_end))
             ref = ref[space.dof_node]
             scale = np.max(np.abs(ref))
-            # the merged partition folds a sliver narrower than its tolerance
-            # into the neighbouring segment, on that segment's side, so the
-            # quadrature may misplace up to that width of the trace
+            # the merged partition snaps an overlap node within its tolerance
+            # of a background node onto that node, so the quadrature may
+            # misplace up to that width of the trace
             sliver = DEGENERATE_FRACTION * setup.problem.length
             slack = 2.0 * sliver * np.max(np.abs(prev.nodal()))
             assert np.max(np.abs(got - ref)) <= 1e-13 * scale + slack

@@ -53,6 +53,25 @@ class TestBuildSlabGeometry:
                 for t in mids:
                     assert np.min(np.abs(nodes - pos_fn(t))) > 1e-12
 
+    @pytest.mark.parametrize("shift", [1e-13, -1e-13, 9e-13, -9e-13])
+    @pytest.mark.parametrize("mu", [0.6, -0.5])
+    @pytest.mark.parametrize("interface", ["left", "right"])
+    def test_interface_within_the_tolerance_is_on_the_node(self, interface, mu, shift):
+        # n0 = 16, k = 1/8: one interface starts within the tolerance of the
+        # node 0.25 or 0.5, the other mid-cell; at mu = -0.5 every slab starts
+        # and ends near a node
+        def geoms(d):
+            a0, length = (0.25 + d, 0.21875) if interface == "left" else (0.21875, 0.28125 + d)
+            setup = make_setup(n0=16, nG=4, N=2, mu=mu, a0=a0, length=length, T=0.25)
+            return build_slab_geometry(setup, range(1, 3))
+
+        for near, on in zip(geoms(shift), geoms(0.0)):
+            assert len(near.events) == len(on.events)
+            assert np.allclose(near.events, on.events, rtol=0.0, atol=1e-11)
+            assert np.array_equal(near.cut_cells, on.cut_cells)
+            assert np.array_equal(near.covered_cells, on.covered_cells)
+            assert not set(near.cut_cells.tolist()) & set(near.covered_cells.tolist())
+
     def test_boundary_contact_raises(self):
         # leftward motion drives the left interface to -0.075 by t=1
         with pytest.raises(GeometryViolation):

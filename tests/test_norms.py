@@ -31,6 +31,22 @@ from oracles import (
 )
 
 EXACT = manufactured_problem().exact
+# shifts that keep a point within the degeneracy tolerance (1e-12 on the unit
+# domain) of a node
+NEAR_NODE_SHIFTS = {
+    "above": 1e-13,
+    "below": -1e-13,
+    "0.9 tol above": 9e-13,
+    "0.9 tol below": -9e-13,
+}
+# placements of a point relative to a node; 2e-12 lies just beyond the tolerance
+PLACEMENTS = {
+    "on": 0.0,
+    **NEAR_NODE_SHIFTS,
+    "beyond above": 2e-12,
+    "beyond below": -2e-12,
+    "mid": 1 / 32,
+}
 
 
 def assert_breakdowns_agree(batched, pointwise):
@@ -172,7 +188,7 @@ class TestBatchedMatchesPointwise:
     @settings(max_examples=30, deadline=None)
     @given(
         node=st.integers(2, 9),
-        place=st.sampled_from(["on", "above", "below", "mid"]),
+        place=st.sampled_from(list(PLACEMENTS)),
         mu=st.sampled_from([0.6, -0.4, 0.0]),
         q=st.integers(0, 1),
         omega1=st.sampled_from([0.5, 0.2, 1.0]),
@@ -180,7 +196,7 @@ class TestBatchedMatchesPointwise:
     )
     def test_initial_left_near_a_node(self, node, place, mu, q, omega1, seed):
         # n0 = 16: node j sits at j/16, and over T = 0.25 the overlap stays inside
-        a0 = node / 16 + {"on": 0.0, "above": 1e-13, "below": -1e-13, "mid": 1 / 32}[place]
+        a0 = node / 16 + PLACEMENTS[place]
         setup = make_setup(n0=16, nG=4, N=2, mu=mu, a0=a0, q=q, T=0.25, omega1=omega1)
         sol = random_discrete(setup, np.random.default_rng(seed))
         assert_breakdowns_agree(xnorm_error(sol, EXACT), pointwise_xnorm_error(sol, EXACT))
@@ -220,17 +236,27 @@ class TestNearNodeInterface:
             _near_node_error(0.3, pointwise_xnorm_error), rel=1e-12
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP Open item 1: an interface within the degeneracy tolerance "
-        "of a node, but not on it, takes the one-sided gradient from the covered "
-        "cell (error_x 2.39 against 0.080)",
-    )
     def test_decimal_position_matches_its_node_value(self):
         # 0.3 lies within 1e-12 of, but not on, the node 12/40 (0.30000000000000004)
         assert _near_node_error(0.3) == pytest.approx(
-            _near_node_error(0.30000000000000004), rel=0.05
+            _near_node_error(0.30000000000000004), rel=1e-12
         )
+
+    @pytest.mark.parametrize("nG", [1, 4])
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("mu", [0.0, 0.6, -0.5])
+    def test_interface_within_the_tolerance_is_on_the_node(self, mu, q, nG):
+        # n0 = 16 and k = 1/8: at mu = -0.5 the interface moves one cell per
+        # slab, so every slab starts and ends near a node
+        problem = manufactured_problem(final_time=0.25)
+        disc = Discretization(16, nG, 2, q=q)
+
+        def error(a0):
+            return xnorm_error(march(problem, OverlapSpec(0.25, a0, mu), disc), problem.exact).x
+
+        on = error(0.25)
+        for shift in NEAR_NODE_SHIFTS.values():
+            assert error(0.25 + shift) == pytest.approx(on, rel=1e-8), shift
 
 
 class TestChunkedNorm:
