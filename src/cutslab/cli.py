@@ -8,7 +8,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +302,8 @@ def run_convergence(cfg: dict, out_dir: Path, quiet: bool = False, workers: int 
         workers = min(4, len(jobs))
     results = {}
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not needed by `solve`
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for r, res in zip(resolutions, pool.map(_run_entry_safe, jobs)):
                 results[r] = res
@@ -363,6 +364,17 @@ def _run_entry_safe(args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _output_dir(cfg: dict) -> Path:
+    """The ``output.dir`` of the config, ``out`` by default."""
+    ocfg = cfg.get("output", {})
+    if not isinstance(ocfg, dict):
+        raise ConfigError(f"output must be a JSON object, got {ocfg!r}")
+    where = ocfg.get("dir", "out")
+    if not isinstance(where, str):
+        raise ConfigError(f"output.dir must be a string, got {where!r}")
+    return Path(where)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cutslab",
@@ -375,6 +387,8 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
 
     try:
         cfg = json.loads(args.config.read_text(encoding="utf-8"))
@@ -388,9 +402,7 @@ def main(argv=None) -> int:
     try:
         if not isinstance(cfg, dict):
             raise ConfigError(f"the config must be a JSON object, got a {type(cfg).__name__}")
-        out_dir = args.output_dir
-        if out_dir is None:
-            out_dir = Path(cfg.get("output", {}).get("dir", "out"))
+        out_dir = args.output_dir if args.output_dir is not None else _output_dir(cfg)
         if args.command == "solve":
             return run_single(cfg, out_dir, quiet=args.quiet)
         return run_convergence(cfg, out_dir, quiet=args.quiet, workers=args.workers)

@@ -6,6 +6,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -21,6 +22,15 @@ class GeometryViolation(Exception):
 
 class NumericalFailure(Exception):
     """Assembly or linear solve failed (singular system, bad residual)."""
+
+
+def _require_real(obj, *names) -> None:
+    """Raise ValueError naming the first field of ``obj`` among ``names`` that
+    is not a real number; a bool is an int, but not a number here."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def pointwise(func, x, *args) -> np.ndarray:
@@ -71,6 +81,7 @@ class ProblemSpec:
     exact: Optional[ExactSolution] = None
 
     def __post_init__(self):
+        _require_real(self, "x_lo", "x_hi", "final_time")
         for name in ("x_lo", "x_hi", "final_time"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -99,6 +110,9 @@ class OverlapSpec:
     velocity_mode: str = "sample"  # "sample" | "average"
 
     def __post_init__(self):
+        _require_real(self, "length", "initial_left")
+        if not callable(self.velocity):
+            _require_real(self, "velocity")
         if not (math.isfinite(self.length) and self.length > 0):
             raise ValueError(f"overlap length must be positive and finite, got {self.length}")
         if not math.isfinite(self.initial_left):
@@ -130,6 +144,7 @@ class Discretization:
             raise ValueError("cell and slab counts must be at least 1")
         if self.q not in (0, 1):
             raise ValueError(f"temporal degree must be 0 or 1, got {self.q}")
+        _require_real(self, "gamma", "omega1")
         # gamma = 0 drops the Nitsche penalty and the form is not coercive
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")

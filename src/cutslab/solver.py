@@ -22,6 +22,11 @@ couples a cut background cell to all overlap cells that meet it.  On the
 benchmark workloads b is 3-4 (``long_march``), 7 (``stationary``) and 15-17
 (``wide_slab``).  The order changes only the speed of the solve.
 
+The four LAPACK routines (``dgbtrf``, ``dgbtrs``, ``dlangb``, ``dgbcon``) are
+scipy's f2py wrappers, taken from the extension ``scipy.linalg._flapack``
+that ``banded_lapack`` loads on its own, so ``import cutslab`` loads neither
+the ``scipy.linalg`` nor the ``scipy.sparse`` package.
+
 The bands come straight from the chunk's triplets, whose rows are already in
 position order: kl and ku follow from them, and one ``bincount`` sums each
 entry's duplicates into its band slot.  The band layout is known to this
@@ -51,16 +56,57 @@ batching adds.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dlangb
 
 from .assembly import SlabSystem, assemble_slab
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
 from .geometry import build_slab_geometry
 from .spaces import SlabSolution, SpaceTimeSolution, build_slab_space
+
+
+def banded_lapack(scipy_dir: str | None = None) -> tuple:
+    """LAPACK's ``dgbcon``, ``dgbtrf``, ``dgbtrs`` and ``dlangb``, as scipy's
+    f2py routines.
+
+    They live in the extension ``scipy.linalg._flapack``, which is loaded
+    from the ``linalg`` directory of ``scipy_dir`` (scipy's own, found
+    without importing it, by default) on its own: importing the
+    ``scipy.linalg`` package would take most of ``import cutslab``.  The
+    extension is registered under its qualified name, so a later ``import
+    scipy.linalg`` reuses it.  When the directory, the extension or a
+    routine is missing, or the extension does not load alone, the routines
+    come from ``scipy.linalg.lapack``."""
+    names = ("dgbcon", "dgbtrf", "dgbtrs", "dlangb")
+    qualified = "scipy.linalg._flapack"
+    module = sys.modules.get(qualified)
+    if module is None:
+        if scipy_dir is None:
+            spec = find_spec("scipy")
+            if spec is not None and spec.submodule_search_locations:
+                scipy_dir = spec.submodule_search_locations[0]
+        if scipy_dir is not None:
+            spec = PathFinder.find_spec(qualified, [os.path.join(scipy_dir, "linalg")])
+            if spec is not None:
+                try:
+                    module = module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                except ImportError:
+                    module = None
+    if module is not None and all(hasattr(module, name) for name in names):
+        sys.modules.setdefault(qualified, module)
+    else:
+        from scipy.linalg import lapack as module
+    return tuple(getattr(module, name) for name in names)
+
+
+dgbcon, dgbtrf, dgbtrs, dlangb = banded_lapack()
 
 PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10

@@ -420,6 +420,24 @@ class TestMainErrors:
         assert "config error: the config must be a JSON object" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
 
+    @pytest.mark.parametrize("output", ["x", {"dir": 5}, {"dir": None}, ["out"]])
+    def test_malformed_output_section_is_config_error(self, tmp_path, capsys, monkeypatch, output):
+        # "x" used to raise AttributeError, and a non-string dir TypeError
+        monkeypatch.chdir(tmp_path)
+        cfg_path = _write(tmp_path, _base_config(output=output))
+        assert main(["solve", str(cfg_path), "--quiet"]) == EXIT_CONFIG
+        assert "config error: output" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
+        # -2 used to run the study serially
+        cfg_path = _write(tmp_path, _base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", str(cfg_path), "--quiet", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
     def test_solve_geometry_violation_exit(self, tmp_path):
         cfg = _base_config()
         cfg["overlap"]["velocity"] = {"mode": "constant", "value": -0.4}

@@ -21,6 +21,10 @@ from cutslab.core import (
 )
 
 
+def _zero(*args):
+    return 0.0
+
+
 class TestMakeUniformMesh:
     def test_four_cells(self):
         assert np.allclose(make_uniform_mesh((0.0, 1.0), 4), [0, 0.25, 0.5, 0.75, 1.0])
@@ -198,6 +202,32 @@ class TestValidation:
         kwargs[field] = value
         with pytest.raises(ValueError):
             OverlapSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, False, "0.6", None, 1j, np.True_])
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda v: ProblemSpec(v, 1.0, 1.0, _zero, _zero), "x_lo"),
+            (lambda v: ProblemSpec(-1.0, v, 1.0, _zero, _zero), "x_hi"),
+            (lambda v: ProblemSpec(0.0, 1.0, v, _zero, _zero), "final_time"),
+            (lambda v: OverlapSpec(v, 0.125, 0.0), "length"),
+            (lambda v: OverlapSpec(0.25, v, 0.0), "initial_left"),
+            (lambda v: OverlapSpec(0.25, 0.125, v), "velocity"),
+            (lambda v: Discretization(8, 4, 4, gamma=v), "gamma"),
+            (lambda v: Discretization(8, 4, 4, omega1=v), "omega1"),
+        ],
+        ids=["x_lo", "x_hi", "final_time", "length", "initial_left", "velocity", "gamma", "omega1"],
+    )
+    def test_non_real_field(self, build, field, value):
+        # True used to pass as 1 (an overlap of length 1, gamma 1, T = 1),
+        # and a string or None failed with a bare TypeError
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            build(value)
+
+    @pytest.mark.parametrize("kind", [int, float, np.float32, np.float64, np.int64])
+    def test_real_field_types(self, kind):
+        assert OverlapSpec(0.25, kind(0), kind(0)).velocity == 0
+        assert Discretization(8, 4, 4, gamma=kind(10), omega1=kind(1)).gamma == 10
 
     def test_overlap_bad_mode(self):
         with pytest.raises(ValueError):

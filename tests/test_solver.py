@@ -673,22 +673,83 @@ class TestReferenceSolver:
             assert np.max(np.abs(slab.coeffs - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-def test_import_leaves_superlu_out():
-    # SuperLU is the tests' reference solver only, and a CSC matrix is built
-    # only when asked for: importing the library loads neither
-    # scipy.sparse.linalg nor scipy.sparse
+def _fresh_process(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports cutslab from
+    this checkout's sources."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(cutslab.solver.__file__).parents[1])
-    modules = "('scipy.sparse.linalg', 'scipy.sparse')"
-    code = f"import sys, cutslab; print([m in sys.modules for m in {modules}])"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[False, False]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy_linalg_sparse_or_process_pool():
+    # LAPACK comes from the extension alone (banded_lapack), SuperLU is the
+    # tests' reference solver only, a CSC matrix is built only when asked
+    # for, and only a parallel convergence study needs a process pool
+    modules = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    code = (
+        f"import sys, cutslab; print([m for m in {modules} if m in sys.modules]); "
+        "import cutslab.cli; print('concurrent.futures.process' in sys.modules)"
+    )
+    assert _fresh_process(code).splitlines() == ["[]", "False"]
+
+
+class TestBandedLapack:
+    """The routines ``banded_lapack`` loads are scipy.linalg.lapack's."""
+
+    NAMES = ("dgbcon", "dgbtrf", "dgbtrs", "dlangb")
+
+    def test_a_later_scipy_linalg_import_reuses_the_loaded_routines(self):
+        code = (
+            "import sys, cutslab.solver as s; assert 'scipy.linalg' not in sys.modules; "
+            "import scipy.linalg.lapack as L; "
+            f"print(all(getattr(L, n) is getattr(s, n) for n in {self.NAMES}))"
+        )
+        assert _fresh_process(code) == "True"
+
+    @pytest.mark.parametrize("kl,ku", [(3, 4), (4, 3), (7, 7), (15, 17), (17, 15), (60, 45)])
+    def test_same_results_as_scipy_linalg_lapack(self, kl, ku):
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(kl * 100 + ku)
+        n = 3 * (kl + ku) + 5
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        ab[kl:] = rng.standard_normal((kl + ku + 1, n))
+        ab[kl + ku] += 4.0  # the diagonal
+        b = rng.standard_normal(n)
+        results = []
+        for lib in (cutslab.solver, lapack):
+            norms = [lib.dlangb(norm, kl, kl + ku, ab) for norm in ("I", "1")]
+            lu, ipiv, info = lib.dgbtrf(ab.copy(order="F"), kl, ku)
+            x, info_s = lib.dgbtrs(lu, kl, ku, b, ipiv)
+            rcond, info_c = lib.dgbcon(kl, ku, lu, ipiv, norms[1])
+            results.append((*norms, lu, ipiv, info, x, info_s, rcond, info_c))
+        assert results[0][4] == 0
+        for mine, theirs in zip(*results):
+            assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("stand_in", [None, "dgbtrf = dgbtrs = None\n"])
+    def test_falls_back_to_scipy_linalg_lapack(self, stand_in, tmp_path, monkeypatch):
+        # a scipy directory whose linalg holds no _flapack, or one that
+        # lacks routines: the routines come from scipy.linalg.lapack, and the
+        # stand-in is not registered
+        import sys
+
+        from scipy.linalg import lapack
+
+        (tmp_path / "linalg").mkdir()
+        if stand_in is not None:
+            (tmp_path / "linalg" / "_flapack.py").write_text(stand_in)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        routines = cutslab.solver.banded_lapack(str(tmp_path))
+        assert all(r is getattr(lapack, n) for r, n in zip(routines, self.NAMES))
+        assert "scipy.linalg._flapack" not in sys.modules
 
 
 class TestConstantCallables:
