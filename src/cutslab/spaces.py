@@ -78,15 +78,18 @@ def interface_stencil(
     mu = np.array([g.mu for g in geoms])[slab]
     a = left_at(geoms, slab, times)
     x = np.concatenate([a, a + geoms[0].overlap_length])
-    # value cell: the cell holding the point; gradient cell: the cell on the
-    # uncovered side, left of the left point and right of the right one.  Both
-    # are looked up at the snapped point, the weights take the true one
+    # value cell: the cell holding the true point, so the weights interpolate
+    # the P1 function there, as SlabSolution.eval does.  The cell of h_K (the
+    # one holding the point, right of its node when on one) and the gradient
+    # cell (the cell on the uncovered side, left of the left point and right
+    # of the right one) are looked up at the snapped point
     xs = snap(nodes, x)
-    cells = np.empty((2, 2 * nt), dtype=int)
-    cells[0] = np.searchsorted(nodes, xs, side="right")
-    cells[1, :nt] = np.searchsorted(nodes, xs[:nt], side="left")
-    cells[1, nt:] = cells[0, nt:]
-    c, c1 = np.clip(cells - 1, 0, nb - 2)
+    cells = np.empty((3, 2 * nt), dtype=int)
+    cells[0] = np.searchsorted(nodes, x, side="right")
+    cells[1] = np.searchsorted(nodes, xs, side="right")
+    cells[2, :nt] = np.searchsorted(nodes, xs[:nt], side="left")
+    cells[2, nt:] = cells[1, nt:]
+    c, cK, c1 = np.clip(cells - 1, 0, nb - 2)
     h = nodes[c + 1] - nodes[c]
     w1 = (x - nodes[c]) / h
     g1 = omega1 / (nodes[c1 + 1] - nodes[c1])
@@ -120,7 +123,7 @@ def interface_stencil(
         upwind=upwind[order],
         x=x[order],
         n1=np.repeat([1.0, -1.0], nt)[order],
-        h_K=h[order],
+        h_K=(nodes[cK + 1] - nodes[cK])[order],
     )
 
 
