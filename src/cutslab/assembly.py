@@ -1,72 +1,46 @@
 """Slab system assembly, for a chunk of consecutive slabs at once.
 
-Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slab``,
-given the ``SlabSpaces`` of a chunk of slabs, builds everything else, the
-matrices, the source loads and the time-jump maps, for all of them in one
-pass over flat arrays of the chunk's (slab, time) rows and (slab, entry)
-triplets.  It reads the chunk's records (``spaces.build_slab_space``).  The
-result, ``SlabSystems``, is the chunk's block lower-bidiagonal system: the
-first slab's load holds the trace of the solution before the chunk (the
-initial data for slab 1), and ``SlabSystems.system`` adds the previous
-slab's end-time trace to each later slab's load, one product of its jump
-map, once that slab is solved.
+Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slab``
+builds everything else of a chunk's slabs, the matrices, the source loads
+and the time-jump maps, in one pass over flat arrays of (slab, time) rows
+and (slab, entry) triplets, reading the columns of the chunk's records
+(``spaces.SlabSpaces``).  The result, ``SlabSystems``, is the chunk's block
+lower-bidiagonal system: the first slab's load holds the trace of the
+solution before the chunk (the initial data for slab 1), and
+``SlabSystems.system`` adds the previous slab's end-time trace to each later
+slab's load, one product of its jump map, once that slab is solved.
 
-A slab whose matrix repeats the previous slab's, known from the time
-partition (``Setup.repeats``: a run of stationary slabs), gets no triplets:
-it reads those of the slab it repeats, also across chunks, so a stationary
-march builds one matrix in all.  Its loads and jump map are its own.
+A slab whose matrix repeats the previous slab's (``Setup.repeats``) gets no
+triplets but reads those of the slab it repeats, also across chunks, so a
+stationary march builds one matrix in all.
 
-Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
-nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
-that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
-temporal modes.  A ``node -> row`` table (``position_order``, -1 for a
-dropped background node) maps them once to each slab's rows, its DOFs
-sorted by position, in which the solver's bands are banded.  The triplets
-go to the solver unsummed, slab after slab, and the loads and jump maps in
-the same rows.  A CSC matrix is built, with ``scipy.sparse``, only when one
-is read.  The pieces differ in their time dependence:
+Every piece of the slab form yields COO triplets in the global node
+numbering (background nodes ``0..nb-1``, then overlap nodes), each spatial
+entry carrying a (q+1)x(q+1) block over the temporal modes.  A ``node ->
+row`` table (``position_order``) maps them once to each slab's rows, its
+DOFs sorted by position, in which the solver's bands are banded.  The
+triplets go to the solver unsummed, slab after slab; a CSC matrix is built,
+with ``scipy.sparse``, only when one is read.  The pieces:
 
-* the full-mesh P1 mass, stiffness and drift entries of both meshes are
-  constant.  The overlap mesh moves rigidly, so its entries depend only on the
-  node offsets; they are built once per setup (``Setup.mesh_matrices``) and
-  contracted with every slab's exact temporal weights in one product;
-* background volume terms over the uncovered region are the full-mesh matrices
-  minus a correction over the covered interval, whose entries are piecewise
-  polynomial in time between interface-node crossings;
+* the full-mesh P1 mass, stiffness and drift of both meshes are constant
+  (``Setup.mesh_matrices``; the overlap mesh moves rigidly) and contracted
+  with every slab's exact temporal weights in one product;
+* background volume terms over the uncovered region are those minus a
+  correction over the covered interval, piecewise polynomial in time between
+  interface-node crossings, integrated at each slab's own panel times;
 * interface point terms (Nitsche coupling, penalty, upwind space-time jump)
-  come from the records' stencils of both interface points at all panel Gauss
-  times: seven nodes per point with jump, average-gradient and upwind-trace
-  weights, piecewise polynomial between the same crossings;
-* the overlap-region gradient-jump stabilization comes from the records'
-  stabilization weights: pairwise over (cut background cell, overlap cell),
-  the exact temporal weights of each pair's covered length with panels at
-  their mutual crossings.  The energy norm reads the same weights.
+  come from the records' stencils at all panel Gauss times;
+* the gradient-jump stabilization comes from the records' pairwise exact
+  weights, which the energy norm reads too.
 
 Composite three-point Gauss rules on those panels integrate every piecewise
-polynomial integrand exactly (degree <= 5), so the assembled matrix carries no
-temporal quadrature error.
-
-The source load uses the lower-order rules of the reference computation:
-trapezoid in space, midpoint in time for piecewise-constant time elements and
-three-point Lobatto for linear ones.  Its spatial sums carry no temporal mode.
-One merged partition at every distinct (slab, time) of the chunk's rule gives
-each segment two scalar hat weights, for the two nodes of its own cell, from
-the source at the segment's ends; two ``bincount`` calls sum them per time
-and node.  One product per chunk then weights each slab's times by their
-rule weights and mode values.  A chunk thus makes one partition and one call
-of the source, which sees each breakpoint of each distinct time once, and no
-spatial temporary has a mode axis: the modes enter only that product, of
-slabs x (most distinct times of a slab) x nodes x (q+1) multiply-adds.
-
-The time-jump load of a slab after the first is the side-wise mass at the
-slab start (the full-mesh mass minus the covered correction there)
-applied to the previous slab's end-time trace (``_jump_maps``); the first
-slab integrates the initial data with three-point Gauss per merged-partition
-segment, through the same hat sums.
-
-A chunk's temporaries (its triplets, the merged partitions of its source
-load, its covered-cell products) grow with its slab count; the march's cap
-on a chunk (``solver.CHUNK_ENTRIES``) bounds them.
+polynomial integrand exactly (degree <= 5).  The source load uses trapezoid
+in space and midpoint (q = 0) or three-point Lobatto (q = 1) in time: one
+merged partition at every distinct (slab, time) of the chunk's rule, two
+``bincount`` sums of hat weights per time and node, and one product with the
+rule weights and mode values per chunk (``_f_load``).  The time-jump load is
+the side-wise start mass applied to the previous slab's end-time trace
+(``_jump_maps``).  ``solver.CHUNK_ENTRIES`` bounds a chunk's temporaries.
 """
 
 from __future__ import annotations
@@ -78,18 +52,11 @@ import numpy as np
 
 from .core import NumericalFailure, Setup, pointwise
 from .geometry import (
-    SlabGeometry,
-    left_at,
-    partition_at,
-    ragged_arange,
-    segment_cells,
-    segment_points,
+    SlabGeometries, SlabGeometry, partition_at, ragged_arange, segment_cells, segment_points,
     spatial_partition,
 )
 from .quadrature import GL3, composite_time_rule, lobatto3, midpoint
-from .spaces import (
-    InterfaceStencil, SlabSolution, SlabSpace, SlabSpaces, temporal_basis_derivs, temporal_modes
-)
+from .spaces import SlabSolution, SlabSpace, SlabSpaces, temporal_basis_derivs, temporal_modes
 
 
 @dataclass(eq=False)
@@ -97,13 +64,12 @@ class SlabSystem:
     """The system of one slab, as ``SlabSystems.system`` builds it: the
     matrix as ``triplets`` (rows, cols, vals) in the slab's position order
     with duplicates unsummed, the ``load`` in that order, and ``order``, the
-    slab DOF of each position.  ``matrix``, a scipy.sparse CSC array, and
-    ``rhs`` give them in DOF order; they are built only when read, off the
-    march path.  ``repeats`` tells that the matrix is the previous slab's
-    (``Setup.repeats``).  ``memo`` is the march's ``solver.FactorMemo``,
-    shared by its slabs, which then holds that slab's factor (None factors
-    afresh), and ``band`` the matrix's ``solver.Band`` (None builds it from
-    the triplets).
+    slab DOF of each position.  ``matrix`` (scipy.sparse CSC) and ``rhs``
+    give them in DOF order, built only when read.  ``repeats``: the matrix
+    is the previous slab's.  ``memo`` is the march's ``solver.FactorMemo``
+    (None factors afresh), ``band`` the matrix's ``solver.Band`` (None: built
+    from the triplets), and ``check`` false leaves the checks of the solve to
+    the caller, which runs them for a group of slabs at once.
     """
 
     slab: int
@@ -114,6 +80,7 @@ class SlabSystem:
     repeats: bool = False
     memo: object = None
     band: object = None
+    check: bool = True
 
     @cached_property
     def matrix(self):
@@ -125,11 +92,6 @@ class SlabSystem:
         rhs = np.empty_like(self.load)
         rhs[self.order] = self.load
         return rhs
-
-
-# ---------------------------------------------------------------------------
-# spatial entries as COO triplets in the global node numbering
-# ---------------------------------------------------------------------------
 
 
 def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
@@ -154,24 +116,25 @@ def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
     return out
 
 
-def _covered_entries(geom: SlabGeometry, a: np.ndarray, active: np.ndarray):
+def _covered_entries(geom, a: np.ndarray, slab: np.ndarray, active: np.ndarray):
     """Mass/stiffness of the background basis over the covered interval
-    [a, a + L] at the left positions ``a``, shaped (slabs, positions).
+    [a, a + L] at each left position of ``a``, where ``slab``
+    (nondecreasing) gives the position's slab.
 
     Each slab's entries run over the background cells met at any of its
     positions, only those with a node in ``active`` (slabs, background
     nodes), padded to the most cells of any slab by repeating one of its
     cells.  Returns the cells (slabs, cells), which of them are the slab's
-    own, and the (e00, e01, e11) mass and stiffness shaped (2, slabs,
-    positions, 3, cells); they vanish where a cell lies outside that
-    position's interval.
+    own, and the (e00, e01, e11) mass and stiffness shaped (2, positions, 3,
+    cells); they vanish where a cell lies outside that position's interval.
     """
     nodes = geom.bg_nodes
     last = len(nodes) - 2
     b = a + geom.overlap_length
+    at = np.flatnonzero(np.diff(slab, prepend=-1))  # each slab's first position
     # not snapped: these cells only bound the loop of the exact integral over [a, a + L]
-    c_lo = np.clip(np.searchsorted(nodes, a.min(axis=1), side="right") - 1, 0, last)
-    c_hi = np.clip(np.searchsorted(nodes, b.max(axis=1), side="left") - 1, 0, last)
+    c_lo = np.clip(np.searchsorted(nodes, np.minimum.reduceat(a, at), side="right") - 1, 0, last)
+    c_hi = np.clip(np.searchsorted(nodes, np.maximum.reduceat(b, at), side="left") - 1, 0, last)
     cells = c_lo[:, None] + np.arange((c_hi - c_lo).max() + 1)
     own = cells <= c_hi[:, None]
     cells = np.minimum(cells, c_hi[:, None])
@@ -180,9 +143,9 @@ def _covered_entries(geom: SlabGeometry, a: np.ndarray, active: np.ndarray):
     # the kept cells first, in order, and as few columns as any slab needs
     by = np.argsort(~own, axis=1, kind="stable")[:, : max(own.sum(axis=1).max(), 1)]
     cells, own = np.take_along_axis(cells, by, 1), np.take_along_axis(own, by, 1)
-    lo, hi = nodes[cells][:, None], nodes[cells + 1][:, None]
-    xa = np.maximum(lo, a[:, :, None])
-    xb = np.maximum(np.minimum(hi, b[:, :, None]), xa)
+    lo, hi = nodes[cells][slab], nodes[cells + 1][slab]
+    xa = np.maximum(lo, a[:, None])
+    xb = np.maximum(np.minimum(hi, b[:, None]), xa)
     return cells, own, _segment_mass_stiff(xa, xb, lo, hi)
 
 
@@ -198,11 +161,6 @@ def _point_entries(idx, vals, weights):
     return rows, cols, vals.reshape(n, s * s, 1) * weights.reshape(n, 1, mm)
 
 
-# ---------------------------------------------------------------------------
-# slab assembly
-# ---------------------------------------------------------------------------
-
-
 def _temporal_products(q: int, k: np.ndarray):
     """Exact integrals of mode products over slabs of lengths ``k``, shaped
     (slabs, q+1, q+1): T1 = lam_i lam_j, T2 = lam_i lam_j' (test index
@@ -215,7 +173,7 @@ def _temporal_products(q: int, k: np.ndarray):
     return T1, T2
 
 
-def _hat_sums(geom: SlabGeometry, part, points, row, n_rows: int) -> np.ndarray:
+def _hat_sums(geom, part, points, row, n_rows: int) -> np.ndarray:
     """Weighted values against the two hats of each segment's own cell,
     summed per row and global node: shaped (n_rows, nodes).  ``points``
     holds a pair (x, fw) per quadrature point of a segment, each an array
@@ -236,15 +194,13 @@ def _hat_sums(geom: SlabGeometry, part, points, row, n_rows: int) -> np.ndarray:
     return g.reshape(n_rows, n_nodes)
 
 
-def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndarray, source):
+def _f_load(geoms: SlabGeometries, q, slab: np.ndarray, times: np.ndarray, weights, source):
     """Load of the source against every node's hat and temporal mode of each
     slab of ``geoms``, shaped (slabs, nodes, q+1): trapezoid per segment in
-    space, the rule (times, weights) in time, where ``slab`` gives the
-    position in ``geoms`` of each time's slab.  ``source`` is called once.
-
-    The hat sums carry no mode axis: they are formed once per distinct
-    (slab, time), and one product per chunk weights them by each time's
-    rule weight and mode values."""
+    space, the rule (times, weights) in time, where ``slab`` gives each
+    time's slab.  ``source`` is called once.  The hat sums carry no mode
+    axis: they are formed once per distinct (slab, time), and one product
+    weights them by each time's rule weight and mode values."""
     # a composite Lobatto rule repeats each inner panel endpoint of a slab
     order = np.lexsort((times, slab))
     ts, ss = times[order], slab[order]
@@ -257,12 +213,12 @@ def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndar
     S = len(geoms)
     rank = np.arange(len(ts)) - np.searchsorted(ss, ss)
     P = int(rank.max()) + 1
-    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
+    t0, t1 = geoms.t_start, geoms.t_end
     # the trapezoid's factor 1/2 rides on the temporal weights
     wlam = np.zeros((S, P, q + 1))
     tau = (ts - t0[ss]) / (t1[ss] - t0[ss])
     wlam[ss, rank] = 0.5 * np.bincount(slot, weights)[:, None] * temporal_modes(q, tau)
-    part = partition_at(geoms[0], ts, left_at(geoms, ss, ts))
+    part = partition_at(geoms, ts, geoms.left(ss, ts))
     # the segments of one time tile the domain, so the source is evaluated
     # at each segment's left end and at the right end of each time's last one
     row = part.time_index
@@ -278,7 +234,7 @@ def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndar
     fb[last] = f[n:]
     fb *= length
     points = [(part.xa, fa), (part.xb, fb)]
-    g = _hat_sums(geoms[0], part, points, (ss * P + rank)[row], S * P)
+    g = _hat_sums(geoms, part, points, (ss * P + rank)[row], S * P)
     return np.matmul(wlam.transpose(0, 2, 1), g.reshape(S, P, -1)).transpose(0, 2, 1)
 
 
@@ -312,38 +268,38 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active):
     correction, at each slab start and on its panel Gauss times (``t_slab``
     gives each time's slab): mass against the start trace and lam_i lam_j',
     stiffness against lam_i lam_j; and the covered mass triplets (slab,
-    rows, cols, values) at the slab starts, slab after slab.  Only the cells
-    with a node in ``active`` (slabs, background nodes) give triplets: the
-    others give none that a slab's DOFs keep."""
+    rows, cols, values) at the slab starts.  Only the cells with a node in
+    ``active`` (slabs, background nodes), which a slab's DOFs keep, count."""
     S, mm = len(geoms), start.size
-    t0, mu, a0 = np.array([(g.t_start, g.mu, g.a_start) for g in geoms]).T
-    # positions: each slab's start, then its times, padded with its start
-    # (whose temporal weights stay zero)
-    p = np.arange(len(times)) - np.searchsorted(t_slab, t_slab) + 1
-    t = np.repeat(t0[:, None], p.max() + 1, axis=1)
-    t[t_slab, p] = times
-    P = t.shape[1]
-    a = a0[:, None] + mu[:, None] * (t - t0[:, None])
-    cells, own, (mv, kv) = _covered_entries(geoms[0], a, active)
+    # positions: each slab's start, then its times; the product below pads
+    # each slab's to the most of any slab with zeros
+    count = np.bincount(t_slab, minlength=S) + 1
+    slab, p = np.repeat(np.arange(S), count), ragged_arange(count)
+    t = geoms.t_start[slab]
+    t[p > 0] = times
+    cells, own, (mv, kv) = _covered_entries(geoms, geoms.left(slab, t), slab, active)
+    P = count.max()
+    sym = np.zeros((S, 2 * P, mv[0].size))
+    sym[slab, p], sym[slab, P + p] = mv.reshape(len(p), -1), kv.reshape(len(p), -1)
     weights = np.zeros((S, 2, P, mm))
     weights[:, 0, 0] = start.ravel()
-    weights[t_slab, 0, p] = w_ld
-    weights[t_slab, 1, p] = w_ll
-    sym = np.concatenate([mv, kv], axis=1).reshape(S, 2 * P, -1)
+    weights[t_slab, 0, p[p > 0]] = w_ld
+    weights[t_slab, 1, p[p > 0]] = w_ll
     sym = (np.swapaxes(sym, 1, 2) @ weights.reshape(S, 2 * P, mm)).reshape(S, 3, -1, mm)
+    mv = mv[p == 0]  # at the slab starts
     # (slab, entry, cell) triplets of each slab's own cells
     pick = [0, 1, 1, 2]
     own = np.broadcast_to(own[:, None], (S, 4, own.shape[1]))
     slab = np.broadcast_to(np.arange(S)[:, None, None], own.shape)[own]
     rows = np.stack([cells, cells, cells + 1, cells + 1], axis=1)[own]
     cols = np.stack([cells, cells + 1, cells, cells + 1], axis=1)[own]
-    return (slab, rows, cols, -sym[:, pick][own]), (slab, rows, cols, mv[:, 0][:, pick][own])
+    return (slab, rows, cols, -sym[:, pick][own]), (slab, rows, cols, mv[:, pick][own])
 
 
 def _interface_part(spaces, nt, mu, gamma: float, w_ll):
     """Triplets of the interface point terms on the panel Gauss times:
     -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind trace_i J_j."""
-    st = InterfaceStencil(*(np.concatenate(f) for f in zip(*(sp.stencil for sp in spaces))))
+    st = spaces.stencil
     slab = np.repeat(np.arange(len(spaces)), 2 * nt)
     time = (np.cumsum(nt) - nt)[slab] + ragged_arange(2 * nt) % nt[slab]
     # every term pairs a trace slot (0, 1 or 4) with a slot: the entries
@@ -361,11 +317,10 @@ def _interface_part(spaces, nt, mu, gamma: float, w_ll):
 def _stabilization_part(spaces):
     """Triplets of the pairwise-exact gradient-jump stabilization, or None
     when no slab has a stabilized pair."""
-    stab = [(s, sp.stab) for s, sp in enumerate(spaces) if sp.stab is not None]
-    if not stab:
+    idx, g, W = spaces.stab
+    if not len(idx):
         return None
-    idx, g, W = (np.concatenate(x) for x in zip(*(st for _, st in stab)))
-    slab = np.repeat([s for s, _ in stab], [len(st[0]) for _, st in stab])
+    slab = spaces.slab_index("stab")
     return (slab[:, None], *_point_entries(idx, g[:, :, None] * g[:, None, :], W))
 
 
@@ -375,18 +330,16 @@ def position_order(spaces):
     their coordinate, overlap nodes at the slab midpoint, ties in DOF order)
     with the temporal modes of each together.  Returns ``node_row`` (slabs,
     nodes), the row of each node's first mode or -1 for a node without DOF,
-    and ``order``, the slab DOF of each row.
-    """
-    m = spaces[0].q + 1
-    geoms = [sp.geom for sp in spaces]
-    geom = geoms[0]
-    nb = len(geom.bg_nodes)
-    t0, t1, mu, a0 = np.array([(g.t_start, g.t_end, g.mu, g.a_start) for g in geoms]).T
-    node_dof = np.stack([sp.node_dof for sp in spaces])
+    and ``order``, the slab DOF of each row."""
+    m = spaces.q + 1
+    geoms = spaces.geoms
+    nb = len(geoms.bg_nodes)
+    t0, t1, mu, a0 = geoms.t_start, geoms.t_end, geoms.mu, geoms.a_start
+    node_dof = spaces.node_dof
     active = node_dof >= 0
     x = np.empty(node_dof.shape)
-    x[:, :nb] = geom.bg_nodes
-    x[:, nb:] = np.add.outer(a0 + mu * (0.5 * (t0 + t1) - t0), geom.ov_offsets)
+    x[:, :nb] = geoms.bg_nodes
+    x[:, nb:] = np.add.outer(a0 + mu * (0.5 * (t0 + t1) - t0), geoms.ov_offsets)
     x[~active] = np.inf  # after every DOF
     by = np.argsort(x, axis=1, kind="stable")
     rank = np.empty_like(by)
@@ -404,13 +357,12 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     with duplicates unsummed, slab i's from entry ``at[i]`` on and in its own
     rows (``node_row`` starts slab i at row ``first[i]``); ``at``; and the
     covered mass triplets at each slab start.  Raises ``NumericalFailure``
-    naming the first slab with a non-finite entry.
-    """
+    naming the first slab with a non-finite entry."""
     S = len(spaces)
-    geoms = [sp.geom for sp in spaces]
-    q = spaces[0].q
+    geoms = spaces.geoms
+    q = spaces.q
     m = q + 1
-    k, mu = np.array([(g.k, g.mu) for g in geoms]).T
+    k, mu = geoms.k, geoms.mu
     slab_ids = np.arange(S)
     dofs = node_row.ravel()
     at = slab_ids * node_row.shape[1]
@@ -428,16 +380,15 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     triplets = [to_rows(slab_ids[:, None], rows, cols, vals @ C)]
 
     # temporal weights on the panel Gauss times
-    nt = np.array([len(sp.times) for sp in spaces])
+    nt = spaces.counts[:, 0]
     t_slab = np.repeat(slab_ids, nt)
-    wts = np.concatenate([sp.weights for sp in spaces])[:, None, None]
-    lam = np.concatenate([sp.lam for sp in spaces])
+    wts = spaces.weights[:, None, None]
+    lam = spaces.lam
     dlam = temporal_basis_derivs(q, 0.0, k[t_slab])
     w_ll = (wts * lam[:, :, None] * lam[:, None, :]).reshape(-1, m * m)
     w_ld = (wts * lam[:, :, None] * dlam[:, None, :]).reshape(-1, m * m)
-    times = np.concatenate([sp.times for sp in spaces])
-    active = node_row[:, : len(geoms[0].bg_nodes)] >= 0
-    covered, start_cov = _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active)
+    active = node_row[:, : len(geoms.bg_nodes)] >= 0
+    covered, start_cov = _covered_part(geoms, t_slab, spaces.times, start, w_ld, w_ll, active)
     triplets.append(to_rows(*covered))
     triplets.append(to_rows(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
     stab = _stabilization_part(spaces)
@@ -451,7 +402,7 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     slab = np.repeat(np.arange(S, dtype=rows.dtype), np.diff(first))[rows]
     if not np.isfinite(vals).all():
         bad = slab[np.argmin(np.isfinite(vals))]
-        raise NumericalFailure(f"non-finite entries in slab {geoms[bad].n} system")
+        raise NumericalFailure(f"non-finite entries in slab {geoms.n[bad]} system")
     count = np.bincount(slab, minlength=S)
     by = np.argsort(slab, kind="stable")
     del slab
@@ -467,13 +418,11 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
 
 
 def _chunk_matrices(spaces, setup: Setup, node_row, first: list, new: np.ndarray, held):
-    """``_slab_matrices`` of the slabs of ``spaces`` with ``new`` true, on
-    their own: their triplets, in rows counted over them alone, and ``at``;
-    and the covered mass triplets (slab, rows, cols, values) at the start of
-    every slab, slab after slab.  Any other slab starts where the slab it
-    repeats starts, with the same DOFs, so its covered mass is that slab's:
-    in the chunk, or for the first slab ``held``'s.  ``node_row`` and
-    ``first`` are the chunk's (``position_order``)."""
+    """``_slab_matrices`` of the slabs of ``spaces`` with ``new`` true, in
+    rows counted over them alone; and the covered mass triplets (slab, rows,
+    cols, values) at the start of every slab, slab after slab: any other slab
+    has that of the slab it repeats, in the chunk or ``held``'s.
+    ``node_row`` and ``first`` are the chunk's (``position_order``)."""
     rows = cols = np.empty(0, dtype=np.intc)
     vals, at = np.empty(0), [0]
     cover = [np.empty(0, dtype=int)] * 3 + [np.empty(0)]
@@ -483,8 +432,7 @@ def _chunk_matrices(spaces, setup: Setup, node_row, first: list, new: np.ndarray
         made_first = [0] + np.cumsum(count).tolist()
         shift = (np.array(first)[made] - made_first[:-1]).astype(np.intc)
         made_row = np.where(node_row[made] >= 0, node_row[made] - shift[:, None], -1)
-        made_spaces = SlabSpaces(spaces[i] for i in made)
-        rows, cols, vals, at, cover = _slab_matrices(made_spaces, setup, made_row, made_first)
+        rows, cols, vals, at, cover = _slab_matrices(spaces.take(made), setup, made_row, made_first)
         if len(made) == len(new):
             return rows, cols, vals, at, cover
     # the covered mass of each slab's source: the assembled slab it is or
@@ -502,16 +450,13 @@ def _chunk_matrices(spaces, setup: Setup, node_row, first: list, new: np.ndarray
 def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
     """The time-jump maps of consecutive slabs: triplets (rows, cols, vals),
     each shaped (slabs, entries), from the previous slab's coefficients
-    (``cols``, its DOFs) to each slab's load (``rows``, its own rows).
-
-    The map is the side-wise mass at the slab start, the full-mesh mass minus
-    the covered mass ``start_cov``, between the slab's start-mode test
-    functions and the previous slab's end-time trace: both P1 on every
-    segment of the start partition, so the pairing is exact.  ``local_row``
-    (slabs, nodes) gives each node's first row or -1, ``prev_dof`` the
-    previous slab's DOF of its first mode or a negative number; an entry on
-    a node without either, or padding a slab with fewer covered cells, is a
-    zero on row and column 0.
+    (``cols``, its DOFs) to each slab's load (``rows``, its own rows): the
+    side-wise start mass (the full-mesh mass minus the covered mass
+    ``start_cov``) between the slab's start-mode test functions and the
+    previous slab's end-time trace, exact as both are P1 on every segment.
+    ``local_row`` (slabs, nodes) gives each node's first row or -1,
+    ``prev_dof`` the previous slab's DOF of its first mode or a negative
+    number; an entry on a node without either, or padding, is a zero on 0.
     """
     S = len(local_row)
     rows, cols, vals = setup.mesh_matrices
@@ -555,20 +500,16 @@ class SlabSystems:
     """The system of consecutive slabs, block lower bidiagonal in time.
 
     Slab i's unknowns are the chunk rows ``first[i]`` to ``first[i + 1]``,
-    in its position order (``position_order``): ``order`` gives the slab DOF
-    of each row.  The diagonal blocks, the slab matrices, come as triplets
-    with duplicates to be summed, each slab's in its own rows
-    (``triplets``).  A slab with ``new`` true was assembled: the j-th such
-    slab's triplets are ``rows``, ``cols``, ``vals`` from entry ``at[j]``
-    to ``at[j + 1]``.  Any other slab repeats the slab before it and reads
-    its triplets, the first slab those in ``held``, the previous chunk's
-    ``handoff``.  ``matrix`` builds them all into one block-diagonal CSC
-    array in DOF order when it is read.  ``loads`` holds each row's source
-    load; the first slab's also holds the trace of the solution before the
-    chunk (or the initial data).  Below the diagonal, ``jump`` takes the
-    solution on slab i-1 to slab i's time-jump load, so the slabs are solved
-    one after the other: ``system(i, prev)`` is slab i's system once
-    ``prev``, the solution on slab i-1, is known.
+    in its position order: ``order`` gives the slab DOF of each row.  The
+    slab matrices come as triplets with duplicates to be summed, each slab's
+    in its own rows (``triplets``): the j-th slab with ``new`` true has
+    ``rows``, ``cols``, ``vals`` from entry ``at[j]`` to ``at[j + 1]``; any
+    other slab reads those of the slab it repeats, the first slab those of
+    ``held``, the previous chunk's ``handoff``.  ``matrix`` is their block
+    diagonal CSC array in DOF order.  ``loads`` holds each row's source load
+    (and the first slab's the trace before the chunk); ``jump`` takes the
+    solution on slab i-1 to slab i's time-jump load, so ``system(i, prev)``
+    is slab i's system once ``prev``, the solution on slab i-1, is known.
     """
 
     spaces: SlabSpaces
@@ -582,45 +523,60 @@ class SlabSystems:
     vals: np.ndarray
     loads: np.ndarray
     jump: tuple  # (rows, cols, vals), each (slabs, entries): see _jump_maps
-    # when the slab after the chunk repeats its last: copies of that slab's
-    # triplets and of its covered mass triplets (rows, cols, values) at its
-    # start, which the next chunk's ``assemble_slab`` reads as ``held``
+    # when the slab after the chunk repeats its last: copies of its triplets
+    # and its covered start mass (rows, cols, values), the next chunk's ``held``
     handoff: tuple | None
+
+    @cached_property
+    def source(self) -> list:
+        """The assembled slab each slab is or repeats, counted over the
+        assembled ones (-1: ``held``'s)."""
+        return (np.cumsum(self.new) - 1).tolist()
 
     def triplets(self, i: int) -> tuple:
         """Slab i's matrix triplets (rows, cols, vals) in its own rows."""
-        j = int(np.count_nonzero(self.new[: i + 1])) - 1  # the assembled slab it is or repeats
+        j = self.source[i]
         if j < 0:
             return self.held[0]
         a, b = self.at[j], self.at[j + 1]
         return self.rows[a:b], self.cols[a:b], self.vals[a:b]
 
+    def group_triplets(self, lo: int, hi: int) -> tuple:
+        """The matrix triplets of slab lo, or of the assembled slabs lo to
+        hi - 1, in their rows counted from row ``first[lo]``."""
+        if hi - lo == 1:
+            return self.triplets(lo)
+        j = self.source[lo]
+        at = self.at[j : j + hi - lo + 1]
+        shift = np.repeat(np.array(self.first[lo:hi]) - self.first[lo], np.diff(at))
+        a, b = at[0], at[-1]
+        return self.rows[a:b] + shift, self.cols[a:b] + shift, self.vals[a:b]
+
+    @cached_property
+    def dof(self) -> np.ndarray:
+        """The chunk DOF of each row: slab i's DOFs count from ``first[i]``."""
+        return np.repeat(self.first[:-1], np.diff(self.first)) + self.order
+
     @cached_property
     def matrix(self):
         """The block-diagonal CSC array of the slab matrices, slab i's block
         from row and column ``first[i]`` on, in its DOF order."""
-        dof = np.repeat(self.first[:-1], np.diff(self.first)) + self.order
-        blocks = [self.triplets(i) for i in range(len(self.spaces))]
-        rows, cols, vals = (
-            np.concatenate(x)
-            for x in zip(*((dof[f + r], dof[f + c], v) for f, (r, c, v) in zip(self.first, blocks)))
-        )
-        return _csc(rows, cols, vals, self.first[-1])
+        dof, blocks = self.dof, zip(self.first, map(self.triplets, range(len(self.spaces))))
+        rows, cols, vals = zip(*((dof[f + r], dof[f + c], v) for f, (r, c, v) in blocks))
+        return _csc(*(np.concatenate(x) for x in (rows, cols, vals)), self.first[-1])
 
-    def system(self, i: int, prev: SlabSolution | None, memo=None, band=None) -> SlabSystem:
-        """The system of slab i (0-based in the chunk); ``prev`` is read for
-        i > 0 only.  ``memo`` and ``band`` are handed on to the solve
-        (``SlabSystem.memo`` and ``SlabSystem.band``).  Raises
-        ``NumericalFailure`` naming the slab when its load is not finite."""
+    def system(self, i: int, prev, memo=None, band=None, check=True) -> SlabSystem:
+        """The system of slab i (0-based in the chunk); ``prev``, the
+        solution on slab i - 1 (a ``SlabSolution``) or its coefficients, is
+        read for i > 0 only.  ``memo``, ``band`` and ``check`` are handed on
+        to the solve (``SlabSystem``)."""
         f, k = self.first[i], self.first[i + 1]
         load = self.loads[f:k]
         if i > 0:
-            load = load + _apply(self.jump, i, prev.coeffs, k - f)
-        space = self.spaces[i]
-        if not np.isfinite(load).all():
-            raise NumericalFailure(f"non-finite entries in slab {space.geom.n} system")
+            load = load + _apply(self.jump, i, getattr(prev, "coeffs", prev), k - f)
         return SlabSystem(
-            space.geom.n, space, self.triplets(i), self.order[f:k], load, not self.new[i], memo, band
+            int(self.spaces.geoms.n[i]), self.spaces[i], self.triplets(i), self.order[f:k], load,
+            not self.new[i], memo, band, check,
         )
 
 
@@ -628,33 +584,27 @@ def assemble_slab(
     spaces: SlabSpaces, setup: Setup, prev: SlabSolution | None, held=None
 ) -> SlabSystems:
     """The matrices, source loads and time-jump maps of the consecutive slabs
-    ``spaces``, built at once.
-
-    ``prev`` is the solution on the slab before them, whose end-time trace
-    enters the first slab's load; before slab 1 it is None and the initial
-    data enters instead.
-
-    A slab that repeats the slab before it (``Setup.repeats``) gets no matrix
-    of its own: it reads the triplets of the slab it repeats, in the chunk
-    or, for the first slab, in ``held``, the previous chunk's
-    ``SlabSystems.handoff``.  Without ``held`` the first slab is assembled.
-    Its loads and jump map are its own, as every slab's.
-    """
+    ``spaces``, built at once.  ``prev`` is the solution on the slab before
+    them, whose end-time trace enters the first slab's load (None before
+    slab 1: the initial data enters).  A slab that repeats the slab before
+    it (``Setup.repeats``) gets no matrix of its own but reads that slab's
+    triplets, the first slab those in ``held``, the previous chunk's
+    ``SlabSystems.handoff`` (without it, the first slab is assembled)."""
     S = len(spaces)
-    q = spaces[0].q
+    q = spaces.q
     m = q + 1
-    geoms = [sp.geom for sp in spaces]
+    geoms = spaces.geoms
     node_row, order = position_order(spaces)
-    first = [0] + np.cumsum([sp.n_cols for sp in spaces]).tolist()
-    new = ~setup.repeats[[g.n - 1 for g in geoms]]
+    first = [0] + np.cumsum(spaces.slab_cols).tolist()
+    new = ~setup.repeats[geoms.n - 1]
     new[0] |= held is None
     held = None if new[0] else held
     rows, cols, vals, at, start_cov = _chunk_matrices(spaces, setup, node_row, first, new, held)
 
-    t0, t1 = np.array([(g.t_start, g.t_end) for g in geoms]).T
+    t0, t1 = geoms.t_start, geoms.t_end
     rule = midpoint() if q == 0 else lobatto3()
-    times, wts = composite_time_rule(t0, t1, [g.events for g in geoms], rule)
-    panels = np.array([len(g.events) + 1 for g in geoms])
+    times, wts = composite_time_rule(t0, t1, geoms.events, rule, geoms.counts[:, 0])
+    panels = geoms.counts[:, 0] + 1
     slab = np.repeat(np.arange(S), len(rule.nodes) * panels)
     F = _f_load(geoms, q, slab, times, wts, setup.problem.source)
     if prev is None:
@@ -667,7 +617,7 @@ def assemble_slab(
     # each slab's rows, and the previous slab's DOFs, of every node's first mode
     start = np.array(first[:-1], dtype=np.intc)[:, None]
     local_row = np.where(node_row >= 0, node_row - start, -1)
-    node_dof = np.stack([sp.node_dof for sp in spaces])
+    node_dof = spaces.node_dof
     prev_dof = np.empty_like(node_dof)
     prev_dof[1:] = m * node_dof[:-1]
     prev_dof[0] = -1 if prev is None else m * prev.space.node_dof
@@ -675,11 +625,9 @@ def assemble_slab(
     if prev is not None:
         loads[: first[1]] += _apply(jump, 0, prev.coeffs, first[1])
     handoff = None
-    if geoms[-1].n < len(setup.repeats) and setup.repeats[geoms[-1].n]:
+    if geoms.n[-1] < len(setup.repeats) and setup.repeats[geoms.n[-1]]:
         # the slab after the chunk repeats its last: copies of what it reads
         matrix = tuple(x[at[-2] :].copy() for x in (rows, cols, vals)) if len(at) > 1 else held[0]
         last = start_cov[0] == S - 1
         handoff = (matrix, tuple(x[last] for x in start_cov[1:]))
-    return SlabSystems(
-        spaces, first, order, new, held, at, rows, cols, vals, loads, jump, handoff
-    )
+    return SlabSystems(spaces, first, order, new, held, at, rows, cols, vals, loads, jump, handoff)

@@ -236,27 +236,15 @@ def manufactured_problem(final_time: float = 1.0) -> ProblemSpec:
             -0.5 * np.sin(np.pi * x) ** 2 - 2 * np.pi**2 * np.cos(2 * np.pi * x)
         )
 
-    return ProblemSpec(
-        x_lo=0.0,
-        x_hi=1.0,
-        final_time=final_time,
-        source=source,
-        initial=lambda x: np.sin(np.pi * x) ** 2,
-        exact=ExactSolution(u=u, u_x=u_x, u_t=u_t),
-    )
+    initial = lambda x: np.sin(np.pi * x) ** 2
+    return ProblemSpec(0.0, 1.0, final_time, source, initial, ExactSolution(u=u, u_x=u_x, u_t=u_t))
 
 
 def zero_problem(final_time: float = 1.0) -> ProblemSpec:
     """Zero source and zero initial data; the solution is identically zero."""
     zero2 = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    return ProblemSpec(
-        x_lo=0.0,
-        x_hi=1.0,
-        final_time=final_time,
-        source=zero2,
-        initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        exact=ExactSolution(u=zero2, u_x=zero2, u_t=zero2),
-    )
+    initial = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    return ProblemSpec(0.0, 1.0, final_time, zero2, initial, ExactSolution(zero2, zero2, zero2))
 
 
 # 5-point Gauss-Legendre on [0,1], for slab averages of a smooth velocity
@@ -351,20 +339,21 @@ class Setup:
 
     @cached_property
     def mesh_matrices(self):
-        """Triplets of the full-mesh P1 mass, stiffness and drift matrices of
-        both meshes in the global node numbering (background nodes, then
-        overlap nodes); values shaped (entries, 3).
+        """The full-mesh P1 mass, stiffness and drift matrices of both meshes
+        in the global node numbering (background nodes, then overlap nodes):
+        rows, cols and values shaped (entries, 3) of the 3n - 2 entries of
+        each mesh of n nodes, each cell's share summed, in row order.
 
         The overlap mesh moves rigidly, so its entries depend only on the node
         offsets.  The background mesh is fixed and gets no drift.  Built on
         first use, once per setup.
         """
         nb = len(self.bg_nodes)
+        n = nb + len(self.ov_offsets)
         r1, c1, v1 = p1_triplets(self.bg_nodes)
         v1[:, 2] = 0.0
         r2, c2, v2 = p1_triplets(self.ov_offsets)
-        return (
-            np.concatenate([r1, r2 + nb]),
-            np.concatenate([c1, c2 + nb]),
-            np.concatenate([v1, v2]),
-        )
+        keys = np.concatenate([r1 * n + c1, (r2 + nb) * n + c2 + nb])
+        keys, at = np.unique(keys, return_inverse=True)
+        vals = np.stack([np.bincount(at, v) for v in np.concatenate([v1, v2]).T], axis=1)
+        return keys // n, keys % n, vals

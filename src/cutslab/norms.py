@@ -6,38 +6,35 @@ and the moving-interface jump term.  Temporal integration is composite
 three-point Gauss over the interface-crossing panels of each slab; spatial
 integration is three-point Gauss per merged-partition segment.
 
-The norm works on flat rows across all slabs, not slab by slab, and reads
-the ``SlabSpace`` records that the march built (``spaces.build_slab_space``)
-without rebuilding any of them.  The nodal values of the whole solution form
-one (slab, node, mode) array, and the rows are the records' times with their
-weights and temporal mode values, each tagged with its slab.
+The norm works on flat rows across all slabs, not slab by slab.  It reads the
+columns of the records the march built (``spaces.SlabSpaces``) and the
+march's coefficient column as they are (``SpaceTimeSolution.columns`` joins
+those of solutions put together slab by slab): the nodal values form one
+(slab, node, mode) array, and the rows are the records' times with their
+weights, mode values and slabs.
 
 - Volume terms: the rows go in chunks of at most ``CHUNK_ROW_NODES`` (time
-  rows x mesh nodes) with one merged partition per chunk.  A chunk forms the
+  rows x mesh nodes) with one merged partition per chunk, which forms the
   discrete solution and its time derivative at every node of its rows once;
-  each segment reads its own cell's ends from those by 1-D gathers.  A chunk
-  may cut a slab's times, so the cap bounds the temporaries of a wide slab.
-- Interface terms: one gathered contraction over the interface stencil rows
-  of all records, with each row's slab velocity.
-- Gradient-jump term over the covered parts of cut cells: the quadratic form
-  of the records' stabilization weights (pairwise per cut cell and overlap
-  cell, exact in time) in the discrete gradient jumps, over the pairs of all
-  slabs at once; it is exact for discrete arguments.
+  each segment reads its cell's ends from those by 1-D gathers.
+- Interface terms: one gathered contraction over the stencil rows of all
+  records, with each row's slab velocity.
+- Gradient-jump term: the quadratic form of the records' stabilization
+  weights in the discrete gradient jumps over all pairs at once; it is exact
+  for discrete arguments.
 - Initial, time-jump and final traces: the slab breakpoints in chunks under
-  the same cap, one merged partition per chunk, with the nodal values of the
-  slabs above and below each breakpoint.
+  the same cap, with the nodal values of the slabs above and below each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import ExactSolution, pointwise
-from .geometry import left_at, partition_at, ragged_arange, segment_cells, segment_points
-from .spaces import SpaceTimeSolution, temporal_basis_derivs, temporal_modes
+from .core import ExactSolution, pointwise, zero_problem
+from .geometry import partition_at, ragged_arange, segment_cells, segment_points
+from .spaces import SlabSpaces, SpaceTimeSolution, temporal_basis_derivs, temporal_modes
 
 # The volume terms and the breakpoint traces take their rows (times) in
 # chunks of at most this many time rows x mesh nodes (background plus
@@ -65,14 +62,8 @@ class NormBreakdown:
     @property
     def b_sq(self) -> float:
         return (
-            self.grad_sq
-            + self.flux_sq
-            + self.iface_jump_sq
-            + self.stab_sq
-            + self.time_jump_sq
-            + self.final_sq
-            + self.initial_sq
-            + self.moving_jump_sq
+            self.grad_sq + self.flux_sq + self.iface_jump_sq + self.stab_sq
+            + self.time_jump_sq + self.final_sq + self.initial_sq + self.moving_jump_sq
         )
 
     @property
@@ -88,20 +79,14 @@ class NormBreakdown:
         return float(np.sqrt(self.x_sq))
 
 
-def _zero_exact() -> ExactSolution:
-    z = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    return ExactSolution(u=z, u_x=z, u_t=z)
-
-
-def _nodal_values(sol: SpaceTimeSolution) -> np.ndarray:
+def _nodal_values(spaces: SlabSpaces, coeffs: np.ndarray) -> np.ndarray:
     """Per-mode nodal values of every slab in the global node numbering,
     shaped (slabs, background + overlap nodes, q+1); dropped background DOFs
-    are 0.  A slab's DOFs follow its nodes in order, so its coefficients
-    fill its nodes that carry a DOF in turn."""
-    spaces = [s.space for s in sol.slabs]
-    has_dof = np.array([sp.node_dof for sp in spaces]) >= 0
-    vals = np.zeros(has_dof.shape + (spaces[0].q + 1,))
-    vals[has_dof] = np.concatenate([s.coeffs for s in sol.slabs]).reshape(-1, vals.shape[2])
+    are 0.  A slab's DOFs follow its nodes in order, so the coefficient
+    column fills the nodes that carry a DOF in turn, slab after slab."""
+    has_dof = spaces.node_dof >= 0
+    vals = np.zeros(has_dof.shape + (spaces.q + 1,))
+    vals[has_dof] = coeffs.reshape(-1, vals.shape[2])
     return vals
 
 
@@ -112,39 +97,30 @@ def _row_values(vals, slab, lam) -> np.ndarray:
     return np.einsum("rnm,rm->rn", vals[slab], lam).ravel()
 
 
-class _Rows(NamedTuple):
-    """The rule times of every slab record, slab after slab, each with its
-    slab's position, quadrature weight and temporal mode values."""
-
-    slab: np.ndarray
-    times: np.ndarray
-    weights: np.ndarray
-    lam: np.ndarray  # (rows, q+1)
-
-
-def _volume_terms(spaces, vals, rows: _Rows, exact, per_chunk: int):
+def _volume_terms(spaces, vals, slab, times, exact, per_chunk: int):
     """Squared gradient error and squared material-derivative errors on
     side 1 and on side 2 (each slab's scaled by its length k), taking
-    ``per_chunk`` rows at a time with one merged partition each."""
-    geoms = [sp.geom for sp in spaces]
+    ``per_chunk`` rule rows (``slab``, ``times``) at a time with one merged
+    partition each."""
+    geoms = spaces.geoms
     S = len(geoms)
-    k, mu = np.array([(g.k, g.mu) for g in geoms]).T
-    dlam = temporal_basis_derivs(spaces[0].q, 0.0, k)  # (slabs, q+1)
-    a = left_at(geoms, rows.slab, rows.times)
+    k, mu = geoms.k, geoms.mu
+    dlam = temporal_basis_derivs(spaces.q, 0.0, k)  # (slabs, q+1)
+    a = geoms.left(slab, times)
     grad = 0.0
     material = np.zeros(2 * S)  # per slab on side 1, then per slab on side 2
-    for lo in range(0, len(rows.times), per_chunk):
+    for lo in range(0, len(times), per_chunk):
         chunk = slice(lo, lo + per_chunk)
-        part = partition_at(geoms[0], rows.times[chunk], a[chunk])
+        part = partition_at(geoms, times[chunk], a[chunk])
         row = part.time_index + lo
-        s = rows.slab[row]
+        s = slab[row]
         # the discrete solution and its time derivative at every node of
         # each row, so a segment reads its cell's ends by 1-D gathers
-        V = _row_values(vals, rows.slab[chunk], rows.lam[chunk])
-        D = _row_values(vals, rows.slab[chunk], dlam[rows.slab[chunk]])
+        V = _row_values(vals, slab[chunk], spaces.lam[chunk])
+        D = _row_values(vals, slab[chunk], dlam[slab[chunk]])
         pts, pw = segment_points(part)
         tt = np.broadcast_to(part.t[:, None], pts.shape)
-        node, xa, xb = segment_cells(geoms[0], part)
+        node, xa, xb = segment_cells(geoms, part)
         at = part.time_index * vals.shape[1] + node
         h = xb - xa
         u_x = pointwise(exact.u_x, pts, tt)
@@ -156,30 +132,28 @@ def _volume_terms(spaces, vals, rows: _Rows, exact, per_chunk: int):
         # side 2: the material derivative follows the motion
         de += np.where(on2, mu[s], 0.0)[:, None] * u_x
         # contracted without (segments, points) temporaries
-        grad += float(rows.weights[row] @ np.einsum("ij,ij,ij->i", pw, ge, ge))
-        de_sq = rows.weights[row] * np.einsum("ij,ij,ij->i", pw, de, de)
+        grad += float(spaces.weights[row] @ np.einsum("ij,ij,ij->i", pw, ge, ge))
+        de_sq = spaces.weights[row] * np.einsum("ij,ij,ij->i", pw, de, de)
         material += np.bincount(s + S * on2, de_sq, minlength=2 * S)
     return grad, float(k @ material[:S]), float(k @ material[S:])
 
 
-def _interface_terms(spaces, vals, rows: _Rows, exact):
+def _interface_terms(spaces, vals, slab, times, exact):
     """Squared flux, interface-jump and moving-jump error terms: one
     contraction over the interface stencil rows of all records (each slab's
     left points, then its right points, at its times), with each row's slab
     velocity.  The exact solution is continuous, so the error's jump is the
     discrete one."""
-    nt = np.bincount(rows.slab, minlength=len(spaces))
-    idx, grad, jump, x, h_K = (
-        np.concatenate([getattr(sp.stencil, f) for sp in spaces])
-        for f in ("idx", "grad", "jump", "x", "h_K")
-    )
+    nt = spaces.counts[:, 0]
+    st = spaces.stencil
+    idx, grad, jump, x, h_K = st.idx, st.grad, st.jump, st.x, st.h_K
     row = np.repeat(np.cumsum(nt) - nt, 2 * nt) + ragged_arange(2 * nt) % np.repeat(nt, 2 * nt)
-    s = rows.slab[row]
-    v = np.einsum("rkm,rm->rk", vals[s[:, None], idx], rows.lam[row])  # at the row's time
-    avg = pointwise(exact.u_x, x, rows.times[row]) - np.einsum("rk,rk->r", v, grad)
+    s = slab[row]
+    v = np.einsum("rkm,rm->rk", vals[s[:, None], idx], spaces.lam[row])  # at the row's time
+    avg = pointwise(exact.u_x, x, times[row]) - np.einsum("rk,rk->r", v, grad)
     jump_sq = np.einsum("rk,rk->r", v, jump) ** 2
-    w = rows.weights[row]
-    mu = np.array([sp.geom.mu for sp in spaces])[s]
+    w = spaces.weights[row]
+    mu = spaces.geoms.mu[s]
     mu_bar = np.hypot(mu, 1.0)
     return (
         float(np.sum(mu_bar * w * h_K * avg * avg)),
@@ -192,37 +166,35 @@ def _stab_term(spaces, vals) -> float:
     """The gradient-jump term over the covered parts of cut cells: the
     quadratic form of the records' stabilization weights in the per-pair
     gradient jumps, over the pairs of all slabs at once."""
-    pairs = [(i, sp.stab) for i, sp in enumerate(spaces) if sp.stab is not None]
-    if not pairs:
+    idx, g, W = spaces.stab
+    if not len(idx):
         return 0.0
-    slab = np.repeat([i for i, _ in pairs], [len(p[0]) for _, p in pairs])
-    idx, g, W = (np.concatenate(f) for f in zip(*(p for _, p in pairs)))
+    slab = spaces.slab_index("stab")
     d = np.einsum("pk,pki->pi", g, vals[slab[:, None], idx])  # jump per pair and mode
     return float(np.einsum("pi,pij,pj->", d, W, d))
 
 
-def _trace_terms(sol, vals, exact, per_chunk: int) -> np.ndarray:
+def _trace_terms(setup, spaces: SlabSpaces, vals, exact, per_chunk: int) -> np.ndarray:
     """Squared L2 norm of the error's jump at each slab breakpoint t_0..t_N,
     with the initial data below t_0 and the exact solution above t_N, taking
     ``per_chunk`` breakpoints at a time.  Breakpoint n takes the partition of
     the slab below it (of slab 1 for n = 0)."""
-    geoms = [s.geom for s in sol.slabs]
+    geoms = spaces.geoms
     S = len(geoms)
-    q = sol.slabs[0].space.q
-    lam_start = temporal_modes(q, np.zeros(S))
-    lam_end = temporal_modes(q, np.ones(S))
-    bp = sol.setup.partition.breakpoints
+    lam_start = temporal_modes(spaces.q, np.zeros(S))
+    lam_end = temporal_modes(spaces.q, np.ones(S))
+    bp = setup.partition.breakpoints
     above = np.minimum(np.arange(S + 1), S - 1)  # the slab above each breakpoint
     below = np.maximum(np.arange(S + 1) - 1, 0)  # and the slab below it
     sides = ((above, lam_start), (below, lam_end))
-    a = left_at(geoms, below, bp)
+    a = geoms.left(below, bp)
     traces = np.zeros(S + 1)
     for lo in range(0, S + 1, per_chunk):
         chunk = slice(lo, lo + per_chunk)
-        part = partition_at(geoms[0], bp[chunk], a[chunk])
+        part = partition_at(geoms, bp[chunk], a[chunk])
         n = part.time_index + lo
         pts, pw = segment_points(part)
-        node, xa, xb = segment_cells(geoms[0], part)
+        node, xa, xb = segment_cells(geoms, part)
         w1 = (pts - xa[:, None]) / (xb - xa)[:, None]
         at = part.time_index * vals.shape[1] + node
         upper, lower = (
@@ -230,7 +202,7 @@ def _trace_terms(sol, vals, exact, per_chunk: int) -> np.ndarray:
             for V in (_row_values(vals, s[chunk], lam[s[chunk]]) for s, lam in sides)
         )
         if lo == 0:
-            lower[n == 0] = pointwise(sol.setup.problem.initial, pts[n == 0])
+            lower[n == 0] = pointwise(setup.problem.initial, pts[n == 0])
         if n[-1] == S:
             upper[n == S] = pointwise(exact.u, pts[n == S], np.full_like(pts[n == S], bp[S]))
         traces += np.bincount(n, np.sum(pw * (upper - lower) ** 2, axis=1), minlength=S + 1)
@@ -249,19 +221,16 @@ def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> N
     chunk of rows under ``CHUNK_ROW_NODES``, across slabs.
     """
     if exact is None:
-        exact = _zero_exact()
+        exact = zero_problem().exact
     if exact.u_x is None or exact.u_t is None:
         raise ValueError("exact solution must provide u_x and u_t for the error norm")
-    spaces = [s.space for s in sol.slabs]
-    vals = _nodal_values(sol)
+    spaces, coeffs = sol.columns()
+    vals = _nodal_values(spaces, coeffs)
     per_chunk = max(1, CHUNK_ROW_NODES // vals.shape[1])
-    rows = _Rows(
-        np.repeat(np.arange(len(spaces)), [len(sp.times) for sp in spaces]),
-        *(np.concatenate([getattr(sp, f) for sp in spaces]) for f in ("times", "weights", "lam")),
-    )
-    grad, material_bg, material_ov = _volume_terms(spaces, vals, rows, exact, per_chunk)
-    flux, ijump, moving = _interface_terms(spaces, vals, rows, exact)
-    traces = _trace_terms(sol, vals, exact, per_chunk)
+    slab, times = spaces.slab_index("tau"), spaces.times
+    grad, material_bg, material_ov = _volume_terms(spaces, vals, slab, times, exact, per_chunk)
+    flux, ijump, moving = _interface_terms(spaces, vals, slab, times, exact)
+    traces = _trace_terms(sol.setup, spaces, vals, exact, per_chunk)
     return NormBreakdown(
         material_bg_sq=material_bg,
         material_ov_sq=material_ov,

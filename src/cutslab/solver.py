@@ -1,57 +1,37 @@
 """Slab-by-slab time marching and the banded linear solve behind it.
 
-``march`` takes the slabs in chunks of consecutive slabs.  For a chunk it
-builds the geometry (``build_slab_geometry`` on a range of slabs), the slab
-records (``build_slab_space``) and the matrix triplets, source loads and
-time-jump maps (``assemble_slab``) of all its slabs at once, since none of
-them reads the previous slab.  The loop over the chunk's slabs keeps only
-what does: one jump product on the previous coefficients with the
-finiteness check of the load (``SlabSystems.system``), then ``solve_slab``:
-``dgbtrf`` unless the factor is reused, ``dgbtrs``, the pivot floor, the
-finiteness of the coefficients, the residual bound and one scatter back to
-DOF order.  A failure names its slab, and no later slab is solved.
+``march`` takes the slabs in chunks of consecutive slabs and builds the
+geometry, records, matrix triplets, source loads and time-jump maps of a
+chunk's slabs at once, as columns, since none of them reads the previous
+slab.  The loop over the slabs keeps only what does: the jump product on the
+previous slab's coefficients (``SlabSystems.system``), then ``solve_slab``:
+``dgbtrf`` with the pivot floor unless the factor is reused, ``dgbtrs`` and
+the scatter to DOF order into the march's one coefficient column, of which
+each ``SlabSolution`` is a view.  The finiteness of loads and coefficients
+and the residual bound are checked once per group of slabs (``_chunk_bands``),
+after its solves, with one ``bincount`` over the group's triplets.  A failure
+names the first slab in slab order that trips and the quantity that tripped,
+also when a later slab of its group failed its pivot floor first; no later
+group is solved, nor a slab whose source load is not finite.
 
-Every term of the slab form is local in x, so with its DOFs in position
-order (``assembly.position_order``) a slab matrix is banded, and
-``solve_slab`` factors it by LAPACK's banded LU with partial pivoting in
-O(n b^2) for n unknowns and bandwidth b.  The bandwidth grows with (q+1)
-times the interface-node crossings per slab, since the interface stencil
-couples the overlap's end nodes to every background node the interface
-passes, and with the ratio of the mesh sizes, since a stabilized pair
-couples a cut background cell to all overlap cells that meet it.  On the
-benchmark workloads b is 3-4 (``long_march``), 7 (``stationary``) and 15-17
-(``wide_slab``).  The order changes only the speed of the solve.
+With its DOFs in position order (``assembly.position_order``) a slab matrix
+is banded, as every term of the slab form is local in x, and LAPACK's banded
+LU with partial pivoting factors it in O(n b^2).  The bandwidth b grows with
+(q+1) times the interface-node crossings per slab and with the ratio of the
+mesh sizes: 3-4 on ``long_march``, 7 on ``stationary``, 15-17 on
+``wide_slab``.  ``banded_lapack`` loads scipy's f2py routines from the
+extension ``scipy.linalg._flapack`` alone, so ``import cutslab`` loads
+neither ``scipy.linalg`` nor ``scipy.sparse``.  One ``bincount`` sums the
+triplets of a group of slabs into their bands, within 8 ``CHUNK_ENTRIES``
+entries, once the slabs before it are solved; ``dgbtrf`` writes each factor
+over its band.
 
-The four LAPACK routines (``dgbtrf``, ``dgbtrs``, ``dlangb``, ``dgbcon``) are
-scipy's f2py wrappers, taken from the extension ``scipy.linalg._flapack``
-that ``banded_lapack`` loads on its own, so ``import cutslab`` loads neither
-the ``scipy.linalg`` nor the ``scipy.sparse`` package.
-
-The bands come straight from the chunk's triplets, whose rows are already in
-position order: kl and ku follow from them, and one ``bincount`` sums each
-entry's duplicates into its band slot.  The band layout is known to this
-module alone.  A group holds as many consecutive slabs as keep their band
-storage within 8 ``CHUNK_ENTRIES`` entries, and at least one; it is built
-once the slabs before it are solved, and ``dgbtrf`` writes each factor over
-its band, so a chunk of wide bands holds one band at a time.
-
-A march factors a slab matrix only when it differs from the previous slab's,
-which the time partition tells before anything is assembled: slab n repeats
-slab n-1 when both are stationary, of one length and at one position
-(``Setup.repeats``).  Such a slab gets no triplets of its own, no band and
-no factor: it reuses slab n-1's factor from the march's one-entry
-``FactorMemo``, whose pivot floor was checked when it was made.  When the
-first slab of a chunk repeats the previous chunk's last, that chunk hands
-on copies of its last slab's triplets (``SlabSystems.handoff``), so the
-first slab is not assembled either.  Every slab
-still gets its own solve and the checks of its coefficients; the residual
-reads the shared triplets.  The coefficients are those of a fresh factor,
-bit for bit.
-
-``CHUNK_ENTRIES`` caps a chunk: it holds as many slabs as keep the entries
-of their constant mesh blocks within the cap, and at least one.  The chunk's
-temporaries grow about in proportion, so the cap bounds the memory that
-batching adds.
+A slab that repeats the previous one (``Setup.repeats``: both stationary, of
+one length and at one position) gets no triplets, band or factor and is a
+group alone: it reuses the factor in the march's one-entry ``FactorMemo``,
+also across chunks (``SlabSystems.handoff``), and gets the coefficients of a
+fresh factor, bit for bit.  ``CHUNK_ENTRIES`` caps a chunk, and so the memory
+that batching adds.
 """
 
 from __future__ import annotations
@@ -67,8 +47,8 @@ import numpy as np
 
 from .assembly import SlabSystem, assemble_slab
 from .core import Discretization, NumericalFailure, OverlapSpec, ProblemSpec, Setup
-from .geometry import build_slab_geometry
-from .spaces import SlabSolution, SpaceTimeSolution, build_slab_space
+from .geometry import build_slab_geometry, join
+from .spaces import SlabSolution, SlabSolutions, SpaceTimeSolution, build_slab_space
 
 
 def banded_lapack(scipy_dir: str | None = None) -> tuple:
@@ -110,12 +90,12 @@ dgbcon, dgbtrf, dgbtrs, dlangb = banded_lapack()
 
 PIVOT_FRACTION = 1e-14
 RESIDUAL_TOL = 1e-10
-# A chunk holds as many slabs as keep its constant mesh blocks (mesh
-# triplets times (q+1)^2 temporal entries, summed over the slabs) within this
-# many entries, and at least one slab.  At this value slabs of 512 + 128
-# cells with q = 1 go two to a chunk, enough to spread the batched code's
-# fixed cost per chunk, and a chunk's temporaries stay within about 2 MB;
-# so do its bands, built in groups of at most 8 times as many entries.
+# A chunk holds as many slabs as keep 4 (q+1)^2 entries per mesh cell (the
+# temporal blocks of a P1 cell matrix), summed over the slabs, within this
+# many, and at least one slab.  At this value slabs of 512 + 128 cells with
+# q = 1 go two to a chunk, enough to spread the batched code's fixed cost per
+# chunk, and a chunk's temporaries stay within about 2 MB; so do its bands,
+# built in groups of at most 8 times as many entries.
 CHUNK_ENTRIES = 20480
 
 
@@ -181,13 +161,10 @@ def _band(triplets, n: int) -> Band:
 @dataclass
 class FactorMemo:
     """The band LU factor (``lu``, ``ipiv``, the band's kl, ku and
-    ||A||_inf) of the last slab matrix one march factored.  ``march`` makes
-    one and hands it to every slab system."""
+    ||A||_inf) of the last slab matrix one march factored, or None.
+    ``march`` makes one and hands it to every slab system."""
 
     factor: tuple | None = None
-
-    def clear(self) -> None:
-        self.factor = None
 
 
 def _norm(norm: str, band: Band) -> float:
@@ -208,10 +185,8 @@ def _singular(
         A = _band(triplets, band.ab.shape[1])  # the factor overwrote the band
         rcond, _ = dgbcon(band.kl, band.ku, *factor, _norm("1", A))
         cond = 1.0 / rcond if rcond > 0 else np.inf
-    floor = (
-        ""
-        if pivot_ratio is None
-        else f"pivot ratio min|U_jj|/||A||_inf {pivot_ratio:.3e} "
+    floor = "" if pivot_ratio is None else (
+        f"pivot ratio min|U_jj|/||A||_inf {pivot_ratio:.3e} "
         f"not above PIVOT_FRACTION {PIVOT_FRACTION:.0e}, "
     )
     return NumericalFailure(
@@ -237,13 +212,12 @@ def _factor(system: SlabSystem, triplets, band: Band) -> tuple:
 
 
 def _chunk_bands(systems, memo: FactorMemo):
-    """Yields (i, band) for each slab of the chunk ``systems``.
-
-    A slab that repeats the slab before it (``SlabSystems.new`` false) will
-    reuse that slab's factor, and its band is None.  The bands of each run
-    of assembled slabs are built a group at a time (``_groups``), each group
-    once the slabs before it are solved; the memo lets go of its factor
-    first, since no slab of the group reuses it."""
+    """Yields (lo, bands) for each group of slabs of the chunk ``systems``:
+    the band of each slab of the group, the first being slab lo.  A slab
+    that repeats the slab before it (``SlabSystems.new`` false) reuses that
+    slab's factor: it is a group alone, of band None.  The bands of a run of
+    assembled slabs are built a group at a time (``_groups``), once the slabs
+    before are solved; the memo lets go of its factor first."""
     rows, cols, vals, at, new = systems.rows, systems.cols, systems.vals, systems.at, systems.new
     n = np.diff(systems.first)
     S = len(n)
@@ -252,87 +226,136 @@ def _chunk_bands(systems, memo: FactorMemo):
     while i < S:
         j = i + 1
         if not new[i]:
-            yield i, None
+            yield i, [None]
         else:
             while j < S and new[j]:
                 j += 1
             for lo, hi in _groups(kl[s : s + j - i], ku[s : s + j - i], n[i:j]):
-                memo.clear()
+                memo.factor = None
                 a, b = at[s + lo], at[s + hi]
                 where = [f - a for f in at[s + lo : s + hi + 1]]
                 group = (rows[a:b], cols[a:b], vals[a:b], where)
                 bands = _bands(*group, kl[s + lo : s + hi], ku[s + lo : s + hi], n[i + lo : i + hi])
-                yield from enumerate(bands, i + lo)
-                del bands
+                yield i + lo, bands
+                del bands  # not to be held while the next group's are built
             s += j - i
         i = j
 
 
-def solve_slab(system: SlabSystem) -> np.ndarray:
-    """Solve one slab system by banded LU with partial pivoting, with sanity
-    checks; the coefficients come back in the slab's DOF order.
+def _check(slabs, first, b: np.ndarray, y: np.ndarray, triplets, scale: list) -> None:
+    """Raise ``NumericalFailure`` for the first of consecutive slabs, in slab
+    order, whose load is not finite or, among the first ``len(scale)`` (the
+    solved ones), whose coefficients are not finite or leave ||A y - b||_inf
+    above RESIDUAL_TOL (||A||_inf ||y||_inf + ||b||_inf).  Slab i, numbered
+    ``slabs[i]``, owns rows ``first[i]`` to ``first[i + 1]`` of the loads
+    ``b`` and coefficients ``y``, in position order; its matrix is in
+    ``triplets``, in these rows, and ||A||_inf in ``scale``."""
+    at, n = np.asarray(first[:-1]), len(scale)
+    bad, rel = np.zeros((3, len(at)), dtype=bool), np.zeros(len(at))  # load, coefficients, residual
+    with np.errstate(all="ignore"):  # inf and NaN are what is looked for
+        b_inf = np.maximum.reduceat(np.abs(b), at)
+        bad[0] = ~np.isfinite(b_inf)
+        if n:
+            rows, cols, vals = triplets
+            r = np.bincount(rows, vals * y[cols], minlength=len(y)) - b[: len(y)]
+            y_inf = np.maximum.reduceat(np.abs(y), at[:n])
+            denom = np.asarray(scale) * y_inf + b_inf[:n]
+            rel[:n] = np.maximum.reduceat(np.abs(r), at[:n]) / np.where(denom > 0, denom, 1.0)
+            bad[1, :n] = ~np.isfinite(y_inf)
+            bad[2, :n] = (denom > 0) & ~(rel[:n] <= RESIDUAL_TOL)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        raise NumericalFailure((
+            f"non-finite entries in slab {slabs[i]} system",
+            f"slab {slabs[i]} solve gave non-finite coefficients",
+            f"slab {slabs[i]} solve left relative residual {rel[i]:.3e}, "
+            f"above RESIDUAL_TOL {RESIDUAL_TOL:.0e}",
+        )[int(np.argmax(bad[:, i]))])
 
-    The solve reads the system's triplets, load and band in position order,
-    and builds the band from the triplets when there is none.  The band is
-    factored, over its storage, unless the slab repeats the previous one
-    (``system.repeats``) and ``system.memo`` holds that slab's factor, which
-    passed the pivot floor when it was made; then that factor is reused.  A
-    new factor replaces the memo's.  Whichever factor is used, the
-    coefficients must be finite and meet the residual bound
-    ||A x - b||_inf <= RESIDUAL_TOL (||A||_inf ||x||_inf + ||b||_inf).
+
+def solve_slab(system: SlabSystem) -> np.ndarray:
+    """Solve one slab system by banded LU with partial pivoting; the
+    coefficients come back in the slab's DOF order.
+
+    The solve reads the system's triplets, load and band (built from the
+    triplets when there is none) in position order.  The band is factored,
+    over its storage, unless the slab repeats the previous one and
+    ``system.memo`` holds that slab's factor, which passed the pivot floor
+    when it was made; a new factor replaces the memo's.  With
+    ``system.check`` the solve is checked here (``_check``), otherwise by
+    the caller.
     """
     triplets, order, band, b = system.triplets, system.order, system.band, system.load
-    n = len(b)
     memo = system.memo if system.memo is not None else FactorMemo()
     if not (system.repeats and memo.factor is not None):
-        memo.clear()  # never hold two factors at once
-        if band is None:
-            band = _band(triplets, n)
-        memo.factor = _factor(system, triplets, band)
+        memo.factor = None  # never hold two factors at once
+        memo.factor = _factor(system, triplets, _band(triplets, len(b)) if band is None else band)
     lu, ipiv, kl, ku, scale = memo.factor
     y, _ = dgbtrs(lu, kl, ku, b, ipiv)
-    y_inf = np.abs(y).max()  # NaN or inf when any coefficient is
-    if not np.isfinite(y_inf):
-        raise NumericalFailure(f"slab {system.slab} solve gave non-finite coefficients")
-    denom = scale * y_inf + np.abs(b).max()
-    if denom > 0:
-        rows, cols, vals = triplets
-        r = np.bincount(rows, vals * y[cols], minlength=n) - b
-        rel = np.abs(r).max() / denom
-        if not rel <= RESIDUAL_TOL:
-            raise NumericalFailure(
-                f"slab {system.slab} solve left relative residual {rel:.3e}, "
-                f"above RESIDUAL_TOL {RESIDUAL_TOL:.0e}"
-            )
+    if system.check:
+        _check([system.slab], [0, len(b)], b, y, triplets, [scale])
     x = np.empty_like(y)
     x[order] = y
     return x
 
 
+def _solve_group(systems, lo: int, bands: list, memo: FactorMemo, x, coeffs, loads, stop: int):
+    """Solve the slabs of the chunk ``systems`` from slab lo on, one per band
+    of ``bands``, given ``x``, the coefficients of the slab before; write
+    their coefficients into ``coeffs`` (DOF order) and loads into ``loads``
+    (position order), then check them at once.  Slab ``stop``, whose source
+    load is not finite, is not solved.  Returns the last coefficients."""
+    first, scale = systems.first, []
+    loaded = solved = lo
+    try:
+        with np.errstate(all="ignore"):  # a slab after a non-finite one reads it
+            for i, band in enumerate(bands, lo):
+                system = systems.system(i, x, memo, band, check=False)
+                loads[first[i] : first[i + 1]] = system.load
+                loaded += 1
+                if i == stop:
+                    break
+                x = coeffs[first[i] : first[i + 1]] = solve_slab(system)
+                scale.append(memo.factor[4])
+                solved += 1
+    finally:  # also after a pivot floor trips: an earlier slab's failure comes first
+        a = first[lo]
+        y = coeffs[systems.dof[a : first[solved]]]  # in position order
+        triplets = systems.group_triplets(lo, solved) if solved > lo else None
+        slabs, rows = systems.spaces.geoms.n[lo:loaded], np.subtract(first[lo : loaded + 1], a)
+        _check(slabs, rows, loads[a : first[loaded]], y, triplets, scale)
+    return x
+
+
 def chunk_length(setup: Setup) -> int:
     """Slabs per chunk of the march under ``CHUNK_ENTRIES``."""
-    per_slab = len(setup.mesh_matrices[0]) * (setup.disc.q + 1) ** 2
-    return max(1, CHUNK_ENTRIES // per_slab)
+    cells = len(setup.bg_nodes) + len(setup.ov_offsets) - 2
+    return max(1, CHUNK_ENTRIES // (4 * cells * (setup.disc.q + 1) ** 2))
 
 
-def march(
-    problem: ProblemSpec, overlap: OverlapSpec, disc: Discretization
-) -> SpaceTimeSolution:
+def march(problem: ProblemSpec, overlap: OverlapSpec, disc: Discretization) -> SpaceTimeSolution:
     """March the discrete system through all slabs and collect the solution."""
     setup = Setup.build(problem, overlap, disc)
     step = chunk_length(setup)
-    prev = held = None
+    spaces = prev = held = None
     memo = FactorMemo()
-    slabs = []
+    chunks, columns = [], []
     for first in range(1, disc.n_slabs + 1, step):
-        geoms = build_slab_geometry(setup, range(first, min(first + step, disc.n_slabs + 1)))
-        spaces = build_slab_space(geoms, disc)
+        slabs = range(first, min(first + step, disc.n_slabs + 1))
+        geoms = build_slab_geometry(setup, slabs, None if spaces is None else spaces.geoms)
+        spaces = build_slab_space(geoms, disc, spaces)
         systems = assemble_slab(spaces, setup, prev, held)
         held = systems.handoff
-        for i, band in _chunk_bands(systems, memo):
-            coeffs = solve_slab(systems.system(i, prev, memo, band))
-            del band  # not to be held while the next group's bands are built
-            prev = SlabSolution(space=spaces[i], coeffs=coeffs)
-            slabs.append(prev)
+        coeffs, loads = np.empty((2, systems.first[-1]))
+        # the first slab whose source load is not finite, if any, is not solved
+        ok = np.logical_and.reduceat(np.isfinite(systems.loads), systems.first[:-1])
+        stop, x = int(np.argmin(ok)) if not ok.all() else len(ok), None
+        for group in _chunk_bands(systems, memo):
+            x = _solve_group(systems, *group, memo, x, coeffs, loads, stop)
+            del group  # not to be held while the next group's bands are built
+        prev = SlabSolution(spaces[-1], coeffs[systems.first[-2] :])
+        chunks.append(spaces)
+        columns.append(coeffs)
         del systems  # nor this chunk's triplets while the next chunk's are
-    return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
+    slabs = SlabSolutions(join([(c, None) for c in chunks]), np.concatenate(columns))
+    return SpaceTimeSolution(setup=setup, slabs=slabs)

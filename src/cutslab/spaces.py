@@ -1,20 +1,26 @@
-"""The temporal basis, the per-slab record ``SlabSpace``, and the coefficients
-and values of a space-time solution.  ``build_slab_space`` builds each
-slab's record once, for a chunk of consecutive slabs at once: its DOF map,
-time rule, interface stencil and stabilization weights.  ``assemble_slab``
-and the energy norm in ``norms`` read them there and rebuild none of them.
+"""The temporal basis, the slab records, and the coefficients and values of a
+space-time solution.  ``build_slab_space`` builds the records of a chunk of
+consecutive slabs at once, as columns (``SlabSpaces``): DOF maps, time
+rules, interface stencils and stabilization weights; a slab that repeats the
+slab before it shares that slab's record.  ``assemble_slab`` and the energy
+norm in ``norms`` read the columns and rebuild none of them.  ``SlabSpace``
+and ``SlabSolution`` are views of one slab; the march's ``SlabSolutions``
+holds one column of the coefficients of all slabs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Discretization, Setup
-from .geometry import SlabGeometries, SlabGeometry, left_at, ragged_arange, sigma_side, snap
+from .geometry import (
+    Columns, Slab, SlabGeometries, SlabGeometry, join, ragged_arange, share, sigma_side, snap
+)
 from .quadrature import GL3, composite_time_rule
 
 
@@ -65,19 +71,17 @@ class InterfaceStencil(NamedTuple):
     h_K: np.ndarray  # size of the background cell holding the point
 
 
-def interface_stencil(
-    geoms, slab: np.ndarray, times: np.ndarray, omega1: float
-) -> InterfaceStencil:
-    """The interface stencils of the slabs ``geoms`` at the 1-D array
-    ``times``, where ``slab`` (nondecreasing) gives the position in ``geoms``
-    of each time's slab.  The rows run slab by slab, each slab's left points
-    and then its right points, so one slab's stencil is a slice of rows."""
-    nodes, off = geoms[0].bg_nodes, geoms[0].ov_offsets
+def interface_stencil(geoms, slab: np.ndarray, times: np.ndarray, omega1: float):
+    """The interface stencils of the slabs ``geoms`` (``SlabGeometries``) at
+    the 1-D array ``times``, where ``slab`` (nondecreasing) gives the
+    position in ``geoms`` of each time's slab.  The rows run slab by slab,
+    each slab's left points and then its right points."""
+    nodes, off = geoms.bg_nodes, geoms.ov_offsets
     nb, n_ov = len(nodes), len(off)
     nt = len(times)
-    mu = np.array([g.mu for g in geoms])[slab]
-    a = left_at(geoms, slab, times)
-    x = np.concatenate([a, a + geoms[0].overlap_length])
+    mu = geoms.mu[slab]
+    a = geoms.left(slab, times)
+    x = np.concatenate([a, a + geoms.overlap_length])
     # value cell: the cell holding the true point, so the weights interpolate
     # the P1 function there, as SlabSolution.eval does.  The cell of h_K (the
     # one holding the point, right of its node when on one) and the gradient
@@ -116,15 +120,8 @@ def interface_stencil(
     order = np.empty(2 * nt, dtype=int)
     order[left] = np.arange(nt)
     order[left + count[slab]] = np.arange(nt, 2 * nt)
-    return InterfaceStencil(
-        idx=idx[order],
-        jump=jump[order],
-        grad=grad[order],
-        upwind=upwind[order],
-        x=x[order],
-        n1=np.repeat([1.0, -1.0], nt)[order],
-        h_K=(nodes[cK + 1] - nodes[cK])[order],
-    )
+    n1, h_K = np.repeat([1.0, -1.0], nt), nodes[cK + 1] - nodes[cK]
+    return InterfaceStencil(*(f[order] for f in (idx, jump, grad, upwind, x, n1, h_K)))
 
 
 def _search_rows(a: np.ndarray, off: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
@@ -142,21 +139,28 @@ def _search_rows(a: np.ndarray, off: np.ndarray, v: np.ndarray, side: str) -> np
     return j
 
 
-def stabilization_weights(geoms, q: int) -> list:
-    """The gradient-jump stabilization of each slab of ``geoms``, pairwise
-    over (cut background cell, overlap cell) pairs that meet at some slab
-    time.
+class Stab(NamedTuple):
+    """Stabilized pairs (``stabilization_weights``)."""
 
-    Returns per slab ``(idx, g, W)``, or None when no such pair exists:
-    ``idx`` (pairs, 4) holds the pair's global nodes (background cell, then
+    idx: np.ndarray
+    g: np.ndarray
+    W: np.ndarray
+
+
+def stabilization_weights(geoms: SlabGeometries, q: int) -> tuple[Stab, np.ndarray]:
+    """The gradient-jump stabilization of the slabs ``geoms``, pairwise over
+    (cut background cell, overlap cell) pairs that meet at some slab time.
+
+    Returns the pairs of every slab, slab after slab, and how many each slab
+    has.  ``idx`` (pairs, 4) holds the pair's global nodes (background cell, then
     overlap cell), ``g`` (pairs, 4) the weights on them of the gradient jump
     (background minus overlap gradient), and ``W`` (pairs, q+1, q+1) the slab
     integral of the pair's covered length times ``lam_i lam_j``.  That length
     is piecewise linear in time with breaks at the pair's endpoint crossings,
     so three-point Gauss per panel makes ``W`` exact.
     """
-    nodes, off = geoms[0].bg_nodes, geoms[0].ov_offsets
-    t0, t1, k, mu, a0 = np.array([(g.t_start, g.t_end, g.k, g.mu, g.a_start) for g in geoms]).T
+    nodes, off = geoms.bg_nodes, geoms.ov_offsets
+    t0, t1, k, mu, a0 = geoms.t_start, geoms.t_end, geoms.k, geoms.mu, geoms.a_start
     K = geoms.cut_cells
     s = geoms.slab_index("cut_cells")
     # overlap cells meeting each cut cell at some slab time
@@ -166,8 +170,6 @@ def stabilization_weights(geoms, q: int) -> list:
     g0, g1 = np.maximum(0, g0), np.minimum(len(off) - 2, g1)
     count = np.maximum(g1 - g0 + 1, 0)
     n = int(count.sum())
-    if n == 0:
-        return [None] * len(geoms)
     pK = np.repeat(K, count)
     ps = np.repeat(s, count)
     pc = np.repeat(g0, count) + ragged_arange(count)
@@ -184,23 +186,19 @@ def stabilization_weights(geoms, q: int) -> list:
     cross = (x[:, [0, 1, 0, 1]] - x[:, [2, 2, 3, 3]]) / np.where(moving, pmu * pk, 1.0)
     breaks[:, 1:5] = np.where(moving, np.sort(np.clip(cross, 0.0, 1.0), axis=1), 0.0)
     panel = np.diff(breaks, axis=1)[:, :, None]
-    tau = (breaks[:, :-1, None] + panel * GL3.nodes).reshape(n, -1)
-    wq = pk * (panel * GL3.weights).reshape(n, -1)
+    points = 5 * len(GL3.nodes)  # per pair: five panels
+    tau = (breaks[:, :-1, None] + panel * GL3.nodes).reshape(n, points)
+    wq = pk * (panel * GL3.weights).reshape(n, points)
     drift = pmu * pk * tau
     L = np.minimum(x[:, [1]], x[:, [3]] + drift) - np.maximum(x[:, [0]], x[:, [2]] + drift)
     lam = temporal_modes(q, tau)
     W = np.einsum("pt,pti,ptj->pij", wq * np.maximum(L, 0.0), lam, lam)
-    end = np.cumsum(np.bincount(ps, minlength=len(geoms)))
-    return [
-        (idx[i:j], g[i:j], W[i:j]) if j > i else None
-        for i, j in zip(np.concatenate(([0], end[:-1])).tolist(), end.tolist())
-    ]
+    return Stab(idx, g, W), np.bincount(ps, minlength=len(geoms))
 
 
-@dataclass(frozen=True)
-class SlabSpace:
-    """The record of one slab: its DOF map and the quadrature data shared by
-    the slab form and the energy norm.
+class SlabSpace(Slab):
+    """The record of one slab, a view of its ``SlabSpaces``: its DOF map and
+    the quadrature data shared by the slab form and the energy norm.
 
     Background DOFs sit on interior background nodes whose support meets the
     uncovered region at some slab time or touches a slab-cut cell; every
@@ -210,92 +208,90 @@ class SlabSpace:
     Nodes carry one global numbering: background nodes ``0..nb-1``, then
     overlap nodes ``nb..nb+n_ov-1``.  ``node_dof`` maps it to the spatial
     DOFs and ``dof_node`` back.  ``times``/``weights`` are the composite
-    three-point Gauss rule on the panels between interface-node crossings.
+    three-point Gauss rule on the panels between interface-node crossings;
+    ``stab`` is None when the slab has no stabilized pair.
     """
 
-    geom: SlabGeometry
+    geom = property(lambda self: self.columns.geoms[self.i])
+    times = property(lambda self: self.geom.t_start + self.geom.k * self.tau)
+    stab = property(lambda self: Slab.__getattr__(self, "stab") if self.counts[2] else None)
+    active_bg = property(lambda self: np.flatnonzero(self.node_dof[: len(self.geom.bg_nodes)] >= 0))
+    dof_node = property(lambda self: np.flatnonzero(self.node_dof >= 0))
+    n_active_bg = property(lambda self: len(self.active_bg))
+    n_ov = property(lambda self: len(self.geom.ov_offsets))
+    n_spatial = property(lambda self: self.n_active_bg + self.n_ov)
+    n_cols = property(lambda self: self.n_spatial * (self.q + 1))
+
+
+@dataclass(frozen=True)
+class SlabSpaces(Columns):
+    """The records of consecutive slabs, as columns (``Columns``): per slab
+    its ``node_dof`` row (global node -> spatial DOF, -1 if none); the rule
+    ``tau`` (slab-relative times), ``weights`` and mode values ``lam`` (times,
+    q+1) of every slab, slab after slab; the ``stencil`` rows of each slab's
+    left and then right interface points at its times; and the ``stab``
+    pairs of each slab.  ``counts`` (slabs, 3) gives each slab's times,
+    stencil rows and pairs."""
+
+    geoms: SlabGeometries
     q: int
-    active_bg: np.ndarray  # background node indices with DOFs
-    node_dof: np.ndarray  # global node index -> spatial DOF index, -1 if none
-    times: np.ndarray
+    node_dof: np.ndarray
+    tau: np.ndarray
     weights: np.ndarray
-    lam: np.ndarray  # temporal mode values at the times, (times, q+1)
-    stencil: InterfaceStencil  # at the times
-    stab: tuple | None  # stabilization_weights
+    lam: np.ndarray
+    stencil: InterfaceStencil
+    stab: Stab
+    counts: np.ndarray
+
+    PER_SLAB = ("node_dof", "counts")
+    RAGGED = {"tau": 0, "weights": 0, "lam": 0, "stencil": 1, "stab": 2}
+    VIEW = SlabSpace
+
+    @property
+    def times(self) -> np.ndarray:
+        """The rule times of every slab, slab after slab."""
+        slab = self.slab_index("tau")
+        return self.geoms.t_start[slab] + self.geoms.k[slab] * self.tau
 
     @cached_property
-    def dof_node(self) -> np.ndarray:
-        """Spatial DOF index -> global node index."""
-        nb = len(self.geom.bg_nodes)
-        return np.concatenate([self.active_bg, nb + np.arange(self.n_ov)])
+    def slab_cols(self) -> np.ndarray:
+        """The columns (unknowns) of each slab."""
+        return (self.node_dof >= 0).sum(axis=1) * (self.q + 1)
 
-    @property
-    def n_active_bg(self) -> int:
-        return len(self.active_bg)
-
-    @property
-    def n_ov(self) -> int:
-        return len(self.geom.ov_offsets)
-
-    @property
-    def n_spatial(self) -> int:
-        return self.n_active_bg + self.n_ov
-
-    @property
-    def n_cols(self) -> int:
-        return self.n_spatial * (self.q + 1)
+    n_cols = property(lambda self: int(self.slab_cols.sum()))
 
 
-class SlabSpaces(tuple):
-    """The records of consecutive slabs, in order; ``n_cols`` counts the
-    columns of all of them."""
-
-    @property
-    def n_cols(self) -> int:
-        return sum(sp.n_cols for sp in self)
-
-
-def build_slab_space(geoms: SlabGeometries, disc: Discretization) -> SlabSpaces:
+def build_slab_space(geoms: SlabGeometries, disc: Discretization, held=None) -> SlabSpaces:
     """The records of the consecutive slabs ``geoms`` under the
-    discretization ``disc``, built at once."""
-    S = len(geoms)
-    nb, n_ov = len(geoms[0].bg_nodes), len(geoms[0].ov_offsets)
+    discretization ``disc``, built at once.  A slab that repeats the slab
+    before it (``geoms.repeats``) shares that slab's record, which is not
+    built again; the first slab shares that of ``held``'s last slab."""
+    if geoms.repeats.all():
+        return share(None, held, geoms.repeats, geoms=geoms)
+    made = geoms.take(np.flatnonzero(~geoms.repeats))  # the slabs built here
+    S = len(made)
+    nb, n_ov = len(geoms.bg_nodes), len(geoms.ov_offsets)
     dead = np.zeros((S, nb - 1), dtype=bool)
-    dead[geoms.slab_index("covered_cells"), geoms.covered_cells] = True
+    dead[made.slab_index("covered_cells"), made.covered_cells] = True
     # a node is dropped only when both support cells are covered for the whole slab
     active = ~(dead[:, :-1] & dead[:, 1:])  # interior nodes 1..nb-2
-    n_active = active.sum(axis=1)
     node_dof = np.full((S, nb + n_ov), -1, dtype=np.intc)
     node_dof[:, 1 : nb - 1] = np.where(active, np.cumsum(active, axis=1) - 1, -1)
-    node_dof[:, nb:] = n_active[:, None] + np.arange(n_ov)
-    active_bg = np.split(active.nonzero()[1] + 1, np.cumsum(n_active)[:-1])
+    node_dof[:, nb:] = active.sum(axis=1)[:, None] + np.arange(n_ov)
 
     # the rule in slab-relative time: slabs without events share it bit for bit
-    t0, k = np.array([(g.t_start, g.k) for g in geoms]).T
-    events = [(g.events - g.t_start) / g.k for g in geoms]
-    tau, weights = composite_time_rule(np.zeros(S), np.ones(S), events, GL3)
-    nt = len(GL3.nodes) * (np.array([len(e) for e in events]) + 1)
+    e, n_events = made.slab_index("events"), made.counts[:, 0]
+    events = (made.events - made.t_start[e]) / made.k[e]
+    tau, weights = composite_time_rule(np.zeros(S), np.ones(S), events, GL3, n_events)
+    nt = len(GL3.nodes) * (n_events + 1)
     slab = np.repeat(np.arange(S), nt)
-    times = t0[slab] + k[slab] * tau
-    weights *= k[slab]
+    weights *= made.k[slab]
+    stencil = interface_stencil(made, slab, made.t_start[slab] + made.k[slab] * tau, disc.omega1)
+    stab, pairs = stabilization_weights(made, disc.q)
+    counts = np.stack([nt, 2 * nt, pairs], axis=1)
     lam = temporal_modes(disc.q, tau)
-    stencil = interface_stencil(geoms, slab, times, disc.omega1)
-    stab = stabilization_weights(geoms, disc.q)
-    end = np.cumsum(nt).tolist()
-    return SlabSpaces(
-        SlabSpace(
-            geom=g,
-            q=disc.q,
-            active_bg=active_bg[s],
-            node_dof=node_dof[s],
-            times=times[i:j],
-            weights=weights[i:j],
-            lam=lam[i:j],
-            stencil=InterfaceStencil(*(f[2 * i : 2 * j] for f in stencil)),
-            stab=stab[s],
-        )
-        for s, (g, i, j) in enumerate(zip(geoms, [0] + end[:-1], end))
-    )
+    built = SlabSpaces(made, disc.q, node_dof, tau, weights, lam, stencil, stab, counts)
+    return share(built, held, geoms.repeats, geoms=geoms)
 
 
 @dataclass(frozen=True)
@@ -305,13 +301,8 @@ class SlabSolution:
     space: SlabSpace
     coeffs: np.ndarray  # flat, length n_cols
 
-    @property
-    def geom(self) -> SlabGeometry:
-        return self.space.geom
-
-    @property
-    def by_mode(self) -> np.ndarray:
-        return self.coeffs.reshape(self.space.n_spatial, self.space.q + 1)
+    geom = property(lambda self: self.space.geom)
+    by_mode = property(lambda self: self.coeffs.reshape(self.space.n_spatial, self.space.q + 1))
 
     def nodal(self) -> np.ndarray:
         """Per-mode nodal values in the global node numbering, shaped
@@ -344,12 +335,39 @@ class SlabSolution:
         return out
 
 
+class SlabSolutions:
+    """The solutions of consecutive slabs, as the records ``spaces``
+    (``SlabSpaces``) and one column of all their coefficients, slab after
+    slab; slab i's ``SlabSolution`` is a view of both."""
+
+    def __init__(self, spaces: SlabSpaces, coeffs: np.ndarray):
+        self.spaces, self.coeffs = spaces, coeffs
+        self.first = np.concatenate([[0], np.cumsum(spaces.slab_cols)]).tolist()
+
+    def __len__(self) -> int:
+        return len(self.spaces)
+
+    def __getitem__(self, i: int) -> SlabSolution:
+        i = range(len(self))[i]
+        return SlabSolution(self.spaces[i], self.coeffs[self.first[i] : self.first[i + 1]])
+
+
 @dataclass(frozen=True)
 class SpaceTimeSolution:
-    """Per-slab coefficient vectors plus the geometry needed to evaluate them."""
+    """The solution on every slab (``SlabSolution``s, or the march's
+    ``SlabSolutions``) plus the setup needed to evaluate it."""
 
     setup: Setup
-    slabs: tuple
+    slabs: tuple | SlabSolutions
+
+    def columns(self) -> tuple[SlabSpaces, np.ndarray]:
+        """The records of all slabs as one ``SlabSpaces``, and their
+        coefficients as one column."""
+        if isinstance(self.slabs, SlabSolutions):
+            return self.slabs.spaces, self.slabs.coeffs
+        runs = groupby((s.space for s in self.slabs), key=lambda sp: id(sp.columns))
+        parts = [(run[0].columns, [sp.i for sp in run]) for run in (list(r) for _, r in runs)]
+        return join(parts), np.concatenate([s.coeffs for s in self.slabs])
 
     def slab_index(self, t: float) -> int:
         """Slab n with t in (t_{n-1}, t_n]; t=0 maps to slab 1."""

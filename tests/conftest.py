@@ -13,7 +13,7 @@ from cutslab.core import (
     zero_problem,
 )
 from cutslab.geometry import build_slab_geometry
-from cutslab.spaces import SlabSolution, SlabSpaces, SpaceTimeSolution, build_slab_space
+from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_RESULTS = []
@@ -81,7 +81,7 @@ def slab_system(space, setup, prev=None):
     """The system of the slab of the record ``space``, from ``assemble_slab``
     on that slab alone; ``prev`` is the solution on the slab before it (None:
     the initial data enters the load)."""
-    return assemble_slab(SlabSpaces((space,)), setup, prev).system(0, prev)
+    return assemble_slab(space.columns[space.i : space.i + 1], setup, prev).system(0, prev)
 
 
 def random_discrete(setup, rng) -> SpaceTimeSolution:

@@ -37,7 +37,8 @@ from cutslab.geometry import (
     sigma_side,
     spatial_partition,
 )
-from cutslab.norms import NormBreakdown, _zero_exact
+from cutslab.core import zero_problem
+from cutslab.norms import NormBreakdown
 from cutslab.quadrature import GL3, composite_time_rule, lobatto3, midpoint
 from cutslab.spaces import interface_stencil, temporal_basis_derivs, temporal_modes
 
@@ -391,8 +392,9 @@ def jump_load(space, setup, prev):
     DOFs."""
     geom = space.geom
     every = np.ones((1, len(geom.bg_nodes)), dtype=bool)  # each cell met, active or not
-    cells, _, (mv, _) = _covered_entries(geom, geom.left(np.array([[geom.t_start]])), every)
-    return _jump_load(setup, _cell_entries(cells[0], cells[0] + 1, mv[0, 0]), prev)[space.dof_node]
+    a = geom.left(np.array([geom.t_start]))
+    cells, _, (mv, _) = _covered_entries(geom, a, np.zeros(1, dtype=int), every)
+    return _jump_load(setup, _cell_entries(cells[0], cells[0] + 1, mv[0]), prev)[space.dof_node]
 
 
 def exact_trace_load(space, t: float, fn):
@@ -600,7 +602,7 @@ def _stab_term(slab) -> float:
 def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> NormBreakdown:
     """``xnorm_error`` evaluated one temporal quadrature point at a time."""
     if exact is None:
-        exact = _zero_exact()
+        exact = zero_problem().exact
     setup = sol.setup
     omega1 = setup.disc.omega1
     mat_bg = mat_ov = grad = flux = ijump = moving = 0.0
@@ -613,7 +615,7 @@ def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> 
         mu_bar = float(np.hypot(mu, 1.0))
         nodes = geom.bg_nodes
         breaks = _refine(geom.events, geom.t_start, geom.t_end, time_refine)
-        times, wts = composite_time_rule([geom.t_start], [geom.t_end], [breaks], GL3)
+        times, wts = composite_time_rule([geom.t_start], [geom.t_end], breaks, GL3, [len(breaks)])
         for t, wt in zip(times, wts):
             part = spatial_partition(geom, t)
             pts, pw = _segment_points(part, space_refine)
@@ -762,7 +764,7 @@ def assemble_Aht(space, t: float, gamma: float, omega1: float) -> np.ndarray:
     A = np.zeros((space.n_spatial, space.n_spatial))
     for rows, cols, _, kv in _sidewise_entries(space, t):
         A += _dense(space, rows, cols, kv)
-    st = interface_stencil([geom], np.zeros(1, dtype=int), np.array([t]), omega1)
+    st = interface_stencil(geom.columns, np.array([geom.i]), np.array([t]), omega1)
     J, G = st.jump, st.grad
     pen = (np.hypot(geom.mu, 1.0) * gamma / st.h_K)[:, None, None]
     n1 = st.n1[:, None, None]
@@ -785,7 +787,7 @@ def assemble_Aht(space, t: float, gamma: float, omega1: float) -> np.ndarray:
 def upwind_matrix(space, t: float) -> np.ndarray:
     """Spatial matrix of the moving-interface jump term at time t."""
     # omega1 weights only the average gradient, which this term does not read
-    st = interface_stencil([space.geom], np.zeros(1, dtype=int), np.array([t]), 0.5)
+    st = interface_stencil(space.geom.columns, np.array([space.geom.i]), np.array([t]), 0.5)
     return _dense(space, *_outer_entries(st.idx, st.upwind[:, :, None] * st.jump[:, None, :]))
 
 
@@ -943,7 +945,7 @@ def apply_Bh(
     for ws, vs in zip(w.slabs, v.slabs):
         geom = ws.geom
         breaks = quadrature_breakpoints(geom)
-        times, wts = composite_time_rule([geom.t_start], [geom.t_end], [breaks], GL3)
+        times, wts = composite_time_rule([geom.t_start], [geom.t_end], breaks, GL3, [len(breaks)])
         for t, wt in zip(times, wts):
             part = _volume_pairing(ws, vs, t, form)
             grad = _gradient_pairing(ws, vs, t)
@@ -1000,7 +1002,8 @@ def apply_load(v) -> float:
         geom = vs.geom
         q = setup.disc.q
         rhs_rule = midpoint() if q == 0 else lobatto3()
-        times, wts = composite_time_rule([geom.t_start], [geom.t_end], [geom.events], rhs_rule)
+        ends, count = ([geom.t_start], [geom.t_end]), [len(geom.events)]
+        times, wts = composite_time_rule(*ends, geom.events, rhs_rule, count)
         for t, wt in zip(times, wts):
             part = spatial_partition(geom, t)
             half = 0.5 * part.lengths

@@ -223,7 +223,7 @@ class TestCriterion6Quadrature:
             events = np.sort(rng.uniform(0.1, 0.9, rng.integers(0, 4)))
             c = rng.uniform(-2, 2, 4)
             for base in (lobatto3(), gauss_legendre3()):
-                t, w = composite_time_rule([0.0], [1.0], [events], base)
+                t, w = composite_time_rule([0.0], [1.0], events, base, [len(events)])
                 got = float(np.sum(w * sum(c[p] * t**p for p in range(4))))
                 ref = sum(c[p] / (p + 1) for p in range(4))
                 worst = max(worst, rel(got, ref))

@@ -29,9 +29,17 @@ from conftest import make_setup, oscillating_setup, slab_space, slab_system
 
 def _cap_chunk(monkeypatch, setup, slabs):
     """Set the march's chunk cap to hold ``slabs`` slabs of ``setup``."""
-    per_slab = len(setup.mesh_matrices[0]) * (setup.disc.q + 1) ** 2
+    cells = len(setup.bg_nodes) + len(setup.ov_offsets) - 2
+    per_slab = 4 * cells * (setup.disc.q + 1) ** 2
     monkeypatch.setattr(cutslab.solver, "CHUNK_ENTRIES", slabs * per_slab)
     assert cutslab.solver.chunk_length(setup) == slabs
+
+
+def _slab_bands(systems):
+    """(i, band) for each slab i of the chunk ``systems``, from the groups
+    of ``solver._chunk_bands``."""
+    groups = cutslab.solver._chunk_bands(systems, cutslab.solver.FactorMemo())
+    return [(i, band) for lo, bands in groups for i, band in enumerate(bands, lo)]
 
 
 def _same_matrix(A, B):
@@ -251,16 +259,20 @@ class TestMarch:
         sol.slabs[0].eval(0.5, 0.1)
         assert len(calls) == 1
 
-    def test_slab_record_is_built_once_per_slab(self, monkeypatch):
+    @pytest.mark.parametrize("config", ["moving", "stationary_nG1_q1", "stationary_nG4_q0"])
+    def test_slab_record_is_built_once_per_slab(self, config, monkeypatch):
         # the march builds the time rule, interface stencil and stabilization
         # weights of a chunk of slabs in one call each and evaluates the source
-        # once per chunk; the norm reads the records and rebuilds none of them
-        import dataclasses
+        # once per chunk; the norm reads the records and rebuilds none of them.
+        # A stationary march builds the geometry and record of its first slab
+        # only: the slabs that repeat it share them, also across chunks, and
+        # its norm is the recorded one
         import sys
 
         from cutslab.quadrature import GL3
+        from test_norms import GOLDEN_NORMS
 
-        names = ["interface_stencil", "stabilization_weights", "composite_time_rule"]
+        names = ["interface_stencil", "stabilization_weights", "composite_time_rule", "_by_slab"]
         calls = dict.fromkeys(names + ["source"], 0)
 
         def counting(name, fn):
@@ -276,7 +288,9 @@ class TestMarch:
                 for name in names:
                     if hasattr(mod, name):
                         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
-        setup = make_setup(n0=8, nG=2, N=7, mu=0.6, q=1)
+        stationary = config != "moving"
+        cfg = GOLDEN_NORMS[config][0] if stationary else dict(n0=8, nG=2, N=7, mu=0.6, q=1)
+        setup = make_setup(**cfg)
         problem = dataclasses.replace(
             setup.problem, source=counting("source", setup.problem.source)
         )
@@ -286,12 +300,18 @@ class TestMarch:
             n_chunks = -(-setup.disc.n_slabs // cutslab.solver.chunk_length(setup))
             calls.update(dict.fromkeys(calls, 0))
             sol = march(problem, setup.overlap, setup.disc)
-            assert all(0 < c <= n_chunks for c in calls.values()), (slabs, calls)
-            if slabs == 1:
-                assert calls == dict.fromkeys(calls, setup.disc.n_slabs)
+            built = {name: 2 if name == "_by_slab" else 1 for name in names}
+            if stationary:  # one record; the source load is every chunk's own
+                assert calls == {**built, "source": n_chunks}, (slabs, calls)
+            else:
+                assert all(0 < c <= 2 * n_chunks for c in calls.values()), (slabs, calls)
+            if slabs == 1 and not stationary:
+                assert calls == {**dict.fromkeys(calls, setup.disc.n_slabs), "_by_slab": 2 * n_chunks}
             calls.update(dict.fromkeys(calls, 0))
-            xnorm_error(sol, setup.problem.exact)
+            norm = xnorm_error(sol, setup.problem.exact)
             assert calls == dict.fromkeys(calls, 0)
+            for name, value in (GOLDEN_NORMS[config][1] if stationary else {}).items():
+                assert abs(getattr(norm, name) - value) <= 1e-12 * abs(value), (slabs, name)
 
     @pytest.mark.parametrize("q", [0, 1])
     @pytest.mark.parametrize(
@@ -340,6 +360,73 @@ class TestMarch:
                 assert np.max(np.abs(A - B)) <= 1e-14 * np.max(np.abs(A))
                 assert np.max(np.abs(a.rhs - b.rhs)) <= 1e-14 * np.max(np.abs(a.rhs))
                 assert np.max(np.abs(x.coeffs - y.coeffs)) <= 1e-14 * np.max(np.abs(x.coeffs))
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("quantity", ["load", "coefficients", "residual", None])
+    def test_group_check_names_a_slab_before_a_later_pivot_failure(self, quantity, q, monkeypatch):
+        # slabs 1-5 form one band group, checked after its solves; slab 4
+        # trips its pivot floor while slab 2's load, coefficients or residual
+        # is bad: the error names slab 2 and its quantity, else slab 4's pivot
+        setup = make_setup(n0=8, nG=2, N=5, mu=0.6, q=q)
+        system_of = cutslab.assembly.SlabSystems.system
+
+        def spoiled(self, i, *args, **kwargs):
+            system = system_of(self, i, *args, **kwargs)
+            if quantity == "load" and system.slab == 2:
+                system.load = np.where(np.arange(len(system.load)) == 0, np.nan, system.load)
+            if system.slab == 4:
+                system.band.ab[:, 0] *= 1e-30  # its first column nearly zero
+            return system
+
+        original = cutslab.solver.solve_slab
+
+        def solving(system):
+            x = original(system)
+            if system.slab == 2 and quantity == "coefficients":
+                x[0] = np.inf
+            if system.slab == 2 and quantity == "residual":
+                x[0] += 1e-3 * np.max(np.abs(x))
+            solved.append(system.slab)
+            return x
+
+        solved = []
+        monkeypatch.setattr(cutslab.assembly.SlabSystems, "system", spoiled)
+        monkeypatch.setattr(cutslab.solver, "solve_slab", solving)
+        want = {
+            "load": "non-finite entries in slab 2 system",
+            "coefficients": "slab 2 solve gave non-finite coefficients",
+            "residual": "slab 2 solve left relative residual",
+            None: r"singular slab system \(slab 4, .*pivot ratio",
+        }[quantity]
+        with pytest.raises(NumericalFailure, match=want):
+            march(setup.problem, setup.overlap, setup.disc)
+        assert solved == [1, 2, 3]  # slab 4 failed at its factor
+
+    def test_march_views_read_the_solved_coefficients(self, monkeypatch):
+        # every slab solution of a march is a view of its coefficient column
+        # and records: they give what the solve and the slab-alone builders
+        # gave, slab by slab
+        setup = make_setup(n0=16, nG=4, N=10, mu=0.6, q=1)
+        _cap_chunk(monkeypatch, setup, 4)
+        original, solved = cutslab.solver.solve_slab, {}
+
+        def solving(system):
+            solved[system.slab] = original(system)
+            return solved[system.slab]
+
+        monkeypatch.setattr(cutslab.solver, "solve_slab", solving)
+        sol = march(setup.problem, setup.overlap, setup.disc)
+        assert sum(s.space.n_cols for s in sol.slabs) == len(sol.slabs.coeffs)
+        assert sum(s.space.n_cols for s in sol.slabs) == sum(len(x) for x in solved.values())
+        for n, s in enumerate(sol.slabs, 1):
+            assert np.array_equal(s.coeffs, solved[n])
+            assert np.shares_memory(s.coeffs, sol.slabs.coeffs)
+            one = slab_space(setup, n)
+            assert s.space.n_cols == one.n_cols
+            for name in ("n", "t_start", "t_end", "k", "mu", "a_start", "overlap_length"):
+                assert getattr(s.geom, name) == getattr(one.geom, name)
+            for name in ("events", "cut_cells", "covered_cells", "bg_nodes", "ov_offsets"):
+                assert np.array_equal(getattr(s.geom, name), getattr(one.geom, name))
 
     @staticmethod
     def _march_with_bad_slab_3(setup, monkeypatch):
@@ -575,7 +662,7 @@ class TestBands:
         groups = list(cutslab.solver._groups(kl, ku, np.diff(systems.first)[systems.new]))
         wide = setup.disc.n_overlap == 256
         assert len(groups) == (len(spaces) if wide else 1)
-        bands = list(cutslab.solver._chunk_bands(systems, cutslab.solver.FactorMemo()))
+        bands = _slab_bands(systems)
         assert [i for i, _ in bands] == list(range(len(spaces)))
         # nor a band: it reuses the factor of the slab it repeats
         assert all((band is None) == (stationary and i > 0) for i, band in bands)
@@ -617,7 +704,7 @@ class TestBands:
             assert all(np.array_equal(a[i], b[1]) for a, b in zip(systems.jump, pair.jump))
         kl, ku = cutslab.solver._half_bandwidths(systems.rows, systems.cols, systems.at)
         assert kl.shape == ku.shape == (0,)
-        bands = list(cutslab.solver._chunk_bands(systems, cutslab.solver.FactorMemo()))
+        bands = _slab_bands(systems)
         assert bands == [(i, None) for i in range(5)]
         A = one.matrix.toarray()
         blocks = systems.matrix.toarray()
