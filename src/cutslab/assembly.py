@@ -1,46 +1,73 @@
 """Slab system assembly, for a chunk of consecutive slabs at once.
 
-Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slab``
-builds everything else of a chunk's slabs, the matrices, the source loads
-and the time-jump maps, in one pass over flat arrays of (slab, time) rows
-and (slab, entry) triplets, reading the columns of the chunk's records
-(``spaces.SlabSpaces``).  The result, ``SlabSystems``, is the chunk's block
-lower-bidiagonal system: the first slab's load holds the trace of the
-solution before the chunk (the initial data for slab 1), and
-``SlabSystems.system`` adds the previous slab's end-time trace to each later
-slab's load, one product of its jump map, once that slab is solved.
+Slab n sees slab n-1 only through the time-jump load.  So ``assemble_slab``,
+given the ``SlabSpaces`` of a chunk of slabs, builds everything else, the
+matrices, the source loads and the time-jump maps, for all of them in one
+pass over flat arrays of the chunk's (slab, time) rows and (slab, entry)
+triplets, reading the columns of the chunk's records (``spaces.SlabSpaces``).
+The result, ``SlabSystems``, is the chunk's block lower-bidiagonal system: the
+first slab's load holds the trace of the solution before the chunk (the
+initial data for slab 1), and ``SlabSystems.system`` adds the previous
+slab's end-time trace to each later slab's load, one product of its jump
+map, once that slab is solved.
 
-A slab whose matrix repeats the previous slab's (``Setup.repeats``) gets no
-triplets but reads those of the slab it repeats, also across chunks, so a
-stationary march builds one matrix in all.
+A slab whose matrix repeats the previous slab's, known from the time
+partition (``Setup.repeats``: a run of stationary slabs), gets no triplets:
+it reads those of the slab it repeats, also across chunks, so a stationary
+march builds one matrix in all.  Its loads and jump map are its own.
 
-Every piece of the slab form yields COO triplets in the global node
-numbering (background nodes ``0..nb-1``, then overlap nodes), each spatial
-entry carrying a (q+1)x(q+1) block over the temporal modes.  A ``node ->
-row`` table (``position_order``) maps them once to each slab's rows, its
-DOFs sorted by position, in which the solver's bands are banded.  The
-triplets go to the solver unsummed, slab after slab; a CSC matrix is built,
-with ``scipy.sparse``, only when one is read.  The pieces:
+Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
+nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
+that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
+temporal modes.  A ``node -> row`` table (``position_order``, -1 for a
+dropped background node) maps them once to each slab's rows, its DOFs
+sorted by position, in which the solver's bands are banded.  The triplets
+go to the solver unsummed, slab after slab, and the loads and jump maps in
+the same rows.  A CSC matrix is built, with ``scipy.sparse``, only when one
+is read.  The pieces differ in their time dependence:
 
-* the full-mesh P1 mass, stiffness and drift of both meshes are constant
-  (``Setup.mesh_matrices``; the overlap mesh moves rigidly) and contracted
-  with every slab's exact temporal weights in one product;
-* background volume terms over the uncovered region are those minus a
-  correction over the covered interval, piecewise polynomial in time between
-  interface-node crossings, integrated at each slab's own panel times;
+* the full-mesh P1 mass, stiffness and drift entries of both meshes are
+  constant.  The overlap mesh moves rigidly, so its entries depend only on the
+  node offsets; they are built once per setup (``Setup.mesh_matrices``) and
+  contracted with every slab's exact temporal weights in one product;
+* background volume terms over the uncovered region are the full-mesh matrices
+  minus a correction over the covered interval, whose entries are piecewise
+  polynomial in time between interface-node crossings; each slab's are
+  integrated at its own panel times;
 * interface point terms (Nitsche coupling, penalty, upwind space-time jump)
-  come from the records' stencils at all panel Gauss times;
-* the gradient-jump stabilization comes from the records' pairwise exact
-  weights, which the energy norm reads too.
+  come from the records' stencils of both interface points at all panel Gauss
+  times: seven nodes per point with jump, average-gradient and upwind-trace
+  weights, piecewise polynomial between the same crossings;
+* the overlap-region gradient-jump stabilization comes from the records'
+  stabilization weights: pairwise over (cut background cell, overlap cell),
+  the exact temporal weights of each pair's covered length with panels at
+  their mutual crossings.  The energy norm reads the same weights.
 
 Composite three-point Gauss rules on those panels integrate every piecewise
-polynomial integrand exactly (degree <= 5).  The source load uses trapezoid
-in space and midpoint (q = 0) or three-point Lobatto (q = 1) in time: one
-merged partition at every distinct (slab, time) of the chunk's rule, two
-``bincount`` sums of hat weights per time and node, and one product with the
-rule weights and mode values per chunk (``_f_load``).  The time-jump load is
-the side-wise start mass applied to the previous slab's end-time trace
-(``_jump_maps``).  ``solver.CHUNK_ENTRIES`` bounds a chunk's temporaries.
+polynomial integrand exactly (degree <= 5), so the assembled matrix carries no
+temporal quadrature error.
+
+The source load uses the lower-order rules of the reference computation:
+trapezoid in space, midpoint in time for piecewise-constant time elements and
+three-point Lobatto for linear ones.  Its spatial sums carry no temporal mode.
+One merged partition at every distinct (slab, time) of the chunk's rule gives
+each segment two scalar hat weights, for the two nodes of its own cell, from
+the source at the segment's ends; two ``bincount`` calls sum them per time
+and node.  One product per chunk then weights each slab's times by their
+rule weights and mode values.  A chunk thus makes one partition and one call
+of the source, which sees each breakpoint of each distinct time once, and no
+spatial temporary has a mode axis: the modes enter only that product, of
+slabs x (most distinct times of a slab) x nodes x (q+1) multiply-adds.
+
+The time-jump load of a slab after the first is the side-wise mass at the
+slab start (the full-mesh mass minus the covered correction there)
+applied to the previous slab's end-time trace (``_jump_maps``); the first
+slab integrates the initial data with three-point Gauss per merged-partition
+segment, through the same hat sums.
+
+A chunk's temporaries (its triplets, the merged partitions of its source
+load, its covered-cell products) grow with its slab count; the march's cap
+on a chunk (``solver.CHUNK_ENTRIES``) bounds them.
 """
 
 from __future__ import annotations
@@ -52,7 +79,11 @@ import numpy as np
 
 from .core import NumericalFailure, Setup, pointwise
 from .geometry import (
-    SlabGeometries, SlabGeometry, partition_at, ragged_arange, segment_cells, segment_points,
+    SlabGeometry,
+    partition_at,
+    ragged_arange,
+    segment_cells,
+    segment_points,
     spatial_partition,
 )
 from .quadrature import GL3, composite_time_rule, lobatto3, midpoint
@@ -64,12 +95,13 @@ class SlabSystem:
     """The system of one slab, as ``SlabSystems.system`` builds it: the
     matrix as ``triplets`` (rows, cols, vals) in the slab's position order
     with duplicates unsummed, the ``load`` in that order, and ``order``, the
-    slab DOF of each position.  ``matrix`` (scipy.sparse CSC) and ``rhs``
-    give them in DOF order, built only when read.  ``repeats``: the matrix
-    is the previous slab's.  ``memo`` is the march's ``solver.FactorMemo``
-    (None factors afresh), ``band`` the matrix's ``solver.Band`` (None: built
-    from the triplets), and ``check`` false leaves the checks of the solve to
-    the caller, which runs them for a group of slabs at once.
+    slab DOF of each position.  ``matrix``, a scipy.sparse CSC array, and
+    ``rhs`` give them in DOF order; they are built only when read, off the
+    march path.  ``repeats`` tells that the matrix is the previous slab's
+    (``Setup.repeats``).  ``memo`` is the march's ``solver.FactorMemo``,
+    shared by its slabs, which then holds that slab's factor (None factors
+    afresh), and ``band`` the matrix's ``solver.Band`` (None builds it from
+    the triplets).
     """
 
     slab: int
@@ -80,7 +112,6 @@ class SlabSystem:
     repeats: bool = False
     memo: object = None
     band: object = None
-    check: bool = True
 
     @cached_property
     def matrix(self):
@@ -92,6 +123,11 @@ class SlabSystem:
         rhs = np.empty_like(self.load)
         rhs[self.order] = self.load
         return rhs
+
+
+# ---------------------------------------------------------------------------
+# spatial entries as COO triplets in the global node numbering
+# ---------------------------------------------------------------------------
 
 
 def _segment_mass_stiff(xa, xb, cell_lo, cell_hi):
@@ -161,6 +197,11 @@ def _point_entries(idx, vals, weights):
     return rows, cols, vals.reshape(n, s * s, 1) * weights.reshape(n, 1, mm)
 
 
+# ---------------------------------------------------------------------------
+# slab assembly
+# ---------------------------------------------------------------------------
+
+
 def _temporal_products(q: int, k: np.ndarray):
     """Exact integrals of mode products over slabs of lengths ``k``, shaped
     (slabs, q+1, q+1): T1 = lam_i lam_j, T2 = lam_i lam_j' (test index
@@ -194,13 +235,15 @@ def _hat_sums(geom, part, points, row, n_rows: int) -> np.ndarray:
     return g.reshape(n_rows, n_nodes)
 
 
-def _f_load(geoms: SlabGeometries, q, slab: np.ndarray, times: np.ndarray, weights, source):
+def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndarray, source):
     """Load of the source against every node's hat and temporal mode of each
     slab of ``geoms``, shaped (slabs, nodes, q+1): trapezoid per segment in
-    space, the rule (times, weights) in time, where ``slab`` gives each
-    time's slab.  ``source`` is called once.  The hat sums carry no mode
-    axis: they are formed once per distinct (slab, time), and one product
-    weights them by each time's rule weight and mode values."""
+    space, the rule (times, weights) in time, where ``slab`` gives the
+    position in ``geoms`` of each time's slab.  ``source`` is called once.
+
+    The hat sums carry no mode axis: they are formed once per distinct
+    (slab, time), and one product per chunk weights them by each time's
+    rule weight and mode values."""
     # a composite Lobatto rule repeats each inner panel endpoint of a slab
     order = np.lexsort((times, slab))
     ts, ss = times[order], slab[order]
@@ -268,8 +311,9 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active):
     correction, at each slab start and on its panel Gauss times (``t_slab``
     gives each time's slab): mass against the start trace and lam_i lam_j',
     stiffness against lam_i lam_j; and the covered mass triplets (slab,
-    rows, cols, values) at the slab starts.  Only the cells with a node in
-    ``active`` (slabs, background nodes), which a slab's DOFs keep, count."""
+    rows, cols, values) at the slab starts, slab after slab.  Only the cells
+    with a node in ``active`` (slabs, background nodes) give triplets: the
+    others give none that a slab's DOFs keep."""
     S, mm = len(geoms), start.size
     # positions: each slab's start, then its times; the product below pads
     # each slab's to the most of any slab with zeros
@@ -330,7 +374,8 @@ def position_order(spaces):
     their coordinate, overlap nodes at the slab midpoint, ties in DOF order)
     with the temporal modes of each together.  Returns ``node_row`` (slabs,
     nodes), the row of each node's first mode or -1 for a node without DOF,
-    and ``order``, the slab DOF of each row."""
+    and ``order``, the slab DOF of each row.
+    """
     m = spaces.q + 1
     geoms = spaces.geoms
     nb = len(geoms.bg_nodes)
@@ -357,7 +402,8 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     with duplicates unsummed, slab i's from entry ``at[i]`` on and in its own
     rows (``node_row`` starts slab i at row ``first[i]``); ``at``; and the
     covered mass triplets at each slab start.  Raises ``NumericalFailure``
-    naming the first slab with a non-finite entry."""
+    naming the first slab with a non-finite entry.
+    """
     S = len(spaces)
     geoms = spaces.geoms
     q = spaces.q
@@ -418,11 +464,13 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
 
 
 def _chunk_matrices(spaces, setup: Setup, node_row, first: list, new: np.ndarray, held):
-    """``_slab_matrices`` of the slabs of ``spaces`` with ``new`` true, in
-    rows counted over them alone; and the covered mass triplets (slab, rows,
-    cols, values) at the start of every slab, slab after slab: any other slab
-    has that of the slab it repeats, in the chunk or ``held``'s.
-    ``node_row`` and ``first`` are the chunk's (``position_order``)."""
+    """``_slab_matrices`` of the slabs of ``spaces`` with ``new`` true, on
+    their own: their triplets, in rows counted over them alone, and ``at``;
+    and the covered mass triplets (slab, rows, cols, values) at the start of
+    every slab, slab after slab.  Any other slab starts where the slab it
+    repeats starts, with the same DOFs, so its covered mass is that slab's:
+    in the chunk, or for the first slab ``held``'s.  ``node_row`` and
+    ``first`` are the chunk's (``position_order``)."""
     rows = cols = np.empty(0, dtype=np.intc)
     vals, at = np.empty(0), [0]
     cover = [np.empty(0, dtype=int)] * 3 + [np.empty(0)]
@@ -450,13 +498,16 @@ def _chunk_matrices(spaces, setup: Setup, node_row, first: list, new: np.ndarray
 def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
     """The time-jump maps of consecutive slabs: triplets (rows, cols, vals),
     each shaped (slabs, entries), from the previous slab's coefficients
-    (``cols``, its DOFs) to each slab's load (``rows``, its own rows): the
-    side-wise start mass (the full-mesh mass minus the covered mass
-    ``start_cov``) between the slab's start-mode test functions and the
-    previous slab's end-time trace, exact as both are P1 on every segment.
-    ``local_row`` (slabs, nodes) gives each node's first row or -1,
-    ``prev_dof`` the previous slab's DOF of its first mode or a negative
-    number; an entry on a node without either, or padding, is a zero on 0.
+    (``cols``, its DOFs) to each slab's load (``rows``, its own rows).
+
+    The map is the side-wise mass at the slab start, the full-mesh mass minus
+    the covered mass ``start_cov``, between the slab's start-mode test
+    functions and the previous slab's end-time trace: both P1 on every
+    segment of the start partition, so the pairing is exact.  ``local_row``
+    (slabs, nodes) gives each node's first row or -1, ``prev_dof`` the
+    previous slab's DOF of its first mode or a negative number; an entry on
+    a node without either, or padding a slab with fewer covered cells, is a
+    zero on row and column 0.
     """
     S = len(local_row)
     rows, cols, vals = setup.mesh_matrices
@@ -500,16 +551,20 @@ class SlabSystems:
     """The system of consecutive slabs, block lower bidiagonal in time.
 
     Slab i's unknowns are the chunk rows ``first[i]`` to ``first[i + 1]``,
-    in its position order: ``order`` gives the slab DOF of each row.  The
-    slab matrices come as triplets with duplicates to be summed, each slab's
-    in its own rows (``triplets``): the j-th slab with ``new`` true has
-    ``rows``, ``cols``, ``vals`` from entry ``at[j]`` to ``at[j + 1]``; any
-    other slab reads those of the slab it repeats, the first slab those of
-    ``held``, the previous chunk's ``handoff``.  ``matrix`` is their block
-    diagonal CSC array in DOF order.  ``loads`` holds each row's source load
-    (and the first slab's the trace before the chunk); ``jump`` takes the
-    solution on slab i-1 to slab i's time-jump load, so ``system(i, prev)``
-    is slab i's system once ``prev``, the solution on slab i-1, is known.
+    in its position order (``position_order``): ``order`` gives the slab DOF
+    of each row.  The diagonal blocks, the slab matrices, come as triplets
+    with duplicates to be summed, each slab's in its own rows
+    (``triplets``).  A slab with ``new`` true was assembled: the j-th such
+    slab's triplets are ``rows``, ``cols``, ``vals`` from entry ``at[j]``
+    to ``at[j + 1]``.  Any other slab repeats the slab before it and reads
+    its triplets, the first slab those in ``held``, the previous chunk's
+    ``handoff``.  ``matrix`` builds them all into one block-diagonal CSC
+    array in DOF order when it is read.  ``loads`` holds each row's source
+    load; the first slab's also holds the trace of the solution before the
+    chunk (or the initial data).  Below the diagonal, ``jump`` takes the
+    solution on slab i-1 to slab i's time-jump load, so the slabs are solved
+    one after the other: ``system(i, prev)`` is slab i's system once
+    ``prev``, the solution on slab i-1, is known.
     """
 
     spaces: SlabSpaces
@@ -523,8 +578,9 @@ class SlabSystems:
     vals: np.ndarray
     loads: np.ndarray
     jump: tuple  # (rows, cols, vals), each (slabs, entries): see _jump_maps
-    # when the slab after the chunk repeats its last: copies of its triplets
-    # and its covered start mass (rows, cols, values), the next chunk's ``held``
+    # when the slab after the chunk repeats its last: copies of that slab's
+    # triplets and of its covered mass triplets (rows, cols, values) at its
+    # start, which the next chunk's ``assemble_slab`` reads as ``held``
     handoff: tuple | None
 
     @cached_property
@@ -561,22 +617,26 @@ class SlabSystems:
     def matrix(self):
         """The block-diagonal CSC array of the slab matrices, slab i's block
         from row and column ``first[i]`` on, in its DOF order."""
-        dof, blocks = self.dof, zip(self.first, map(self.triplets, range(len(self.spaces))))
-        rows, cols, vals = zip(*((dof[f + r], dof[f + c], v) for f, (r, c, v) in blocks))
-        return _csc(*(np.concatenate(x) for x in (rows, cols, vals)), self.first[-1])
+        dof = self.dof
+        blocks = [self.triplets(i) for i in range(len(self.spaces))]
+        rows, cols, vals = (
+            np.concatenate(x)
+            for x in zip(*((dof[f + r], dof[f + c], v) for f, (r, c, v) in zip(self.first, blocks)))
+        )
+        return _csc(rows, cols, vals, self.first[-1])
 
-    def system(self, i: int, prev, memo=None, band=None, check=True) -> SlabSystem:
+    def system(self, i: int, prev, memo=None, band=None) -> SlabSystem:
         """The system of slab i (0-based in the chunk); ``prev``, the
         solution on slab i - 1 (a ``SlabSolution``) or its coefficients, is
-        read for i > 0 only.  ``memo``, ``band`` and ``check`` are handed on
-        to the solve (``SlabSystem``)."""
+        read for i > 0 only.  ``memo`` and ``band`` are handed on to the
+        solve (``SlabSystem.memo`` and ``SlabSystem.band``)."""
         f, k = self.first[i], self.first[i + 1]
         load = self.loads[f:k]
         if i > 0:
             load = load + _apply(self.jump, i, getattr(prev, "coeffs", prev), k - f)
         return SlabSystem(
             int(self.spaces.geoms.n[i]), self.spaces[i], self.triplets(i), self.order[f:k], load,
-            not self.new[i], memo, band, check,
+            not self.new[i], memo, band,
         )
 
 
@@ -584,12 +644,18 @@ def assemble_slab(
     spaces: SlabSpaces, setup: Setup, prev: SlabSolution | None, held=None
 ) -> SlabSystems:
     """The matrices, source loads and time-jump maps of the consecutive slabs
-    ``spaces``, built at once.  ``prev`` is the solution on the slab before
-    them, whose end-time trace enters the first slab's load (None before
-    slab 1: the initial data enters).  A slab that repeats the slab before
-    it (``Setup.repeats``) gets no matrix of its own but reads that slab's
-    triplets, the first slab those in ``held``, the previous chunk's
-    ``SlabSystems.handoff`` (without it, the first slab is assembled)."""
+    ``spaces``, built at once.
+
+    ``prev`` is the solution on the slab before them, whose end-time trace
+    enters the first slab's load; before slab 1 it is None and the initial
+    data enters instead.
+
+    A slab that repeats the slab before it (``Setup.repeats``) gets no matrix
+    of its own: it reads the triplets of the slab it repeats, in the chunk
+    or, for the first slab, in ``held``, the previous chunk's
+    ``SlabSystems.handoff``.  Without ``held`` the first slab is assembled.
+    Its loads and jump map are its own, as every slab's.
+    """
     S = len(spaces)
     q = spaces.q
     m = q + 1

@@ -236,15 +236,27 @@ def manufactured_problem(final_time: float = 1.0) -> ProblemSpec:
             -0.5 * np.sin(np.pi * x) ** 2 - 2 * np.pi**2 * np.cos(2 * np.pi * x)
         )
 
-    initial = lambda x: np.sin(np.pi * x) ** 2
-    return ProblemSpec(0.0, 1.0, final_time, source, initial, ExactSolution(u=u, u_x=u_x, u_t=u_t))
+    return ProblemSpec(
+        x_lo=0.0,
+        x_hi=1.0,
+        final_time=final_time,
+        source=source,
+        initial=lambda x: np.sin(np.pi * x) ** 2,
+        exact=ExactSolution(u=u, u_x=u_x, u_t=u_t),
+    )
 
 
 def zero_problem(final_time: float = 1.0) -> ProblemSpec:
     """Zero source and zero initial data; the solution is identically zero."""
     zero2 = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    initial = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return ProblemSpec(0.0, 1.0, final_time, zero2, initial, ExactSolution(zero2, zero2, zero2))
+    return ProblemSpec(
+        x_lo=0.0,
+        x_hi=1.0,
+        final_time=final_time,
+        source=zero2,
+        initial=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        exact=ExactSolution(u=zero2, u_x=zero2, u_t=zero2),
+    )
 
 
 # 5-point Gauss-Legendre on [0,1], for slab averages of a smooth velocity

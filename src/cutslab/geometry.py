@@ -334,7 +334,16 @@ def partition_at(geom: SlabGeometry, times: np.ndarray, a: np.ndarray, t=None) -
     # inside the moving interval, so neither cell index needs clipping
     bg_cell = np.searchsorted(nodes, mid) - 1
     ov_cell = np.where(side == 2, np.searchsorted(offsets, mid - a) - 1, -1)
-    return SpatialPartition(times[row] if t is None else t, row, xa, xb, side, bg_cell, ov_cell, a)
+    return SpatialPartition(
+        t=times[row] if t is None else t,
+        time_index=row,
+        xa=xa,
+        xb=xb,
+        side=side,
+        bg_cell=bg_cell,
+        ov_cell=ov_cell,
+        a=a,
+    )
 
 
 def segment_cells(geom: SlabGeometry, part: SpatialPartition):
@@ -355,7 +364,9 @@ def segment_cells(geom: SlabGeometry, part: SpatialPartition):
 def segment_points(part: SpatialPartition):
     """Three-point Gauss points and weights on every segment of a partition,
     shaped (segments, 3)."""
-    return part.xa[:, None] + part.lengths[:, None] * GL3.nodes, part.lengths[:, None] * GL3.weights
+    pts = part.xa[:, None] + part.lengths[:, None] * GL3.nodes
+    wts = part.lengths[:, None] * GL3.weights
+    return pts, wts
 
 
 def sigma_side(interface: str, mu):
@@ -367,7 +378,11 @@ def sigma_side(interface: str, mu):
     ``integral over the slab of w * [trial] * test_sigma dt`` with w = n1 * mu.
     Sigma is the side occupying the point immediately after time t.
     """
-    if interface not in ("left", "right"):
+    if interface == "left":
+        n1 = 1.0
+    elif interface == "right":
+        n1 = -1.0
+    else:
         raise ValueError(f"interface must be 'left' or 'right', got {interface!r}")
-    w = (1.0 if interface == "left" else -1.0) * np.asarray(mu, dtype=float)
+    w = n1 * np.asarray(mu, dtype=float)
     return np.where(w >= 0, 1, 2), w

@@ -6,24 +6,27 @@ and the moving-interface jump term.  Temporal integration is composite
 three-point Gauss over the interface-crossing panels of each slab; spatial
 integration is three-point Gauss per merged-partition segment.
 
-The norm works on flat rows across all slabs, not slab by slab.  It reads the
-columns of the records the march built (``spaces.SlabSpaces``) and the
-march's coefficient column as they are (``SpaceTimeSolution.columns`` joins
-those of solutions put together slab by slab): the nodal values form one
-(slab, node, mode) array, and the rows are the records' times with their
-weights, mode values and slabs.
+The norm works on flat rows across all slabs, not slab by slab, and reads
+the columns of the records that the march built (``spaces.SlabSpaces``) and
+its coefficient column (``spaces.SlabSolutions``) as they are, rebuilding
+and concatenating none of them.  The coefficient column fills one (slab,
+node, mode) array of nodal values, and the rows are the records' times with
+their weights and temporal mode values, each tagged with its slab.
 
 - Volume terms: the rows go in chunks of at most ``CHUNK_ROW_NODES`` (time
-  rows x mesh nodes) with one merged partition per chunk, which forms the
+  rows x mesh nodes) with one merged partition per chunk.  A chunk forms the
   discrete solution and its time derivative at every node of its rows once;
-  each segment reads its cell's ends from those by 1-D gathers.
-- Interface terms: one gathered contraction over the stencil rows of all
-  records, with each row's slab velocity.
-- Gradient-jump term: the quadratic form of the records' stabilization
-  weights in the discrete gradient jumps over all pairs at once; it is exact
-  for discrete arguments.
+  each segment reads its own cell's ends from those by 1-D gathers.  A chunk
+  may cut a slab's times, so the cap bounds the temporaries of a wide slab.
+- Interface terms: one gathered contraction over the interface stencil rows
+  of all records, with each row's slab velocity.
+- Gradient-jump term over the covered parts of cut cells: the quadratic form
+  of the records' stabilization weights (pairwise per cut cell and overlap
+  cell, exact in time) in the discrete gradient jumps, over the pairs of all
+  slabs at once; it is exact for discrete arguments.
 - Initial, time-jump and final traces: the slab breakpoints in chunks under
-  the same cap, with the nodal values of the slabs above and below each.
+  the same cap, one merged partition per chunk, with the nodal values of the
+  slabs above and below each breakpoint.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExactSolution, pointwise, zero_problem
+from .core import ExactSolution, pointwise
 from .geometry import partition_at, ragged_arange, segment_cells, segment_points
 from .spaces import SlabSpaces, SpaceTimeSolution, temporal_basis_derivs, temporal_modes
 
@@ -62,8 +65,14 @@ class NormBreakdown:
     @property
     def b_sq(self) -> float:
         return (
-            self.grad_sq + self.flux_sq + self.iface_jump_sq + self.stab_sq
-            + self.time_jump_sq + self.final_sq + self.initial_sq + self.moving_jump_sq
+            self.grad_sq
+            + self.flux_sq
+            + self.iface_jump_sq
+            + self.stab_sq
+            + self.time_jump_sq
+            + self.final_sq
+            + self.initial_sq
+            + self.moving_jump_sq
         )
 
     @property
@@ -77,6 +86,11 @@ class NormBreakdown:
     @property
     def x(self) -> float:
         return float(np.sqrt(self.x_sq))
+
+
+def _zero_exact() -> ExactSolution:
+    z = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+    return ExactSolution(u=z, u_x=z, u_t=z)
 
 
 def _nodal_values(spaces: SlabSpaces, coeffs: np.ndarray) -> np.ndarray:
@@ -221,11 +235,11 @@ def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> N
     chunk of rows under ``CHUNK_ROW_NODES``, across slabs.
     """
     if exact is None:
-        exact = zero_problem().exact
+        exact = _zero_exact()
     if exact.u_x is None or exact.u_t is None:
         raise ValueError("exact solution must provide u_x and u_t for the error norm")
-    spaces, coeffs = sol.columns()
-    vals = _nodal_values(spaces, coeffs)
+    spaces = sol.slabs.spaces
+    vals = _nodal_values(spaces, sol.slabs.coeffs)
     per_chunk = max(1, CHUNK_ROW_NODES // vals.shape[1])
     slab, times = spaces.slab_index("tau"), spaces.times
     grad, material_bg, material_ov = _volume_terms(spaces, vals, slab, times, exact, per_chunk)

@@ -15,13 +15,19 @@ class Rule1D:
 
 def lobatto3() -> Rule1D:
     """Three-point Lobatto rule; exact for polynomials of degree <= 3."""
-    return Rule1D(np.array([0.0, 0.5, 1.0]), np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]))
+    return Rule1D(
+        nodes=np.array([0.0, 0.5, 1.0]),
+        weights=np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]),
+    )
 
 
 def gauss_legendre3() -> Rule1D:
     """Three-point Gauss-Legendre rule; exact for polynomials of degree <= 5."""
     r = np.sqrt(3.0 / 5.0)
-    return Rule1D(np.array([1.0 - r, 1.0, 1.0 + r]) / 2.0, np.array([5.0, 8.0, 5.0]) / 18.0)
+    return Rule1D(
+        nodes=np.array([(1.0 - r) / 2.0, 0.5, (1.0 + r) / 2.0]),
+        weights=np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0]),
+    )
 
 
 GL3 = gauss_legendre3()
@@ -31,7 +37,9 @@ def midpoint() -> Rule1D:
     return Rule1D(nodes=np.array([0.5]), weights=np.array([1.0]))
 
 
-def composite_time_rule(t_start, t_end, events, base: Rule1D, counts) -> tuple:
+def composite_time_rule(
+    t_start, t_end, events, base: Rule1D, counts
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply ``base`` on every panel between consecutive breakpoints of each
     of several slabs.
 

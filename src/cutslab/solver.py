@@ -1,37 +1,65 @@
 """Slab-by-slab time marching and the banded linear solve behind it.
 
-``march`` takes the slabs in chunks of consecutive slabs and builds the
-geometry, records, matrix triplets, source loads and time-jump maps of a
-chunk's slabs at once, as columns, since none of them reads the previous
-slab.  The loop over the slabs keeps only what does: the jump product on the
-previous slab's coefficients (``SlabSystems.system``), then ``solve_slab``:
-``dgbtrf`` with the pivot floor unless the factor is reused, ``dgbtrs`` and
-the scatter to DOF order into the march's one coefficient column, of which
-each ``SlabSolution`` is a view.  The finiteness of loads and coefficients
-and the residual bound are checked once per group of slabs (``_chunk_bands``),
-after its solves, with one ``bincount`` over the group's triplets.  A failure
-names the first slab in slab order that trips and the quantity that tripped,
-also when a later slab of its group failed its pivot floor first; no later
-group is solved, nor a slab whose source load is not finite.
+``march`` takes the slabs in chunks of consecutive slabs.  For a chunk it
+builds the geometry (``build_slab_geometry`` on a range of slabs), the slab
+records (``build_slab_space``) and the matrix triplets, source loads and
+time-jump maps (``assemble_slab``) of all its slabs at once, as columns,
+since none of them reads the previous slab.  The loop over the chunk's
+slabs keeps only what does: one jump product on the previous coefficients
+(``SlabSystems.system``), then ``solve_slab``: ``dgbtrf`` with the pivot
+floor unless the factor is reused, ``dgbtrs`` and one scatter back to DOF
+order, into the march's one coefficient column, of which each
+``SlabSolution`` is a view.
 
-With its DOFs in position order (``assembly.position_order``) a slab matrix
-is banded, as every term of the slab form is local in x, and LAPACK's banded
-LU with partial pivoting factors it in O(n b^2).  The bandwidth b grows with
-(q+1) times the interface-node crossings per slab and with the ratio of the
-mesh sizes: 3-4 on ``long_march``, 7 on ``stationary``, 15-17 on
-``wide_slab``.  ``banded_lapack`` loads scipy's f2py routines from the
-extension ``scipy.linalg._flapack`` alone, so ``import cutslab`` loads
-neither ``scipy.linalg`` nor ``scipy.sparse``.  One ``bincount`` sums the
-triplets of a group of slabs into their bands, within 8 ``CHUNK_ENTRIES``
-entries, once the slabs before it are solved; ``dgbtrf`` writes each factor
-over its band.
+The other checks run once per group of slabs (``_chunk_bands``), after the
+group's solves (``_check``): the finiteness of the loads and of the
+coefficients, and the residual bound, with one ``bincount`` over the
+group's triplets.  A failure names the first slab in slab order that trips
+and the quantity that tripped, also when a later slab of the group failed
+its pivot floor first, and no later slab is solved.  A slab whose source
+load is not finite is not solved either.
 
-A slab that repeats the previous one (``Setup.repeats``: both stationary, of
-one length and at one position) gets no triplets, band or factor and is a
-group alone: it reuses the factor in the march's one-entry ``FactorMemo``,
-also across chunks (``SlabSystems.handoff``), and gets the coefficients of a
-fresh factor, bit for bit.  ``CHUNK_ENTRIES`` caps a chunk, and so the memory
-that batching adds.
+Every term of the slab form is local in x, so with its DOFs in position
+order (``assembly.position_order``) a slab matrix is banded, and
+``solve_slab`` factors it by LAPACK's banded LU with partial pivoting in
+O(n b^2) for n unknowns and bandwidth b.  The bandwidth grows with (q+1)
+times the interface-node crossings per slab, since the interface stencil
+couples the overlap's end nodes to every background node the interface
+passes, and with the ratio of the mesh sizes, since a stabilized pair
+couples a cut background cell to all overlap cells that meet it.  On the
+benchmark workloads b is 3-4 (``long_march``), 7 (``stationary``) and 15-17
+(``wide_slab``).  The order changes only the speed of the solve.
+
+The four LAPACK routines (``dgbtrf``, ``dgbtrs``, ``dlangb``, ``dgbcon``) are
+scipy's f2py wrappers, taken from the extension ``scipy.linalg._flapack``
+that ``banded_lapack`` loads on its own, so ``import cutslab`` loads neither
+the ``scipy.linalg`` nor the ``scipy.sparse`` package.
+
+The bands come straight from the chunk's triplets, whose rows are already in
+position order: kl and ku follow from them, and one ``bincount`` sums each
+entry's duplicates into its band slot.  The band layout is known to this
+module alone.  A group holds as many consecutive slabs as keep their band
+storage within 8 ``CHUNK_ENTRIES`` entries, and at least one; it is built
+once the slabs before it are solved, and ``dgbtrf`` writes each factor over
+its band, so a chunk of wide bands holds one band at a time.
+
+A march factors a slab matrix only when it differs from the previous slab's,
+which the time partition tells before anything is assembled: slab n repeats
+slab n-1 when both are stationary, of one length and at one position
+(``Setup.repeats``).  Such a slab gets no triplets of its own, no band and
+no factor: it reuses slab n-1's factor from the march's one-entry
+``FactorMemo``, whose pivot floor was checked when it was made, and it is a
+group of its own.  When the first slab of a chunk repeats the previous
+chunk's last, that chunk hands on copies of its last slab's triplets
+(``SlabSystems.handoff``), so the first slab is not assembled either.  Every
+slab still gets its own solve and the checks of its coefficients; the
+residual reads the shared triplets.  The coefficients are those of a fresh
+factor, bit for bit.
+
+``CHUNK_ENTRIES`` caps a chunk: it holds as many slabs as keep 4 (q+1)^2
+entries per mesh cell within the cap, and at least one.  The chunk's
+temporaries grow about in proportion, so the cap bounds the memory that
+batching adds.
 """
 
 from __future__ import annotations
@@ -161,10 +189,13 @@ def _band(triplets, n: int) -> Band:
 @dataclass
 class FactorMemo:
     """The band LU factor (``lu``, ``ipiv``, the band's kl, ku and
-    ||A||_inf) of the last slab matrix one march factored, or None.
-    ``march`` makes one and hands it to every slab system."""
+    ||A||_inf) of the last slab matrix one march factored.  ``march`` makes
+    one and hands it to every slab system."""
 
     factor: tuple | None = None
+
+    def clear(self) -> None:
+        self.factor = None
 
 
 def _norm(norm: str, band: Band) -> float:
@@ -185,8 +216,10 @@ def _singular(
         A = _band(triplets, band.ab.shape[1])  # the factor overwrote the band
         rcond, _ = dgbcon(band.kl, band.ku, *factor, _norm("1", A))
         cond = 1.0 / rcond if rcond > 0 else np.inf
-    floor = "" if pivot_ratio is None else (
-        f"pivot ratio min|U_jj|/||A||_inf {pivot_ratio:.3e} "
+    floor = (
+        ""
+        if pivot_ratio is None
+        else f"pivot ratio min|U_jj|/||A||_inf {pivot_ratio:.3e} "
         f"not above PIVOT_FRACTION {PIVOT_FRACTION:.0e}, "
     )
     return NumericalFailure(
@@ -213,11 +246,13 @@ def _factor(system: SlabSystem, triplets, band: Band) -> tuple:
 
 def _chunk_bands(systems, memo: FactorMemo):
     """Yields (lo, bands) for each group of slabs of the chunk ``systems``:
-    the band of each slab of the group, the first being slab lo.  A slab
-    that repeats the slab before it (``SlabSystems.new`` false) reuses that
-    slab's factor: it is a group alone, of band None.  The bands of a run of
-    assembled slabs are built a group at a time (``_groups``), once the slabs
-    before are solved; the memo lets go of its factor first."""
+    the band of each slab of the group, the first being slab lo.
+
+    A slab that repeats the slab before it (``SlabSystems.new`` false) will
+    reuse that slab's factor: it is a group alone, of band None.  The bands
+    of each run of assembled slabs are built a group at a time (``_groups``),
+    each group once the slabs before it are solved; the memo lets go of its
+    factor first, since no slab of the group reuses it."""
     rows, cols, vals, at, new = systems.rows, systems.cols, systems.vals, systems.at, systems.new
     n = np.diff(systems.first)
     S = len(n)
@@ -231,7 +266,7 @@ def _chunk_bands(systems, memo: FactorMemo):
             while j < S and new[j]:
                 j += 1
             for lo, hi in _groups(kl[s : s + j - i], ku[s : s + j - i], n[i:j]):
-                memo.factor = None
+                memo.clear()
                 a, b = at[s + lo], at[s + hi]
                 where = [f - a for f in at[s + lo : s + hi + 1]]
                 group = (rows[a:b], cols[a:b], vals[a:b], where)
@@ -277,23 +312,24 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
     """Solve one slab system by banded LU with partial pivoting; the
     coefficients come back in the slab's DOF order.
 
-    The solve reads the system's triplets, load and band (built from the
-    triplets when there is none) in position order.  The band is factored,
-    over its storage, unless the slab repeats the previous one and
-    ``system.memo`` holds that slab's factor, which passed the pivot floor
-    when it was made; a new factor replaces the memo's.  With
-    ``system.check`` the solve is checked here (``_check``), otherwise by
-    the caller.
+    The solve reads the system's triplets, load and band in position order,
+    and builds the band from the triplets when there is none.  The band is
+    factored, over its storage, unless the slab repeats the previous one
+    (``system.repeats``) and ``system.memo`` holds that slab's factor, which
+    passed the pivot floor when it was made; then that factor is reused.  A
+    new factor replaces the memo's.  The finiteness of the load and of the
+    coefficients and the residual bound are left to the caller (``_check``):
+    the march checks a group of slabs at once, after their solves.
     """
     triplets, order, band, b = system.triplets, system.order, system.band, system.load
     memo = system.memo if system.memo is not None else FactorMemo()
     if not (system.repeats and memo.factor is not None):
-        memo.factor = None  # never hold two factors at once
-        memo.factor = _factor(system, triplets, _band(triplets, len(b)) if band is None else band)
-    lu, ipiv, kl, ku, scale = memo.factor
+        memo.clear()  # never hold two factors at once
+        if band is None:
+            band = _band(triplets, len(b))
+        memo.factor = _factor(system, triplets, band)
+    lu, ipiv, kl, ku, _ = memo.factor
     y, _ = dgbtrs(lu, kl, ku, b, ipiv)
-    if system.check:
-        _check([system.slab], [0, len(b)], b, y, triplets, [scale])
     x = np.empty_like(y)
     x[order] = y
     return x
@@ -310,7 +346,7 @@ def _solve_group(systems, lo: int, bands: list, memo: FactorMemo, x, coeffs, loa
     try:
         with np.errstate(all="ignore"):  # a slab after a non-finite one reads it
             for i, band in enumerate(bands, lo):
-                system = systems.system(i, x, memo, band, check=False)
+                system = systems.system(i, x, memo, band)
                 loads[first[i] : first[i + 1]] = system.load
                 loaded += 1
                 if i == stop:
@@ -333,7 +369,9 @@ def chunk_length(setup: Setup) -> int:
     return max(1, CHUNK_ENTRIES // (4 * cells * (setup.disc.q + 1) ** 2))
 
 
-def march(problem: ProblemSpec, overlap: OverlapSpec, disc: Discretization) -> SpaceTimeSolution:
+def march(
+    problem: ProblemSpec, overlap: OverlapSpec, disc: Discretization
+) -> SpaceTimeSolution:
     """March the discrete system through all slabs and collect the solution."""
     setup = Setup.build(problem, overlap, disc)
     step = chunk_length(setup)

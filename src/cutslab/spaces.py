@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Discretization, Setup
 from .geometry import (
-    Columns, Slab, SlabGeometries, SlabGeometry, join, ragged_arange, share, sigma_side, snap
+    Columns, Slab, SlabGeometries, SlabGeometry, ragged_arange, share, sigma_side, snap
 )
 from .quadrature import GL3, composite_time_rule
 
@@ -71,11 +70,14 @@ class InterfaceStencil(NamedTuple):
     h_K: np.ndarray  # size of the background cell holding the point
 
 
-def interface_stencil(geoms, slab: np.ndarray, times: np.ndarray, omega1: float):
+def interface_stencil(
+    geoms, slab: np.ndarray, times: np.ndarray, omega1: float
+) -> InterfaceStencil:
     """The interface stencils of the slabs ``geoms`` (``SlabGeometries``) at
     the 1-D array ``times``, where ``slab`` (nondecreasing) gives the
     position in ``geoms`` of each time's slab.  The rows run slab by slab,
-    each slab's left points and then its right points."""
+    each slab's left points and then its right points, so one slab's
+    stencil is a slice of rows."""
     nodes, off = geoms.bg_nodes, geoms.ov_offsets
     nb, n_ov = len(nodes), len(off)
     nt = len(times)
@@ -120,8 +122,15 @@ def interface_stencil(geoms, slab: np.ndarray, times: np.ndarray, omega1: float)
     order = np.empty(2 * nt, dtype=int)
     order[left] = np.arange(nt)
     order[left + count[slab]] = np.arange(nt, 2 * nt)
-    n1, h_K = np.repeat([1.0, -1.0], nt), nodes[cK + 1] - nodes[cK]
-    return InterfaceStencil(*(f[order] for f in (idx, jump, grad, upwind, x, n1, h_K)))
+    return InterfaceStencil(
+        idx=idx[order],
+        jump=jump[order],
+        grad=grad[order],
+        upwind=upwind[order],
+        x=x[order],
+        n1=np.repeat([1.0, -1.0], nt)[order],
+        h_K=(nodes[cK + 1] - nodes[cK])[order],
+    )
 
 
 def _search_rows(a: np.ndarray, off: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
@@ -301,8 +310,13 @@ class SlabSolution:
     space: SlabSpace
     coeffs: np.ndarray  # flat, length n_cols
 
-    geom = property(lambda self: self.space.geom)
-    by_mode = property(lambda self: self.coeffs.reshape(self.space.n_spatial, self.space.q + 1))
+    @property
+    def geom(self) -> SlabGeometry:
+        return self.space.geom
+
+    @property
+    def by_mode(self) -> np.ndarray:
+        return self.coeffs.reshape(self.space.n_spatial, self.space.q + 1)
 
     def nodal(self) -> np.ndarray:
         """Per-mode nodal values in the global node numbering, shaped
@@ -354,20 +368,11 @@ class SlabSolutions:
 
 @dataclass(frozen=True)
 class SpaceTimeSolution:
-    """The solution on every slab (``SlabSolution``s, or the march's
-    ``SlabSolutions``) plus the setup needed to evaluate it."""
+    """The solution on every slab, as records and one coefficient column
+    (``SlabSolutions``), plus the setup needed to evaluate it."""
 
     setup: Setup
-    slabs: tuple | SlabSolutions
-
-    def columns(self) -> tuple[SlabSpaces, np.ndarray]:
-        """The records of all slabs as one ``SlabSpaces``, and their
-        coefficients as one column."""
-        if isinstance(self.slabs, SlabSolutions):
-            return self.slabs.spaces, self.slabs.coeffs
-        runs = groupby((s.space for s in self.slabs), key=lambda sp: id(sp.columns))
-        parts = [(run[0].columns, [sp.i for sp in run]) for run in (list(r) for _, r in runs)]
-        return join(parts), np.concatenate([s.coeffs for s in self.slabs])
+    slabs: SlabSolutions
 
     def slab_index(self, t: float) -> int:
         """Slab n with t in (t_{n-1}, t_n]; t=0 maps to slab 1."""

@@ -12,8 +12,8 @@ from cutslab.core import (
     manufactured_problem,
     zero_problem,
 )
-from cutslab.geometry import build_slab_geometry
-from cutslab.spaces import SlabSolution, SpaceTimeSolution, build_slab_space
+from cutslab.geometry import build_slab_geometry, join
+from cutslab.spaces import SlabSolution, SlabSolutions, SpaceTimeSolution, build_slab_space
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_RESULTS = []
@@ -84,6 +84,15 @@ def slab_system(space, setup, prev=None):
     return assemble_slab(space.columns[space.i : space.i + 1], setup, prev).system(0, prev)
 
 
+def discrete_solution(setup, slabs) -> SpaceTimeSolution:
+    """The solution of the ``SlabSolution``s ``slabs``, one per slab in
+    order, with their records and coefficients joined into the columns that
+    ``march`` keeps (``SlabSolutions``)."""
+    spaces = join([(s.space.columns, [s.space.i]) for s in slabs])
+    coeffs = np.concatenate([s.coeffs for s in slabs])
+    return SpaceTimeSolution(setup=setup, slabs=SlabSolutions(spaces, coeffs))
+
+
 def random_discrete(setup, rng) -> SpaceTimeSolution:
     """Random coefficients on every slab of a setup."""
     geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))
@@ -91,12 +100,12 @@ def random_discrete(setup, rng) -> SpaceTimeSolution:
         SlabSolution(space, rng.standard_normal(space.n_cols))
         for space in build_slab_space(geoms, setup.disc)
     ]
-    return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
+    return discrete_solution(setup, slabs)
 
 
 def scaled(sol, factor) -> SpaceTimeSolution:
     """``sol`` with every coefficient multiplied by ``factor``."""
-    slabs = tuple(SlabSolution(s.space, factor * s.coeffs) for s in sol.slabs)
+    slabs = SlabSolutions(sol.slabs.spaces, factor * sol.slabs.coeffs)
     return SpaceTimeSolution(setup=sol.setup, slabs=slabs)
 
 
@@ -119,7 +128,7 @@ def nodal_interpolant(setup, func) -> SpaceTimeSolution:
                 t = geom.t_start  # constant mode; caller must use mu=0 for exactness
             coeffs[space.n_active_bg :, m] = func(geom.ov_positions(t))
         slabs.append(SlabSolution(space, coeffs.ravel()))
-    return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
+    return discrete_solution(setup, slabs)
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from cutslab.solver import march
 from cutslab.spaces import SlabSolution, build_slab_space
 
 from conftest import (
+    discrete_solution,
     make_setup,
     oscillating_setup,
     random_discrete,
@@ -323,8 +324,6 @@ class TestStationaryAlignedEquivalence:
     def _continuous_pair(self, setup, vals_by_slab):
         """Build a discrete function from interior background nodal values,
         copying matching values onto the overlap nodes."""
-        from cutslab.spaces import SlabSolution, SpaceTimeSolution
-
         slabs = []
         for n in range(1, setup.disc.n_slabs + 1):
             space = slab_space(setup, n)
@@ -333,7 +332,7 @@ class TestStationaryAlignedEquivalence:
             ov_idx = np.searchsorted(setup.bg_nodes, geom.ov_positions(0.0))
             coeffs = np.concatenate([full[space.active_bg], full[ov_idx]], axis=0)
             slabs.append(SlabSolution(space, coeffs.ravel()))
-        return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
+        return discrete_solution(setup, slabs)
 
     def _single_mesh_form(self, setup, w_vals, v_vals):
         """Unfitted-free reference: standard dG(q)-in-time, P1-in-space form on

@@ -9,9 +9,10 @@ import cutslab.norms
 from cutslab.core import Discretization, OverlapSpec, manufactured_problem
 from cutslab.norms import lls_slope, xnorm_error
 from cutslab.solver import march
-from cutslab.spaces import SlabSolution, SpaceTimeSolution
+from cutslab.spaces import SlabSolution
 
 from conftest import (
+    discrete_solution,
     make_setup,
     oscillating_setup,
     random_discrete,
@@ -63,7 +64,7 @@ def _zero_solution(setup):
     for n in range(1, setup.disc.n_slabs + 1):
         space = slab_space(setup, n)
         slabs.append(SlabSolution(space, np.zeros(space.n_cols)))
-    return SpaceTimeSolution(setup=setup, slabs=tuple(slabs))
+    return discrete_solution(setup, slabs)
 
 
 class TestAnorm:
