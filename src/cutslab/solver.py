@@ -377,14 +377,18 @@ def march(
     step = chunk_length(setup)
     spaces = prev = held = None
     memo = FactorMemo()
-    chunks, columns = [], []
+    chunks, used = [], 0
+    # one coefficient column, sized for every interior background node and
+    # overlap node of every slab; the pages no slab writes are never touched
+    nodes = len(setup.bg_nodes) - 2 + len(setup.ov_offsets)
+    column = np.empty(disc.n_slabs * nodes * (disc.q + 1))
     for first in range(1, disc.n_slabs + 1, step):
         slabs = range(first, min(first + step, disc.n_slabs + 1))
         geoms = build_slab_geometry(setup, slabs, None if spaces is None else spaces.geoms)
         spaces = build_slab_space(geoms, disc, spaces)
         systems = assemble_slab(spaces, setup, prev, held)
         held = systems.handoff
-        coeffs, loads = np.empty((2, systems.first[-1]))
+        coeffs, loads = column[used : used + systems.first[-1]], np.empty(systems.first[-1])
         # the first slab whose source load is not finite, if any, is not solved
         ok = np.logical_and.reduceat(np.isfinite(systems.loads), systems.first[:-1])
         stop, x = int(np.argmin(ok)) if not ok.all() else len(ok), None
@@ -393,7 +397,7 @@ def march(
             del group  # not to be held while the next group's bands are built
         prev = SlabSolution(spaces[-1], coeffs[systems.first[-2] :])
         chunks.append(spaces)
-        columns.append(coeffs)
+        used += len(coeffs)
         del systems  # nor this chunk's triplets while the next chunk's are
-    slabs = SlabSolutions(join([(c, None) for c in chunks]), np.concatenate(columns))
+    slabs = SlabSolutions(join([(c, None) for c in chunks]), column[:used])
     return SpaceTimeSolution(setup=setup, slabs=slabs)
