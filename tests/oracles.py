@@ -37,8 +37,7 @@ from cutslab.geometry import (
     sigma_side,
     spatial_partition,
 )
-from cutslab.core import zero_problem
-from cutslab.norms import NormBreakdown
+from cutslab.norms import NormBreakdown, _zero_exact
 from cutslab.quadrature import GL3, composite_time_rule, lobatto3, midpoint
 from cutslab.spaces import interface_stencil, temporal_basis_derivs, temporal_modes
 
@@ -602,7 +601,7 @@ def _stab_term(slab) -> float:
 def pointwise_xnorm_error(sol, exact=None, *, time_refine=1, space_refine=1) -> NormBreakdown:
     """``xnorm_error`` evaluated one temporal quadrature point at a time."""
     if exact is None:
-        exact = zero_problem().exact
+        exact = _zero_exact()
     setup = sol.setup
     omega1 = setup.disc.omega1
     mat_bg = mat_ov = grad = flux = ijump = moving = 0.0
