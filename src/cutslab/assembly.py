@@ -287,7 +287,7 @@ def _trace_load(geom: SlabGeometry, t: float, func) -> np.ndarray:
     part = spatial_partition(geom, t)
     x, w = segment_points(part)
     fw = pointwise(func, x.ravel()).reshape(x.shape) * w
-    return _hat_sums(geom, part, zip(x.T, fw.T), part.time_index, 1)[0]
+    return _hat_sums(geom, part, zip(x, fw), part.time_index, 1)[0]
 
 
 def _dof_triplets(dofs, m: int, at, rows, cols, blocks):

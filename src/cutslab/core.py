@@ -259,10 +259,10 @@ def zero_problem(final_time: float = 1.0) -> ProblemSpec:
     )
 
 
-# 5-point Gauss-Legendre on [0,1], for slab averages of a smooth velocity
-_GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
-_GL5_X = 0.5 * (_GL5_X + 1.0)
-_GL5_W = 0.5 * _GL5_W
+# 5-point Gauss-Legendre on [0,1] in closed form, for slab averages of a smooth velocity
+_GL5_R = np.sqrt(5.0 + np.array([2.0, -2.0]) * np.sqrt(10.0 / 7.0)) / 6.0  # outer, inner nodes
+_GL5_X = np.concatenate([0.5 - _GL5_R, [0.5], 0.5 + _GL5_R[::-1]])
+_GL5_W = np.array([322 - 13 * np.sqrt(70), 322 + 13 * np.sqrt(70), 512.0])[[0, 1, 2, 1, 0]] / 1800
 
 
 def slab_velocity(spec: OverlapSpec, t_start: float, t_end: float) -> float:

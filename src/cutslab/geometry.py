@@ -353,20 +353,18 @@ def segment_cells(geom: SlabGeometry, part: SpatialPartition):
     nb = len(geom.bg_nodes)
     on2 = part.side == 2
     # ov_cell is -1 on side 1: the overlap lookups there are in range and unused
-    off_lo = part.a + geom.ov_offsets[part.ov_cell]
-    off_hi = part.a + geom.ov_offsets[part.ov_cell + 1]
     node = np.where(on2, nb + part.ov_cell, part.bg_cell)
-    lo = np.where(on2, off_lo, geom.bg_nodes[part.bg_cell])
-    hi = np.where(on2, off_hi, geom.bg_nodes[part.bg_cell + 1])
+    lo = np.where(on2, part.a + geom.ov_offsets[part.ov_cell], geom.bg_nodes[part.bg_cell])
+    hi = np.where(on2, part.a + geom.ov_offsets[part.ov_cell + 1], geom.bg_nodes[part.bg_cell + 1])
     return node, lo, hi
 
 
 def segment_points(part: SpatialPartition):
     """Three-point Gauss points and weights on every segment of a partition,
-    shaped (segments, 3)."""
-    pts = part.xa[:, None] + part.lengths[:, None] * GL3.nodes
-    wts = part.lengths[:, None] * GL3.weights
-    return pts, wts
+    shaped (3, segments): a row per point, so per-segment values broadcast
+    along the rows."""
+    length = part.lengths
+    return part.xa + GL3.nodes[:, None] * length, GL3.weights[:, None] * length
 
 
 def sigma_side(interface: str, mu):

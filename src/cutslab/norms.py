@@ -10,8 +10,10 @@ The norm works on flat rows across all slabs, not slab by slab, and reads
 the columns of the records that the march built (``spaces.SlabSpaces``) and
 its coefficient column (``spaces.SlabSolutions``) as they are, rebuilding
 and concatenating none of them.  The coefficient column fills one (slab,
-node, mode) array of nodal values, and the rows are the records' times with
-their weights and temporal mode values, each tagged with its slab.
+mode, node) array of nodal values, and the rows are the records' times with
+their weights and temporal mode values, each tagged with its slab.  Arrays
+over a partition's Gauss points are (3, segments), a row per point: every
+step runs along the segments, not over the three points of one segment.
 
 - Volume terms: the rows go in chunks of at most ``CHUNK_ROW_NODES`` (time
   rows x mesh nodes) with one merged partition per chunk.  A chunk forms the
@@ -42,8 +44,10 @@ from .spaces import SlabSpaces, SpaceTimeSolution, temporal_basis_derivs, tempor
 # The volume terms and the breakpoint traces take their rows (times) in
 # chunks of at most this many time rows x mesh nodes (background plus
 # overlap).  The cap bounds a chunk's per-row nodal values to 16 kB and, as a
-# row has fewer segments than the meshes have nodes, each per-segment
-# temporary to 48 kB.  At this value 512 + 128 cells get three rows a chunk.
+# row has fewer segments than the meshes have nodes, each per-point
+# temporary to 48 kB; 512 + 128 cells get three rows a chunk.  A cap of 8192
+# is faster but raised the benchmark's peak RSS by 1.9-2.9 MiB on 64 + 16 and
+# 256 + 64 cells.
 CHUNK_ROW_NODES = 2048
 
 
@@ -95,12 +99,12 @@ def _zero_exact() -> ExactSolution:
 
 def _nodal_values(spaces: SlabSpaces, coeffs: np.ndarray) -> np.ndarray:
     """Per-mode nodal values of every slab in the global node numbering,
-    shaped (slabs, background + overlap nodes, q+1); dropped background DOFs
+    shaped (slabs, q+1, background + overlap nodes); dropped background DOFs
     are 0.  A slab's DOFs follow its nodes in order, so the coefficient
     column fills the nodes that carry a DOF in turn, slab after slab."""
     has_dof = spaces.node_dof >= 0
-    vals = np.zeros(has_dof.shape + (spaces.q + 1,))
-    vals[has_dof] = coeffs.reshape(-1, vals.shape[2])
+    vals = np.zeros((len(has_dof), spaces.q + 1, has_dof.shape[1]))
+    vals.transpose(0, 2, 1)[has_dof] = coeffs.reshape(-1, spaces.q + 1)
     return vals
 
 
@@ -108,7 +112,7 @@ def _row_values(vals, slab, lam) -> np.ndarray:
     """The nodal values of the slabs ``slab`` with their temporal mode values
     ``lam`` (rows, q+1), one row of nodes per entry, flattened: node i of
     row r is entry ``r * nodes + i``."""
-    return np.einsum("rnm,rm->rn", vals[slab], lam).ravel()
+    return np.matmul(lam[:, None], vals[slab]).ravel()
 
 
 def _volume_terms(spaces, vals, slab, times, exact, per_chunk: int):
@@ -117,8 +121,7 @@ def _volume_terms(spaces, vals, slab, times, exact, per_chunk: int):
     ``per_chunk`` rule rows (``slab``, ``times``) at a time with one merged
     partition each."""
     geoms = spaces.geoms
-    S = len(geoms)
-    k, mu = geoms.k, geoms.mu
+    S, k, mu = len(geoms), geoms.k, geoms.mu
     dlam = temporal_basis_derivs(spaces.q, 0.0, k)  # (slabs, q+1)
     a = geoms.left(slab, times)
     grad = 0.0
@@ -132,22 +135,22 @@ def _volume_terms(spaces, vals, slab, times, exact, per_chunk: int):
         # each row, so a segment reads its cell's ends by 1-D gathers
         V = _row_values(vals, slab[chunk], spaces.lam[chunk])
         D = _row_values(vals, slab[chunk], dlam[slab[chunk]])
-        pts, pw = segment_points(part)
-        tt = np.broadcast_to(part.t[:, None], pts.shape)
+        pts, pw = segment_points(part)  # (points, segments)
+        tt = np.broadcast_to(part.t, pts.shape)
         node, xa, xb = segment_cells(geoms, part)
-        at = part.time_index * vals.shape[1] + node
+        at = part.time_index * vals.shape[2] + node
         h = xb - xa
         u_x = pointwise(exact.u_x, pts, tt)
-        ge = u_x - ((V[at + 1] - V[at]) / h)[:, None]
+        ge = u_x - (V[at + 1] - V[at]) / h
         # the discrete time derivative along the trajectories of the nodes
-        de = pointwise(exact.u_t, pts, tt) - D[at, None]  # a new array, not u_t's own
-        de -= (pts - xa[:, None]) * ((D[at + 1] - D[at]) / h)[:, None]
+        de = pointwise(exact.u_t, pts, tt) - D[at]  # a new array, not u_t's own
+        de -= (pts - xa) * ((D[at + 1] - D[at]) / h)
         on2 = part.side == 2
         # side 2: the material derivative follows the motion
-        de += np.where(on2, mu[s], 0.0)[:, None] * u_x
-        # contracted without (segments, points) temporaries
-        grad += float(spaces.weights[row] @ np.einsum("ij,ij,ij->i", pw, ge, ge))
-        de_sq = spaces.weights[row] * np.einsum("ij,ij,ij->i", pw, de, de)
+        de += np.where(on2, mu[s], 0.0) * u_x
+        # contracted without (points, segments) temporaries
+        grad += float(spaces.weights[row] @ np.einsum("ij,ij,ij->j", pw, ge, ge))
+        de_sq = spaces.weights[row] * np.einsum("ij,ij,ij->j", pw, de, de)
         material += np.bincount(s + S * on2, de_sq, minlength=2 * S)
     return grad, float(k @ material[:S]), float(k @ material[S:])
 
@@ -163,7 +166,7 @@ def _interface_terms(spaces, vals, slab, times, exact):
     idx, grad, jump, x, h_K = st.idx, st.grad, st.jump, st.x, st.h_K
     row = np.repeat(np.cumsum(nt) - nt, 2 * nt) + ragged_arange(2 * nt) % np.repeat(nt, 2 * nt)
     s = slab[row]
-    v = np.einsum("rkm,rm->rk", vals[s[:, None], idx], spaces.lam[row])  # at the row's time
+    v = np.einsum("rkm,rm->rk", vals[s[:, None], :, idx], spaces.lam[row])  # at the row's time
     avg = pointwise(exact.u_x, x, times[row]) - np.einsum("rk,rk->r", v, grad)
     jump_sq = np.einsum("rk,rk->r", v, jump) ** 2
     w = spaces.weights[row]
@@ -184,7 +187,7 @@ def _stab_term(spaces, vals) -> float:
     if not len(idx):
         return 0.0
     slab = spaces.slab_index("stab")
-    d = np.einsum("pk,pki->pi", g, vals[slab[:, None], idx])  # jump per pair and mode
+    d = np.einsum("pk,pki->pi", g, vals[slab[:, None], :, idx])  # jump per pair and mode
     return float(np.einsum("pi,pij,pj->", d, W, d))
 
 
@@ -195,8 +198,7 @@ def _trace_terms(setup, spaces: SlabSpaces, vals, exact, per_chunk: int) -> np.n
     the slab below it (of slab 1 for n = 0)."""
     geoms = spaces.geoms
     S = len(geoms)
-    lam_start = temporal_modes(spaces.q, np.zeros(S))
-    lam_end = temporal_modes(spaces.q, np.ones(S))
+    lam_start, lam_end = temporal_modes(spaces.q, np.zeros(S)), temporal_modes(spaces.q, np.ones(S))
     bp = setup.partition.breakpoints
     above = np.minimum(np.arange(S + 1), S - 1)  # the slab above each breakpoint
     below = np.maximum(np.arange(S + 1) - 1, 0)  # and the slab below it
@@ -209,17 +211,18 @@ def _trace_terms(setup, spaces: SlabSpaces, vals, exact, per_chunk: int) -> np.n
         n = part.time_index + lo
         pts, pw = segment_points(part)
         node, xa, xb = segment_cells(geoms, part)
-        w1 = (pts - xa[:, None]) / (xb - xa)[:, None]
-        at = part.time_index * vals.shape[1] + node
+        w1 = (pts - xa) / (xb - xa)
+        at = part.time_index * vals.shape[2] + node
         upper, lower = (
-            V[at, None] + w1 * (V[at + 1] - V[at])[:, None]
+            V[at] + w1 * (V[at + 1] - V[at])
             for V in (_row_values(vals, s[chunk], lam[s[chunk]]) for s, lam in sides)
         )
         if lo == 0:
-            lower[n == 0] = pointwise(setup.problem.initial, pts[n == 0])
+            lower[:, n == 0] = pointwise(setup.problem.initial, pts[:, n == 0])
         if n[-1] == S:
-            upper[n == S] = pointwise(exact.u, pts[n == S], np.full_like(pts[n == S], bp[S]))
-        traces += np.bincount(n, np.sum(pw * (upper - lower) ** 2, axis=1), minlength=S + 1)
+            top = n == S
+            upper[:, top] = pointwise(exact.u, pts[:, top], np.full_like(pts[:, top], bp[S]))
+        traces += np.bincount(n, np.einsum("ij,ij->j", pw, (upper - lower) ** 2), minlength=S + 1)
     return traces
 
 
@@ -240,7 +243,7 @@ def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> N
         raise ValueError("exact solution must provide u_x and u_t for the error norm")
     spaces = sol.slabs.spaces
     vals = _nodal_values(spaces, sol.slabs.coeffs)
-    per_chunk = max(1, CHUNK_ROW_NODES // vals.shape[1])
+    per_chunk = max(1, CHUNK_ROW_NODES // vals.shape[2])
     slab, times = spaces.slab_index("tau"), spaces.times
     grad, material_bg, material_ov = _volume_terms(spaces, vals, slab, times, exact, per_chunk)
     flux, ijump, moving = _interface_terms(spaces, vals, slab, times, exact)
@@ -273,8 +276,7 @@ def lls_slope(points, window=None) -> float:
         pts = pts[i - 1 : j]
     if len(pts) < 2:
         raise ValueError("need at least two points to fit a slope")
-    res = np.array([p[0] for p in pts])
-    err = np.array([p[1] for p in pts])
+    res, err = np.array(pts).T
     if np.any(res <= 0) or np.any(err <= 0):
         raise ValueError("resolutions and errors must be positive for a log-log fit")
     return float(np.polyfit(np.log(res), np.log(err), 1)[0])

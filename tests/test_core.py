@@ -100,6 +100,13 @@ class TestSlabVelocity:
         )
         assert slab_velocity(spec, 0.2, 0.6) == pytest.approx(0.3 * 0.4)
 
+    def test_closed_form_gauss5_matches_leggauss(self):
+        from cutslab.core import _GL5_W, _GL5_X
+
+        x, w = np.polynomial.legendre.leggauss(5)
+        assert np.max(np.abs(_GL5_X - 0.5 * (x + 1.0))) <= 1e-15
+        assert np.max(np.abs(_GL5_W - 0.5 * w)) <= 1e-15
+
 
 class TestInterfacePath:
     def test_continuous_piecewise_linear(self):

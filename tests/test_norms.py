@@ -322,6 +322,25 @@ class TestChunkedNorm:
         chunks = -(-rows // per_chunk) + -(-(setup.disc.n_slabs + 1) // per_chunk)
         assert 0 < len(calls) <= chunks < setup.disc.n_slabs // 4
 
+    @pytest.mark.parametrize(
+        "n0,nG,N,q", [(512, 128, 16, 1), (64, 16, 512, 0)], ids=["wide_slab", "long_march"]
+    )
+    def test_norm_stays_under_the_memory_cap(self, n0, nG, N, q):
+        # the benchmark's configs: the cap bounds a chunk's temporaries, so
+        # the norm's peak is its per-slab arrays plus one chunk's, 0.8-1.2 MB
+        import tracemalloc
+
+        setup = make_setup(n0=n0, nG=nG, N=N, q=q, mu=0.6, T=0.25)
+        sol = march(setup.problem, setup.overlap, setup.disc)
+        xnorm_error(sol, setup.problem.exact)
+        tracemalloc.start()
+        try:
+            xnorm_error(sol, setup.problem.exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
 
 # Every NormBreakdown component of the march's error on small configs,
 # recorded at commit 50a0beb.  A rewrite of the norm kernel must reproduce

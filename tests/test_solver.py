@@ -790,8 +790,9 @@ def _fresh_process(code: str) -> str:
 def test_import_loads_no_scipy_linalg_sparse_or_process_pool():
     # LAPACK comes from the extension alone (banded_lapack), SuperLU is the
     # tests' reference solver only, a CSC matrix is built only when asked
-    # for, and only a parallel convergence study needs a process pool
-    modules = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    # for, only a parallel convergence study needs a process pool, and the
+    # 5-point Gauss rule of the slab velocities is written in closed form
+    modules = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "numpy.polynomial")
     code = (
         f"import sys, cutslab; print([m for m in {modules} if m in sys.modules]); "
         "import cutslab.cli; print('concurrent.futures.process' in sys.modules)"
