@@ -19,12 +19,13 @@ march builds one matrix in all.  Its loads and jump map are its own.
 Nodes carry one global numbering: background nodes ``0..nb-1``, then overlap
 nodes ``nb..nb+n_ov-1``.  Every piece of the slab form yields COO triplets in
 that numbering, each spatial entry carrying a (q+1)x(q+1) block over the
-temporal modes.  A ``node -> row`` table (``position_order``, -1 for a
-dropped background node) maps them once to each slab's rows, its DOFs
-sorted by position, in which the solver's bands are banded.  The triplets
-go to the solver unsummed, slab after slab, and the loads and jump maps in
-the same rows.  A CSC matrix is built, with ``scipy.sparse``, only when one
-is read.  The pieces differ in their time dependence:
+temporal modes.  A ``node -> row`` table (``_node_rows``, from the records'
+``node_dof``; -1 for a dropped background node) maps them once to each
+slab's rows, its DOFs, which the records number by position, so the
+solver's bands are banded.  The triplets go to the solver unsummed, slab
+after slab, and the loads and jump maps in the same rows.  A CSC matrix is
+built, with ``scipy.sparse``, only when one is read.  The pieces differ in
+their time dependence:
 
 * the full-mesh P1 mass, stiffness and drift entries of both meshes are
   constant.  The overlap mesh moves rigidly, so its entries depend only on the
@@ -93,36 +94,26 @@ from .spaces import SlabSolution, SlabSpace, SlabSpaces, temporal_basis_derivs, 
 @dataclass(eq=False)
 class SlabSystem:
     """The system of one slab, as ``SlabSystems.system`` builds it: the
-    matrix as ``triplets`` (rows, cols, vals) in the slab's position order
-    with duplicates unsummed, the ``load`` in that order, and ``order``, the
-    slab DOF of each position.  ``matrix``, a scipy.sparse CSC array, and
-    ``rhs`` give them in DOF order; they are built only when read, off the
-    march path.  ``repeats`` tells that the matrix is the previous slab's
-    (``Setup.repeats``).  ``memo`` is the march's ``solver.FactorMemo``,
-    shared by its slabs, which then holds that slab's factor (None factors
-    afresh), and ``band`` the matrix's ``solver.Band`` (None builds it from
-    the triplets).
+    matrix as ``triplets`` (rows, cols, vals) in the slab's DOFs with
+    duplicates unsummed, and the load ``rhs``.  ``matrix``, a scipy.sparse
+    CSC array, is built only when read, off the march path.  ``repeats``
+    tells that the matrix is the previous slab's (``Setup.repeats``).
+    ``memo`` is the march's ``solver.FactorMemo``, shared by its slabs,
+    which then holds that slab's factor (None factors afresh), and ``band``
+    the matrix's ``solver.Band`` (None builds it from the triplets).
     """
 
     slab: int
     space: SlabSpace
     triplets: tuple
-    order: np.ndarray
-    load: np.ndarray
+    rhs: np.ndarray
     repeats: bool = False
     memo: object = None
     band: object = None
 
     @cached_property
     def matrix(self):
-        rows, cols, vals = self.triplets
-        return _csc(self.order[rows], self.order[cols], vals, len(self.order))
-
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        rhs = np.empty_like(self.load)
-        rhs[self.order] = self.load
-        return rhs
+        return _csc(*self.triplets, len(self.rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -368,41 +359,21 @@ def _stabilization_part(spaces):
     return (slab[:, None], *_point_entries(idx, g[:, :, None] * g[:, None, :], W))
 
 
-def position_order(spaces):
+def _node_rows(spaces) -> np.ndarray:
     """The rows of the unknowns of consecutive slabs ``spaces``, slab after
-    slab, each slab's spatial DOFs sorted by position (background nodes at
-    their coordinate, overlap nodes at the slab midpoint, ties in DOF order)
-    with the temporal modes of each together.  Returns ``node_row`` (slabs,
-    nodes), the row of each node's first mode or -1 for a node without DOF,
-    and ``order``, the slab DOF of each row.
+    slab: the row of each node's first temporal mode (slabs, nodes), its
+    slab's first row plus (q+1) times its DOF, or -1 for a node without DOF.
     """
-    m = spaces.q + 1
-    geoms = spaces.geoms
-    nb = len(geoms.bg_nodes)
-    t0, t1, mu, a0 = geoms.t_start, geoms.t_end, geoms.mu, geoms.a_start
+    start = np.cumsum(spaces.slab_cols) - spaces.slab_cols
     node_dof = spaces.node_dof
-    active = node_dof >= 0
-    x = np.empty(node_dof.shape)
-    x[:, :nb] = geoms.bg_nodes
-    x[:, nb:] = np.add.outer(a0 + mu * (0.5 * (t0 + t1) - t0), geoms.ov_offsets)
-    x[~active] = np.inf  # after every DOF
-    by = np.argsort(x, axis=1, kind="stable")
-    rank = np.empty_like(by)
-    np.put_along_axis(rank, by, np.arange(by.shape[1]), axis=1)
-    count = active.sum(axis=1)
-    node_row = np.where(active, m * (np.cumsum(count) - count)[:, None] + m * rank, -1)
-    node = by[np.arange(by.shape[1]) < count[:, None]]
-    slab = np.repeat(np.arange(len(count)), count)
-    order = (m * node_dof[slab, node][:, None] + np.arange(m)).ravel()
-    return node_row.astype(np.intc), order
+    return np.where(node_dof >= 0, start[:, None] + (spaces.q + 1) * node_dof, -1).astype(np.intc)
 
 
-def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
+def _slab_matrices(spaces, setup: Setup):
     """The triplets (rows, cols, vals) of the slab matrices of ``spaces``
     with duplicates unsummed, slab i's from entry ``at[i]`` on and in its own
-    rows (``node_row`` starts slab i at row ``first[i]``); ``at``; and the
-    covered mass triplets at each slab start.  Raises ``NumericalFailure``
-    naming the first slab with a non-finite entry.
+    rows; ``at``; and the covered mass triplets at each slab start.  Raises
+    ``NumericalFailure`` naming the first slab with a non-finite entry.
     """
     S = len(spaces)
     geoms = spaces.geoms
@@ -410,6 +381,7 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     m = q + 1
     k, mu = geoms.k, geoms.mu
     slab_ids = np.arange(S)
+    node_row = _node_rows(spaces)
     dofs = node_row.ravel()
     at = slab_ids * node_row.shape[1]
 
@@ -433,7 +405,7 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     dlam = temporal_basis_derivs(q, 0.0, k[t_slab])
     w_ll = (wts * lam[:, :, None] * lam[:, None, :]).reshape(-1, m * m)
     w_ld = (wts * lam[:, :, None] * dlam[:, None, :]).reshape(-1, m * m)
-    active = node_row[:, : len(geoms.bg_nodes)] >= 0
+    active = spaces.node_dof[:, : len(geoms.bg_nodes)] >= 0
     covered, start_cov = _covered_part(geoms, t_slab, spaces.times, start, w_ld, w_ll, active)
     triplets.append(to_rows(*covered))
     triplets.append(to_rows(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
@@ -445,10 +417,10 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     del triplets
     # every piece runs slab after slab, so a stable sort by slab keeps the
     # order in which each entry's duplicates are summed
-    slab = np.repeat(np.arange(S, dtype=rows.dtype), np.diff(first))[rows]
+    slab = np.repeat(np.arange(S, dtype=rows.dtype), spaces.slab_cols)[rows]
     if not np.isfinite(vals).all():
         bad = slab[np.argmin(np.isfinite(vals))]
-        raise NumericalFailure(f"non-finite entries in slab {geoms.n[bad]} system")
+        raise NumericalFailure(f"non-finite matrix entries in slab {geoms.n[bad]}")
     count = np.bincount(slab, minlength=S)
     by = np.argsort(slab, kind="stable")
     del slab
@@ -457,30 +429,25 @@ def _slab_matrices(spaces, setup: Setup, node_row: np.ndarray, first: list):
     rows = rows[by]
     cols = cols[by]
     del by
-    start = np.repeat(np.array(first[:-1], dtype=rows.dtype), count)
+    start = np.repeat((np.cumsum(spaces.slab_cols) - spaces.slab_cols).astype(rows.dtype), count)
     rows -= start
     cols -= start
     return rows, cols, vals, [0] + np.cumsum(count).tolist(), start_cov
 
 
-def _chunk_matrices(spaces, setup: Setup, node_row, first: list, new: np.ndarray, held):
+def _chunk_matrices(spaces, setup: Setup, new: np.ndarray, held):
     """``_slab_matrices`` of the slabs of ``spaces`` with ``new`` true, on
-    their own: their triplets, in rows counted over them alone, and ``at``;
-    and the covered mass triplets (slab, rows, cols, values) at the start of
+    their own: their triplets, each slab's in its own rows, and ``at``; and
+    the covered mass triplets (slab, rows, cols, values) at the start of
     every slab, slab after slab.  Any other slab starts where the slab it
     repeats starts, with the same DOFs, so its covered mass is that slab's:
-    in the chunk, or for the first slab ``held``'s.  ``node_row`` and
-    ``first`` are the chunk's (``position_order``)."""
+    in the chunk, or for the first slab ``held``'s."""
     rows = cols = np.empty(0, dtype=np.intc)
     vals, at = np.empty(0), [0]
     cover = [np.empty(0, dtype=int)] * 3 + [np.empty(0)]
     made = np.flatnonzero(new)
     if len(made):
-        count = np.diff(first)[made]
-        made_first = [0] + np.cumsum(count).tolist()
-        shift = (np.array(first)[made] - made_first[:-1]).astype(np.intc)
-        made_row = np.where(node_row[made] >= 0, node_row[made] - shift[:, None], -1)
-        rows, cols, vals, at, cover = _slab_matrices(spaces.take(made), setup, made_row, made_first)
+        rows, cols, vals, at, cover = _slab_matrices(spaces.take(made), setup)
         if len(made) == len(new):
             return rows, cols, vals, at, cover
     # the covered mass of each slab's source: the assembled slab it is or
@@ -495,7 +462,7 @@ def _chunk_matrices(spaces, setup: Setup, node_row, first: list, new: np.ndarray
     return rows, cols, vals, at, [np.repeat(np.arange(len(new)), count)] + [x[take] for x in cover]
 
 
-def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
+def _jump_maps(setup: Setup, row, prev_dof, start_cov, q: int):
     """The time-jump maps of consecutive slabs: triplets (rows, cols, vals),
     each shaped (slabs, entries), from the previous slab's coefficients
     (``cols``, its DOFs) to each slab's load (``rows``, its own rows).
@@ -503,13 +470,13 @@ def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
     The map is the side-wise mass at the slab start, the full-mesh mass minus
     the covered mass ``start_cov``, between the slab's start-mode test
     functions and the previous slab's end-time trace: both P1 on every
-    segment of the start partition, so the pairing is exact.  ``local_row``
-    (slabs, nodes) gives each node's first row or -1, ``prev_dof`` the
-    previous slab's DOF of its first mode or a negative number; an entry on
-    a node without either, or padding a slab with fewer covered cells, is a
-    zero on row and column 0.
+    segment of the start partition, so the pairing is exact.  ``row`` (slabs,
+    nodes) gives each node's first row in its slab, ``prev_dof`` the
+    previous slab's DOF of its first mode, each a negative number for a node
+    without one; an entry on a node without either, or padding a slab with
+    fewer covered cells, is a zero on row and column 0.
     """
-    S = len(local_row)
+    S = len(row)
     rows, cols, vals = setup.mesh_matrices
     cs, cr, cc, cv = start_cov
     # the covered triplets of each slab, padded to the most of any slab by
@@ -520,7 +487,7 @@ def _jump_maps(setup: Setup, local_row, prev_dof, start_cov, q: int):
     pv = np.zeros((S, count.max()))
     pr[at], pc[at], pv[at] = cr, cc, -cv
     s = np.arange(S)[:, None]
-    r = np.concatenate([local_row[:, rows], local_row[s, pr]], axis=1)
+    r = np.concatenate([row[:, rows], row[s, pr]], axis=1)
     c = np.concatenate([prev_dof[:, cols], prev_dof[s, pc]], axis=1)
     v = np.concatenate([np.broadcast_to(vals[:, 0], (S, len(rows))), pv], axis=1)
     drop = (r < 0) | (c < 0)
@@ -550,18 +517,17 @@ def _csc(rows, cols, vals, n: int):
 class SlabSystems:
     """The system of consecutive slabs, block lower bidiagonal in time.
 
-    Slab i's unknowns are the chunk rows ``first[i]`` to ``first[i + 1]``,
-    in its position order (``position_order``): ``order`` gives the slab DOF
-    of each row.  The diagonal blocks, the slab matrices, come as triplets
-    with duplicates to be summed, each slab's in its own rows
+    Slab i's unknowns, its DOFs, are the chunk rows ``first[i]`` to
+    ``first[i + 1]``.  The diagonal blocks, the slab matrices, come as
+    triplets with duplicates to be summed, each slab's in its own rows
     (``triplets``).  A slab with ``new`` true was assembled: the j-th such
     slab's triplets are ``rows``, ``cols``, ``vals`` from entry ``at[j]``
     to ``at[j + 1]``.  Any other slab repeats the slab before it and reads
     its triplets, the first slab those in ``held``, the previous chunk's
     ``handoff``.  ``matrix`` builds them all into one block-diagonal CSC
-    array in DOF order when it is read.  ``loads`` holds each row's source
-    load; the first slab's also holds the trace of the solution before the
-    chunk (or the initial data).  Below the diagonal, ``jump`` takes the
+    array when it is read.  ``loads`` holds each row's source load; the
+    first slab's also holds the trace of the solution before the chunk (or
+    the initial data).  Below the diagonal, ``jump`` takes the
     solution on slab i-1 to slab i's time-jump load, so the slabs are solved
     one after the other: ``system(i, prev)`` is slab i's system once
     ``prev``, the solution on slab i-1, is known.
@@ -569,7 +535,6 @@ class SlabSystems:
 
     spaces: SlabSpaces
     first: list
-    order: np.ndarray
     new: np.ndarray
     held: tuple | None
     at: list
@@ -609,20 +574,12 @@ class SlabSystems:
         return self.rows[a:b] + shift, self.cols[a:b] + shift, self.vals[a:b]
 
     @cached_property
-    def dof(self) -> np.ndarray:
-        """The chunk DOF of each row: slab i's DOFs count from ``first[i]``."""
-        return np.repeat(self.first[:-1], np.diff(self.first)) + self.order
-
-    @cached_property
     def matrix(self):
         """The block-diagonal CSC array of the slab matrices, slab i's block
-        from row and column ``first[i]`` on, in its DOF order."""
-        dof = self.dof
-        blocks = [self.triplets(i) for i in range(len(self.spaces))]
-        rows, cols, vals = (
-            np.concatenate(x)
-            for x in zip(*((dof[f + r], dof[f + c], v) for f, (r, c, v) in zip(self.first, blocks)))
-        )
+        from row and column ``first[i]`` on."""
+        blocks = (self.triplets(i) for i in range(len(self.spaces)))
+        shifted = ((f + r, f + c, v) for f, (r, c, v) in zip(self.first, blocks))
+        rows, cols, vals = (np.concatenate(x) for x in zip(*shifted))
         return _csc(rows, cols, vals, self.first[-1])
 
     def system(self, i: int, prev, memo=None, band=None) -> SlabSystem:
@@ -634,10 +591,8 @@ class SlabSystems:
         load = self.loads[f:k]
         if i > 0:
             load = load + _apply(self.jump, i, getattr(prev, "coeffs", prev), k - f)
-        return SlabSystem(
-            int(self.spaces.geoms.n[i]), self.spaces[i], self.triplets(i), self.order[f:k], load,
-            not self.new[i], memo, band,
-        )
+        n, space = int(self.spaces.geoms.n[i]), self.spaces[i]
+        return SlabSystem(n, space, self.triplets(i), load, not self.new[i], memo, band)
 
 
 def assemble_slab(
@@ -660,12 +615,11 @@ def assemble_slab(
     q = spaces.q
     m = q + 1
     geoms = spaces.geoms
-    node_row, order = position_order(spaces)
     first = [0] + np.cumsum(spaces.slab_cols).tolist()
     new = ~setup.repeats[geoms.n - 1]
     new[0] |= held is None
     held = None if new[0] else held
-    rows, cols, vals, at, start_cov = _chunk_matrices(spaces, setup, node_row, first, new, held)
+    rows, cols, vals, at, start_cov = _chunk_matrices(spaces, setup, new, held)
 
     t0, t1 = geoms.t_start, geoms.t_end
     rule = midpoint() if q == 0 else lobatto3()
@@ -676,18 +630,17 @@ def assemble_slab(
     if prev is None:
         trace = _trace_load(geoms[0], t0[0], setup.problem.initial)
         F[0] += np.outer(trace, temporal_modes(q, 0.0))
+    node_row = _node_rows(spaces)
     slab, node = np.nonzero(node_row >= 0)
     loads = np.empty(first[-1])
     loads[(node_row[slab, node][:, None] + np.arange(m)).ravel()] = F[slab, node].ravel()
 
-    # each slab's rows, and the previous slab's DOFs, of every node's first mode
-    start = np.array(first[:-1], dtype=np.intc)[:, None]
-    local_row = np.where(node_row >= 0, node_row - start, -1)
-    node_dof = spaces.node_dof
-    prev_dof = np.empty_like(node_dof)
-    prev_dof[1:] = m * node_dof[:-1]
+    # each slab's rows, and the previous slab's, of every node's first mode
+    row = m * spaces.node_dof
+    prev_dof = np.empty_like(row)
+    prev_dof[1:] = row[:-1]
     prev_dof[0] = -1 if prev is None else m * prev.space.node_dof
-    jump = _jump_maps(setup, local_row, prev_dof, start_cov, q)
+    jump = _jump_maps(setup, row, prev_dof, start_cov, q)
     if prev is not None:
         loads[: first[1]] += _apply(jump, 0, prev.coeffs, first[1])
     handoff = None
@@ -696,4 +649,4 @@ def assemble_slab(
         matrix = tuple(x[at[-2] :].copy() for x in (rows, cols, vals)) if len(at) > 1 else held[0]
         last = start_cov[0] == S - 1
         handoff = (matrix, tuple(x[last] for x in start_cov[1:]))
-    return SlabSystems(spaces, first, order, new, held, at, rows, cols, vals, loads, jump, handoff)
+    return SlabSystems(spaces, first, new, held, at, rows, cols, vals, loads, jump, handoff)

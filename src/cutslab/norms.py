@@ -39,7 +39,9 @@ import numpy as np
 
 from .core import ExactSolution, pointwise
 from .geometry import partition_at, ragged_arange, segment_cells, segment_points
-from .spaces import SlabSpaces, SpaceTimeSolution, temporal_basis_derivs, temporal_modes
+from .spaces import (
+    SlabSpaces, SpaceTimeSolution, nodal_values, temporal_basis_derivs, temporal_modes
+)
 
 # The volume terms and the breakpoint traces take their rows (times) in
 # chunks of at most this many time rows x mesh nodes (background plus
@@ -95,17 +97,6 @@ class NormBreakdown:
 def _zero_exact() -> ExactSolution:
     z = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
     return ExactSolution(u=z, u_x=z, u_t=z)
-
-
-def _nodal_values(spaces: SlabSpaces, coeffs: np.ndarray) -> np.ndarray:
-    """Per-mode nodal values of every slab in the global node numbering,
-    shaped (slabs, q+1, background + overlap nodes); dropped background DOFs
-    are 0.  A slab's DOFs follow its nodes in order, so the coefficient
-    column fills the nodes that carry a DOF in turn, slab after slab."""
-    has_dof = spaces.node_dof >= 0
-    vals = np.zeros((len(has_dof), spaces.q + 1, has_dof.shape[1]))
-    vals.transpose(0, 2, 1)[has_dof] = coeffs.reshape(-1, spaces.q + 1)
-    return vals
 
 
 def _row_values(vals, slab, lam) -> np.ndarray:
@@ -242,7 +233,7 @@ def xnorm_error(sol: SpaceTimeSolution, exact: ExactSolution | None = None) -> N
     if exact.u_x is None or exact.u_t is None:
         raise ValueError("exact solution must provide u_x and u_t for the error norm")
     spaces = sol.slabs.spaces
-    vals = _nodal_values(spaces, sol.slabs.coeffs)
+    vals = nodal_values(spaces.node_dof, sol.slabs.coeffs, spaces.q)
     per_chunk = max(1, CHUNK_ROW_NODES // vals.shape[2])
     slab, times = spaces.slab_index("tau"), spaces.times
     grad, material_bg, material_ov = _volume_terms(spaces, vals, slab, times, exact, per_chunk)

@@ -7,9 +7,8 @@ time-jump maps (``assemble_slab``) of all its slabs at once, as columns,
 since none of them reads the previous slab.  The loop over the chunk's
 slabs keeps only what does: one jump product on the previous coefficients
 (``SlabSystems.system``), then ``solve_slab``: ``dgbtrf`` with the pivot
-floor unless the factor is reused, ``dgbtrs`` and one scatter back to DOF
-order, into the march's one coefficient column, of which each
-``SlabSolution`` is a view.
+floor unless the factor is reused and ``dgbtrs``, into the march's one
+coefficient column, of which each ``SlabSolution`` is a view.
 
 The other checks run once per group of slabs (``_chunk_bands``), after the
 group's solves (``_check``): the finiteness of the loads and of the
@@ -19,8 +18,8 @@ and the quantity that tripped, also when a later slab of the group failed
 its pivot floor first, and no later slab is solved.  A slab whose source
 load is not finite is not solved either.
 
-Every term of the slab form is local in x, so with its DOFs in position
-order (``assembly.position_order``) a slab matrix is banded, and
+Every term of the slab form is local in x, so with its DOFs numbered by
+position (``spaces.build_slab_space``) a slab matrix is banded, and
 ``solve_slab`` factors it by LAPACK's banded LU with partial pivoting in
 O(n b^2) for n unknowns and bandwidth b.  The bandwidth grows with (q+1)
 times the interface-node crossings per slab, since the interface stencil
@@ -28,17 +27,16 @@ couples the overlap's end nodes to every background node the interface
 passes, and with the ratio of the mesh sizes, since a stabilized pair
 couples a cut background cell to all overlap cells that meet it.  On the
 benchmark workloads b is 3-4 (``long_march``), 7 (``stationary``) and 15-17
-(``wide_slab``).  The order changes only the speed of the solve.
+(``wide_slab``).
 
 The four LAPACK routines (``dgbtrf``, ``dgbtrs``, ``dlangb``, ``dgbcon``) are
 scipy's f2py wrappers, taken from the extension ``scipy.linalg._flapack``
 that ``banded_lapack`` loads on its own, so ``import cutslab`` loads neither
 the ``scipy.linalg`` nor the ``scipy.sparse`` package.
 
-The bands come straight from the chunk's triplets, whose rows are already in
-position order: kl and ku follow from them, and one ``bincount`` sums each
-entry's duplicates into its band slot.  The band layout is known to this
-module alone.  A group holds as many consecutive slabs as keep their band
+The bands come straight from the chunk's triplets: kl and ku follow from
+them, and one ``bincount`` sums each entry's duplicates into its band slot.
+The band layout is known to this module alone.  A group holds as many consecutive slabs as keep their band
 storage within 8 ``CHUNK_ENTRIES`` entries, and at least one; it is built
 once the slabs before it are solved, and ``dgbtrf`` writes each factor over
 its band, so a chunk of wide bands holds one band at a time.
@@ -128,10 +126,9 @@ CHUNK_ENTRIES = 20480
 
 
 class Band(NamedTuple):
-    """A slab matrix A in LAPACK band storage, its rows and columns in
-    position order: A[i, j] sits at ``ab[kl + ku + i - j, j]``.  The first
-    ``kl`` rows of ``ab`` are zero, room for the fill of the LU factor,
-    which ``dgbtrf`` writes over A."""
+    """A slab matrix A in LAPACK band storage: A[i, j] sits at
+    ``ab[kl + ku + i - j, j]``.  The first ``kl`` rows of ``ab`` are zero,
+    room for the fill of the LU factor, which ``dgbtrf`` writes over A."""
 
     ab: np.ndarray  # (2 kl + ku + 1, n), Fortran order
     kl: int
@@ -283,8 +280,8 @@ def _check(slabs, first, b: np.ndarray, y: np.ndarray, triplets, scale: list) ->
     solved ones), whose coefficients are not finite or leave ||A y - b||_inf
     above RESIDUAL_TOL (||A||_inf ||y||_inf + ||b||_inf).  Slab i, numbered
     ``slabs[i]``, owns rows ``first[i]`` to ``first[i + 1]`` of the loads
-    ``b`` and coefficients ``y``, in position order; its matrix is in
-    ``triplets``, in these rows, and ||A||_inf in ``scale``."""
+    ``b`` and coefficients ``y``; its matrix is in ``triplets``, in these
+    rows, and ||A||_inf in ``scale``."""
     at, n = np.asarray(first[:-1]), len(scale)
     bad, rel = np.zeros((3, len(at)), dtype=bool), np.zeros(len(at))  # load, coefficients, residual
     with np.errstate(all="ignore"):  # inf and NaN are what is looked for
@@ -301,7 +298,7 @@ def _check(slabs, first, b: np.ndarray, y: np.ndarray, triplets, scale: list) ->
     if bad.any():
         i = int(np.flatnonzero(bad.any(axis=0))[0])
         raise NumericalFailure((
-            f"non-finite entries in slab {slabs[i]} system",
+            f"non-finite load in slab {slabs[i]}",
             f"slab {slabs[i]} solve gave non-finite coefficients",
             f"slab {slabs[i]} solve left relative residual {rel[i]:.3e}, "
             f"above RESIDUAL_TOL {RESIDUAL_TOL:.0e}",
@@ -309,19 +306,18 @@ def _check(slabs, first, b: np.ndarray, y: np.ndarray, triplets, scale: list) ->
 
 
 def solve_slab(system: SlabSystem) -> np.ndarray:
-    """Solve one slab system by banded LU with partial pivoting; the
-    coefficients come back in the slab's DOF order.
+    """Solve one slab system by banded LU with partial pivoting.
 
-    The solve reads the system's triplets, load and band in position order,
-    and builds the band from the triplets when there is none.  The band is
-    factored, over its storage, unless the slab repeats the previous one
+    The solve reads the system's triplets, load and band, and builds the
+    band from the triplets when there is none.  The band is factored, over
+    its storage, unless the slab repeats the previous one
     (``system.repeats``) and ``system.memo`` holds that slab's factor, which
     passed the pivot floor when it was made; then that factor is reused.  A
     new factor replaces the memo's.  The finiteness of the load and of the
     coefficients and the residual bound are left to the caller (``_check``):
     the march checks a group of slabs at once, after their solves.
     """
-    triplets, order, band, b = system.triplets, system.order, system.band, system.load
+    triplets, band, b = system.triplets, system.band, system.rhs
     memo = system.memo if system.memo is not None else FactorMemo()
     if not (system.repeats and memo.factor is not None):
         memo.clear()  # never hold two factors at once
@@ -329,17 +325,15 @@ def solve_slab(system: SlabSystem) -> np.ndarray:
             band = _band(triplets, len(b))
         memo.factor = _factor(system, triplets, band)
     lu, ipiv, kl, ku, _ = memo.factor
-    y, _ = dgbtrs(lu, kl, ku, b, ipiv)
-    x = np.empty_like(y)
-    x[order] = y
+    x, _ = dgbtrs(lu, kl, ku, b, ipiv)
     return x
 
 
 def _solve_group(systems, lo: int, bands: list, memo: FactorMemo, x, coeffs, loads, stop: int):
     """Solve the slabs of the chunk ``systems`` from slab lo on, one per band
     of ``bands``, given ``x``, the coefficients of the slab before; write
-    their coefficients into ``coeffs`` (DOF order) and loads into ``loads``
-    (position order), then check them at once.  Slab ``stop``, whose source
+    their coefficients into ``coeffs`` and loads into ``loads``, then check
+    them at once.  Slab ``stop``, whose source
     load is not finite, is not solved.  Returns the last coefficients."""
     first, scale = systems.first, []
     loaded = solved = lo
@@ -347,7 +341,7 @@ def _solve_group(systems, lo: int, bands: list, memo: FactorMemo, x, coeffs, loa
         with np.errstate(all="ignore"):  # a slab after a non-finite one reads it
             for i, band in enumerate(bands, lo):
                 system = systems.system(i, x, memo, band)
-                loads[first[i] : first[i + 1]] = system.load
+                loads[first[i] : first[i + 1]] = system.rhs
                 loaded += 1
                 if i == stop:
                     break
@@ -356,10 +350,9 @@ def _solve_group(systems, lo: int, bands: list, memo: FactorMemo, x, coeffs, loa
                 solved += 1
     finally:  # also after a pivot floor trips: an earlier slab's failure comes first
         a = first[lo]
-        y = coeffs[systems.dof[a : first[solved]]]  # in position order
         triplets = systems.group_triplets(lo, solved) if solved > lo else None
         slabs, rows = systems.spaces.geoms.n[lo:loaded], np.subtract(first[lo : loaded + 1], a)
-        _check(slabs, rows, loads[a : first[loaded]], y, triplets, scale)
+        _check(slabs, rows, loads[a : first[loaded]], coeffs[a : first[solved]], triplets, scale)
     return x
 
 

@@ -6,6 +6,10 @@ slab before it shares that slab's record.  ``assemble_slab`` and the energy
 norm in ``norms`` read the columns and rebuild none of them.  ``SlabSpace``
 and ``SlabSolution`` are views of one slab; the march's ``SlabSolutions``
 holds one column of the coefficients of all slabs.
+
+A slab numbers its spatial DOFs by position, so its matrix is banded: every
+term of the slab form is local in x.  The assembly, the banded solve and the
+norm all read this one order; ``nodal_values`` maps coefficients to nodes.
 """
 
 from __future__ import annotations
@@ -211,8 +215,9 @@ class SlabSpace(Slab):
 
     Background DOFs sit on interior background nodes whose support meets the
     uncovered region at some slab time or touches a slab-cut cell; every
-    overlap-mesh node carries a DOF.  Ordering: background nodes ascending,
-    then overlap nodes ascending, temporal mode fastest.
+    overlap-mesh node carries a DOF.  Ordering: by position, background nodes
+    at their coordinate and overlap nodes at the slab midpoint, ties by
+    global node; temporal mode fastest.
 
     Nodes carry one global numbering: background nodes ``0..nb-1``, then
     overlap nodes ``nb..nb+n_ov-1``.  ``node_dof`` maps it to the spatial
@@ -225,7 +230,7 @@ class SlabSpace(Slab):
     times = property(lambda self: self.geom.t_start + self.geom.k * self.tau)
     stab = property(lambda self: Slab.__getattr__(self, "stab") if self.counts[2] else None)
     active_bg = property(lambda self: np.flatnonzero(self.node_dof[: len(self.geom.bg_nodes)] >= 0))
-    dof_node = property(lambda self: np.flatnonzero(self.node_dof >= 0))
+    dof_node = property(lambda self: np.argsort(self.node_dof)[-self.n_spatial :])
     n_active_bg = property(lambda self: len(self.active_bg))
     n_ov = property(lambda self: len(self.geom.ov_offsets))
     n_spatial = property(lambda self: self.n_active_bg + self.n_ov)
@@ -284,9 +289,17 @@ def build_slab_space(geoms: SlabGeometries, disc: Discretization, held=None) -> 
     dead[made.slab_index("covered_cells"), made.covered_cells] = True
     # a node is dropped only when both support cells are covered for the whole slab
     active = ~(dead[:, :-1] & dead[:, 1:])  # interior nodes 1..nb-2
-    node_dof = np.full((S, nb + n_ov), -1, dtype=np.intc)
-    node_dof[:, 1 : nb - 1] = np.where(active, np.cumsum(active, axis=1) - 1, -1)
-    node_dof[:, nb:] = active.sum(axis=1)[:, None] + np.arange(n_ov)
+    # the DOFs by position: background nodes at their coordinate, overlap
+    # nodes at the slab midpoint, ties by node; a node without DOF after them
+    x = np.full((S, nb + n_ov), np.inf)
+    x[:, 1 : nb - 1] = np.where(active, geoms.bg_nodes[1:-1], np.inf)
+    t0, t1 = made.t_start, made.t_end
+    x[:, nb:] = np.add.outer(made.a_start + made.mu * (0.5 * (t0 + t1) - t0), geoms.ov_offsets)
+    rank = np.arange(nb + n_ov)
+    n_dofs = active.sum(axis=1) + n_ov
+    node_dof = np.empty((S, nb + n_ov), dtype=np.intc)
+    by = np.argsort(x, axis=1, kind="stable")
+    np.put_along_axis(node_dof, by, np.where(rank < n_dofs[:, None], rank, -1), axis=1)
 
     # the rule in slab-relative time: slabs without events share it bit for bit
     e, n_events = made.slab_index("events"), made.counts[:, 0]
@@ -301,6 +314,18 @@ def build_slab_space(geoms: SlabGeometries, disc: Discretization, held=None) -> 
     lam = temporal_modes(disc.q, tau)
     built = SlabSpaces(made, disc.q, node_dof, tau, weights, lam, stencil, stab, counts)
     return share(built, held, geoms.repeats, geoms=geoms)
+
+
+def nodal_values(node_dof: np.ndarray, coeffs: np.ndarray, q: int) -> np.ndarray:
+    """Per-mode nodal values of consecutive slabs with the DOF maps
+    ``node_dof`` (slabs, nodes) and the coefficient column ``coeffs``, slab
+    after slab, in the global node numbering: shaped (slabs, q+1, nodes),
+    0 on a node without DOF."""
+    m = q + 1
+    has = node_dof >= 0
+    n = has.sum(axis=1)
+    at = np.where(has, m * (node_dof + (np.cumsum(n) - n)[:, None]), len(coeffs))
+    return np.append(coeffs, np.zeros(m))[at[:, None] + np.arange(m)[:, None]]
 
 
 @dataclass(frozen=True)
@@ -321,9 +346,7 @@ class SlabSolution:
     def nodal(self) -> np.ndarray:
         """Per-mode nodal values in the global node numbering, shaped
         (background + overlap nodes, q+1); dropped background DOFs are 0."""
-        vals = np.zeros((len(self.space.node_dof), self.space.q + 1))
-        vals[self.space.dof_node] = self.by_mode
-        return vals
+        return nodal_values(self.space.node_dof[None], self.coeffs, self.space.q)[0].T.copy()
 
     def eval(self, x, t: float) -> np.ndarray:
         """The value at the points ``x`` and the time t in the slab, from the

@@ -116,17 +116,18 @@ def nodal_interpolant(setup, func) -> SpaceTimeSolution:
         space = slab_space(setup, n)
         geom = space.geom
         q = setup.disc.q
+        nb = len(setup.bg_nodes)
         coeffs = np.zeros((space.n_spatial, q + 1))
         bg_vals = func(setup.bg_nodes[space.active_bg])
         for m in range(q + 1):
-            coeffs[: space.n_active_bg, m] = bg_vals
+            coeffs[space.node_dof[space.active_bg], m] = bg_vals
         # overlap nodes move: for q=1 each temporal mode carries the nodal
         # values at its own endpoint so the interpolant tracks the motion
         for m in range(q + 1):
             t = geom.t_start if (q == 1 and m == 0) else geom.t_end
             if q == 0:
                 t = geom.t_start  # constant mode; caller must use mu=0 for exactness
-            coeffs[space.n_active_bg :, m] = func(geom.ov_positions(t))
+            coeffs[space.node_dof[nb:], m] = func(geom.ov_positions(t))
         slabs.append(SlabSolution(space, coeffs.ravel()))
     return discrete_solution(setup, slabs)
 

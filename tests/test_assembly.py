@@ -330,7 +330,7 @@ class TestStationaryAlignedEquivalence:
             geom = space.geom
             full = vals_by_slab[n - 1]  # (n_nodes, q+1) nodal values
             ov_idx = np.searchsorted(setup.bg_nodes, geom.ov_positions(0.0))
-            coeffs = np.concatenate([full[space.active_bg], full[ov_idx]], axis=0)
+            coeffs = np.concatenate([full, full[ov_idx]], axis=0)[space.dof_node]
             slabs.append(SlabSolution(space, coeffs.ravel()))
         return discrete_solution(setup, slabs)
 

@@ -67,17 +67,14 @@ def _fresh(system):
 
 
 def _with(system, A=None, rhs=None):
-    """``_fresh(system)`` with its matrix replaced by ``A`` and its load by
-    ``rhs``, each given in DOF order (dense or scipy.sparse for ``A``)."""
-    triplets, load = system.triplets, system.load
+    """``_fresh(system)`` with its matrix replaced by ``A`` (dense or
+    scipy.sparse) and its load by ``rhs``."""
+    triplets = system.triplets
     if A is not None:
         A = coo_array(A)
-        rank = np.empty_like(system.order)
-        rank[system.order] = np.arange(len(rank))
-        triplets = (rank[A.row], rank[A.col], A.data)
-    if rhs is not None:
-        load = rhs[system.order]
-    return dataclasses.replace(_fresh(system), triplets=triplets, load=load)
+        triplets = (A.row, A.col, A.data)
+    rhs = system.rhs if rhs is None else rhs
+    return dataclasses.replace(_fresh(system), triplets=triplets, rhs=rhs)
 
 
 def _solve_and_check(system):
@@ -85,8 +82,8 @@ def _solve_and_check(system):
     after their solves (``solver._check``), on this slab alone."""
     memo = cutslab.solver.FactorMemo()
     x = solve_slab(dataclasses.replace(system, memo=memo))
-    b, scale = system.load, memo.factor[4]
-    cutslab.solver._check([system.slab], [0, len(b)], b, x[system.order], system.triplets, [scale])
+    b, scale = system.rhs, memo.factor[4]
+    cutslab.solver._check([system.slab], [0, len(b)], b, x, system.triplets, [scale])
     return x
 
 
@@ -194,6 +191,23 @@ class TestSolveSlab:
         dense = np.linalg.cond(A, 1)
         assert dense / 10 <= estimate <= 10 * dense
 
+    @pytest.mark.parametrize("nG", [1, 4])
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, -0.5, 0.6])
+    def test_condition_stays_bounded_near_a_node(self, mu, q, nG):
+        # the left interface on the node 0.25, or inside or just beyond the
+        # snap tolerance (DEGENERATE_FRACTION) of it on either side, where a
+        # cut cell is a sliver: slab 1's dense 1-norm condition number stays
+        # within 4x that of a mid-cell interface, 0.25 + h/2
+
+        def cond(a0):
+            setup = make_setup(n0=16, nG=nG, N=8, mu=mu, a0=a0, q=q, T=0.25, length=0.25)
+            return np.linalg.cond(slab_system(slab_space(setup, 1), setup).matrix.toarray(), 1)
+
+        mid = cond(0.25 + 1.0 / 32.0)
+        for d in (0.0, 1e-13, -1e-13, 0.9e-12, -0.9e-12, 2e-12, -2e-12):
+            assert cond(0.25 + d) <= 4.0 * mid, d
+
     def test_residual_guard(self, monkeypatch):
         monkeypatch.setattr(cutslab.solver, "RESIDUAL_TOL", 0.0)
         with pytest.raises(
@@ -216,7 +230,7 @@ class TestSolveSlab:
         problem = dataclasses.replace(
             setup.problem, source=lambda x, t: np.where(t > 0.5, np.nan, base(x, t))
         )
-        with pytest.raises(NumericalFailure, match="non-finite entries in slab 5 system"):
+        with pytest.raises(NumericalFailure, match="non-finite load in slab 5"):
             march(problem, setup.overlap, setup.disc)
 
     def test_non_finite_mesh_entry_names_slab_1(self, monkeypatch):
@@ -231,7 +245,7 @@ class TestSolveSlab:
 
         monkeypatch.setattr(cutslab.core, "p1_triplets", poisoned)
         setup = make_setup(n0=16, nG=4, N=8, q=1)
-        with pytest.raises(NumericalFailure, match="non-finite entries in slab 1 system") as exc:
+        with pytest.raises(NumericalFailure, match="non-finite matrix entries in slab 1") as exc:
             march(setup.problem, setup.overlap, setup.disc)
         assert exc.traceback[-1].name == "_slab_matrices"
 
@@ -385,7 +399,7 @@ class TestMarch:
         def spoiled(self, i, *args, **kwargs):
             system = system_of(self, i, *args, **kwargs)
             if quantity == "load" and system.slab == 2:
-                system.load = np.where(np.arange(len(system.load)) == 0, np.nan, system.load)
+                system.rhs = np.where(np.arange(len(system.rhs)) == 0, np.nan, system.rhs)
             if system.slab == 4:
                 system.band.ab[:, 0] *= 1e-30  # its first column nearly zero
             return system
@@ -405,7 +419,7 @@ class TestMarch:
         monkeypatch.setattr(cutslab.assembly.SlabSystems, "system", spoiled)
         monkeypatch.setattr(cutslab.solver, "solve_slab", solving)
         want = {
-            "load": "non-finite entries in slab 2 system",
+            "load": "non-finite load in slab 2",
             "coefficients": "slab 2 solve gave non-finite coefficients",
             "residual": "slab 2 solve left relative residual",
             None: r"singular slab system \(slab 4, .*pivot ratio",
@@ -600,7 +614,7 @@ class TestRepeatRule:
         # each slab assembled on its own: the rule says "repeats" exactly
         # where its triplets are the previous slab's, bit for bit
         bits = [
-            tuple(x.tobytes() for x in (*system.triplets, system.order))
+            tuple(x.tobytes() for x in system.triplets)
             for system in (slab_system(space, setup) for space in spaces)
         ]
         assert setup.repeats.tolist() == [False] + [a == b for a, b in zip(bits, bits[1:])]
@@ -638,9 +652,22 @@ class TestRepeatRule:
 class TestBands:
     """The bands the march builds straight from a chunk's triplets."""
 
+    CONFIGS = [dict(mu=0.6), dict(mu=0.0, a0=0.3), dict(n0=16, nG=256, N=4, mu=0.6), "oscillating"]
+    IDS = ["moving", "stationary", "wide", "oscillating"]
+
+    @staticmethod
+    def _spaces(q, config):
+        """The setup of ``config`` and the records of all its slabs."""
+        if config == "oscillating":
+            setup = oscillating_setup(q)
+        else:
+            setup = make_setup(**{"n0": 16, "nG": 4, "N": 6, "q": q, **config})
+        geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))
+        return setup, build_slab_space(geoms, setup.disc)
+
     @staticmethod
     def _dense(band):
-        """The matrix of a band, in position order."""
+        """The matrix of a band."""
         n = band.ab.shape[1]
         A = np.zeros((n, n))
         i, j = np.indices((n, n))
@@ -649,22 +676,13 @@ class TestBands:
         return A
 
     @pytest.mark.parametrize("q", [0, 1])
-    @pytest.mark.parametrize(
-        "config",
-        [dict(mu=0.6), dict(mu=0.0, a0=0.3), dict(n0=16, nG=256, N=4, mu=0.6), "oscillating"],
-        ids=["moving", "stationary", "wide", "oscillating"],
-    )
+    @pytest.mark.parametrize("config", CONFIGS, ids=IDS)
     def test_band_densifies_to_its_slab_matrix(self, q, config, monkeypatch):
         # in groups of slabs under the storage cap (one slab each for the
-        # wide bands), against scipy's sum of the chunk's triplets in DOF order
+        # wide bands), against scipy's sum of the chunk's triplets
         from scipy.sparse import coo_array
 
-        if config == "oscillating":
-            setup = oscillating_setup(q)
-        else:
-            setup = make_setup(**{"n0": 16, "nG": 4, "N": 6, "q": q, **config})
-        geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))
-        spaces = build_slab_space(geoms, setup.disc)
+        setup, spaces = self._spaces(q, config)
         systems = assemble_slab(spaces, setup, None)
         # a slab that repeats the one before gets no triplets of its own
         stationary = np.all(setup.partition.velocities == 0.0)
@@ -680,14 +698,26 @@ class TestBands:
         assert all((band is None) == (stationary and i > 0) for i, band in bands)
         for i, band in bands[:1] if stationary else bands:
             rows, cols, vals = systems.triplets(i)
-            order = systems.order[systems.first[i] : systems.first[i + 1]]
-            n = len(order)
-            ref = coo_array((vals, (order[rows], order[cols])), shape=(n, n)).toarray()
-            A = np.empty_like(ref)
-            A[np.ix_(order, order)] = self._dense(band)
+            n = systems.first[i + 1] - systems.first[i]
+            ref = coo_array((vals, (rows, cols)), shape=(n, n)).toarray()
+            A = self._dense(band)
             assert np.max(np.abs(A - ref)) <= 1e-14 * np.max(np.abs(ref))
             # nothing outside the band, and the fill rows stay zero
             assert not band.ab[: band.kl].any()
+
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("config", CONFIGS, ids=IDS)
+    def test_dof_order_is_the_banded_order(self, q, config):
+        # each slab's matrix as read, in its DOF order, has no entry outside
+        # the half-bandwidths of the triplets its band is built from
+        setup, spaces = self._spaces(q, config)
+        for space in spaces:
+            system = slab_system(space, setup)
+            rows, cols, vals = system.triplets
+            kl, ku = cutslab.solver._half_bandwidths(rows, cols, [0, len(vals)])
+            A = system.matrix.tocoo()
+            assert A.shape == (space.n_cols, space.n_cols)
+            assert np.all(A.row - A.col <= kl[0]) and np.all(A.col - A.row <= ku[0])
 
     @pytest.mark.parametrize("q", [0, 1])
     def test_a_chunk_of_repeated_slabs_has_no_triplets(self, q):

@@ -64,13 +64,21 @@ class TestDofCounts:
                     assert space.node_dof[node] >= 0
 
     def test_dof_map_consistency(self):
+        # the spatial DOFs run by position: background nodes at their
+        # coordinate, overlap nodes at the slab midpoint, ties by node
         setup = make_setup(n0=12, nG=3, N=3, mu=0.35, a0=0.2, q=1)
         space = slab_space(setup, 2)
         geom = space.geom
-        for i, node in enumerate(space.active_bg):
-            assert space.node_dof[node] == i
-        assert space.node_dof[len(geom.bg_nodes)] == space.n_active_bg
+        nb = len(geom.bg_nodes)
         assert np.array_equal(space.node_dof[space.dof_node], np.arange(space.n_spatial))
+        has_dof = np.flatnonzero(space.node_dof >= 0)
+        assert np.array_equal(has_dof, np.concatenate([space.active_bg, nb + np.arange(space.n_ov)]))
+        mid = 0.5 * (geom.t_start + geom.t_end)
+        x = np.concatenate([geom.bg_nodes, geom.ov_positions(mid)])[space.dof_node]
+        assert np.all(np.diff(x) >= 0.0)
+        assert np.all(np.diff(space.dof_node)[np.diff(x) == 0.0] > 0)
+        # not background nodes first: the overlap's DOFs sit among theirs
+        assert space.node_dof[nb] < space.n_active_bg
 
 
 class TestChunkOfRecords:
@@ -136,7 +144,7 @@ class TestEvalBasis:
         space = slab_space(setup, 1)
         geom = space.geom
         g = 1  # middle overlap node, offset 0.125
-        phi = _basis_function(space, space.n_active_bg + g, 0)
+        phi = _basis_function(space, space.node_dof[len(geom.bg_nodes) + g], 0)
         for t in (0.0, 0.4, 1.0):
             peak = geom.left(t) + 0.125
             assert evaluate(phi, peak, t, side=2)[0] == pytest.approx(1.0)
@@ -146,7 +154,7 @@ class TestEvalBasis:
         setup = make_setup(n0=8, nG=2, N=2, mu=0.6, a0=0.125, q=1)
         space = slab_space(setup, 1)
         geom = space.geom
-        dof = space.n_active_bg + 1
+        dof = space.node_dof[len(geom.bg_nodes) + 1]
         t = 0.2
         x = geom.left(t) + 0.07
         for mode in (0, 1):
@@ -252,7 +260,7 @@ class TestSlabSolution:
         space = slab_space(setup, 1)
         geom = space.geom
         f = lambda x: np.minimum(x, 0.25)  # kink exactly at the interface
-        coeffs = np.concatenate([f(setup.bg_nodes[space.active_bg]), f(geom.ov_positions(0.0))])
+        coeffs = np.concatenate([f(setup.bg_nodes), f(geom.ov_positions(0.0))])[space.dof_node]
         slab = SlabSolution(space, coeffs)
         assert interface_gradient(slab, "left", 0.5, 1) == pytest.approx(1.0)
         assert interface_gradient(slab, "left", 0.5, 2) == pytest.approx(0.0)
