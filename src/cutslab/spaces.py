@@ -324,8 +324,13 @@ def nodal_values(node_dof: np.ndarray, coeffs: np.ndarray, q: int) -> np.ndarray
     m = q + 1
     has = node_dof >= 0
     n = has.sum(axis=1)
-    at = np.where(has, m * (node_dof + (np.cumsum(n) - n)[:, None]), len(coeffs))
-    return np.append(coeffs, np.zeros(m))[at[:, None] + np.arange(m)[:, None]]
+    start = m * (np.cumsum(n) - n)
+    # a node without DOF reads the first coefficient, then is set to 0: a
+    # padded copy of the column, one more array the size of the values,
+    # raised the norm's peak RSS on long_march by 0.6 MiB
+    vals = coeffs[np.where(has, start[:, None] + m * node_dof, 0)[:, None] + np.arange(m)[:, None]]
+    vals.transpose(0, 2, 1)[~has] = 0.0
+    return vals
 
 
 @dataclass(frozen=True)
