@@ -36,9 +36,9 @@ their time dependence:
   polynomial in time between interface-node crossings; each slab's are
   integrated at its own panel times;
 * interface point terms (Nitsche coupling, penalty, upwind space-time jump)
-  come from the records' stencils of both interface points at all panel Gauss
-  times: seven nodes per point with jump, average-gradient and upwind-trace
-  weights, piecewise polynomial between the same crossings;
+  come from the records' interface stencils, a row of both points per panel
+  Gauss time: seven nodes per point with jump, average-gradient and
+  upwind-trace weights, piecewise polynomial between the same crossings;
 * the overlap-region gradient-jump stabilization comes from the records'
   stabilization weights: pairwise over (cut background cell, overlap cell),
   the exact temporal weights of each pair's covered length with panels at
@@ -64,7 +64,10 @@ The time-jump load of a slab after the first is the side-wise mass at the
 slab start (the full-mesh mass minus the covered correction there)
 applied to the previous slab's end-time trace (``_jump_maps``); the first
 slab integrates the initial data with three-point Gauss per merged-partition
-segment, through the same hat sums.
+segment, through the same hat sums.  The covered start mass is one row per
+slab, zero-padded to the most cells of any slab of the chunk: a slab that
+repeats another reads that slab's row, the first slab of a chunk perhaps the
+row the previous chunk handed on.
 
 A chunk's temporaries (its triplets, the merged partitions of its source
 load, its covered-cell products) grow with its slab count; the march's cap
@@ -88,7 +91,9 @@ from .geometry import (
     spatial_partition,
 )
 from .quadrature import GL3, composite_time_rule, lobatto3, midpoint
-from .spaces import SlabSolution, SlabSpace, SlabSpaces, temporal_basis_derivs, temporal_modes
+from .spaces import (
+    N1, SlabSolution, SlabSpace, SlabSpaces, temporal_basis_derivs, temporal_modes
+)
 
 
 @dataclass(eq=False)
@@ -176,18 +181,6 @@ def _covered_entries(geom, a: np.ndarray, slab: np.ndarray, active: np.ndarray):
     return cells, own, _segment_mass_stiff(xa, xb, lo, hi)
 
 
-def _point_entries(idx, vals, weights):
-    """Triplets of entries that move between points: ``vals`` shaped
-    (points, s, s) on the nodes ``idx`` (points, s), test node first, each
-    point with its own temporal weights (points, q+1, q+1).  The rows and
-    cols come back shaped (points, s*s), the blocks (points, s*s, (q+1)^2)."""
-    n, s = idx.shape
-    mm = weights.shape[1] * weights.shape[2]
-    rows = np.repeat(idx, s, axis=1)
-    cols = np.tile(idx, (1, s))
-    return rows, cols, vals.reshape(n, s * s, 1) * weights.reshape(n, 1, mm)
-
-
 # ---------------------------------------------------------------------------
 # slab assembly
 # ---------------------------------------------------------------------------
@@ -229,20 +222,20 @@ def _hat_sums(geom, part, points, row, n_rows: int) -> np.ndarray:
 def _f_load(geoms, q: int, slab: np.ndarray, times: np.ndarray, weights: np.ndarray, source):
     """Load of the source against every node's hat and temporal mode of each
     slab of ``geoms``, shaped (slabs, nodes, q+1): trapezoid per segment in
-    space, the rule (times, weights) in time, where ``slab`` gives the
-    position in ``geoms`` of each time's slab.  ``source`` is called once.
+    space, the rule (times, weights) in time, each slab's times in order,
+    where ``slab`` (nondecreasing) gives the position in ``geoms`` of each
+    time's slab.  ``source`` is called once.
 
     The hat sums carry no mode axis: they are formed once per distinct
     (slab, time), and one product per chunk weights them by each time's
     rule weight and mode values."""
-    # a composite Lobatto rule repeats each inner panel endpoint of a slab
-    order = np.lexsort((times, slab))
-    ts, ss = times[order], slab[order]
-    new = np.ones(len(ts), dtype=bool)
-    new[1:] = (ts[1:] != ts[:-1]) | (ss[1:] != ss[:-1])
-    slot = np.empty(len(ts), dtype=int)
-    slot[order] = np.cumsum(new) - 1
-    ts, ss = ts[new], ss[new]
+    # a composite Lobatto rule repeats each inner panel endpoint of a slab,
+    # and composite_time_rule emits each slab's times in order, so the
+    # repeats are neighbours
+    new = np.ones(len(times), dtype=bool)
+    new[1:] = (times[1:] != times[:-1]) | (slab[1:] != slab[:-1])
+    slot = np.cumsum(new) - 1
+    ts, ss = times[new], slab[new]
     # each slab's distinct times, padded with zero weights to the most of any slab
     S = len(geoms)
     rank = np.arange(len(ts)) - np.searchsorted(ss, ss)
@@ -301,10 +294,10 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active):
     """Triplets (slab, rows, cols, blocks) of the covered-interval
     correction, at each slab start and on its panel Gauss times (``t_slab``
     gives each time's slab): mass against the start trace and lam_i lam_j',
-    stiffness against lam_i lam_j; and the covered mass triplets (slab,
-    rows, cols, values) at the slab starts, slab after slab.  Only the cells
-    with a node in ``active`` (slabs, background nodes) give triplets: the
-    others give none that a slab's DOFs keep."""
+    stiffness against lam_i lam_j; and the covered mass (rows, cols, values)
+    at each slab start, shaped (slabs, 4 * cells), 0 off the slab's own
+    cells.  Only the cells with a node in ``active`` (slabs, background
+    nodes) give triplets: the others give none that a slab's DOFs keep."""
     S, mm = len(geoms), start.size
     # positions: each slab's start, then its times; the product below pads
     # each slab's to the most of any slab with zeros
@@ -321,32 +314,32 @@ def _covered_part(geoms, t_slab, times, start, w_ld, w_ll, active):
     weights[t_slab, 0, p[p > 0]] = w_ld
     weights[t_slab, 1, p[p > 0]] = w_ll
     sym = (np.swapaxes(sym, 1, 2) @ weights.reshape(S, 2 * P, mm)).reshape(S, 3, -1, mm)
-    mv = mv[p == 0]  # at the slab starts
-    # (slab, entry, cell) triplets of each slab's own cells
+    # entry (e00, e01, e10, e11) of each cell
     pick = [0, 1, 1, 2]
-    own = np.broadcast_to(own[:, None], (S, 4, own.shape[1]))
+    rows = np.stack([cells, cells, cells + 1, cells + 1], axis=1)
+    cols = np.stack([cells, cells + 1, cells, cells + 1], axis=1)
+    own = np.broadcast_to(own[:, None], rows.shape)
     slab = np.broadcast_to(np.arange(S)[:, None, None], own.shape)[own]
-    rows = np.stack([cells, cells, cells + 1, cells + 1], axis=1)[own]
-    cols = np.stack([cells, cells + 1, cells, cells + 1], axis=1)[own]
-    return (slab, rows, cols, -sym[:, pick][own]), (slab, rows, cols, mv[:, pick][own])
+    mv = np.where(own, mv[p == 0][:, pick], 0.0)  # at the slab starts
+    flat = (x.reshape(S, -1) for x in (rows, cols, mv))
+    return (slab, rows[own], cols[own], -sym[:, pick][own]), tuple(flat)
 
 
-def _interface_part(spaces, nt, mu, gamma: float, w_ll):
-    """Triplets of the interface point terms on the panel Gauss times:
-    -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind trace_i J_j."""
-    st = spaces.stencil
-    slab = np.repeat(np.arange(len(spaces)), 2 * nt)
-    time = (np.cumsum(nt) - nt)[slab] + ragged_arange(2 * nt) % nt[slab]
+def _interface_part(st, slab, mu, gamma: float, w_ll):
+    """Triplets of the interface point terms of the stencil ``st`` on the
+    panel Gauss times, where ``slab`` gives each time's slab and ``mu`` each
+    slab's velocity: -n1 (J_i G_j + G_i J_j) + penalty J_i J_j + upwind
+    trace_i J_j."""
     # every term pairs a trace slot (0, 1 or 4) with a slot: the entries
     # (i, j) between two gradient-only slots are zero and left out
     trace = np.isin(np.arange(7), [0, 1, 4])
     i, j = np.nonzero(trace[:, None] | trace)
     J = st.jump
-    n1G = st.n1[:, None] * st.grad
-    pen = (np.hypot(mu[slab], 1.0) * gamma / st.h_K)[:, None]
-    vals = J[:, i] * (pen * J[:, j] - n1G[:, j]) + (st.upwind - n1G)[:, i] * J[:, j]
-    blocks = vals[:, :, None] * w_ll[time][:, None, :]
-    return slab[:, None], st.idx[:, i], st.idx[:, j], blocks
+    n1G = N1[:, None] * st.grad
+    pen = (np.hypot(mu[slab], 1.0)[:, None] * gamma / st.h_K)[..., None]
+    vals = J[..., i] * (pen * J[..., j] - n1G[..., j]) + (st.upwind - n1G)[..., i] * J[..., j]
+    blocks = vals[..., None] * w_ll[:, None, None, :]
+    return slab[:, None, None], st.idx[..., i], st.idx[..., j], blocks
 
 
 def _stabilization_part(spaces):
@@ -355,8 +348,9 @@ def _stabilization_part(spaces):
     idx, g, W = spaces.stab
     if not len(idx):
         return None
-    slab = spaces.slab_index("stab")
-    return (slab[:, None], *_point_entries(idx, g[:, :, None] * g[:, None, :], W))
+    i, j = np.indices((4, 4)).reshape(2, -1)
+    blocks = (g[:, i] * g[:, j])[:, :, None] * W.reshape(len(W), 1, -1)
+    return spaces.slab_index("stab")[:, None], idx[:, i], idx[:, j], blocks
 
 
 def _node_rows(spaces) -> np.ndarray:
@@ -372,8 +366,8 @@ def _node_rows(spaces) -> np.ndarray:
 def _slab_matrices(spaces, setup: Setup):
     """The triplets (rows, cols, vals) of the slab matrices of ``spaces``
     with duplicates unsummed, slab i's from entry ``at[i]`` on and in its own
-    rows; ``at``; and the covered mass triplets at each slab start.  Raises
-    ``NumericalFailure`` naming the first slab with a non-finite entry.
+    rows; ``at``; and the covered start mass of each slab (``_covered_part``).
+    Raises ``NumericalFailure`` naming the first slab with a non-finite entry.
     """
     S = len(spaces)
     geoms = spaces.geoms
@@ -398,17 +392,16 @@ def _slab_matrices(spaces, setup: Setup):
     triplets = [to_rows(slab_ids[:, None], rows, cols, vals @ C)]
 
     # temporal weights on the panel Gauss times
-    nt = spaces.counts[:, 0]
-    t_slab = np.repeat(slab_ids, nt)
+    t_slab = spaces.slab_index("tau")
     wts = spaces.weights[:, None, None]
     lam = spaces.lam
-    dlam = temporal_basis_derivs(q, 0.0, k[t_slab])
+    dlam = temporal_basis_derivs(q, k[t_slab])
     w_ll = (wts * lam[:, :, None] * lam[:, None, :]).reshape(-1, m * m)
     w_ld = (wts * lam[:, :, None] * dlam[:, None, :]).reshape(-1, m * m)
     active = spaces.node_dof[:, : len(geoms.bg_nodes)] >= 0
     covered, start_cov = _covered_part(geoms, t_slab, spaces.times, start, w_ld, w_ll, active)
     triplets.append(to_rows(*covered))
-    triplets.append(to_rows(*_interface_part(spaces, nt, mu, setup.disc.gamma, w_ll)))
+    triplets.append(to_rows(*_interface_part(spaces.stencil, t_slab, mu, setup.disc.gamma, w_ll)))
     stab = _stabilization_part(spaces)
     if stab is not None:
         triplets.append(to_rows(*stab))
@@ -438,28 +431,31 @@ def _slab_matrices(spaces, setup: Setup):
 def _chunk_matrices(spaces, setup: Setup, new: np.ndarray, held):
     """``_slab_matrices`` of the slabs of ``spaces`` with ``new`` true, on
     their own: their triplets, each slab's in its own rows, and ``at``; and
-    the covered mass triplets (slab, rows, cols, values) at the start of
-    every slab, slab after slab.  Any other slab starts where the slab it
-    repeats starts, with the same DOFs, so its covered mass is that slab's:
-    in the chunk, or for the first slab ``held``'s."""
+    the covered start mass of every slab (``_covered_part``).  Any other
+    slab starts where the slab it repeats starts, with the same DOFs, so its
+    covered mass is that slab's: in the chunk, or for the first slab
+    ``held``'s."""
     rows = cols = np.empty(0, dtype=np.intc)
     vals, at = np.empty(0), [0]
-    cover = [np.empty(0, dtype=int)] * 3 + [np.empty(0)]
+    cover = (np.empty((0, 0), dtype=int),) * 2 + (np.empty((0, 0)),)
     made = np.flatnonzero(new)
     if len(made):
         rows, cols, vals, at, cover = _slab_matrices(spaces.take(made), setup)
         if len(made) == len(new):
             return rows, cols, vals, at, cover
-    # the covered mass of each slab's source: the assembled slab it is or
-    # repeats, or (source -1) the slab before the chunk
-    source, *cover = cover
+    # each slab reads the row of the assembled slab it is or repeats; with
+    # ``held``, the row of the slab before the chunk comes first, and every
+    # row is padded with zeros to the longest
+    source = np.cumsum(new) - 1
     if held is not None:
-        source = np.concatenate([np.full(len(held[1][0]), -1), source])
-        cover = [np.concatenate(x) for x in zip(held[1], cover)]
-    per = np.bincount(source + 1, minlength=len(made) + 1)
-    count = per[np.cumsum(new)]
-    take = np.repeat((np.cumsum(per) - per)[np.cumsum(new)], count) + ragged_arange(count)
-    return rows, cols, vals, at, [np.repeat(np.arange(len(new)), count)] + [x[take] for x in cover]
+        source += 1
+        joined = []
+        for h, c in zip(held[1], cover):
+            x = np.zeros((len(c) + 1, max(len(h), c.shape[1])), dtype=c.dtype)
+            x[0, : len(h)], x[1:, : c.shape[1]] = h, c
+            joined.append(x)
+        cover = joined
+    return rows, cols, vals, at, tuple(x[source] for x in cover)
 
 
 def _jump_maps(setup: Setup, row, prev_dof, start_cov, q: int):
@@ -468,28 +464,21 @@ def _jump_maps(setup: Setup, row, prev_dof, start_cov, q: int):
     (``cols``, its DOFs) to each slab's load (``rows``, its own rows).
 
     The map is the side-wise mass at the slab start, the full-mesh mass minus
-    the covered mass ``start_cov``, between the slab's start-mode test
-    functions and the previous slab's end-time trace: both P1 on every
-    segment of the start partition, so the pairing is exact.  ``row`` (slabs,
-    nodes) gives each node's first row in its slab, ``prev_dof`` the
-    previous slab's DOF of its first mode, each a negative number for a node
-    without one; an entry on a node without either, or padding a slab with
-    fewer covered cells, is a zero on row and column 0.
+    the covered mass ``start_cov`` (``_covered_part``), between the slab's
+    start-mode test functions and the previous slab's end-time trace: both
+    P1 on every segment of the start partition, so the pairing is exact.
+    ``row`` (slabs, nodes) gives each node's first row in its slab,
+    ``prev_dof`` the previous slab's DOF of its first mode, each a negative
+    number for a node without one; an entry on a node without either is a
+    zero on row and column 0.
     """
     S = len(row)
     rows, cols, vals = setup.mesh_matrices
-    cs, cr, cc, cv = start_cov
-    # the covered triplets of each slab, padded to the most of any slab by
-    # zeros on node 0, which never carries a DOF
-    count = np.bincount(cs, minlength=S)
-    at = (cs, np.arange(len(cs)) - (np.cumsum(count) - count)[cs])
-    pr, pc = np.zeros((2, S, count.max()), dtype=int)
-    pv = np.zeros((S, count.max()))
-    pr[at], pc[at], pv[at] = cr, cc, -cv
+    cr, cc, cv = start_cov
     s = np.arange(S)[:, None]
-    r = np.concatenate([row[:, rows], row[s, pr]], axis=1)
-    c = np.concatenate([prev_dof[:, cols], prev_dof[s, pc]], axis=1)
-    v = np.concatenate([np.broadcast_to(vals[:, 0], (S, len(rows))), pv], axis=1)
+    r = np.concatenate([row[:, rows], row[s, cr]], axis=1)
+    c = np.concatenate([prev_dof[:, cols], prev_dof[s, cc]], axis=1)
+    v = np.concatenate([np.broadcast_to(vals[:, 0], (S, len(rows))), -cv], axis=1)
     drop = (r < 0) | (c < 0)
     r[drop], c[drop], v[drop] = 0, 0, 0.0
     # the modes are nodal in time: the slab's first mode is its start value,
@@ -544,8 +533,8 @@ class SlabSystems:
     loads: np.ndarray
     jump: tuple  # (rows, cols, vals), each (slabs, entries): see _jump_maps
     # when the slab after the chunk repeats its last: copies of that slab's
-    # triplets and of its covered mass triplets (rows, cols, values) at its
-    # start, which the next chunk's ``assemble_slab`` reads as ``held``
+    # triplets and of its row of covered start mass (rows, cols, values),
+    # which the next chunk's ``assemble_slab`` reads as ``held``
     handoff: tuple | None
 
     @cached_property
@@ -647,6 +636,5 @@ def assemble_slab(
     if geoms.n[-1] < len(setup.repeats) and setup.repeats[geoms.n[-1]]:
         # the slab after the chunk repeats its last: copies of what it reads
         matrix = tuple(x[at[-2] :].copy() for x in (rows, cols, vals)) if len(at) > 1 else held[0]
-        last = start_cov[0] == S - 1
-        handoff = (matrix, tuple(x[last] for x in start_cov[1:]))
+        handoff = (matrix, tuple(x[-1].copy() for x in start_cov))
     return SlabSystems(spaces, first, new, held, at, rows, cols, vals, loads, jump, handoff)

@@ -20,8 +20,9 @@ step runs along the segments, not over the three points of one segment.
   discrete solution and its time derivative at every node of its rows once;
   each segment reads its own cell's ends from those by 1-D gathers.  A chunk
   may cut a slab's times, so the cap bounds the temporaries of a wide slab.
-- Interface terms: one gathered contraction over the interface stencil rows
-  of all records, with each row's slab velocity.
+- Interface terms: one gathered contraction over the interface stencils of
+  all records, a row of both points per rule time, with each row's slab
+  velocity.
 - Gradient-jump term over the covered parts of cut cells: the quadratic form
   of the records' stabilization weights (pairwise per cut cell and overlap
   cell, exact in time) in the discrete gradient jumps, over the pairs of all
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ExactSolution, pointwise
-from .geometry import partition_at, ragged_arange, segment_cells, segment_points
+from .geometry import partition_at, segment_cells, segment_points
 from .spaces import (
     SlabSpaces, SpaceTimeSolution, nodal_values, temporal_basis_derivs, temporal_modes
 )
@@ -113,7 +114,7 @@ def _volume_terms(spaces, vals, slab, times, exact, per_chunk: int):
     partition each."""
     geoms = spaces.geoms
     S, k, mu = len(geoms), geoms.k, geoms.mu
-    dlam = temporal_basis_derivs(spaces.q, 0.0, k)  # (slabs, q+1)
+    dlam = temporal_basis_derivs(spaces.q, k)  # (slabs, q+1)
     a = geoms.left(slab, times)
     grad = 0.0
     material = np.zeros(2 * S)  # per slab on side 1, then per slab on side 2
@@ -148,24 +149,20 @@ def _volume_terms(spaces, vals, slab, times, exact, per_chunk: int):
 
 def _interface_terms(spaces, vals, slab, times, exact):
     """Squared flux, interface-jump and moving-jump error terms: one
-    contraction over the interface stencil rows of all records (each slab's
-    left points, then its right points, at its times), with each row's slab
-    velocity.  The exact solution is continuous, so the error's jump is the
-    discrete one."""
-    nt = spaces.counts[:, 0]
+    contraction over the interface stencils of all records, a row of both
+    points per rule time, with each row's slab velocity.  The exact solution
+    is continuous, so the error's jump is the discrete one."""
     st = spaces.stencil
-    idx, grad, jump, x, h_K = st.idx, st.grad, st.jump, st.x, st.h_K
-    row = np.repeat(np.cumsum(nt) - nt, 2 * nt) + ragged_arange(2 * nt) % np.repeat(nt, 2 * nt)
-    s = slab[row]
-    v = np.einsum("rkm,rm->rk", vals[s[:, None], :, idx], spaces.lam[row])  # at the row's time
-    avg = pointwise(exact.u_x, x, times[row]) - np.einsum("rk,rk->r", v, grad)
-    jump_sq = np.einsum("rk,rk->r", v, jump) ** 2
-    w = spaces.weights[row]
-    mu = spaces.geoms.mu[s]
+    v = np.einsum("rpkm,rm->rpk", vals[slab[:, None, None], :, st.idx], spaces.lam)
+    t = np.broadcast_to(times[:, None], st.x.shape)
+    avg = pointwise(exact.u_x, st.x, t) - np.einsum("rpk,rpk->rp", v, st.grad)
+    jump_sq = np.einsum("rpk,rpk->rp", v, st.jump) ** 2
+    w = spaces.weights[:, None]
+    mu = spaces.geoms.mu[slab][:, None]
     mu_bar = np.hypot(mu, 1.0)
     return (
-        float(np.sum(mu_bar * w * h_K * avg * avg)),
-        float(np.sum(mu_bar * w / h_K * jump_sq)),
+        float(np.sum(mu_bar * w * st.h_K * avg * avg)),
+        float(np.sum(mu_bar * w / st.h_K * jump_sq)),
         float(np.sum(np.abs(mu) * w * jump_sq)),
     )
 

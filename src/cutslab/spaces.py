@@ -41,21 +41,25 @@ def temporal_modes(q: int, tau) -> np.ndarray:
     return np.stack([1.0 - tau, tau], axis=-1)
 
 
-def temporal_basis_derivs(q: int, t_start, t_end) -> np.ndarray:
-    """Time derivatives of the q+1 temporal modes, shaped
-    ``np.shape(t_end - t_start) + (q+1,)``."""
-    k = np.asarray(t_end) - t_start
+def temporal_basis_derivs(q: int, k) -> np.ndarray:
+    """Time derivatives of the q+1 temporal modes on slabs of length ``k``,
+    shaped ``np.shape(k) + (q+1,)``."""
+    k = np.asarray(k, dtype=float)
     if q == 0:
-        return np.zeros(np.shape(k) + (1,))
-    d = np.array([-1.0 / k, 1.0 / k])
-    return np.moveaxis(d, 0, -1) if d.ndim > 1 else d
+        return np.zeros(k.shape + (1,))
+    return np.stack([-1.0 / k, 1.0 / k], axis=-1)
+
+
+# the spatial normal of the uncovered side at the left and the right point
+N1 = np.array([1.0, -1.0])
 
 
 class InterfaceStencil(NamedTuple):
-    """Both interface points at each of ``nt`` times: rows ``0..nt-1`` hold
-    the left point, rows ``nt..2nt-1`` the right one.
+    """Both interface points at each of several times, shaped (times, 2,
+    ...): side 0 is the left point, side 1 the right one, whose spatial
+    normals are ``N1``.
 
-    ``idx`` gives seven global node indices per row: the background cell
+    ``idx`` gives seven global node indices per point: the background cell
     holding the point (value), the background cell on the uncovered side
     (one-sided gradient, also when the point sits on a node), the overlap
     node at the point (value) and the overlap end cell (gradient).  The
@@ -70,7 +74,6 @@ class InterfaceStencil(NamedTuple):
     grad: np.ndarray
     upwind: np.ndarray
     x: np.ndarray  # position
-    n1: np.ndarray  # spatial normal of the uncovered side
     h_K: np.ndarray  # size of the background cell holding the point
 
 
@@ -78,63 +81,42 @@ def interface_stencil(
     geoms, slab: np.ndarray, times: np.ndarray, omega1: float
 ) -> InterfaceStencil:
     """The interface stencils of the slabs ``geoms`` (``SlabGeometries``) at
-    the 1-D array ``times``, where ``slab`` (nondecreasing) gives the
-    position in ``geoms`` of each time's slab.  The rows run slab by slab,
-    each slab's left points and then its right points, so one slab's
-    stencil is a slice of rows."""
+    the 1-D array ``times``, where ``slab`` gives the position in ``geoms``
+    of each time's slab: one row per time, so a slab's stencil is the slice
+    of its times' rows."""
     nodes, off = geoms.bg_nodes, geoms.ov_offsets
     nb, n_ov = len(nodes), len(off)
-    nt = len(times)
     mu = geoms.mu[slab]
     a = geoms.left(slab, times)
-    x = np.concatenate([a, a + geoms.overlap_length])
+    x = np.stack([a, a + geoms.overlap_length], axis=1)
     # value cell: the cell holding the true point, so the weights interpolate
     # the P1 function there, as SlabSolution.eval does.  The cell of h_K (the
     # one holding the point, right of its node when on one) and the gradient
     # cell (the cell on the uncovered side, left of the left point and right
     # of the right one) are looked up at the snapped point
     xs = snap(nodes, x)
-    cells = np.empty((3, 2 * nt), dtype=int)
+    cells = np.empty((3,) + x.shape, dtype=int)
     cells[0] = np.searchsorted(nodes, x, side="right")
-    cells[1] = np.searchsorted(nodes, xs, side="right")
-    cells[2, :nt] = np.searchsorted(nodes, xs[:nt], side="left")
-    cells[2, nt:] = cells[1, nt:]
+    cells[1] = cells[2] = np.searchsorted(nodes, xs, side="right")
+    cells[2, :, 0] = np.searchsorted(nodes, xs[:, 0], side="left")
     c, cK, c1 = np.clip(cells - 1, 0, nb - 2)
     h = nodes[c + 1] - nodes[c]
     w1 = (x - nodes[c]) / h
     g1 = omega1 / (nodes[c1 + 1] - nodes[c1])
     g2 = (1.0 - omega1) / (off[[1, -1]] - off[[0, -2]])  # first and last overlap cell
+    ov_cell = np.array([nb, nb + n_ov - 2])
 
-    idx = np.empty((2 * nt, 7), dtype=int)
-    jump, grad, upwind = np.zeros((3, 2 * nt, 7))
-    idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3] = c, c + 1, c1, c1 + 1
-    jump[:, 0], jump[:, 1], jump[:, 4] = 1.0 - w1, w1, -1.0
-    grad[:, 2], grad[:, 3] = -g1, g1
-    for rows, label, ov_node, ov_cell, g in (
-        (slice(0, nt), "left", nb, nb, g2[0]),
-        (slice(nt, None), "right", nb + n_ov - 1, nb + n_ov - 2, g2[1]),
-    ):
-        idx[rows, 4:] = ov_node, ov_cell, ov_cell + 1
-        grad[rows, 5:] = -g, g
+    idx = np.empty(x.shape + (7,), dtype=int)
+    jump, grad, upwind = np.zeros((3,) + x.shape + (7,))
+    idx[..., 0], idx[..., 1], idx[..., 2], idx[..., 3] = c, c + 1, c1, c1 + 1
+    idx[..., 4], idx[..., 5], idx[..., 6] = [nb, nb + n_ov - 1], ov_cell, ov_cell + 1
+    jump[..., 0], jump[..., 1], jump[..., 4] = 1.0 - w1, w1, -1.0
+    grad[..., 2], grad[..., 3], grad[..., 5], grad[..., 6] = -g1, g1, -g2, g2
+    for side, label in enumerate(("left", "right")):
         sigma, w = sigma_side(label, mu)
-        upwind[rows, :2] = np.where((sigma == 1)[:, None], w[:, None] * jump[rows, :2], 0.0)
-        upwind[rows, 4] = np.where(sigma == 1, 0.0, w)
-
-    # from all left rows, then all right rows, to slab by slab
-    count = np.bincount(slab, minlength=len(geoms))
-    left = (np.cumsum(count) - count)[slab] + np.arange(nt)
-    order = np.empty(2 * nt, dtype=int)
-    order[left] = np.arange(nt)
-    order[left + count[slab]] = np.arange(nt, 2 * nt)
-    return InterfaceStencil(
-        idx=idx[order],
-        jump=jump[order],
-        grad=grad[order],
-        upwind=upwind[order],
-        x=x[order],
-        n1=np.repeat([1.0, -1.0], nt)[order],
-        h_K=(nodes[cK + 1] - nodes[cK])[order],
-    )
+        upwind[:, side, :2] = np.where((sigma == 1)[:, None], w[:, None] * jump[:, side, :2], 0.0)
+        upwind[:, side, 4] = np.where(sigma == 1, 0.0, w)
+    return InterfaceStencil(idx, jump, grad, upwind, x, nodes[cK + 1] - nodes[cK])
 
 
 def _search_rows(a: np.ndarray, off: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
@@ -228,7 +210,7 @@ class SlabSpace(Slab):
 
     geom = property(lambda self: self.columns.geoms[self.i])
     times = property(lambda self: self.geom.t_start + self.geom.k * self.tau)
-    stab = property(lambda self: Slab.__getattr__(self, "stab") if self.counts[2] else None)
+    stab = property(lambda self: Slab.__getattr__(self, "stab") if self.counts[1] else None)
     active_bg = property(lambda self: np.flatnonzero(self.node_dof[: len(self.geom.bg_nodes)] >= 0))
     dof_node = property(lambda self: np.argsort(self.node_dof)[-self.n_spatial :])
     n_active_bg = property(lambda self: len(self.active_bg))
@@ -242,10 +224,9 @@ class SlabSpaces(Columns):
     """The records of consecutive slabs, as columns (``Columns``): per slab
     its ``node_dof`` row (global node -> spatial DOF, -1 if none); the rule
     ``tau`` (slab-relative times), ``weights`` and mode values ``lam`` (times,
-    q+1) of every slab, slab after slab; the ``stencil`` rows of each slab's
-    left and then right interface points at its times; and the ``stab``
-    pairs of each slab.  ``counts`` (slabs, 3) gives each slab's times,
-    stencil rows and pairs."""
+    q+1) and interface ``stencil`` (times, 2, ...) of every slab, slab after
+    slab; and the ``stab`` pairs of each slab.  ``counts`` (slabs, 2) gives
+    each slab's times and pairs."""
 
     geoms: SlabGeometries
     q: int
@@ -258,7 +239,7 @@ class SlabSpaces(Columns):
     counts: np.ndarray
 
     PER_SLAB = ("node_dof", "counts")
-    RAGGED = {"tau": 0, "weights": 0, "lam": 0, "stencil": 1, "stab": 2}
+    RAGGED = {"tau": 0, "weights": 0, "lam": 0, "stencil": 0, "stab": 1}
     VIEW = SlabSpace
 
     @property
@@ -310,7 +291,7 @@ def build_slab_space(geoms: SlabGeometries, disc: Discretization, held=None) -> 
     weights *= made.k[slab]
     stencil = interface_stencil(made, slab, made.t_start[slab] + made.k[slab] * tau, disc.omega1)
     stab, pairs = stabilization_weights(made, disc.q)
-    counts = np.stack([nt, 2 * nt, pairs], axis=1)
+    counts = np.stack([nt, pairs], axis=1)
     lam = temporal_modes(disc.q, tau)
     built = SlabSpaces(made, disc.q, node_dof, tau, weights, lam, stencil, stab, counts)
     return share(built, held, geoms.repeats, geoms=geoms)

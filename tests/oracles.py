@@ -39,7 +39,7 @@ from cutslab.geometry import (
 )
 from cutslab.norms import NormBreakdown, _zero_exact
 from cutslab.quadrature import GL3, composite_time_rule, lobatto3, midpoint
-from cutslab.spaces import interface_stencil, temporal_basis_derivs, temporal_modes
+from cutslab.spaces import N1, interface_stencil, temporal_basis_derivs, temporal_modes
 
 from conftest import slab_system
 
@@ -93,7 +93,7 @@ def evaluate(slab, x, t: float, side="auto", deriv="value") -> np.ndarray:
         raise ValueError(f"t={t} outside slab {geom.n}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = _modes_at(geom, space.q, t)
-    dlam = temporal_basis_derivs(space.q, geom.t_start, geom.t_end)
+    dlam = temporal_basis_derivs(space.q, geom.t_end - geom.t_start)
     a = float(geom.left(t))
     b = a + geom.overlap_length
     if side == "auto":
@@ -764,12 +764,12 @@ def assemble_Aht(space, t: float, gamma: float, omega1: float) -> np.ndarray:
     for rows, cols, _, kv in _sidewise_entries(space, t):
         A += _dense(space, rows, cols, kv)
     st = interface_stencil(geom.columns, np.array([geom.i]), np.array([t]), omega1)
-    J, G = st.jump, st.grad
-    pen = (np.hypot(geom.mu, 1.0) * gamma / st.h_K)[:, None, None]
-    n1 = st.n1[:, None, None]
+    J, G = st.jump[0], st.grad[0]  # both points at the one time
+    pen = (np.hypot(geom.mu, 1.0) * gamma / st.h_K[0])[:, None, None]
+    n1 = N1[:, None, None]
     vals = -n1 * (J[:, :, None] * G[:, None, :] + G[:, :, None] * J[:, None, :])
     vals += pen * J[:, :, None] * J[:, None, :]
-    A += _dense(space, *_outer_entries(st.idx, vals))
+    A += _dense(space, *_outer_entries(st.idx[0], vals))
     # gradient-jump stabilization over the covered parts of cut cells
     seg = overlap_segments(geom, t)
     nb = len(geom.bg_nodes)
@@ -787,7 +787,8 @@ def upwind_matrix(space, t: float) -> np.ndarray:
     """Spatial matrix of the moving-interface jump term at time t."""
     # omega1 weights only the average gradient, which this term does not read
     st = interface_stencil(space.geom.columns, np.array([space.geom.i]), np.array([t]), 0.5)
-    return _dense(space, *_outer_entries(st.idx, st.upwind[:, :, None] * st.jump[:, None, :]))
+    vals = st.upwind[0, :, :, None] * st.jump[0, :, None, :]
+    return _dense(space, *_outer_entries(st.idx[0], vals))
 
 
 def mass_matrix(space, t: float) -> np.ndarray:

@@ -732,6 +732,9 @@ class TestBands:
         prev = SlabSolution(spaces[0], solve_slab(one))
         matrix, cover = head.handoff
         assert all(np.array_equal(a, b) for a, b in zip(matrix, one.triplets))
+        # slab 1's covered start mass, one row of rows, cols and values
+        n = len(cover[0])
+        assert len(cover) == 3 and all(x.shape == (n,) for x in cover)
         systems = assemble_slab(spaces[1:], setup, prev, head.handoff)
         assert not systems.new.any() and systems.at == [0]
         assert not len(systems.rows) and not len(systems.vals)
@@ -741,6 +744,9 @@ class TestBands:
         for i, space in enumerate(spaces[1:]):
             ref = slab_system(space, setup, prev).matrix  # nothing handed on: assembled
             assert _same_matrix(systems.system(i, prev).matrix, ref)
+        # slab 2's jump map ends in that row, negated, where both slabs have DOFs
+        kept = (spaces[1].node_dof[cover[0]] >= 0) & (spaces[0].node_dof[cover[1]] >= 0)
+        assert np.array_equal(systems.jump[2][0, -n:], np.where(kept, -cover[2], 0.0))
         for i in range(1, 5):
             pair = assemble_slab(spaces[i : i + 2], setup, prev)  # slabs i + 1, i + 2
             assert all(np.array_equal(a[i], b[1]) for a, b in zip(systems.jump, pair.jump))

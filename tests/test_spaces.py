@@ -11,24 +11,27 @@ from cutslab.spaces import (
     SlabSpaces,
     _search_rows,
     build_slab_space,
+    interface_stencil,
     temporal_basis_derivs,
     temporal_modes,
 )
 
-from conftest import make_setup, nodal_interpolant, random_discrete, scaled, slab_space
+from conftest import (
+    make_setup, nodal_interpolant, oscillating_setup, random_discrete, scaled, slab_space
+)
 from oracles import evaluate, interface_gradient, interfaces, trace
 
 
 class TestTemporalBasis:
     def test_constant_mode(self):
         assert temporal_modes(0, 0.6) == pytest.approx([1.0])
-        assert temporal_basis_derivs(0, 0.0, 0.5) == pytest.approx([0.0])
+        assert temporal_basis_derivs(0, 0.5) == pytest.approx([0.0])
 
     def test_linear_nodal(self):
         # the modes take slab-relative time: 0 at the slab start, 1 at its end
         assert temporal_modes(1, 0.0) == pytest.approx([1.0, 0.0])
         assert temporal_modes(1, 1.0) == pytest.approx([0.0, 1.0])
-        assert temporal_basis_derivs(1, 0.2, 0.7) == pytest.approx([-2.0, 2.0])
+        assert temporal_basis_derivs(1, 0.7 - 0.2) == pytest.approx([-2.0, 2.0])
 
     def test_linear_partition_of_unity(self):
         tau = np.linspace(0.0, 1.0, 7)
@@ -100,6 +103,27 @@ class TestChunkOfRecords:
                 for a, b in zip(sp.stab, one.stab):
                     assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("config", ["moving", "oscillating"])
+    def test_stencil_rows_follow_the_time_rows(self, q, config):
+        # one stencil row per rule time, the left point then the right one,
+        # and a slab's rows are its stencil at its own times
+        if config == "moving":
+            setup = make_setup(n0=16, nG=4, N=6, mu=0.6, a0=0.13, q=q)
+        else:
+            setup = oscillating_setup(q)
+        geoms = build_slab_geometry(setup, range(1, setup.disc.n_slabs + 1))
+        assert geoms.counts[:, 0].any()  # some slab has events
+        spaces = build_slab_space(geoms, setup.disc)
+        slab, times = spaces.slab_index("tau"), spaces.times
+        a = geoms.left(slab, times)
+        assert np.array_equal(spaces.stencil.x, np.stack([a, a + geoms.overlap_length], axis=1))
+        for i, sp in enumerate(spaces):
+            first = np.zeros(len(sp.times), dtype=int)
+            alone = interface_stencil(geoms[i : i + 1], first, sp.times, setup.disc.omega1)
+            for got, want in zip(sp.stencil, alone):
+                assert np.array_equal(got, want)
+
     def test_row_search_matches_searchsorted_at_ties(self):
         # a search of v - a in off must count the nodes a + off at or below
         # v exactly as a search in a + off does, also where v sits on a node
@@ -162,10 +186,12 @@ class TestEvalBasis:
             v, dx, dt, dtraj = (
                 evaluate(phi, x, t, side=2, deriv=d)[0] for d in ("value", "dx", "dt", "Dt")
             )
-            dlam = temporal_basis_derivs(1, geom.t_start, geom.t_end)[mode]
+            dlam = temporal_basis_derivs(1, geom.t_end - geom.t_start)[mode]
             lam = temporal_modes(1, (t - geom.t_start) / (geom.t_end - geom.t_start))[mode]
             assert dtraj == pytest.approx(v / lam * dlam)
             assert dt == pytest.approx(dtraj - geom.mu * dx)
+            # the function is the one of overlap node 1: its mode value there
+            assert evaluate(phi, geom.ov_positions(t)[1], t, side=2)[0] == pytest.approx(lam)
 
     def test_out_of_slab_raises(self):
         setup = make_setup(N=2)
@@ -255,15 +281,16 @@ class TestSlabSolution:
 
     def test_interface_gradient_on_node_uses_correct_cell(self):
         # stationary aligned overlap: interfaces sit exactly on nodes, and the
-        # side-1 gradient at the left interface must come from the left cell
+        # side-1 gradient at the left interface must come from the left cell;
+        # side 2 has a slope of its own
         setup = make_setup(n0=8, nG=2, N=1, mu=0.0, a0=0.25, q=0)
         space = slab_space(setup, 1)
         geom = space.geom
         f = lambda x: np.minimum(x, 0.25)  # kink exactly at the interface
-        coeffs = np.concatenate([f(setup.bg_nodes), f(geom.ov_positions(0.0))])[space.dof_node]
+        coeffs = np.concatenate([f(setup.bg_nodes), 2.0 * geom.ov_positions(0.0)])[space.dof_node]
         slab = SlabSolution(space, coeffs)
         assert interface_gradient(slab, "left", 0.5, 1) == pytest.approx(1.0)
-        assert interface_gradient(slab, "left", 0.5, 2) == pytest.approx(0.0)
+        assert interface_gradient(slab, "left", 0.5, 2) == pytest.approx(2.0)
 
     def test_partition_of_unity(self, rng):
         # all-ones coefficients represent 1 wherever evaluation is admissible
